@@ -539,7 +539,7 @@ fn time_compiled(
     // comparison silently.
     let out = ifko::runner::run_once(compiled, &args, mach).ok()?;
     ifko::verify(kernel, w, &out).ok()?;
-    timer.time(compiled, &args, mach).ok()
+    Some(timer.time_from(out.stats.cycles, &compiled.name))
 }
 
 /// Run all six methodologies for one kernel under a prepared

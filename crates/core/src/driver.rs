@@ -163,7 +163,7 @@ pub(crate) fn tune_with_config(kernel: Kernel, cfg: &TuneConfig) -> Result<TuneO
                 context,
                 machine,
                 &cfg.search,
-                engine.trace().cloned(),
+                Some(&engine),
                 &scope,
                 search_id,
             )
@@ -184,16 +184,18 @@ pub(crate) fn tune_with_config(kernel: Kernel, cfg: &TuneConfig) -> Result<TuneO
         workload: &workload,
         context,
     };
+    // One clean run of the winner yields both the reported cycles (the
+    // paper's timer protocol over its cycle count) and its counter
+    // vector.
     let final_span = tune_span.child("final-time");
-    let cycles = cfg.final_timer.time(&compiled, &args, machine);
+    let out = crate::runner::run_once(&compiled, &args, machine);
     drop(final_span);
-    let cycles = cycles.map_err(|e| TuneError(format!("{}: {e}", kernel.name())))?;
+    reg.counter(metrics::ENGINE_SIMULATIONS).inc();
+    let out =
+        out.map_err(|e| TuneError(format!("{}: winner failed to run: {e}", kernel.name())))?;
+    let cycles = cfg.final_timer.time_from(out.stats.cycles, &compiled.name);
     let mflops = flops_rate(kernel, n, cycles, machine);
-    // One clean run of the winner for its counter vector; the simulator
-    // is deterministic, so this costs one simulation, not a re-tune.
-    let features = crate::runner::run_once(&compiled, &args, machine)
-        .map(|out| FeatureVector::from_stats(&out.stats, n as u64))
-        .map_err(|e| TuneError(format!("{}: winner failed to run: {e}", kernel.name())))?;
+    let features = FeatureVector::from_stats(&out.stats, n as u64);
 
     // Persist the verified winner — unless this run itself was answered
     // by the database (re-storing would overwrite the finder's name).
@@ -263,14 +265,12 @@ pub(crate) fn defaults_with_config(kernel: Kernel, cfg: &TuneConfig) -> Result<u
         workload: &workload,
         context,
     };
-    // Verify, then time.
+    // One run: verify its outputs, then time its cycle count.
     let out =
         crate::runner::run_once(&compiled, &args, machine).map_err(|e| TuneError(e.to_string()))?;
     crate::tester::verify(kernel, &workload, &out)
         .map_err(|e| TuneError(format!("{} defaults failed verify: {e}", kernel.name())))?;
-    cfg.final_timer
-        .time(&compiled, &args, machine)
-        .map_err(|e| TuneError(e.to_string()))
+    Ok(cfg.final_timer.time_from(out.stats.cycles, &compiled.name))
 }
 
 /// MFLOPS for a kernel run (paper Figure 5 metric).

@@ -11,15 +11,15 @@
 
 use crate::config::TuneConfig;
 use crate::eval::{fnv64, EvalRecord, EvalScope, Span};
-use crate::runner::Context;
+use crate::runner::{simulate, Context, Operands};
 use crate::search::{SearchOptions, SearchResult};
 use crate::strategy::{db_key, STRATEGY_WARM};
 use ifko_fko::{
-    ArgSlot, CompileError, CompileOpts, CompileSession, CompiledKernel, RetSlot, TransformParams,
+    ArgSlot, CompileError, CompileOpts, CompileSession, CompiledKernel, TransformParams,
 };
 use ifko_xsim::isa::Prec;
 use ifko_xsim::rng::Rng64;
-use ifko_xsim::{Cpu, FReg, IReg, MachineConfig, Memory, RunStats};
+use ifko_xsim::{MachineConfig, RunStats};
 
 /// A workload for an arbitrary kernel, shaped by its argument convention.
 #[derive(Clone, Debug)]
@@ -67,94 +67,28 @@ pub struct GenericOutputs {
     pub stats: RunStats,
 }
 
-/// Execute a compiled kernel against a generic workload.
+/// Execute a compiled kernel against a generic workload (one pooled
+/// simulation, see [`crate::runner::simulate`]).
 pub fn run_generic(
     compiled: &CompiledKernel,
     w: &GenericWorkload,
     context: Context,
     machine: &MachineConfig,
 ) -> Result<GenericOutputs, String> {
-    let prec = compiled.prec;
-    let eb = prec.bytes();
-    let n = w.n;
-    let mut mem =
-        Memory::new(((n as u64 * eb) * (w.vectors.len() as u64 + 1) + (1 << 20)) as usize);
-    let addrs: Vec<u64> = w
-        .vectors
-        .iter()
-        .map(|_| mem.alloc_vector(n.max(1) as u64, eb))
-        .collect();
-    for (a, v) in addrs.iter().zip(&w.vectors) {
-        match prec {
-            Prec::D => mem.store_f64_slice(*a, v).map_err(|e| e.to_string())?,
-            Prec::S => {
-                let f: Vec<f32> = v.iter().map(|&x| x as f32).collect();
-                mem.store_f32_slice(*a, &f).map_err(|e| e.to_string())?;
-            }
-        }
-    }
-    let frame = if compiled.frame_bytes > 0 {
-        mem.alloc(compiled.frame_bytes, 16)
-    } else {
-        0
+    let eb = compiled.prec.bytes();
+    let ops = Operands {
+        n: w.n,
+        vectors: &w.vectors,
+        scalars: &w.scalars,
+        capacity: ((w.n as u64 * eb) * (w.vectors.len() as u64 + 1) + (1 << 20)) as usize,
     };
-
-    let mut cpu = Cpu::new(machine.clone());
-    cpu.flush_caches();
-    if context == Context::InL2 {
-        for a in &addrs {
-            cpu.preload_l2(*a, n as u64 * eb);
-        }
-    }
-    let mut ptrs = addrs.iter();
-    let mut scalars = w.scalars.iter();
-    for slot in &compiled.arg_convention {
-        match slot {
-            ArgSlot::PtrReg(r) => {
-                cpu.set_ireg(IReg(*r), *ptrs.next().ok_or("missing vector")? as i64)
-            }
-            ArgSlot::IntReg(r) => cpu.set_ireg(IReg(*r), n as i64),
-            ArgSlot::FReg(r) => {
-                let v = *scalars.next().ok_or("missing scalar")?;
-                match prec {
-                    Prec::D => cpu.set_freg_f64(FReg(*r), v),
-                    Prec::S => cpu.set_freg_f32(FReg(*r), v as f32),
-                }
-            }
-        }
-    }
-    cpu.set_ireg(IReg(7), frame as i64);
-    let stats = cpu
-        .run(&compiled.program, &mut mem)
-        .map_err(|e| e.to_string())?;
-
-    let vectors = addrs
-        .iter()
-        .map(|a| match prec {
-            Prec::D => mem.load_f64_slice(*a, n).unwrap(),
-            Prec::S => mem
-                .load_f32_slice(*a, n)
-                .unwrap()
-                .into_iter()
-                .map(|v| v as f64)
-                .collect(),
-        })
-        .collect();
+    let raw = simulate(compiled, &ops, context, machine).map_err(|e| e.0)?;
     Ok(GenericOutputs {
-        ret_f: match compiled.ret {
-            RetSlot::F0 => match prec {
-                Prec::D => cpu.freg_f64(FReg(0)),
-                Prec::S => cpu.freg_f32(FReg(0)) as f64,
-            },
-            _ => 0.0,
-        },
-        ret_i: match compiled.ret {
-            RetSlot::I0 => cpu.ireg(IReg(0)),
-            _ => 0,
-        },
-        vectors,
-        cycles: stats.cycles,
-        stats,
+        ret_f: raw.ret_f,
+        ret_i: raw.ret_i,
+        vectors: raw.vectors,
+        cycles: raw.stats.cycles,
+        stats: raw.stats,
     })
 }
 
@@ -193,10 +127,12 @@ pub(crate) fn generic_eval_point<'a>(
     context: Context,
     machine: &'a MachineConfig,
     opts: &'a SearchOptions,
-    sink: Option<std::sync::Arc<dyn crate::eval::TraceSink>>,
+    engine: Option<&crate::eval::EvalEngine>,
     scope: &'a EvalScope,
     search_id: u64,
 ) -> impl Fn(&TransformParams) -> EvalRecord + Sync + 'a {
+    let sink = engine.and_then(|e| e.trace().cloned());
+    let simulations = engine.map(|e| e.metrics().counter(crate::metrics::ENGINE_SIMULATIONS));
     let n = w.n;
     move |p: &TransformParams| -> EvalRecord {
         let eval_span = Span::with_parent(sink.clone(), scope.key(), "eval", Some(search_id));
@@ -238,13 +174,16 @@ pub(crate) fn generic_eval_point<'a>(
                 ..EvalRecord::rejected()
             };
         };
-        // Verify differentially, then time (best of the timer's
-        // reps — the simulator is deterministic, so one timed run
-        // suffices here; the BLAS path exercises the full
-        // min-of-6 protocol).
+        // One simulation: verified differentially, and its exact cycle
+        // count is the candidate's time (this path applies no timer
+        // interference; the BLAS path runs the timer's statistics over
+        // its one run).
         let sim_span = eval_span.child("simulate");
         let got = run_generic(&c, w, context, machine);
         drop(sim_span);
+        if let Some(c) = &simulations {
+            c.inc();
+        }
         let Ok(got) = got else {
             return EvalRecord {
                 retries,
@@ -401,7 +340,7 @@ pub(crate) fn tune_source_with_config(
                 context,
                 machine,
                 opts,
-                engine.trace().cloned(),
+                Some(&engine),
                 &scope,
                 search_id,
             )
@@ -435,6 +374,8 @@ pub(crate) fn tune_source_with_config(
         .map_err(CompileError::codegen)?;
     let pipe = sess.stats();
     let reg = engine.metrics();
+    // The baseline run above and the winner's feature run.
+    reg.counter(crate::metrics::ENGINE_SIMULATIONS).add(2);
     reg.counter(crate::metrics::PIPE_COMPILES)
         .add(pipe.compiles);
     reg.counter(crate::metrics::PIPE_SUBCACHE_HITS)

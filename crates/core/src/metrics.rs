@@ -539,6 +539,11 @@ pub fn global() -> Arc<MetricsRegistry> {
 pub const ENGINE_BATCHES: &str = "ifko_engine_batches_total";
 /// Fresh candidate evaluations (compile + verify + time).
 pub const ENGINE_EVALS: &str = "ifko_engine_evals_total";
+/// Simulator runs made by a tune in this process: one per fresh
+/// candidate that compiled, plus the driver's own (the winner's final
+/// run; a generic tune's baseline run). Candidates evaluated in worker
+/// processes are simulated there and not counted here.
+pub const ENGINE_SIMULATIONS: &str = "ifko_engine_simulations_total";
 /// Fresh evaluations rejected by compilation or the tester.
 pub const ENGINE_REJECTED: &str = "ifko_engine_rejected_total";
 /// Candidates pruned by the legality precheck before compilation.

@@ -457,6 +457,27 @@ pub struct TraceReport {
     pub containers: Vec<StageRow>,
 }
 
+impl TraceReport {
+    /// `simulate` spans recorded against fresh evaluations across every
+    /// scope: the one-simulation-per-candidate invariant, read back from
+    /// the trace (the ratio is below 1 when candidates fail to compile,
+    /// and 0 for evaluations made in worker processes, which do not
+    /// trace). `None` when the trace carries no `simulate` spans.
+    pub fn simulations_per_fresh_eval(&self) -> Option<(u64, u64)> {
+        let sims = self.stages.iter().find(|r| r.stage == "simulate")?.count;
+        Some((sims, self.scopes.iter().map(|sc| sc.fresh).sum()))
+    }
+
+    /// The text and Markdown renderers' line for that pair.
+    fn simulations_line(&self) -> Option<String> {
+        let (sims, fresh) = self.simulations_per_fresh_eval()?;
+        let ratio = f4(sims as f64 / fresh.max(1) as f64);
+        Some(format!(
+            "simulations / fresh eval: {sims} / {fresh} = {ratio}\n"
+        ))
+    }
+}
+
 /// Span stages that contain other spans rather than doing leaf work.
 const CONTAINER_STAGES: &[&str] = &["tune", "search", "eval", "compile"];
 
@@ -829,6 +850,7 @@ fn render_text(rep: &TraceReport) -> String {
                 sub.count, sub.total_us
             ));
         }
+        s.push_str(&rep.simulations_line().unwrap_or_default());
     }
     if rep.malformed > 0 {
         s.push_str(&format!("({} malformed lines skipped)\n", rep.malformed));
@@ -1038,6 +1060,10 @@ fn render_md(rep: &TraceReport) -> String {
             ));
         }
         s.push('\n');
+        if let Some(line) = rep.simulations_line() {
+            s.push_str(&line);
+            s.push('\n');
+        }
     }
     if rep.malformed > 0 {
         s.push_str(&format!("_{} malformed lines skipped._\n", rep.malformed));
@@ -1251,6 +1277,30 @@ mod tests {
         assert_eq!(rep.stages[0].count, 2);
         assert_eq!(rep.containers.len(), 1);
         assert_eq!(rep.containers[0].stage, "eval");
+    }
+
+    #[test]
+    fn simulations_per_fresh_eval_is_read_back_from_the_trace() {
+        let sim = |id| {
+            SearchEvent::Span(SpanEvent {
+                scope: "s".into(),
+                stage: "simulate".into(),
+                id,
+                parent: None,
+                wall_us: 5,
+            })
+        };
+        // Two fresh evaluations, one cache hit, two simulations.
+        let mut events = vec![eval("SEED", Some(100), false), eval("UR", Some(50), false)];
+        events.push(eval("UR", Some(50), true));
+        assert_eq!(analyze(&events, 0).simulations_per_fresh_eval(), None);
+        events.extend([sim(1), sim(2)]);
+        let rep = analyze(&events, 0);
+        assert_eq!(rep.simulations_per_fresh_eval(), Some((2, 2)));
+        let line = "simulations / fresh eval: 2 / 2 = 1.0000\n";
+        assert!(render(&rep, ReportFormat::Text).contains(line));
+        assert!(render(&rep, ReportFormat::Markdown).contains(line));
+        assert!(!render(&rep, ReportFormat::Json).contains("fresh eval"));
     }
 
     #[test]

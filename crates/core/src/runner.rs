@@ -1,11 +1,15 @@
-//! Kernel execution harness: binds a BLAS workload to a compiled kernel's
+//! Kernel execution harness: binds operands to a compiled kernel's
 //! calling convention, establishes the timing context, runs on the
-//! simulator, and extracts outputs.
+//! simulator, and extracts outputs. One lay-out/bind/run/extract path
+//! ([`RunContext::run`]) serves both the BLAS suite ([`run_once`]) and
+//! arbitrary HIL kernels ([`crate::generic::run_generic`]), on reusable
+//! contexts drawn from a process-wide pool ([`simulate`]).
 
 use ifko_blas::{Kernel, RetKind, Workload};
 use ifko_fko::{ArgSlot, CompiledKernel, RetSlot};
 use ifko_xsim::isa::Prec;
-use ifko_xsim::{Cpu, FReg, IReg, Memory, RunStats};
+use ifko_xsim::{Cpu, FReg, IReg, MachineConfig, Memory, RunStats};
+use std::sync::{Mutex, OnceLock};
 
 /// Memory context of a timing (paper §3: "out-of-cache" N=80000 vs
 /// "in-L2-cache" N=1024).
@@ -61,87 +65,175 @@ impl std::fmt::Display for RunFailure {
 }
 impl std::error::Error for RunFailure {}
 
-/// Execute `compiled` once under `args` on a fresh CPU of the machine it
-/// was compiled for.
-pub fn run_once(
-    compiled: &CompiledKernel,
-    args: &KernelArgs<'_>,
-    machine: &ifko_xsim::MachineConfig,
-) -> Result<Outputs, RunFailure> {
-    let n = args.workload.n;
-    let prec = args.kernel.prec;
-    let eb = prec.bytes();
+/// Operand data for one simulation, shaped by the compiled kernel's
+/// argument convention: one vector per pointer argument and one value per
+/// FP scalar argument, both in argument order; integer arguments get `n`.
+pub struct Operands<'a, V> {
+    pub n: usize,
+    pub vectors: &'a [V],
+    pub scalars: &'a [f64],
+    /// Bytes of simulated memory (operands plus slack): accesses beyond
+    /// it fault.
+    pub capacity: usize,
+}
 
-    // Lay out operands.
-    let mut mem = Memory::new(((n as u64 * eb * 2) + (1 << 20)) as usize);
-    let n_vec = args.kernel.op.n_vectors();
-    let xaddr = mem.alloc_vector(n.max(1) as u64, eb);
-    let yaddr = if n_vec > 1 {
-        mem.alloc_vector(n.max(1) as u64, eb)
-    } else {
-        0
-    };
-    store_vec(&mut mem, xaddr, &args.workload.x, prec);
-    if n_vec > 1 {
-        store_vec(&mut mem, yaddr, &args.workload.y, prec);
-    }
-    let frame = if compiled.frame_bytes > 0 {
-        mem.alloc(compiled.frame_bytes, 16)
-    } else {
-        0
-    };
+/// What one simulation produced: return registers, the final contents
+/// of every operand vector (widened to f64), and the counters.
+#[derive(Clone, Debug)]
+pub struct RawRun {
+    pub ret_f: f64,
+    pub ret_i: i64,
+    pub vectors: Vec<Vec<f64>>,
+    pub stats: RunStats,
+}
 
-    let mut cpu = Cpu::new(machine.clone());
-    cpu.flush_caches();
-    if args.context == Context::InL2 {
-        cpu.preload_l2(xaddr, n as u64 * eb);
-        if n_vec > 1 {
-            cpu.preload_l2(yaddr, n as u64 * eb);
+/// A reusable simulation context: one CPU and one memory image, good for
+/// any machine and any operand size. [`RunContext::run`] starts by
+/// resetting both to a state indistinguishable from `Cpu::new` +
+/// `Memory::new`, so whatever an earlier run (or a caller poking the
+/// public fields) left behind — stray stores, write-combine entries, a
+/// fault mid-program, another machine's cache geometry — cannot leak
+/// into the next one. That reset is what keeps [`run_once`] a pure
+/// function while sparing it an allocation and a cache sweep per call.
+pub struct RunContext {
+    pub cpu: Cpu,
+    pub mem: Memory,
+}
+
+impl RunContext {
+    pub fn new(machine: &MachineConfig) -> RunContext {
+        RunContext {
+            cpu: Cpu::new(machine.clone()),
+            mem: Memory::new(0),
         }
     }
 
-    // Bind arguments following the compiled convention. Pointers bind in
-    // vector order (X then Y); integer slots receive N; the FP slot
-    // receives alpha.
-    let mut ptrs = [xaddr, yaddr].into_iter();
-    let mut scalars = [args.workload.alpha, args.workload.beta].into_iter();
-    for slot in &compiled.arg_convention {
-        match slot {
-            ArgSlot::PtrReg(r) => {
-                let a = ptrs
-                    .next()
-                    .ok_or_else(|| RunFailure("kernel wants more pointers than workload".into()))?;
-                cpu.set_ireg(IReg(*r), a as i64);
+    /// Lay out `ops`, establish `context`, bind the arguments following
+    /// `compiled`'s convention, run on `machine`, and extract the results.
+    pub fn run<V: AsRef<[f64]>>(
+        &mut self,
+        compiled: &CompiledKernel,
+        ops: &Operands<'_, V>,
+        context: Context,
+        machine: &MachineConfig,
+    ) -> Result<RawRun, RunFailure> {
+        let RunContext { cpu, mem } = self;
+        let prec = compiled.prec;
+        let eb = prec.bytes();
+        let n = ops.n;
+
+        mem.reset(ops.capacity);
+        let addrs: Vec<u64> = ops
+            .vectors
+            .iter()
+            .map(|v| {
+                let a = mem.alloc_vector(n.max(1) as u64, eb);
+                store_vec(mem, a, v.as_ref(), prec);
+                a
+            })
+            .collect();
+        let frame = if compiled.frame_bytes > 0 {
+            mem.alloc(compiled.frame_bytes, 16)
+        } else {
+            0
+        };
+
+        cpu.reset(machine);
+        if context == Context::InL2 {
+            for a in &addrs {
+                cpu.preload_l2(*a, n as u64 * eb);
             }
-            ArgSlot::IntReg(r) => cpu.set_ireg(IReg(*r), n as i64),
-            ArgSlot::FReg(r) => {
-                let v = scalars
-                    .next()
-                    .ok_or_else(|| RunFailure("kernel wants more scalars than workload".into()))?;
-                match prec {
-                    Prec::D => cpu.set_freg_f64(FReg(*r), v),
-                    Prec::S => cpu.set_freg_f32(FReg(*r), v as f32),
+        }
+
+        let mut ptrs = addrs.iter();
+        let mut scalars = ops.scalars.iter();
+        for slot in &compiled.arg_convention {
+            match slot {
+                ArgSlot::PtrReg(r) => {
+                    let a = ptrs.next().ok_or_else(|| {
+                        RunFailure("kernel wants more pointers than workload".into())
+                    })?;
+                    cpu.set_ireg(IReg(*r), *a as i64);
+                }
+                ArgSlot::IntReg(r) => cpu.set_ireg(IReg(*r), n as i64),
+                ArgSlot::FReg(r) => {
+                    let v = *scalars.next().ok_or_else(|| {
+                        RunFailure("kernel wants more scalars than workload".into())
+                    })?;
+                    match prec {
+                        Prec::D => cpu.set_freg_f64(FReg(*r), v),
+                        Prec::S => cpu.set_freg_f32(FReg(*r), v as f32),
+                    }
                 }
             }
         }
+        cpu.set_ireg(IReg(7), frame as i64);
+
+        let stats = cpu
+            .run(&compiled.program, mem)
+            .map_err(|e| RunFailure(format!("{}: {e}", compiled.name)))?;
+
+        Ok(RawRun {
+            ret_f: match (compiled.ret, prec) {
+                (RetSlot::F0, Prec::D) => cpu.freg_f64(FReg(0)),
+                (RetSlot::F0, Prec::S) => cpu.freg_f32(FReg(0)) as f64,
+                _ => 0.0,
+            },
+            ret_i: match compiled.ret {
+                RetSlot::I0 => cpu.ireg(IReg(0)),
+                _ => 0,
+            },
+            vectors: addrs.iter().map(|a| load_vec(mem, *a, n, prec)).collect(),
+            stats,
+        })
     }
-    cpu.set_ireg(IReg(7), frame as i64);
+}
 
-    let stats = cpu
-        .run(&compiled.program, &mut mem)
-        .map_err(|e| RunFailure(format!("{}: {e}", compiled.name)))?;
+/// Idle contexts, process-wide: a run checks one out (or builds one) and
+/// puts it back, the way `CompileSession` pools its scratch buffers.
+static POOL: Mutex<Vec<RunContext>> = Mutex::new(Vec::new());
+/// Idle contexts kept: one per hardware thread (each holds a cache model
+/// and a memory image, ~2 MB); more concurrent runs than that build
+/// their own and drop them.
+static MAX_IDLE: OnceLock<usize> = OnceLock::new();
 
-    let ret_f = match compiled.ret {
-        RetSlot::F0 => match prec {
-            Prec::D => cpu.freg_f64(FReg(0)),
-            Prec::S => cpu.freg_f32(FReg(0)) as f64,
-        },
-        _ => 0.0,
+/// Run one simulation on a pooled [`RunContext`]. The context goes back
+/// to the pool on every return path, faults and harness errors included.
+pub fn simulate<V: AsRef<[f64]>>(
+    compiled: &CompiledKernel,
+    ops: &Operands<'_, V>,
+    context: Context,
+    machine: &MachineConfig,
+) -> Result<RawRun, RunFailure> {
+    // The lock is never held across a run, so it cannot be poisoned.
+    let pooled = POOL.lock().expect("run-context pool lock").pop();
+    let mut ctx = pooled.unwrap_or_else(|| RunContext::new(machine));
+    let result = ctx.run(compiled, ops, context, machine);
+    let max_idle =
+        *MAX_IDLE.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
+    let mut pool = POOL.lock().expect("run-context pool lock");
+    if pool.len() < max_idle {
+        pool.push(ctx);
+    }
+    result
+}
+
+/// Execute `compiled` once under `args` on `machine`, as if on a fresh
+/// CPU and memory: a pure function of its arguments.
+pub fn run_once(
+    compiled: &CompiledKernel,
+    args: &KernelArgs<'_>,
+    machine: &MachineConfig,
+) -> Result<Outputs, RunFailure> {
+    let w = args.workload;
+    let both = [&w.x, &w.y];
+    let ops = Operands {
+        n: w.n,
+        vectors: &both[..args.kernel.op.n_vectors()],
+        scalars: &[w.alpha, w.beta],
+        capacity: (w.n as u64 * args.kernel.prec.bytes() * 2 + (1 << 20)) as usize,
     };
-    let ret_i = match compiled.ret {
-        RetSlot::I0 => cpu.ireg(IReg(0)),
-        _ => 0,
-    };
+    let raw = simulate(compiled, &ops, args.context, machine)?;
     // Sanity: the ret slot must agree with the op's return kind.
     match (args.kernel.op.ret(), compiled.ret) {
         (RetKind::Float, RetSlot::F0) | (RetKind::Index, RetSlot::I0) | (RetKind::None, _) => {}
@@ -152,17 +244,13 @@ pub fn run_once(
             )))
         }
     }
-
+    let mut vectors = raw.vectors.into_iter();
     Ok(Outputs {
-        ret_f,
-        ret_i,
-        x: load_vec(&mem, xaddr, n, prec),
-        y: if n_vec > 1 {
-            load_vec(&mem, yaddr, n, prec)
-        } else {
-            Vec::new()
-        },
-        stats,
+        ret_f: raw.ret_f,
+        ret_i: raw.ret_i,
+        x: vectors.next().unwrap_or_default(),
+        y: vectors.next().unwrap_or_default(),
+        stats: raw.stats,
     })
 }
 

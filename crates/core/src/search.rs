@@ -306,7 +306,7 @@ pub fn line_search_engine(
                 context,
                 machine,
                 opts,
-                engine.trace().cloned(),
+                Some(engine),
                 scope,
                 search_id,
             )
@@ -316,8 +316,13 @@ pub fn line_search_engine(
 
 /// The full BLAS evaluation function — compile (stage-attributed spans) →
 /// simulate → verify → time — for one parameter point, as used by every
-/// search strategy. `search_id` is the parent span the per-candidate
-/// `eval` spans hang off.
+/// search strategy. The candidate is simulated **once**: that run's
+/// outputs feed the tester, its counters travel with the record, and its
+/// cycle count is what the timer's repetitions, chaos spikes and re-times
+/// perturb arithmetically. Spans go to `engine`'s trace sink and each
+/// simulation bumps its `ENGINE_SIMULATIONS` counter (a worker process
+/// has no engine and passes `None`). `search_id` is the parent span the
+/// per-candidate `eval` spans hang off.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn blas_eval_point<'a>(
     sess: &'a CompileSession,
@@ -326,10 +331,12 @@ pub(crate) fn blas_eval_point<'a>(
     context: Context,
     machine: &'a MachineConfig,
     opts: &'a SearchOptions,
-    sink: Option<Arc<dyn crate::eval::TraceSink>>,
+    engine: Option<&EvalEngine>,
     scope: &'a EvalScope,
     search_id: u64,
 ) -> impl Fn(&TransformParams) -> EvalRecord + Sync + 'a {
+    let sink = engine.and_then(|e| e.trace().cloned());
+    let simulations = engine.map(|e| e.metrics().counter(metrics::ENGINE_SIMULATIONS));
     let timer = opts.timer.clone();
     let faults = opts.faults.clone();
     let max_retries = opts.max_retries;
@@ -383,11 +390,15 @@ pub(crate) fn blas_eval_point<'a>(
             workload,
             context,
         };
-        // Verify first (the paper's tester step); the verification run's
-        // simulator counters travel with the record into the trace.
+        // The candidate's one simulation. Verify first (the paper's
+        // tester step); the run's counters travel with the record into
+        // the trace.
         let sim_span = eval_span.child("simulate");
         let out = run_once(&compiled, &args, machine);
         drop(sim_span);
+        if let Some(c) = &simulations {
+            c.inc();
+        }
         let Ok(out) = out else {
             return EvalRecord {
                 retries,
@@ -424,32 +435,24 @@ pub(crate) fn blas_eval_point<'a>(
                 }
             }
         }
+        // The `time` span covers the timer's statistics only: its
+        // repetitions are draws over `stats.cycles`, not re-runs.
         let time_span = eval_span.child("time");
-        let timed = timer.time_robust(
-            &compiled,
-            &args,
-            machine,
+        let t = timer.robust_from(
+            stats.cycles,
+            &compiled.name,
             faults
                 .as_ref()
                 .and_then(|plan| fkey.as_deref().map(|key| (plan, key))),
         );
         drop(time_span);
-        match timed {
-            Ok(t) => EvalRecord {
-                cycles: Some(t.cycles),
-                stats: Some(stats),
-                retries: retries + t.retimed,
-                faults: nfaults + t.injected,
-                outliers: t.outliers_rejected,
-                failed: false,
-            },
-            Err(_) => EvalRecord {
-                cycles: None,
-                stats: Some(stats),
-                retries,
-                faults: nfaults,
-                ..EvalRecord::default()
-            },
+        EvalRecord {
+            cycles: Some(t.cycles),
+            stats: Some(stats),
+            retries: retries + t.retimed,
+            faults: nfaults + t.injected,
+            outliers: t.outliers_rejected,
+            failed: false,
         }
     }
 }

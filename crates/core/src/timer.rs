@@ -11,10 +11,17 @@
 //! index and a seed. The minimum over repetitions approaches the true
 //! count, exactly like the paper's walltimes.
 //!
+//! Because the noise is applied *after* a run and the run is a pure
+//! function of its inputs (`tests/run_purity.rs`), a timing needs one
+//! simulation, not one per repetition: [`Timer::time_from`] and
+//! [`Timer::robust_from`] are arithmetic over a cycle count the caller
+//! already holds, and [`Timer::time`] / [`Timer::time_robust`] are "run
+//! once, then that".
+//!
 //! # Robust statistics
 //!
 //! Alongside the paper's min-of-reps, the timer offers outlier-robust
-//! estimation ([`Timer::time_robust`], [`robust_min`]): repetitions are
+//! estimation ([`Timer::robust_from`], [`robust_min`]): repetitions are
 //! screened by one-sided median/MAD rejection (interference only
 //! *inflates* a measurement, so outliers are always high-side) plus a
 //! min-anchored guard for tiny rep counts, flagged reps are adaptively
@@ -30,7 +37,7 @@ use ifko_fko::CompiledKernel;
 use ifko_xsim::MachineConfig;
 
 /// Bounded adaptive re-timing: how many detect-and-re-time rounds
-/// [`Timer::time_robust`] runs before excluding persistent outliers.
+/// [`Timer::robust_from`] runs before excluding persistent outliers.
 const MAX_RETIME_ROUNDS: u32 = 3;
 
 /// Timer configuration.
@@ -74,28 +81,20 @@ impl Timer {
         }
     }
 
-    /// Time one compiled kernel: returns the minimum observed cycles.
+    /// Time one compiled kernel: simulate it once, then
+    /// [`time_from`](Timer::time_from) its cycle count.
     pub fn time(
         &self,
         compiled: &CompiledKernel,
         args: &KernelArgs<'_>,
         machine: &MachineConfig,
     ) -> Result<u64, RunFailure> {
-        let mut best = u64::MAX;
-        for rep in 0..self.reps.max(1) {
-            let out = run_once(compiled, args, machine)?;
-            let observed = self.inflate(out.stats.cycles, &compiled.name, rep);
-            best = best.min(observed);
-        }
-        Ok(best)
+        let out = run_once(compiled, args, machine)?;
+        Ok(self.time_from(out.stats.cycles, &compiled.name))
     }
 
-    /// [`Timer::time`] with outlier-robust statistics and optional fault
-    /// injection: reps flagged by [`robust_outliers`] are re-timed (up to
-    /// [`MAX_RETIME_ROUNDS`] rounds), reps still flagged after that are
-    /// excluded from the minimum and counted as rejected. `faults` is the
-    /// chaos plan plus the subject key its decisions hash over; `None`
-    /// measures the real pipeline (and then detection alone decides).
+    /// Robustly time one compiled kernel: simulate it once, then
+    /// [`robust_from`](Timer::robust_from) its cycle count.
     pub fn time_robust(
         &self,
         compiled: &CompiledKernel,
@@ -103,25 +102,51 @@ impl Timer {
         machine: &MachineConfig,
         faults: Option<(&FaultPlan, &str)>,
     ) -> Result<TimingReport, RunFailure> {
+        let out = run_once(compiled, args, machine)?;
+        Ok(self.robust_from(out.stats.cycles, &compiled.name, faults))
+    }
+
+    /// The paper's min-of-reps over one run's true cycle count: the
+    /// minimum of `reps` interference-inflated observations of `cycles`
+    /// for the kernel called `name`. Pure arithmetic — the simulator is
+    /// deterministic, so re-running it per repetition would only
+    /// recompute `cycles`.
+    pub fn time_from(&self, cycles: u64, name: &str) -> u64 {
+        (0..self.reps.max(1))
+            .map(|rep| self.inflate(cycles, name, rep))
+            .min()
+            .expect("at least one repetition")
+    }
+
+    /// [`time_from`](Timer::time_from) with outlier-robust statistics and
+    /// optional fault injection: reps flagged by [`robust_outliers`] are
+    /// re-timed (up to [`MAX_RETIME_ROUNDS`] rounds), reps still flagged
+    /// after that are excluded from the minimum and counted as rejected.
+    /// `faults` is the chaos plan plus the subject key its decisions hash
+    /// over; `None` measures the real pipeline (and then detection alone
+    /// decides). A re-time is a fresh draw of the plan's spike for
+    /// `(key, rep, attempt)` over the same true count, not a re-run.
+    pub fn robust_from(
+        &self,
+        cycles: u64,
+        name: &str,
+        faults: Option<(&FaultPlan, &str)>,
+    ) -> TimingReport {
         let reps = self.reps.max(1) as usize;
         let mut injected = 0u32;
         let mut retimed = 0u32;
-        let measure = |rep: usize, attempt: u32, injected: &mut u32| -> Result<u64, RunFailure> {
-            let out = run_once(compiled, args, machine)?;
-            let mut v = self.inflate(out.stats.cycles, &compiled.name, rep as u32);
+        let mut measure = |rep: usize, attempt: u32| -> u64 {
+            let mut v = self.inflate(cycles, name, rep as u32);
             if let Some((plan, key)) = faults {
                 if let Some(factor) = plan.timer_spike(key, rep as u32, attempt) {
-                    *injected += 1;
+                    injected += 1;
                     v = (v as f64 * factor) as u64;
                 }
             }
-            Ok(v)
+            v
         };
         let mut attempts = vec![0u32; reps];
-        let mut vals = vec![0u64; reps];
-        for (rep, v) in vals.iter_mut().enumerate() {
-            *v = measure(rep, 0, &mut injected)?;
-        }
+        let mut vals: Vec<u64> = (0..reps).map(|rep| measure(rep, 0)).collect();
         for _round in 0..MAX_RETIME_ROUNDS {
             let flags = robust_outliers(&vals, self.interference);
             if !flags.iter().any(|&f| f) {
@@ -131,21 +156,22 @@ impl Timer {
                 if flags[rep] {
                     attempts[rep] += 1;
                     retimed += 1;
-                    vals[rep] = measure(rep, attempts[rep], &mut injected)?;
+                    vals[rep] = measure(rep, attempts[rep]);
                 }
             }
         }
         let (cycles, outliers_rejected) = robust_min(&vals, self.interference);
-        Ok(TimingReport {
+        TimingReport {
             cycles,
             outliers_rejected,
             retimed,
             injected,
-        })
+        }
     }
 
-    /// Apply deterministic interference to a true cycle count.
-    fn inflate(&self, cycles: u64, name: &str, rep: u32) -> u64 {
+    /// Apply repetition `rep`'s deterministic interference to a true
+    /// cycle count.
+    pub fn inflate(&self, cycles: u64, name: &str, rep: u32) -> u64 {
         if self.interference <= 0.0 {
             return cycles;
         }
@@ -163,7 +189,7 @@ impl Timer {
     }
 }
 
-/// Outcome of one robust timing ([`Timer::time_robust`]).
+/// Outcome of one robust timing ([`Timer::robust_from`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TimingReport {
     /// Minimum over the repetitions that survived outlier rejection.

@@ -4,10 +4,14 @@
 //! the robust estimate must equal the clean minimum; on a real kernel
 //! the robust path must agree with the paper's min-of-reps and stay
 //! within the interference envelope of [`Timer::exact`].
+//!
+//! The timer derives every repetition from one simulation's cycle
+//! count. The loops that re-simulated per repetition and per re-time
+//! live on here as the reference it must match, statistic for statistic.
 
 use ifko::prelude::*;
-use ifko::runner::KernelArgs;
-use ifko::timer::{robust_min, robust_outliers};
+use ifko::runner::{run_once, KernelArgs, RunFailure};
+use ifko::timer::{robust_min, robust_outliers, TimingReport};
 use ifko_blas::hil_src::hil_source;
 use ifko_fko::{compile_defaults, CompiledKernel};
 use ifko_xsim::Rng64;
@@ -168,4 +172,116 @@ fn injected_spikes_stay_within_tolerance_of_exact() {
         );
     }
     assert!(injections > 0, "16 seeds at rate 0.33 must inject spikes");
+}
+
+/// Reference: `Timer::time` when it simulated once per repetition.
+fn resimulating_time(
+    t: &Timer,
+    compiled: &CompiledKernel,
+    args: &KernelArgs<'_>,
+    machine: &MachineConfig,
+) -> Result<u64, RunFailure> {
+    let mut best = u64::MAX;
+    for rep in 0..t.reps.max(1) {
+        let out = run_once(compiled, args, machine)?;
+        best = best.min(t.inflate(out.stats.cycles, &compiled.name, rep));
+    }
+    Ok(best)
+}
+
+/// Reference: `Timer::time_robust` when every repetition, and every
+/// re-time of a flagged repetition, was its own simulation.
+fn resimulating_time_robust(
+    t: &Timer,
+    compiled: &CompiledKernel,
+    args: &KernelArgs<'_>,
+    machine: &MachineConfig,
+    faults: Option<(&FaultPlan, &str)>,
+) -> Result<TimingReport, RunFailure> {
+    const MAX_RETIME_ROUNDS: u32 = 3;
+    let reps = t.reps.max(1) as usize;
+    let mut injected = 0u32;
+    let mut retimed = 0u32;
+    let measure = |rep: usize, attempt: u32, injected: &mut u32| -> Result<u64, RunFailure> {
+        let out = run_once(compiled, args, machine)?;
+        let mut v = t.inflate(out.stats.cycles, &compiled.name, rep as u32);
+        if let Some((plan, key)) = faults {
+            if let Some(factor) = plan.timer_spike(key, rep as u32, attempt) {
+                *injected += 1;
+                v = (v as f64 * factor) as u64;
+            }
+        }
+        Ok(v)
+    };
+    let mut attempts = vec![0u32; reps];
+    let mut vals = vec![0u64; reps];
+    for (rep, v) in vals.iter_mut().enumerate() {
+        *v = measure(rep, 0, &mut injected)?;
+    }
+    for _round in 0..MAX_RETIME_ROUNDS {
+        let flags = robust_outliers(&vals, t.interference);
+        if !flags.iter().any(|&f| f) {
+            break;
+        }
+        for rep in 0..reps {
+            if flags[rep] {
+                attempts[rep] += 1;
+                retimed += 1;
+                vals[rep] = measure(rep, attempts[rep], &mut injected)?;
+            }
+        }
+    }
+    let (cycles, outliers_rejected) = robust_min(&vals, t.interference);
+    Ok(TimingReport {
+        cycles,
+        outliers_rejected,
+        retimed,
+        injected,
+    })
+}
+
+/// Over seeded random timers, chaos plans and subject keys, deriving the
+/// repetitions from one run's cycle count gives exactly what
+/// re-simulating gave: the same minimum, and the same `cycles`,
+/// `retimed`, `injected` and `outliers_rejected`.
+#[test]
+fn one_simulation_timing_matches_the_resimulating_reference() {
+    let (compiled, w, k, mach) = compiled_ddot();
+    let args = KernelArgs {
+        kernel: k,
+        workload: &w,
+        context: Context::OutOfCache,
+    };
+    let cycles = run_once(&compiled, &args, &mach).unwrap().stats.cycles;
+    let mut rng = Rng64::seed_from_u64(0x71de_0001);
+    let (mut spiked, mut retimed, mut rejected) = (0u32, 0u32, 0u32);
+    for case in 0..200 {
+        let t = Timer {
+            reps: (rng.next_u64() % 9) as u32, // 0 behaves as 1
+            interference: [0.0, 0.01, 0.03, rng.unit_f64() * 0.08][rng.range_usize(4)],
+            seed: rng.next_u64(),
+        };
+        let plan = FaultPlan::uniform(rng.next_u64(), rng.unit_f64() * 0.5);
+        let key = format!("ddot/case-{}", rng.next_u64() % 1000);
+        let faults = rng.gen_bool(0.8).then_some((&plan, key.as_str()));
+
+        let want = resimulating_time_robust(&t, &compiled, &args, &mach, faults).unwrap();
+        let got = t.robust_from(cycles, &compiled.name, faults);
+        assert_eq!(got, want, "case {case}: {t:?} faults {faults:?}");
+        assert_eq!(
+            t.time_robust(&compiled, &args, &mach, faults).unwrap(),
+            want,
+            "case {case}: time_robust is run_once + robust_from"
+        );
+
+        let want_min = resimulating_time(&t, &compiled, &args, &mach).unwrap();
+        assert_eq!(t.time_from(cycles, &compiled.name), want_min, "case {case}");
+        assert_eq!(t.time(&compiled, &args, &mach).unwrap(), want_min);
+
+        spiked += want.injected;
+        retimed += want.retimed;
+        rejected += want.outliers_rejected;
+    }
+    // The comparison must have exercised every statistic.
+    assert!(spiked > 0 && retimed > 0 && rejected > 0);
 }

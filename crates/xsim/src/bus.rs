@@ -17,15 +17,8 @@
 //! little from prefetch is that "many architectures discard prefetches when
 //! they are issued while the bus is busy".
 
-/// Direction of a bus transfer (kept for statistics).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Dir {
-    Read,
-    Write,
-}
-
 /// Configuration of the bus.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct BusCfg {
     /// Sustained bandwidth in bytes per core cycle.
     pub bytes_per_cycle: f64,
@@ -130,17 +123,6 @@ impl Bus {
         self.drain_idle(now);
         self.backlog += bytes;
         self.bytes_written += bytes;
-    }
-
-    /// Compatibility entry point dispatching on direction.
-    pub fn request(&mut self, now: u64, dir: Dir, bytes: u64) -> (u64, u64) {
-        match dir {
-            Dir::Read => self.read(now, bytes),
-            Dir::Write => {
-                self.write(now, bytes);
-                (now, now)
-            }
-        }
     }
 
     /// Finish all outstanding traffic (used at Halt): returns the cycle at
@@ -254,14 +236,5 @@ mod tests {
         b.reset();
         assert_eq!(b.bytes_read, 0);
         assert!(!b.busy(0));
-    }
-
-    #[test]
-    fn request_dispatches_by_direction() {
-        let mut b = bus(2.0, 0, 256);
-        let (_, d) = b.request(0, Dir::Read, 64);
-        assert_eq!(d, 32);
-        b.request(0, Dir::Write, 64);
-        assert_eq!(b.bytes_written, 64);
     }
 }

@@ -29,7 +29,9 @@ impl CacheCfg {
 #[derive(Clone, Copy, Debug, Default)]
 struct Line {
     tag: u64,
-    valid: bool,
+    /// Flush epoch the line was filled in: the line is valid iff this
+    /// equals the cache's current epoch (0 is never current).
+    epoch: u32,
     dirty: bool,
     /// LRU timestamp (larger = more recently used).
     lru: u64,
@@ -60,12 +62,36 @@ pub struct Evicted {
 pub struct Cache {
     cfg: CacheCfg,
     sets: u64,
+    /// `log2(cfg.line)` and `log2(sets)`: both are powers of two.
+    line_shift: u32,
+    set_shift: u32,
+    /// At least `sets * assoc` lines; a cache re-shaped by
+    /// [`reset`](Cache::reset) to a smaller geometry keeps the excess.
     lines: Vec<Line>,
+    /// Current flush epoch (never 0); see [`Line::epoch`].
+    epoch: u32,
     tick: u64,
 }
 
 impl Cache {
     pub fn new(cfg: CacheCfg) -> Self {
+        let mut c = Cache {
+            cfg,
+            sets: 0,
+            line_shift: 0,
+            set_shift: 0,
+            lines: Vec::new(),
+            epoch: 1,
+            tick: 0,
+        };
+        c.reset(cfg);
+        c
+    }
+
+    /// Re-shape to `cfg` and drop all contents: afterwards the cache
+    /// behaves exactly like `Cache::new(cfg)`. The line store is reused
+    /// whenever it is large enough for the new geometry.
+    pub fn reset(&mut self, cfg: CacheCfg) {
         let sets = cfg.sets();
         assert!(
             sets.is_power_of_two(),
@@ -73,12 +99,17 @@ impl Cache {
             cfg
         );
         assert!(cfg.line.is_power_of_two());
-        Cache {
-            cfg,
-            sets,
-            lines: vec![Line::default(); (sets * cfg.assoc) as usize],
-            tick: 0,
+        self.cfg = cfg;
+        self.sets = sets;
+        self.line_shift = cfg.line.trailing_zeros();
+        self.set_shift = sets.trailing_zeros();
+        let need = (sets * cfg.assoc) as usize;
+        if self.lines.len() < need {
+            // Every old line is about to be invalidated: a new store
+            // avoids `resize` copying them.
+            self.lines = vec![Line::default(); need];
         }
+        self.flush_all();
     }
 
     pub fn cfg(&self) -> &CacheCfg {
@@ -87,9 +118,9 @@ impl Cache {
 
     #[inline]
     fn index(&self, addr: u64) -> (u64, u64) {
-        let lineno = addr / self.cfg.line;
+        let lineno = addr >> self.line_shift;
         let set = lineno & (self.sets - 1);
-        let tag = lineno >> self.sets.trailing_zeros();
+        let tag = lineno >> self.set_shift;
         (set, tag)
     }
 
@@ -104,9 +135,9 @@ impl Cache {
     pub fn probe(&mut self, addr: u64) -> Probe {
         let (set, tag) = self.index(addr);
         self.tick += 1;
-        let tick = self.tick;
+        let (tick, epoch) = (self.tick, self.epoch);
         for l in self.set_slice(set) {
-            if l.valid && l.tag == tag {
+            if l.epoch == epoch && l.tag == tag {
                 l.lru = tick;
                 return Probe::Hit {
                     fill_done: l.fill_done,
@@ -122,7 +153,7 @@ impl Cache {
         let a = (set * self.cfg.assoc) as usize;
         self.lines[a..a + self.cfg.assoc as usize]
             .iter()
-            .any(|l| l.valid && l.tag == tag)
+            .any(|l| l.epoch == self.epoch && l.tag == tag)
     }
 
     /// Insert the line containing `addr`, with its fill completing at
@@ -130,27 +161,26 @@ impl Cache {
     pub fn insert(&mut self, addr: u64, fill_done: u64, dirty: bool) -> Option<Evicted> {
         let (set, tag) = self.index(addr);
         self.tick += 1;
-        let tick = self.tick;
-        let line_bytes = self.cfg.line;
-        let sets = self.sets;
-        let set_bits = sets.trailing_zeros() as u64;
+        let (tick, epoch) = (self.tick, self.epoch);
+        let (line_shift, set_shift) = (self.line_shift, self.set_shift);
         let slice = self.set_slice(set);
         // Already present (e.g. prefetch raced a demand fill): refresh.
-        if let Some(l) = slice.iter_mut().find(|l| l.valid && l.tag == tag) {
+        if let Some(l) = slice.iter_mut().find(|l| l.epoch == epoch && l.tag == tag) {
             l.lru = tick;
             l.dirty |= dirty;
             l.fill_done = l.fill_done.min(fill_done);
             return None;
         }
-        // Choose victim: invalid first, else LRU.
+        // Choose victim: the first invalid way, else LRU (`min_by_key`
+        // returns the first of equal minima).
         let victim = slice
             .iter_mut()
-            .min_by_key(|l| if l.valid { (1, l.lru) } else { (0, 0) })
+            .min_by_key(|l| if l.epoch == epoch { (1, l.lru) } else { (0, 0) })
             .expect("assoc >= 1");
-        let evicted = if victim.valid {
-            let old_lineno = (victim.tag << set_bits) | set;
+        let evicted = if victim.epoch == epoch {
+            let old_lineno = (victim.tag << set_shift) | set;
             Some(Evicted {
-                addr: old_lineno * line_bytes,
+                addr: old_lineno << line_shift,
                 dirty: victim.dirty,
             })
         } else {
@@ -158,7 +188,7 @@ impl Cache {
         };
         *victim = Line {
             tag,
-            valid: true,
+            epoch,
             dirty,
             lru: tick,
             fill_done,
@@ -171,9 +201,9 @@ impl Cache {
     pub fn mark_dirty(&mut self, addr: u64) -> bool {
         let (set, tag) = self.index(addr);
         self.tick += 1;
-        let tick = self.tick;
+        let (tick, epoch) = (self.tick, self.epoch);
         for l in self.set_slice(set) {
-            if l.valid && l.tag == tag {
+            if l.epoch == epoch && l.tag == tag {
                 l.dirty = true;
                 l.lru = tick;
                 return true;
@@ -186,15 +216,14 @@ impl Cache {
     /// Returns the evicted line if it was present.
     pub fn invalidate(&mut self, addr: u64) -> Option<Evicted> {
         let (set, tag) = self.index(addr);
-        let line_bytes = self.cfg.line;
+        let (epoch, line_shift) = (self.epoch, self.line_shift);
         for l in self.set_slice(set) {
-            if l.valid && l.tag == tag {
+            if l.epoch == epoch && l.tag == tag {
                 let dirty = l.dirty;
-                l.valid = false;
+                l.epoch = 0;
                 l.dirty = false;
-                let _ = line_bytes;
                 return Some(Evicted {
-                    addr: addr / line_bytes * line_bytes,
+                    addr: addr >> line_shift << line_shift,
                     dirty,
                 });
             }
@@ -203,16 +232,21 @@ impl Cache {
     }
 
     /// Drop all contents (cold-cache setup for out-of-cache timings).
+    /// O(1): advancing the epoch invalidates every line at once.
     pub fn flush_all(&mut self) {
-        for l in &mut self.lines {
-            *l = Line::default();
+        if self.epoch == u32::MAX {
+            // Epoch wrap: really clear, so no line filled 2^32 flushes
+            // ago can read as current again.
+            self.lines.fill(Line::default());
+            self.epoch = 0;
         }
+        self.epoch += 1;
         self.tick = 0;
     }
 
     /// Number of valid lines (test/diagnostic helper).
     pub fn resident_lines(&self) -> usize {
-        self.lines.iter().filter(|l| l.valid).count()
+        self.lines.iter().filter(|l| l.epoch == self.epoch).count()
     }
 }
 
@@ -299,6 +333,66 @@ mod tests {
         c.flush_all();
         assert_eq!(c.resident_lines(), 0);
         assert_eq!(c.probe(0x0000), Probe::Miss);
+    }
+
+    #[test]
+    fn flushed_lines_are_refilled_first_invalid_way_first() {
+        let mut c = tiny();
+        c.insert(0x0000, 0, true);
+        c.insert(0x0100, 0, true);
+        c.flush_all();
+        // Both ways of set 0 are stale: refilling them evicts nothing,
+        // and a third line then evicts the first refill (LRU), clean.
+        assert!(c.insert(0x0200, 0, false).is_none());
+        assert!(c.insert(0x0300, 0, false).is_none());
+        let ev = c.insert(0x0400, 0, false).expect("eviction");
+        assert_eq!(ev.addr, 0x0200);
+        assert!(!ev.dirty, "dirt from before the flush must not survive");
+    }
+
+    #[test]
+    fn flush_survives_epoch_wrap() {
+        let mut c = tiny();
+        c.epoch = u32::MAX - 1;
+        c.insert(0x0000, 0, false);
+        c.flush_all();
+        c.insert(0x0040, 0, false);
+        c.flush_all(); // wraps
+        assert_eq!(c.resident_lines(), 0);
+        assert_eq!(c.probe(0x0000), Probe::Miss);
+        assert_eq!(c.probe(0x0040), Probe::Miss);
+        c.insert(0x0040, 7, false);
+        assert!(matches!(c.probe(0x0040), Probe::Hit { fill_done: 7 }));
+    }
+
+    #[test]
+    fn reset_reshapes_and_empties() {
+        let mut c = tiny();
+        c.insert(0x0000, 0, true);
+        // Direct-mapped, 8 sets: same capacity, different indexing.
+        let cfg = CacheCfg {
+            size: 512,
+            line: 64,
+            assoc: 1,
+            latency: 9,
+        };
+        c.reset(cfg);
+        assert_eq!(c.cfg().latency, 9);
+        assert_eq!(c.resident_lines(), 0);
+        c.insert(0x0000, 0, false);
+        // 0x0100 shares a set with 0x0000 only in the 4-set geometry.
+        assert!(c.insert(0x0100, 0, false).is_none());
+        assert!(c.peek(0x0000) && c.peek(0x0100));
+        // Growing past the line store rebuilds it.
+        c.reset(CacheCfg {
+            size: 4096,
+            line: 64,
+            assoc: 4,
+            latency: 3,
+        });
+        assert_eq!(c.resident_lines(), 0);
+        c.insert(0x0fc0, 0, false);
+        assert!(c.peek(0x0fc0));
     }
 
     #[test]

@@ -55,11 +55,17 @@ impl From<MemFault> for RunError {
 /// Default dynamic instruction budget.
 pub const DEFAULT_INST_LIMIT: u64 = 500_000_000;
 
-/// The simulated CPU. Construct once per machine; caches persist across
-/// [`Cpu::run`] calls so the harness can model in-cache and out-of-cache
-/// contexts ([`Cpu::flush_caches`], [`Cpu::preload_l2`]).
+/// The simulated CPU. Caches persist across [`Cpu::run`] calls so the
+/// harness can model in-cache and out-of-cache contexts
+/// ([`Cpu::flush_caches`], [`Cpu::preload_l2`]); [`Cpu::reset`] makes one
+/// instance reusable for unrelated runs, on any machine.
 pub struct Cpu {
     cfg: MachineConfig,
+    /// `log2` of the L1 line, L2 line and hardware-prefetch page sizes
+    /// (all powers of two, asserted when the config is installed).
+    l1_shift: u32,
+    l2_shift: u32,
+    page_shift: u32,
     l1: Cache,
     l2: Cache,
     bus: Bus,
@@ -91,8 +97,8 @@ pub struct Cpu {
     hw_next: usize,
 
     /// Reusable predecode buffer: [`run`](Cpu::run) lowers the program
-    /// into dense [`DInst`]s here, so back-to-back runs (the timer's
-    /// repetitions) reuse the allocation.
+    /// into dense [`DInst`]s here, so back-to-back runs reuse the
+    /// allocation.
     decoded: Vec<DInst>,
 
     pub stats: RunStats,
@@ -230,6 +236,9 @@ impl Cpu {
         let l2 = Cache::new(cfg.l2);
         let bus = Bus::new(cfg.bus);
         Cpu {
+            l1_shift: cfg.l1.line.trailing_zeros(),
+            l2_shift: cfg.l2.line.trailing_zeros(),
+            page_shift: page_shift(&cfg),
             cfg,
             l1,
             l2,
@@ -252,6 +261,37 @@ impl Cpu {
             stats: RunStats::default(),
             inst_limit: DEFAULT_INST_LIMIT,
         }
+    }
+
+    /// Return to the state of `Cpu::new(cfg.clone())` — registers, flags,
+    /// scoreboard, caches, bus, write-combine buffers, prefetch streams,
+    /// predictor, statistics and instruction budget — without giving up
+    /// the cache line stores or the predecode buffer. `cfg` may be any
+    /// machine: the caches re-shape themselves when the geometry differs.
+    pub fn reset(&mut self, cfg: &MachineConfig) {
+        self.page_shift = page_shift(cfg);
+        self.l1_shift = cfg.l1.line.trailing_zeros();
+        self.l2_shift = cfg.l2.line.trailing_zeros();
+        self.l1.reset(cfg.l1);
+        self.l2.reset(cfg.l2);
+        self.bus = Bus::new(cfg.bus);
+        self.cfg = cfg.clone();
+        self.iregs = [0; NUM_IREGS];
+        self.fregs = [[0; 16]; NUM_FREGS];
+        self.ireg_ready = [0; NUM_IREGS];
+        self.freg_ready = [0; NUM_FREGS];
+        self.flags = 0;
+        self.flags_ready = 0;
+        self.cycle = 0;
+        self.slots = 0;
+        self.width = 3;
+        self.predictor.clear();
+        self.wc.clear();
+        self.hw_streams = [u64::MAX; 4];
+        self.hw_misses = [u64::MAX; 8];
+        self.hw_next = 0;
+        self.stats = RunStats::default();
+        self.inst_limit = DEFAULT_INST_LIMIT;
     }
 
     pub fn config(&self) -> &MachineConfig {
@@ -304,9 +344,8 @@ impl Cpu {
         let line = self.cfg.l2.line;
         let mut a = addr / line * line;
         while a < addr + len {
-            if let Some(ev) = self.l2.insert(a, 0, false) {
-                let _ = ev; // setup traffic is not timed
-            }
+            // Setup traffic is not timed: evictions are dropped.
+            let _ = self.l2.insert(a, 0, false);
             a += line;
         }
     }
@@ -382,10 +421,10 @@ impl Cpu {
 
     /// A demand load of `bytes` at `addr`; returns the data-ready cycle.
     fn load_access(&mut self, addr: u64, bytes: u64, now: u64) -> u64 {
-        let line = self.cfg.l1.line;
-        if addr / line != (addr + bytes - 1) / line {
+        let sh = self.l1_shift;
+        if addr >> sh != (addr + bytes - 1) >> sh {
             // Line-crossing access: both lines, plus the unaligned penalty.
-            let split = (addr / line + 1) * line;
+            let split = ((addr >> sh) + 1) << sh;
             let a = self.load_access_aligned(addr, now);
             let b = self.load_access_aligned(split, now);
             return a.max(b) + self.cfg.unaligned_penalty;
@@ -446,14 +485,14 @@ impl Cpu {
             return;
         }
         let line = self.cfg.l2.line;
-        let page = self.cfg.hw_prefetch_page;
-        let cur = addr / line * line;
+        let page_shift = self.page_shift;
+        let cur = addr >> self.l2_shift << self.l2_shift;
         let window = depth * line;
         // Advance an existing stream whose frontier is within reach.
         for i in 0..self.hw_streams.len() {
             let frontier = self.hw_streams[i];
             if frontier != u64::MAX && cur <= frontier && frontier <= cur + window {
-                let page_end = (cur / page + 1) * page;
+                let page_end = ((cur >> page_shift) + 1) << page_shift;
                 let target = (cur + window).min(page_end - line);
                 let mut l = frontier + line;
                 while l <= target {
@@ -477,7 +516,7 @@ impl Cpu {
             // Allocate a stream slot (round robin) with frontier at `cur`.
             let slot = self.hw_next % self.hw_streams.len();
             self.hw_streams[slot] = cur;
-            let page_end = (cur / page + 1) * page;
+            let page_end = ((cur >> page_shift) + 1) << page_shift;
             let target = (cur + window).min(page_end - line);
             let mut l = cur + line;
             while l <= target {
@@ -517,9 +556,9 @@ impl Cpu {
     /// buffer and do not stall the pipeline; they only change cache state
     /// and consume bus bandwidth (read-for-ownership on miss).
     fn store_access(&mut self, addr: u64, bytes: u64, now: u64) {
-        let line = self.cfg.l1.line;
-        if addr / line != (addr + bytes - 1) / line {
-            let split = (addr / line + 1) * line;
+        let sh = self.l1_shift;
+        if addr >> sh != (addr + bytes - 1) >> sh {
+            let split = ((addr >> sh) + 1) << sh;
             self.store_access_aligned(addr, now);
             self.store_access_aligned(split, now);
             return;
@@ -572,7 +611,7 @@ impl Cpu {
         self.stats.stores += 1;
         self.stats.nt_stores += 1;
         let line = self.cfg.l1.line;
-        let line_addr = addr / line * line;
+        let line_addr = addr >> self.l1_shift << self.l1_shift;
         if let Some(entry) = self.wc.iter_mut().find(|(l, _)| *l == line_addr) {
             entry.1 = (entry.1 + bytes).min(line);
             if entry.1 >= line {
@@ -1331,6 +1370,17 @@ impl Cpu {
             pc = next_pc;
         }
     }
+}
+
+/// `log2(cfg.hw_prefetch_page)`; the stream prefetcher's page-edge
+/// arithmetic needs a power of two.
+fn page_shift(cfg: &MachineConfig) -> u32 {
+    assert!(
+        cfg.hw_prefetch_page.is_power_of_two(),
+        "hw_prefetch_page must be a power of two: {}",
+        cfg.hw_prefetch_page
+    );
+    cfg.hw_prefetch_page.trailing_zeros()
 }
 
 #[inline]

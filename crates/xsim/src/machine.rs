@@ -20,7 +20,7 @@ use crate::cache::CacheCfg;
 use crate::isa::PrefKind;
 
 /// Full static description of a simulated machine.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct MachineConfig {
     /// Human-readable name used in reports ("P4E", "Opteron").
     pub name: &'static str,

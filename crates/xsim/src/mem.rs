@@ -13,7 +13,13 @@ pub const DEFAULT_BASE: u64 = 0x1_0000;
 #[derive(Clone, Debug)]
 pub struct Memory {
     base: u64,
+    /// Backing store: at least `cap` bytes, and zero from `dirty` on.
     bytes: Vec<u8>,
+    /// Addressable bytes; a [`reset`](Memory::reset) to a smaller
+    /// capacity keeps the larger store.
+    cap: usize,
+    /// High-water mark of writes since creation or the last reset.
+    dirty: usize,
     next: u64,
 }
 
@@ -37,13 +43,32 @@ impl Memory {
         Memory {
             base: DEFAULT_BASE,
             bytes: vec![0; capacity],
+            cap: capacity,
+            dirty: 0,
             next: DEFAULT_BASE,
         }
     }
 
+    /// Return to the state of `Memory::new(capacity)` — all zero, nothing
+    /// allocated, faults past `capacity` — reusing the backing store when
+    /// it is large enough. Only the extent written since the last reset
+    /// is zeroed: simulated code may have stored anywhere, not just into
+    /// what the harness allocated.
+    pub fn reset(&mut self, capacity: usize) {
+        if capacity > self.bytes.len() {
+            // A new zeroed store: `resize` would copy the old one first.
+            self.bytes = vec![0; capacity];
+        } else {
+            self.bytes[..self.dirty].fill(0);
+        }
+        self.cap = capacity;
+        self.dirty = 0;
+        self.next = self.base;
+    }
+
     /// Total capacity in bytes.
     pub fn capacity(&self) -> usize {
-        self.bytes.len()
+        self.cap
     }
 
     /// First valid address.
@@ -59,7 +84,7 @@ impl Memory {
         let addr = (self.next + align - 1) & !(align - 1);
         let end = addr + len;
         assert!(
-            end - self.base <= self.bytes.len() as u64,
+            end - self.base <= self.cap as u64,
             "xsim memory exhausted: need {} bytes past 0x{:x}",
             len,
             addr
@@ -76,7 +101,7 @@ impl Memory {
 
     #[inline]
     fn offset(&self, addr: u64, len: u64) -> Result<usize, MemFault> {
-        if addr < self.base || addr + len > self.base + self.bytes.len() as u64 {
+        if addr < self.base || addr + len > self.base + self.cap as u64 {
             return Err(MemFault { addr, len });
         }
         Ok((addr - self.base) as usize)
@@ -96,6 +121,7 @@ impl Memory {
     pub fn write<const N: usize>(&mut self, addr: u64, val: [u8; N]) -> Result<(), MemFault> {
         let off = self.offset(addr, N as u64)?;
         self.bytes[off..off + N].copy_from_slice(&val);
+        self.dirty = self.dirty.max(off + N);
         Ok(())
     }
 
@@ -197,6 +223,30 @@ mod tests {
         assert!(m.read_f64(0).is_err());
         assert!(m.read_f64(DEFAULT_BASE + 60).is_err());
         assert!(m.read_f64(DEFAULT_BASE + 56).is_ok());
+    }
+
+    #[test]
+    fn reset_is_indistinguishable_from_new() {
+        let mut m = Memory::new(4096);
+        let a = m.alloc(64, 64);
+        m.write_f64(a, 1.5).unwrap();
+        // A stray store far past anything allocated.
+        m.write_i64(DEFAULT_BASE + 4000, -1).unwrap();
+        // Shrink: the old tail must fault, not read stale bytes.
+        m.reset(1024);
+        assert_eq!(m.capacity(), 1024);
+        assert_eq!(m.alloc(8, 8), DEFAULT_BASE, "allocator rewound");
+        assert_eq!(m.read_f64(a).unwrap(), 0.0);
+        assert!(m.read_i64(DEFAULT_BASE + 4000).is_err());
+        assert!(m.write_i64(DEFAULT_BASE + 1020, 1).is_err());
+        // Grow back inside the old store, then past it: all zero.
+        m.reset(4096);
+        assert_eq!(m.read_i64(DEFAULT_BASE + 4000).unwrap(), 0);
+        m.write_i64(DEFAULT_BASE + 4088, 7).unwrap();
+        m.reset(8192);
+        assert_eq!(m.read_i64(DEFAULT_BASE + 4088).unwrap(), 0);
+        assert_eq!(m.read_i64(DEFAULT_BASE + 8184).unwrap(), 0);
+        assert!(m.read_i64(DEFAULT_BASE + 8185).is_err());
     }
 
     #[test]

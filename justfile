@@ -38,6 +38,12 @@ workers:
 bench-pipeline:
     scripts/bench_compare.sh
 
+# System benchmark package (own workspace under benchmark/): build it
+# offline against this tree's crates and run its `run --quick` smoke
+# test, so a public-API change that breaks it fails here first
+bench-system-quick:
+    cargo test --release --offline --manifest-path benchmark/Cargo.toml
+
 # Search-strategy head-to-head on swap/dot, persisting winners to the db
 strategies:
     cargo run --release -p ifko-bench --bin strategies -- --db results/db

@@ -19,6 +19,12 @@ cargo build --release --workspace
 step "cargo test"
 cargo test --workspace --release -q
 
+step "system benchmark package (benchmark/): offline build + quick test"
+# benchmark/ is a workspace of its own that compiles against the public
+# API of crates/*; the root build and tests never see it, so without this
+# step an API change that breaks it first fails in the benchmark pipeline.
+cargo test --release --offline --manifest-path benchmark/Cargo.toml -q
+
 step "verifier property test (fuzz feature)"
 cargo test --release -p ifko-fko --features fuzz --test prop_verify -q
 
