@@ -155,6 +155,14 @@ impl Kernel {
     pub fn name(&self) -> String {
         self.op.api_name(self.prec)
     }
+    /// The suite or extension kernel whose [`Kernel::name`] is `name`.
+    pub fn by_name(name: &str) -> Option<Kernel> {
+        ALL_KERNELS
+            .iter()
+            .chain(EXTENDED_KERNELS.iter())
+            .find(|k| k.name() == name)
+            .copied()
+    }
     pub fn flops(&self, n: u64) -> u64 {
         self.op.flops(n)
     }

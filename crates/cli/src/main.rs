@@ -75,7 +75,7 @@ use ifko_fko::{
     analyze_kernel, lint_analysis, CompileError, CompileOpts, CompileSession, Diagnostic, Severity,
     TransformParams,
 };
-use ifko_xsim::{asm, opteron, p4e, MachineConfig};
+use ifko_xsim::{asm, p4e, MachineConfig};
 use std::process::ExitCode;
 
 mod args;
@@ -167,13 +167,9 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let machine = match args.machine.as_str() {
-        "p4e" => p4e(),
-        "opteron" | "opt" => opteron(),
-        other => {
-            eprintln!("ifko: unknown machine `{other}` (p4e | opteron)");
-            return ExitCode::from(2);
-        }
+    let Some(machine) = MachineConfig::by_name(&args.machine) else {
+        eprintln!("ifko: unknown machine `{}` (p4e | opteron)", args.machine);
+        return ExitCode::from(2);
     };
 
     let r = match cmd.as_str() {
@@ -283,11 +279,8 @@ fn cmd_lint(argv: Vec<String>) -> Result<bool, String> {
         match tok.as_str() {
             "--machine" | "-m" => {
                 let v = it.next().ok_or("--machine needs a value")?;
-                machine = match v.as_str() {
-                    "p4e" => p4e(),
-                    "opteron" | "opt" => opteron(),
-                    other => return Err(format!("unknown machine `{other}` (p4e | opteron)")),
-                };
+                machine = MachineConfig::by_name(&v)
+                    .ok_or_else(|| format!("unknown machine `{v}` (p4e | opteron)"))?;
             }
             "--format" | "-f" => {
                 let v = it.next().ok_or("--format needs a value")?;

@@ -25,14 +25,14 @@
 //! probe.
 
 use crate::eval::{fnv64, machine_fingerprint};
-use crate::report::parse_json;
+use crate::json::parse_json;
 use crate::runner::Context;
+use crate::search::SearchOptions;
 use crate::strategy::db::{parse_record, record_json};
 use crate::strategy::{TunedDb, TunedRecord};
-use ifko_blas::hil_src::hil_source;
-use ifko_blas::ops::EXTENDED_KERNELS;
-use ifko_blas::{Kernel, Workload, ALL_KERNELS};
-use ifko_fko::{CompileOpts, CompileSession};
+use crate::subject::Subject;
+use ifko_blas::Kernel;
+use ifko_fko::CompileOpts;
 use ifko_xsim::{opteron, p4e, MachineConfig};
 
 /// Artifact magic string (first manifest field).
@@ -147,51 +147,35 @@ pub enum VerifyOutcome {
 /// Re-verify a record: recompile its kernel at the stored parameter
 /// point on its machine and check outputs against the reference.
 pub fn verify_record(rec: &TunedRecord) -> VerifyOutcome {
-    let Some(kernel) = find_kernel(&rec.kernel) else {
+    let Some(kernel) = Kernel::by_name(&rec.kernel) else {
         return VerifyOutcome::Unverifiable(format!("unknown kernel {:?}", rec.kernel));
     };
     let Some(machine) = find_machine(&rec.machine) else {
         return VerifyOutcome::Unverifiable(format!("unknown machine {:?}", rec.machine));
     };
-    let context = match rec.context.as_str() {
-        "oc" => Context::OutOfCache,
-        "ic" => Context::InL2,
-        other => return VerifyOutcome::Unverifiable(format!("unknown context {other:?}")),
-    };
-    let src = hil_source(kernel.op, kernel.prec);
-    let sess = match CompileSession::from_source(&src, &machine) {
-        Ok(s) => s,
-        Err(e) => return VerifyOutcome::Failed(format!("front end: {e}")),
-    };
-    let compiled = match sess.compile(&rec.params, CompileOpts::default()) {
-        Ok(c) => c,
-        Err(e) => return VerifyOutcome::Failed(format!("compile at stored params: {e}")),
+    let Some(context) = Context::from_label(&rec.context) else {
+        return VerifyOutcome::Unverifiable(format!("unknown context {:?}", rec.context));
     };
     // Correctness does not depend on the problem size: clamp the stored
     // tuning size so a verify pass stays cheap even for huge-N records.
     let n = rec.n.clamp(16, 4096);
-    let workload = Workload::generate(n, rec.seed);
-    let args = crate::runner::KernelArgs {
-        kernel,
-        workload: &workload,
-        context,
+    let opts = SearchOptions::default();
+    let subject = match Subject::blas(kernel, &machine, context, n, rec.seed, &opts) {
+        Ok(s) => s,
+        Err(e) => return VerifyOutcome::Failed(format!("front end: {e}")),
     };
-    let out = match crate::runner::run_once(&compiled, &args, &machine) {
-        Ok(o) => o,
+    let compiled = match subject.sess.compile(&rec.params, CompileOpts::default()) {
+        Ok(c) => c,
+        Err(e) => return VerifyOutcome::Failed(format!("compile at stored params: {e}")),
+    };
+    let ran = match subject.simulate(&compiled) {
+        Ok(r) => r,
         Err(e) => return VerifyOutcome::Failed(format!("run: {e}")),
     };
-    match crate::tester::verify(kernel, &workload, &out) {
+    match subject.test(&ran) {
         Ok(()) => VerifyOutcome::Verified,
         Err(e) => VerifyOutcome::Failed(format!("outputs: {e}")),
     }
-}
-
-fn find_kernel(name: &str) -> Option<Kernel> {
-    ALL_KERNELS
-        .iter()
-        .chain(EXTENDED_KERNELS.iter())
-        .find(|k| k.name() == name)
-        .copied()
 }
 
 fn find_machine(fingerprint: &str) -> Option<MachineConfig> {
@@ -241,6 +225,9 @@ pub fn install(text: &str, db: &TunedDb, verify: bool) -> Result<InstallReport, 
 mod tests {
     use super::*;
     use crate::strategy::db::db_key;
+    use ifko_blas::hil_src::hil_source;
+    use ifko_blas::ALL_KERNELS;
+    use ifko_fko::CompileSession;
     use ifko_fko::TransformParams;
 
     fn record_for(kernel: Kernel, machine: &MachineConfig, params: TransformParams) -> TunedRecord {

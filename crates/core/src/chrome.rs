@@ -23,7 +23,7 @@
 //! attribution, not concurrency.
 
 use crate::eval::{EvalEvent, SearchEvent, SpanEvent, TraceSink};
-use crate::report::{parse_json, Json};
+use crate::json::{esc, parse_json, Json};
 use ifko_fko::StageProfile;
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -83,24 +83,6 @@ impl Drop for ChromeTraceSink {
     fn drop(&mut self) {
         let _ = self.write_out();
     }
-}
-
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 const SPAN_TID: u64 = 1;

@@ -16,18 +16,19 @@
 //! through it, across kernels and contexts) and optionally a
 //! [`TraceSink`] every evaluation reports to.
 
-use crate::driver::{defaults_with_config, tune_with_config, TuneError, TuneOutcome};
+use crate::driver::{flops_rate, tune_subject, TuneError, TuneFailure, TuneOutcome};
 use crate::eval::{EvalCache, EvalEngine, JsonlSink, TeeSink, TraceSink};
 use crate::fault::FaultPlan;
-use crate::generic::{tune_source_with_config, GenericTuneOutcome};
+use crate::generic::GenericTuneOutcome;
 use crate::metrics::MetricsRegistry;
 use crate::runner::Context;
 use crate::search::SearchOptions;
 use crate::strategy::{Budget, StrategySpec, TunedDb};
+use crate::subject::Subject;
 use crate::timer::Timer;
 use crate::worker::{WorkerLauncher, WorkerPool, WorkerSpec};
 use ifko_blas::Kernel;
-use ifko_fko::CompileError;
+use ifko_fko::{CompileError, CompileOpts, TransformParams};
 use ifko_xsim::{p4e, MachineConfig};
 use std::path::Path;
 use std::sync::Arc;
@@ -342,17 +343,88 @@ impl TuneConfig {
 
     /// Tune one BLAS kernel (the paper's "ifko" data point).
     pub fn tune(&self, kernel: Kernel) -> Result<TuneOutcome, TuneError> {
-        tune_with_config(kernel, self)
+        let name = kernel.name();
+        let n = self.size();
+        let subject = self
+            .open_blas(kernel)
+            .map_err(|e| TuneError(format!("{name}: {e}")))?;
+        let (tuned, final_cycles) = tune_subject(&subject, self).map_err(|e| {
+            TuneError(match e {
+                TuneFailure::Recompile(e) => {
+                    format!("{name}: best params failed to recompile: {e}")
+                }
+                TuneFailure::Run(e) => format!("{name}: winner failed to run: {e}"),
+            })
+        })?;
+        // The paper's timer protocol over the winner's clean cycle count.
+        let cycles = self
+            .final_timer
+            .time_from(final_cycles, &tuned.compiled.name);
+        Ok(TuneOutcome {
+            kernel,
+            machine: self.machine.name.to_string(),
+            context: self.context,
+            n,
+            table3_row: tuned.result.best.table3_row(subject.sess.report()),
+            result: tuned.result,
+            compiled: tuned.compiled,
+            cycles,
+            mflops: flops_rate(kernel, n, cycles, &self.machine),
+            pipeline_profile: tuned.pipeline_profile,
+            features: tuned.features,
+        })
     }
 
-    /// Time a kernel at FKO's static defaults (the paper's "FKO" point).
+    /// Time a kernel at FKO's static defaults (the paper's "FKO" point):
+    /// one run, verified, then timed by the final timer.
     pub fn time_defaults(&self, kernel: Kernel) -> Result<u64, TuneError> {
-        defaults_with_config(kernel, self)
+        let name = kernel.name();
+        let subject = self
+            .open_blas(kernel)
+            .map_err(|e| TuneError(format!("{name}: {e}")))?;
+        let sess = &subject.sess;
+        let params = TransformParams::defaults(sess.report(), &self.machine);
+        let compiled = sess
+            .compile(&params, CompileOpts::default())
+            .map_err(|e| TuneError(format!("{name}: {e}")))?;
+        let ran = subject.simulate(&compiled).map_err(TuneError)?;
+        subject
+            .test(&ran)
+            .map_err(|e| TuneError(format!("{name} defaults failed verify: {e}")))?;
+        Ok(self
+            .final_timer
+            .time_from(ran.stats().cycles, &compiled.name))
     }
 
     /// Tune an arbitrary user HIL kernel with differential verification.
+    /// Candidates run through the config's evaluation engine: batched
+    /// across its worker threads, memoized in its cache under a
+    /// source-fingerprinted scope, and traced to its sink.
     pub fn tune_source(&self, src: &str) -> Result<GenericTuneOutcome, CompileError> {
-        tune_source_with_config(src, self)
+        let subject = Subject::source(
+            src,
+            &self.machine,
+            self.context,
+            self.size(),
+            self.seed,
+            &self.search,
+        )?;
+        match tune_subject(&subject, self) {
+            Ok((outcome, _)) => Ok(outcome),
+            Err(TuneFailure::Recompile(e)) => Err(e),
+            Err(TuneFailure::Run(e)) => Err(CompileError::codegen(e)),
+        }
+    }
+
+    fn open_blas(&self, kernel: Kernel) -> Result<Subject<'static>, CompileError> {
+        Subject::blas(
+            kernel,
+            &self.machine,
+            self.context,
+            self.size(),
+            self.seed,
+            &self.search,
+        )
     }
 }
 

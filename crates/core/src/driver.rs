@@ -1,18 +1,21 @@
 //! One-call tuning driver: ties the front end, analysis, search, and
 //! timing together (the outer loop of the paper's Figure 1).
 //!
-//! Configuration lives in [`TuneConfig`](crate::config::TuneConfig); the
-//! entry points here are what its `tune` / `time_defaults` methods call.
+//! Configuration lives in [`TuneConfig`](crate::config::TuneConfig), whose
+//! `tune` / `tune_source` methods open a subject (what is being tuned,
+//! see `subject.rs`) and hand it to `tune_subject` here.
 
 use crate::config::TuneConfig;
-use crate::eval::{EvalScope, Span};
+use crate::eval::Span;
+use crate::generic::GenericTuneOutcome;
 use crate::metrics;
 use crate::runner::Context;
-use crate::search::{blas_eval_point, SearchResult};
-use crate::strategy::{db_key, STRATEGY_WARM};
-use ifko_blas::hil_src::hil_source;
-use ifko_blas::{Kernel, Workload};
-use ifko_fko::{CompileOpts, CompileSession, CompiledKernel, TransformParams};
+use crate::search::SearchResult;
+use crate::strategy::{db_key, run_search, TunedRecord, STRATEGY_WARM};
+use crate::subject::{Oracle, Subject};
+use crate::worker::WorkerSpec;
+use ifko_blas::Kernel;
+use ifko_fko::{CompileError, CompileOpts, CompiledKernel, TransformParams};
 use ifko_xsim::{FeatureVector, MachineConfig};
 
 /// Everything produced by tuning one kernel on one machine/context.
@@ -50,227 +53,150 @@ impl std::fmt::Display for TuneError {
 }
 impl std::error::Error for TuneError {}
 
-/// Tune one kernel under a [`TuneConfig`] (called by `TuneConfig::tune`).
-pub(crate) fn tune_with_config(kernel: Kernel, cfg: &TuneConfig) -> Result<TuneOutcome, TuneError> {
-    let machine = &cfg.machine;
-    let context = cfg.context;
-    let n = cfg.size();
+/// Why a finished search could not be reported.
+pub(crate) enum TuneFailure {
+    /// The winning parameters did not recompile.
+    Recompile(CompileError),
+    /// The recompiled winner did not run.
+    Run(String),
+}
+
+/// Tune `subject` under `cfg`: the one driver behind
+/// [`TuneConfig::tune`] and [`TuneConfig::tune_source`]. It owns the
+/// worker-pool spawn, the warm / transfer lookup in the tuned database,
+/// the search itself, the winner's recompile and one clean final run,
+/// the database store, and the run-level spans and metrics — so whatever
+/// is tuned, a tune is traced, counted and persisted the same way.
+///
+/// Returns what both public outcomes share, plus the cycle count of the
+/// winner's final run (which `TuneConfig::tune` puts through its final
+/// timer).
+pub(crate) fn tune_subject(
+    subject: &Subject<'_>,
+    cfg: &TuneConfig,
+) -> Result<(GenericTuneOutcome, u64), TuneFailure> {
+    let scope = &subject.scope;
     let mut engine = cfg.engine();
     let reg = engine.metrics().clone();
-    let sink = engine.trace().cloned();
-    let scope = EvalScope::new(
-        kernel.name(),
-        machine,
-        context,
-        n,
-        cfg.seed,
-        &cfg.search.timer,
-    );
     // Worker-process pool (`--workers N`): candidates evaluate in `ifko
-    // worker` children. Spawn failure is the documented degradation path
-    // — the engine just keeps evaluating in-process.
-    if cfg.workers_of() > 0 {
-        let spec = crate::worker::WorkerSpec::blas(
-            &kernel.name(),
-            machine,
-            context,
-            n,
-            cfg.seed,
-            &cfg.search,
-            &scope,
-        );
-        match cfg.spawn_worker_pool(&spec) {
+    // worker` children, which rebuild this subject from the handshake.
+    // Spawn failure is the documented degradation path — the engine just
+    // keeps evaluating in-process.
+    if cfg.workers > 0 {
+        match cfg.spawn_worker_pool(&WorkerSpec::of(subject)) {
             Some(pool) => engine = engine.with_worker_pool(pool),
             None => reg.counter(metrics::ENGINE_WORKER_FALLBACKS).inc(),
         }
     }
-    let tune_span = Span::root(sink, scope.key(), "tune");
-    let t0 = std::time::Instant::now();
-
-    let src = hil_source(kernel.op, kernel.prec);
-    let parse_span = tune_span.child("parse");
-    let sess = CompileSession::from_source(&src, machine);
-    drop(parse_span);
-    let sess = sess.map_err(|e| TuneError(format!("{}: {e}", kernel.name())))?;
+    let sink = engine.trace().cloned();
+    let tune_span = Span::root(sink.clone(), scope.key(), "tune").since(subject.opened);
+    Span::emit(
+        &sink,
+        scope.key(),
+        "parse",
+        Some(tune_span.id()),
+        subject.parse_wall,
+    );
     if cfg.profile_pipeline {
-        sess.enable_profiling();
+        subject.sess.enable_profiling();
     }
-    let workload = Workload::generate(n, cfg.seed);
 
     // Warm start: a stored winner for this kernel/precision/machine/
     // context/revision is re-verified through the engine before it can
     // end the search early (see `strategy::run_search`).
-    let prec = format!("{:?}", kernel.prec);
-    let key = cfg.db.as_ref().map(|db| {
-        db_key(
-            &kernel.name(),
+    let prec = format!("{:?}", subject.prec());
+    let db = cfg.db.as_ref().map(|db| {
+        let key = db_key(
+            &scope.kernel,
             &prec,
             &scope.machine,
-            context.label(),
+            scope.context,
             db.rev(),
-        )
+        );
+        (db, key)
     });
-    let warm = match (&cfg.db, &key) {
-        (Some(db), Some(k)) => db.lookup(k),
-        _ => None,
-    };
-
-    // The static cost model for this session: locality follows the
-    // timing context (out-of-cache streams from memory; the in-L2
-    // context is bounded by the L2 side of the model). Always attached —
-    // at `--model-prune 0` predictions are trace-only.
-    let locality = if context == Context::OutOfCache {
-        ifko_fko::Locality::Mem
-    } else {
-        ifko_fko::Locality::L2
-    };
-    let model = |p: &TransformParams| {
-        sess.predict(p, machine)
-            .ok()
-            .map(|pred| pred.predicted_cycles(n as u64, locality))
-    };
-
+    let warm = db.as_ref().and_then(|(db, key)| db.lookup(key));
     // The kernel's static feature vector at FKO defaults: the similarity
     // key stored with every tuned record, and — when the exact warm
     // lookup missed — the probe for a transfer seed from the nearest
     // tuned neighbor.
-    let defaults_sfv = sess
-        .predict(&TransformParams::defaults(sess.report(), machine), machine)
+    let defaults = TransformParams::defaults(subject.sess.report(), &subject.machine);
+    let defaults_sfv = subject
+        .sess
+        .predict(&defaults, &subject.machine)
         .ok()
         .map(|pred| pred.features().values);
-    let transfer = match (&cfg.db, &key, &warm, &defaults_sfv) {
-        (Some(db), Some(k), None, Some(sfv)) => db.nearest_by_features(sfv, k),
+    let transfer = match (&db, &warm, &defaults_sfv) {
+        (Some((db, key)), None, Some(sfv)) => db.nearest_by_features(sfv, key),
         _ => None,
     };
 
-    let result = crate::strategy::run_search(
+    let result = run_search(
+        subject,
+        &engine,
         cfg.strategy,
         cfg.budget,
         warm.as_ref(),
         transfer.as_ref(),
-        Some(&model),
-        sess.report(),
-        machine,
-        &cfg.search,
-        cfg.seed,
-        &engine,
-        &scope,
-        |search_id| {
-            blas_eval_point(
-                &sess,
-                kernel,
-                &workload,
-                context,
-                machine,
-                &cfg.search,
-                Some(&engine),
-                &scope,
-                search_id,
-            )
-        },
     );
-    let recompile_span = tune_span.child("recompile");
-    let compiled = sess.compile(&result.best, CompileOpts::default());
-    drop(recompile_span);
-    let compiled = compiled.map_err(|e| {
-        TuneError(format!(
-            "{}: best params failed to recompile: {e}",
-            kernel.name()
-        ))
-    })?;
 
-    let args = crate::runner::KernelArgs {
-        kernel,
-        workload: &workload,
-        context,
-    };
-    // One clean run of the winner yields both the reported cycles (the
-    // paper's timer protocol over its cycle count) and its counter
-    // vector.
+    let recompile_span = tune_span.child("recompile");
+    let compiled = subject.sess.compile(&result.best, CompileOpts::default());
+    drop(recompile_span);
+    let compiled = compiled.map_err(TuneFailure::Recompile)?;
+    // One clean run of the winner: its counters carry both the cycles
+    // the entry point reports and the winner's feature vector.
     let final_span = tune_span.child("final-time");
-    let out = crate::runner::run_once(&compiled, &args, machine);
+    let ran = subject.simulate(&compiled);
     drop(final_span);
-    reg.counter(metrics::ENGINE_SIMULATIONS).inc();
-    let out =
-        out.map_err(|e| TuneError(format!("{}: winner failed to run: {e}", kernel.name())))?;
-    let cycles = cfg.final_timer.time_from(out.stats.cycles, &compiled.name);
-    let mflops = flops_rate(kernel, n, cycles, machine);
-    let features = FeatureVector::from_stats(&out.stats, n as u64);
+    // That run, plus the baseline run a differential oracle made when
+    // the subject was opened (before there was an engine to count it).
+    let baseline_runs = matches!(subject.oracle, Oracle::Differential { .. }) as u64;
+    reg.counter(metrics::ENGINE_SIMULATIONS)
+        .add(1 + baseline_runs);
+    let final_stats = *ran.map_err(TuneFailure::Run)?.stats();
 
     // Persist the verified winner — unless this run itself was answered
     // by the database (re-storing would overwrite the finder's name).
-    if let (Some(db), Some(key)) = (&cfg.db, &key) {
+    if let Some((db, key)) = db {
         if result.strategy != STRATEGY_WARM {
             db.store_with(
-                &crate::strategy::TunedRecord {
-                    key: key.clone(),
-                    kernel: kernel.name(),
+                &TunedRecord {
+                    key,
+                    kernel: scope.kernel.clone(),
                     prec,
                     machine: scope.machine.clone(),
-                    context: context.label().to_string(),
+                    context: scope.context.to_string(),
                     rev: db.rev().to_string(),
-                    n,
-                    seed: cfg.seed,
+                    n: scope.n,
+                    seed: scope.seed,
                     strategy: result.winner_strategy.clone(),
                     cycles: result.best_cycles,
                     params: result.best.clone(),
-                    features: defaults_sfv.clone(),
+                    features: defaults_sfv,
                 },
-                cfg.search.faults.as_ref(),
+                subject.opts.faults.as_ref(),
             );
         }
     }
 
     reg.counter(metrics::TUNE_RUNS).inc();
     reg.histogram(metrics::TUNE_WALL_US, metrics::US_BUCKETS)
-        .observe(t0.elapsed().as_micros() as u64);
-    let pipe = sess.stats();
+        .observe(subject.opened.elapsed().as_micros() as u64);
+    let pipe = subject.sess.stats();
     reg.counter(metrics::PIPE_COMPILES).add(pipe.compiles);
     reg.counter(metrics::PIPE_SUBCACHE_HITS)
         .add(pipe.subcache_hits);
     reg.counter(metrics::PIPE_SUBCACHE_MISSES)
         .add(pipe.subcache_misses);
 
-    Ok(TuneOutcome {
-        kernel,
-        machine: machine.name.to_string(),
-        context,
-        n,
-        table3_row: result.best.table3_row(sess.report()),
+    let outcome = GenericTuneOutcome {
         result,
         compiled,
-        cycles,
-        mflops,
-        pipeline_profile: sess.profile(),
-        features,
-    })
-}
-
-/// Time FKO's static defaults under a [`TuneConfig`] (called by
-/// `TuneConfig::time_defaults`).
-pub(crate) fn defaults_with_config(kernel: Kernel, cfg: &TuneConfig) -> Result<u64, TuneError> {
-    let machine = &cfg.machine;
-    let context = cfg.context;
-    let n = cfg.size();
-    let src = hil_source(kernel.op, kernel.prec);
-    let sess = CompileSession::from_source(&src, machine)
-        .map_err(|e| TuneError(format!("{}: {e}", kernel.name())))?;
-    let params = TransformParams::defaults(sess.report(), machine);
-    let compiled = sess
-        .compile(&params, CompileOpts::default())
-        .map_err(|e| TuneError(format!("{}: {e}", kernel.name())))?;
-    let workload = Workload::generate(n, cfg.seed);
-    let args = crate::runner::KernelArgs {
-        kernel,
-        workload: &workload,
-        context,
+        pipeline_profile: subject.sess.profile(),
+        features: FeatureVector::from_stats(&final_stats, scope.n as u64),
     };
-    // One run: verify its outputs, then time its cycle count.
-    let out =
-        crate::runner::run_once(&compiled, &args, machine).map_err(|e| TuneError(e.to_string()))?;
-    crate::tester::verify(kernel, &workload, &out)
-        .map_err(|e| TuneError(format!("{} defaults failed verify: {e}", kernel.name())))?;
-    Ok(cfg.final_timer.time_from(out.stats.cycles, &compiled.name))
+    Ok((outcome, final_stats.cycles))
 }
 
 /// MFLOPS for a kernel run (paper Figure 5 metric).

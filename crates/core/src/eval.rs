@@ -51,6 +51,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use crate::fault::{self, FaultPlan};
+use crate::json::esc;
 use crate::metrics::{self, Counter, Gauge, Histogram, MetricsRegistry};
 use crate::runner::Context;
 use crate::timer::Timer;
@@ -138,10 +139,6 @@ impl EvalScope {
 // ---------------------------------------------------------------------------
 // Trace layer
 // ---------------------------------------------------------------------------
-
-fn esc(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
 
 /// One observed candidate evaluation (or cache hit) during a search.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -434,6 +431,14 @@ impl Span {
 
     pub fn id(&self) -> u64 {
         self.id
+    }
+
+    /// Backdate the span to `start`, for a span that can only be opened
+    /// once the work it covers has begun (the `tune` root of a `.hil`
+    /// subject, whose scope key is known only after the parse).
+    pub fn since(mut self, start: std::time::Instant) -> Span {
+        self.start = start;
+        self
     }
 
     /// Emit a span for an already-measured duration (used for stages
@@ -886,6 +891,31 @@ pub struct ModelCtx<'m> {
     pub prune_frac: f64,
 }
 
+/// What a batch of candidates is submitted under: the evaluation scope,
+/// the search strategy and phase its trace events are tagged with (the
+/// empty strategy means "untagged" and is omitted from the JSONL
+/// encoding), the legality precheck, and an optional static cost model.
+pub struct Batch<'a> {
+    pub scope: &'a EvalScope,
+    pub strategy: &'static str,
+    pub phase: &'static str,
+    pub precheck: &'a dyn Fn(&TransformParams) -> Result<(), Reject>,
+    pub model: Option<ModelCtx<'a>>,
+}
+
+impl<'a> Batch<'a> {
+    /// An untagged batch with no precheck and no cost model.
+    pub fn new(scope: &'a EvalScope, phase: &'static str) -> Batch<'a> {
+        Batch {
+            scope,
+            strategy: "",
+            phase,
+            precheck: &|_| Ok(()),
+            model: None,
+        }
+    }
+}
+
 /// Outcome of one batch submission.
 #[derive(Clone, Debug)]
 pub struct BatchOutcome {
@@ -951,6 +981,7 @@ pub struct EvalEngine {
     m_faults: Arc<Counter>,
     m_outliers: Arc<Counter>,
     m_failed: Arc<Counter>,
+    m_simulations: Arc<Counter>,
     m_probes: Arc<Counter>,
     m_batches: Arc<Counter>,
     m_busy_us: Arc<Counter>,
@@ -995,6 +1026,7 @@ impl EvalEngine {
             m_faults: registry.counter(metrics::ENGINE_FAULTS),
             m_outliers: registry.counter(metrics::ENGINE_OUTLIERS),
             m_failed: registry.counter(metrics::ENGINE_FAILED),
+            m_simulations: registry.counter(metrics::ENGINE_SIMULATIONS),
             m_probes: registry.counter(metrics::ENGINE_PROBES),
             m_batches: registry.counter(metrics::ENGINE_BATCHES),
             m_busy_us: registry.counter(metrics::ENGINE_BUSY_US),
@@ -1084,9 +1116,16 @@ impl EvalEngine {
         }
     }
 
-    /// Evaluate a batch of candidate points, in parallel, memoized
-    /// (compatibility wrapper over [`EvalEngine::eval_batch_records`] for
-    /// evaluators that produce no simulator counters).
+    /// Count one simulator run against this engine's registry
+    /// (`ifko_engine_simulations_total`). Called where the run is made.
+    pub fn count_simulation(&self) {
+        self.m_simulations.inc();
+    }
+
+    /// Evaluate a batch of candidate points with a cycles-only evaluator
+    /// (`None` = rejected): the convenience form of
+    /// [`EvalEngine::evaluate`] for evaluators that produce no simulator
+    /// counters — untagged, no precheck, no cost model.
     pub fn eval_batch<F>(
         &self,
         scope: &EvalScope,
@@ -1097,7 +1136,9 @@ impl EvalEngine {
     where
         F: Fn(&TransformParams) -> Option<u64> + Sync,
     {
-        self.eval_batch_records(scope, phase, cands, |p| EvalRecord::from(eval(p)))
+        self.evaluate(&Batch::new(scope, phase), cands, |p| {
+            EvalRecord::from(eval(p))
+        })
     }
 
     /// Evaluate a batch of candidate points, in parallel, memoized.
@@ -1107,65 +1148,15 @@ impl EvalEngine {
     /// *unique uncached* candidate. Results come back index-aligned with
     /// `cands`, and all bookkeeping is order-deterministic regardless of
     /// `jobs`.
-    pub fn eval_batch_records<F>(
-        &self,
-        scope: &EvalScope,
-        phase: &'static str,
-        cands: &[TransformParams],
-        eval: F,
-    ) -> BatchOutcome
-    where
-        F: Fn(&TransformParams) -> EvalRecord + Sync,
-    {
-        self.eval_batch_checked(scope, phase, cands, |_| Ok(()), eval)
-    }
-
-    /// [`EvalEngine::eval_batch_records`] with a legality precheck.
     ///
-    /// `precheck` runs serially over the batch *before* cache lookup; a
-    /// candidate it rejects is **pruned** — never compiled, simulated,
-    /// or cached — and comes back as `None` with the rejection reason in
-    /// its trace event. Because pruning happens before the cache, a
-    /// pruned point costs O(1) regardless of phase or pass.
-    pub fn eval_batch_checked<P, F>(
-        &self,
-        scope: &EvalScope,
-        phase: &'static str,
-        cands: &[TransformParams],
-        precheck: P,
-        eval: F,
-    ) -> BatchOutcome
-    where
-        P: Fn(&TransformParams) -> Result<(), Reject>,
-        F: Fn(&TransformParams) -> EvalRecord + Sync,
-    {
-        self.eval_batch_tagged(scope, "", phase, cands, precheck, eval)
-    }
-
-    /// [`EvalEngine::eval_batch_checked`] with a search-strategy tag:
-    /// every trace event the batch emits carries `strategy`, so reports
-    /// and metrics can attribute probes when several strategies share
-    /// one engine (portfolio racing). The empty tag means "untagged" and
-    /// is omitted from the JSONL encoding.
-    pub fn eval_batch_tagged<P, F>(
-        &self,
-        scope: &EvalScope,
-        strategy: &'static str,
-        phase: &'static str,
-        cands: &[TransformParams],
-        precheck: P,
-        eval: F,
-    ) -> BatchOutcome
-    where
-        P: Fn(&TransformParams) -> Result<(), Reject>,
-        F: Fn(&TransformParams) -> EvalRecord + Sync,
-    {
-        self.eval_batch_modeled(scope, strategy, phase, cands, precheck, None, eval)
-    }
-
-    /// [`EvalEngine::eval_batch_tagged`] with an optional static cost
-    /// model. When a [`ModelCtx`] is attached, every legal candidate gets
-    /// a predicted cycle count in its trace event, and — when
+    /// `batch.precheck` runs serially over the batch *before* cache
+    /// lookup; a candidate it rejects is **pruned** — never compiled,
+    /// simulated, or cached — and comes back as `None` with the rejection
+    /// reason in its trace event. Because pruning happens before the
+    /// cache, a pruned point costs O(1) regardless of phase or pass.
+    ///
+    /// When `batch.model` is attached, every legal candidate gets a
+    /// predicted cycle count in its trace event, and — when
     /// `prune_frac > 0` — the predicted-worst fraction of the batch is
     /// pruned before compilation, exactly like legality pruning: result
     /// `None`, reason `model-rank`, never cached. Cache hits count
@@ -1176,21 +1167,17 @@ impl EvalEngine {
     /// breaking ties; candidates tied with the cutoff prediction are all
     /// kept; unpredicted candidates are never pruned), so the outcome is
     /// bit-identical at any `jobs` width.
-    #[allow(clippy::too_many_arguments)]
-    pub fn eval_batch_modeled<P, F>(
-        &self,
-        scope: &EvalScope,
-        strategy: &'static str,
-        phase: &'static str,
-        cands: &[TransformParams],
-        precheck: P,
-        model: Option<ModelCtx<'_>>,
-        eval: F,
-    ) -> BatchOutcome
+    pub fn evaluate<F>(&self, batch: &Batch<'_>, cands: &[TransformParams], eval: F) -> BatchOutcome
     where
-        P: Fn(&TransformParams) -> Result<(), Reject>,
         F: Fn(&TransformParams) -> EvalRecord + Sync,
     {
+        let Batch {
+            scope,
+            strategy,
+            phase,
+            precheck,
+            model,
+        } = batch;
         let keys: Vec<String> = cands.iter().map(|p| scope.point_key(p)).collect();
 
         // Serial pass: prune illegal points, then resolve cache hits and
@@ -1222,7 +1209,7 @@ impl EvalEngine {
         // the predicted-vs-actual trace), then rank the fresh work and
         // drop the predicted-worst fraction.
         let mut predicted: Vec<Option<u64>> = vec![None; cands.len()];
-        if let Some(m) = &model {
+        if let Some(m) = model {
             for i in 0..cands.len() {
                 if pruned_why[i].is_none() {
                     predicted[i] = (m.hook)(&cands[i]);
@@ -1494,6 +1481,15 @@ mod tests {
         EvalScope::new("test", &p4e(), Context::OutOfCache, 100, 1, &Timer::exact())
     }
 
+    /// A `line`-tagged `UR` batch with an optional cost model.
+    fn modeled_batch<'a>(scope: &'a EvalScope, model: Option<ModelCtx<'a>>) -> Batch<'a> {
+        Batch {
+            strategy: "line",
+            model,
+            ..Batch::new(scope, "UR")
+        }
+    }
+
     fn point(ur: u32) -> TransformParams {
         let mut p = TransformParams::off();
         p.unroll = ur;
@@ -1523,17 +1519,18 @@ mod tests {
         let eng = EvalEngine::new(2);
         let cands: Vec<_> = (1..=4).map(point).collect();
         // Prune odd unrolls; the evaluator must never see them.
-        let out = eng.eval_batch_checked(
-            &scope(),
-            "UR",
-            &cands,
-            |p| {
-                if p.unroll % 2 == 1 {
-                    Err(Reject::UnrollTooLarge)
-                } else {
-                    Ok(())
-                }
+        let out = eng.evaluate(
+            &Batch {
+                precheck: &|p| {
+                    if p.unroll % 2 == 1 {
+                        Err(Reject::UnrollTooLarge)
+                    } else {
+                        Ok(())
+                    }
+                },
+                ..Batch::new(&scope(), "UR")
             },
+            &cands,
             |p| {
                 assert_eq!(p.unroll % 2, 0, "pruned candidate reached the evaluator");
                 EvalRecord::from(Some(p.unroll as u64))
@@ -1545,7 +1542,7 @@ mod tests {
         assert_eq!(out.cache_hits, 0);
         // Pruned points are never cached: resubmitting without the
         // precheck evaluates them fresh.
-        let out2 = eng.eval_batch_records(&scope(), "UR", &cands, |p| {
+        let out2 = eng.evaluate(&Batch::new(&scope(), "UR"), &cands, |p| {
             EvalRecord::from(Some(p.unroll as u64))
         });
         assert_eq!(out2.results, (1..=4).map(Some).collect::<Vec<_>>());
@@ -1626,9 +1623,9 @@ mod tests {
             }),
             ..EvalRecord::default()
         };
-        eng.eval_batch_records(&scope(), "UR", &cands, mk);
+        eng.evaluate(&Batch::new(&scope(), "UR"), &cands, mk);
         // Warm re-submission: hits carry no stats.
-        eng.eval_batch_records(&scope(), "UR", &cands, |_| panic!("cached"));
+        eng.evaluate(&Batch::new(&scope(), "UR"), &cands, |_| panic!("cached"));
         let evs = sink.evals();
         assert_eq!(evs.len(), 4);
         assert!(evs[0].stats.is_some() && evs[1].stats.is_some());
@@ -1769,7 +1766,7 @@ mod tests {
             .with_metrics(reg.clone());
         let cands = vec![point(2), point(4)];
         // unroll=2 keeps failing transiently; unroll=4 evaluates clean.
-        let out = eng.eval_batch_records(&scope(), "UR", &cands, |p| {
+        let out = eng.evaluate(&Batch::new(&scope(), "UR"), &cands, |p| {
             if p.unroll == 2 {
                 EvalRecord::failed(3, 4)
             } else {
@@ -1789,7 +1786,7 @@ mod tests {
         assert!(!evs[1].failed);
         // The failed point was NOT cached: a clean resubmission re-runs
         // it fresh, while the clean point hits.
-        let out2 = eng.eval_batch_records(&scope(), "UR", &cands, |p| {
+        let out2 = eng.evaluate(&Batch::new(&scope(), "UR"), &cands, |p| {
             EvalRecord::from(Some(p.unroll as u64))
         });
         assert_eq!(out2.results, vec![Some(2), Some(4)]);
@@ -1860,21 +1857,19 @@ mod tests {
                 EvalRecord::from(Some(2000 / p.unroll as u64))
             }
         };
-        let plain =
-            EvalEngine::new(2).eval_batch_tagged(&scope(), "line", "UR", &cands, |_| Ok(()), f);
+        let plain = EvalEngine::new(2).evaluate(&modeled_batch(&scope(), None), &cands, f);
         let sink = MemSink::new();
         let eng = EvalEngine::new(2).with_trace(sink.clone());
         let hook = |p: &TransformParams| Some(p.unroll as u64 * 7);
-        let modeled = eng.eval_batch_modeled(
-            &scope(),
-            "line",
-            "UR",
+        let modeled = eng.evaluate(
+            &modeled_batch(
+                &scope(),
+                Some(ModelCtx {
+                    hook: &hook,
+                    prune_frac: 0.0,
+                }),
+            ),
             &cands,
-            |_| Ok(()),
-            Some(ModelCtx {
-                hook: &hook,
-                prune_frac: 0.0,
-            }),
             f,
         );
         // frac 0: identical outcome, predictions trace-only.
@@ -1901,16 +1896,15 @@ mod tests {
         let cands: Vec<_> = (1..=4).map(point).collect();
         // Model ranks low unroll best; frac 0.5 keeps ceil(2) = {1, 2}.
         let hook = |p: &TransformParams| Some(p.unroll as u64);
-        let out = eng.eval_batch_modeled(
-            &scope(),
-            "line",
-            "UR",
+        let out = eng.evaluate(
+            &modeled_batch(
+                &scope(),
+                Some(ModelCtx {
+                    hook: &hook,
+                    prune_frac: 0.5,
+                }),
+            ),
             &cands,
-            |_| Ok(()),
-            Some(ModelCtx {
-                hook: &hook,
-                prune_frac: 0.5,
-            }),
             |p| {
                 assert!(p.unroll <= 2, "pruned candidate reached the evaluator");
                 EvalRecord::from(Some(p.unroll as u64 * 10))
@@ -1927,7 +1921,7 @@ mod tests {
         assert_eq!(evs[3].predicted, Some(4));
         // Model-pruned points are never cached: a model-free resubmission
         // evaluates them fresh and the survivors hit.
-        let out2 = eng.eval_batch_records(&scope(), "UR", &cands, |p| {
+        let out2 = eng.evaluate(&Batch::new(&scope(), "UR"), &cands, |p| {
             EvalRecord::from(Some(p.unroll as u64 * 10))
         });
         assert_eq!(
@@ -1945,16 +1939,15 @@ mod tests {
         // All candidates predict identically: the cutoff ties with every
         // dropped candidate, so nothing may be pruned.
         let flat = |_: &TransformParams| Some(100u64);
-        let out = eng.eval_batch_modeled(
-            &scope(),
-            "line",
-            "UR",
+        let out = eng.evaluate(
+            &modeled_batch(
+                &scope(),
+                Some(ModelCtx {
+                    hook: &flat,
+                    prune_frac: 0.5,
+                }),
+            ),
             &cands,
-            |_| Ok(()),
-            Some(ModelCtx {
-                hook: &flat,
-                prune_frac: 0.5,
-            }),
             |p| EvalRecord::from(Some(p.unroll as u64)),
         );
         assert_eq!(out.model_pruned, 0);
@@ -1962,16 +1955,15 @@ mod tests {
         // A hook with no prediction never prunes.
         let eng2 = EvalEngine::new(1);
         let none = |_: &TransformParams| None;
-        let out2 = eng2.eval_batch_modeled(
-            &scope(),
-            "line",
-            "UR",
+        let out2 = eng2.evaluate(
+            &modeled_batch(
+                &scope(),
+                Some(ModelCtx {
+                    hook: &none,
+                    prune_frac: 0.9,
+                }),
+            ),
             &cands,
-            |_| Ok(()),
-            Some(ModelCtx {
-                hook: &none,
-                prune_frac: 0.9,
-            }),
             |p| EvalRecord::from(Some(p.unroll as u64)),
         );
         assert_eq!(out2.model_pruned, 0);
@@ -1983,16 +1975,15 @@ mod tests {
         let cands: Vec<_> = (1..=13).map(point).collect();
         let hook = |p: &TransformParams| Some(1000 / p.unroll as u64);
         let run = |jobs: usize| {
-            EvalEngine::new(jobs).eval_batch_modeled(
-                &scope(),
-                "line",
-                "UR",
+            EvalEngine::new(jobs).evaluate(
+                &modeled_batch(
+                    &scope(),
+                    Some(ModelCtx {
+                        hook: &hook,
+                        prune_frac: 0.4,
+                    }),
+                ),
                 &cands,
-                |_| Ok(()),
-                Some(ModelCtx {
-                    hook: &hook,
-                    prune_frac: 0.4,
-                }),
                 |p| EvalRecord::from(Some(p.unroll as u64 * 3)),
             )
         };

@@ -27,6 +27,7 @@
 //! or markdown, so the JSON form is golden-testable.
 
 use crate::eval::{EvalEvent, SearchEvent};
+use crate::json::esc;
 use crate::report::{f4, read_trace, scope_n, ReportFormat};
 use crate::strategy::TunedDb;
 use ifko_xsim::{FeatureVector, RunStats};
@@ -700,10 +701,6 @@ fn render_text(rep: &ExplainReport) -> String {
         }
     }
     out
-}
-
-fn esc(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 fn candidate_json(c: &CandidateView) -> String {

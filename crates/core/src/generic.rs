@@ -10,13 +10,9 @@
 //! under SIMD/AE, so floating comparisons use a size-scaled tolerance.
 
 use crate::config::TuneConfig;
-use crate::eval::{fnv64, EvalRecord, EvalScope, Span};
 use crate::runner::{simulate, Context, Operands};
 use crate::search::{SearchOptions, SearchResult};
-use crate::strategy::{db_key, STRATEGY_WARM};
-use ifko_fko::{
-    ArgSlot, CompileError, CompileOpts, CompileSession, CompiledKernel, TransformParams,
-};
+use ifko_fko::{ArgSlot, CompileError, CompiledKernel};
 use ifko_xsim::isa::Prec;
 use ifko_xsim::rng::Rng64;
 use ifko_xsim::{MachineConfig, RunStats};
@@ -94,7 +90,7 @@ pub fn run_generic(
 
 /// Differential comparison against the untransformed baseline, with a
 /// size-scaled tolerance for reassociated reductions.
-fn outputs_agree(a: &GenericOutputs, b: &GenericOutputs, prec: Prec, n: usize) -> bool {
+pub(crate) fn outputs_agree(a: &GenericOutputs, b: &GenericOutputs, prec: Prec, n: usize) -> bool {
     let eps = match prec {
         Prec::S => f32::EPSILON as f64,
         Prec::D => f64::EPSILON,
@@ -111,121 +107,6 @@ fn outputs_agree(a: &GenericOutputs, b: &GenericOutputs, prec: Prec, n: usize) -
             .all(|(va, vb)| va.iter().zip(vb).all(|(x, y)| close(*x, *y)))
 }
 
-/// The per-candidate evaluator for an arbitrary HIL source: chaos-aware
-/// compile (retried with backoff), simulate, differential verification
-/// against the untransformed baseline, and chaos tester flakes — the
-/// generic-path twin of `search::blas_eval_point`. Shared between the
-/// in-process engine ([`tune_source_with_config`]) and the worker
-/// protocol ([`crate::worker::serve`]), which is what keeps remote
-/// evaluation bit-identical to local.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn generic_eval_point<'a>(
-    sess: &'a CompileSession,
-    w: &'a GenericWorkload,
-    baseline: &'a GenericOutputs,
-    prec: Prec,
-    context: Context,
-    machine: &'a MachineConfig,
-    opts: &'a SearchOptions,
-    engine: Option<&crate::eval::EvalEngine>,
-    scope: &'a EvalScope,
-    search_id: u64,
-) -> impl Fn(&TransformParams) -> EvalRecord + Sync + 'a {
-    let sink = engine.and_then(|e| e.trace().cloned());
-    let simulations = engine.map(|e| e.metrics().counter(crate::metrics::ENGINE_SIMULATIONS));
-    let n = w.n;
-    move |p: &TransformParams| -> EvalRecord {
-        let eval_span = Span::with_parent(sink.clone(), scope.key(), "eval", Some(search_id));
-        let fkey = opts.faults.as_ref().map(|_| scope.point_key(p));
-        let mut retries = 0u32;
-        let mut nfaults = 0u32;
-        // Chaos: transient compile failures, retried with backoff
-        // (same contract as the BLAS path in `search.rs`).
-        if let (Some(plan), Some(key)) = (opts.faults.as_ref(), fkey.as_deref()) {
-            let mut attempt = 0u32;
-            while plan.compile_fails(key, attempt) {
-                nfaults += 1;
-                if attempt >= opts.max_retries {
-                    return EvalRecord::failed(retries, nfaults);
-                }
-                retries += 1;
-                std::thread::sleep(plan.backoff(attempt));
-                attempt += 1;
-            }
-        }
-        let compile_span = eval_span.child("compile");
-        let compile_id = compile_span.id();
-        let mut stages: Vec<(&'static str, std::time::Duration)> = Vec::new();
-        let mut observe = |stage: &'static str, wall: std::time::Duration| {
-            stages.push((stage, wall));
-        };
-        let c = sess.compile(
-            p,
-            CompileOpts::observed(cfg!(debug_assertions) || opts.verify_ir, &mut observe),
-        );
-        drop(compile_span);
-        for (stage, wall) in stages {
-            Span::emit(&sink, scope.key(), stage, Some(compile_id), wall);
-        }
-        let Ok(c) = c else {
-            return EvalRecord {
-                retries,
-                faults: nfaults,
-                ..EvalRecord::rejected()
-            };
-        };
-        // One simulation: verified differentially, and its exact cycle
-        // count is the candidate's time (this path applies no timer
-        // interference; the BLAS path runs the timer's statistics over
-        // its one run).
-        let sim_span = eval_span.child("simulate");
-        let got = run_generic(&c, w, context, machine);
-        drop(sim_span);
-        if let Some(c) = &simulations {
-            c.inc();
-        }
-        let Ok(got) = got else {
-            return EvalRecord {
-                retries,
-                faults: nfaults,
-                ..EvalRecord::rejected()
-            };
-        };
-        let _test_span = eval_span.child("test");
-        if !outputs_agree(&got, baseline, prec, n) {
-            return EvalRecord {
-                cycles: None,
-                stats: Some(got.stats),
-                retries,
-                faults: nfaults,
-                ..EvalRecord::default()
-            };
-        }
-        // Chaos: the differential tester may flake; retry until a
-        // clean verdict or the budget runs out.
-        if let (Some(plan), Some(key)) = (opts.faults.as_ref(), fkey.as_deref()) {
-            let mut attempt = 0u32;
-            while plan.tester_flakes(key, attempt) {
-                nfaults += 1;
-                if attempt >= opts.max_retries {
-                    return EvalRecord::failed(retries, nfaults);
-                }
-                retries += 1;
-                std::thread::sleep(plan.backoff(attempt));
-                let _ = outputs_agree(&got, baseline, prec, n);
-                attempt += 1;
-            }
-        }
-        EvalRecord {
-            cycles: Some(got.cycles),
-            stats: Some(got.stats),
-            retries,
-            faults: nfaults,
-            ..EvalRecord::default()
-        }
-    }
-}
-
 /// Result of tuning an arbitrary kernel.
 pub struct GenericTuneOutcome {
     pub result: SearchResult,
@@ -237,157 +118,6 @@ pub struct GenericTuneOutcome {
     /// The winner's size-normalized counter vector (one clean run of the
     /// recompiled winner) — the transfer warm-start hook (ROADMAP item 3).
     pub features: ifko_xsim::FeatureVector,
-}
-
-/// Tune a user HIL kernel under a [`TuneConfig`] (called by
-/// `TuneConfig::tune_source`). Candidates run through the config's
-/// evaluation engine: batched across its worker threads, memoized in its
-/// cache under a source-fingerprinted scope, and traced to its sink.
-pub(crate) fn tune_source_with_config(
-    src: &str,
-    cfg: &TuneConfig,
-) -> Result<GenericTuneOutcome, CompileError> {
-    let machine = &cfg.machine;
-    let context = cfg.context;
-    let n = cfg.size();
-    let opts = &cfg.search;
-    let sess = CompileSession::from_source(src, machine)?;
-    if cfg.profile_pipeline {
-        sess.enable_profiling();
-    }
-    // Baseline: everything off.
-    let base_compiled = sess.compile(&TransformParams::off(), CompileOpts::default())?;
-    let w = GenericWorkload::for_kernel(&base_compiled, n, cfg.seed);
-    let baseline =
-        run_generic(&base_compiled, &w, context, machine).map_err(CompileError::codegen)?;
-    let prec = base_compiled.prec;
-
-    let mut engine = cfg.engine();
-    // Arbitrary sources have no registry name: scope the cache by routine
-    // name plus a content hash, so two different bodies never collide.
-    let label = format!("hil:{}#{:016x}", sess.ir().name, fnv64(src.as_bytes()));
-    let scope = EvalScope::new(label, machine, context, n, cfg.seed, &opts.timer);
-    // Worker-process pool (`--workers N`): the handshake ships the HIL
-    // source itself, so workers rebuild the identical session + baseline.
-    if cfg.workers_of() > 0 {
-        let spec =
-            crate::worker::WorkerSpec::generic(src, machine, context, n, cfg.seed, opts, &scope);
-        match cfg.spawn_worker_pool(&spec) {
-            Some(pool) => engine = engine.with_worker_pool(pool),
-            None => engine
-                .metrics()
-                .counter(crate::metrics::ENGINE_WORKER_FALLBACKS)
-                .inc(),
-        }
-    }
-
-    // Warm start, keyed by the content-hashed label (see `driver.rs`).
-    let prec_label = format!("{prec:?}");
-    let key = cfg.db.as_ref().map(|db| {
-        db_key(
-            &scope.kernel,
-            &prec_label,
-            &scope.machine,
-            context.label(),
-            db.rev(),
-        )
-    });
-    let warm = match (&cfg.db, &key) {
-        (Some(db), Some(k)) => db.lookup(k),
-        _ => None,
-    };
-
-    // Static cost model (same contract as the BLAS driver): locality
-    // follows the timing context; predictions ride the trace at
-    // `--model-prune 0` and gate candidates above it.
-    let locality = if context == Context::OutOfCache {
-        ifko_fko::Locality::Mem
-    } else {
-        ifko_fko::Locality::L2
-    };
-    let model = |p: &TransformParams| {
-        sess.predict(p, machine)
-            .ok()
-            .map(|pred| pred.predicted_cycles(n as u64, locality))
-    };
-    let defaults_sfv = sess
-        .predict(&TransformParams::defaults(sess.report(), machine), machine)
-        .ok()
-        .map(|pred| pred.features().values);
-    let transfer = match (&cfg.db, &key, &warm, &defaults_sfv) {
-        (Some(db), Some(k), None, Some(sfv)) => db.nearest_by_features(sfv, k),
-        _ => None,
-    };
-
-    let result = crate::strategy::run_search(
-        cfg.strategy,
-        cfg.budget,
-        warm.as_ref(),
-        transfer.as_ref(),
-        Some(&model),
-        sess.report(),
-        machine,
-        opts,
-        cfg.seed,
-        &engine,
-        &scope,
-        |search_id| {
-            generic_eval_point(
-                &sess,
-                &w,
-                &baseline,
-                prec,
-                context,
-                machine,
-                opts,
-                Some(&engine),
-                &scope,
-                search_id,
-            )
-        },
-    );
-
-    if let (Some(db), Some(key)) = (&cfg.db, &key) {
-        if result.strategy != STRATEGY_WARM {
-            db.store_with(
-                &crate::strategy::TunedRecord {
-                    key: key.clone(),
-                    kernel: scope.kernel.clone(),
-                    prec: prec_label,
-                    machine: scope.machine.clone(),
-                    context: context.label().to_string(),
-                    rev: db.rev().to_string(),
-                    n,
-                    seed: cfg.seed,
-                    strategy: result.winner_strategy.clone(),
-                    cycles: result.best_cycles,
-                    params: result.best.clone(),
-                    features: defaults_sfv.clone(),
-                },
-                opts.faults.as_ref(),
-            );
-        }
-    }
-    let compiled = sess.compile(&result.best, CompileOpts::default())?;
-    let features = run_generic(&compiled, &w, context, machine)
-        .map(|out| ifko_xsim::FeatureVector::from_stats(&out.stats, n as u64))
-        .map_err(CompileError::codegen)?;
-    let pipe = sess.stats();
-    let reg = engine.metrics();
-    // The baseline run above and the winner's feature run.
-    reg.counter(crate::metrics::ENGINE_SIMULATIONS).add(2);
-    reg.counter(crate::metrics::PIPE_COMPILES)
-        .add(pipe.compiles);
-    reg.counter(crate::metrics::PIPE_SUBCACHE_HITS)
-        .add(pipe.subcache_hits);
-    reg.counter(crate::metrics::PIPE_SUBCACHE_MISSES)
-        .add(pipe.subcache_misses);
-    Ok(GenericTuneOutcome {
-        result,
-        compiled,
-        pipeline_profile: sess.profile(),
-        features,
-    })
 }
 
 /// Tune any HIL source on a machine/context: analyze, establish the
@@ -408,12 +138,13 @@ pub fn tune_source(
         .n(n)
         .seed(seed)
         .search(opts.clone());
-    tune_source_with_config(src, &cfg)
+    cfg.tune_source(src)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ifko_fko::{CompileOpts, CompileSession, TransformParams};
     use ifko_xsim::p4e;
 
     const WAXPBY: &str = r#"

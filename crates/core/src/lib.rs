@@ -36,7 +36,12 @@
 //!   database ([`TunedDb`](strategy::TunedDb)) used for warm starts;
 //! * [`config`] — [`TuneConfig`], the builder-style configuration every
 //!   entry point takes;
-//! * [`driver`] — one-call tuning of a BLAS kernel on a machine/context.
+//! * [`driver`] — the one tune driver behind `TuneConfig::tune` and
+//!   `TuneConfig::tune_source`, over the crate's one evaluation path (a
+//!   subject — session, scope, tester/timer oracle — and its staged
+//!   compile → simulate → test → time function, which the engine, the
+//!   worker protocol and the daemon all call);
+//! * [`json`] — the one JSON reader and string escaper.
 //!
 //! Most users want the [`prelude`]:
 //!
@@ -56,12 +61,14 @@ pub mod eval;
 pub mod explain;
 pub mod fault;
 pub mod generic;
+pub mod json;
 pub mod metrics;
 pub mod proto;
 pub mod report;
 pub mod runner;
 pub mod search;
 pub mod strategy;
+mod subject;
 pub mod tester;
 pub mod timer;
 pub mod worker;

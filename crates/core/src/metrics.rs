@@ -33,6 +33,7 @@
 //! deliberate simplification that keeps the registry a flat string map
 //! while still rendering as proper Prometheus labels.
 
+use crate::json::esc;
 use std::collections::HashMap;
 use std::path::Path;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
@@ -497,10 +498,6 @@ fn sample_line(reg: &MetricsRegistry, t_us: u64) -> String {
     format!(
         "{{\"t_us\":{t_us},\"counters\":{{{counters}}},\"gauges\":{{{gauges}}},\"histograms\":{{{hists}}}}}"
     )
-}
-
-fn esc(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 /// The family name of a metric: everything before the `{labels}` suffix.

@@ -13,7 +13,7 @@
 //! sources ride inside JSON strings. A frame longer than [`MAX_FRAME`]
 //! is rejected before allocation, so a corrupt or adversarial length
 //! word cannot balloon memory. JSON parsing reuses the repo's
-//! hand-rolled [`crate::report::parse_json`]; serialization is the same
+//! hand-rolled [`crate::json::parse_json`]; serialization is the same
 //! hand-written style as the rest of the codebase — no external crates
 //! on either end.
 //!
@@ -88,22 +88,7 @@ pub fn read_frame(r: &mut impl Read) -> std::io::Result<Option<String>> {
         .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
 }
 
-/// JSON string escaping for hand-rolled serializers.
-pub fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
+pub use crate::json::esc;
 
 /// Build an error response.
 pub fn error_response(msg: &str) -> String {
@@ -184,7 +169,7 @@ mod tests {
             Field::Bool("warm", true),
             Field::Raw("params", "{\"x\":1}".to_string()),
         ]);
-        let v = crate::report::parse_json(&s).unwrap();
+        let v = crate::json::parse_json(&s).unwrap();
         assert_eq!(v.get("ok").and_then(|j| j.as_bool()), Some(true));
         assert_eq!(v.get("name").and_then(|j| j.as_str()), Some("a\"b\nc"));
         assert_eq!(v.get("n").and_then(|j| j.as_u64()), Some(42));

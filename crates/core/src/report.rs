@@ -24,216 +24,13 @@
 //! short by Ctrl-C must still report.
 
 use crate::eval::{EvalEvent, SearchEvent, SpanEvent};
+use crate::json::esc;
 use ifko_xsim::RunStats;
 use std::collections::HashMap;
 use std::io::BufRead;
 use std::path::Path;
 
-// ---------------------------------------------------------------------------
-// Minimal JSON
-// ---------------------------------------------------------------------------
-
-/// A parsed JSON value. Numbers are kept as `f64`; every integer this
-/// tool reads (cycles, microseconds, counters) is far below 2^53.
-#[derive(Clone, Debug, PartialEq)]
-pub enum Json {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-    pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            Json::Num(n) if *n >= 0.0 => Some(*n as u64),
-            _ => None,
-        }
-    }
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-}
-
-/// Parse one complete JSON value; `None` on any syntax error or trailing
-/// garbage.
-pub fn parse_json(s: &str) -> Option<Json> {
-    let b = s.as_bytes();
-    let mut i = 0;
-    let v = parse_value(b, &mut i)?;
-    skip_ws(b, &mut i);
-    if i == b.len() {
-        Some(v)
-    } else {
-        None
-    }
-}
-
-fn skip_ws(b: &[u8], i: &mut usize) {
-    while *i < b.len() && matches!(b[*i], b' ' | b'\t' | b'\r' | b'\n') {
-        *i += 1;
-    }
-}
-
-fn parse_value(b: &[u8], i: &mut usize) -> Option<Json> {
-    skip_ws(b, i);
-    match *b.get(*i)? {
-        b'{' => {
-            *i += 1;
-            let mut fields = Vec::new();
-            skip_ws(b, i);
-            if b.get(*i) == Some(&b'}') {
-                *i += 1;
-                return Some(Json::Obj(fields));
-            }
-            loop {
-                skip_ws(b, i);
-                let key = parse_string(b, i)?;
-                skip_ws(b, i);
-                if b.get(*i) != Some(&b':') {
-                    return None;
-                }
-                *i += 1;
-                let val = parse_value(b, i)?;
-                fields.push((key, val));
-                skip_ws(b, i);
-                match b.get(*i)? {
-                    b',' => *i += 1,
-                    b'}' => {
-                        *i += 1;
-                        return Some(Json::Obj(fields));
-                    }
-                    _ => return None,
-                }
-            }
-        }
-        b'[' => {
-            *i += 1;
-            let mut items = Vec::new();
-            skip_ws(b, i);
-            if b.get(*i) == Some(&b']') {
-                *i += 1;
-                return Some(Json::Arr(items));
-            }
-            loop {
-                items.push(parse_value(b, i)?);
-                skip_ws(b, i);
-                match b.get(*i)? {
-                    b',' => *i += 1,
-                    b']' => {
-                        *i += 1;
-                        return Some(Json::Arr(items));
-                    }
-                    _ => return None,
-                }
-            }
-        }
-        b'"' => Some(Json::Str(parse_string(b, i)?)),
-        b't' => {
-            if b[*i..].starts_with(b"true") {
-                *i += 4;
-                Some(Json::Bool(true))
-            } else {
-                None
-            }
-        }
-        b'f' => {
-            if b[*i..].starts_with(b"false") {
-                *i += 5;
-                Some(Json::Bool(false))
-            } else {
-                None
-            }
-        }
-        b'n' => {
-            if b[*i..].starts_with(b"null") {
-                *i += 4;
-                Some(Json::Null)
-            } else {
-                None
-            }
-        }
-        _ => {
-            let start = *i;
-            while *i < b.len() && matches!(b[*i], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E') {
-                *i += 1;
-            }
-            if *i == start {
-                return None;
-            }
-            std::str::from_utf8(&b[start..*i])
-                .ok()?
-                .parse::<f64>()
-                .ok()
-                .map(Json::Num)
-        }
-    }
-}
-
-fn parse_string(b: &[u8], i: &mut usize) -> Option<String> {
-    if b.get(*i) != Some(&b'"') {
-        return None;
-    }
-    *i += 1;
-    let mut out = String::new();
-    loop {
-        match *b.get(*i)? {
-            b'"' => {
-                *i += 1;
-                return Some(out);
-            }
-            b'\\' => {
-                *i += 1;
-                match *b.get(*i)? {
-                    b'"' => out.push('"'),
-                    b'\\' => out.push('\\'),
-                    b'/' => out.push('/'),
-                    b'n' => out.push('\n'),
-                    b't' => out.push('\t'),
-                    b'r' => out.push('\r'),
-                    b'u' => {
-                        let hex = b.get(*i + 1..*i + 5)?;
-                        let code = u32::from_str_radix(std::str::from_utf8(hex).ok()?, 16).ok()?;
-                        out.push(char::from_u32(code)?);
-                        *i += 4;
-                    }
-                    _ => return None,
-                }
-                *i += 1;
-            }
-            _ => {
-                // Consume one UTF-8 scalar.
-                let s = std::str::from_utf8(&b[*i..]).ok()?;
-                let c = s.chars().next()?;
-                out.push(c);
-                *i += c.len_utf8();
-            }
-        }
-    }
-}
+pub use crate::json::{parse_json, Json};
 
 // ---------------------------------------------------------------------------
 // Trace reading
@@ -859,7 +656,7 @@ fn render_text(rep: &TraceReport) -> String {
 }
 
 fn jstr(s: &str) -> String {
-    format!("\"{}\"", s.replace('\\', "\\\\").replace('"', "\\\""))
+    format!("\"{}\"", esc(s))
 }
 
 fn render_json(rep: &TraceReport) -> String {

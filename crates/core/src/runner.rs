@@ -28,6 +28,14 @@ impl Context {
             Context::InL2 => "ic",
         }
     }
+    /// The context a [`Context::label`] names (`oc` / `ic`).
+    pub fn from_label(label: &str) -> Option<Context> {
+        match label {
+            "oc" => Some(Context::OutOfCache),
+            "ic" => Some(Context::InL2),
+            _ => None,
+        }
+    }
     /// The paper's problem size for this context.
     pub fn paper_n(self) -> usize {
         match self {

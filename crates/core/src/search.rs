@@ -23,14 +23,14 @@
 //! bit-identical for any `jobs` count (the determinism invariant; see
 //! `crates/core/src/eval.rs`).
 
-use crate::eval::{EvalEngine, EvalRecord, EvalScope, Span};
+use crate::eval::EvalEngine;
 use crate::fault::FaultPlan;
 use crate::metrics::{self, MetricsRegistry};
-use crate::runner::{run_once, Context, KernelArgs};
-use crate::tester::verify;
+use crate::runner::Context;
+use crate::subject::Subject;
 use crate::timer::Timer;
 use ifko_blas::{Kernel, Workload};
-use ifko_fko::{AnalysisReport, CompileOpts, CompileSession, TransformParams};
+use ifko_fko::{AnalysisReport, CompileSession, TransformParams};
 use ifko_xsim::MachineConfig;
 use std::sync::Arc;
 
@@ -253,9 +253,10 @@ impl SearchMetrics {
     }
 }
 
-/// Run the modified line search for a BLAS kernel with a private serial
-/// engine (compile + verify + time, memoized).
-#[allow(clippy::too_many_arguments)]
+/// Run the modified line search for a BLAS kernel on the caller's
+/// compile session with a private serial engine (compile + verify +
+/// time, memoized): the engine-backed rung over the
+/// [`line_search_batched`] skeleton.
 pub fn line_search(
     sess: &CompileSession,
     kernel: Kernel,
@@ -264,213 +265,15 @@ pub fn line_search(
     machine: &MachineConfig,
     opts: &SearchOptions,
 ) -> SearchResult {
-    let engine = EvalEngine::new(1);
-    let scope = EvalScope::new(kernel.name(), machine, context, workload.n, 0, &opts.timer);
-    line_search_engine(
-        sess, kernel, workload, context, machine, opts, &engine, &scope,
-    )
-}
-
-/// Run the modified line search for a BLAS kernel on a caller-provided
-/// [`EvalEngine`]: each phase's sweep is submitted as one batch, fanned
-/// out over the engine's worker threads, memoized in its cache, and
-/// traced to its sink.
-#[allow(clippy::too_many_arguments)]
-pub fn line_search_engine(
-    sess: &CompileSession,
-    kernel: Kernel,
-    workload: &Workload,
-    context: Context,
-    machine: &MachineConfig,
-    opts: &SearchOptions,
-    engine: &EvalEngine,
-    scope: &EvalScope,
-) -> SearchResult {
+    let subject = Subject::on_session(sess, kernel, workload, context, machine, opts);
     crate::strategy::run_search(
+        &subject,
+        &EvalEngine::new(1),
         crate::strategy::StrategySpec::Line,
         crate::strategy::Budget::unlimited(),
         None,
         None,
-        None,
-        sess.report(),
-        machine,
-        opts,
-        scope.seed,
-        engine,
-        scope,
-        |search_id| {
-            blas_eval_point(
-                sess,
-                kernel,
-                workload,
-                context,
-                machine,
-                opts,
-                Some(engine),
-                scope,
-                search_id,
-            )
-        },
     )
-}
-
-/// The full BLAS evaluation function — compile (stage-attributed spans) →
-/// simulate → verify → time — for one parameter point, as used by every
-/// search strategy. The candidate is simulated **once**: that run's
-/// outputs feed the tester, its counters travel with the record, and its
-/// cycle count is what the timer's repetitions, chaos spikes and re-times
-/// perturb arithmetically. Spans go to `engine`'s trace sink and each
-/// simulation bumps its `ENGINE_SIMULATIONS` counter (a worker process
-/// has no engine and passes `None`). `search_id` is the parent span the
-/// per-candidate `eval` spans hang off.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn blas_eval_point<'a>(
-    sess: &'a CompileSession,
-    kernel: Kernel,
-    workload: &'a Workload,
-    context: Context,
-    machine: &'a MachineConfig,
-    opts: &'a SearchOptions,
-    engine: Option<&EvalEngine>,
-    scope: &'a EvalScope,
-    search_id: u64,
-) -> impl Fn(&TransformParams) -> EvalRecord + Sync + 'a {
-    let sink = engine.and_then(|e| e.trace().cloned());
-    let simulations = engine.map(|e| e.metrics().counter(metrics::ENGINE_SIMULATIONS));
-    let timer = opts.timer.clone();
-    let faults = opts.faults.clone();
-    let max_retries = opts.max_retries;
-    move |p: &TransformParams| -> EvalRecord {
-        let eval_span = Span::with_parent(sink.clone(), scope.key(), "eval", Some(search_id));
-        // Fault decisions key on the full point key, so every candidate
-        // draws its own independent fault stream (computed only under a
-        // chaos plan — the clean path never pays for it).
-        let fkey = faults.as_ref().map(|_| scope.point_key(p));
-        let mut retries = 0u32;
-        let mut nfaults = 0u32;
-        // Chaos: the compiler may fail transiently. Retry with backoff up
-        // to the budget; a candidate that never gets a clean attempt is
-        // *failed* (skipped, not cached), never a panic.
-        if let (Some(plan), Some(key)) = (faults.as_ref(), fkey.as_deref()) {
-            let mut attempt = 0u32;
-            while plan.compile_fails(key, attempt) {
-                nfaults += 1;
-                if attempt >= max_retries {
-                    return EvalRecord::failed(retries, nfaults);
-                }
-                retries += 1;
-                std::thread::sleep(plan.backoff(attempt));
-                attempt += 1;
-            }
-        }
-        // Compile, attributing time to the FKO pipeline stages.
-        let compile_span = eval_span.child("compile");
-        let compile_id = compile_span.id();
-        let mut stages: Vec<(&'static str, std::time::Duration)> = Vec::new();
-        let mut observe = |stage: &'static str, wall: std::time::Duration| {
-            stages.push((stage, wall));
-        };
-        let compiled = sess.compile(
-            p,
-            CompileOpts::observed(cfg!(debug_assertions) || opts.verify_ir, &mut observe),
-        );
-        drop(compile_span);
-        for (stage, wall) in stages {
-            Span::emit(&sink, scope.key(), stage, Some(compile_id), wall);
-        }
-        let Ok(compiled) = compiled else {
-            return EvalRecord {
-                retries,
-                faults: nfaults,
-                ..EvalRecord::rejected()
-            };
-        };
-        let args = KernelArgs {
-            kernel,
-            workload,
-            context,
-        };
-        // The candidate's one simulation. Verify first (the paper's
-        // tester step); the run's counters travel with the record into
-        // the trace.
-        let sim_span = eval_span.child("simulate");
-        let out = run_once(&compiled, &args, machine);
-        drop(sim_span);
-        if let Some(c) = &simulations {
-            c.inc();
-        }
-        let Ok(out) = out else {
-            return EvalRecord {
-                retries,
-                faults: nfaults,
-                ..EvalRecord::rejected()
-            };
-        };
-        let stats = out.stats;
-        {
-            let _test_span = eval_span.child("test");
-            if verify(kernel, workload, &out).is_err() {
-                return EvalRecord {
-                    cycles: None,
-                    stats: Some(stats),
-                    retries,
-                    faults: nfaults,
-                    ..EvalRecord::default()
-                };
-            }
-            // Chaos: the tester harness may flake (spurious failure on a
-            // kernel that just verified). Re-run it until a clean verdict
-            // or the retry budget runs out.
-            if let (Some(plan), Some(key)) = (faults.as_ref(), fkey.as_deref()) {
-                let mut attempt = 0u32;
-                while plan.tester_flakes(key, attempt) {
-                    nfaults += 1;
-                    if attempt >= max_retries {
-                        return EvalRecord::failed(retries, nfaults);
-                    }
-                    retries += 1;
-                    std::thread::sleep(plan.backoff(attempt));
-                    let _ = verify(kernel, workload, &out);
-                    attempt += 1;
-                }
-            }
-        }
-        // The `time` span covers the timer's statistics only: its
-        // repetitions are draws over `stats.cycles`, not re-runs.
-        let time_span = eval_span.child("time");
-        let t = timer.robust_from(
-            stats.cycles,
-            &compiled.name,
-            faults
-                .as_ref()
-                .and_then(|plan| fkey.as_deref().map(|key| (plan, key))),
-        );
-        drop(time_span);
-        EvalRecord {
-            cycles: Some(t.cycles),
-            stats: Some(stats),
-            retries: retries + t.retimed,
-            faults: nfaults + t.injected,
-            outliers: t.outliers_rejected,
-            failed: false,
-        }
-    }
-}
-
-/// The search skeleton over an arbitrary *single-candidate* evaluator:
-/// `eval` returns the (min-of-reps) cycles of a parameter point, or
-/// `None` if the point failed to compile or verify. Candidates are
-/// evaluated serially in batch order; used by tests and by callers that
-/// bring their own memoization.
-pub fn line_search_with(
-    rep: &AnalysisReport,
-    machine: &MachineConfig,
-    opts: &SearchOptions,
-    mut eval: impl FnMut(&TransformParams) -> Option<u64>,
-) -> SearchResult {
-    line_search_batched(rep, machine, opts, |_phase, cands| {
-        cands.iter().map(&mut eval).collect()
-    })
 }
 
 /// The search skeleton over a *batch* evaluator: each 1-D phase submits
@@ -789,26 +592,5 @@ mod tests {
         let b = search_kernel(BlasOp::Dot, 2048, Context::OutOfCache);
         assert_eq!(a.best_cycles, b.best_cycles);
         assert_eq!(a.best, b.best);
-    }
-
-    #[test]
-    fn batched_and_single_eval_skeletons_agree() {
-        // A synthetic pure evaluator: the two skeleton entry points must
-        // find the same winner and record the same gains.
-        let mach = p4e();
-        let src = hil_source(BlasOp::Dot, Prec::D);
-        let sess = CompileSession::from_source(&src, &mach).unwrap();
-        let rep = sess.report().clone();
-        let opts = SearchOptions::quick();
-        let cost = |p: &TransformParams| -> Option<u64> {
-            Some(10_000 / p.unroll as u64 + p.prefetch.iter().map(|s| s.dist as u64).sum::<u64>())
-        };
-        let a = line_search_with(&rep, &mach, &opts, cost);
-        let b = line_search_batched(&rep, &mach, &opts, |_ph, cands| {
-            cands.iter().map(cost).collect()
-        });
-        assert_eq!(a.best, b.best);
-        assert_eq!(a.best_cycles, b.best_cycles);
-        assert_eq!(a.gains, b.gains);
     }
 }

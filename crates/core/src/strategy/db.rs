@@ -28,8 +28,8 @@
 
 use crate::eval::fnv64;
 use crate::fault::{self, FaultPlan};
+use crate::json::{esc, parse_json, Json};
 use crate::metrics;
-use crate::report::{parse_json, Json};
 use ifko_fko::ir::PtrId;
 use ifko_fko::{PrefSpec, TransformParams};
 use ifko_xsim::PrefKind;
@@ -594,10 +594,6 @@ fn short_rev(h: &str) -> String {
 // ---------------------------------------------------------------------------
 // Record (de)serialization
 // ---------------------------------------------------------------------------
-
-fn esc(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
 
 /// Serialize a parameter point as a stable JSON object (field names
 /// abbreviated like the Table 3 rows).

@@ -42,9 +42,10 @@ pub use global::{Anneal, HillClimb, RandomSearch, SearchSpace};
 pub use line::LineSearch;
 pub use portfolio::Portfolio;
 
-use crate::eval::{EvalEngine, EvalRecord, EvalScope, ModelCtx, Span};
+use crate::eval::{Batch, EvalEngine, ModelCtx, Span};
 use crate::metrics;
 use crate::search::{PhaseGain, SearchMetrics, SearchOptions, SearchResult, PHASE_SEED};
+use crate::subject::Subject;
 use ifko_fko::{precheck, AnalysisReport, TransformParams};
 use ifko_xsim::MachineConfig;
 use std::time::{Duration, Instant};
@@ -62,11 +63,6 @@ pub const PHASE_XFER: &str = "XFER";
 /// Strategy label attributed to transfer-seeded probes, so a winner that
 /// came straight from the transferred point is visible in reports.
 pub const STRATEGY_XFER: &str = "xfer";
-
-/// A static cost model as the harness sees it: candidate → predicted
-/// cycles (`None` = no prediction). Typically a closure over
-/// `CompileSession::predict` and the machine/context of the search.
-pub type ModelHook<'a> = dyn Fn(&TransformParams) -> Option<u64> + Sync + 'a;
 
 // ---------------------------------------------------------------------------
 // Budget
@@ -392,40 +388,39 @@ impl<'a> SearchCtx<'a> {
 // Harness: drive a strategy through an EvalEngine
 // ---------------------------------------------------------------------------
 
-/// Run `spec` against an [`EvalEngine`]: the one entry point both the
-/// BLAS driver and the generic (differential) tuner use.
+/// Run `spec` over `subject` on an [`EvalEngine`]: the one entry point
+/// every search goes through.
 ///
-/// `make_eval` receives the root `search` span id and returns the pure
-/// single-point evaluator (compile → verify → time). When `warm` is
-/// given, the stored winner is re-verified first (`WARM` phase) and, if
-/// it still verifies, returned immediately without running the driver.
-/// When `model` is given, every batch flows through the static cost
-/// model (predictions traced; the predicted-worst `opts.model_prune`
-/// fraction pruned). When `transfer` is given (no exact warm hit, but a
-/// nearby tuned record by static-feature distance), the transferred
-/// point is probed once up front (`XFER` phase) so the driver's searches
-/// start from — and the final winner can be — a proven neighbor.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_search<F, E>(
+/// Everything a search needs to know about what it tunes comes from the
+/// subject — the analysis report, machine, options and strategy seed, the
+/// static cost model ([`Subject::predict`]) and the single-point
+/// evaluator ([`Subject::evaluate`], hung off this function's root
+/// `search` span). When `warm` is given, the stored winner is re-verified
+/// first (`WARM` phase) and, if it still verifies, returned immediately
+/// without running the driver. Every batch flows through the cost model
+/// (predictions traced; the predicted-worst `opts.model_prune` fraction
+/// pruned). When `transfer` is given (no exact warm hit, but a nearby
+/// tuned record by static-feature distance), the transferred point is
+/// probed once up front (`XFER` phase) so the driver's searches start
+/// from — and the final winner can be — a proven neighbor.
+pub(crate) fn run_search(
+    subject: &Subject<'_>,
+    engine: &EvalEngine,
     spec: StrategySpec,
     budget: Budget,
     warm: Option<&TunedRecord>,
     transfer: Option<&TunedRecord>,
-    model: Option<&ModelHook<'_>>,
-    rep: &AnalysisReport,
-    machine: &MachineConfig,
-    opts: &SearchOptions,
-    seed: u64,
-    engine: &EvalEngine,
-    scope: &EvalScope,
-    make_eval: F,
-) -> SearchResult
-where
-    F: FnOnce(u64) -> E,
-    E: Fn(&TransformParams) -> EvalRecord + Sync,
-{
+) -> SearchResult {
+    let (rep, machine, opts, scope) = (
+        subject.sess.report(),
+        &subject.machine,
+        &subject.opts,
+        &subject.scope,
+    );
     let search_span = Span::root(engine.trace().cloned(), scope.key(), "search");
-    let eval_point = make_eval(search_span.id());
+    let search_id = search_span.id();
+    let eval_point = |p: &TransformParams| subject.evaluate(p, Some(engine), search_id);
+    let model = |p: &TransformParams| subject.predict(p);
 
     let reg = engine.metrics().clone();
     let mut sm = SearchMetrics::new(reg.clone());
@@ -446,12 +441,17 @@ where
         }
     };
     let mut eval = |strategy: &'static str, phase: &'static str, cands: &[TransformParams]| {
-        let mctx = model.map(|hook| ModelCtx {
-            hook,
-            prune_frac: opts.model_prune,
-        });
-        let out =
-            engine.eval_batch_modeled(scope, strategy, phase, cands, check, mctx, &eval_point);
+        let batch = Batch {
+            scope,
+            strategy,
+            phase,
+            precheck: &check,
+            model: Some(ModelCtx {
+                hook: &model,
+                prune_frac: opts.model_prune,
+            }),
+        };
+        let out = engine.evaluate(&batch, cands, eval_point);
         sm.observe_batch(phase, &out.results);
         reg.counter(&metrics::labeled(
             metrics::STRATEGY_PROBES,
@@ -474,7 +474,7 @@ where
         rep,
         machine,
         opts,
-        seed,
+        seed: scope.seed,
         budget,
         started: Instant::now(),
         probes: 0,

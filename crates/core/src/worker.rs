@@ -63,21 +63,19 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
-use crate::eval::{fnv64, EvalRecord, EvalScope};
+use crate::eval::{EvalRecord, EvalScope};
 use crate::fault::FaultPlan;
-use crate::generic::{run_generic, GenericOutputs, GenericWorkload};
+use crate::json::{parse_json, Json};
 use crate::proto;
-use crate::report::{parse_json, parse_stats, Json};
+use crate::report::parse_stats;
 use crate::runner::Context;
 use crate::search::SearchOptions;
 use crate::strategy::db::{params_from_json, params_json};
+use crate::subject::{Oracle, Subject};
 use crate::timer::Timer;
-use ifko_blas::hil_src::hil_source;
-use ifko_blas::ops::EXTENDED_KERNELS;
-use ifko_blas::{Kernel, Workload, ALL_KERNELS};
-use ifko_fko::{CompileOpts, CompileSession, TransformParams};
-use ifko_xsim::isa::Prec;
-use ifko_xsim::{opteron, p4e, MachineConfig};
+use ifko_blas::Kernel;
+use ifko_fko::TransformParams;
+use ifko_xsim::MachineConfig;
 
 /// Default read timeout on the dispatcher's end of a worker stream: a
 /// worker silent this long is treated as hung and retired. Override per
@@ -138,29 +136,63 @@ impl WorkerSpec {
         }
     }
 
-    /// Spec for an arbitrary HIL source (differential verification).
-    pub fn generic(
-        src: &str,
-        machine: &MachineConfig,
-        context: Context,
-        n: usize,
-        seed: u64,
-        opts: &SearchOptions,
-        scope: &EvalScope,
-    ) -> WorkerSpec {
+    /// The spec that makes a worker rebuild `subject`: its kernel name or
+    /// — for a differential subject — the HIL source itself, so workers
+    /// reconstruct the identical session and baseline.
+    pub(crate) fn of(subject: &Subject<'_>) -> WorkerSpec {
+        let (kernel, src) = match &subject.oracle {
+            Oracle::Blas { kernel, .. } => (Some(kernel.name()), None),
+            Oracle::Differential { src, .. } => (None, Some(src.clone())),
+        };
+        let scope = &subject.scope;
         WorkerSpec {
-            kernel: None,
-            src: Some(src.to_string()),
-            machine: machine.name.to_string(),
-            context: context.label().to_string(),
-            n,
-            seed,
-            timer: opts.timer.clone(),
-            verify_ir: opts.verify_ir,
-            max_retries: opts.max_retries,
-            chaos: opts.faults.clone(),
-            scope_key: scope.key().to_string(),
+            kernel,
+            src,
+            ..WorkerSpec::blas(
+                "",
+                &subject.machine,
+                subject.context,
+                scope.n,
+                scope.seed,
+                &subject.opts,
+                scope,
+            )
         }
+    }
+
+    /// The subject this spec describes, rebuilt on the worker's side.
+    /// A worker whose recomputed scope differs from the dispatcher's
+    /// (different machine model, timer protocol, workload seed) must
+    /// refuse to evaluate anything.
+    fn open(&self) -> Result<Subject<'static>, String> {
+        let machine = MachineConfig::by_name(&self.machine)
+            .ok_or_else(|| format!("unknown machine `{}`", self.machine))?;
+        let context = Context::from_label(&self.context)
+            .ok_or_else(|| format!("unknown context `{}`", self.context))?;
+        let opts = SearchOptions {
+            timer: self.timer.clone(),
+            verify_ir: self.verify_ir,
+            max_retries: self.max_retries,
+            faults: self.chaos.clone(),
+            ..SearchOptions::default()
+        };
+        let subject = if let Some(name) = &self.kernel {
+            let kernel = Kernel::by_name(name).ok_or_else(|| format!("unknown kernel `{name}`"))?;
+            Subject::blas(kernel, &machine, context, self.n, self.seed, &opts)
+                .map_err(|e| format!("{name}: {e}"))?
+        } else {
+            let src = self.src.as_deref().expect("spec validated");
+            Subject::source(src, &machine, context, self.n, self.seed, &opts)
+                .map_err(|e| e.to_string())?
+        };
+        if subject.scope.key() != self.scope_key {
+            return Err(format!(
+                "scope drift: dispatcher `{}` vs worker `{}`",
+                self.scope_key,
+                subject.scope.key()
+            ));
+        }
+        Ok(subject)
     }
 
     /// The handshake frame. Floats use Rust's shortest round-trip form,
@@ -266,164 +298,9 @@ impl WorkerSpec {
     }
 }
 
-fn machine_from_name(name: &str) -> Option<MachineConfig> {
-    match name.to_ascii_lowercase().as_str() {
-        "p4e" => Some(p4e()),
-        "opteron" | "opt" => Some(opteron()),
-        _ => None,
-    }
-}
-
-fn context_from_label(label: &str) -> Option<Context> {
-    match label {
-        "oc" => Some(Context::OutOfCache),
-        "ic" => Some(Context::InL2),
-        _ => None,
-    }
-}
-
-fn find_kernel(name: &str) -> Option<Kernel> {
-    ALL_KERNELS
-        .iter()
-        .chain(EXTENDED_KERNELS.iter())
-        .find(|k| k.name() == name)
-        .copied()
-}
-
 // ---------------------------------------------------------------------------
 // Worker side: the serve loop
 // ---------------------------------------------------------------------------
-
-/// The worker's evaluation state, rebuilt from the handshake. Both arms
-/// call the very same evaluator closures the in-process engine uses
-/// (`search::blas_eval_point` / `generic::generic_eval_point`), so a
-/// remote evaluation cannot diverge from a local one.
-enum WorkerEval {
-    Blas {
-        sess: CompileSession,
-        kernel: Kernel,
-        workload: Workload,
-        context: Context,
-        machine: MachineConfig,
-        opts: SearchOptions,
-        scope: EvalScope,
-    },
-    Generic {
-        sess: CompileSession,
-        workload: GenericWorkload,
-        baseline: GenericOutputs,
-        prec: Prec,
-        context: Context,
-        machine: MachineConfig,
-        opts: SearchOptions,
-        scope: EvalScope,
-    },
-}
-
-impl WorkerEval {
-    fn build(spec: &WorkerSpec) -> Result<WorkerEval, String> {
-        let machine = machine_from_name(&spec.machine)
-            .ok_or_else(|| format!("unknown machine `{}`", spec.machine))?;
-        let context = context_from_label(&spec.context)
-            .ok_or_else(|| format!("unknown context `{}`", spec.context))?;
-        let opts = SearchOptions {
-            timer: spec.timer.clone(),
-            verify_ir: spec.verify_ir,
-            max_retries: spec.max_retries,
-            faults: spec.chaos.clone(),
-            ..SearchOptions::default()
-        };
-        let built = if let Some(name) = &spec.kernel {
-            let kernel = find_kernel(name).ok_or_else(|| format!("unknown kernel `{name}`"))?;
-            let src = hil_source(kernel.op, kernel.prec);
-            let sess =
-                CompileSession::from_source(&src, &machine).map_err(|e| format!("{name}: {e}"))?;
-            let workload = Workload::generate(spec.n, spec.seed);
-            let scope = EvalScope::new(
-                kernel.name(),
-                &machine,
-                context,
-                spec.n,
-                spec.seed,
-                &opts.timer,
-            );
-            WorkerEval::Blas {
-                sess,
-                kernel,
-                workload,
-                context,
-                machine,
-                opts,
-                scope,
-            }
-        } else {
-            let src = spec.src.as_deref().expect("spec validated");
-            let sess = CompileSession::from_source(src, &machine).map_err(|e| e.to_string())?;
-            let base = sess
-                .compile(&TransformParams::off(), CompileOpts::default())
-                .map_err(|e| e.to_string())?;
-            let workload = GenericWorkload::for_kernel(&base, spec.n, spec.seed);
-            let baseline = run_generic(&base, &workload, context, &machine)?;
-            let prec = base.prec;
-            let label = format!("hil:{}#{:016x}", sess.ir().name, fnv64(src.as_bytes()));
-            let scope = EvalScope::new(label, &machine, context, spec.n, spec.seed, &opts.timer);
-            WorkerEval::Generic {
-                sess,
-                workload,
-                baseline,
-                prec,
-                context,
-                machine,
-                opts,
-                scope,
-            }
-        };
-        // The drift check: a worker whose recomputed universe differs
-        // from the dispatcher's must refuse to evaluate anything.
-        if built.scope_key() != spec.scope_key {
-            return Err(format!(
-                "scope drift: dispatcher `{}` vs worker `{}`",
-                spec.scope_key,
-                built.scope_key()
-            ));
-        }
-        Ok(built)
-    }
-
-    fn scope_key(&self) -> &str {
-        match self {
-            WorkerEval::Blas { scope, .. } | WorkerEval::Generic { scope, .. } => scope.key(),
-        }
-    }
-
-    fn eval(&self, p: &TransformParams) -> EvalRecord {
-        match self {
-            WorkerEval::Blas {
-                sess,
-                kernel,
-                workload,
-                context,
-                machine,
-                opts,
-                scope,
-            } => (crate::search::blas_eval_point(
-                sess, *kernel, workload, *context, machine, opts, None, scope, 0,
-            ))(p),
-            WorkerEval::Generic {
-                sess,
-                workload,
-                baseline,
-                prec,
-                context,
-                machine,
-                opts,
-                scope,
-            } => (crate::generic::generic_eval_point(
-                sess, workload, baseline, *prec, *context, machine, opts, None, scope, 0,
-            ))(p),
-        }
-    }
-}
 
 fn eval_response(id: u64, rec: &EvalRecord) -> String {
     let mut fields = vec![
@@ -470,12 +347,15 @@ pub fn serve(r: &mut impl Read, w: &mut impl Write) -> std::io::Result<()> {
     let Some(line) = proto::read_frame(r)? else {
         return Ok(());
     };
-    let evaluator = parse_json(&line)
+    // The worker evaluates with the very same `Subject::evaluate` the
+    // in-process engine uses, so a remote evaluation cannot diverge from
+    // a local one.
+    let subject = parse_json(&line)
         .ok_or_else(|| "handshake is not valid JSON".to_string())
         .and_then(|v| WorkerSpec::from_json(&v))
-        .and_then(|spec| WorkerEval::build(&spec));
-    let evaluator = match evaluator {
-        Ok(e) => e,
+        .and_then(|spec| spec.open());
+    let subject = match subject {
+        Ok(s) => s,
         Err(msg) => {
             proto::write_frame(w, &proto::error_response(&msg))?;
             return Ok(());
@@ -483,7 +363,7 @@ pub fn serve(r: &mut impl Read, w: &mut impl Write) -> std::io::Result<()> {
     };
     proto::write_frame(
         w,
-        &proto::object(&[proto::Field::Str("scope", evaluator.scope_key())]),
+        &proto::object(&[proto::Field::Str("scope", subject.scope.key())]),
     )?;
 
     // Chaos hook: abort (no cleanup, stream torn mid-conversation) upon
@@ -512,7 +392,7 @@ pub fn serve(r: &mut impl Read, w: &mut impl Write) -> std::io::Result<()> {
                     std::process::abort();
                 }
                 served += 1;
-                let rec = evaluator.eval(&params);
+                let rec = subject.evaluate(&params, None, 0);
                 proto::write_frame(w, &eval_response(id, &rec))?;
             }
             Some("ping") => proto::write_frame(w, &proto::ok_response())?,
@@ -845,6 +725,7 @@ impl Drop for WorkerPool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ifko_xsim::p4e;
 
     #[test]
     fn spec_round_trips_through_json() {

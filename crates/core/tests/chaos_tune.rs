@@ -11,6 +11,9 @@ use ifko::prelude::*;
 const CHAOS_SEED: u64 = 7;
 const CHAOS_RATE: f64 = 0.25;
 
+/// A user HIL source, tuned under the differential oracle.
+const WAXPBY_HIL: &str = include_str!("../../../kernels/waxpby.hil");
+
 fn clean_cfg(machine: MachineConfig) -> TuneConfig {
     TuneConfig::quick(1024).machine(machine)
 }
@@ -85,6 +88,23 @@ fn chaotic_tune_matches_clean_winner_on_both_machines() {
         assert!(r.retries > 0, "{name}: faults injected but nothing retried");
         assert_eq!(r.failed, 0, "{name}: a candidate burned its retry budget");
     }
+    // The same contract for a `.hil` source under the differential
+    // oracle, which goes through the same staged evaluator.
+    for mach in [p4e(), opteron()] {
+        let name = format!("waxpby.hil on {}", mach.name);
+        let clean = clean_cfg(mach.clone()).tune_source(WAXPBY_HIL).unwrap();
+        let chaos = chaos_cfg(mach.clone()).tune_source(WAXPBY_HIL).unwrap();
+        let (c, x) = (&clean.result, &chaos.result);
+        assert_eq!(c.best, x.best, "{name}: chaos changed the winner");
+        assert_eq!(c.best_cycles, x.best_cycles, "{name}");
+        assert_eq!(c.default_cycles, x.default_cycles, "{name}");
+        assert_eq!(c.gains, x.gains, "{name}");
+        assert_eq!(clean.features.values, chaos.features.values, "{name}");
+        assert_eq!((c.retries, c.faults, c.outliers, c.failed), (0, 0, 0, 0));
+        assert!(x.faults > 0, "{name}: no faults injected at rate 0.25");
+        assert!(x.retries > 0, "{name}: faults injected but nothing retried");
+        assert_eq!(x.failed, 0, "{name}: a candidate burned its retry budget");
+    }
 }
 
 /// The trace stream accounts for the chaos: per-event retry/fault/
@@ -97,39 +117,59 @@ fn trace_accounts_for_faults_and_retries() {
         op: BlasOp::Dot,
         prec: Prec::D,
     };
-    let sink = MemSink::new();
-    let chaos = chaos_cfg(p4e()).trace(sink.clone()).tune(kernel).unwrap();
-    let evs = sink.evals();
-    let (mut retries, mut faults, mut outliers, mut failed) = (0u32, 0u32, 0u32, 0u32);
-    for e in &evs {
-        retries += e.retries;
-        faults += e.faults;
-        outliers += e.outliers;
-        failed += e.failed as u32;
-    }
-    assert_eq!(retries, chaos.result.retries, "trace retries != result");
-    assert_eq!(faults, chaos.result.faults, "trace faults != result");
-    assert_eq!(outliers, chaos.result.outliers, "trace outliers != result");
-    assert_eq!(failed, chaos.result.failed, "trace failures != result");
-    assert!(faults > 0, "chaos trace recorded no faults");
+    // One suite kernel, one `.hil` source: both are traced by the same
+    // tune driver.
+    for hil in [None, Some(WAXPBY_HIL)] {
+        let tune = |cfg: TuneConfig| match hil {
+            None => cfg.tune(kernel).unwrap().result,
+            Some(src) => cfg.tune_source(src).unwrap().result,
+        };
+        let sink = MemSink::new();
+        let chaos = tune(chaos_cfg(p4e()).trace(sink.clone()));
+        let evs = sink.evals();
+        let (mut retries, mut faults, mut outliers, mut failed) = (0u32, 0u32, 0u32, 0u32);
+        for e in &evs {
+            retries += e.retries;
+            faults += e.faults;
+            outliers += e.outliers;
+            failed += e.failed as u32;
+        }
+        assert_eq!(retries, chaos.retries, "trace retries != result");
+        assert_eq!(faults, chaos.faults, "trace faults != result");
+        assert_eq!(outliers, chaos.outliers, "trace outliers != result");
+        assert_eq!(failed, chaos.failed, "trace failures != result");
+        assert!(faults > 0, "chaos trace recorded no faults");
 
-    let clean_sink = MemSink::new();
-    clean_cfg(p4e())
-        .trace(clean_sink.clone())
-        .tune(kernel)
-        .unwrap();
-    for e in clean_sink.evals() {
-        assert_eq!(
-            (e.retries, e.faults, e.outliers, e.failed),
-            (0, 0, 0, false),
-            "clean trace event carries chaos fields: {}",
-            e.to_json()
-        );
-        // The serialized form omits the zero fields entirely, keeping
-        // chaos-off trace files byte-identical to pre-chaos ones.
-        let line = e.to_json();
-        assert!(!line.contains("\"retries\""), "{line}");
-        assert!(!line.contains("\"faults\""), "{line}");
+        // The run is wrapped in one root `tune` span whose children
+        // account for the front end, the winner's recompile and its
+        // final run.
+        let spans = sink.spans();
+        let roots: Vec<_> = spans.iter().filter(|s| s.stage == "tune").collect();
+        assert_eq!(roots.len(), 1, "exactly one root tune span");
+        assert_eq!(roots[0].parent, None);
+        for stage in ["parse", "recompile", "final-time"] {
+            let n = spans
+                .iter()
+                .filter(|s| s.stage == stage && s.parent == Some(roots[0].id))
+                .count();
+            assert_eq!(n, 1, "one `{stage}` span under the tune span");
+        }
+
+        let clean_sink = MemSink::new();
+        tune(clean_cfg(p4e()).trace(clean_sink.clone()));
+        for e in clean_sink.evals() {
+            assert_eq!(
+                (e.retries, e.faults, e.outliers, e.failed),
+                (0, 0, 0, false),
+                "clean trace event carries chaos fields: {}",
+                e.to_json()
+            );
+            // The serialized form omits the zero fields entirely, keeping
+            // chaos-off trace files byte-identical to pre-chaos ones.
+            let line = e.to_json();
+            assert!(!line.contains("\"retries\""), "{line}");
+            assert!(!line.contains("\"faults\""), "{line}");
+        }
     }
 }
 

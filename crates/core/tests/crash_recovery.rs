@@ -189,3 +189,58 @@ fn eval_cache_round_trips_random_entries() {
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
+
+/// A well-formed artifact may carry a control character in a string
+/// field (here a newline in the kernel name). Installing it must not
+/// write that character raw into a JSONL journal: the record would split
+/// into two malformed lines and be gone on the next open.
+#[test]
+fn installed_record_with_control_characters_survives_reopen() {
+    use ifko::artifact::{install, parse, VerifyOutcome, MAGIC, VERSION};
+    use ifko::strategy::db::record_json;
+
+    let evil = TunedRecord {
+        kernel: "evil\nname\t\u{1}".into(),
+        ..rec("evil|D|P4E|oc|r1", 4242, 9)
+    };
+    let line = record_json(&evil);
+    assert!(!line.contains('\n'), "record line carries a raw newline");
+    let body = format!("{line}\n");
+    let text = format!(
+        "{{\"magic\":\"{MAGIC}\",\"version\":{VERSION},\"rev\":\"r1\",\"records\":1,\
+         \"checksum\":\"{:016x}\"}}\n{body}",
+        ifko::eval::fnv64(body.as_bytes())
+    );
+    let art = parse(&text).expect("artifact is well formed");
+    assert_eq!(art.records, vec![evil.clone()]);
+    assert!(matches!(
+        ifko::artifact::verify_record(&evil),
+        VerifyOutcome::Unverifiable(_)
+    ));
+
+    let dir = tmp_dir("evil-install");
+    {
+        let db = TunedDb::open(&dir).unwrap();
+        let report = install(&text, &db, true).unwrap();
+        assert_eq!((report.installed, report.unverified), (1, 1));
+    }
+    let db = TunedDb::open(&dir).unwrap();
+    let stats = db.stats();
+    assert_eq!((stats.live, stats.file_lines), (1, 1), "one clean line");
+    assert_eq!(db.lookup(&evil.key), Some(evil));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Strings without control characters serialize exactly as before the
+/// escapers were merged (committed journals and goldens stay valid).
+#[test]
+fn plain_strings_serialize_byte_identically() {
+    use ifko::strategy::db::record_json;
+    let r = TunedRecord {
+        kernel: "hil:w\"axpy\\#00ff".into(),
+        ..rec("k", 1, 2)
+    };
+    assert!(record_json(&r).starts_with(
+        "{\"key\":\"k\",\"kernel\":\"hil:w\\\"axpy\\\\#00ff\",\"prec\":\"D\",\"machine\":\"P4E\","
+    ));
+}

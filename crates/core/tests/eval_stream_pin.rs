@@ -4,8 +4,8 @@
 //! and under `--chaos 7:0.2`, a serial `SearchOptions::quick()` tune must
 //! emit exactly the eval events (every field except the wall-clock and
 //! worker tags) and exactly the search tallies recorded below. The
-//! constants were computed at the commit *before* the two evaluators
-//! (`search::blas_eval_point` / `generic::generic_eval_point`) and the two
+//! constants were computed at the commit *before* the two per-candidate
+//! evaluators (one for BLAS kernels, one for `.hil` sources) and the two
 //! tune drivers were merged into one, so this file is the byte-for-byte
 //! contract that merge had to keep. It is also the only test that runs
 //! the chaos plan against the differential (`.hil`) oracle.

@@ -26,49 +26,67 @@ fn family_total(reg: &MetricsRegistry, base: &str) -> u64 {
         .sum()
 }
 
+/// A user HIL source (differential oracle), tuned through
+/// `TuneConfig::tune_source` — the CLI's only tune path.
+const WAXPBY_HIL: &str = include_str!("../../../kernels/waxpby.hil");
+
 /// The acceptance criterion: with 8 workers, fresh evaluations + cache
 /// hits add up to the total probe count exactly, and every engine
-/// counter equals the (jobs-invariant) search result's own tally.
+/// counter equals the (jobs-invariant) search result's own tally — for a
+/// suite kernel and for a `.hil` source alike.
 #[test]
 fn counters_are_exact_under_jobs_8() {
-    let reg = Arc::new(MetricsRegistry::new());
-    let sink = MemSink::new();
-    let out = TuneConfig::quick(1024)
-        .jobs(8)
-        .metrics(reg.clone())
-        .trace(sink.clone())
-        .tune(dot())
-        .unwrap();
+    for hil in [None, Some(WAXPBY_HIL)] {
+        let reg = Arc::new(MetricsRegistry::new());
+        let sink = MemSink::new();
+        let cfg = TuneConfig::quick(1024)
+            .jobs(8)
+            .metrics(reg.clone())
+            .trace(sink.clone());
+        let result = match hil {
+            None => cfg.tune(dot()).unwrap().result,
+            Some(src) => cfg.tune_source(src).unwrap().result,
+        };
 
-    let evals = reg.counter_value(metrics::ENGINE_EVALS).unwrap_or(0);
-    let hits = reg.counter_value(metrics::ENGINE_CACHE_HITS).unwrap_or(0);
-    let rejected = reg.counter_value(metrics::ENGINE_REJECTED).unwrap_or(0);
-    let pruned = reg.counter_value(metrics::ENGINE_PRUNED).unwrap_or(0);
-    assert_eq!(evals, out.result.evaluations as u64);
-    assert_eq!(hits, out.result.cache_hits as u64);
-    assert_eq!(rejected, out.result.rejected as u64);
-    assert_eq!(pruned, out.result.pruned as u64);
+        let evals = reg.counter_value(metrics::ENGINE_EVALS).unwrap_or(0);
+        let hits = reg.counter_value(metrics::ENGINE_CACHE_HITS).unwrap_or(0);
+        let rejected = reg.counter_value(metrics::ENGINE_REJECTED).unwrap_or(0);
+        let pruned = reg.counter_value(metrics::ENGINE_PRUNED).unwrap_or(0);
+        assert_eq!(evals, result.evaluations as u64);
+        assert_eq!(hits, result.cache_hits as u64);
+        assert_eq!(rejected, result.rejected as u64);
+        assert_eq!(pruned, result.pruned as u64);
 
-    // fresh + hits + pruned == total probes, cross-checked against the
-    // trace (one eval event per probe), the engine's own probe counter,
-    // and the per-phase search counters.
-    let probes = sink.evals().len() as u64;
-    assert_eq!(
-        evals + hits + pruned,
-        probes,
-        "fresh + hits + pruned != total probes"
-    );
-    assert_eq!(reg.counter_value(metrics::ENGINE_PROBES), Some(probes));
-    assert_eq!(
-        family_total(&reg, metrics::SEARCH_CANDIDATES),
-        probes,
-        "per-phase candidate counters disagree with the probe count"
-    );
+        // fresh + hits + pruned == total probes, cross-checked against the
+        // trace (one eval event per probe), the engine's own probe counter,
+        // and the per-phase search counters.
+        let probes = sink.evals().len() as u64;
+        assert_eq!(
+            evals + hits + pruned,
+            probes,
+            "fresh + hits + pruned != total probes"
+        );
+        assert_eq!(reg.counter_value(metrics::ENGINE_PROBES), Some(probes));
+        assert_eq!(
+            family_total(&reg, metrics::SEARCH_CANDIDATES),
+            probes,
+            "per-phase candidate counters disagree with the probe count"
+        );
 
-    // The run-level instruments fired exactly once.
-    assert_eq!(reg.counter_value(metrics::TUNE_RUNS), Some(1));
-    let batches = reg.counter_value(metrics::ENGINE_BATCHES).unwrap_or(0);
-    assert!(batches > 0, "no batches recorded");
+        // The run-level instruments fired exactly once.
+        assert_eq!(reg.counter_value(metrics::TUNE_RUNS), Some(1));
+        let wall = reg
+            .snapshot()
+            .into_iter()
+            .find(|s| s.name == metrics::TUNE_WALL_US)
+            .expect("ifko_tune_wall_us recorded");
+        assert!(matches!(
+            wall.value,
+            metrics::MetricValue::Histogram { count: 1, .. }
+        ));
+        let batches = reg.counter_value(metrics::ENGINE_BATCHES).unwrap_or(0);
+        assert!(batches > 0, "no batches recorded");
+    }
 }
 
 /// Two registries, two widths: every counter pair must match, and the

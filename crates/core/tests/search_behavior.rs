@@ -3,7 +3,7 @@
 //! that motivates the second pass.
 
 use ifko::runner::Context;
-use ifko::search::{line_search, line_search_with, Phase, SearchOptions};
+use ifko::search::{line_search, line_search_batched, Phase, SearchOptions};
 use ifko::Timer;
 use ifko_blas::hil_src::hil_source;
 use ifko_blas::ops::BlasOp;
@@ -22,8 +22,10 @@ fn second_pass_only_runs_when_first_improved() {
     let mut opts = SearchOptions::quick();
     opts.refine = true;
     let defaults = TransformParams::defaults(&rep, &mach);
-    let r = line_search_with(&rep, &mach, &opts, |p| {
-        Some(if *p == defaults { 100 } else { 200 })
+    let r = line_search_batched(&rep, &mach, &opts, |_, c| {
+        c.iter()
+            .map(|p| Some(if *p == defaults { 100 } else { 200 }))
+            .collect()
     });
     assert_eq!(r.best_cycles, 100);
     let wnt_phases = r.gains.iter().filter(|g| g.phase == Phase::Wnt).count();
@@ -52,7 +54,9 @@ fn second_pass_resolves_phase_order_interactions() {
         }
         c
     };
-    let r = line_search_with(&rep, &mach, &opts, |p| Some(cost(p)));
+    let r = line_search_batched(&rep, &mach, &opts, |_, c| {
+        c.iter().map(|p| Some(cost(p))).collect()
+    });
     assert!(
         r.best.wnt,
         "second pass must discover the WNT win: {:?}",
@@ -71,12 +75,16 @@ fn rejected_candidates_never_win() {
     let (_, rep) = analyze_kernel(&src, &mach).unwrap();
     let opts = SearchOptions::quick();
     let defaults = TransformParams::defaults(&rep, &mach);
-    let r = line_search_with(&rep, &mach, &opts, |p| {
-        if *p == defaults {
-            Some(500)
-        } else {
-            None // "failed verification"
-        }
+    let r = line_search_batched(&rep, &mach, &opts, |_, c| {
+        c.iter()
+            .map(|p| {
+                if *p == defaults {
+                    Some(500)
+                } else {
+                    None // "failed verification"
+                }
+            })
+            .collect()
     });
     assert_eq!(r.best, defaults);
     assert_eq!(r.best_cycles, 500);
@@ -113,11 +121,15 @@ fn search_explores_all_prefetch_kinds() {
     let mut opts = SearchOptions::quick();
     opts.refine = false;
     let mut kinds_seen = std::collections::HashSet::new();
-    let _ = line_search_with(&rep, &mach, &opts, |p| {
-        for s in &p.prefetch {
-            kinds_seen.insert(s.kind);
-        }
-        Some(1000)
+    let _ = line_search_batched(&rep, &mach, &opts, |_, c| {
+        c.iter()
+            .map(|p| {
+                for s in &p.prefetch {
+                    kinds_seen.insert(s.kind);
+                }
+                Some(1000)
+            })
+            .collect()
     });
     // None plus the four P4E kinds.
     assert!(kinds_seen.len() >= 5, "kinds probed: {kinds_seen:?}");

@@ -8,7 +8,7 @@
 //! rebuilt for every candidate.
 
 use ifko::runner::{run_once, Context, KernelArgs};
-use ifko::search::{line_search, line_search_with, SearchResult};
+use ifko::search::{line_search, line_search_batched, SearchResult};
 use ifko::{verify, SearchOptions};
 use ifko_blas::hil_src::hil_source;
 use ifko_blas::ops::BlasOp;
@@ -37,17 +37,21 @@ fn search_fresh_session_per_candidate(
     opts: &SearchOptions,
 ) -> SearchResult {
     let probe = CompileSession::from_source(src, mach).unwrap();
-    line_search_with(probe.report(), mach, opts, |p| {
-        let sess = CompileSession::from_source(src, mach).unwrap();
-        let c = sess.compile(p, CompileOpts::default()).ok()?;
-        let args = KernelArgs {
-            kernel: k,
-            workload: w,
-            context: Context::OutOfCache,
-        };
-        let out = run_once(&c, &args, mach).ok()?;
-        verify(k, w, &out).ok()?;
-        opts.timer.time(&c, &args, mach).ok()
+    line_search_batched(probe.report(), mach, opts, |_, c| {
+        c.iter()
+            .map(|p| {
+                let sess = CompileSession::from_source(src, mach).unwrap();
+                let c = sess.compile(p, CompileOpts::default()).ok()?;
+                let args = KernelArgs {
+                    kernel: k,
+                    workload: w,
+                    context: Context::OutOfCache,
+                };
+                let out = run_once(&c, &args, mach).ok()?;
+                verify(k, w, &out).ok()?;
+                opts.timer.time(&c, &args, mach).ok()
+            })
+            .collect()
     })
 }
 

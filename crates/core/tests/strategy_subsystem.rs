@@ -15,7 +15,7 @@
 use ifko::eval::MemSink;
 use ifko::prelude::*;
 use ifko::runner::{run_once, KernelArgs};
-use ifko::search::{line_search_with, SearchOptions, SearchResult};
+use ifko::search::{line_search_batched, SearchOptions, SearchResult};
 use ifko::verify;
 use ifko_blas::hil_src::hil_source;
 use ifko_fko::{CompileOpts, CompileSession};
@@ -32,16 +32,20 @@ fn serial_reference(k: Kernel, mach: &MachineConfig, n: usize) -> SearchResult {
     let sess = CompileSession::from_source(&src, mach).unwrap();
     let opts = SearchOptions::quick();
     let w = Workload::generate(n, 0xb1a5);
-    line_search_with(sess.report(), mach, &opts, |p| {
-        let c = sess.compile(p, CompileOpts::default()).ok()?;
-        let args = KernelArgs {
-            kernel: k,
-            workload: &w,
-            context: Context::OutOfCache,
-        };
-        let out = run_once(&c, &args, mach).ok()?;
-        verify(k, &w, &out).ok()?;
-        opts.timer.time(&c, &args, mach).ok()
+    line_search_batched(sess.report(), mach, &opts, |_, c| {
+        c.iter()
+            .map(|p| {
+                let c = sess.compile(p, CompileOpts::default()).ok()?;
+                let args = KernelArgs {
+                    kernel: k,
+                    workload: &w,
+                    context: Context::OutOfCache,
+                };
+                let out = run_once(&c, &args, mach).ok()?;
+                verify(k, &w, &out).ok()?;
+                opts.timer.time(&c, &args, mach).ok()
+            })
+            .collect()
     })
 }
 

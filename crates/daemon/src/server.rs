@@ -21,9 +21,8 @@ use ifko::runner::Context;
 use ifko::strategy::db::{params_json, record_json};
 use ifko::strategy::{db_key, Budget, StrategySpec, TunedDb, STRATEGY_WARM};
 use ifko::{SearchOptions, TuneConfig};
-use ifko_blas::ops::EXTENDED_KERNELS;
-use ifko_blas::{Kernel, ALL_KERNELS};
-use ifko_xsim::{opteron, p4e, MachineConfig};
+use ifko_blas::Kernel;
+use ifko_xsim::MachineConfig;
 use std::collections::HashSet;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
@@ -311,28 +310,11 @@ fn dispatch(server: &Arc<Server>, payload: &str) -> String {
     })
 }
 
-fn parse_machine(name: &str) -> Option<MachineConfig> {
-    match name {
-        "p4e" => Some(p4e()),
-        "opteron" | "opt" => Some(opteron()),
-        _ => None,
-    }
-}
-
-fn find_kernel(name: &str) -> Option<Kernel> {
-    ALL_KERNELS
-        .iter()
-        .chain(EXTENDED_KERNELS.iter())
-        .find(|k| k.name() == name)
-        .copied()
-}
-
 fn parse_context(label: &str) -> Result<Context, String> {
-    match label {
-        "oc" | "" => Ok(Context::OutOfCache),
-        "ic" => Ok(Context::InL2),
-        other => Err(format!("unknown context {other:?} (oc | ic)")),
+    if label.is_empty() {
+        return Ok(Context::OutOfCache);
     }
+    Context::from_label(label).ok_or_else(|| format!("unknown context {label:?} (oc | ic)"))
 }
 
 /// Exact-key (and optionally nearest-`sfv`) warm-start lookup, answered
@@ -353,14 +335,14 @@ fn handle_query(server: &Arc<Server>, req: &Json) -> Result<String, String> {
         machine_name.to_string()
     } else {
         machine_fingerprint(
-            &parse_machine(machine_name)
+            &MachineConfig::by_name(machine_name)
                 .ok_or_else(|| format!("unknown machine {machine_name:?}"))?,
         )
     };
     let prec = match req.get("prec").and_then(|j| j.as_str()) {
         Some(p) => p.to_string(),
         None => {
-            let k = find_kernel(kernel)
+            let k = Kernel::by_name(kernel)
                 .ok_or_else(|| format!("unknown kernel {kernel:?} (pass prec explicitly)"))?;
             format!("{:?}", k.prec)
         }
@@ -410,8 +392,8 @@ fn handle_tune(server: &Arc<Server>, req: &Json) -> Result<String, String> {
         return Err("tune needs a kernel name or a src".to_string());
     }
     let machine_name = req.get("machine").and_then(|j| j.as_str()).unwrap_or("p4e");
-    let machine =
-        parse_machine(machine_name).ok_or_else(|| format!("unknown machine {machine_name:?}"))?;
+    let machine = MachineConfig::by_name(machine_name)
+        .ok_or_else(|| format!("unknown machine {machine_name:?}"))?;
     let context = parse_context(req.get("context").and_then(|j| j.as_str()).unwrap_or("oc"))?;
     let n = req
         .get("n")
@@ -508,7 +490,7 @@ fn run_tune(
 
     let (result, cycles, mflops, label) = match kernel_name {
         Some(name) => {
-            let kernel = find_kernel(name).ok_or_else(|| format!("unknown kernel {name:?}"))?;
+            let kernel = Kernel::by_name(name).ok_or_else(|| format!("unknown kernel {name:?}"))?;
             let out = cfg.tune(kernel).map_err(|e| e.to_string())?;
             (out.result, out.cycles, out.mflops, name.to_string())
         }

@@ -93,6 +93,16 @@ pub struct MachineConfig {
 }
 
 impl MachineConfig {
+    /// The machine model called `name` on a command line, in a wire
+    /// frame or in a handshake: `p4e`, `opteron` (or `opt`), in any case.
+    pub fn by_name(name: &str) -> Option<MachineConfig> {
+        match name.to_ascii_lowercase().as_str() {
+            "p4e" => Some(p4e()),
+            "opteron" | "opt" => Some(opteron()),
+            _ => None,
+        }
+    }
+
     /// Line size of the first prefetchable cache — the paper's `L` used in
     /// the search defaults (`PF dist = 2·L`, `UR = Lₑ`).
     pub fn prefetch_line(&self) -> u64 {

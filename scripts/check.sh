@@ -23,6 +23,12 @@ step "system benchmark package (benchmark/): offline build + quick test"
 # benchmark/ is a workspace of its own that compiles against the public
 # API of crates/*; the root build and tests never see it, so without this
 # step an API change that breaks it first fails in the benchmark pipeline.
+# This is the API-compatibility gate: it is what holds the public paths
+# the benchmark names (`EvalEngine::eval_batch`, `search::{line_search_batched,
+# SearchOptions}`, `generic::run_generic`, `runner::run_once`,
+# `worker::{WorkerSpec::blas, WorkerPool, serve_stdio}`, `proto::esc`,
+# `report::{parse_json, Json}`, `strategy::db::*`, `TuneConfig`, ...) —
+# see DESIGN.md, "One evaluation path".
 cargo test --release --offline --manifest-path benchmark/Cargo.toml -q
 
 step "verifier property test (fuzz feature)"
@@ -47,8 +53,12 @@ cargo run --release -p ifko-cli -- report "$obs_tmp/table3.jsonl" --format json 
 step "harness smoke: ifko explain + --trace-chrome + --timeseries"
 cargo run --release -p ifko-cli -- tune kernels/ddot.hil --n 512 --jobs 2 \
     --trace "$obs_tmp/explain.jsonl" --trace-chrome "$obs_tmp/explain.chrome.json" \
-    --timeseries "$obs_tmp/explain-ts.jsonl" >/dev/null
+    --timeseries "$obs_tmp/explain-ts.jsonl" \
+    --metrics "$obs_tmp/explain-metrics.json" >/dev/null
 test -s "$obs_tmp/explain-ts.jsonl"
+# A `.hil` tune goes through the same tune driver as a BLAS one, so it
+# must count itself like one.
+grep -q ifko_tune_runs_total "$obs_tmp/explain-metrics.json"
 cargo run --release -p ifko-cli -- explain "$obs_tmp/explain.jsonl" \
     | grep -q "per-transform attribution"
 cargo run --release -p ifko-cli -- explain "$obs_tmp/explain.jsonl" --format json >/dev/null
