@@ -267,29 +267,8 @@ impl TuneConfig {
     pub fn size(&self) -> usize {
         self.n.unwrap_or_else(|| self.context.paper_n())
     }
-    pub fn seed_of(&self) -> u64 {
-        self.seed
-    }
     pub fn jobs_of(&self) -> usize {
         self.jobs
-    }
-    pub fn workers_of(&self) -> usize {
-        self.workers
-    }
-    pub fn search_ref(&self) -> &SearchOptions {
-        &self.search
-    }
-    pub fn cache_ref(&self) -> &Arc<EvalCache> {
-        &self.cache
-    }
-    pub fn strategy_of(&self) -> StrategySpec {
-        self.strategy
-    }
-    pub fn budget_of(&self) -> Budget {
-        self.budget
-    }
-    pub fn db_ref(&self) -> Option<&Arc<TunedDb>> {
-        self.db.as_ref()
     }
 
     /// Build the evaluation engine this config describes. All runs share

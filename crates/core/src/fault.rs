@@ -27,7 +27,8 @@
 //! * crash-safe persistence: truncated trailing records in
 //!   `evals.jsonl` / the tuned-db `shard-*.jsonl` journals are skipped
 //!   with a diagnostic on load and the file is atomically rewritten
-//!   (tmp + rename) on the next store.
+//!   (tmp + rename) on the next store — the crate's one journal
+//!   (`journal.rs`), which also performs the injected torn write.
 
 use std::time::Duration;
 
@@ -187,16 +188,6 @@ pub fn backoff(attempt: u32) -> Duration {
     Duration::from_micros(20u64 << attempt.min(10))
 }
 
-/// Write `contents` to `path` atomically: write a sibling tmp file, then
-/// rename over the target. Readers see either the old file or the new
-/// one, never a half-written mix — this is the repair path for truncated
-/// JSONL journals.
-pub fn atomic_write(path: &std::path::Path, contents: &str) -> std::io::Result<()> {
-    let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
-    std::fs::write(&tmp, contents)?;
-    std::fs::rename(&tmp, path)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -289,19 +280,5 @@ mod tests {
             }
         }
         assert!(seen > 0);
-    }
-
-    #[test]
-    fn atomic_write_replaces_contents() {
-        let dir = std::env::temp_dir().join(format!("ifko-atomic-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("x.jsonl");
-        std::fs::write(&path, "old\n").unwrap();
-        atomic_write(&path, "new-a\nnew-b\n").unwrap();
-        assert_eq!(std::fs::read_to_string(&path).unwrap(), "new-a\nnew-b\n");
-        // No tmp litter left behind.
-        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 1);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

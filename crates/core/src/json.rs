@@ -176,38 +176,30 @@ fn parse_string(b: &[u8], i: &mut usize) -> Option<String> {
     *i += 1;
     let mut out = String::new();
     loop {
-        match *b.get(*i)? {
-            b'"' => {
-                *i += 1;
-                return Some(out);
-            }
-            b'\\' => {
-                *i += 1;
-                match *b.get(*i)? {
-                    b'"' => out.push('"'),
-                    b'\\' => out.push('\\'),
-                    b'/' => out.push('/'),
-                    b'n' => out.push('\n'),
-                    b't' => out.push('\t'),
-                    b'r' => out.push('\r'),
-                    b'u' => {
-                        let hex = b.get(*i + 1..*i + 5)?;
-                        let code = u32::from_str_radix(std::str::from_utf8(hex).ok()?, 16).ok()?;
-                        out.push(char::from_u32(code)?);
-                        *i += 4;
-                    }
-                    _ => return None,
-                }
-                *i += 1;
-            }
-            _ => {
-                // Consume one UTF-8 scalar.
-                let s = std::str::from_utf8(&b[*i..]).ok()?;
-                let c = s.chars().next()?;
-                out.push(c);
-                *i += c.len_utf8();
-            }
+        // Copy everything up to the next quote or escape in one piece;
+        // both are ASCII, so the run ends on a character boundary.
+        let run = b[*i..].iter().position(|&c| c == b'"' || c == b'\\')?;
+        out.push_str(std::str::from_utf8(&b[*i..*i + run]).ok()?);
+        *i += run + 1;
+        if b[*i - 1] == b'"' {
+            return Some(out);
         }
+        match *b.get(*i)? {
+            b'"' => out.push('"'),
+            b'\\' => out.push('\\'),
+            b'/' => out.push('/'),
+            b'n' => out.push('\n'),
+            b't' => out.push('\t'),
+            b'r' => out.push('\r'),
+            b'u' => {
+                let hex = b.get(*i + 1..*i + 5)?;
+                let code = u32::from_str_radix(std::str::from_utf8(hex).ok()?, 16).ok()?;
+                out.push(char::from_u32(code)?);
+                *i += 4;
+            }
+            _ => return None,
+        }
+        *i += 1;
     }
 }
 

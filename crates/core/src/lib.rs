@@ -19,11 +19,15 @@
 //!   interaction-aware refinement (restricted 2-D re-sweeps) and
 //!   per-phase gain tracking (Figure 7's decomposition);
 //! * [`eval`] — the evaluation engine: batched parallel candidate
-//!   evaluation (`jobs` worker threads, bit-identical results at any
-//!   width), a sharded cross-phase [`EvalCache`](eval::EvalCache)
-//!   (optionally persisted to `results/cache/evals.jsonl`), and the
-//!   structured search-trace layer ([`SearchEvent`](eval::SearchEvent) /
-//!   [`TraceSink`](eval::TraceSink));
+//!   evaluation (`jobs` worker threads or `workers` processes,
+//!   bit-identical results at any width) over the cache, observed
+//!   through the trace layer;
+//! * [`cache`] — the sharded cross-phase [`EvalCache`] (optionally
+//!   persisted to `results/cache/evals.jsonl`);
+//! * [`trace`] — the search-trace format: [`SearchEvent`] records, their
+//!   JSONL writer and reader, the [`TraceSink`]s and the [`Span`] guard;
+//! * `journal` (crate-private) — the one crash-safe append-only JSONL
+//!   journal under the evaluation cache and the tuned-results database;
 //! * [`fault`] — deterministic, seeded chaos engineering for the
 //!   evaluation pipeline ([`FaultPlan`], `--chaos SEED[:RATE]`): transient
 //!   compile failures, tester flakes, timing-rep spikes, and truncated
@@ -54,6 +58,7 @@
 //! ```
 
 pub mod artifact;
+pub mod cache;
 pub mod chrome;
 pub mod config;
 pub mod driver;
@@ -61,6 +66,7 @@ pub mod eval;
 pub mod explain;
 pub mod fault;
 pub mod generic;
+mod journal;
 pub mod json;
 pub mod metrics;
 pub mod proto;
@@ -71,6 +77,7 @@ pub mod strategy;
 mod subject;
 pub mod tester;
 pub mod timer;
+pub mod trace;
 pub mod worker;
 
 pub use chrome::{validate_chrome_trace, ChromeTraceSink};

@@ -18,103 +18,22 @@
 //!   point (L1/L2 miss ratios, cycles/element), from the exported
 //!   [`RunStats`].
 //!
-//! Parsing is hand-rolled (the workspace builds offline, no serde): a
-//! minimal JSON reader plus shape-checking for the two event kinds.
-//! Malformed lines are **skipped and counted**, never fatal — a trace cut
-//! short by Ctrl-C must still report.
+//! The format's own reader does the parsing
+//! ([`read_trace`](crate::trace::read_trace), hand-rolled like the rest
+//! of the workspace's JSON). Malformed lines are **skipped and
+//! counted**, never fatal — a trace cut short by Ctrl-C must still
+//! report.
 
-use crate::eval::{EvalEvent, SearchEvent, SpanEvent};
 use crate::json::esc;
+use crate::trace::{EvalEvent, SearchEvent};
 use ifko_xsim::RunStats;
 use std::collections::HashMap;
-use std::io::BufRead;
 use std::path::Path;
 
 pub use crate::json::{parse_json, Json};
-
-// ---------------------------------------------------------------------------
-// Trace reading
-// ---------------------------------------------------------------------------
-
-/// A re-read trace: the decoded events plus the malformed-line count.
-#[derive(Default)]
-pub struct TraceData {
-    pub events: Vec<SearchEvent>,
-    pub malformed: usize,
-}
-
-/// Decode one trace line. Span lines are distinguished by their `"span"`
-/// key; everything else must look like an eval event.
-pub fn parse_trace_line(line: &str) -> Option<SearchEvent> {
-    let v = parse_json(line)?;
-    if let Some(stage) = v.get("span") {
-        return Some(SearchEvent::Span(SpanEvent {
-            stage: stage.as_str()?.to_string(),
-            scope: v.get("scope")?.as_str()?.to_string(),
-            id: v.get("id")?.as_u64()?,
-            parent: match v.get("parent")? {
-                Json::Null => None,
-                p => Some(p.as_u64()?),
-            },
-            wall_us: v.get("wall_us")?.as_u64()?,
-        }));
-    }
-    Some(SearchEvent::Eval(EvalEvent {
-        scope: v.get("scope")?.as_str()?.to_string(),
-        phase: v.get("phase")?.as_str()?.to_string(),
-        params: v.get("params")?.as_str()?.to_string(),
-        cycles: match v.get("cycles")? {
-            Json::Null => None,
-            c => Some(c.as_u64()?),
-        },
-        verified: v.get("verified")?.as_bool()?,
-        cache_hit: v.get("cache_hit")?.as_bool()?,
-        wall_us: v.get("wall_us")?.as_u64()?,
-        stats: v.get("stats").and_then(parse_stats),
-        predicted: v.get("predicted").and_then(Json::as_u64),
-        pruned: v.get("pruned").and_then(Json::as_str).map(str::to_string),
-        strategy: v
-            .get("strategy")
-            .and_then(Json::as_str)
-            .unwrap_or("")
-            .to_string(),
-        retries: v.get("retries").and_then(Json::as_u64).unwrap_or(0) as u32,
-        faults: v.get("faults").and_then(Json::as_u64).unwrap_or(0) as u32,
-        outliers: v.get("outliers").and_then(Json::as_u64).unwrap_or(0) as u32,
-        failed: v.get("failed").and_then(Json::as_bool).unwrap_or(false),
-        worker: v.get("worker").and_then(Json::as_u64).map(|w| w as u32),
-    }))
-}
-
-/// Parse a trace `stats` object via [`RunStats::FIELDS`] — the same
-/// table the writer (`eval::stats_json`) iterates, so new counters
-/// cannot drift between writer and reader. `cycles` must be present;
-/// counters missing from older traces default to zero.
-pub(crate) fn parse_stats(v: &Json) -> Option<RunStats> {
-    v.get("cycles")?.as_u64()?;
-    let mut s = RunStats::default();
-    for (name, _, set) in RunStats::FIELDS {
-        set(&mut s, v.get(name).and_then(Json::as_u64).unwrap_or(0));
-    }
-    Some(s)
-}
-
-/// Read a trace file, skipping (and counting) malformed lines.
-pub fn read_trace(path: impl AsRef<Path>) -> std::io::Result<TraceData> {
-    let file = std::fs::File::open(path)?;
-    let mut data = TraceData::default();
-    for line in std::io::BufReader::new(file).lines() {
-        let line = line?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        match parse_trace_line(&line) {
-            Some(ev) => data.events.push(ev),
-            None => data.malformed += 1,
-        }
-    }
-    Ok(data)
-}
+// The trace reader is part of the trace format ([`crate::trace`]); the
+// analyzer's callers keep finding it here.
+pub use crate::trace::{parse_trace_line, read_trace, TraceData};
 
 // ---------------------------------------------------------------------------
 // Aggregation
@@ -887,8 +806,9 @@ pub fn report_files(paths: &[impl AsRef<Path>], format: ReportFormat) -> std::io
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::{parse_stats, stats_json, SpanEvent};
 
-    /// Writer (`eval::stats_json`) and reader (`parse_stats`) iterate
+    /// Writer (`stats_json`) and reader (`parse_stats`) iterate
     /// the same `RunStats::FIELDS` table, so any counter vector must
     /// survive a serialize → parse round trip bit-exactly.
     #[test]
@@ -897,7 +817,7 @@ mod tests {
         for (i, (_, _, set)) in RunStats::FIELDS.iter().enumerate() {
             set(&mut s, (i as u64 + 1) * 1009);
         }
-        let j = crate::eval::stats_json(&s);
+        let j = stats_json(&s);
         let v = parse_json(&j).unwrap();
         assert_eq!(parse_stats(&v), Some(s));
         // Older traces may omit counters (default 0) but never `cycles`.

@@ -27,16 +27,16 @@
 //! degrade to stale entries, never corruption.
 
 use crate::eval::fnv64;
-use crate::fault::{self, FaultPlan};
+use crate::fault::FaultPlan;
+use crate::journal::{self, Journal, Loaded};
 use crate::json::{esc, parse_json, Json};
 use crate::metrics;
 use ifko_fko::ir::PtrId;
 use ifko_fko::{PrefSpec, TransformParams};
 use ifko_xsim::PrefKind;
 use std::collections::HashMap;
-use std::io::{BufRead, Write};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Number of storage shards. Fixed: the shard of a record depends only
@@ -98,16 +98,10 @@ fn shard_of(key: &str) -> usize {
 
 /// One storage shard: a slice of the index plus its append-only file.
 struct Shard {
-    path: PathBuf,
     entries: Mutex<HashMap<String, TunedRecord>>,
-    file: Mutex<std::fs::File>,
-    /// Record lines currently in the file — live plus dead (superseded
-    /// or malformed). `lines - live` is the compaction trigger.
-    lines: AtomicU64,
-    /// The file is known to hold malformed/truncated records (detected
-    /// on load, or left by an injected persist fault). The next store
-    /// repairs it with an atomic rewrite instead of appending.
-    dirty: AtomicBool,
+    /// The shard file. Its line count minus the live records is the
+    /// dead (superseded or malformed) count, the compaction trigger.
+    journal: Journal,
     /// A background compaction of this shard is in flight.
     compacting: AtomicBool,
 }
@@ -203,40 +197,34 @@ impl TunedDb {
         std::fs::create_dir_all(&dir)?;
         let mut maps: Vec<HashMap<String, TunedRecord>> =
             (0..N_SHARDS).map(|_| HashMap::new()).collect();
-        let mut malformed = [0u64; N_SHARDS];
-        let mut lines = [0u64; N_SHARDS];
-
+        // Index one record line under the shard its *key* hashes to,
+        // wherever it was read from; `None` is a malformed line.
+        let mut index = |line: &str| {
+            let rec = parse_record(line)?;
+            let home = shard_of(&rec.key);
+            maps[home].insert(rec.key.clone(), rec);
+            Some(home)
+        };
         // Legacy single-file layout loads first, so sharded records
         // (written later by definition) win on key collision.
         let legacy = dir.join("tuned.jsonl");
         let migrate = legacy.exists();
+        let mut total_malformed = 0;
         if migrate {
-            load_jsonl(&legacy, |line| match parse_record(line) {
-                Some(rec) => {
-                    maps[shard_of(&rec.key)].insert(rec.key.clone(), rec);
-                }
-                None => malformed[0] += 1,
-            });
+            total_malformed += journal::read_lines(&legacy, |l| index(l).is_some()).malformed;
         }
-        // Records route to the shard their *key* hashes to, wherever
-        // they were read from — a record misplaced by a hand-edit (or a
-        // future shard-count migration) is re-homed by a full rewrite
-        // below rather than silently dropped by its file's compaction.
+        // A record misplaced by a hand-edit (or a future shard-count
+        // migration) is re-homed by a full rewrite below rather than
+        // silently dropped by its file's compaction.
         let mut misplaced = false;
-        for i in 0..N_SHARDS {
-            load_jsonl(&shard_path(&dir, i), |line| {
-                lines[i] += 1;
-                match parse_record(line) {
-                    Some(rec) => {
-                        let home = shard_of(&rec.key);
-                        misplaced |= home != i;
-                        maps[home].insert(rec.key.clone(), rec);
-                    }
-                    None => malformed[i] += 1,
-                }
-            });
-        }
-        let total_malformed: u64 = malformed.iter().sum();
+        let loaded: Vec<Loaded> = (0..N_SHARDS)
+            .map(|i| {
+                journal::read_lines(&shard_path(&dir, i), |l| {
+                    index(l).map(|home| misplaced |= home != i).is_some()
+                })
+            })
+            .collect();
+        total_malformed += loaded.iter().map(|l| l.malformed).sum::<u64>();
         if total_malformed > 0 {
             eprintln!(
                 "ifko: tuned db {}: skipped {total_malformed} malformed record(s) \
@@ -249,18 +237,10 @@ impl TunedDb {
         }
 
         let mut shards = Vec::with_capacity(N_SHARDS);
-        for (i, map) in maps.into_iter().enumerate() {
-            let path = shard_path(&dir, i);
-            let file = std::fs::OpenOptions::new()
-                .create(true)
-                .append(true)
-                .open(&path)?;
+        for (i, (map, loaded)) in maps.into_iter().zip(&loaded).enumerate() {
             shards.push(Shard {
-                path,
                 entries: Mutex::new(map),
-                file: Mutex::new(file),
-                lines: AtomicU64::new(lines[i]),
-                dirty: AtomicBool::new(malformed[i] > 0),
+                journal: Journal::open(shard_path(&dir, i), loaded)?,
                 compacting: AtomicBool::new(false),
             });
         }
@@ -329,25 +309,10 @@ impl TunedDb {
             .lock()
             .unwrap()
             .insert(rec.key.clone(), rec.clone());
-        if shard.dirty.swap(false, Ordering::SeqCst) {
+        if shard.journal.take_dirty() {
             self.inner.compact_shard(idx);
         } else {
-            let line = record_json(rec);
-            let mut out = shard.file.lock().unwrap();
-            match faults {
-                Some(plan) if plan.persist_truncates(&rec.key) => {
-                    // Crash mid-append: half the bytes, no newline.
-                    let _ = out.write_all(&line.as_bytes()[..line.len() / 2]);
-                    let _ = out.flush();
-                    shard.dirty.store(true, Ordering::SeqCst);
-                }
-                _ => {
-                    let _ = writeln!(out, "{line}");
-                    let _ = out.flush();
-                }
-            }
-            shard.lines.fetch_add(1, Ordering::SeqCst);
-            drop(out);
+            shard.journal.append(&rec.key, record_json(rec), faults);
             self.maybe_compact_in_background(idx);
         }
         metrics::global().counter(metrics::DB_STORES).inc();
@@ -358,7 +323,7 @@ impl TunedDb {
     fn maybe_compact_in_background(&self, idx: usize) {
         let shard = &self.inner.shards[idx];
         let live = shard.entries.lock().unwrap().len() as u64;
-        let dead = shard.lines.load(Ordering::SeqCst).saturating_sub(live);
+        let dead = shard.journal.lines().saturating_sub(live);
         if dead < AUTO_COMPACT_MIN_DEAD || dead < live {
             return;
         }
@@ -421,11 +386,13 @@ impl TunedDb {
         let mut shards = Vec::with_capacity(N_SHARDS);
         for (i, s) in self.inner.shards.iter().enumerate() {
             let live = s.entries.lock().unwrap().len();
-            let bytes = std::fs::metadata(&s.path).map(|m| m.len()).unwrap_or(0);
+            let bytes = std::fs::metadata(s.journal.path())
+                .map(|m| m.len())
+                .unwrap_or(0);
             shards.push(ShardStats {
                 shard: i,
                 live,
-                file_lines: s.lines.load(Ordering::SeqCst),
+                file_lines: s.journal.lines(),
                 bytes,
             });
         }
@@ -507,39 +474,24 @@ impl Drop for TunedDb {
 
 impl DbInner {
     /// Rewrite one shard from its index: every live record, sorted by
-    /// key (so the file is deterministic), atomically (tmp + rename),
-    /// reopening the append handle on the fresh file. Doubles as the
-    /// dirty-shard journal repair. The file lock is held across the
-    /// snapshot and the rename so a concurrent append can never land in
-    /// the file being replaced.
+    /// key (so the file is deterministic). Doubles as the dirty-shard
+    /// journal repair; a failed rewrite leaves the shard dirty, to be
+    /// retried on the next store into it.
     fn compact_shard(&self, idx: usize) {
         let shard = &self.shards[idx];
-        let mut out = shard.file.lock().unwrap();
-        let mut entries: Vec<(String, String)> = shard
-            .entries
-            .lock()
-            .unwrap()
-            .iter()
-            .map(|(k, rec)| (k.clone(), record_json(rec)))
-            .collect();
-        entries.sort();
-        let live = entries.len() as u64;
-        let mut contents = String::with_capacity(entries.len() * 128);
-        for (_, line) in &entries {
-            contents.push_str(line);
-            contents.push('\n');
-        }
-        if fault::atomic_write(&shard.path, &contents).is_ok() {
-            if let Ok(file) = std::fs::OpenOptions::new().append(true).open(&shard.path) {
-                *out = file;
-            }
-            shard.lines.store(live, Ordering::SeqCst);
-            shard.dirty.store(false, Ordering::SeqCst);
+        let rewritten = shard.journal.rewrite(|| {
+            let mut entries: Vec<(String, String)> = shard
+                .entries
+                .lock()
+                .unwrap()
+                .iter()
+                .map(|(k, rec)| (k.clone(), record_json(rec)))
+                .collect();
+            entries.sort();
+            entries.into_iter().map(|(_, line)| line).collect()
+        });
+        if rewritten {
             metrics::global().counter(metrics::DB_COMPACTIONS).inc();
-        } else {
-            // Rewrite failed (e.g. fs error): stay dirty, retry on the
-            // next store into this shard.
-            shard.dirty.store(true, Ordering::SeqCst);
         }
     }
 }
@@ -547,18 +499,6 @@ impl DbInner {
 /// Shard file path: `dir/shard-<i>.jsonl`.
 pub fn shard_path(dir: &Path, idx: usize) -> PathBuf {
     dir.join(format!("shard-{idx}.jsonl"))
-}
-
-fn load_jsonl(path: &Path, mut per_line: impl FnMut(&str)) {
-    if let Ok(file) = std::fs::File::open(path) {
-        for line in std::io::BufReader::new(file).lines() {
-            let Ok(line) = line else { break };
-            if line.trim().is_empty() {
-                continue;
-            }
-            per_line(&line);
-        }
-    }
 }
 
 /// The repo revision used in database keys: `IFKO_REPO_REV` when set,

@@ -67,12 +67,12 @@ use crate::eval::{EvalRecord, EvalScope};
 use crate::fault::FaultPlan;
 use crate::json::{parse_json, Json};
 use crate::proto;
-use crate::report::parse_stats;
 use crate::runner::Context;
 use crate::search::SearchOptions;
 use crate::strategy::db::{params_from_json, params_json};
 use crate::subject::{Oracle, Subject};
 use crate::timer::Timer;
+use crate::trace::{parse_stats, stats_json};
 use ifko_blas::Kernel;
 use ifko_fko::TransformParams;
 use ifko_xsim::MachineConfig;
@@ -315,7 +315,7 @@ fn eval_response(id: u64, rec: &EvalRecord) -> String {
         proto::Field::Bool("failed", rec.failed),
     ];
     if let Some(st) = &rec.stats {
-        fields.push(proto::Field::Raw("stats", crate::eval::stats_json(st)));
+        fields.push(proto::Field::Raw("stats", stats_json(st)));
     }
     proto::object(&fields)
 }

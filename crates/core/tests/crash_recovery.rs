@@ -1,10 +1,11 @@
 //! Crash-safe persistence, through the public API: the tuned-results
 //! database (sharded `shard-*.jsonl` journals behind an in-memory
 //! index) and the persistent evaluation cache must survive a write that
-//! died mid-record — the loader skips the truncated trailing line, the
-//! next store rewrites a clean journal — and random records must
-//! round-trip through disk bit-exactly (property-tested over the
-//! in-repo xoshiro generator; no external crates).
+//! died mid-record or a stray non-UTF-8 byte — the loader skips the bad
+//! line and only that line, the next store rewrites a clean journal —
+//! and random records must round-trip through disk bit-exactly
+//! (property-tested over the in-repo xoshiro generator; no external
+//! crates).
 
 use ifko::eval::EvalCache;
 use ifko::prelude::*;
@@ -47,9 +48,32 @@ fn truncate_tail(path: &Path) {
     write!(f, "{{\"key\":\"half-written record with no closing").unwrap();
 }
 
+/// Splice a line that is not UTF-8 in front of a journal's last record
+/// (mid-file, or at the head of a one-record journal), as a bad sector
+/// or a foreign writer would leave it.
+fn splice_bad_utf8(path: &Path) {
+    let bytes = std::fs::read(path).unwrap();
+    let last_line = bytes[..bytes.len() - 1]
+        .iter()
+        .rposition(|&b| b == b'\n')
+        .map_or(0, |i| i + 1);
+    let spliced = [
+        &bytes[..last_line],
+        b"\xff\xfe not utf-8\n",
+        &bytes[last_line..],
+    ]
+    .concat();
+    std::fs::write(path, spliced).unwrap();
+}
+
 #[test]
 fn tuned_db_skips_truncated_tail_and_repairs_on_store() {
-    let dir = tmp_dir("db");
+    tuned_db_skips_a_bad_line_and_repairs_on_store("torn-tail", truncate_tail);
+    tuned_db_skips_a_bad_line_and_repairs_on_store("bad-utf8", splice_bad_utf8);
+}
+
+fn tuned_db_skips_a_bad_line_and_repairs_on_store(tag: &str, corrupt: fn(&Path)) {
+    let dir = tmp_dir(&format!("db-{tag}"));
     let db = TunedDb::open(&dir).unwrap();
     for i in 0..5u64 {
         db.store(&rec(&format!("k{i}"), 1000 + i, i));
@@ -65,27 +89,32 @@ fn tuned_db_skips_truncated_tail_and_repairs_on_store() {
                 .unwrap_or(false)
         })
         .expect("no shard holds k3");
-    truncate_tail(&journal);
+    corrupt(&journal);
 
-    // The loader recovers everything before the torn record.
+    // The loader recovers every record but the bad line.
     let db = TunedDb::open(&dir).unwrap();
-    assert_eq!(db.len(), 5, "truncated tail corrupted earlier records");
+    assert_eq!(db.len(), 5, "{tag}: one bad line cost other records");
     assert_eq!(db.lookup("k3").unwrap().cycles, 1003);
 
     // The next store into the torn shard heals its journal: a fresh
     // open sees the overwrite and no leftover garbage.
     db.store(&rec("k3", 2003, 9));
-    let healed = std::fs::read_to_string(&journal).unwrap();
+    let healed = String::from_utf8(std::fs::read(&journal).unwrap());
     assert!(
-        !healed.contains("half-written"),
-        "store did not rewrite the torn journal"
+        healed.is_ok_and(|text| !text.contains("half-written")),
+        "{tag}: store did not rewrite the bad journal"
     );
     drop(db);
     let db = TunedDb::open(&dir).unwrap();
     assert_eq!(db.len(), 5);
     assert_eq!(db.lookup("k3").unwrap().cycles, 2003);
-    // Appends after the repair still land and survive reopen.
+    // Appends after the repair still land and survive reopen, and a
+    // compaction — a rewrite from the index — keeps every record.
     db.store(&rec("k6", 1006, 6));
+    drop(db);
+    let db = TunedDb::open(&dir).unwrap();
+    assert_eq!(db.len(), 6);
+    assert_eq!(db.compact().live, 6);
     drop(db);
     assert_eq!(TunedDb::open(&dir).unwrap().len(), 6);
     let _ = std::fs::remove_dir_all(&dir);
@@ -93,24 +122,30 @@ fn tuned_db_skips_truncated_tail_and_repairs_on_store() {
 
 #[test]
 fn eval_cache_skips_truncated_tail_and_repairs_on_store() {
-    let dir = tmp_dir("cache");
+    eval_cache_skips_a_bad_line_and_repairs_on_store("torn-tail", truncate_tail);
+    eval_cache_skips_a_bad_line_and_repairs_on_store("bad-utf8", splice_bad_utf8);
+}
+
+fn eval_cache_skips_a_bad_line_and_repairs_on_store(tag: &str, corrupt: fn(&Path)) {
+    let dir = tmp_dir(&format!("cache-{tag}"));
     let cache = EvalCache::persistent(&dir).unwrap();
     for i in 0..8u64 {
         cache.insert(format!("point/{i}"), Some(100 + i));
     }
     drop(cache);
     let journal = dir.join("evals.jsonl");
-    truncate_tail(&journal);
+    corrupt(&journal);
 
     let cache = EvalCache::persistent(&dir).unwrap();
-    assert_eq!(cache.len(), 8, "truncated tail corrupted earlier entries");
+    assert_eq!(cache.len(), 8, "{tag}: one bad line cost other entries");
     assert_eq!(cache.get("point/7"), Some(Some(107)));
 
     cache.insert("point/8".to_string(), None);
-    let healed = std::fs::read_to_string(&journal).unwrap();
+    let healed = String::from_utf8(std::fs::read(&journal).unwrap())
+        .unwrap_or_else(|_| panic!("{tag}: insert did not rewrite the bad journal"));
     assert!(
         !healed.contains("half-written"),
-        "insert did not rewrite the torn journal"
+        "{tag}: insert did not rewrite the bad journal"
     );
     assert_eq!(healed.lines().count(), 9);
     drop(cache);

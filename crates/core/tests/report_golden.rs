@@ -21,6 +21,17 @@ fn golden_json_report() {
     let got = report_files(&[fixture("sample-trace.jsonl")], ReportFormat::Json).unwrap();
     let want = std::fs::read_to_string(fixture("sample-report.json")).unwrap();
     assert_eq!(got, want, "report output drifted from the golden file");
+
+    // One more input: the same trace with a non-UTF-8 line spliced in
+    // mid-file is the same report plus one malformed line.
+    let bytes = std::fs::read(fixture("sample-trace.jsonl")).unwrap();
+    let mid = bytes.iter().position(|&b| b == b'\n').unwrap() + 1;
+    let spliced = [&bytes[..mid], b"\xff\xfe not utf-8\n", &bytes[mid..]].concat();
+    let path = std::env::temp_dir().join(format!("ifko-report-utf8-{}.jsonl", std::process::id()));
+    std::fs::write(&path, spliced).unwrap();
+    let got = report_files(&[&path], ReportFormat::Json).unwrap();
+    assert_eq!(got, want.replacen("\"malformed\":0", "\"malformed\":1", 1));
+    let _ = std::fs::remove_file(&path);
 }
 
 /// The analysis itself (not just the rendering) on the same fixture:

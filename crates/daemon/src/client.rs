@@ -13,7 +13,7 @@ pub struct Client {
 
 /// A tune request under construction (all optional fields have daemon
 /// defaults).
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct TuneRequest {
     /// BLAS-suite kernel name (e.g. `ddot`). Mutually exclusive with `src`.
     pub kernel: Option<String>,
@@ -29,7 +29,8 @@ pub struct TuneRequest {
 }
 
 impl TuneRequest {
-    fn to_json(&self) -> String {
+    /// The wire form: `cmd` plus every field that is set.
+    pub(crate) fn to_json(&self) -> String {
         let mut s = String::from("{\"cmd\":\"tune\"");
         if let Some(k) = &self.kernel {
             s.push_str(&format!(",\"kernel\":\"{}\"", esc(k)));
@@ -60,6 +61,28 @@ impl TuneRequest {
         }
         s.push('}');
         s
+    }
+
+    /// Read a request back from its wire form (the daemon's side of
+    /// [`TuneRequest::to_json`]). Absent or mistyped optional fields stay
+    /// unset, so the daemon's defaults apply.
+    pub(crate) fn from_json(v: &Json) -> Result<TuneRequest, String> {
+        let string = |name| v.get(name).and_then(Json::as_str).map(str::to_string);
+        let req = TuneRequest {
+            kernel: string("kernel"),
+            src: string("src"),
+            machine: string("machine").unwrap_or_default(),
+            context: string("context").unwrap_or_default(),
+            n: v.get("n").and_then(Json::as_u64).map(|n| n as usize),
+            seed: v.get("seed").and_then(Json::as_u64),
+            full: v.get("full").and_then(Json::as_bool).unwrap_or(false),
+            strategy: string("strategy"),
+            budget: string("budget"),
+        };
+        if req.kernel.is_none() && req.src.is_none() {
+            return Err("tune needs a kernel name or a src".to_string());
+        }
+        Ok(req)
     }
 }
 
@@ -162,5 +185,35 @@ impl Client {
     /// object.
     pub fn tune(&mut self, req: &TuneRequest) -> Result<Json, String> {
         self.request(&req.to_json())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn tune_request_round_trips_through_its_wire_form() {
+        let blas = TuneRequest {
+            kernel: Some("ddot".into()),
+            machine: "opteron".into(),
+            context: "ic".into(),
+            n: Some(1024),
+            seed: Some(7),
+            full: true,
+            strategy: Some("anneal".into()),
+            budget: Some("500ms".into()),
+            ..TuneRequest::default()
+        };
+        let src = TuneRequest {
+            src: Some("ROUTINE \"k\";\n\tx += 1.0;\n".into()),
+            ..TuneRequest::default()
+        };
+        for req in [blas, src] {
+            let wire = parse_json(&req.to_json()).expect("to_json writes JSON");
+            assert_eq!(TuneRequest::from_json(&wire), Ok(req));
+        }
+        let empty = parse_json("{\"cmd\":\"tune\"}").unwrap();
+        assert!(TuneRequest::from_json(&empty).is_err());
     }
 }

@@ -12,6 +12,7 @@
 //! daemon answers comes from the in-memory index; disk is touched only
 //! to append or compact.
 
+use crate::client::TuneRequest;
 use crate::proto::{error_response, object, ok_response, write_frame, Field};
 use ifko::artifact;
 use ifko::eval::{fnv64, machine_fingerprint, EvalCache};
@@ -386,48 +387,12 @@ fn handle_query(server: &Arc<Server>, req: &Json) -> Result<String, String> {
 
 /// Run one tune session over the shared database and cache.
 fn handle_tune(server: &Arc<Server>, req: &Json) -> Result<String, String> {
-    let kernel_name = req.get("kernel").and_then(|j| j.as_str());
-    let src = req.get("src").and_then(|j| j.as_str());
-    if kernel_name.is_none() && src.is_none() {
-        return Err("tune needs a kernel name or a src".to_string());
-    }
-    let machine_name = req.get("machine").and_then(|j| j.as_str()).unwrap_or("p4e");
-    let machine = MachineConfig::by_name(machine_name)
-        .ok_or_else(|| format!("unknown machine {machine_name:?}"))?;
-    let context = parse_context(req.get("context").and_then(|j| j.as_str()).unwrap_or("oc"))?;
-    let n = req
-        .get("n")
-        .and_then(|j| j.as_u64())
-        .unwrap_or(match context {
-            Context::OutOfCache => 40_000,
-            Context::InL2 => 1024,
-        }) as usize;
-    let seed = req.get("seed").and_then(|j| j.as_u64()).unwrap_or(0);
-    let full = req.get("full").and_then(|j| j.as_bool()).unwrap_or(false);
-    let strategy_name = req
-        .get("strategy")
-        .and_then(|j| j.as_str())
-        .unwrap_or("line");
-    let strategy = StrategySpec::parse(strategy_name)
-        .ok_or_else(|| format!("unknown strategy {strategy_name:?}"))?;
-    let budget = req.get("budget").and_then(|j| j.as_str());
-
+    let req = TuneRequest::from_json(req)?;
     // Single-flight: identical concurrent requests coalesce. The first
     // computes and stores; waiters then find the stored winner and
     // short-circuit through the (re-verifying) warm-start path — the
     // determinism contract at the socket boundary.
-    let flight_key = fnv64(
-        format!(
-            "{}|{}|{}|{}|{n}|{seed}|{full}|{strategy_name}|{}",
-            kernel_name.unwrap_or(""),
-            src.map(|s| format!("{:016x}", fnv64(s.as_bytes())))
-                .unwrap_or_default(),
-            machine_name,
-            context.label(),
-            budget.unwrap_or(""),
-        )
-        .as_bytes(),
-    );
+    let flight_key = fnv64(req.to_json().as_bytes());
     {
         let mut inflight = server.inflight.lock().unwrap();
         while inflight.contains(&flight_key) {
@@ -435,18 +400,7 @@ fn handle_tune(server: &Arc<Server>, req: &Json) -> Result<String, String> {
         }
         inflight.insert(flight_key);
     }
-    let result = run_tune(
-        server,
-        kernel_name,
-        src,
-        machine,
-        context,
-        n,
-        seed,
-        full,
-        strategy,
-        budget,
-    );
+    let result = run_tune(server, &req);
     {
         let mut inflight = server.inflight.lock().unwrap();
         inflight.remove(&flight_key);
@@ -455,21 +409,26 @@ fn handle_tune(server: &Arc<Server>, req: &Json) -> Result<String, String> {
     result
 }
 
-#[allow(clippy::too_many_arguments)]
-fn run_tune(
-    server: &Arc<Server>,
-    kernel_name: Option<&str>,
-    src: Option<&str>,
-    machine: MachineConfig,
-    context: Context,
-    n: usize,
-    seed: u64,
-    full: bool,
-    strategy: StrategySpec,
-    budget: Option<&str>,
-) -> Result<String, String> {
+fn run_tune(server: &Arc<Server>, req: &TuneRequest) -> Result<String, String> {
+    let machine_name = if req.machine.is_empty() {
+        "p4e"
+    } else {
+        &req.machine
+    };
+    let machine = MachineConfig::by_name(machine_name)
+        .ok_or_else(|| format!("unknown machine {machine_name:?}"))?;
+    let context = parse_context(&req.context)?;
+    let n = req.n.unwrap_or(match context {
+        Context::OutOfCache => 40_000,
+        Context::InL2 => 1024,
+    });
+    let seed = req.seed.unwrap_or(0);
+    let strategy_name = req.strategy.as_deref().unwrap_or("line");
+    let strategy = StrategySpec::parse(strategy_name)
+        .ok_or_else(|| format!("unknown strategy {strategy_name:?}"))?;
+
     metrics::global().counter(metrics::DAEMON_SESSIONS).inc();
-    let opts = if full {
+    let opts = if req.full {
         SearchOptions::default()
     } else {
         SearchOptions::quick()
@@ -484,20 +443,19 @@ fn run_tune(
         .cache(Arc::clone(&server.cache))
         .db(Arc::clone(&server.db))
         .strategy(strategy);
-    if let Some(b) = budget {
+    if let Some(b) = &req.budget {
         cfg = cfg.budget(Budget::parse(b).map_err(|e| format!("budget: {e}"))?);
     }
 
-    let (result, cycles, mflops, label) = match kernel_name {
-        Some(name) => {
+    let (result, cycles, mflops, label) = match (&req.kernel, &req.src) {
+        (Some(name), _) => {
             let kernel = Kernel::by_name(name).ok_or_else(|| format!("unknown kernel {name:?}"))?;
             let out = cfg.tune(kernel).map_err(|e| e.to_string())?;
             (out.result, out.cycles, out.mflops, name.to_string())
         }
-        None => {
-            let out = cfg
-                .tune_source(src.expect("checked by caller"))
-                .map_err(|e| e.to_string())?;
+        (None, src) => {
+            let src = src.as_deref().expect("from_json requires kernel or src");
+            let out = cfg.tune_source(src).map_err(|e| e.to_string())?;
             let cycles = out.result.best_cycles;
             (out.result, cycles, 0.0, "hil".to_string())
         }

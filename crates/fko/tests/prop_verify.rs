@@ -7,10 +7,9 @@
 //! `CompileError::Verify`, which would mean a transform produced
 //! ill-formed IR that only the verifier caught.
 //!
-//! Feature-gated (`--features fuzz`) because it compiles thousands of
-//! candidates; uses the in-repo xorshift rng, so no external crates.
-
-#![cfg(feature = "fuzz")]
+//! About a thousand compiles, a fraction of a second: it runs with the
+//! rest of the suite. Uses the in-repo xorshift rng, so no external
+//! crates.
 
 use ifko_blas::hil_src::hil_source;
 use ifko_blas::{all_ops, BlasOp};

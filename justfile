@@ -17,10 +17,6 @@ test:
 lint:
     cargo run --release -p ifko-cli -- lint kernels/*.hil
 
-# Randomized verifier property test (in-repo rng, no extra deps)
-fuzz:
-    cargo test --release -p ifko-fko --features fuzz --test prop_verify
-
 # Chaos smoke: tune one kernel under seeded fault injection; the search
 # must recover from every fault and persist a winner
 chaos:

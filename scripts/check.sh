@@ -31,9 +31,6 @@ step "system benchmark package (benchmark/): offline build + quick test"
 # see DESIGN.md, "One evaluation path".
 cargo test --release --offline --manifest-path benchmark/Cargo.toml -q
 
-step "verifier property test (fuzz feature)"
-cargo test --release -p ifko-fko --features fuzz --test prop_verify -q
-
 step "ifko lint kernels/*.hil"
 cargo run --release -p ifko-cli -- lint kernels/*.hil
 cargo run --release -p ifko-cli -- lint kernels/*.hil --format json >/dev/null
