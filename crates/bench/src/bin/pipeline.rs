@@ -12,13 +12,21 @@
 //! * `eval_cps` — candidates/sec through compile + one simulator run at a
 //!   small N (the per-candidate cost a real tune pays before timing).
 //!
-//! Output goes to `results/BENCH_pipeline.json` (override with `--out`);
-//! `scripts/bench_compare.sh` diffs it against the committed baseline
-//! `BENCH_pipeline.json` at the repo root and fails CI on regression.
-//! Every run also appends one timestamped line per row to
-//! `results/bench_history.jsonl` (next to the `--out` file), so
+//! Output goes to `results/BENCH_pipeline.json` (override with `--out`;
+//! generated, not tracked). Every run also appends one timestamped line
+//! per row to `bench_history.jsonl` next to the `--out` file, so
 //! throughput can be plotted over time across commits.
+//!
+//! `--compare BASELINE` is the regression gate: after the run (or, with
+//! `--current FILE`, instead of one) every baseline row's `compile_cps`
+//! and `eval_cps` is compared with the current row's, each side divided
+//! by its own `calib` so host-speed drift cancels. A row more than
+//! `IFKO_BENCH_TOL` percent (default 10) below the baseline is
+//! `REGRESSED`, an absent one `MISSING`, and either exits 1; faster is
+//! never an error. `scripts/bench_compare.sh` loops this against the
+//! committed `BENCH_pipeline.json` at the repo root.
 
+use ifko::json::{esc, parse_json, Json};
 use ifko::runner::{run_once, Context, KernelArgs};
 use ifko::search::{line_search_batched, SearchOptions};
 use ifko_blas::hil_src::hil_source;
@@ -192,10 +200,6 @@ fn min_secs() -> Duration {
     Duration::from_secs_f64(secs)
 }
 
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
 fn write_json(path: &str, rows: &[Row]) -> std::io::Result<()> {
     use std::fmt::Write as _;
     let mut out = String::from("{\n  \"schema\": 1,\n  \"bench\": \"pipeline\",\n  \"rows\": [\n");
@@ -206,8 +210,8 @@ fn write_json(path: &str, rows: &[Row]) -> std::io::Result<()> {
              \"compile_cps\": {:.1}, \"eval_cps\": {:.1}, \
              \"subcache_hits\": {}, \"subcache_misses\": {}, \
              \"calib\": {:.0}}}{}",
-            json_escape(r.kernel),
-            json_escape(&r.machine),
+            esc(r.kernel),
+            esc(&r.machine),
             r.candidates,
             r.compile_cps,
             r.eval_cps,
@@ -249,8 +253,8 @@ fn append_history(out_path: &str, rows: &[Row]) -> std::io::Result<String> {
             out,
             "{{\"t_s\": {t_s}, \"bench\": \"pipeline\", \"kernel\": \"{}\", \
              \"machine\": \"{}\", \"compile_cps\": {:.1}, \"eval_cps\": {:.1}}}",
-            json_escape(r.kernel),
-            json_escape(&r.machine),
+            esc(r.kernel),
+            esc(&r.machine),
             r.compile_cps,
             r.eval_cps,
         );
@@ -263,14 +267,93 @@ fn append_history(out_path: &str, rows: &[Row]) -> std::io::Result<String> {
     Ok(path.display().to_string())
 }
 
+/// What the gate reads of one result row: kernel, machine, compile_cps,
+/// eval_cps and calib (1 — no normalization — in baselines recorded
+/// before the field existed).
+type GateRow = (String, String, f64, f64, f64);
+
+/// The rows of a result file written by [`write_json`].
+fn read_rows(path: &str) -> Result<Vec<GateRow>, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    let doc = parse_json(&text).ok_or_else(|| format!("{path}: not JSON"))?;
+    let Some(Json::Arr(rows)) = doc.get("rows") else {
+        return Err(format!("{path}: no rows"));
+    };
+    let rows: Option<Vec<GateRow>> = rows
+        .iter()
+        .map(|r| {
+            Some((
+                r.get("kernel")?.as_str()?.to_string(),
+                r.get("machine")?.as_str()?.to_string(),
+                r.get("compile_cps")?.as_f64()?,
+                r.get("eval_cps")?.as_f64()?,
+                r.get("calib").and_then(Json::as_f64).unwrap_or(1.0),
+            ))
+        })
+        .collect();
+    rows.filter(|rows| !rows.is_empty())
+        .ok_or_else(|| format!("{path}: no rows parsed"))
+}
+
+/// Print the gate's table for `current` against `baseline`; `Ok(true)`
+/// when no baseline row is `REGRESSED` or `MISSING`.
+fn compare(baseline: &str, current: &str) -> Result<bool, String> {
+    let tol = std::env::var("IFKO_BENCH_TOL")
+        .ok()
+        .and_then(|s| s.parse::<f64>().ok())
+        .unwrap_or(10.0);
+    let floor = 1.0 - tol / 100.0;
+    let (base, now) = (read_rows(baseline)?, read_rows(current)?);
+    let mut ok = true;
+    println!(
+        "{:<8} {:<8} {:>12} {:>12} {:>9} {:>9}   VERDICT",
+        "KERNEL", "MACHINE", "BASE c/s", "NOW c/s", "COMPILE", "EVAL"
+    );
+    for (kernel, machine, base_c, base_e, base_cal) in base {
+        let found = now.iter().find(|r| r.0 == kernel && r.1 == machine);
+        let Some((_, _, now_c, now_e, now_cal)) = found else {
+            println!(
+                "{kernel:<8} {machine:<8} {base_c:>12.1} {:>12} {:>9} {:>9}   MISSING",
+                "-", "-", "-"
+            );
+            ok = false;
+            continue;
+        };
+        // Calib-normalized: (now_cps / now_calib) over (base_cps / base_calib).
+        let compile = (now_c / now_cal) / (base_c / base_cal);
+        let eval = (now_e / now_cal) / (base_e / base_cal);
+        let regressed = compile < floor || eval < floor;
+        println!(
+            "{kernel:<8} {machine:<8} {base_c:>12.1} {now_c:>12.1} {:>9} {:>9}   {}",
+            format!("{compile:.2}x"),
+            format!("{eval:.2}x"),
+            if regressed { "REGRESSED" } else { "ok" }
+        );
+        ok &= !regressed;
+    }
+    println!();
+    if ok {
+        println!("pipeline: no regression beyond {tol}% (baseline {baseline})");
+    } else {
+        println!("pipeline: throughput regressed more than {tol}% vs {baseline}");
+    }
+    Ok(ok)
+}
+
 fn main() {
     let mut out_path = String::from("results/BENCH_pipeline.json");
+    let (mut baseline, mut current) = (None, None);
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
             "--out" => out_path = args.next().expect("--out needs a path"),
+            "--compare" => baseline = Some(args.next().expect("--compare needs a baseline")),
+            "--current" => current = Some(args.next().expect("--current needs a result file")),
             "--help" | "-h" => {
-                println!("pipeline [--out PATH]   (env: IFKO_BENCH_SECS=min seconds per leg)");
+                println!(
+                    "pipeline [--out PATH] [--compare BASELINE [--current FILE]]   \
+                     (env: IFKO_BENCH_SECS=min seconds per leg, IFKO_BENCH_TOL=gate percent)"
+                );
                 return;
             }
             other => {
@@ -280,6 +363,25 @@ fn main() {
         }
     }
 
+    // `--current FILE` gates an existing run instead of making one.
+    if current.is_none() {
+        bench(&out_path);
+    }
+    if let Some(baseline) = baseline {
+        match compare(&baseline, current.as_deref().unwrap_or(&out_path)) {
+            Ok(true) => {}
+            Ok(false) => std::process::exit(1),
+            Err(e) => {
+                eprintln!("pipeline: {e}");
+                std::process::exit(2);
+            }
+        }
+    }
+}
+
+/// Run every kernel x machine pair, print the table, write `out_path`
+/// and append the history lines next to it.
+fn bench(out_path: &str) {
     let mut rows = Vec::new();
     println!(
         "{:<7} {:<8} {:>6} {:>14} {:>12} {:>10}",
@@ -301,14 +403,14 @@ fn main() {
             rows.push(row);
         }
     }
-    match write_json(&out_path, &rows) {
+    match write_json(out_path, &rows) {
         Ok(()) => println!("\nwrote {out_path}"),
         Err(e) => {
             eprintln!("cannot write {out_path}: {e}");
             std::process::exit(1);
         }
     }
-    match append_history(&out_path, &rows) {
+    match append_history(out_path, &rows) {
         Ok(hist) => println!("appended {} row(s) to {hist}", rows.len()),
         Err(e) => {
             eprintln!("cannot append bench history: {e}");

@@ -32,14 +32,11 @@ fn main() {
             if let Some(v) = it.next() {
                 specs = v
                     .split(',')
-                    .map(|s| match StrategySpec::parse(s.trim()) {
-                        Some(sp) => sp,
-                        None => {
-                            eprintln!(
-                                "unknown strategy `{s}` (line | random | hillclimb | anneal | portfolio)"
-                            );
-                            std::process::exit(2);
-                        }
+                    .map(|s| {
+                        StrategySpec::parse(s).unwrap_or_else(|e| {
+                            eprintln!("--strategies: {e}");
+                            std::process::exit(2)
+                        })
                     })
                     .collect();
             }
@@ -103,7 +100,7 @@ fn main() {
     if let Some(dir) = &cfg.db_dir {
         match TunedDb::open(dir) {
             Ok(db) => eprintln!(
-                "tuned-results database: {} record(s) in {dir} (shard-*.jsonl)",
+                "tuned-results database: {} record(s) in {dir} (tuned.jsonl)",
                 db.len()
             ),
             Err(e) => eprintln!("tuned-results db unreadable at {dir}: {e}"),

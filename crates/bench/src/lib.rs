@@ -79,88 +79,44 @@ impl ExpConfig {
     pub fn from_args() -> ExpConfig {
         let args: Vec<String> = std::env::args().collect();
         let mut cfg = ExpConfig::new(args.iter().any(|a| a == "--quick"));
+        // A flag's value, or exit 2 naming the flag and what is wrong.
+        fn parsed<T, E: std::fmt::Display>(flag: &str, value: Result<T, E>) -> T {
+            value.unwrap_or_else(|e| {
+                eprintln!("{flag}: {e}");
+                std::process::exit(2)
+            })
+        }
         let mut it = args.iter();
         while let Some(a) = it.next() {
-            match a.as_str() {
-                "--jobs" => {
-                    if let Some(v) = it.next() {
-                        cfg.jobs = v.parse::<usize>().unwrap_or(1).max(1);
-                    }
-                }
-                "--workers" => {
-                    if let Some(v) = it.next() {
-                        cfg.workers = v.parse::<usize>().unwrap_or(0);
-                    }
-                }
-                "--trace" => cfg.trace_path = it.next().cloned(),
-                "--trace-chrome" => cfg.trace_chrome_path = it.next().cloned(),
-                "--metrics" => cfg.metrics_path = it.next().cloned(),
+            let flag = a.as_str();
+            let mut value = || parsed(flag, it.next().ok_or("needs a value"));
+            match flag {
+                "--jobs" => cfg.jobs = parsed(flag, value().parse::<usize>()).max(1),
+                "--workers" => cfg.workers = parsed(flag, value().parse()),
+                "--trace" => cfg.trace_path = Some(value().clone()),
+                "--trace-chrome" => cfg.trace_chrome_path = Some(value().clone()),
+                "--metrics" => cfg.metrics_path = Some(value().clone()),
                 "--no-cache" => cfg.use_cache = false,
-                "--strategy" => {
-                    if let Some(v) = it.next() {
-                        match StrategySpec::parse(v) {
-                            Some(s) => cfg.strategy = s,
-                            None => {
-                                eprintln!(
-                                    "unknown strategy `{v}` (line | random | hillclimb | anneal | portfolio)"
-                                );
-                                std::process::exit(2);
-                            }
-                        }
-                    }
-                }
-                "--budget" => {
-                    if let Some(v) = it.next() {
-                        match Budget::parse(v) {
-                            Ok(b) => cfg.budget = b,
-                            Err(e) => {
-                                eprintln!("--budget: {e}");
-                                std::process::exit(2);
-                            }
-                        }
-                    }
-                }
-                "--db" => cfg.db_dir = it.next().cloned(),
+                "--strategy" => cfg.strategy = parsed(flag, StrategySpec::parse(value())),
+                "--budget" => cfg.budget = parsed(flag, Budget::parse(value())),
+                "--db" => cfg.db_dir = Some(value().clone()),
                 "--warm-start" => {
                     cfg.db_dir.get_or_insert_with(|| "results/db".to_string());
                 }
-                "--chaos" => {
-                    if let Some(v) = it.next() {
-                        match FaultPlan::parse(v) {
-                            Ok(p) => cfg.chaos = Some(p),
-                            Err(e) => {
-                                eprintln!("--chaos: {e}");
-                                std::process::exit(2);
-                            }
-                        }
-                    }
-                }
-                "--max-retries" => {
-                    if let Some(v) = it.next() {
-                        match v.parse() {
-                            Ok(r) => cfg.max_retries = Some(r),
-                            Err(e) => {
-                                eprintln!("--max-retries: {e}");
-                                std::process::exit(2);
-                            }
-                        }
-                    }
-                }
+                "--chaos" => cfg.chaos = Some(parsed(flag, FaultPlan::parse(value()))),
+                "--max-retries" => cfg.max_retries = Some(parsed(flag, value().parse())),
                 "--model-prune" => {
-                    if let Some(v) = it.next() {
-                        match v.parse::<f64>() {
-                            Ok(f) if (0.0..=1.0).contains(&f) => cfg.model_prune = f,
-                            Ok(f) => {
-                                eprintln!("--model-prune: {f} outside [0, 1]");
-                                std::process::exit(2);
-                            }
-                            Err(e) => {
-                                eprintln!("--model-prune: {e}");
-                                std::process::exit(2);
-                            }
-                        }
-                    }
+                    let frac = parsed(flag, value().parse::<f64>());
+                    let in_range = (0.0..=1.0).contains(&frac);
+                    cfg.model_prune = parsed(
+                        flag,
+                        in_range
+                            .then_some(frac)
+                            .ok_or_else(|| format!("{frac} outside [0, 1]")),
+                    );
                 }
+                // Unknown flags are not errors here: `strategies` parses
+                // its own (`--strategies`) out of the same argv.
                 _ => {}
             }
         }

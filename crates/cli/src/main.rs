@@ -61,15 +61,14 @@
 //! eval cache + tuned-results index, so repeats warm-start without
 //! touching disk); `daemon <cmd>` is the control plane. `db` inspects,
 //! compacts, or prunes (`prune --rev-missing` drops records from repo
-//! revisions other than the current checkout's) a sharded tuned-results
+//! revisions other than the current checkout's) a tuned-results
 //! database in place, and
 //! `pack`/`install` move winners between machines as a checksummed,
 //! re-verified tune-cache artifact.
 
+use ifko::artifact;
 use ifko::report::{parse_json, report_files, Json, ReportFormat};
-use ifko::runner::Context;
-use ifko::strategy::{Budget, StrategySpec, TunedDb};
-use ifko::{artifact, SearchOptions, TuneConfig};
+use ifko::strategy::TunedDb;
 use ifko_daemon::client::{Client, TuneRequest};
 use ifko_fko::{
     analyze_kernel, lint_analysis, CompileError, CompileOpts, CompileSession, Diagnostic, Severity,
@@ -105,32 +104,16 @@ fn main() -> ExitCode {
             }
         };
     }
-    if let "daemon" | "db" | "pack" | "install" = cmd.as_str() {
+    if let "daemon" | "db" | "pack" | "install" | "report" | "explain" = cmd.as_str() {
         let r = match cmd.as_str() {
             "daemon" => cmd_daemon(argv),
             "db" => cmd_db(argv),
             "pack" => cmd_pack(argv),
-            _ => cmd_install(argv),
+            "install" => cmd_install(argv),
+            "report" => cmd_report(argv),
+            _ => cmd_explain(argv),
         };
         return match r {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("ifko: {e}");
-                ExitCode::from(2)
-            }
-        };
-    }
-    if cmd == "report" {
-        return match cmd_report(argv) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("ifko: {e}");
-                ExitCode::from(2)
-            }
-        };
-    }
-    if cmd == "explain" {
-        return match cmd_explain(argv) {
             Ok(()) => ExitCode::SUCCESS,
             Err(e) => {
                 eprintln!("ifko: {e}");
@@ -153,7 +136,7 @@ fn main() -> ExitCode {
             }
         };
     }
-    let mut args = match Args::parse(argv) {
+    let args = match Args::parse(argv) {
         Ok(a) => a,
         Err(e) => {
             eprintln!("ifko: {e}");
@@ -175,7 +158,7 @@ fn main() -> ExitCode {
     let r = match cmd.as_str() {
         "analyze" => cmd_analyze(&src, &machine),
         "compile" => cmd_compile(&src, &machine, &args),
-        "tune" => cmd_tune(&src, &machine, &mut args),
+        "tune" => cmd_tune(&src, &args),
         other => {
             eprintln!("ifko: unknown command `{other}`");
             return ExitCode::from(2);
@@ -473,30 +456,27 @@ fn cmd_compile(src: &str, machine: &MachineConfig, args: &Args) -> Result<(), St
     Ok(())
 }
 
-fn cmd_tune(src: &str, machine: &MachineConfig, args: &mut Args) -> Result<(), String> {
-    if let Some(socket) = args.remote.clone() {
-        return cmd_tune_remote(src, args, &socket);
+fn cmd_tune(src: &str, args: &Args) -> Result<(), String> {
+    // The request a daemon would be sent is also what is tuned here:
+    // `TuneRequest::config` is the one place its defaults are filled in.
+    let request = TuneRequest {
+        kernel: None,
+        src: Some(src.to_string()),
+        machine: args.machine.clone(),
+        context: args.context.clone(),
+        n: args.n,
+        seed: Some(args.seed),
+        full: args.full,
+        strategy: args.strategy.clone(),
+        budget: args.budget.clone(),
+    };
+    if let Some(socket) = &args.remote {
+        return cmd_tune_remote(&request, args, socket);
     }
-    let context = match args.context.as_str() {
-        "oc" => Context::OutOfCache,
-        "ic" => Context::InL2,
-        other => return Err(format!("unknown context `{other}` (oc | ic)")),
-    };
-    let n = args.n.unwrap_or(match context {
-        Context::OutOfCache => 40_000,
-        Context::InL2 => 1024,
-    });
-    let opts = if args.full {
-        SearchOptions::default()
-    } else {
-        SearchOptions::quick()
-    };
-    let mut cfg = TuneConfig::paper()
-        .machine(machine.clone())
-        .context(context)
-        .n(n)
-        .seed(args.seed)
-        .search(opts)
+    let mut cfg = request.config()?;
+    let (machine, context, n) = (cfg.machine_ref().name, cfg.context_of(), cfg.size());
+    let strategy = cfg.strategy_of();
+    cfg = cfg
         .verify_ir(args.verify_ir)
         .prune(!args.no_prune)
         .profile_pipeline(args.profile_pipeline)
@@ -512,16 +492,6 @@ fn cmd_tune(src: &str, machine: &MachineConfig, args: &mut Args) -> Result<(), S
             "worker pool: dispatching evaluations to {} ifko worker processes",
             args.workers
         );
-    }
-    let strategy = match &args.strategy {
-        Some(s) => StrategySpec::parse(s).ok_or_else(|| {
-            format!("unknown strategy `{s}` (line | random | hillclimb | anneal | portfolio)")
-        })?,
-        None => StrategySpec::Line,
-    };
-    cfg = cfg.strategy(strategy);
-    if let Some(b) = &args.budget {
-        cfg = cfg.budget(Budget::parse(b).map_err(|e| format!("--budget: {e}"))?);
     }
     if let Some(spec) = &args.chaos {
         let plan = ifko::FaultPlan::parse(spec).map_err(|e| format!("--chaos: {e}"))?;
@@ -546,7 +516,7 @@ fn cmd_tune(src: &str, machine: &MachineConfig, args: &mut Args) -> Result<(), S
     if args.db.is_some() || args.warm_start {
         let dir = args.db.clone().unwrap_or_else(|| "results/db".to_string());
         cfg = cfg.tuned_db(&dir).map_err(|e| format!("--db {dir}: {e}"))?;
-        eprintln!("tuned-results database: {dir} (sharded, shard-*.jsonl)");
+        eprintln!("tuned-results database: {dir} (one journal, tuned.jsonl)");
     }
     if let Some(path) = &args.trace {
         cfg = cfg
@@ -577,8 +547,7 @@ fn cmd_tune(src: &str, machine: &MachineConfig, args: &mut Args) -> Result<(), S
         None => None,
     };
     eprintln!(
-        "tuning on {} ({}), N={n}, jobs={}, strategy={} ...",
-        machine.name,
+        "tuning on {machine} ({}), N={n}, jobs={}, strategy={} ...",
         context.label(),
         args.jobs,
         strategy.name()
@@ -681,7 +650,7 @@ fn cmd_tune(src: &str, machine: &MachineConfig, args: &mut Args) -> Result<(), S
 /// instead of searching in-process. The daemon holds the shared eval
 /// cache and tuned-results index, so identical requests coalesce and
 /// repeats short-circuit on verified warm starts.
-fn cmd_tune_remote(src: &str, args: &Args, socket: &str) -> Result<(), String> {
+fn cmd_tune_remote(request: &TuneRequest, args: &Args, socket: &str) -> Result<(), String> {
     if args.trace.is_some()
         || args.trace_chrome.is_some()
         || args.timeseries.is_some()
@@ -692,17 +661,7 @@ fn cmd_tune_remote(src: &str, args: &Args, socket: &str) -> Result<(), String> {
     let mut client = Client::connect(socket)
         .map_err(|e| format!("--remote {socket}: {e} (is ifkod running?)"))?;
     eprintln!("tuning remotely via {socket} ...");
-    let v = client.tune(&TuneRequest {
-        kernel: None,
-        src: Some(src.to_string()),
-        machine: args.machine.clone(),
-        context: args.context.clone(),
-        n: args.n,
-        seed: Some(args.seed),
-        full: args.full,
-        strategy: args.strategy.clone(),
-        budget: args.budget.clone(),
-    })?;
+    let v = client.tune(request)?;
     let num = |k: &str| v.get(k).and_then(|j| j.as_u64()).unwrap_or(0);
     let txt = |k: &str| v.get(k).and_then(|j| j.as_str()).unwrap_or("?").to_string();
     let default_cycles = num("default_cycles");
@@ -794,7 +753,7 @@ fn cmd_daemon(argv: Vec<String>) -> Result<(), String> {
         "stats" => print_db_stats(&client.stats()?),
         "compact" => {
             let stats = client.compact()?;
-            println!("compacted all shards");
+            println!("compacted the journal");
             print_db_stats(&stats);
         }
         other => {
@@ -807,8 +766,8 @@ fn cmd_daemon(argv: Vec<String>) -> Result<(), String> {
 }
 
 /// `ifko db <stats|compact|prune> [--rev-missing] [--db DIR]
-/// [--format text|json]`: inspect, compact, or prune a sharded
-/// tuned-results database in place, no daemon needed. `prune
+/// [--format text|json]`: inspect, compact, or prune a tuned-results
+/// database in place, no daemon needed. `prune
 /// --rev-missing` drops every record stored under a repo revision other
 /// than the current checkout's — stale revisions can never answer an
 /// exact warm-start lookup, so they only cost space.
@@ -867,7 +826,7 @@ fn cmd_db(argv: Vec<String>) -> Result<(), String> {
     } else {
         println!("tuned-results database: {dir}");
         if sub == "compact" {
-            println!("compacted all shards");
+            println!("compacted the journal");
         }
         if sub == "prune" {
             println!(
@@ -895,18 +854,6 @@ fn print_db_stats(v: &Json) {
     println!("file lines   : {lines}");
     println!("dead records : {dead} ({ratio:.1}% of lines)");
     println!("bytes        : {}", num("bytes"));
-    if let Some(Json::Arr(shards)) = v.get("shards") {
-        for s in shards {
-            let f = |k: &str| s.get(k).and_then(|j| j.as_u64()).unwrap_or(0);
-            println!(
-                "  shard {} : {:>6} live / {:>6} lines / {:>9} bytes",
-                f("shard"),
-                f("live"),
-                f("file_lines"),
-                f("bytes")
-            );
-        }
-    }
 }
 
 /// `ifko pack [--db DIR] [--out FILE] [--socket PATH]`: export a

@@ -184,7 +184,7 @@ fn db_tune_pack_install_round_trip() {
         String::from_utf8_lossy(&out.stderr)
     );
     let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("sharded"), "db banner missing:\n{err}");
+    assert!(err.contains("tuned.jsonl"), "db banner missing:\n{err}");
 
     // `db stats` sees the stored winner, text and json.
     let out = Command::new(bin())
@@ -208,7 +208,7 @@ fn db_tune_pack_install_round_trip() {
     assert!(out.status.success());
     let json = String::from_utf8_lossy(&out.stdout);
     assert!(json.contains("\"live\":1"), "json stats:\n{json}");
-    assert!(json.contains("\"shards\":["));
+    assert!(json.contains("\"file_lines\":1,\"dead\":0"));
 
     // `db compact` leaves exactly the live records on disk.
     let out = Command::new(bin())

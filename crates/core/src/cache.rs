@@ -1,22 +1,19 @@
-//! The evaluation cache: a sharded in-memory map from evaluation keys to
+//! The evaluation cache: one in-memory map from evaluation keys to
 //! outcomes, shared across search phases, across the multi-pass
 //! refinement loop, and — with [`EvalCache::persistent`] — across
 //! processes (the figure/table binaries reuse each other's points via
 //! `results/cache/evals.jsonl`). Persistence is the crate's one
 //! crash-safe journal; this module owns the line format and the map.
 
-use crate::eval::fnv64;
 use crate::fault::FaultPlan;
 use crate::journal::{self, Journal};
 use crate::json::{esc, parse_json, Json};
 use crate::metrics::{self, Counter, Gauge, Histogram};
 use std::collections::HashMap;
 use std::path::Path;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
-const SHARDS: usize = 16;
-
-/// A sharded map from evaluation keys to outcomes (`None` = the point was
+/// A map from evaluation keys to outcomes (`None` = the point was
 /// rejected by compilation or the tester). Optionally mirrored to an
 /// append-only JSONL file so separate processes share points.
 ///
@@ -24,7 +21,7 @@ const SHARDS: usize = 16;
 /// metrics registry (`ifko_cache_points`, `ifko_cache_inserts_total`,
 /// `ifko_cache_persist_write_us`).
 pub struct EvalCache {
-    shards: Vec<Mutex<HashMap<String, Option<u64>>>>,
+    entries: Mutex<HashMap<String, Option<u64>>>,
     /// The on-disk mirror (`None` for an in-memory cache).
     journal: Option<Journal>,
     m_points: Arc<Gauge>,
@@ -43,7 +40,7 @@ impl EvalCache {
     pub fn new() -> EvalCache {
         let reg = metrics::global();
         EvalCache {
-            shards: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
+            entries: Mutex::new(HashMap::new()),
             journal: None,
             m_points: reg.gauge(metrics::CACHE_POINTS),
             m_inserts: reg.counter(metrics::CACHE_INSERTS),
@@ -75,31 +72,27 @@ impl EvalCache {
                 .counter(metrics::CACHE_WARM_LOADED)
                 .add(warm);
         }
-        if loaded.malformed > 0 {
-            eprintln!(
-                "ifko: eval cache {}: skipped {} malformed record(s) \
-                 (truncated write?); journal will be rewritten on next store",
-                path.display(),
-                loaded.malformed
-            );
-            metrics::global()
-                .counter(metrics::CACHE_RECOVERED)
-                .add(loaded.malformed);
-        }
+        journal::report_skipped(
+            "eval cache",
+            &path,
+            loaded.malformed,
+            metrics::CACHE_RECOVERED,
+        );
         cache.journal = Some(Journal::open(path, &loaded)?);
         Ok(cache)
     }
 
-    fn shard(&self, key: &str) -> &Mutex<HashMap<String, Option<u64>>> {
-        &self.shards[(fnv64(key.as_bytes()) as usize) % SHARDS]
+    /// The map, locked (poisoned only by a panic mid-update: a bug here).
+    fn entries(&self) -> MutexGuard<'_, HashMap<String, Option<u64>>> {
+        self.entries.lock().expect("eval-cache lock poisoned")
     }
 
     pub fn get(&self, key: &str) -> Option<Option<u64>> {
-        self.shard(key).lock().unwrap().get(key).copied()
+        self.entries().get(key).copied()
     }
 
     fn insert_mem(&self, key: String, val: Option<u64>) {
-        let newly = self.shard(&key).lock().unwrap().insert(key, val).is_none();
+        let newly = self.entries().insert(key, val).is_none();
         if newly {
             self.m_points.add(1);
         }
@@ -120,11 +113,7 @@ impl EvalCache {
         self.insert_mem(key.clone(), val);
         if let Some(journal) = &self.journal {
             let t0 = std::time::Instant::now();
-            if journal.take_dirty() {
-                journal.rewrite(|| self.sorted_lines());
-            } else {
-                journal.append(&key, cache_line(&key, val), faults);
-            }
+            journal.store(&key, cache_line(&key, val), faults, || self.sorted_lines());
             self.m_persist_us.observe(t0.elapsed().as_micros() as u64);
         }
     }
@@ -132,19 +121,15 @@ impl EvalCache {
     /// Every entry as a journal line, sorted by key so a repaired
     /// journal is deterministic.
     fn sorted_lines(&self) -> Vec<String> {
-        let mut entries: Vec<(String, Option<u64>)> = Vec::new();
-        for shard in &self.shards {
-            for (k, v) in shard.lock().unwrap().iter() {
-                entries.push((k.clone(), *v));
-            }
-        }
-        entries.sort();
-        entries.iter().map(|(k, v)| cache_line(k, *v)).collect()
+        let entries = self.entries();
+        let mut sorted: Vec<(&String, &Option<u64>)> = entries.iter().collect();
+        sorted.sort();
+        sorted.iter().map(|(k, v)| cache_line(k, **v)).collect()
     }
 
     /// Total number of cached points.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().unwrap().len()).sum()
+        self.entries().len()
     }
     pub fn is_empty(&self) -> bool {
         self.len() == 0

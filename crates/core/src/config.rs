@@ -270,6 +270,13 @@ impl TuneConfig {
     pub fn jobs_of(&self) -> usize {
         self.jobs
     }
+    /// The workload seed a run will use.
+    pub fn seed_of(&self) -> u64 {
+        self.seed
+    }
+    pub fn strategy_of(&self) -> StrategySpec {
+        self.strategy
+    }
 
     /// Build the evaluation engine this config describes. All runs share
     /// the config's cache and sink, so points evaluated while tuning one

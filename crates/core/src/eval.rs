@@ -1,5 +1,5 @@
-//! The evaluation engine: parallel batched candidate evaluation over a
-//! sharded, optionally persistent, cross-phase evaluation cache
+//! The evaluation engine: parallel batched candidate evaluation over an
+//! optionally persistent, cross-phase evaluation cache
 //! ([`crate::cache`]), observed through the search-trace layer
 //! ([`crate::trace`]) and the metrics registry.
 //!
@@ -46,8 +46,8 @@ pub use crate::trace::{
 };
 
 /// FNV-1a over a byte string (stable fingerprinting, no external deps).
-/// Public: shard selection, artifact checksums, and the daemon's
-/// single-flight keys all reuse it.
+/// Public: artifact checksums and the daemon's single-flight keys
+/// reuse it.
 pub fn fnv64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {

@@ -25,7 +25,7 @@
 //!   budget is recorded as *failed* in the trace, never cached, never a
 //!   winner, and never a panic;
 //! * crash-safe persistence: truncated trailing records in
-//!   `evals.jsonl` / the tuned-db `shard-*.jsonl` journals are skipped
+//!   `evals.jsonl` / the tuned db's `tuned.jsonl` journal are skipped
 //!   with a diagnostic on load and the file is atomically rewritten
 //!   (tmp + rename) on the next store — the crate's one journal
 //!   (`journal.rs`), which also performs the injected torn write.

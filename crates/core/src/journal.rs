@@ -1,29 +1,32 @@
 //! The one crash-safe append-only JSONL journal.
 //!
 //! Both persistent stores — the evaluation cache (`evals.jsonl`) and the
-//! tuned-results database (`shard-*.jsonl`) — keep their records in
-//! memory and mirror them to a journal file, one JSON record per line.
-//! This module owns the persistence algorithm and nothing else; what a
-//! line means, and the maps the lines load into, stay with the stores:
+//! tuned-results database (`tuned.jsonl`) — keep their records in one
+//! in-memory map each and mirror it to one journal file, one JSON record
+//! per line. This module owns the persistence algorithm and nothing
+//! else; what a line means, and the map the lines load into, stay with
+//! the stores:
 //!
 //! * **load** ([`read_lines`]): every line is offered to the store's
 //!   parser. A line the parser refuses — typically one truncated
 //!   trailing record from a crash mid-append — or that is not UTF-8 is
 //!   *one* malformed record: counted, skipped, and the load goes on, so
 //!   a bad byte costs the record it sits in, never the rest of the file.
-//! * **append** ([`Journal::append`]): one `write` per record. Under a
-//!   chaos plan the write may be torn (half the bytes, no newline),
-//!   which marks the journal dirty.
+//! * **store** ([`Journal::store`]): the record is already in the
+//!   store's map; it is appended with one `write`. Under a chaos plan
+//!   the write may be torn (half the bytes, no newline), which marks the
+//!   journal dirty.
 //! * **repair** ([`Journal::rewrite`]): a journal known to hold
-//!   malformed lines is replaced, on the next store, by an atomic
+//!   malformed lines is replaced, by the next store, with an atomic
 //!   tmp + rename rewrite of the store's live records. The file lock is
 //!   held from the snapshot to the reopened append handle, so a
 //!   concurrent append can never land in the file being replaced. The
 //!   tuned db's compaction is the same operation.
 //!
 //! The lock is per process: two processes sharing a journal can still
-//! lose appends to each other's rewrite (ROADMAP item 4). That lock, when
-//! it lands, belongs in [`Journal::append`] and [`Journal::rewrite`].
+//! lose appends to each other's rewrite (ROADMAP item 4). Each store is
+//! one file, so that lock, when it lands, is one lock file per store,
+//! taken in [`Journal::store`] and [`Journal::rewrite`].
 
 use crate::fault::FaultPlan;
 use std::fs::{File, OpenOptions};
@@ -75,6 +78,19 @@ pub(crate) fn read_lines(path: &Path, accept: impl FnMut(&str) -> bool) -> Loade
     loaded
 }
 
+/// Tell the user, and the store's `*_recovered_total` counter, that a
+/// load of the journal at (or under) `at` skipped `malformed` records.
+pub(crate) fn report_skipped(store: &str, at: &Path, malformed: u64, counter: &str) {
+    if malformed > 0 {
+        eprintln!(
+            "ifko: {store} {}: skipped {malformed} malformed record(s) \
+             (truncated write?); journal will be rewritten on next store",
+            at.display()
+        );
+        crate::metrics::global().counter(counter).add(malformed);
+    }
+}
+
 /// Write `contents` to `path` atomically: write a sibling tmp file, then
 /// rename over the target. Readers see either the old file or the new
 /// one, never a half-written mix.
@@ -93,8 +109,8 @@ pub(crate) struct Journal {
     /// malformed alike.
     lines: AtomicU64,
     /// The file is known to hold malformed records (found on load, or
-    /// left by a torn or failed append). The next store repairs it with
-    /// [`Journal::rewrite`] instead of appending.
+    /// left by a torn or failed append). The next [`Journal::store`]
+    /// repairs it with [`Journal::rewrite`] instead of appending.
     dirty: AtomicBool,
 }
 
@@ -119,16 +135,28 @@ impl Journal {
         self.lines.load(Ordering::SeqCst)
     }
 
-    /// Whether the journal needs repair, clearing the flag: the caller
-    /// that sees `true` owes a [`Journal::rewrite`].
-    pub fn take_dirty(&self) -> bool {
-        self.dirty.swap(false, Ordering::SeqCst)
+    /// Mirror one record that the store has already put in its map —
+    /// memory first, so that a repair includes it. A dirty journal is
+    /// repaired by a [`Journal::rewrite`] of `snapshot`; a clean one gets
+    /// `line` appended. Returns whether a rewrite landed.
+    pub fn store(
+        &self,
+        key: &str,
+        line: String,
+        faults: Option<&FaultPlan>,
+        snapshot: impl FnOnce() -> Vec<String>,
+    ) -> bool {
+        if self.dirty.swap(false, Ordering::SeqCst) {
+            return self.rewrite(snapshot);
+        }
+        self.append(key, line, faults);
+        false
     }
 
     /// Append one record line. `faults` may tear the write (a crash
     /// mid-append: half the bytes, no newline); a torn or failed write
     /// marks the journal dirty.
-    pub fn append(&self, key: &str, mut line: String, faults: Option<&FaultPlan>) {
+    fn append(&self, key: &str, mut line: String, faults: Option<&FaultPlan>) {
         let torn = faults.is_some_and(|plan| plan.persist_truncates(key));
         let bytes = if torn {
             &line.as_bytes()[..line.len() / 2]

@@ -22,7 +22,7 @@
 //!   evaluation (`jobs` worker threads or `workers` processes,
 //!   bit-identical results at any width) over the cache, observed
 //!   through the trace layer;
-//! * [`cache`] — the sharded cross-phase [`EvalCache`] (optionally
+//! * [`cache`] — the cross-phase [`EvalCache`] (one map, optionally
 //!   persisted to `results/cache/evals.jsonl`);
 //! * [`trace`] — the search-trace format: [`SearchEvent`] records, their
 //!   JSONL writer and reader, the [`TraceSink`]s and the [`Span`] guard;

@@ -14,12 +14,11 @@
 //! Design constraints, in order:
 //!
 //! 1. **No dependencies** — the workspace builds offline; everything is
-//!    `std::sync::atomic` plus a lock-sharded name table.
+//!    `std::sync::atomic` plus one locked name table.
 //! 2. **`Send + Sync`, hot-path cheap** — instrument handles are
 //!    `Arc`-shared atomics resolved once; recording is a single
 //!    `fetch_add`. The registry lock is only taken at resolve/snapshot
-//!    time, and the name table is sharded to keep resolution contention
-//!    off concurrent engines.
+//!    time, a few times per engine, batch or tune.
 //! 3. **Determinism-neutral** — metrics observe, they never steer. The
 //!    engine's jobs-invariance contract is unaffected by recording.
 //!
@@ -37,7 +36,7 @@ use crate::json::esc;
 use std::collections::HashMap;
 use std::path::Path;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 // ---------------------------------------------------------------------------
 // Instruments
@@ -179,14 +178,12 @@ pub struct MetricSnapshot {
     pub value: MetricValue,
 }
 
-const REGISTRY_SHARDS: usize = 8;
-
-/// A lock-sharded name → instrument table. Resolution is get-or-register:
+/// A name → instrument table behind one lock. Resolution is get-or-register:
 /// the first caller's type wins, and asking for the same name with a
 /// different instrument type panics (it is a programming error, not a
 /// runtime condition).
 pub struct MetricsRegistry {
-    shards: Vec<Mutex<HashMap<String, Metric>>>,
+    table: Mutex<HashMap<String, Metric>>,
 }
 
 impl Default for MetricsRegistry {
@@ -198,20 +195,19 @@ impl Default for MetricsRegistry {
 impl MetricsRegistry {
     pub fn new() -> MetricsRegistry {
         MetricsRegistry {
-            shards: (0..REGISTRY_SHARDS)
-                .map(|_| Mutex::new(HashMap::new()))
-                .collect(),
+            table: Mutex::new(HashMap::new()),
         }
     }
 
-    fn shard(&self, name: &str) -> &Mutex<HashMap<String, Metric>> {
-        &self.shards[(crate::eval::fnv64(name.as_bytes()) as usize) % REGISTRY_SHARDS]
+    /// The name table, locked (poisoned only by a panic mid-update: a bug here).
+    fn table(&self) -> MutexGuard<'_, HashMap<String, Metric>> {
+        self.table.lock().expect("metrics table lock poisoned")
     }
 
     /// Get or register a counter.
     pub fn counter(&self, name: &str) -> Arc<Counter> {
-        let mut shard = self.shard(name).lock().unwrap();
-        match shard
+        let mut table = self.table();
+        match table
             .entry(name.to_string())
             .or_insert_with(|| Metric::Counter(Arc::new(Counter::default())))
         {
@@ -222,8 +218,8 @@ impl MetricsRegistry {
 
     /// Get or register a gauge.
     pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        let mut shard = self.shard(name).lock().unwrap();
-        match shard
+        let mut table = self.table();
+        match table
             .entry(name.to_string())
             .or_insert_with(|| Metric::Gauge(Arc::new(Gauge::default())))
         {
@@ -235,8 +231,8 @@ impl MetricsRegistry {
     /// Get or register a histogram; `bounds` applies only on first
     /// registration.
     pub fn histogram(&self, name: &str, bounds: &[u64]) -> Arc<Histogram> {
-        let mut shard = self.shard(name).lock().unwrap();
-        match shard
+        let mut table = self.table();
+        match table
             .entry(name.to_string())
             .or_insert_with(|| Metric::Histogram(Arc::new(Histogram::new(bounds))))
         {
@@ -247,7 +243,7 @@ impl MetricsRegistry {
 
     /// Read the current value of a counter, if registered.
     pub fn counter_value(&self, name: &str) -> Option<u64> {
-        match self.shard(name).lock().unwrap().get(name)? {
+        match self.table().get(name)? {
             Metric::Counter(c) => Some(c.get()),
             _ => None,
         }
@@ -257,23 +253,21 @@ impl MetricsRegistry {
     /// (stable output for files and tests).
     pub fn snapshot(&self) -> Vec<MetricSnapshot> {
         let mut out = Vec::new();
-        for shard in &self.shards {
-            for (name, m) in shard.lock().unwrap().iter() {
-                let value = match m {
-                    Metric::Counter(c) => MetricValue::Counter(c.get()),
-                    Metric::Gauge(g) => MetricValue::Gauge(g.get()),
-                    Metric::Histogram(h) => MetricValue::Histogram {
-                        bounds: h.bounds.clone(),
-                        counts: h.bucket_counts(),
-                        count: h.count(),
-                        sum: h.sum(),
-                    },
-                };
-                out.push(MetricSnapshot {
-                    name: name.clone(),
-                    value,
-                });
-            }
+        for (name, m) in self.table().iter() {
+            let value = match m {
+                Metric::Counter(c) => MetricValue::Counter(c.get()),
+                Metric::Gauge(g) => MetricValue::Gauge(g.get()),
+                Metric::Histogram(h) => MetricValue::Histogram {
+                    bounds: h.bounds.clone(),
+                    counts: h.bucket_counts(),
+                    count: h.count(),
+                    sum: h.sum(),
+                },
+            };
+            out.push(MetricSnapshot {
+                name: name.clone(),
+                value,
+            });
         }
         out.sort_by(|a, b| a.name.cmp(&b.name));
         out
@@ -621,7 +615,7 @@ pub const DB_XFER_SEEDS: &str = "ifko_db_xfer_seeds_total";
 pub const DB_STORES: &str = "ifko_db_stores_total";
 /// Malformed tuned-db records skipped (and repaired) on load.
 pub const DB_RECOVERED: &str = "ifko_db_recovered_total";
-/// Tuned-db shard compactions (dedup rewrites), background or on-demand.
+/// Tuned-db journal compactions (dedup rewrites), in line or on demand.
 pub const DB_COMPACTIONS: &str = "ifko_db_compactions_total";
 
 /// Daemon requests served, labeled `kind` (ping/tune/query/...).

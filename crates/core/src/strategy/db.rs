@@ -1,7 +1,7 @@
 //! The persistent tuned-results database: winning parameter points,
 //! keyed by kernel / precision / machine / context / repo revision, held
-//! in an in-memory index mirrored to sharded append-only JSONL files
-//! (`results/db/shard-*.jsonl` by convention).
+//! in one in-memory map mirrored to one append-only JSONL journal
+//! (`results/db/tuned.jsonl` by convention).
 //!
 //! The database is deliberately *not* keyed by problem size or workload
 //! seed: a tuned parameter point transfers across sizes (the paper tunes
@@ -11,24 +11,23 @@
 //! [`run_search`](super::run_search)). The repo revision is part of the
 //! key so a changed compiler invalidates old winners automatically.
 //!
-//! Storage layout: records are sharded by FNV-64 of the
-//! `kernel|machine` key prefix into [`N_SHARDS`] files, so a hot shard's
-//! append traffic and compaction never touch the others. Every lookup —
-//! exact key or nearest-by-features — is answered from the in-memory
-//! index; the JSONL is replayed exactly once, at open. Appends beyond
-//! the live-record count are *dead* (superseded last-wins history);
-//! once a shard's dead count crosses a threshold a background
-//! compaction rewrites it (atomic tmp + rename, the same journal-repair
-//! machinery that heals torn appends), so file size and load time stay
-//! proportional to the live record count, not to append history.
+//! Storage is sized to its traffic: a tune stores one winner after
+//! thousands of probes, and a warm tune stores nothing, so one map behind
+//! one lock and one file is all the store needs. Every lookup — exact
+//! key or nearest-by-features — is answered from the map; the journal is
+//! replayed exactly once, at open. Lines beyond the live-record count are
+//! *dead* (superseded last-wins history); the store that takes the dead
+//! count across the threshold compacts the journal in line (atomic tmp +
+//! rename, the same rewrite that heals torn appends), so file size and
+//! load time stay proportional to the live record count, not to append
+//! history.
 //!
-//! Concurrency: shard files are append-only with last-record-wins
-//! semantics on load, so interrupted runs and concurrent writers
-//! degrade to stale entries, never corruption.
+//! Concurrency: the journal is append-only with last-record-wins
+//! semantics on load, so interrupted runs and concurrent writers degrade
+//! to stale entries, never corruption.
 
-use crate::eval::fnv64;
 use crate::fault::FaultPlan;
-use crate::journal::{self, Journal, Loaded};
+use crate::journal::{self, Journal};
 use crate::json::{esc, parse_json, Json};
 use crate::metrics;
 use ifko_fko::ir::PtrId;
@@ -36,15 +35,10 @@ use ifko_fko::{PrefSpec, TransformParams};
 use ifko_xsim::PrefKind;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Mutex, MutexGuard};
 
-/// Number of storage shards. Fixed: the shard of a record depends only
-/// on its key, so the count cannot change without a migration.
-pub const N_SHARDS: usize = 8;
-
-/// A shard accumulates this many dead (superseded) records before a
-/// background compaction rewrites it.
+/// The journal is compacted by the store that leaves it with this many
+/// dead (superseded) lines, provided they also outnumber the live ones.
 const AUTO_COMPACT_MIN_DEAD: u64 = 128;
 
 /// One stored winner.
@@ -82,59 +76,19 @@ pub fn db_key(kernel: &str, prec: &str, machine: &str, context: &str, rev: &str)
     format!("{kernel}|{prec}|{machine}|{context}|{rev}")
 }
 
-/// Shard index for a record key: FNV-64 of the `kernel|machine` prefix,
-/// so every precision/context/revision variant of one kernel on one
-/// machine lands in the same shard (a pack of one kernel's history
-/// touches one file). Malformed keys hash whole.
-fn shard_of(key: &str) -> usize {
-    let parts: Vec<&str> = key.split('|').collect();
-    let h = if parts.len() == 5 {
-        fnv64(format!("{}|{}", parts[0], parts[2]).as_bytes())
-    } else {
-        fnv64(key.as_bytes())
-    };
-    (h as usize) % N_SHARDS
-}
-
-/// One storage shard: a slice of the index plus its append-only file.
-struct Shard {
-    entries: Mutex<HashMap<String, TunedRecord>>,
-    /// The shard file. Its line count minus the live records is the
-    /// dead (superseded or malformed) count, the compaction trigger.
-    journal: Journal,
-    /// A background compaction of this shard is in flight.
-    compacting: AtomicBool,
-}
-
-/// Shared state between the handle and background compaction threads.
-struct DbInner {
-    dir: PathBuf,
-    shards: Vec<Shard>,
-}
-
-/// Per-shard statistics snapshot.
-#[derive(Clone, Debug)]
-pub struct ShardStats {
-    pub shard: usize,
-    /// Live (indexed) records.
-    pub live: usize,
-    /// Record lines in the file, live + dead.
-    pub file_lines: u64,
-    /// File size in bytes.
-    pub bytes: u64,
-}
-
 /// Database statistics snapshot (see [`TunedDb::stats`]).
 #[derive(Clone, Debug)]
 pub struct DbStats {
+    /// Live (indexed) records.
     pub live: usize,
+    /// Record lines in the journal, live + dead.
     pub file_lines: u64,
+    /// Journal size in bytes.
     pub bytes: u64,
-    pub shards: Vec<ShardStats>,
 }
 
 impl DbStats {
-    /// Dead (superseded or malformed) record lines across all shards.
+    /// Dead (superseded or malformed) record lines in the journal.
     pub fn dead(&self) -> u64 {
         self.file_lines.saturating_sub(self.live as u64)
     }
@@ -151,132 +105,81 @@ impl DbStats {
     /// JSON rendering (one object; `ifko db stats --format json` and the
     /// daemon's `stats` response both emit it).
     pub fn to_json(&self) -> String {
-        let shards: Vec<String> = self
-            .shards
-            .iter()
-            .map(|s| {
-                format!(
-                    "{{\"shard\":{},\"live\":{},\"file_lines\":{},\"bytes\":{}}}",
-                    s.shard, s.live, s.file_lines, s.bytes
-                )
-            })
-            .collect();
         format!(
-            "{{\"live\":{},\"file_lines\":{},\"dead\":{},\"dead_ratio\":{:.4},\"bytes\":{},\
-             \"shards\":[{}]}}",
+            "{{\"live\":{},\"file_lines\":{},\"dead\":{},\"dead_ratio\":{:.4},\"bytes\":{}}}",
             self.live,
             self.file_lines,
             self.dead(),
             self.dead_ratio(),
-            self.bytes,
-            shards.join(",")
+            self.bytes
         )
     }
 }
 
-/// The tuned-results database: a sharded in-memory index mirrored to
-/// append-only `shard-*.jsonl` files with background compaction.
+/// The tuned-results database: one in-memory map mirrored to the
+/// append-only journal `tuned.jsonl`, compacted in line.
 pub struct TunedDb {
-    inner: Arc<DbInner>,
+    entries: Mutex<HashMap<String, TunedRecord>>,
+    /// The journal file. Its line count minus the live records is the
+    /// dead (superseded or malformed) count, the compaction trigger.
+    journal: Journal,
     rev: String,
-    /// Outstanding background compaction threads; joined on drop so
-    /// short-lived processes never leave a rewrite in flight.
-    compactions: Mutex<Vec<std::thread::JoinHandle<()>>>,
 }
 
 impl TunedDb {
     /// Open (creating if needed) the database in `dir`, loading every
-    /// well-formed record into the in-memory index with
-    /// last-record-wins semantics. Malformed records — typically one
-    /// truncated trailing line from a crash mid-append — are skipped
-    /// with a diagnostic and the shard is repaired (atomic tmp + rename
-    /// rewrite) on the next store. A legacy single-file `tuned.jsonl`
-    /// is migrated into the sharded layout on first open.
+    /// well-formed record into the map with last-record-wins semantics.
+    /// Malformed records — typically one truncated trailing line from a
+    /// crash mid-append — are skipped with a diagnostic and the journal
+    /// is repaired (atomic tmp + rename rewrite) by the next store. A
+    /// directory in the older eight-file `shard-*.jsonl` layout is merged
+    /// into `tuned.jsonl` on first open.
     pub fn open(dir: impl AsRef<Path>) -> std::io::Result<TunedDb> {
-        let dir = dir.as_ref().to_path_buf();
-        std::fs::create_dir_all(&dir)?;
-        let mut maps: Vec<HashMap<String, TunedRecord>> =
-            (0..N_SHARDS).map(|_| HashMap::new()).collect();
-        // Index one record line under the shard its *key* hashes to,
-        // wherever it was read from; `None` is a malformed line.
+        let dir = dir.as_ref();
+        std::fs::create_dir_all(dir)?;
+        let mut entries: HashMap<String, TunedRecord> = HashMap::new();
         let mut index = |line: &str| {
-            let rec = parse_record(line)?;
-            let home = shard_of(&rec.key);
-            maps[home].insert(rec.key.clone(), rec);
-            Some(home)
+            parse_record(line)
+                .map(|rec| entries.insert(rec.key.clone(), rec))
+                .is_some()
         };
-        // Legacy single-file layout loads first, so sharded records
-        // (written later by definition) win on key collision.
-        let legacy = dir.join("tuned.jsonl");
-        let migrate = legacy.exists();
-        let mut total_malformed = 0;
-        if migrate {
-            total_malformed += journal::read_lines(&legacy, |l| index(l).is_some()).malformed;
-        }
-        // A record misplaced by a hand-edit (or a future shard-count
-        // migration) is re-homed by a full rewrite below rather than
-        // silently dropped by its file's compaction.
-        let mut misplaced = false;
-        let loaded: Vec<Loaded> = (0..N_SHARDS)
-            .map(|i| {
-                journal::read_lines(&shard_path(&dir, i), |l| {
-                    index(l).map(|home| misplaced |= home != i).is_some()
-                })
+        let path = dir.join("tuned.jsonl");
+        let loaded = journal::read_lines(&path, &mut index);
+        // Shard files load after the journal, in name order, so where a
+        // key repeats the later file wins, as it did under that layout.
+        let mut shards: Vec<PathBuf> = std::fs::read_dir(dir)?
+            .filter_map(|entry| Some(entry.ok()?.path()))
+            .filter(|p| {
+                p.file_name()
+                    .and_then(|name| name.to_str())
+                    .is_some_and(|name| name.starts_with("shard-") && name.ends_with(".jsonl"))
             })
             .collect();
-        total_malformed += loaded.iter().map(|l| l.malformed).sum::<u64>();
-        if total_malformed > 0 {
-            eprintln!(
-                "ifko: tuned db {}: skipped {total_malformed} malformed record(s) \
-                 (truncated write?); affected shard(s) will be rewritten on next store",
-                dir.display()
-            );
-            metrics::global()
-                .counter(metrics::DB_RECOVERED)
-                .add(total_malformed);
-        }
-
-        let mut shards = Vec::with_capacity(N_SHARDS);
-        for (i, (map, loaded)) in maps.into_iter().zip(&loaded).enumerate() {
-            shards.push(Shard {
-                entries: Mutex::new(map),
-                journal: Journal::open(shard_path(&dir, i), loaded)?,
-                compacting: AtomicBool::new(false),
-            });
-        }
-        let inner = Arc::new(DbInner { dir, shards });
-        if migrate || misplaced {
-            // Materialize every shard from the merged index, then drop
-            // the legacy file — a crash between the two leaves both
-            // layouts present and the next open repeats the (idempotent)
-            // migration.
-            let live: usize = inner
-                .shards
-                .iter()
-                .map(|s| s.entries.lock().unwrap().len())
-                .sum();
-            for i in 0..N_SHARDS {
-                inner.compact_shard(i);
-            }
-            if migrate {
-                std::fs::remove_file(&legacy)?;
-                eprintln!(
-                    "ifko: tuned db {}: migrated {live} record(s) from legacy tuned.jsonl \
-                     into {N_SHARDS} shards",
-                    inner.dir.display()
-                );
-            }
-        }
-        Ok(TunedDb {
-            inner,
+        shards.sort();
+        let malformed = shards.iter().fold(loaded.malformed, |sum, shard| {
+            sum + journal::read_lines(shard, &mut index).malformed
+        });
+        journal::report_skipped("tuned db", dir, malformed, metrics::DB_RECOVERED);
+        let db = TunedDb {
+            entries: Mutex::new(entries),
+            journal: Journal::open(path, &loaded)?,
             rev: repo_rev(),
-            compactions: Mutex::new(Vec::new()),
-        })
-    }
-
-    /// The backing directory (shard files live inside it).
-    pub fn dir(&self) -> &Path {
-        &self.inner.dir
+        };
+        // Materialize the merged map, then drop the shard files — a crash
+        // between the two leaves both layouts present and the next open
+        // repeats the (idempotent) merge.
+        if !shards.is_empty() && db.rewrite() {
+            for shard in &shards {
+                std::fs::remove_file(shard)?;
+            }
+            eprintln!(
+                "ifko: tuned db {}: merged {} record(s) from {} shard file(s) into tuned.jsonl",
+                dir.display(),
+                db.len(),
+                shards.len()
+            );
+        }
+        Ok(db)
     }
 
     /// The repo revision this process keys new records under.
@@ -284,75 +187,67 @@ impl TunedDb {
         &self.rev
     }
 
-    /// Stored winner for a key, if any — answered from the in-memory
-    /// index, never from disk.
-    pub fn lookup(&self, key: &str) -> Option<TunedRecord> {
-        let shard = &self.inner.shards[shard_of(key)];
-        shard.entries.lock().unwrap().get(key).cloned()
+    /// The map, locked (poisoned only by a panic mid-update: a bug here).
+    fn entries(&self) -> MutexGuard<'_, HashMap<String, TunedRecord>> {
+        self.entries.lock().expect("tuned-db lock poisoned")
     }
 
-    /// Store (or overwrite) a winner, appending it to its shard file.
+    /// Stored winner for a key, if any — answered from the in-memory
+    /// map, never from disk.
+    pub fn lookup(&self, key: &str) -> Option<TunedRecord> {
+        self.entries().get(key).cloned()
+    }
+
+    /// Store (or overwrite) a winner, appending it to the journal.
     pub fn store(&self, rec: &TunedRecord) {
         self.store_with(rec, None);
     }
 
     /// [`TunedDb::store`] under a chaos plan: the plan may truncate the
     /// appended record mid-write (simulating a crash), which marks the
-    /// shard dirty so the *next* store repairs it. The in-memory entry
+    /// journal dirty so the *next* store repairs it. The in-memory entry
     /// always lands, so lookups never depend on the fault.
     pub fn store_with(&self, rec: &TunedRecord, faults: Option<&FaultPlan>) {
-        let idx = shard_of(&rec.key);
-        let shard = &self.inner.shards[idx];
-        // Memory first, so a repair rewrite includes this record.
-        shard
-            .entries
-            .lock()
-            .unwrap()
-            .insert(rec.key.clone(), rec.clone());
-        if shard.journal.take_dirty() {
-            self.inner.compact_shard(idx);
-        } else {
-            shard.journal.append(&rec.key, record_json(rec), faults);
-            self.maybe_compact_in_background(idx);
+        let live = {
+            let mut entries = self.entries();
+            entries.insert(rec.key.clone(), rec.clone());
+            entries.len() as u64
+        };
+        let repaired = self
+            .journal
+            .store(&rec.key, record_json(rec), faults, || self.lines());
+        let dead = self.journal.lines().saturating_sub(live);
+        if repaired {
+            metrics::global().counter(metrics::DB_COMPACTIONS).inc();
+        } else if dead >= AUTO_COMPACT_MIN_DEAD && dead >= live {
+            self.rewrite();
         }
         metrics::global().counter(metrics::DB_STORES).inc();
     }
 
-    /// Spawn a background compaction of shard `idx` when its dead-line
-    /// count has crossed the threshold, unless one is already running.
-    fn maybe_compact_in_background(&self, idx: usize) {
-        let shard = &self.inner.shards[idx];
-        let live = shard.entries.lock().unwrap().len() as u64;
-        let dead = shard.journal.lines().saturating_sub(live);
-        if dead < AUTO_COMPACT_MIN_DEAD || dead < live {
-            return;
-        }
-        if shard
-            .compacting
-            .compare_exchange(false, true, Ordering::SeqCst, Ordering::SeqCst)
-            .is_err()
-        {
-            return;
-        }
-        let inner = Arc::clone(&self.inner);
-        let handle = std::thread::spawn(move || {
-            inner.compact_shard(idx);
-            inner.shards[idx].compacting.store(false, Ordering::SeqCst);
-        });
-        let mut handles = self.compactions.lock().unwrap();
-        handles.retain(|h| !h.is_finished());
-        handles.push(handle);
+    /// Every live record as a journal line, sorted by key so a rewritten
+    /// journal is deterministic.
+    fn lines(&self) -> Vec<String> {
+        self.records().iter().map(record_json).collect()
     }
 
-    /// Compact every shard now (atomic rewrite, one record per key),
-    /// returning post-compaction statistics. `ifko db compact` and the
-    /// pack path call this; routine operation relies on the automatic
-    /// background trigger instead.
-    pub fn compact(&self) -> DbStats {
-        self.join_compactions();
-        for i in 0..N_SHARDS {
-            self.inner.compact_shard(i);
+    /// Rewrite the journal from the map: one line per key. Compaction
+    /// and torn-append repair are this one operation; a failed rewrite
+    /// leaves the journal dirty, to be retried by the next store.
+    fn rewrite(&self) -> bool {
+        let landed = self.journal.rewrite(|| self.lines());
+        if landed {
+            metrics::global().counter(metrics::DB_COMPACTIONS).inc();
         }
+        landed
+    }
+
+    /// Compact the journal now (atomic rewrite, one record per key),
+    /// returning post-compaction statistics. `ifko db compact` and the
+    /// daemon's `compact` command call this; routine operation relies on
+    /// the in-line rule in [`TunedDb::store_with`] instead.
+    pub fn compact(&self) -> DbStats {
+        self.rewrite();
         self.stats()
     }
 
@@ -361,54 +256,28 @@ impl TunedDb {
     /// `ifko db prune --rev-missing`. Stale-revision records can never
     /// answer an exact warm-start lookup (the revision is part of the
     /// db key), so once the code moves on they only feed transfer
-    /// probes and cost space. Every shard is compacted afterwards so
-    /// the files shrink with the index. Returns the number of records
+    /// probes and cost space. The journal is compacted afterwards so
+    /// the file shrinks with the map. Returns the number of records
     /// removed.
     pub fn prune_missing_rev(&self) -> usize {
-        self.join_compactions();
-        let mut removed = 0usize;
-        for i in 0..N_SHARDS {
-            let shard = &self.inner.shards[i];
-            {
-                let mut entries = shard.entries.lock().unwrap();
-                let before = entries.len();
-                entries.retain(|_, rec| rec.rev == self.rev);
-                removed += before - entries.len();
-            }
-            self.inner.compact_shard(i);
-        }
+        let removed = {
+            let mut entries = self.entries();
+            let before = entries.len();
+            entries.retain(|_, rec| rec.rev == self.rev);
+            before - entries.len()
+        };
+        self.rewrite();
         removed
     }
 
-    /// Statistics snapshot: live records, file lines, and bytes, per
-    /// shard and in total.
+    /// Statistics snapshot: live records, journal lines, and bytes.
     pub fn stats(&self) -> DbStats {
-        let mut shards = Vec::with_capacity(N_SHARDS);
-        for (i, s) in self.inner.shards.iter().enumerate() {
-            let live = s.entries.lock().unwrap().len();
-            let bytes = std::fs::metadata(s.journal.path())
-                .map(|m| m.len())
-                .unwrap_or(0);
-            shards.push(ShardStats {
-                shard: i,
-                live,
-                file_lines: s.journal.lines(),
-                bytes,
-            });
-        }
         DbStats {
-            live: shards.iter().map(|s| s.live).sum(),
-            file_lines: shards.iter().map(|s| s.file_lines).sum(),
-            bytes: shards.iter().map(|s| s.bytes).sum(),
-            shards,
-        }
-    }
-
-    /// Block until every outstanding background compaction finishes.
-    pub fn join_compactions(&self) {
-        let handles: Vec<_> = self.compactions.lock().unwrap().drain(..).collect();
-        for h in handles {
-            let _ = h.join();
+            live: self.len(),
+            file_lines: self.journal.lines(),
+            bytes: std::fs::metadata(self.journal.path())
+                .map(|m| m.len())
+                .unwrap_or(0),
         }
     }
 
@@ -416,10 +285,7 @@ impl TunedDb {
     /// order for offline consumers (`ifko explain` cross-checks trace
     /// winners against the database with it; `ifko pack` serializes it).
     pub fn records(&self) -> Vec<TunedRecord> {
-        let mut v: Vec<TunedRecord> = Vec::new();
-        for s in &self.inner.shards {
-            v.extend(s.entries.lock().unwrap().values().cloned());
-        }
+        let mut v: Vec<TunedRecord> = self.entries().values().cloned().collect();
         v.sort_by(|a, b| a.key.cmp(&b.key));
         v
     }
@@ -429,76 +295,30 @@ impl TunedDb {
     /// for a kernel with no exact key hit. Only records that carry a
     /// same-length feature vector participate; `exclude_key` (the exact
     /// key that just missed) never matches itself. Ties break toward the
-    /// smaller key ([`TunedDb::records`] iterates key-sorted), so the
-    /// choice is deterministic.
+    /// smaller key, so the choice is deterministic.
     pub fn nearest_by_features(&self, features: &[f64], exclude_key: &str) -> Option<TunedRecord> {
-        let mut best: Option<(f64, TunedRecord)> = None;
-        for rec in self.records() {
-            if rec.key == exclude_key {
-                continue;
-            }
-            let Some(f) = &rec.features else { continue };
-            if f.len() != features.len() {
-                continue;
-            }
-            let d = f
-                .iter()
-                .zip(features)
-                .map(|(a, b)| (a - b) * (a - b))
-                .sum::<f64>()
-                .sqrt();
-            if best.as_ref().is_none_or(|(bd, _)| d < *bd) {
-                best = Some((d, rec));
-            }
-        }
-        best.map(|(_, r)| r)
+        let entries = self.entries();
+        entries
+            .values()
+            .filter(|rec| rec.key != exclude_key)
+            .filter_map(|rec| {
+                let f = rec
+                    .features
+                    .as_ref()
+                    .filter(|f| f.len() == features.len())?;
+                let d2: f64 = f.iter().zip(features).map(|(a, b)| (a - b) * (a - b)).sum();
+                Some((d2.sqrt(), rec))
+            })
+            .min_by(|(da, a), (db, b)| da.total_cmp(db).then_with(|| a.key.cmp(&b.key)))
+            .map(|(_, rec)| rec.clone())
     }
 
     pub fn len(&self) -> usize {
-        self.inner
-            .shards
-            .iter()
-            .map(|s| s.entries.lock().unwrap().len())
-            .sum()
+        self.entries().len()
     }
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-}
-
-impl Drop for TunedDb {
-    fn drop(&mut self) {
-        self.join_compactions();
-    }
-}
-
-impl DbInner {
-    /// Rewrite one shard from its index: every live record, sorted by
-    /// key (so the file is deterministic). Doubles as the dirty-shard
-    /// journal repair; a failed rewrite leaves the shard dirty, to be
-    /// retried on the next store into it.
-    fn compact_shard(&self, idx: usize) {
-        let shard = &self.shards[idx];
-        let rewritten = shard.journal.rewrite(|| {
-            let mut entries: Vec<(String, String)> = shard
-                .entries
-                .lock()
-                .unwrap()
-                .iter()
-                .map(|(k, rec)| (k.clone(), record_json(rec)))
-                .collect();
-            entries.sort();
-            entries.into_iter().map(|(_, line)| line).collect()
-        });
-        if rewritten {
-            metrics::global().counter(metrics::DB_COMPACTIONS).inc();
-        }
-    }
-}
-
-/// Shard file path: `dir/shard-<i>.jsonl`.
-pub fn shard_path(dir: &Path, idx: usize) -> PathBuf {
-    dir.join(format!("shard-{idx}.jsonl"))
 }
 
 /// The repo revision used in database keys: `IFKO_REPO_REV` when set,
@@ -718,15 +538,10 @@ mod tests {
         }
     }
 
-    /// Concatenated record lines across every shard file.
-    fn all_lines(dir: &Path) -> Vec<String> {
-        let mut v = Vec::new();
-        for i in 0..N_SHARDS {
-            if let Ok(text) = std::fs::read_to_string(shard_path(dir, i)) {
-                v.extend(text.lines().map(str::to_string));
-            }
-        }
-        v
+    /// The record lines of the journal file.
+    fn journal_lines(dir: &Path) -> Vec<String> {
+        let text = std::fs::read_to_string(dir.join("tuned.jsonl")).unwrap();
+        text.lines().map(str::to_string).collect()
     }
 
     #[test]
@@ -750,6 +565,10 @@ mod tests {
             db.store(&sample_record(&key, 9000));
             db.store(&sample_record(&key, 2500)); // overwrite
             assert_eq!(db.len(), 1);
+            let stats = db.stats();
+            assert_eq!((stats.live, stats.file_lines, stats.dead()), (1, 2, 1));
+            assert!((stats.dead_ratio() - 0.5).abs() < 1e-9);
+            assert!(stats.bytes > 0);
         }
         let db = TunedDb::open(&dir).unwrap();
         assert_eq!(db.len(), 1);
@@ -778,7 +597,7 @@ mod tests {
         assert!(db.lookup("stale|key").is_none());
         assert!(db.lookup("stale|two").is_none());
         drop(db);
-        // The prune compacts every shard: a reopen sees only the
+        // The prune compacts the journal: a reopen sees only the
         // survivor, and a second prune is a no-op.
         let db = TunedDb::open(&dir).unwrap();
         assert_eq!(db.len(), 1);
@@ -794,7 +613,7 @@ mod tests {
         let rec = sample_record("k", 100);
         let good = record_json(&rec);
         std::fs::write(
-            shard_path(&dir, shard_of("k")),
+            dir.join("tuned.jsonl"),
             format!("garbage\n{good}\n{{\"key\":\"half\"\n"),
         )
         .unwrap();
@@ -812,15 +631,13 @@ mod tests {
         let good = record_json(&sample_record("k2", 100));
         let torn = &record_json(&sample_record("k-torn", 999));
         let torn = &torn[..torn.len() / 2];
-        let shard = shard_of("k2");
-        std::fs::write(shard_path(&dir, shard), format!("{good}\n{torn}")).unwrap();
+        std::fs::write(dir.join("tuned.jsonl"), format!("{good}\n{torn}")).unwrap();
         let db = TunedDb::open(&dir).unwrap();
         assert_eq!(db.len(), 1, "torn record is skipped");
-        // The next store into the dirty shard rewrites it whole.
+        // The next store into the dirty journal rewrites it whole.
         db.store(&sample_record("k2", 200));
-        let text = std::fs::read_to_string(shard_path(&dir, shard)).unwrap();
-        for line in text.lines() {
-            assert!(parse_record(line).is_some(), "unparseable: {line}");
+        for line in journal_lines(&dir) {
+            assert!(parse_record(&line).is_some(), "unparseable: {line}");
         }
         // And the reopened append handle keeps working.
         db.store(&sample_record("k3", 300));
@@ -842,66 +659,55 @@ mod tests {
                 db.store_with(&sample_record(&format!("key-{i}"), 100 + i), Some(&plan));
             }
         }
-        // A truncated append is repaired by the next store into its
-        // shard; at most one trailing append per shard can stay torn.
+        // A truncated append is repaired by the next store; at most the
+        // last append can stay torn.
         let db = TunedDb::open(&dir).unwrap();
-        assert!(
-            db.len() >= 24 - N_SHARDS,
-            "only {}/24 records survived",
-            db.len()
-        );
+        assert!(db.len() >= 23, "only {}/24 records survived", db.len());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn legacy_single_file_db_migrates_to_shards() {
+    fn legacy_shard_files_migrate_to_one_journal() {
         let dir = std::env::temp_dir().join(format!("ifko-tuneddb-legacy-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         let keys: Vec<String> = (0..20)
             .map(|i| db_key(&format!("kern{i}"), "D", "M#0", "oc", "r1"))
             .collect();
-        let mut text = String::new();
+        // Eight shard files as the older layout wrote them, records dealt
+        // round-robin; keys[3] (home: shard-3) also sits, stale, in
+        // shard-1 and, newer, in shard-6: the last file read wins.
+        let mut shards = vec![String::new(); 8];
         for (i, k) in keys.iter().enumerate() {
-            text.push_str(&record_json(&sample_record(k, 100 + i as u64)));
-            text.push('\n');
+            shards[i % 8] += &(record_json(&sample_record(k, 100 + i as u64)) + "\n");
         }
-        // A stale duplicate early in the file: last wins through migration.
-        let dup = record_json(&sample_record(&keys[3], 9999));
-        std::fs::write(dir.join("tuned.jsonl"), format!("{dup}\n{text}")).unwrap();
+        shards[1] += &(record_json(&sample_record(&keys[3], 9999)) + "\n");
+        shards[6] += &(record_json(&sample_record(&keys[3], 4242)) + "\n");
+        for (i, text) in shards.iter().enumerate() {
+            std::fs::write(dir.join(format!("shard-{i}.jsonl")), text).unwrap();
+        }
+        let files = || {
+            let mut names: Vec<String> = std::fs::read_dir(&dir)
+                .unwrap()
+                .map(|e| e.unwrap().file_name().into_string().unwrap())
+                .collect();
+            names.sort();
+            names
+        };
         let db = TunedDb::open(&dir).unwrap();
         assert_eq!(db.len(), 20);
-        assert_eq!(db.lookup(&keys[3]).unwrap().cycles, 103);
-        assert!(!dir.join("tuned.jsonl").exists(), "legacy file removed");
-        drop(db);
-        // Reopen from shards alone.
-        let db = TunedDb::open(&dir).unwrap();
-        assert_eq!(db.len(), 20);
+        assert_eq!(db.lookup(&keys[3]).unwrap().cycles, 4242);
         assert_eq!(db.lookup(&keys[19]).unwrap().cycles, 119);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn misplaced_records_are_rehomed_on_open() {
-        let dir = std::env::temp_dir().join(format!("ifko-tuneddb-rehome-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let key = db_key("kern", "D", "M#0", "oc", "r1");
-        let home = shard_of(&key);
-        let wrong = (home + 1) % N_SHARDS;
-        std::fs::write(
-            shard_path(&dir, wrong),
-            format!("{}\n", record_json(&sample_record(&key, 77))),
-        )
-        .unwrap();
+        assert_eq!(files(), ["tuned.jsonl"], "shard files removed");
+        let merged = journal_lines(&dir);
+        assert_eq!(merged.len(), 20, "one line per key");
+        drop(db);
+        // Reopening is a no-op: same records, same bytes.
         let db = TunedDb::open(&dir).unwrap();
-        assert_eq!(db.lookup(&key).unwrap().cycles, 77);
-        // The open rewrote every shard from the routed index: the record
-        // now lives in its home shard file, and the wrong file is empty.
-        let home_text = std::fs::read_to_string(shard_path(&dir, home)).unwrap();
-        assert!(home_text.contains("kern|D|M#0"));
-        let wrong_text = std::fs::read_to_string(shard_path(&dir, wrong)).unwrap();
-        assert!(wrong_text.is_empty());
+        assert_eq!(db.len(), 20);
+        assert_eq!(db.lookup(&keys[3]).unwrap().cycles, 4242);
+        assert_eq!(files(), ["tuned.jsonl"]);
+        assert_eq!(journal_lines(&dir), merged);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -925,7 +731,7 @@ mod tests {
         assert_eq!(stats.live, 4);
         assert_eq!(stats.file_lines, 4, "dead records compacted away");
         assert_eq!(stats.dead(), 0);
-        let lines = all_lines(&dir);
+        let lines = journal_lines(&dir);
         assert_eq!(lines.len(), 4);
         for key in &keys {
             let winner = db.lookup(key).unwrap();
@@ -940,47 +746,26 @@ mod tests {
     }
 
     #[test]
-    fn background_compaction_bounds_file_growth() {
+    fn inline_compaction_bounds_file_growth() {
         let dir = std::env::temp_dir().join(format!("ifko-tuneddb-auto-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let key = db_key("kern", "D", "M#0", "oc", "r1");
-        {
-            let db = TunedDb::open(&dir).unwrap();
-            for i in 0..2_000u64 {
-                db.store(&sample_record(&key, i));
-            }
-            // Drop joins any in-flight background compaction.
+        let db = TunedDb::open(&dir).unwrap();
+        for i in 0..2_000u64 {
+            db.store(&sample_record(&key, i));
+            // The store that makes the 128th dead line compacts, so the
+            // file never holds more than the rule's own bound.
+            assert!(db.stats().file_lines < 2 * AUTO_COMPACT_MIN_DEAD);
         }
+        drop(db);
         let db = TunedDb::open(&dir).unwrap();
         assert_eq!(db.len(), 1);
         assert_eq!(db.lookup(&key).unwrap().cycles, 1999);
-        let lines = all_lines(&dir).len() as u64;
+        let lines = journal_lines(&dir).len() as u64;
         assert!(
-            lines < 2_000,
-            "auto compaction never ran: {lines} lines on disk"
+            lines < 2 * AUTO_COMPACT_MIN_DEAD,
+            "in-line compaction never ran: {lines} lines on disk"
         );
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn stats_report_live_dead_and_shards() {
-        let dir = std::env::temp_dir().join(format!("ifko-tuneddb-stats-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let db = TunedDb::open(&dir).unwrap();
-        let key = db_key("kern", "D", "M#0", "oc", "r1");
-        for i in 0..10u64 {
-            db.store(&sample_record(&key, i));
-        }
-        let stats = db.stats();
-        assert_eq!(stats.live, 1);
-        assert_eq!(stats.file_lines, 10);
-        assert_eq!(stats.dead(), 9);
-        assert!((stats.dead_ratio() - 0.9).abs() < 1e-9);
-        assert_eq!(stats.shards.len(), N_SHARDS);
-        assert!(stats.bytes > 0);
-        let after = db.compact();
-        assert_eq!(after.live, 1);
-        assert_eq!(after.dead(), 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

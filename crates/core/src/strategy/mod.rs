@@ -22,7 +22,7 @@
 //! * [`Portfolio`] — a meta-driver that races the strategies under a
 //!   shared budget and cache, and reports which member found the winner.
 //! * [`TunedDb`] — a persistent tuned-results database
-//!   (sharded `results/db/shard-*.jsonl` behind an in-memory index)
+//!   (one `results/db/tuned.jsonl` journal behind an in-memory map)
 //!   keyed by kernel/precision/machine/context/repo-rev; any driver
 //!   warm-starts from it (the stored winner is *re-verified* before it
 //!   is trusted).
@@ -37,7 +37,7 @@ mod global;
 mod line;
 mod portfolio;
 
-pub use db::{db_key, repo_rev, DbStats, ShardStats, TunedDb, TunedRecord};
+pub use db::{db_key, repo_rev, DbStats, TunedDb, TunedRecord};
 pub use global::{Anneal, HillClimb, RandomSearch, SearchSpace};
 pub use line::LineSearch;
 pub use portfolio::Portfolio;
@@ -161,14 +161,16 @@ pub enum StrategySpec {
 
 impl StrategySpec {
     /// Parse a `--strategy` argument.
-    pub fn parse(s: &str) -> Option<StrategySpec> {
+    pub fn parse(s: &str) -> Result<StrategySpec, String> {
         match s.trim().to_ascii_lowercase().as_str() {
-            "line" => Some(StrategySpec::Line),
-            "random" | "rand" => Some(StrategySpec::Random),
-            "hillclimb" | "hc" => Some(StrategySpec::HillClimb),
-            "anneal" | "sa" => Some(StrategySpec::Anneal),
-            "portfolio" => Some(StrategySpec::Portfolio),
-            _ => None,
+            "line" => Ok(StrategySpec::Line),
+            "random" | "rand" => Ok(StrategySpec::Random),
+            "hillclimb" | "hc" => Ok(StrategySpec::HillClimb),
+            "anneal" | "sa" => Ok(StrategySpec::Anneal),
+            "portfolio" => Ok(StrategySpec::Portfolio),
+            _ => Err(format!(
+                "unknown strategy `{s}` (line | random | hillclimb | anneal | portfolio)"
+            )),
         }
     }
 
@@ -637,12 +639,12 @@ mod tests {
     #[test]
     fn strategy_spec_round_trips_names() {
         for spec in StrategySpec::all() {
-            assert_eq!(StrategySpec::parse(spec.name()), Some(spec));
+            assert_eq!(StrategySpec::parse(spec.name()), Ok(spec));
             assert_eq!(spec.build().name(), spec.name());
         }
-        assert_eq!(StrategySpec::parse("HC"), Some(StrategySpec::HillClimb));
-        assert_eq!(StrategySpec::parse("sa"), Some(StrategySpec::Anneal));
-        assert_eq!(StrategySpec::parse("bayesian"), None);
+        assert_eq!(StrategySpec::parse("HC"), Ok(StrategySpec::HillClimb));
+        assert_eq!(StrategySpec::parse("sa"), Ok(StrategySpec::Anneal));
+        assert!(StrategySpec::parse("bayesian").is_err());
         assert_eq!(StrategySpec::default(), StrategySpec::Line);
     }
 }

@@ -1,6 +1,6 @@
 //! Crash-safe persistence, through the public API: the tuned-results
-//! database (sharded `shard-*.jsonl` journals behind an in-memory
-//! index) and the persistent evaluation cache must survive a write that
+//! database (one `tuned.jsonl` journal behind an in-memory map) and
+//! the persistent evaluation cache must survive a write that
 //! died mid-record or a stray non-UTF-8 byte — the loader skips the bad
 //! line and only that line, the next store rewrites a clean journal —
 //! and random records must round-trip through disk bit-exactly
@@ -9,7 +9,6 @@
 
 use ifko::eval::EvalCache;
 use ifko::prelude::*;
-use ifko::strategy::db::{shard_path, N_SHARDS};
 use ifko::strategy::TunedRecord;
 use ifko_fko::TransformParams;
 use ifko_xsim::Rng64;
@@ -79,16 +78,7 @@ fn tuned_db_skips_a_bad_line_and_repairs_on_store(tag: &str, corrupt: fn(&Path))
         db.store(&rec(&format!("k{i}"), 1000 + i, i));
     }
     drop(db);
-    // Tear the shard journal that holds k3 (shard routing is an
-    // implementation detail, so find it by content).
-    let journal = (0..N_SHARDS)
-        .map(|i| shard_path(&dir, i))
-        .find(|p| {
-            std::fs::read_to_string(p)
-                .map(|t| t.contains("\"k3\""))
-                .unwrap_or(false)
-        })
-        .expect("no shard holds k3");
+    let journal = dir.join("tuned.jsonl");
     corrupt(&journal);
 
     // The loader recovers every record but the bad line.
@@ -96,7 +86,7 @@ fn tuned_db_skips_a_bad_line_and_repairs_on_store(tag: &str, corrupt: fn(&Path))
     assert_eq!(db.len(), 5, "{tag}: one bad line cost other records");
     assert_eq!(db.lookup("k3").unwrap().cycles, 1003);
 
-    // The next store into the torn shard heals its journal: a fresh
+    // The next store heals the torn journal: a fresh
     // open sees the overwrite and no leftover garbage.
     db.store(&rec("k3", 2003, 9));
     let healed = String::from_utf8(std::fs::read(&journal).unwrap());

@@ -3,6 +3,10 @@
 
 use crate::proto::{esc, read_frame, write_frame};
 use ifko::report::{parse_json, Json};
+use ifko::runner::Context;
+use ifko::strategy::{Budget, StrategySpec};
+use ifko::{SearchOptions, TuneConfig};
+use ifko_xsim::MachineConfig;
 use std::os::unix::net::UnixStream;
 use std::path::Path;
 
@@ -11,8 +15,8 @@ pub struct Client {
     stream: UnixStream,
 }
 
-/// A tune request under construction (all optional fields have daemon
-/// defaults).
+/// A tune request under construction (every optional field has a
+/// default, given by [`TuneRequest::config`]).
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct TuneRequest {
     /// BLAS-suite kernel name (e.g. `ddot`). Mutually exclusive with `src`.
@@ -84,6 +88,49 @@ impl TuneRequest {
         }
         Ok(req)
     }
+
+    /// What this request tunes and how, as a [`TuneConfig`]: machine,
+    /// context, problem size, workload seed, candidate sets, strategy and
+    /// budget. This is the one place an omitted field gets its value —
+    /// `ifko tune` and the daemon's `tune` command both start from it, so
+    /// a request means the same search of the same workload wherever it
+    /// runs: machine `p4e`, context `oc`, N 40 000 out of cache / 1024 in
+    /// L2, the seed of [`TuneConfig::paper`], the quick candidate sets
+    /// unless `full`, the line search, no budget.
+    pub fn config(&self) -> Result<TuneConfig, String> {
+        let set = |field: &&String| !field.is_empty();
+        let machine = Some(&self.machine)
+            .filter(set)
+            .map_or("p4e", String::as_str);
+        let machine = MachineConfig::by_name(machine)
+            .ok_or_else(|| format!("unknown machine `{machine}` (p4e | opteron)"))?;
+        let context = Some(&self.context).filter(set).map_or("oc", String::as_str);
+        let context = Context::from_label(context)
+            .ok_or_else(|| format!("unknown context `{context}` (oc | ic)"))?;
+        let n = self.n.unwrap_or(match context {
+            Context::OutOfCache => 40_000,
+            Context::InL2 => 1024,
+        });
+        let search = if self.full {
+            SearchOptions::default()
+        } else {
+            SearchOptions::quick()
+        };
+        let strategy = StrategySpec::parse(self.strategy.as_deref().unwrap_or("line"))?;
+        let mut cfg = TuneConfig::paper()
+            .machine(machine)
+            .context(context)
+            .n(n)
+            .search(search)
+            .strategy(strategy);
+        if let Some(seed) = self.seed {
+            cfg = cfg.seed(seed);
+        }
+        if let Some(budget) = &self.budget {
+            cfg = cfg.budget(Budget::parse(budget).map_err(|e| format!("budget: {e}"))?);
+        }
+        Ok(cfg)
+    }
 }
 
 impl Client {
@@ -137,7 +184,7 @@ impl Client {
         v.get("stats").cloned().ok_or("missing stats".to_string())
     }
 
-    /// Compact every shard now; returns post-compaction statistics.
+    /// Compact the journal now; returns post-compaction statistics.
     pub fn compact(&mut self) -> Result<Json, String> {
         let v = self.request("{\"cmd\":\"compact\"}")?;
         v.get("stats").cloned().ok_or("missing stats".to_string())

@@ -2,7 +2,7 @@
 //!
 //! A batch tuner pays full search cost on every invocation and forgets
 //! everything at exit. The daemon keeps the expensive state resident —
-//! the sharded [`TunedDb`](ifko::strategy::TunedDb) index and the
+//! the [`TunedDb`](ifko::strategy::TunedDb) index and the
 //! cross-phase [`EvalCache`](ifko::EvalCache) — and serves tune / query
 //! / pack requests over a local Unix socket, so a warm-start lookup
 //! answers at in-memory-index latency and a repeat tune short-circuits

@@ -20,8 +20,7 @@ use ifko::metrics;
 use ifko::report::{parse_json, Json};
 use ifko::runner::Context;
 use ifko::strategy::db::{params_json, record_json};
-use ifko::strategy::{db_key, Budget, StrategySpec, TunedDb, STRATEGY_WARM};
-use ifko::{SearchOptions, TuneConfig};
+use ifko::strategy::{db_key, TunedDb, STRATEGY_WARM};
 use ifko_blas::Kernel;
 use ifko_xsim::MachineConfig;
 use std::collections::HashSet;
@@ -174,7 +173,6 @@ fn accept_loop(server: Arc<Server>, listener: UnixListener) {
         let _ = h.join();
     }
     let _ = std::fs::remove_file(&server.cfg.socket);
-    server.db.join_compactions();
     if !server.cfg.quiet {
         eprintln!("ifkod: stopped");
     }
@@ -311,13 +309,6 @@ fn dispatch(server: &Arc<Server>, payload: &str) -> String {
     })
 }
 
-fn parse_context(label: &str) -> Result<Context, String> {
-    if label.is_empty() {
-        return Ok(Context::OutOfCache);
-    }
-    Context::from_label(label).ok_or_else(|| format!("unknown context {label:?} (oc | ic)"))
-}
-
 /// Exact-key (and optionally nearest-`sfv`) warm-start lookup, answered
 /// entirely from the in-memory index.
 fn handle_query(server: &Arc<Server>, req: &Json) -> Result<String, String> {
@@ -329,7 +320,9 @@ fn handle_query(server: &Arc<Server>, req: &Json) -> Result<String, String> {
         .get("machine")
         .and_then(|j| j.as_str())
         .ok_or("query needs a machine")?;
-    let context = parse_context(req.get("context").and_then(|j| j.as_str()).unwrap_or("oc"))?;
+    let context = req.get("context").and_then(|j| j.as_str()).unwrap_or("oc");
+    let context = Context::from_label(context)
+        .ok_or_else(|| format!("unknown context {context:?} (oc | ic)"))?;
     // The machine field accepts a model name (p4e/opteron) or a raw
     // fingerprint from a foreign build.
     let fingerprint = if machine_name.contains('#') {
@@ -410,42 +403,12 @@ fn handle_tune(server: &Arc<Server>, req: &Json) -> Result<String, String> {
 }
 
 fn run_tune(server: &Arc<Server>, req: &TuneRequest) -> Result<String, String> {
-    let machine_name = if req.machine.is_empty() {
-        "p4e"
-    } else {
-        &req.machine
-    };
-    let machine = MachineConfig::by_name(machine_name)
-        .ok_or_else(|| format!("unknown machine {machine_name:?}"))?;
-    let context = parse_context(&req.context)?;
-    let n = req.n.unwrap_or(match context {
-        Context::OutOfCache => 40_000,
-        Context::InL2 => 1024,
-    });
-    let seed = req.seed.unwrap_or(0);
-    let strategy_name = req.strategy.as_deref().unwrap_or("line");
-    let strategy = StrategySpec::parse(strategy_name)
-        .ok_or_else(|| format!("unknown strategy {strategy_name:?}"))?;
-
-    metrics::global().counter(metrics::DAEMON_SESSIONS).inc();
-    let opts = if req.full {
-        SearchOptions::default()
-    } else {
-        SearchOptions::quick()
-    };
-    let mut cfg = TuneConfig::paper()
-        .machine(machine.clone())
-        .context(context)
-        .n(n)
-        .seed(seed)
-        .search(opts)
+    let cfg = req
+        .config()?
         .jobs(server.cfg.jobs)
         .cache(Arc::clone(&server.cache))
-        .db(Arc::clone(&server.db))
-        .strategy(strategy);
-    if let Some(b) = &req.budget {
-        cfg = cfg.budget(Budget::parse(b).map_err(|e| format!("budget: {e}"))?);
-    }
+        .db(Arc::clone(&server.db));
+    metrics::global().counter(metrics::DAEMON_SESSIONS).inc();
 
     let (result, cycles, mflops, label) = match (&req.kernel, &req.src) {
         (Some(name), _) => {
@@ -464,13 +427,12 @@ fn run_tune(server: &Arc<Server>, req: &TuneRequest) -> Result<String, String> {
     if warm {
         metrics::global().counter(metrics::DAEMON_WARM_HITS).inc();
     }
-    let fp = machine_fingerprint(&machine);
     Ok(object(&[
         Field::Str("kernel", &label),
-        Field::Str("machine", &fp),
-        Field::Str("context", context.label()),
-        Field::Num("n", n as u64),
-        Field::Num("seed", seed),
+        Field::Str("machine", &machine_fingerprint(cfg.machine_ref())),
+        Field::Str("context", cfg.context_of().label()),
+        Field::Num("n", cfg.size() as u64),
+        Field::Num("seed", cfg.seed_of()),
         Field::Bool("warm", warm),
         Field::Str("strategy", &result.strategy),
         Field::Str("winner_strategy", &result.winner_strategy),

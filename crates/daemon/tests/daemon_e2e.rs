@@ -5,7 +5,7 @@
 use ifko::artifact;
 use ifko::eval::machine_fingerprint;
 use ifko::runner::Context;
-use ifko::strategy::db::{db_key, params_json, record_json, shard_path, N_SHARDS};
+use ifko::strategy::db::{db_key, params_json, record_json};
 use ifko::strategy::{repo_rev, StrategySpec, TunedDb, TunedRecord};
 use ifko::{SearchOptions, TuneConfig};
 use ifko_blas::hil_src::hil_source;
@@ -78,9 +78,7 @@ fn queries_answer_from_memory_index_not_disk() {
     .unwrap();
 
     // Pull the rug: no database file remains on disk.
-    for i in 0..N_SHARDS {
-        std::fs::remove_file(shard_path(&db_dir, i)).unwrap();
-    }
+    std::fs::remove_file(db_dir.join("tuned.jsonl")).unwrap();
 
     let mut client = Client::connect(&socket).unwrap();
     client.ping().unwrap();
@@ -229,6 +227,18 @@ fn concurrent_daemon_sessions_match_serial_winner() {
         })
         .unwrap();
     assert_eq!(v.get("warm").and_then(|j| j.as_bool()), Some(true));
+    assert_eq!(v.get("seed").and_then(|j| j.as_u64()), Some(seed));
+
+    // A request that omits `seed` tunes the workload `ifko tune` would
+    // locally: the seed of `TuneConfig::paper`, echoed in the reply.
+    let v = client
+        .tune(&TuneRequest {
+            kernel: Some("ddot".to_string()),
+            n: Some(n),
+            ..TuneRequest::default()
+        })
+        .unwrap();
+    assert_eq!(v.get("seed").and_then(|j| j.as_u64()), Some(0xb1a5));
 
     // Daemon metrics counted the sessions and the torn connection.
     let text = client.metrics().unwrap();

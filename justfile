@@ -29,8 +29,8 @@ workers:
     cargo run --release -p ifko-cli -- tune kernels/ddot.hil --n 1024 \
         --workers 2
 
-# Compiler-throughput bench (candidates/sec) + regression gate against
-# the committed BENCH_pipeline.json baseline
+# Compiler-throughput bench (candidates/sec) + regression gate
+# (`pipeline --compare`) against the committed BENCH_pipeline.json
 bench-pipeline:
     scripts/bench_compare.sh
 
@@ -80,8 +80,8 @@ serve:
 daemon-stop:
     cargo run --release -p ifko-cli -- daemon stop --socket results/ifkod.sock
 
-# Tuned-results database statistics: live records, per-shard line
-# counts, dead-record ratio. `just db-compact` rewrites the shards.
+# Tuned-results database statistics: live records, journal lines,
+# dead-record ratio. `just db-compact` rewrites the journal.
 db-stats:
     cargo run --release -p ifko-cli -- db stats
 
