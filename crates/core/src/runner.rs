@@ -262,26 +262,23 @@ pub fn run_once(
     })
 }
 
+/// Lay an operand out at the kernel's precision: one bounds check and one
+/// pass, narrowing on the way in for single precision.
 fn store_vec(mem: &mut Memory, addr: u64, data: &[f64], prec: Prec) {
     match prec {
-        Prec::D => mem.store_f64_slice(addr, data).expect("operand store"),
-        Prec::S => {
-            let f: Vec<f32> = data.iter().map(|&v| v as f32).collect();
-            mem.store_f32_slice(addr, &f).expect("operand store");
-        }
+        Prec::D => mem.store_f64_slice(addr, data),
+        Prec::S => mem.store_elems(addr, data, |v| (v as f32).to_le_bytes()),
     }
+    .expect("operand store")
 }
 
+/// Read an operand back, widened to f64.
 fn load_vec(mem: &Memory, addr: u64, n: usize, prec: Prec) -> Vec<f64> {
     match prec {
-        Prec::D => mem.load_f64_slice(addr, n).expect("operand load"),
-        Prec::S => mem
-            .load_f32_slice(addr, n)
-            .expect("operand load")
-            .into_iter()
-            .map(|v| v as f64)
-            .collect(),
+        Prec::D => mem.load_f64_slice(addr, n),
+        Prec::S => mem.load_elems(addr, n, |b| f32::from_le_bytes(b) as f64),
     }
+    .expect("operand load")
 }
 
 #[cfg(test)]

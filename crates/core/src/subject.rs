@@ -19,7 +19,7 @@ use crate::fault::FaultPlan;
 use crate::generic::{outputs_agree, run_generic, GenericOutputs, GenericWorkload};
 use crate::runner::{run_once, Context, KernelArgs, Outputs};
 use crate::search::SearchOptions;
-use crate::tester::verify;
+use crate::tester::Expected;
 use ifko_blas::hil_src::hil_source;
 use ifko_blas::{Kernel, Workload};
 use ifko_fko::{
@@ -31,10 +31,15 @@ use std::time::{Duration, Instant};
 
 /// How a candidate's outputs are judged and its time is taken.
 pub(crate) enum Oracle {
-    /// A BLAS-suite kernel: outputs are checked against the Rust
-    /// reference ([`crate::tester::verify`]) and the run's cycle count
-    /// goes through the search timer's statistics.
-    Blas { kernel: Kernel, workload: Workload },
+    /// A BLAS-suite kernel: outputs are checked against what the Rust
+    /// reference makes of the workload ([`Expected`], computed when the
+    /// subject is opened) and the run's cycle count goes through the
+    /// search timer's statistics.
+    Blas {
+        kernel: Kernel,
+        workload: Workload,
+        expected: Expected<'static>,
+    },
     /// An arbitrary HIL source: outputs are compared against those of the
     /// same kernel compiled with every transformation off, and the run's
     /// exact cycle count is the candidate's time.
@@ -44,6 +49,16 @@ pub(crate) enum Oracle {
         workload: GenericWorkload,
         baseline: GenericOutputs,
     },
+}
+
+impl Oracle {
+    fn blas(kernel: Kernel, workload: Workload) -> Oracle {
+        Oracle::Blas {
+            expected: Expected::of(kernel, &workload).into_owned(),
+            kernel,
+            workload,
+        }
+    }
 }
 
 /// The outputs of one simulation, in the shape its oracle's tester reads.
@@ -117,10 +132,7 @@ impl Subject<'static> {
             machine: machine.clone(),
             context,
             opts: opts.clone(),
-            oracle: Oracle::Blas {
-                kernel,
-                workload: Workload::generate(n, seed),
-            },
+            oracle: Oracle::blas(kernel, Workload::generate(n, seed)),
             opened,
         })
     }
@@ -182,10 +194,7 @@ impl<'s> Subject<'s> {
             machine: machine.clone(),
             context,
             opts: opts.clone(),
-            oracle: Oracle::Blas {
-                kernel,
-                workload: workload.clone(),
-            },
+            oracle: Oracle::blas(kernel, workload.clone()),
             opened: Instant::now(),
             parse_wall: Duration::ZERO,
         }
@@ -216,7 +225,9 @@ impl<'s> Subject<'s> {
     /// One simulation of `compiled` on the subject's workload.
     pub(crate) fn simulate(&self, compiled: &CompiledKernel) -> Result<Ran, String> {
         match &self.oracle {
-            Oracle::Blas { kernel, workload } => {
+            Oracle::Blas {
+                kernel, workload, ..
+            } => {
                 let args = KernelArgs {
                     kernel: *kernel,
                     workload,
@@ -235,9 +246,7 @@ impl<'s> Subject<'s> {
     /// The oracle's verdict on one run's outputs.
     pub(crate) fn test(&self, ran: &Ran) -> Result<(), String> {
         match (&self.oracle, ran) {
-            (Oracle::Blas { kernel, workload }, Ran::Blas(out)) => {
-                verify(*kernel, workload, out).map_err(|e| e.0)
-            }
+            (Oracle::Blas { expected, .. }, Ran::Blas(out)) => expected.check(out).map_err(|e| e.0),
             (
                 Oracle::Differential {
                     prec,

@@ -8,6 +8,7 @@ use crate::runner::Outputs;
 use ifko_blas::ops::{BlasOp, Kernel};
 use ifko_blas::{reference as r, Workload};
 use ifko_xsim::isa::Prec;
+use std::borrow::Cow;
 
 /// Verification failure description.
 #[derive(Clone, Debug, PartialEq)]
@@ -31,122 +32,196 @@ fn reduction_tol(prec: Prec, n: usize) -> f64 {
     eps * (n.max(4) as f64).sqrt() * 8.0
 }
 
+/// An element type the references run at: the bridge between a
+/// workload's f64 data and a kernel's own precision. Whole vectors cross
+/// it as [`Cow`]s, so double precision — where there is nothing to
+/// convert — borrows the workload instead of copying it.
+trait Elem: r::Real + std::ops::Sub<Output = Self> + 'static {
+    const PREC: Prec;
+    fn narrow(v: f64) -> Self;
+    fn widen(self) -> f64;
+    fn narrow_all(v: &[f64]) -> Cow<'_, [Self]>;
+    fn want(v: Cow<'_, [Self]>) -> Want<'_>;
+    fn nrm2(x: &[Self]) -> Self;
+}
+
+impl Elem for f64 {
+    const PREC: Prec = Prec::D;
+    fn narrow(v: f64) -> f64 {
+        v
+    }
+    fn widen(self) -> f64 {
+        self
+    }
+    fn narrow_all(v: &[f64]) -> Cow<'_, [f64]> {
+        Cow::Borrowed(v)
+    }
+    fn want(v: Cow<'_, [f64]>) -> Want<'_> {
+        Want::D(v)
+    }
+    fn nrm2(x: &[f64]) -> f64 {
+        r::nrm2_f64(x)
+    }
+}
+
+impl Elem for f32 {
+    const PREC: Prec = Prec::S;
+    fn narrow(v: f64) -> f32 {
+        v as f32
+    }
+    fn widen(self) -> f64 {
+        self as f64
+    }
+    fn narrow_all(v: &[f64]) -> Cow<'_, [f32]> {
+        Cow::Owned(v.iter().map(|&e| e as f32).collect())
+    }
+    fn want(v: Cow<'_, [f32]>) -> Want<'_> {
+        Want::S(v.into_owned())
+    }
+    fn nrm2(x: &[f32]) -> f32 {
+        r::nrm2_f32(x)
+    }
+}
+
+/// The expected final contents of one operand vector, at the kernel's
+/// precision (an [`Outputs`] vector is compared element by element, each
+/// expected element widened as it is read).
+#[derive(Clone, Debug)]
+enum Want<'w> {
+    D(Cow<'w, [f64]>),
+    S(Vec<f32>),
+}
+
+impl Want<'_> {
+    fn expect(&self, name: &str, got: &[f64]) -> Result<(), VerifyError> {
+        match self {
+            Want::D(want) => expect_vec(name, got, want),
+            Want::S(want) => expect_vec(name, got, want),
+        }
+    }
+}
+
+/// What a kernel must return.
+#[derive(Clone, Debug)]
+enum Ret {
+    Nothing,
+    Scalar { want: f64, tol: f64 },
+    Index(i64),
+}
+
+/// What a correct run of one kernel on one workload leaves behind: the
+/// Rust reference's results at the kernel's own precision. Computed once
+/// ([`into_owned`](Expected::into_owned) to keep it) and checked against
+/// every candidate's run.
+#[derive(Clone, Debug)]
+pub struct Expected<'w> {
+    kernel: Kernel,
+    /// Final contents of each operand the kernel may touch — a read-only
+    /// operand of a vector-producing kernel must come back unchanged —
+    /// or `None` where the outputs are not compared.
+    x: Option<Want<'w>>,
+    y: Option<Want<'w>>,
+    ret: Ret,
+}
+
+impl<'w> Expected<'w> {
+    /// Run the reference for `kernel` on `w`.
+    pub fn of(kernel: Kernel, w: &'w Workload) -> Expected<'w> {
+        match kernel.prec {
+            Prec::D => Expected::at::<f64>(kernel, w),
+            Prec::S => Expected::at::<f32>(kernel, w),
+        }
+    }
+
+    fn at<T: Elem>(kernel: Kernel, w: &'w Workload) -> Expected<'w> {
+        let mut x = T::narrow_all(&w.x);
+        let mut y = match kernel.op.n_vectors() {
+            1 => Cow::Borrowed(&[][..]),
+            _ => T::narrow_all(&w.y),
+        };
+        let (alpha, beta) = (T::narrow(w.alpha), T::narrow(w.beta));
+        let scalar = |want: T| Ret::Scalar {
+            want: want.widen(),
+            tol: reduction_tol(T::PREC, w.n),
+        };
+        // (compare x, compare y, return value)
+        let (cmp_x, cmp_y, ret) = match kernel.op {
+            // Swap and copy move whole vectors: so does their reference,
+            // without touching the data.
+            BlasOp::Swap => {
+                std::mem::swap(&mut x, &mut y);
+                (true, true, Ret::Nothing)
+            }
+            BlasOp::Copy => {
+                y = x.clone();
+                (true, true, Ret::Nothing)
+            }
+            BlasOp::Scal => {
+                r::scal(alpha, x.to_mut());
+                (true, false, Ret::Nothing)
+            }
+            BlasOp::Axpy => {
+                r::axpy(alpha, &x, y.to_mut());
+                (true, true, Ret::Nothing)
+            }
+            BlasOp::Rot => {
+                r::rot(alpha, beta, x.to_mut(), y.to_mut());
+                (true, true, Ret::Nothing)
+            }
+            BlasOp::Dot => (false, false, scalar(r::dot(&x, &y))),
+            BlasOp::Asum => (false, false, scalar(r::asum(&x))),
+            BlasOp::Nrm2 => (false, false, scalar(T::nrm2(&x))),
+            BlasOp::Iamax => (false, false, Ret::Index(r::iamax(&x) as i64)),
+        };
+        Expected {
+            kernel,
+            x: cmp_x.then(|| T::want(x)),
+            y: cmp_y.then(|| T::want(y)),
+            ret,
+        }
+    }
+
+    /// The same expectation, no longer borrowing the workload.
+    pub fn into_owned(self) -> Expected<'static> {
+        let own = |v: Want<'_>| match v {
+            Want::D(v) => Want::D(Cow::Owned(v.into_owned())),
+            Want::S(v) => Want::S(v),
+        };
+        Expected {
+            kernel: self.kernel,
+            x: self.x.map(own),
+            y: self.y.map(own),
+            ret: self.ret,
+        }
+    }
+
+    /// Check one run's outputs against the expectation.
+    pub fn check(&self, out: &Outputs) -> Result<(), VerifyError> {
+        if let Some(x) = &self.x {
+            x.expect("x", &out.x)?;
+        }
+        if let Some(y) = &self.y {
+            y.expect("y", &out.y)?;
+        }
+        match self.ret {
+            Ret::Nothing => Ok(()),
+            Ret::Scalar { want, tol } => expect_scalar(out.ret_f, want, tol),
+            Ret::Index(want) if out.ret_i == want => Ok(()),
+            Ret::Index(want) => Err(VerifyError(format!(
+                "{}: got {}, want {want}",
+                self.kernel.name(),
+                out.ret_i
+            ))),
+        }
+    }
+}
+
 /// Verify one run against the references.
 pub fn verify(kernel: Kernel, w: &Workload, out: &Outputs) -> Result<(), VerifyError> {
-    match kernel.prec {
-        Prec::D => verify_d(kernel.op, w, out),
-        Prec::S => verify_s(kernel.op, w, out),
-    }
+    Expected::of(kernel, w).check(out)
 }
 
-fn verify_d(op: BlasOp, w: &Workload, out: &Outputs) -> Result<(), VerifyError> {
-    let n = w.n;
-    match op {
-        BlasOp::Swap => {
-            expect_vec("x", &out.x, &w.y)?;
-            expect_vec("y", &out.y, &w.x)
-        }
-        BlasOp::Scal => {
-            let mut x = w.x.clone();
-            r::scal(w.alpha, &mut x);
-            expect_vec("x", &out.x, &x)
-        }
-        BlasOp::Copy => {
-            expect_vec("y", &out.y, &w.x)?;
-            expect_vec("x", &out.x, &w.x)
-        }
-        BlasOp::Axpy => {
-            let mut y = w.y.clone();
-            r::axpy(w.alpha, &w.x, &mut y);
-            expect_vec("y", &out.y, &y)?;
-            expect_vec("x", &out.x, &w.x)
-        }
-        BlasOp::Dot => {
-            let want = r::dot(&w.x, &w.y);
-            expect_scalar(out.ret_f, want, reduction_tol(Prec::D, n))
-        }
-        BlasOp::Asum => {
-            let want = r::asum(&w.x);
-            expect_scalar(out.ret_f, want, reduction_tol(Prec::D, n))
-        }
-        BlasOp::Iamax => {
-            let want = r::iamax(&w.x) as i64;
-            if out.ret_i != want {
-                return Err(VerifyError(format!(
-                    "iamax: got {}, want {want}",
-                    out.ret_i
-                )));
-            }
-            Ok(())
-        }
-        BlasOp::Rot => {
-            let mut x = w.x.clone();
-            let mut y = w.y.clone();
-            r::rot(w.alpha, w.beta, &mut x, &mut y);
-            expect_vec("x", &out.x, &x)?;
-            expect_vec("y", &out.y, &y)
-        }
-        BlasOp::Nrm2 => {
-            let want = r::nrm2_f64(&w.x);
-            expect_scalar(out.ret_f, want, reduction_tol(Prec::D, n))
-        }
-    }
-}
-
-fn verify_s(op: BlasOp, w: &Workload, out: &Outputs) -> Result<(), VerifyError> {
-    let n = w.n;
-    let xs = w.x_f32();
-    let ys = w.y_f32();
-    let widen = |v: &[f32]| -> Vec<f64> { v.iter().map(|&x| x as f64).collect() };
-    match op {
-        BlasOp::Swap => {
-            expect_vec("x", &out.x, &widen(&ys))?;
-            expect_vec("y", &out.y, &widen(&xs))
-        }
-        BlasOp::Scal => {
-            let mut x = xs.clone();
-            r::scal(w.alpha as f32, &mut x);
-            expect_vec("x", &out.x, &widen(&x))
-        }
-        BlasOp::Copy => expect_vec("y", &out.y, &widen(&xs)),
-        BlasOp::Axpy => {
-            let mut y = ys.clone();
-            r::axpy(w.alpha as f32, &xs, &mut y);
-            expect_vec("y", &out.y, &widen(&y))
-        }
-        BlasOp::Dot => {
-            let want = r::dot(&xs, &ys) as f64;
-            expect_scalar(out.ret_f, want, reduction_tol(Prec::S, n))
-        }
-        BlasOp::Asum => {
-            let want = r::asum(&xs) as f64;
-            expect_scalar(out.ret_f, want, reduction_tol(Prec::S, n))
-        }
-        BlasOp::Iamax => {
-            let want = r::iamax(&xs) as i64;
-            if out.ret_i != want {
-                return Err(VerifyError(format!(
-                    "isamax: got {}, want {want}",
-                    out.ret_i
-                )));
-            }
-            Ok(())
-        }
-        BlasOp::Rot => {
-            let mut x = xs.clone();
-            let mut y = ys.clone();
-            r::rot(w.alpha as f32, w.beta as f32, &mut x, &mut y);
-            expect_vec("x", &out.x, &widen(&x))?;
-            expect_vec("y", &out.y, &widen(&y))
-        }
-        BlasOp::Nrm2 => {
-            let want = r::nrm2_f32(&xs) as f64;
-            expect_scalar(out.ret_f, want, reduction_tol(Prec::S, n))
-        }
-    }
-}
-
-fn expect_vec(name: &str, got: &[f64], want: &[f64]) -> Result<(), VerifyError> {
+fn expect_vec<W: Copy + Into<f64>>(name: &str, got: &[f64], want: &[W]) -> Result<(), VerifyError> {
     if got.len() != want.len() {
         return Err(VerifyError(format!(
             "{name}: length mismatch {} vs {}",
@@ -154,9 +229,24 @@ fn expect_vec(name: &str, got: &[f64], want: &[f64]) -> Result<(), VerifyError> 
             want.len()
         )));
     }
-    for (i, (g, w)) in got.iter().zip(want).enumerate() {
-        if g != w && !(g.is_nan() && w.is_nan()) {
-            return Err(VerifyError(format!("{name}[{i}]: got {g}, want {w}")));
+    // Nearly every element is equal: settle those a block at a time
+    // without branching, and look closely only at a block holding a
+    // difference or a NaN.
+    const BLOCK: usize = 64;
+    for (b, (gs, ws)) in got.chunks(BLOCK).zip(want.chunks(BLOCK)).enumerate() {
+        if !gs
+            .iter()
+            .zip(ws)
+            .fold(false, |d, (g, w)| d | (*g != (*w).into()))
+        {
+            continue;
+        }
+        for (i, (g, w)) in gs.iter().zip(ws).enumerate() {
+            let w: f64 = (*w).into();
+            if *g != w && !(g.is_nan() && w.is_nan()) {
+                let i = b * BLOCK + i;
+                return Err(VerifyError(format!("{name}[{i}]: got {g}, want {w}")));
+            }
         }
     }
     Ok(())
@@ -237,25 +327,63 @@ mod tests {
         assert!(verify(k, &w, &out).is_err());
     }
 
+    /// A kernel that produces vectors must leave its read-only operand
+    /// alone, in either precision: one changed element of `x` fails
+    /// copy and axpy although `y` is right.
     #[test]
     fn detects_clobbered_input_vector() {
         let w = Workload::generate(8, 3);
-        let mut y = w.y.clone();
-        ifko_blas::reference::axpy(w.alpha, &w.x, &mut y);
-        let mut bad_x = w.x.clone();
-        bad_x[3] = 999.0;
-        let out = Outputs {
-            ret_f: 0.0,
-            ret_i: 0,
-            x: bad_x,
-            y,
-            stats: Default::default(),
-        };
-        let k = ifko_blas::Kernel {
-            op: BlasOp::Axpy,
-            prec: Prec::D,
-        };
-        assert!(verify(k, &w, &out).is_err());
+        for op in [BlasOp::Copy, BlasOp::Axpy] {
+            for prec in [Prec::D, Prec::S] {
+                let k = ifko_blas::Kernel { op, prec };
+                // A run that did exactly what the reference does ...
+                let (x, y) = match prec {
+                    Prec::D => {
+                        let mut y = w.y.clone();
+                        match op {
+                            BlasOp::Copy => r::copy(&w.x, &mut y),
+                            _ => r::axpy(w.alpha, &w.x, &mut y),
+                        }
+                        (w.x.clone(), y)
+                    }
+                    Prec::S => {
+                        let (x, mut y) = (w.x_f32(), w.y_f32());
+                        match op {
+                            BlasOp::Copy => r::copy(&x, &mut y),
+                            _ => r::axpy(w.alpha as f32, &x, &mut y),
+                        }
+                        let widen = |v: Vec<f32>| v.into_iter().map(f64::from).collect();
+                        (widen(x), widen(y))
+                    }
+                };
+                let mut out = Outputs {
+                    ret_f: 0.0,
+                    ret_i: 0,
+                    x,
+                    y,
+                    stats: Default::default(),
+                };
+                verify(k, &w, &out).unwrap_or_else(|e| panic!("{}: {e}", k.name()));
+                // ... except for one element of its input.
+                out.x[3] = 999.0;
+                assert!(verify(k, &w, &out).is_err(), "{}", k.name());
+            }
+        }
+    }
+
+    #[test]
+    fn vector_mismatch_names_its_element_and_nan_matches_nan() {
+        let mut want = vec![1.5f32; 200];
+        want[70] = f32::NAN;
+        let mut got: Vec<f64> = want.iter().map(|&v| v as f64).collect();
+        assert_eq!(expect_vec("y", &got, &want), Ok(()));
+        got[131] = -1.5;
+        let err = expect_vec("y", &got, &want).unwrap_err();
+        assert_eq!(err.0, "y[131]: got -1.5, want 1.5");
+        got[70] = 0.0;
+        let err = expect_vec("y", &got, &want).unwrap_err();
+        assert_eq!(err.0, "y[70]: got 0, want NaN");
+        assert!(expect_vec("y", &got[..199], &want).is_err());
     }
 
     #[test]

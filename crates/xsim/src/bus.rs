@@ -37,6 +37,10 @@ pub struct Bus {
     free_at: u64,
     /// Bytes of buffered writes not yet on the wire.
     backlog: u64,
+    /// Size and duration of the transfer last read: reads come one cache
+    /// line at a time, so nearly every [`cycles_for`](Bus::cycles_for)
+    /// asks for this size again.
+    last_read: (u64, u64),
     pub bytes_read: u64,
     pub bytes_written: u64,
 }
@@ -48,6 +52,7 @@ impl Bus {
             cfg,
             free_at: 0,
             backlog: 0,
+            last_read: (0, 1),
             bytes_read: 0,
             bytes_written: 0,
         }
@@ -59,7 +64,10 @@ impl Bus {
 
     #[inline]
     fn cycles_for(&self, bytes: u64) -> u64 {
-        ((bytes as f64 / self.cfg.bytes_per_cycle).ceil() as u64).max(1)
+        if bytes == self.last_read.0 {
+            return self.last_read.1;
+        }
+        transfer_cycles(bytes, self.cfg.bytes_per_cycle)
     }
 
     /// Let the write backlog drain through any idle gap ending at `now`.
@@ -111,7 +119,10 @@ impl Bus {
             start += self.cycles_for(excess) + self.cfg.turnaround;
             self.backlog = self.cfg.write_queue;
         }
-        let done = start + self.cycles_for(bytes);
+        if bytes != self.last_read.0 {
+            self.last_read = (bytes, transfer_cycles(bytes, self.cfg.bytes_per_cycle));
+        }
+        let done = start + self.last_read.1;
         self.free_at = done;
         self.bytes_read += bytes;
         (start, done)
@@ -145,6 +156,17 @@ impl Bus {
         self.bytes_read = 0;
         self.bytes_written = 0;
     }
+}
+
+/// `ceil(bytes / bytes_per_cycle)`, at least 1. The quotient is
+/// non-negative, so truncating and stepping up when something was cut off
+/// is `f64::ceil` exactly — without the libm call the baseline x86-64
+/// target makes of it.
+#[inline]
+fn transfer_cycles(bytes: u64, bytes_per_cycle: f64) -> u64 {
+    let exact = bytes as f64 / bytes_per_cycle;
+    let whole = exact as u64;
+    whole.saturating_add(((whole as f64) < exact) as u64).max(1)
 }
 
 #[cfg(test)]
@@ -224,6 +246,23 @@ mod tests {
         let done = b.drain_all(0);
         assert_eq!(done, 64);
         assert!(!b.busy(done));
+    }
+
+    #[test]
+    fn transfer_cycles_is_ceil_of_the_quotient() {
+        for bpc in [0.5, 1.0, 1.7, 2.0, 3.2, 6.4, 64.0] {
+            for bytes in (0..600).chain([4096, 1 << 20, u64::MAX]) {
+                let want = ((bytes as f64 / bpc).ceil() as u64).max(1);
+                assert_eq!(transfer_cycles(bytes, bpc), want, "{bytes} B at {bpc} B/c");
+            }
+        }
+        // The remembered read size answers like the formula.
+        let mut b = bus(1.7, 0, 256);
+        let (_, done) = b.read(0, 64);
+        assert_eq!(done, 38);
+        assert_eq!(b.cycles_for(64), 38);
+        assert_eq!(b.cycles_for(63), 38);
+        assert_eq!(b.cycles_for(65), 39);
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! read-write operands.
 
 use crate::bus::Bus;
-use crate::cache::{Cache, Probe};
+use crate::cache::{Cache, Evicted, Miss, Probe};
 use crate::isa::*;
 use crate::machine::MachineConfig;
 use crate::mem::{MemFault, Memory};
@@ -71,7 +71,7 @@ pub struct Cpu {
     bus: Bus,
 
     iregs: [i64; NUM_IREGS],
-    fregs: [[u8; 16]; NUM_FREGS],
+    fregs: [VReg; NUM_FREGS],
     ireg_ready: [u64; NUM_IREGS],
     freg_ready: [u64; NUM_FREGS],
     /// Flags as a three-way ordering (-1, 0, 1) plus readiness.
@@ -117,12 +117,52 @@ enum AOp {
     Max,
 }
 
+/// A predecoded [`Addr`]: `base + index*scale + disp` with the index
+/// always there. An address without one names its base again at scale 0,
+/// which adds nothing and is ready whenever the base is, so the
+/// interpreter computes every address the same branch-free way.
+#[derive(Clone, Copy)]
+struct DAddr {
+    base: u8,
+    index: u8,
+    scale: u8,
+    disp: i64,
+}
+
+impl From<&Addr> for DAddr {
+    fn from(a: &Addr) -> Self {
+        let (index, scale) = a.index.map_or((a.base.0, 0), |(idx, sc)| (idx.0, sc));
+        DAddr {
+            base: a.base.0,
+            index,
+            scale,
+            disp: a.disp,
+        }
+    }
+}
+
+/// A predecoded [`RegOrMem`].
+#[derive(Clone, Copy)]
+enum DSrc {
+    Reg(FReg),
+    Mem(DAddr),
+}
+
+impl From<&RegOrMem> for DSrc {
+    fn from(s: &RegOrMem) -> Self {
+        match s {
+            RegOrMem::Reg(r) => DSrc::Reg(*r),
+            RegOrMem::Mem(a) => DSrc::Mem(a.into()),
+        }
+    }
+}
+
 /// One predecoded instruction: a dense `Copy` mirror of [`Inst`] with the
 /// per-step interpretive work hoisted to decode time — branch targets are
 /// resolved to instruction indices, the static (unseen) branch prediction
-/// is precomputed per site, and the five two-operand arithmetic variants
-/// are folded behind an [`AOp`] opcode so the interpreter matches each
-/// instruction exactly once per step.
+/// is precomputed per site, addresses are [`DAddr`]s, and the five
+/// two-operand arithmetic variants are folded behind an [`AOp`] opcode so
+/// the interpreter matches each instruction exactly once per step.
 #[derive(Clone, Copy)]
 enum DInst {
     IMovImm(IReg, i64),
@@ -134,40 +174,40 @@ enum DInst {
     IShlImm(IReg, u8),
     IDivImm(IReg, i64),
     IRemImm(IReg, i64),
-    Lea(IReg, Addr),
+    Lea(IReg, DAddr),
     ICmp(IReg, IReg),
     ICmpImm(IReg, i64),
     IDec(IReg),
-    ILoad(IReg, Addr),
-    IStore(Addr, IReg),
+    ILoad(IReg, DAddr),
+    IStore(DAddr, IReg),
     /// Unconditional jump, target resolved to an instruction index.
     Jmp(u32),
     /// Conditional jump: (condition, resolved target, static prediction —
     /// backward branches predicted taken on first encounter).
     Jcc(Cond, u32, bool),
     Halt,
-    FLd(FReg, Addr, Prec),
-    FSt(Addr, FReg, Prec),
-    FStNt(Addr, FReg, Prec),
+    FLd(FReg, DAddr, Prec),
+    FSt(DAddr, FReg, Prec),
+    FStNt(DAddr, FReg, Prec),
     FMov(FReg, FReg),
     FLdImm(FReg, f64, Prec),
     FZero(FReg),
-    FArith(AOp, FReg, RegOrMem, Prec),
+    FArith(AOp, FReg, DSrc, Prec),
     FAbs(FReg, Prec),
     FSqrt(FReg, Prec),
-    FCmp(FReg, RegOrMem, Prec),
-    VLd(FReg, Addr, Prec, bool),
-    VSt(Addr, FReg, Prec, bool),
-    VStNt(Addr, FReg, Prec),
+    FCmp(FReg, DSrc, Prec),
+    VLd(FReg, DAddr, Prec, bool),
+    VSt(DAddr, FReg, Prec, bool),
+    VStNt(DAddr, FReg, Prec),
     VMov(FReg, FReg),
     VBcast(FReg, FReg, Prec),
-    VArith(AOp, FReg, RegOrMem, Prec),
+    VArith(AOp, FReg, DSrc, Prec),
     VAbs(FReg, Prec),
-    VCmpGt(FReg, RegOrMem, Prec),
+    VCmpGt(FReg, DSrc, Prec),
     VMovMsk(IReg, FReg, Prec),
     VHSum(FReg, FReg, Prec),
     VHMax(FReg, FReg, Prec),
-    Prefetch(Addr, PrefKind),
+    Prefetch(DAddr, PrefKind),
 }
 
 /// Lower an assembled program into `out` (cleared first).
@@ -185,47 +225,47 @@ fn predecode(prog: &Program, out: &mut Vec<DInst>) {
             Inst::IShlImm(d, s) => DInst::IShlImm(*d, *s),
             Inst::IDivImm(d, v) => DInst::IDivImm(*d, *v),
             Inst::IRemImm(d, v) => DInst::IRemImm(*d, *v),
-            Inst::Lea(d, a) => DInst::Lea(*d, *a),
+            Inst::Lea(d, a) => DInst::Lea(*d, a.into()),
             Inst::ICmp(a, b) => DInst::ICmp(*a, *b),
             Inst::ICmpImm(a, v) => DInst::ICmpImm(*a, *v),
             Inst::IDec(d) => DInst::IDec(*d),
-            Inst::ILoad(d, a) => DInst::ILoad(*d, *a),
-            Inst::IStore(a, s) => DInst::IStore(*a, *s),
+            Inst::ILoad(d, a) => DInst::ILoad(*d, a.into()),
+            Inst::IStore(a, s) => DInst::IStore(a.into(), *s),
             Inst::Jmp(l) => DInst::Jmp(prog.target(*l) as u32),
             Inst::Jcc(c, l) => {
                 let tgt = prog.target(*l);
                 DInst::Jcc(*c, tgt as u32, tgt <= pc)
             }
             Inst::Halt => DInst::Halt,
-            Inst::FLd(d, a, p) => DInst::FLd(*d, *a, *p),
-            Inst::FSt(a, s, p) => DInst::FSt(*a, *s, *p),
-            Inst::FStNt(a, s, p) => DInst::FStNt(*a, *s, *p),
+            Inst::FLd(d, a, p) => DInst::FLd(*d, a.into(), *p),
+            Inst::FSt(a, s, p) => DInst::FSt(a.into(), *s, *p),
+            Inst::FStNt(a, s, p) => DInst::FStNt(a.into(), *s, *p),
             Inst::FMov(d, s, _p) => DInst::FMov(*d, *s),
             Inst::FLdImm(d, v, p) => DInst::FLdImm(*d, *v, *p),
             Inst::FZero(d) => DInst::FZero(*d),
-            Inst::FAdd(d, s, p) => DInst::FArith(AOp::Add, *d, *s, *p),
-            Inst::FSub(d, s, p) => DInst::FArith(AOp::Sub, *d, *s, *p),
-            Inst::FMul(d, s, p) => DInst::FArith(AOp::Mul, *d, *s, *p),
-            Inst::FDiv(d, s, p) => DInst::FArith(AOp::Div, *d, *s, *p),
-            Inst::FMax(d, s, p) => DInst::FArith(AOp::Max, *d, *s, *p),
+            Inst::FAdd(d, s, p) => DInst::FArith(AOp::Add, *d, s.into(), *p),
+            Inst::FSub(d, s, p) => DInst::FArith(AOp::Sub, *d, s.into(), *p),
+            Inst::FMul(d, s, p) => DInst::FArith(AOp::Mul, *d, s.into(), *p),
+            Inst::FDiv(d, s, p) => DInst::FArith(AOp::Div, *d, s.into(), *p),
+            Inst::FMax(d, s, p) => DInst::FArith(AOp::Max, *d, s.into(), *p),
             Inst::FAbs(d, p) => DInst::FAbs(*d, *p),
             Inst::FSqrt(d, p) => DInst::FSqrt(*d, *p),
-            Inst::FCmp(a, b, p) => DInst::FCmp(*a, *b, *p),
-            Inst::VLd(d, a, p, al) => DInst::VLd(*d, *a, *p, *al),
-            Inst::VSt(a, s, p, al) => DInst::VSt(*a, *s, *p, *al),
-            Inst::VStNt(a, s, p) => DInst::VStNt(*a, *s, *p),
+            Inst::FCmp(a, b, p) => DInst::FCmp(*a, b.into(), *p),
+            Inst::VLd(d, a, p, al) => DInst::VLd(*d, a.into(), *p, *al),
+            Inst::VSt(a, s, p, al) => DInst::VSt(a.into(), *s, *p, *al),
+            Inst::VStNt(a, s, p) => DInst::VStNt(a.into(), *s, *p),
             Inst::VMov(d, s) => DInst::VMov(*d, *s),
             Inst::VBcast(d, s, p) => DInst::VBcast(*d, *s, *p),
-            Inst::VAdd(d, s, p) => DInst::VArith(AOp::Add, *d, *s, *p),
-            Inst::VSub(d, s, p) => DInst::VArith(AOp::Sub, *d, *s, *p),
-            Inst::VMul(d, s, p) => DInst::VArith(AOp::Mul, *d, *s, *p),
-            Inst::VMax(d, s, p) => DInst::VArith(AOp::Max, *d, *s, *p),
+            Inst::VAdd(d, s, p) => DInst::VArith(AOp::Add, *d, s.into(), *p),
+            Inst::VSub(d, s, p) => DInst::VArith(AOp::Sub, *d, s.into(), *p),
+            Inst::VMul(d, s, p) => DInst::VArith(AOp::Mul, *d, s.into(), *p),
+            Inst::VMax(d, s, p) => DInst::VArith(AOp::Max, *d, s.into(), *p),
             Inst::VAbs(d, p) => DInst::VAbs(*d, *p),
-            Inst::VCmpGt(d, s, p) => DInst::VCmpGt(*d, *s, *p),
+            Inst::VCmpGt(d, s, p) => DInst::VCmpGt(*d, s.into(), *p),
             Inst::VMovMsk(d, s, p) => DInst::VMovMsk(*d, *s, *p),
             Inst::VHSum(d, s, p) => DInst::VHSum(*d, *s, *p),
             Inst::VHMax(d, s, p) => DInst::VHMax(*d, *s, *p),
-            Inst::Prefetch(a, k) => DInst::Prefetch(*a, *k),
+            Inst::Prefetch(a, k) => DInst::Prefetch(a.into(), *k),
         });
     }
 }
@@ -244,7 +284,7 @@ impl Cpu {
             l2,
             bus,
             iregs: [0; NUM_IREGS],
-            fregs: [[0; 16]; NUM_FREGS],
+            fregs: [VReg::ZERO; NUM_FREGS],
             ireg_ready: [0; NUM_IREGS],
             freg_ready: [0; NUM_FREGS],
             flags: 0,
@@ -277,7 +317,7 @@ impl Cpu {
         self.bus = Bus::new(cfg.bus);
         self.cfg = cfg.clone();
         self.iregs = [0; NUM_IREGS];
-        self.fregs = [[0; 16]; NUM_FREGS];
+        self.fregs = [VReg::ZERO; NUM_FREGS];
         self.ireg_ready = [0; NUM_IREGS];
         self.freg_ready = [0; NUM_FREGS];
         self.flags = 0;
@@ -312,11 +352,11 @@ impl Cpu {
     }
     /// Set lane 0 of an FP register before a run (FP argument passing).
     pub fn set_freg_f64(&mut self, r: FReg, v: f64) {
-        self.fregs[r.0 as usize] = [0; 16];
+        self.fregs[r.0 as usize] = VReg::ZERO;
         self.fregs[r.0 as usize][0..8].copy_from_slice(&v.to_le_bytes());
     }
     pub fn set_freg_f32(&mut self, r: FReg, v: f32) {
-        self.fregs[r.0 as usize] = [0; 16];
+        self.fregs[r.0 as usize] = VReg::ZERO;
         self.fregs[r.0 as usize][0..4].copy_from_slice(&v.to_le_bytes());
     }
     /// Lane 0 of an FP register as f64.
@@ -363,10 +403,10 @@ impl Cpu {
 
     /// Is the line containing `addr` resident in L2? (harness/test helper)
     pub fn l2_resident(&self, addr: u64) -> bool {
-        self.l2.peek(addr)
+        self.l2.peek(addr).is_hit()
     }
     pub fn l1_resident(&self, addr: u64) -> bool {
-        self.l1.peek(addr)
+        self.l1.peek(addr).is_hit()
     }
 
     // ---------------------------------------------------------------- issue
@@ -399,27 +439,34 @@ impl Cpu {
 
     /// Handle a line evicted from L1: dirty data falls into L2; if L2
     /// cannot absorb it, the displaced dirty L2 line goes over the bus.
-    fn l1_evict(&mut self, ev: crate::cache::Evicted, now: u64) {
-        if !ev.dirty {
+    fn l1_evict(&mut self, ev: Option<Evicted>, now: u64) {
+        let Some(Evicted { addr, dirty: true }) = ev else {
             return;
-        }
-        if self.l2.mark_dirty(ev.addr) {
-            return;
-        }
-        if let Some(ev2) = self.l2.insert(ev.addr, now, true) {
-            if ev2.dirty {
-                self.bus.write(now, self.cfg.l2.line);
-            }
+        };
+        if let Probe::Miss(miss) = self.l2.mark_dirty(addr) {
+            let ev2 = self.l2.fill(miss, now, true);
+            self.l2_evict(ev2, now);
         }
     }
 
-    fn l2_evict(&mut self, ev: crate::cache::Evicted, now: u64) {
-        if ev.dirty {
+    fn l2_evict(&mut self, ev: Option<Evicted>, now: u64) {
+        if let Some(Evicted { dirty: true, .. }) = ev {
             self.bus.write(now, self.cfg.l2.line);
         }
     }
 
+    /// Fetch the line of a demand access that missed L2 over the bus and
+    /// fill it into L2; returns the cycle its data arrives.
+    fn l2_demand_fill(&mut self, miss: Miss, now: u64) -> u64 {
+        let (_, done) = self.bus.read(now, self.cfg.l1.line);
+        let ready = done + self.cfg.mem_lat;
+        let ev = self.l2.fill(miss, ready, false);
+        self.l2_evict(ev, now);
+        ready
+    }
+
     /// A demand load of `bytes` at `addr`; returns the data-ready cycle.
+    #[inline]
     fn load_access(&mut self, addr: u64, bytes: u64, now: u64) -> u64 {
         let sh = self.l1_shift;
         if addr >> sh != (addr + bytes - 1) >> sh {
@@ -432,41 +479,33 @@ impl Cpu {
         self.load_access_aligned(addr, now)
     }
 
+    /// Each level is looked up once: a miss is filled through the
+    /// [`Miss`](crate::cache::Miss) its lookup returned (nothing touches
+    /// that level's set in between).
     fn load_access_aligned(&mut self, addr: u64, now: u64) -> u64 {
         self.stats.loads += 1;
-        match self.l1.probe(addr) {
+        let l1_miss = match self.l1.probe(addr) {
             Probe::Hit { fill_done } => {
                 self.stats.l1_hits += 1;
-                now.max(fill_done) + self.cfg.l1.latency
+                return now.max(fill_done) + self.cfg.l1.latency;
             }
-            Probe::Miss => {
-                self.stats.l1_misses += 1;
-                match self.l2.probe(addr) {
-                    Probe::Hit { fill_done } => {
-                        self.stats.l2_hits += 1;
-                        let ready = now.max(fill_done) + self.cfg.l2.latency;
-                        if let Some(ev) = self.l1.insert(addr, ready, false) {
-                            self.l1_evict(ev, now);
-                        }
-                        self.hw_stream_access(addr, now, false);
-                        ready
-                    }
-                    Probe::Miss => {
-                        self.stats.l2_misses += 1;
-                        let (_, done) = self.bus.read(now, self.cfg.l1.line);
-                        let ready = done + self.cfg.mem_lat;
-                        if let Some(ev) = self.l2.insert(addr, ready, false) {
-                            self.l2_evict(ev, now);
-                        }
-                        if let Some(ev) = self.l1.insert(addr, ready, false) {
-                            self.l1_evict(ev, now);
-                        }
-                        self.hw_stream_access(addr, now, true);
-                        ready
-                    }
-                }
+            Probe::Miss(miss) => miss,
+        };
+        self.stats.l1_misses += 1;
+        let (ready, l2_missed) = match self.l2.probe(addr) {
+            Probe::Hit { fill_done } => {
+                self.stats.l2_hits += 1;
+                (now.max(fill_done) + self.cfg.l2.latency, false)
             }
-        }
+            Probe::Miss(miss) => {
+                self.stats.l2_misses += 1;
+                (self.l2_demand_fill(miss, now), true)
+            }
+        };
+        let ev = self.l1.fill(l1_miss, ready, false);
+        self.l1_evict(ev, now);
+        self.hw_stream_access(addr, now, l2_missed);
+        ready
     }
 
     /// Hardware stream prefetcher, consulted on every access that reaches
@@ -537,17 +576,15 @@ impl Cpu {
     /// it only fills when the bus is nearly idle, so it never crowds out
     /// tuned prefetch streams.
     fn hw_fill_l2(&mut self, line_addr: u64, now: u64) -> bool {
-        if self.l2.peek(line_addr) {
+        let Probe::Miss(miss) = self.l2.peek(line_addr) else {
             return true;
-        }
+        };
         if self.bus.effective_free(now) > now + self.cfg.pf_queue_slack / 4 {
             return false;
         }
         let (_, done) = self.bus.read(now, self.cfg.l2.line);
-        let ready = done + self.cfg.mem_lat;
-        if let Some(ev) = self.l2.insert(line_addr, ready, false) {
-            self.l2_evict(ev, now);
-        }
+        let ev = self.l2.fill(miss, done + self.cfg.mem_lat, false);
+        self.l2_evict(ev, now);
         self.stats.hw_prefetches += 1;
         true
     }
@@ -555,6 +592,7 @@ impl Cpu {
     /// A normal (write-allocate) store. Stores retire through a store
     /// buffer and do not stall the pipeline; they only change cache state
     /// and consume bus bandwidth (read-for-ownership on miss).
+    #[inline]
     fn store_access(&mut self, addr: u64, bytes: u64, now: u64) {
         let sh = self.l1_shift;
         if addr >> sh != (addr + bytes - 1) >> sh {
@@ -568,34 +606,26 @@ impl Cpu {
 
     fn store_access_aligned(&mut self, addr: u64, now: u64) {
         self.stats.stores += 1;
-        if self.l1.mark_dirty(addr) {
+        let Probe::Miss(l1_miss) = self.l1.mark_dirty(addr) else {
             self.stats.l1_hits += 1;
             return;
-        }
+        };
         self.stats.l1_misses += 1;
-        match self.l2.probe(addr) {
+        let (ready, l2_missed) = match self.l2.probe(addr) {
             Probe::Hit { .. } => {
                 self.stats.l2_hits += 1;
-                if let Some(ev) = self.l1.insert(addr, now + self.cfg.l2.latency, true) {
-                    self.l1_evict(ev, now);
-                }
-                self.hw_stream_access(addr, now, false);
+                (now + self.cfg.l2.latency, false)
             }
-            Probe::Miss => {
+            Probe::Miss(miss) => {
                 self.stats.l2_misses += 1;
                 // Read-for-ownership: the line must be fetched before the
                 // (partial) write can merge into it.
-                let (_, done) = self.bus.read(now, self.cfg.l1.line);
-                let ready = done + self.cfg.mem_lat;
-                if let Some(ev) = self.l2.insert(addr, ready, false) {
-                    self.l2_evict(ev, now);
-                }
-                if let Some(ev) = self.l1.insert(addr, ready, true) {
-                    self.l1_evict(ev, now);
-                }
-                self.hw_stream_access(addr, now, true);
+                (self.l2_demand_fill(miss, now), true)
             }
-        }
+        };
+        let ev = self.l1.fill(l1_miss, ready, true);
+        self.l1_evict(ev, now);
+        self.hw_stream_access(addr, now, l2_missed);
     }
 
     /// A non-temporal store: bypasses the caches via a write-combining
@@ -657,25 +687,33 @@ impl Cpu {
             PrefKind::Nta => (true, false, false),
             PrefKind::W => (true, true, true),
         };
-        // Useless if the target level nearest the CPU already has the line.
-        let already = if to_l1 {
-            self.l1.peek(addr)
-        } else {
-            self.l2.peek(addr)
-        };
-        if already {
-            self.stats.prefetch_useless += 1;
-            return;
-        }
-        // L2-resident line moving to L1 needs no bus.
-        if to_l1 && self.l2.peek(addr) {
-            let ready = now + self.cfg.l2.latency;
-            if let Some(ev) = self.l1.insert(addr, ready, dirty) {
-                self.l1_evict(ev, now);
+        // Useless if the target level nearest the CPU already has the
+        // line. Each level is looked at once; its `Miss` serves the fill.
+        let l1_miss = if to_l1 {
+            match self.l1.peek(addr) {
+                Probe::Hit { .. } => {
+                    self.stats.prefetch_useless += 1;
+                    return;
+                }
+                Probe::Miss(miss) => Some(miss),
             }
-            self.stats.prefetch_issued += 1;
-            return;
-        }
+        } else {
+            None
+        };
+        let l2_miss = match (self.l2.peek(addr), l1_miss) {
+            (Probe::Miss(miss), _) => miss,
+            (Probe::Hit { .. }, None) => {
+                self.stats.prefetch_useless += 1;
+                return;
+            }
+            (Probe::Hit { .. }, Some(l1_miss)) => {
+                // L2-resident line moving to L1 needs no bus.
+                let ev = self.l1.fill(l1_miss, now + self.cfg.l2.latency, dirty);
+                self.l1_evict(ev, now);
+                self.stats.prefetch_issued += 1;
+                return;
+            }
+        };
         if self.cfg.drop_prefetch_when_busy
             && self.bus.effective_free(now) > now + self.cfg.pf_queue_slack
         {
@@ -685,14 +723,12 @@ impl Cpu {
         let (_, done) = self.bus.read(now, self.cfg.l1.line);
         let ready = done + self.cfg.mem_lat;
         if to_l2 {
-            if let Some(ev) = self.l2.insert(addr, ready, false) {
-                self.l2_evict(ev, now);
-            }
+            let ev = self.l2.fill(l2_miss, ready, false);
+            self.l2_evict(ev, now);
         }
-        if to_l1 {
-            if let Some(ev) = self.l1.insert(addr, ready, dirty) {
-                self.l1_evict(ev, now);
-            }
+        if let Some(l1_miss) = l1_miss {
+            let ev = self.l1.fill(l1_miss, ready, dirty);
+            self.l1_evict(ev, now);
         }
         self.stats.prefetch_issued += 1;
     }
@@ -700,53 +736,14 @@ impl Cpu {
     // ------------------------------------------------------------ operands
 
     #[inline]
-    fn ea(&self, a: &Addr) -> u64 {
-        let mut v = self.iregs[a.base.0 as usize];
-        if let Some((idx, sc)) = a.index {
-            v += self.iregs[idx.0 as usize] * sc as i64;
-        }
+    fn ea(&self, a: &DAddr) -> u64 {
+        let v = self.iregs[a.base as usize] + self.iregs[a.index as usize] * a.scale as i64;
         (v + a.disp) as u64
     }
 
     #[inline]
-    fn addr_ready(&self, a: &Addr) -> u64 {
-        let mut r = self.ireg_ready[a.base.0 as usize];
-        if let Some((idx, _)) = a.index {
-            r = r.max(self.ireg_ready[idx.0 as usize]);
-        }
-        r
-    }
-
-    #[inline]
-    fn f64x2(&self, r: FReg) -> [f64; 2] {
-        let b = &self.fregs[r.0 as usize];
-        [
-            f64::from_le_bytes(b[0..8].try_into().unwrap()),
-            f64::from_le_bytes(b[8..16].try_into().unwrap()),
-        ]
-    }
-    #[inline]
-    fn set_f64x2(&mut self, r: FReg, v: [f64; 2]) {
-        let b = &mut self.fregs[r.0 as usize];
-        b[0..8].copy_from_slice(&v[0].to_le_bytes());
-        b[8..16].copy_from_slice(&v[1].to_le_bytes());
-    }
-    #[inline]
-    fn f32x4(&self, r: FReg) -> [f32; 4] {
-        let b = &self.fregs[r.0 as usize];
-        [
-            f32::from_le_bytes(b[0..4].try_into().unwrap()),
-            f32::from_le_bytes(b[4..8].try_into().unwrap()),
-            f32::from_le_bytes(b[8..12].try_into().unwrap()),
-            f32::from_le_bytes(b[12..16].try_into().unwrap()),
-        ]
-    }
-    #[inline]
-    fn set_f32x4(&mut self, r: FReg, v: [f32; 4]) {
-        let b = &mut self.fregs[r.0 as usize];
-        for (i, x) in v.iter().enumerate() {
-            b[i * 4..i * 4 + 4].copy_from_slice(&x.to_le_bytes());
-        }
+    fn addr_ready(&self, a: &DAddr) -> u64 {
+        self.ireg_ready[a.base as usize].max(self.ireg_ready[a.index as usize])
     }
 
     /// Read a scalar (lane 0) value as f64 regardless of precision.
@@ -770,26 +767,28 @@ impl Cpu {
     /// *issue*: the register itself, or — for a memory operand — only the
     /// address registers. Cache/memory latency of the operand does **not**
     /// block issue (the load is pipelined); it only delays the result.
-    fn rhs_issue_ready(&self, src: &RegOrMem) -> u64 {
+    #[inline]
+    fn rhs_issue_ready(&self, src: &DSrc) -> u64 {
         match src {
-            RegOrMem::Reg(r) => self.freg_ready[r.0 as usize],
-            RegOrMem::Mem(a) => self.addr_ready(a),
+            DSrc::Reg(r) => self.freg_ready[r.0 as usize],
+            DSrc::Mem(a) => self.addr_ready(a),
         }
     }
 
     /// Resolve a scalar RHS at issue time `at`: returns (value, data-ready
     /// time). Memory operands perform a timed load of `prec` bytes
     /// initiated at `at`.
+    #[inline]
     fn scalar_rhs(
         &mut self,
-        src: &RegOrMem,
+        src: &DSrc,
         p: Prec,
         mem: &Memory,
         at: u64,
     ) -> Result<(f64, u64), RunError> {
         match src {
-            RegOrMem::Reg(r) => Ok((self.scalar(*r, p), self.freg_ready[r.0 as usize])),
-            RegOrMem::Mem(a) => {
+            DSrc::Reg(r) => Ok((self.scalar(*r, p), self.freg_ready[r.0 as usize])),
+            DSrc::Mem(a) => {
                 let addr = self.ea(a);
                 let ready = self.load_access(addr, p.bytes(), at);
                 let v = match p {
@@ -801,77 +800,37 @@ impl Cpu {
         }
     }
 
-    /// Resolve a vector RHS as 2 f64 lanes or 4 f32 lanes widened to f64.
+    /// Resolve a vector RHS as the 16 bytes of a register, with their
+    /// data-ready time; a memory operand is a timed 16-byte load at `at`.
+    #[inline]
     fn vector_rhs(
         &mut self,
-        src: &RegOrMem,
+        src: &DSrc,
         p: Prec,
         mem: &Memory,
         at: u64,
-    ) -> Result<([f64; 4], u64), RunError> {
+    ) -> Result<(VReg, u64), RunError> {
         match src {
-            RegOrMem::Reg(r) => {
-                let v = self.read_lanes(*r, p);
-                Ok((v, self.freg_ready[r.0 as usize]))
-            }
-            RegOrMem::Mem(a) => {
+            DSrc::Reg(r) => Ok((self.fregs[r.0 as usize], self.freg_ready[r.0 as usize])),
+            DSrc::Mem(a) => {
                 let addr = self.ea(a);
                 let ready = self.load_access(addr, 16, at);
-                let v = self.load_lanes(mem, addr, p)?;
-                Ok((v, ready))
+                Ok((load_vector(mem, addr, p)?, ready))
             }
         }
     }
 
     #[inline]
     fn read_lanes(&self, r: FReg, p: Prec) -> [f64; 4] {
-        match p {
-            Prec::D => {
-                let [a, b] = self.f64x2(r);
-                [a, b, 0.0, 0.0]
-            }
-            Prec::S => {
-                let v = self.f32x4(r);
-                [v[0] as f64, v[1] as f64, v[2] as f64, v[3] as f64]
-            }
-        }
+        lanes(&self.fregs[r.0 as usize], p)
     }
 
     #[inline]
     fn write_lanes(&mut self, r: FReg, p: Prec, v: [f64; 4]) {
-        match p {
-            Prec::D => self.set_f64x2(r, [v[0], v[1]]),
-            Prec::S => self.set_f32x4(r, [v[0] as f32, v[1] as f32, v[2] as f32, v[3] as f32]),
-        }
-    }
-
-    fn load_lanes(&self, mem: &Memory, addr: u64, p: Prec) -> Result<[f64; 4], RunError> {
-        Ok(match p {
-            Prec::D => [mem.read_f64(addr)?, mem.read_f64(addr + 8)?, 0.0, 0.0],
-            Prec::S => [
-                mem.read_f32(addr)? as f64,
-                mem.read_f32(addr + 4)? as f64,
-                mem.read_f32(addr + 8)? as f64,
-                mem.read_f32(addr + 12)? as f64,
-            ],
-        })
-    }
-
-    fn store_lanes(&self, mem: &mut Memory, addr: u64, p: Prec, r: FReg) -> Result<(), RunError> {
-        match p {
-            Prec::D => {
-                let [a, b] = self.f64x2(r);
-                mem.write_f64(addr, a)?;
-                mem.write_f64(addr + 8, b)?;
-            }
-            Prec::S => {
-                let v = self.f32x4(r);
-                for (i, x) in v.iter().enumerate() {
-                    mem.write_f32(addr + 4 * i as u64, *x)?;
-                }
-            }
-        }
-        Ok(())
+        self.fregs[r.0 as usize] = match p {
+            Prec::D => from_f64x2([v[0], v[1]]),
+            Prec::S => from_f32x4(v),
+        };
     }
 
     // ----------------------------------------------------------------- run
@@ -928,7 +887,7 @@ impl Cpu {
                     limit: self.inst_limit,
                 });
             }
-            let Some(&inst) = decoded.get(pc) else {
+            let Some(inst) = decoded.get(pc) else {
                 return Err(RunError::RanOffEnd);
             };
             self.stats.insts += 1;
@@ -954,7 +913,7 @@ impl Cpu {
                 }};
             }
 
-            match inst {
+            match *inst {
                 DInst::IMovImm(d, v) => {
                     let t = self.issue_at(0);
                     self.iregs[d.0 as usize] = v;
@@ -1107,7 +1066,7 @@ impl Cpu {
                         Prec::S => mem.read_f32(addr)? as f64,
                         Prec::D => mem.read_f64(addr)?,
                     };
-                    self.fregs[d.0 as usize] = [0; 16];
+                    self.fregs[d.0 as usize] = VReg::ZERO;
                     self.set_scalar(d, p, v);
                     frd!(d) = fin!(ready);
                 }
@@ -1141,13 +1100,13 @@ impl Cpu {
                 }
                 DInst::FLdImm(d, v, p) => {
                     let t = self.issue_at(0);
-                    self.fregs[d.0 as usize] = [0; 16];
+                    self.fregs[d.0 as usize] = VReg::ZERO;
                     self.set_scalar(d, p, v);
                     frd!(d) = fin!(t + fmov);
                 }
                 DInst::FZero(d) => {
                     let t = self.issue_at(0);
-                    self.fregs[d.0 as usize] = [0; 16];
+                    self.fregs[d.0 as usize] = VReg::ZERO;
                     frd!(d) = fin!(t + fmov);
                 }
                 DInst::FArith(op, d, s, p) => {
@@ -1204,8 +1163,7 @@ impl Cpu {
                     if !aligned {
                         ready += self.cfg.unaligned_penalty;
                     }
-                    let lanes = self.load_lanes(mem, addr, p)?;
-                    self.write_lanes(d, p, lanes);
+                    self.fregs[d.0 as usize] = load_vector(mem, addr, p)?;
                     frd!(d) = fin!(ready);
                 }
                 DInst::VSt(a, s, p, aligned) => {
@@ -1216,14 +1174,14 @@ impl Cpu {
                     }
                     let addr = self.ea(&a);
                     self.store_access(addr, 16, te);
-                    self.store_lanes(mem, addr, p, s)?;
+                    store_vector(mem, addr, p, self.fregs[s.0 as usize])?;
                 }
                 DInst::VStNt(a, s, p) => {
                     let t = self.issue_at(0);
                     let te = t.max(self.addr_ready(&a)).max(frd!(s));
                     let addr = self.ea(&a);
                     self.nt_store_access(addr, 16, te);
-                    self.store_lanes(mem, addr, p, s)?;
+                    store_vector(mem, addr, p, self.fregs[s.0 as usize])?;
                 }
                 DInst::VMov(d, s) => {
                     let t = self.issue_at(0);
@@ -1242,45 +1200,19 @@ impl Cpu {
                     let t = self.issue_at(0);
                     let load_at = t.max(self.rhs_issue_ready(&s));
                     let (rhs, rhs_ready) = self.vector_rhs(&s, p, mem, load_at)?;
-                    let lhs = self.read_lanes(d, p);
-                    let n = p.veclen() as usize;
-                    let mut out = lhs;
-                    let lat = match op {
-                        AOp::Add => {
-                            for i in 0..n {
-                                out[i] = lhs[i] + rhs[i];
-                            }
-                            fadd
-                        }
-                        AOp::Sub => {
-                            for i in 0..n {
-                                out[i] = lhs[i] - rhs[i];
-                            }
-                            fadd
-                        }
-                        AOp::Mul => {
-                            for i in 0..n {
-                                out[i] = lhs[i] * rhs[i];
-                            }
-                            fmul
-                        }
-                        AOp::Max => {
-                            for i in 0..n {
-                                out[i] = if rhs[i] > lhs[i] { rhs[i] } else { lhs[i] };
-                            }
-                            fadd
-                        }
-                        // The ISA has no lanewise divide; the assembler
-                        // never emits one.
-                        AOp::Div => unreachable!("no vector divide"),
+                    let lhs = &self.fregs[d.0 as usize];
+                    // Single precision computes in f64 and rounds once:
+                    // exact for one add, subtract or multiply of f32s.
+                    let out = match p {
+                        Prec::D => from_f64x2(lanewise(op, f64x2(lhs), f64x2(&rhs))),
+                        Prec::S => from_f32x4(lanewise(op, f32x4(lhs), f32x4(&rhs))),
                     };
-                    if p == Prec::S {
-                        for v in out.iter_mut().take(n) {
-                            *v = (*v as f32) as f64;
-                        }
-                    }
+                    let lat = match op {
+                        AOp::Mul => fmul,
+                        _ => fadd,
+                    };
                     let r = t.max(frd!(d)).max(rhs_ready) + lat;
-                    self.write_lanes(d, p, out);
+                    self.fregs[d.0 as usize] = out;
                     frd!(d) = fin!(r);
                 }
                 DInst::VAbs(d, p) => {
@@ -1297,13 +1229,13 @@ impl Cpu {
                     let t = self.issue_at(0);
                     let load_at = t.max(self.rhs_issue_ready(&s));
                     let (rhs, rhs_ready) = self.vector_rhs(&s, p, mem, load_at)?;
-                    let lhs = self.read_lanes(d, p);
+                    let (lhs, rhs) = (self.read_lanes(d, p), lanes(&rhs, p));
                     let n = p.veclen() as usize;
                     // Write lane masks as raw bit patterns (all-ones /
                     // all-zeros), exactly like cmpps — never through float
                     // casts, whose NaN handling is not bit-stable.
                     let lane_bytes = p.bytes() as usize;
-                    let mut raw = [0u8; 16];
+                    let mut raw = VReg::ZERO;
                     for i in 0..n {
                         if lhs[i] > rhs[i] {
                             for b in 0..lane_bytes {
@@ -1346,7 +1278,7 @@ impl Cpu {
                     } else {
                         sum
                     };
-                    self.fregs[d.0 as usize] = [0; 16];
+                    self.fregs[d.0 as usize] = VReg::ZERO;
                     self.set_scalar(d, p, sum);
                     frd!(d) = fin!(t.max(frd!(s)) + self.cfg.hsum_lat);
                 }
@@ -1355,7 +1287,7 @@ impl Cpu {
                     let v = self.read_lanes(s, p);
                     let n = p.veclen() as usize;
                     let m = v[..n].iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-                    self.fregs[d.0 as usize] = [0; 16];
+                    self.fregs[d.0 as usize] = VReg::ZERO;
                     self.set_scalar(d, p, m);
                     frd!(d) = fin!(t.max(frd!(s)) + self.cfg.hsum_lat);
                 }
@@ -1370,6 +1302,148 @@ impl Cpu {
             pc = next_pc;
         }
     }
+}
+
+/// A vector register: 16 bytes holding its lanes little-endian in lane
+/// order — 2 x f64 or 4 x f32 — which is also how a vector lies in
+/// memory, so a vector load or store is one 16-byte move in either
+/// precision. Aligned, so that the host moves it as one unit too.
+#[derive(Clone, Copy)]
+#[repr(align(16))]
+struct VReg([u8; 16]);
+
+impl VReg {
+    const ZERO: VReg = VReg([0; 16]);
+}
+
+impl std::ops::Deref for VReg {
+    type Target = [u8; 16];
+    fn deref(&self) -> &[u8; 16] {
+        &self.0
+    }
+}
+
+impl std::ops::DerefMut for VReg {
+    fn deref_mut(&mut self) -> &mut [u8; 16] {
+        &mut self.0
+    }
+}
+
+#[inline]
+fn f64x2(b: &[u8; 16]) -> [f64; 2] {
+    std::array::from_fn(|i| f64::from_le_bytes(b[8 * i..8 * i + 8].try_into().unwrap()))
+}
+
+#[inline]
+fn from_f64x2(v: [f64; 2]) -> VReg {
+    let mut b = VReg::ZERO;
+    for (i, x) in v.iter().enumerate() {
+        b[8 * i..8 * i + 8].copy_from_slice(&x.to_le_bytes());
+    }
+    b
+}
+
+/// Four f32 lanes widened to f64.
+#[inline]
+fn f32x4(b: &[u8; 16]) -> [f64; 4] {
+    std::array::from_fn(|i| f32::from_le_bytes(b[4 * i..4 * i + 4].try_into().unwrap()) as f64)
+}
+
+/// Four lanes narrowed to f32.
+#[inline]
+fn from_f32x4(v: [f64; 4]) -> VReg {
+    let mut b = VReg::ZERO;
+    for (i, x) in v.iter().enumerate() {
+        b[4 * i..4 * i + 4].copy_from_slice(&(*x as f32).to_le_bytes());
+    }
+    b
+}
+
+/// A register's lanes as f64, the unused upper two of a double vector 0.
+#[inline]
+fn lanes(b: &[u8; 16], p: Prec) -> [f64; 4] {
+    match p {
+        Prec::D => {
+            let [lo, hi] = f64x2(b);
+            [lo, hi, 0.0, 0.0]
+        }
+        Prec::S => f32x4(b),
+    }
+}
+
+/// `lhs op rhs` in every lane.
+#[inline]
+fn lanewise<const N: usize>(op: AOp, lhs: [f64; N], rhs: [f64; N]) -> [f64; N] {
+    match op {
+        AOp::Add => std::array::from_fn(|i| lhs[i] + rhs[i]),
+        AOp::Sub => std::array::from_fn(|i| lhs[i] - rhs[i]),
+        AOp::Mul => std::array::from_fn(|i| lhs[i] * rhs[i]),
+        AOp::Max => std::array::from_fn(|i| if rhs[i] > lhs[i] { rhs[i] } else { lhs[i] }),
+        // The ISA has no lanewise divide; the assembler never emits one.
+        AOp::Div => unreachable!("no vector divide"),
+    }
+}
+
+/// The 16 bytes of a vector at `addr`: one move when they are all
+/// addressable.
+#[inline]
+fn load_vector(mem: &Memory, addr: u64, p: Prec) -> Result<VReg, MemFault> {
+    match mem.chunk(addr) {
+        Some(v) => Ok(VReg(*v)),
+        None => load_lanes(mem, addr, p),
+    }
+}
+
+/// Store the 16 bytes of a vector register at `addr`.
+#[inline]
+fn store_vector(mem: &mut Memory, addr: u64, p: Prec, reg: VReg) -> Result<(), MemFault> {
+    match mem.chunk_mut(addr) {
+        Some(v) => {
+            *v = reg.0;
+            Ok(())
+        }
+        None => store_lanes(mem, addr, p, reg),
+    }
+}
+
+/// A vector load whose 16 bytes are not all addressable, lane by lane as
+/// a loop of scalar loads would do it: the fault names the first lane out
+/// of range.
+#[cold]
+fn load_lanes(mem: &Memory, addr: u64, p: Prec) -> Result<VReg, MemFault> {
+    let mut reg = VReg::ZERO;
+    match p {
+        Prec::D => {
+            for (i, lane) in reg.as_chunks_mut::<8>().0.iter_mut().enumerate() {
+                *lane = mem.read(addr.wrapping_add(8 * i as u64))?;
+            }
+        }
+        Prec::S => {
+            for (i, lane) in reg.as_chunks_mut::<4>().0.iter_mut().enumerate() {
+                *lane = mem.read(addr.wrapping_add(4 * i as u64))?;
+            }
+        }
+    }
+    Ok(reg)
+}
+
+/// The store counterpart of [`load_lanes`]: the lanes below the first one
+/// out of range are written before the fault.
+#[cold]
+fn store_lanes(mem: &mut Memory, addr: u64, p: Prec, reg: VReg) -> Result<(), MemFault> {
+    match p {
+        Prec::D => {
+            for (i, lane) in reg.as_chunks::<8>().0.iter().enumerate() {
+                mem.write(addr.wrapping_add(8 * i as u64), *lane)?;
+            }
+        }
+        Prec::S => {
+            for (i, lane) in reg.as_chunks::<4>().0.iter().enumerate() {
+                mem.write(addr.wrapping_add(4 * i as u64), *lane)?;
+            }
+        }
+    }
+    Ok(())
 }
 
 /// `log2(cfg.hw_prefetch_page)`; the stream prefetcher's page-edge

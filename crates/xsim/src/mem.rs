@@ -99,29 +99,46 @@ impl Memory {
         self.alloc(n * elem_bytes, 64)
     }
 
+    /// Offset of `addr` in the store if all `len` bytes are addressable.
     #[inline]
     fn offset(&self, addr: u64, len: u64) -> Result<usize, MemFault> {
-        if addr < self.base || addr + len > self.base + self.cap as u64 {
+        // Below `base` the subtraction wraps past any capacity, so one
+        // comparison covers both ends (and cannot itself overflow).
+        let off = addr.wrapping_sub(self.base);
+        let cap = self.cap as u64;
+        if len > cap || off > cap - len {
             return Err(MemFault { addr, len });
         }
-        Ok((addr - self.base) as usize)
+        Ok(off as usize)
+    }
+
+    /// The `N` bytes at `addr`, if all of them are addressable.
+    #[inline]
+    pub fn chunk<const N: usize>(&self, addr: u64) -> Option<&[u8; N]> {
+        let off = self.offset(addr, N as u64).ok()?;
+        self.bytes[off..].first_chunk()
+    }
+
+    /// The `N` bytes at `addr` for writing (they count as written).
+    #[inline]
+    pub fn chunk_mut<const N: usize>(&mut self, addr: u64) -> Option<&mut [u8; N]> {
+        let off = self.offset(addr, N as u64).ok()?;
+        self.dirty = self.dirty.max(off + N);
+        self.bytes[off..].first_chunk_mut()
     }
 
     /// Read `N` bytes.
     #[inline]
     pub fn read<const N: usize>(&self, addr: u64) -> Result<[u8; N], MemFault> {
-        let off = self.offset(addr, N as u64)?;
-        let mut out = [0u8; N];
-        out.copy_from_slice(&self.bytes[off..off + N]);
-        Ok(out)
+        let len = N as u64;
+        self.chunk(addr).copied().ok_or(MemFault { addr, len })
     }
 
     /// Write `N` bytes.
     #[inline]
     pub fn write<const N: usize>(&mut self, addr: u64, val: [u8; N]) -> Result<(), MemFault> {
-        let off = self.offset(addr, N as u64)?;
-        self.bytes[off..off + N].copy_from_slice(&val);
-        self.dirty = self.dirty.max(off + N);
+        let len = N as u64;
+        *self.chunk_mut(addr).ok_or(MemFault { addr, len })? = val;
         Ok(())
     }
 
@@ -150,30 +167,65 @@ impl Memory {
         self.write(addr, v.to_le_bytes())
     }
 
+    /// Copy `data` into memory at `addr`, each element as the `N` bytes
+    /// `enc` makes of it: one bounds check for the whole slice, then one
+    /// pass. A slice that does not fit faults before anything is written;
+    /// an empty one is a no-op at any address.
+    pub fn store_elems<T: Copy, const N: usize>(
+        &mut self,
+        addr: u64,
+        data: &[T],
+        enc: impl Fn(T) -> [u8; N],
+    ) -> Result<(), MemFault> {
+        if data.is_empty() {
+            return Ok(());
+        }
+        let len = (data.len() as u64).saturating_mul(N as u64);
+        let off = self.offset(addr, len)?;
+        let end = off + len as usize;
+        let (dst, _) = self.bytes[off..end].as_chunks_mut::<N>();
+        for (d, &v) in dst.iter_mut().zip(data) {
+            *d = enc(v);
+        }
+        self.dirty = self.dirty.max(end);
+        Ok(())
+    }
+
+    /// Read `n` elements of `N` bytes each starting at `addr`, each
+    /// through `dec`; the counterpart of [`store_elems`](Memory::store_elems).
+    pub fn load_elems<T, const N: usize>(
+        &self,
+        addr: u64,
+        n: usize,
+        dec: impl Fn([u8; N]) -> T,
+    ) -> Result<Vec<T>, MemFault> {
+        if n == 0 {
+            return Ok(Vec::new());
+        }
+        let len = (n as u64).saturating_mul(N as u64);
+        let off = self.offset(addr, len)?;
+        let (src, _) = self.bytes[off..off + len as usize].as_chunks::<N>();
+        Ok(src.iter().map(|&b| dec(b)).collect())
+    }
+
     /// Copy an `f64` slice into memory at `addr`.
     pub fn store_f64_slice(&mut self, addr: u64, data: &[f64]) -> Result<(), MemFault> {
-        for (i, &v) in data.iter().enumerate() {
-            self.write_f64(addr + 8 * i as u64, v)?;
-        }
-        Ok(())
+        self.store_elems(addr, data, f64::to_le_bytes)
     }
 
     /// Copy an `f32` slice into memory at `addr`.
     pub fn store_f32_slice(&mut self, addr: u64, data: &[f32]) -> Result<(), MemFault> {
-        for (i, &v) in data.iter().enumerate() {
-            self.write_f32(addr + 4 * i as u64, v)?;
-        }
-        Ok(())
+        self.store_elems(addr, data, f32::to_le_bytes)
     }
 
     /// Read `n` f64 values starting at `addr`.
     pub fn load_f64_slice(&self, addr: u64, n: usize) -> Result<Vec<f64>, MemFault> {
-        (0..n).map(|i| self.read_f64(addr + 8 * i as u64)).collect()
+        self.load_elems(addr, n, f64::from_le_bytes)
     }
 
     /// Read `n` f32 values starting at `addr`.
     pub fn load_f32_slice(&self, addr: u64, n: usize) -> Result<Vec<f32>, MemFault> {
-        (0..n).map(|i| self.read_f32(addr + 4 * i as u64)).collect()
+        self.load_elems(addr, n, f32::from_le_bytes)
     }
 
     /// Reset the allocator (keeps capacity, zeroes nothing).
@@ -215,6 +267,36 @@ mod tests {
         let data: Vec<f64> = (0..8).map(|i| i as f64 * 0.5).collect();
         m.store_f64_slice(a, &data).unwrap();
         assert_eq!(m.load_f64_slice(a, 8).unwrap(), data);
+    }
+
+    #[test]
+    fn slices_past_the_end_fault_whole_and_empty_ones_are_no_ops() {
+        let mut m = Memory::new(64);
+        let end = DEFAULT_BASE + 64;
+        let data = [1.0f64; 4];
+        // Eight doubles' room: four fit at the last 32 bytes, not later.
+        m.store_f64_slice(end - 32, &data).unwrap();
+        for addr in [end - 24, end, DEFAULT_BASE - 8, 0, u64::MAX - 7] {
+            let fault = MemFault { addr, len: 32 };
+            assert_eq!(m.store_f64_slice(addr, &data), Err(fault));
+            assert_eq!(m.load_f64_slice(addr, 4), Err(fault));
+            // Nothing was written, and nothing is asked of an empty slice.
+            assert_eq!(m.load_f64_slice(end - 32, 4).unwrap(), data);
+            assert_eq!(m.store_f64_slice(addr, &[]), Ok(()));
+            assert_eq!(m.store_f32_slice(addr, &[]), Ok(()));
+            assert_eq!(m.load_f64_slice(addr, 0), Ok(vec![]));
+            assert_eq!(m.load_f32_slice(addr, 0), Ok(vec![]));
+        }
+        let fault = MemFault {
+            addr: end - 12,
+            len: 16,
+        };
+        assert_eq!(m.store_f32_slice(end - 12, &[2.0; 4]), Err(fault));
+        assert_eq!(m.load_f32_slice(end - 12, 4), Err(fault));
+        assert!(m.load_f64_slice(DEFAULT_BASE, usize::MAX).is_err());
+        // A bulk store counts as written for the next reset.
+        m.reset(64);
+        assert_eq!(m.load_f64_slice(end - 32, 4).unwrap(), [0.0; 4]);
     }
 
     #[test]

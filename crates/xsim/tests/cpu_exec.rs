@@ -563,3 +563,110 @@ fn mem_operand_form_saves_instructions_and_time_in_cache() {
         ss.cycles
     );
 }
+
+/// What one vector instruction at `[IReg(0) + disp]` does on a 64-byte
+/// memory filled with 0xAA whose vector register 1 holds sixteen distinct
+/// bytes: the run's result, register 0 afterwards, and the memory image.
+fn vector_edge(
+    inst: fn(Addr) -> Inst,
+    disp: i64,
+) -> (Result<(), ifko_xsim::RunError>, [u8; 16], Vec<u8>) {
+    const CAP: usize = 64;
+    let mut m = Memory::new(CAP);
+    let base = m.base();
+    for i in 0..CAP as u64 / 8 {
+        m.write(base + 8 * i, [0xAA; 8]).unwrap();
+    }
+    let mut cpu = Cpu::new(p4e());
+    // Register 1 = bytes 1..=16, through a vector load from scratch space
+    // the instruction under test then overwrites again.
+    m.write(base, std::array::from_fn::<u8, 16, _>(|i| i as u8 + 1))
+        .unwrap();
+    let mut a = Asm::new();
+    a.push(VLd(FReg(1), Addr::base(IReg(0)), Prec::D, true));
+    a.push(Halt);
+    cpu.set_ireg(IReg(0), base as i64);
+    cpu.run(&a.finish(), &mut m).unwrap();
+    m.write(base, [0xAA; 16]).unwrap();
+
+    let mut a = Asm::new();
+    a.push(inst(Addr::base_disp(IReg(0), disp)));
+    a.push(Halt);
+    let res = cpu.run(&a.finish(), &mut m).map(|_| ());
+    let mut reg0 = [0u8; 16];
+    reg0[..8].copy_from_slice(&cpu.freg_f64(FReg(0)).to_bits().to_le_bytes());
+    let image = (0..CAP as u64)
+        .map(|i| m.read::<1>(base + i).unwrap()[0])
+        .collect();
+    (res, reg0, image)
+}
+
+/// A vector access whose 16 bytes are not all addressable behaves like the
+/// loop of scalar accesses it stands for: the fault names the first lane
+/// out of range (its address and its width), a store has written the
+/// lanes below it and nothing else, a load has changed no register.
+#[test]
+fn vector_access_at_the_edges_of_memory_faults_lane_by_lane() {
+    use ifko_xsim::mem::MemFault;
+    use ifko_xsim::RunError::Fault;
+    let base = Memory::new(64).base();
+    let end = base + 64;
+    type Mk = fn(Addr) -> Inst;
+    let loads: [(Mk, u64); 4] = [
+        (|a| VLd(FReg(0), a, Prec::D, false), 8),
+        (|a| VLd(FReg(0), a, Prec::S, false), 4),
+        (|a| VAdd(FReg(0), RegOrMem::Mem(a), Prec::D), 8),
+        (|a| VMul(FReg(0), RegOrMem::Mem(a), Prec::S), 4),
+    ];
+    let stores: [(Mk, u64); 4] = [
+        (|a| VSt(a, FReg(1), Prec::D, false), 8),
+        (|a| VSt(a, FReg(1), Prec::S, false), 4),
+        (|a| VStNt(a, FReg(1), Prec::D), 8),
+        (|a| VStNt(a, FReg(1), Prec::S), 4),
+    ];
+    let untouched = vec![0xAA; 64];
+    for (i, (inst, lane)) in loads.into_iter().enumerate() {
+        // The last lane-aligned position that still fits succeeds ...
+        let (res, _, image) = vector_edge(inst, 48);
+        assert_eq!(res, Ok(()), "load {i} in range");
+        assert_eq!(image, untouched, "load {i} in range");
+        // ... and from there on the first lane past the end faults.
+        for disp in [56i64, 60, 64, 1 << 40] {
+            let first_out = (base + disp as u64..).step_by(lane as usize);
+            let addr = first_out.take(4).find(|a| a + lane > end).unwrap();
+            let (res, reg0, image) = vector_edge(inst, disp);
+            let what = format!("load {i} at +{disp}");
+            assert_eq!(res, Err(Fault(MemFault { addr, len: lane })), "{what}");
+            assert_eq!(reg0, [0; 16], "{what}: register written");
+            assert_eq!(image, untouched, "{what}");
+        }
+        // Below the base it is the first lane.
+        let (res, reg0, _) = vector_edge(inst, -8);
+        let addr = base - 8;
+        assert_eq!(res, Err(Fault(MemFault { addr, len: lane })), "load {i}");
+        assert_eq!(reg0, [0; 16], "load {i} below base");
+    }
+    for (i, (inst, lane)) in stores.into_iter().enumerate() {
+        let (res, _, image) = vector_edge(inst, 48);
+        assert_eq!(res, Ok(()), "store {i} in range");
+        assert_eq!(&image[..48], &untouched[..48], "store {i} in range");
+        assert_eq!(&image[48..], &(1..=16).collect::<Vec<u8>>(), "store {i}");
+        for disp in [56i64, 60, 64] {
+            let (res, _, image) = vector_edge(inst, disp);
+            let what = format!("store {i} at +{disp}");
+            // Lanes wholly below the end are written, then the fault.
+            let written = (64 - disp as u64) / lane * lane;
+            let addr = base + disp as u64 + written;
+            assert_eq!(res, Err(Fault(MemFault { addr, len: lane })), "{what}");
+            let mut want = untouched.clone();
+            for k in 0..written as usize {
+                want[disp as usize + k] = k as u8 + 1;
+            }
+            assert_eq!(image, want, "{what}");
+        }
+        let (res, _, image) = vector_edge(inst, -8);
+        let addr = base - 8;
+        assert_eq!(res, Err(Fault(MemFault { addr, len: lane })), "store {i}");
+        assert_eq!(image, untouched, "store {i} below base: lane 1 is in range");
+    }
+}
