@@ -33,6 +33,31 @@ use ifko_xsim::{p4e, MachineConfig};
 use std::path::Path;
 use std::sync::Arc;
 
+/// Largest problem size accepted from outside the process (a daemon
+/// `tune` request, a worker handshake, `ifko tune --n`): 50× the paper's
+/// out-of-cache N of 80 000. Operand vectors are allocated up front, so an
+/// unchecked wire value can panic or abort the process that parsed it.
+pub const MAX_N: usize = 4_000_000;
+
+/// A requested problem size outside `1..=MAX_N`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct SizeOutOfRange(pub u64);
+
+impl std::fmt::Display for SizeOutOfRange {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "n = {} is out of range (1 ..= {MAX_N})", self.0)
+    }
+}
+impl std::error::Error for SizeOutOfRange {}
+
+/// Check a problem size that arrived from outside the process.
+pub fn checked_n(n: u64) -> Result<usize, SizeOutOfRange> {
+    match usize::try_from(n) {
+        Ok(n) if (1..=MAX_N).contains(&n) => Ok(n),
+        _ => Err(SizeOutOfRange(n)),
+    }
+}
+
 /// Builder-style configuration for tuning runs (see the module docs).
 #[derive(Clone)]
 pub struct TuneConfig {

@@ -188,7 +188,7 @@ impl PruneWhy {
     pub fn as_str(self) -> &'static str {
         match self {
             PruneWhy::Legality(r) => r.as_str(),
-            PruneWhy::Model => "model-rank",
+            PruneWhy::Model => PRUNE_MODEL_RANK,
         }
     }
 }
@@ -232,44 +232,143 @@ impl<'a> Batch<'a> {
     }
 }
 
-/// Outcome of one batch submission.
-#[derive(Clone, Debug)]
-pub struct BatchOutcome {
-    /// Per-candidate cycles (index-aligned with the submitted batch).
-    pub results: Vec<Option<u64>>,
+/// A search's accounting: what became of the probes it submitted. One
+/// batch produces one, a search sums its batches', the engine's registry
+/// counters and `ifko report` count the same nine things.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Tally {
     /// Fresh evaluations performed (compile + verify + time).
     pub evaluated: u32,
     /// Fresh evaluations rejected by compile failure or the tester.
     pub rejected: u32,
-    /// Results served from the cache.
+    /// Results served from the cache (batch-internal duplicates included).
     pub cache_hits: u32,
     /// Candidates pruned before compilation (legality + cost model).
     pub pruned: u32,
     /// The cost-model subset of `pruned` (`--model-prune`).
     pub model_pruned: u32,
-    /// Transient-failure retries burned across the batch.
+    /// Transient-failure retries burned.
     pub retries: u32,
-    /// Faults injected across the batch by the chaos plan.
+    /// Faults injected by the chaos plan.
     pub faults: u32,
-    /// Timing reps rejected as outliers across the batch.
+    /// Timing reps rejected as outliers by the robust timer.
     pub outliers: u32,
     /// Candidates that exhausted the retry budget (skipped, not cached,
     /// not counted in `rejected`).
     pub failed: u32,
 }
 
-/// Cumulative engine statistics, read from the engine's metrics registry
-/// (one source of truth — the counters the engine increments are the
-/// counters this reads). With the default global registry the numbers
-/// are process-wide; attach a private registry via
-/// [`EvalEngine::with_metrics`] for per-engine isolation.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct EngineStats {
-    pub evaluated: u64,
-    pub rejected: u64,
-    pub cache_hits: u64,
-    pub pruned: u64,
-    pub model_pruned: u64,
+/// The facts about one probe that decide which [`Tally`] counters it
+/// bumps. The engine reads them off a candidate's fate and `ifko report`
+/// off a trace event ([`EvalEvent::facts`]) — the same fields either way,
+/// so the two cannot classify a probe differently.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct ProbeFacts<'a> {
+    /// Prune reason, when the probe never reached the compiler.
+    pub pruned: Option<&'a str>,
+    pub cache_hit: bool,
+    pub verified: bool,
+    pub failed: bool,
+    pub retries: u32,
+    pub faults: u32,
+    pub outliers: u32,
+}
+
+/// Accessor for one named [`Tally`] counter (see [`Tally::FIELDS`]).
+pub type TallyField = fn(&mut Tally) -> &mut u32;
+
+impl Tally {
+    /// The single source of truth for the counters: field name, the
+    /// engine's registry counter of the same quantity, and the accessor.
+    /// Summing, the engine's instruments and [`EvalEngine::stats`] all
+    /// iterate this table, so a counter added to the struct but not
+    /// listed here fails `tally_table_covers_every_counter` instead of
+    /// going uncounted somewhere. Order matches the struct.
+    pub const FIELDS: [(&'static str, &'static str, TallyField); 9] = [
+        ("evaluated", metrics::ENGINE_EVALS, |t| &mut t.evaluated),
+        ("rejected", metrics::ENGINE_REJECTED, |t| &mut t.rejected),
+        ("cache_hits", metrics::ENGINE_CACHE_HITS, |t| {
+            &mut t.cache_hits
+        }),
+        ("pruned", metrics::ENGINE_PRUNED, |t| &mut t.pruned),
+        ("model_pruned", metrics::ENGINE_MODEL_PRUNED, |t| {
+            &mut t.model_pruned
+        }),
+        ("retries", metrics::ENGINE_RETRIES, |t| &mut t.retries),
+        ("faults", metrics::ENGINE_FAULTS, |t| &mut t.faults),
+        ("outliers", metrics::ENGINE_OUTLIERS, |t| &mut t.outliers),
+        ("failed", metrics::ENGINE_FAILED, |t| &mut t.failed),
+    ];
+
+    /// The one classifier: count one probe. Order matters — a pruned
+    /// probe is neither a fresh evaluation nor a cache hit (it never
+    /// reached the compiler), and a failed probe never got a verdict on
+    /// its merits, so it is counted on its own, not as a rejection.
+    pub fn count(&mut self, probe: &ProbeFacts<'_>) {
+        if let Some(why) = probe.pruned {
+            self.pruned += 1;
+            self.model_pruned += (why == PRUNE_MODEL_RANK) as u32;
+        } else if probe.cache_hit {
+            self.cache_hits += 1;
+        } else {
+            self.evaluated += 1;
+            if probe.failed {
+                self.failed += 1;
+            } else if !probe.verified {
+                self.rejected += 1;
+            }
+        }
+        self.retries += probe.retries;
+        self.faults += probe.faults;
+        self.outliers += probe.outliers;
+    }
+}
+
+impl std::ops::AddAssign for Tally {
+    fn add_assign(&mut self, mut rhs: Tally) {
+        for (_, _, field) in Tally::FIELDS {
+            *field(self) += *field(&mut rhs);
+        }
+    }
+}
+
+/// Outcome of one batch submission.
+#[derive(Clone, Debug)]
+pub struct BatchOutcome {
+    /// Per-candidate cycles (index-aligned with the submitted batch).
+    pub results: Vec<Option<u64>>,
+    /// What became of the batch's candidates.
+    pub tally: Tally,
+}
+
+/// What became of one submitted candidate.
+// Fresh dwarfs the rest (its record carries RunStats inline), but a batch
+// is a dozen candidates that live for one call, and most of a cold
+// search's are fresh; boxing would cost an allocation per evaluation.
+#[allow(clippy::large_enum_variant)]
+enum Fate {
+    /// Dropped before compilation; never compiled, simulated or cached.
+    Pruned(PruneWhy),
+    /// Answered by the evaluation cache.
+    Hit(Option<u64>),
+    /// The same point as the earlier candidate at this batch index: it
+    /// shares that candidate's result and counts (and traces) as a hit.
+    DupOf(usize),
+    /// Unique, uncached and legal: evaluated. `rec` is blank until the
+    /// parallel pass delivers it; `key` is the cache key it is published
+    /// under.
+    Fresh {
+        key: String,
+        rec: EvalRecord,
+        wall_us: u64,
+        worker: Option<u32>,
+    },
+}
+
+/// One candidate of a batch: its cost-model prediction and its fate.
+struct Probe {
+    predicted: Option<u64>,
+    fate: Fate,
 }
 
 /// The evaluation engine: a scoped thread pool plus the shared cache and
@@ -288,15 +387,8 @@ pub struct EvalEngine {
     /// by candidate index, so results stay bit-identical either way.
     pool: Option<Arc<crate::worker::WorkerPool>>,
     metrics: Arc<MetricsRegistry>,
-    m_evaluated: Arc<Counter>,
-    m_rejected: Arc<Counter>,
-    m_cache_hits: Arc<Counter>,
-    m_pruned: Arc<Counter>,
-    m_model_pruned: Arc<Counter>,
-    m_retries: Arc<Counter>,
-    m_faults: Arc<Counter>,
-    m_outliers: Arc<Counter>,
-    m_failed: Arc<Counter>,
+    /// One registry counter per [`Tally`] field, in `Tally::FIELDS` order.
+    m_tally: [Arc<Counter>; 9],
     m_simulations: Arc<Counter>,
     m_probes: Arc<Counter>,
     m_batches: Arc<Counter>,
@@ -333,15 +425,7 @@ impl EvalEngine {
             trace,
             faults: None,
             pool: None,
-            m_evaluated: registry.counter(metrics::ENGINE_EVALS),
-            m_rejected: registry.counter(metrics::ENGINE_REJECTED),
-            m_cache_hits: registry.counter(metrics::ENGINE_CACHE_HITS),
-            m_pruned: registry.counter(metrics::ENGINE_PRUNED),
-            m_model_pruned: registry.counter(metrics::ENGINE_MODEL_PRUNED),
-            m_retries: registry.counter(metrics::ENGINE_RETRIES),
-            m_faults: registry.counter(metrics::ENGINE_FAULTS),
-            m_outliers: registry.counter(metrics::ENGINE_OUTLIERS),
-            m_failed: registry.counter(metrics::ENGINE_FAILED),
+            m_tally: Tally::FIELDS.map(|(_, metric, _)| registry.counter(metric)),
             m_simulations: registry.counter(metrics::ENGINE_SIMULATIONS),
             m_probes: registry.counter(metrics::ENGINE_PROBES),
             m_batches: registry.counter(metrics::ENGINE_BATCHES),
@@ -415,16 +499,17 @@ impl EvalEngine {
     pub fn metrics(&self) -> &Arc<MetricsRegistry> {
         &self.metrics
     }
-    /// Cumulative statistics, derived from the metrics registry (see
-    /// [`EngineStats`]).
-    pub fn stats(&self) -> EngineStats {
-        EngineStats {
-            evaluated: self.m_evaluated.get(),
-            rejected: self.m_rejected.get(),
-            cache_hits: self.m_cache_hits.get(),
-            pruned: self.m_pruned.get(),
-            model_pruned: self.m_model_pruned.get(),
+    /// Cumulative tally, read from the engine's metrics registry (one
+    /// source of truth — the counters the engine increments are the
+    /// counters this reads). With the default global registry the numbers
+    /// are process-wide; attach a private registry via
+    /// [`EvalEngine::with_metrics`] for per-engine isolation.
+    pub fn stats(&self) -> Tally {
+        let mut t = Tally::default();
+        for ((_, _, field), counter) in Tally::FIELDS.iter().zip(&self.m_tally) {
+            *field(&mut t) = counter.get() as u32;
         }
+        t
     }
 
     /// Count one simulator run against this engine's registry
@@ -489,41 +574,45 @@ impl EvalEngine {
             precheck,
             model,
         } = batch;
-        let keys: Vec<String> = cands.iter().map(|p| scope.point_key(p)).collect();
-
         // Serial pass: prune illegal points, then resolve cache hits and
-        // batch-internal duplicates.
-        let mut results: Vec<Option<Option<u64>>> = vec![None; cands.len()];
-        let mut stats: Vec<Option<RunStats>> = vec![None; cands.len()];
-        let mut hit: Vec<bool> = vec![false; cands.len()];
-        let mut pruned_why: Vec<Option<PruneWhy>> = vec![None; cands.len()];
-        let mut primary: HashMap<&str, usize> = HashMap::new();
-        let mut dup_of: Vec<Option<usize>> = vec![None; cands.len()];
+        // batch-internal duplicates. `work` lists the fresh candidates.
+        let mut primary: HashMap<String, usize> = HashMap::new();
         let mut work: Vec<usize> = Vec::new();
-        for i in 0..cands.len() {
-            if let Err(why) = precheck(&cands[i]) {
-                results[i] = Some(None);
-                pruned_why[i] = Some(PruneWhy::Legality(why));
-            } else if let Some(v) = self.cache.get(&keys[i]) {
-                results[i] = Some(v);
-                hit[i] = true;
-            } else if let Some(&j) = primary.get(keys[i].as_str()) {
-                dup_of[i] = Some(j);
+        let mut probes: Vec<Probe> = Vec::with_capacity(cands.len());
+        for (i, cand) in cands.iter().enumerate() {
+            let fate = if let Err(why) = precheck(cand) {
+                Fate::Pruned(PruneWhy::Legality(why))
             } else {
-                primary.insert(keys[i].as_str(), i);
-                work.push(i);
-            }
+                let key = scope.point_key(cand);
+                if let Some(v) = self.cache.get(&key) {
+                    Fate::Hit(v)
+                } else if let Some(&j) = primary.get(&key) {
+                    Fate::DupOf(j)
+                } else {
+                    primary.insert(key.clone(), i);
+                    work.push(i);
+                    Fate::Fresh {
+                        key,
+                        rec: EvalRecord::default(),
+                        wall_us: 0,
+                        worker: None,
+                    }
+                }
+            };
+            probes.push(Probe {
+                predicted: None,
+                fate,
+            });
         }
 
         // Serial model pass: predict every legal candidate (hits and
         // duplicates included — predictions are session-cached and feed
         // the predicted-vs-actual trace), then rank the fresh work and
         // drop the predicted-worst fraction.
-        let mut predicted: Vec<Option<u64>> = vec![None; cands.len()];
         if let Some(m) = model {
-            for i in 0..cands.len() {
-                if pruned_why[i].is_none() {
-                    predicted[i] = (m.hook)(&cands[i]);
+            for (cand, probe) in cands.iter().zip(&mut probes) {
+                if !matches!(probe.fate, Fate::Pruned(_)) {
+                    probe.predicted = (m.hook)(cand);
                 }
             }
             let frac = m.prune_frac.clamp(0.0, 1.0);
@@ -533,44 +622,39 @@ impl EvalEngine {
             // prune its fresh arm against the cached prediction. Only
             // fresh work is ever dropped.
             let pool: Vec<usize> = (0..cands.len())
-                .filter(|&i| hit[i])
+                .filter(|&i| matches!(probes[i].fate, Fate::Hit(_)))
                 .chain(work.iter().copied())
                 .collect();
             if frac > 0.0 && pool.len() > 1 && !work.is_empty() {
                 let mut ranked: Vec<usize> = pool
                     .iter()
                     .copied()
-                    .filter(|&i| predicted[i].is_some())
+                    .filter(|&i| probes[i].predicted.is_some())
                     .collect();
-                ranked.sort_by_key(|&i| (predicted[i], i));
+                ranked.sort_by_key(|&i| (probes[i].predicted, i));
                 let unranked = pool.len() - ranked.len();
                 let keep_total = (((1.0 - frac) * pool.len() as f64).ceil() as usize).max(1);
                 // Unpredicted candidates are always kept; the ranked ones
                 // fill the rest of the quota (at least one survives).
                 let keep_ranked = keep_total.saturating_sub(unranked).max(1).min(ranked.len());
                 if keep_ranked < ranked.len() {
-                    let cutoff = predicted[ranked[keep_ranked - 1]];
+                    let cutoff = probes[ranked[keep_ranked - 1]].predicted;
                     for &i in &ranked[keep_ranked..] {
                         // A candidate tied with the last survivor is kept:
                         // the model cannot order ties, so it must not
                         // split them.
-                        if predicted[i] > cutoff && !hit[i] {
-                            results[i] = Some(None);
-                            pruned_why[i] = Some(PruneWhy::Model);
+                        if probes[i].predicted > cutoff
+                            && matches!(probes[i].fate, Fate::Fresh { .. })
+                        {
+                            probes[i].fate = Fate::Pruned(PruneWhy::Model);
                         }
                     }
-                    work.retain(|&i| pruned_why[i].is_none());
+                    work.retain(|&i| matches!(probes[i].fate, Fate::Fresh { .. }));
                 }
             }
         }
 
         // Parallel pass over the unique uncached points.
-        let mut wall_us: Vec<u64> = vec![0; cands.len()];
-        let mut retries_v: Vec<u32> = vec![0; cands.len()];
-        let mut faults_v: Vec<u32> = vec![0; cands.len()];
-        let mut outliers_v: Vec<u32> = vec![0; cands.len()];
-        let mut failed_v: Vec<bool> = vec![false; cands.len()];
-        let mut worker_v: Vec<Option<u32>> = vec![None; cands.len()];
         if !work.is_empty() {
             let batch_start = std::time::Instant::now();
             // (candidate index, record, eval wall-µs, worker id)
@@ -661,102 +745,105 @@ impl EvalEngine {
             self.m_batch_wall
                 .observe(batch_start.elapsed().as_micros() as u64);
             for (i, r, us, wtag) in done.into_inner().unwrap() {
-                results[i] = Some(r.cycles);
-                stats[i] = r.stats;
-                wall_us[i] = us;
-                retries_v[i] = r.retries;
-                faults_v[i] = r.faults;
-                outliers_v[i] = r.outliers;
-                failed_v[i] = r.failed;
-                worker_v[i] = wtag;
+                if let Fate::Fresh {
+                    rec,
+                    wall_us,
+                    worker,
+                    ..
+                } = &mut probes[i].fate
+                {
+                    (*rec, *wall_us, *worker) = (r, us, wtag);
+                }
             }
             // Serial: publish to the cache in candidate order. A *failed*
             // record is a transient artifact of the fault plan, not a
             // verdict on the point — caching it would poison later runs.
             for &i in &work {
-                if failed_v[i] {
-                    continue;
+                if let Fate::Fresh { key, rec, .. } = &mut probes[i].fate {
+                    if !rec.failed {
+                        self.cache.insert_with(
+                            std::mem::take(key),
+                            rec.cycles,
+                            self.faults.as_ref(),
+                        );
+                    }
                 }
-                self.cache.insert_with(
-                    keys[i].clone(),
-                    results[i].unwrap_or(None),
-                    self.faults.as_ref(),
-                );
-            }
-        }
-        // Resolve duplicates from their primaries.
-        for i in 0..cands.len() {
-            if let Some(j) = dup_of[i] {
-                results[i] = results[j];
-                hit[i] = true;
             }
         }
 
-        let results: Vec<Option<u64>> = results.into_iter().map(|r| r.unwrap_or(None)).collect();
-        let evaluated = work.len() as u32;
-        // A failed candidate was never judged on its merits: it is not a
-        // rejection, it is counted (and traced) separately.
-        let rejected = work
-            .iter()
-            .filter(|&&i| results[i].is_none() && !failed_v[i])
-            .count() as u32;
-        let cache_hits = hit.iter().filter(|&&h| h).count() as u32;
-        let pruned = pruned_why.iter().filter(|w| w.is_some()).count() as u32;
-        let model_pruned = pruned_why
-            .iter()
-            .filter(|w| **w == Some(PruneWhy::Model))
-            .count() as u32;
-        let retries: u32 = retries_v.iter().sum();
-        let faults: u32 = faults_v.iter().sum();
-        let outliers: u32 = outliers_v.iter().sum();
-        let failed = failed_v.iter().filter(|&&f| f).count() as u32;
-        self.m_batches.inc();
-        self.m_batch_size.observe(cands.len() as u64);
-        self.m_probes.add(cands.len() as u64);
-        self.m_evaluated.add(evaluated as u64);
-        self.m_rejected.add(rejected as u64);
-        self.m_cache_hits.add(cache_hits as u64);
-        self.m_pruned.add(pruned as u64);
-        self.m_model_pruned.add(model_pruned as u64);
-        self.m_retries.add(retries as u64);
-        self.m_faults.add(faults as u64);
-        self.m_outliers.add(outliers as u64);
-        self.m_failed.add(failed as u64);
-
-        if let Some(sink) = &self.trace {
-            for i in 0..cands.len() {
+        // One pass over the fates: the index-aligned results, the tally
+        // and (when a sink is attached) the trace events.
+        let blank = EvalRecord::default();
+        let mut results: Vec<Option<u64>> = Vec::with_capacity(cands.len());
+        let mut tally = Tally::default();
+        for (cand, probe) in cands.iter().zip(&probes) {
+            let (pruned, cache_hit, cycles, rec, wall_us, worker) = match &probe.fate {
+                Fate::Pruned(why) => (Some(why.as_str()), false, None, &blank, 0, None),
+                Fate::Hit(v) => (None, true, *v, &blank, 0, None),
+                // A duplicate's primary sits earlier in the batch.
+                Fate::DupOf(j) => (None, true, results[*j], &blank, 0, None),
+                Fate::Fresh {
+                    rec,
+                    wall_us,
+                    worker,
+                    ..
+                } => (None, false, rec.cycles, rec, *wall_us, *worker),
+            };
+            let facts = ProbeFacts {
+                pruned,
+                cache_hit,
+                verified: cycles.is_some(),
+                failed: rec.failed,
+                retries: rec.retries,
+                faults: rec.faults,
+                outliers: rec.outliers,
+            };
+            results.push(cycles);
+            tally.count(&facts);
+            if let Some(sink) = &self.trace {
                 sink.record(&SearchEvent::Eval(EvalEvent {
                     scope: scope.key().to_string(),
                     phase: phase.to_string(),
-                    params: format!("{:?}", cands[i]),
-                    cycles: results[i],
-                    verified: results[i].is_some(),
-                    cache_hit: hit[i],
-                    wall_us: wall_us[i],
-                    stats: stats[i],
-                    predicted: predicted[i],
-                    pruned: pruned_why[i].map(|w| w.as_str().to_string()),
+                    params: format!("{cand:?}"),
+                    cycles,
+                    verified: facts.verified,
+                    cache_hit,
+                    wall_us,
+                    stats: rec.stats,
+                    predicted: probe.predicted,
+                    pruned: pruned.map(str::to_string),
                     strategy: strategy.to_string(),
-                    retries: retries_v[i],
-                    faults: faults_v[i],
-                    outliers: outliers_v[i],
-                    failed: failed_v[i],
-                    worker: worker_v[i],
+                    retries: rec.retries,
+                    faults: rec.faults,
+                    outliers: rec.outliers,
+                    failed: rec.failed,
+                    worker,
                 }));
             }
         }
+        self.m_batches.inc();
+        self.m_batch_size.observe(cands.len() as u64);
+        self.m_probes.add(cands.len() as u64);
+        let mut counted = tally;
+        for ((_, _, field), counter) in Tally::FIELDS.iter().zip(&self.m_tally) {
+            counter.add(*field(&mut counted) as u64);
+        }
 
-        BatchOutcome {
-            results,
-            evaluated,
-            rejected,
-            cache_hits,
-            pruned,
-            model_pruned,
-            retries,
-            faults,
-            outliers,
-            failed,
+        BatchOutcome { results, tally }
+    }
+}
+
+impl EvalEvent {
+    /// The classifier's view of a trace event (see [`ProbeFacts`]).
+    pub fn facts(&self) -> ProbeFacts<'_> {
+        ProbeFacts {
+            pruned: self.pruned.as_deref(),
+            cache_hit: self.cache_hit,
+            verified: self.verified,
+            failed: self.failed,
+            retries: self.retries,
+            faults: self.faults,
+            outliers: self.outliers,
         }
     }
 }
@@ -796,13 +883,13 @@ mod tests {
             out.results,
             (1..=8).map(|u| Some(u * 10)).collect::<Vec<_>>()
         );
-        assert_eq!(out.evaluated, 8);
-        assert_eq!(out.cache_hits, 0);
+        assert_eq!(out.tally.evaluated, 8);
+        assert_eq!(out.tally.cache_hits, 0);
         // Second submission: all hits, evaluator must not run.
         let out2 = eng.eval_batch(&scope(), "UR", &cands, |_| panic!("must be cached"));
         assert_eq!(out2.results, out.results);
-        assert_eq!(out2.cache_hits, 8);
-        assert_eq!(out2.evaluated, 0);
+        assert_eq!(out2.tally.cache_hits, 8);
+        assert_eq!(out2.tally.evaluated, 0);
     }
 
     #[test]
@@ -828,18 +915,18 @@ mod tests {
             },
         );
         assert_eq!(out.results, vec![None, Some(2), None, Some(4)]);
-        assert_eq!(out.pruned, 2);
-        assert_eq!(out.evaluated, 2);
-        assert_eq!(out.cache_hits, 0);
+        assert_eq!(out.tally.pruned, 2);
+        assert_eq!(out.tally.evaluated, 2);
+        assert_eq!(out.tally.cache_hits, 0);
         // Pruned points are never cached: resubmitting without the
         // precheck evaluates them fresh.
         let out2 = eng.evaluate(&Batch::new(&scope(), "UR"), &cands, |p| {
             EvalRecord::from(Some(p.unroll as u64))
         });
         assert_eq!(out2.results, (1..=4).map(Some).collect::<Vec<_>>());
-        assert_eq!(out2.evaluated, 2);
-        assert_eq!(out2.cache_hits, 2);
-        assert_eq!(out2.pruned, 0);
+        assert_eq!(out2.tally.evaluated, 2);
+        assert_eq!(out2.tally.cache_hits, 2);
+        assert_eq!(out2.tally.pruned, 0);
     }
 
     #[test]
@@ -852,8 +939,8 @@ mod tests {
             Some(p.unroll as u64)
         });
         assert_eq!(calls.load(Ordering::Relaxed), 1);
-        assert_eq!(out.evaluated, 1);
-        assert_eq!(out.cache_hits, 2);
+        assert_eq!(out.tally.evaluated, 1);
+        assert_eq!(out.tally.cache_hits, 2);
         assert_eq!(out.results, vec![Some(4), Some(4), Some(4)]);
     }
 
@@ -862,10 +949,10 @@ mod tests {
         let eng = EvalEngine::new(1);
         let cands = vec![point(3)];
         let out = eng.eval_batch(&scope(), "UR", &cands, |_| None);
-        assert_eq!(out.rejected, 1);
+        assert_eq!(out.tally.rejected, 1);
         let out2 = eng.eval_batch(&scope(), "UR", &cands, |_| panic!("cached rejection"));
         assert_eq!(out2.results, vec![None]);
-        assert_eq!(out2.cache_hits, 1);
+        assert_eq!(out2.tally.cache_hits, 1);
     }
 
     #[test]
@@ -881,8 +968,8 @@ mod tests {
         let serial = EvalEngine::new(1).eval_batch(&scope(), "UR", &cands, f);
         let wide = EvalEngine::new(8).eval_batch(&scope(), "UR", &cands, f);
         assert_eq!(serial.results, wide.results);
-        assert_eq!(serial.evaluated, wide.evaluated);
-        assert_eq!(serial.rejected, wide.rejected);
+        assert_eq!(serial.tally.evaluated, wide.tally.evaluated);
+        assert_eq!(serial.tally.rejected, wide.tally.rejected);
     }
 
     #[test]
@@ -939,9 +1026,9 @@ mod tests {
         });
         let again = eng.eval_batch(&scope(), "UR", &cands, |_| panic!("cached"));
         let s = eng.stats();
-        assert_eq!(s.evaluated, out.evaluated as u64);
-        assert_eq!(s.rejected, out.rejected as u64);
-        assert_eq!(s.cache_hits, again.cache_hits as u64);
+        assert_eq!(s.evaluated, out.tally.evaluated);
+        assert_eq!(s.rejected, out.tally.rejected);
+        assert_eq!(s.cache_hits, again.tally.cache_hits);
         assert_eq!(reg.counter_value(metrics::ENGINE_EVALS), Some(64));
         assert_eq!(reg.counter_value(metrics::ENGINE_CACHE_HITS), Some(64));
         assert_eq!(reg.counter_value(metrics::ENGINE_BATCHES), Some(2));
@@ -975,10 +1062,10 @@ mod tests {
             }
         });
         assert_eq!(out.results, vec![None, Some(4)]);
-        assert_eq!(out.failed, 1);
-        assert_eq!(out.rejected, 0, "failed is not a merits rejection");
-        assert_eq!(out.retries, 3);
-        assert_eq!(out.faults, 4);
+        assert_eq!(out.tally.failed, 1);
+        assert_eq!(out.tally.rejected, 0, "failed is not a merits rejection");
+        assert_eq!(out.tally.retries, 3);
+        assert_eq!(out.tally.faults, 4);
         assert_eq!(reg.counter_value(metrics::ENGINE_FAILED), Some(1));
         assert_eq!(reg.counter_value(metrics::ENGINE_RETRIES), Some(3));
         let evs = sink.evals();
@@ -991,8 +1078,100 @@ mod tests {
             EvalRecord::from(Some(p.unroll as u64))
         });
         assert_eq!(out2.results, vec![Some(2), Some(4)]);
-        assert_eq!(out2.evaluated, 1);
-        assert_eq!(out2.cache_hits, 1);
+        assert_eq!(out2.tally.evaluated, 1);
+        assert_eq!(out2.tally.cache_hits, 1);
+    }
+
+    /// The struct and its table cannot drift apart: Debug enumerates the
+    /// real fields, and every accessor must reach its own field.
+    #[test]
+    fn tally_table_covers_every_counter() {
+        let mut t = Tally::default();
+        for (i, (_, _, field)) in Tally::FIELDS.iter().enumerate() {
+            *field(&mut t) = i as u32 + 1;
+        }
+        let want: Vec<String> = Tally::FIELDS
+            .iter()
+            .enumerate()
+            .map(|(i, (name, _, _))| format!("{name}: {}", i + 1))
+            .collect();
+        assert_eq!(format!("{t:?}"), format!("Tally {{ {} }}", want.join(", ")));
+        let mut sum = t;
+        sum += t;
+        for (i, (name, _, field)) in Tally::FIELDS.iter().enumerate() {
+            assert_eq!(*field(&mut sum), 2 * (i as u32 + 1), "field {name}");
+        }
+    }
+
+    /// One batch holding every fate at once: the tally the engine returns,
+    /// its registry counters, and the tally `ifko report` derives from the
+    /// batch's own trace events are the same nine numbers.
+    #[test]
+    fn every_fate_counts_the_same_in_outcome_registry_and_report() {
+        let cache = Arc::new(EvalCache::new());
+        // Warm unroll=2 on a throwaway engine so this one sees a hit.
+        EvalEngine::new(1)
+            .with_cache(cache.clone())
+            .with_metrics(Arc::new(MetricsRegistry::new()))
+            .eval_batch(&scope(), "UR", &[point(2)], |_| Some(20));
+        let sink = MemSink::new();
+        let reg = Arc::new(MetricsRegistry::new());
+        let eng = EvalEngine::new(2)
+            .with_cache(cache)
+            .with_trace(sink.clone())
+            .with_metrics(reg.clone());
+        // legality-pruned, cache hit, verified, its duplicate, rejected
+        // (after a ridden-out compile fault), failed, model-pruned.
+        let cands: Vec<_> = [1, 2, 3, 3, 4, 5, 6].map(point).into();
+        let hook = |p: &TransformParams| Some(p.unroll as u64);
+        let scope = scope();
+        let batch = Batch {
+            precheck: &|p| match p.unroll {
+                1 => Err(Reject::UnrollTooLarge),
+                _ => Ok(()),
+            },
+            ..modeled_batch(
+                &scope,
+                Some(ModelCtx {
+                    hook: &hook,
+                    prune_frac: 0.2,
+                }),
+            )
+        };
+        let out = eng.evaluate(&batch, &cands, |p| match p.unroll {
+            3 => EvalRecord {
+                cycles: Some(30),
+                outliers: 2,
+                ..EvalRecord::default()
+            },
+            4 => EvalRecord {
+                retries: 1,
+                faults: 1,
+                ..EvalRecord::rejected()
+            },
+            5 => EvalRecord::failed(3, 4),
+            u => panic!("unroll={u} must not reach the evaluator"),
+        });
+        assert_eq!(
+            out.results,
+            vec![None, Some(20), Some(30), Some(30), None, None, None]
+        );
+        let want = Tally {
+            evaluated: 3,
+            rejected: 1,
+            cache_hits: 2,
+            pruned: 2,
+            model_pruned: 1,
+            retries: 4,
+            faults: 5,
+            outliers: 2,
+            failed: 1,
+        };
+        assert_eq!(out.tally, want);
+        assert_eq!(eng.stats(), want, "registry counters");
+        let rep = crate::report::analyze(&sink.events(), 0);
+        assert_eq!(rep.scopes[0].tally, want, "ifko report's tally");
+        assert_eq!(rep.scopes[0].probes, 7);
     }
 
     #[test]
@@ -1022,10 +1201,10 @@ mod tests {
         );
         // frac 0: identical outcome, predictions trace-only.
         assert_eq!(plain.results, modeled.results);
-        assert_eq!(plain.evaluated, modeled.evaluated);
-        assert_eq!(plain.rejected, modeled.rejected);
-        assert_eq!(modeled.pruned, 0);
-        assert_eq!(modeled.model_pruned, 0);
+        assert_eq!(plain.tally.evaluated, modeled.tally.evaluated);
+        assert_eq!(plain.tally.rejected, modeled.tally.rejected);
+        assert_eq!(modeled.tally.pruned, 0);
+        assert_eq!(modeled.tally.model_pruned, 0);
         let evs = sink.evals();
         assert_eq!(evs.len(), 9);
         for (ev, c) in evs.iter().zip(&cands) {
@@ -1059,9 +1238,9 @@ mod tests {
             },
         );
         assert_eq!(out.results, vec![Some(10), Some(20), None, None]);
-        assert_eq!(out.evaluated, 2);
-        assert_eq!(out.pruned, 2);
-        assert_eq!(out.model_pruned, 2);
+        assert_eq!(out.tally.evaluated, 2);
+        assert_eq!(out.tally.pruned, 2);
+        assert_eq!(out.tally.model_pruned, 2);
         assert_eq!(eng.stats().model_pruned, 2);
         assert_eq!(reg.counter_value(metrics::ENGINE_MODEL_PRUNED), Some(2));
         let evs = sink.evals();
@@ -1076,8 +1255,8 @@ mod tests {
             out2.results,
             (1..=4).map(|u| Some(u * 10)).collect::<Vec<_>>()
         );
-        assert_eq!(out2.evaluated, 2);
-        assert_eq!(out2.cache_hits, 2);
+        assert_eq!(out2.tally.evaluated, 2);
+        assert_eq!(out2.tally.cache_hits, 2);
     }
 
     #[test]
@@ -1098,8 +1277,8 @@ mod tests {
             &cands,
             |p| EvalRecord::from(Some(p.unroll as u64)),
         );
-        assert_eq!(out.model_pruned, 0);
-        assert_eq!(out.evaluated, 4);
+        assert_eq!(out.tally.model_pruned, 0);
+        assert_eq!(out.tally.evaluated, 4);
         // A hook with no prediction never prunes.
         let eng2 = EvalEngine::new(1);
         let none = |_: &TransformParams| None;
@@ -1114,8 +1293,8 @@ mod tests {
             &cands,
             |p| EvalRecord::from(Some(p.unroll as u64)),
         );
-        assert_eq!(out2.model_pruned, 0);
-        assert_eq!(out2.evaluated, 4);
+        assert_eq!(out2.tally.model_pruned, 0);
+        assert_eq!(out2.tally.evaluated, 4);
     }
 
     #[test]
@@ -1138,7 +1317,7 @@ mod tests {
         let serial = run(1);
         let wide = run(8);
         assert_eq!(serial.results, wide.results);
-        assert_eq!(serial.model_pruned, wide.model_pruned);
-        assert!(serial.model_pruned > 0);
+        assert_eq!(serial.tally.model_pruned, wide.tally.model_pruned);
+        assert!(serial.tally.model_pruned > 0);
     }
 }

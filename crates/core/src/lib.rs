@@ -85,7 +85,7 @@ pub use config::TuneConfig;
 pub use driver::{flops_rate, TuneError, TuneOutcome};
 pub use eval::{
     machine_fingerprint, EvalCache, EvalEngine, EvalEvent, EvalScope, JsonlSink, MemSink,
-    SearchEvent, Span, SpanEvent, TeeSink, TraceSink,
+    SearchEvent, Span, SpanEvent, Tally, TeeSink, TraceSink,
 };
 pub use explain::{explain_files, Bottleneck, ExplainReport};
 pub use fault::FaultPlan;

@@ -24,6 +24,7 @@
 //! counted**, never fatal — a trace cut short by Ctrl-C must still
 //! report.
 
+use crate::eval::Tally;
 use crate::json::esc;
 use crate::trace::{EvalEvent, SearchEvent};
 use ifko_xsim::RunStats;
@@ -89,25 +90,12 @@ pub struct ScopeReport {
     /// Problem size, parsed back out of the scope key.
     pub n: Option<u64>,
     pub probes: u64,
-    pub fresh: u64,
-    pub cache_hits: u64,
-    pub rejected: u64,
-    /// Candidates pruned before compiling (legality precheck plus the
-    /// cost-model cut — `model_pruned` is the model's share).
-    pub pruned: u64,
-    /// The cost-model subset of `pruned`: candidates ranked out by
-    /// predicted cycles under `--model-prune` (0 for model-free traces).
-    pub model_pruned: u64,
-    /// Transient-failure retries burned (compile/tester re-runs plus
-    /// timing-rep re-times; 0 for fault-free traces).
-    pub retries: u64,
-    /// Faults injected by the chaos plan.
-    pub faults: u64,
-    /// Timing reps rejected as outliers by the robust timer.
-    pub outliers: u64,
-    /// Candidates that exhausted the retry budget and were skipped
-    /// (not counted in `rejected`).
-    pub failed: u64,
+    /// What became of the probes, counted by the engine's own classifier
+    /// ([`Tally::count`]): `evaluated` is the fresh evaluations, `pruned`
+    /// covers the legality precheck plus the cost-model cut
+    /// (`model_pruned` is the model's share; 0 for model-free traces), and
+    /// the chaos counters are 0 for fault-free traces.
+    pub tally: Tally,
     pub first_cycles: Option<u64>,
     pub best_cycles: Option<u64>,
     pub best_params: Option<String>,
@@ -140,15 +128,15 @@ impl ScopeReport {
     }
     /// Mean wall-clock of one fresh evaluation, microseconds.
     pub fn mean_fresh_wall_us(&self) -> f64 {
-        if self.fresh == 0 {
+        if self.tally.evaluated == 0 {
             0.0
         } else {
-            self.fresh_wall_us as f64 / self.fresh as f64
+            self.fresh_wall_us as f64 / self.tally.evaluated as f64
         }
     }
     /// Estimated wall-clock the cache saved: hits × mean fresh cost.
     pub fn saved_wall_us_est(&self) -> f64 {
-        self.cache_hits as f64 * self.mean_fresh_wall_us()
+        self.tally.cache_hits as f64 * self.mean_fresh_wall_us()
     }
 }
 
@@ -181,7 +169,8 @@ impl TraceReport {
     /// trace). `None` when the trace carries no `simulate` spans.
     pub fn simulations_per_fresh_eval(&self) -> Option<(u64, u64)> {
         let sims = self.stages.iter().find(|r| r.stage == "simulate")?.count;
-        Some((sims, self.scopes.iter().map(|sc| sc.fresh).sum()))
+        let fresh = self.scopes.iter().map(|sc| sc.tally.evaluated as u64);
+        Some((sims, fresh.sum()))
     }
 
     /// The text and Markdown renderers' line for that pair.
@@ -253,15 +242,7 @@ fn analyze_scope(scope: &str, evs: &[&EvalEvent]) -> ScopeReport {
         scope: scope.to_string(),
         n: scope_n(scope),
         probes: evs.len() as u64,
-        fresh: 0,
-        cache_hits: 0,
-        rejected: 0,
-        pruned: 0,
-        model_pruned: 0,
-        retries: 0,
-        faults: 0,
-        outliers: 0,
-        failed: 0,
+        tally: Tally::default(),
         first_cycles: None,
         best_cycles: None,
         best_params: None,
@@ -280,29 +261,12 @@ fn analyze_scope(scope: &str, evs: &[&EvalEvent]) -> ScopeReport {
     let mut strat_map: HashMap<String, StrategyRow> = HashMap::new();
     let mut best: Option<u64> = None;
     for (idx, e) in evs.iter().enumerate() {
-        // Order matters: a pruned probe is neither a fresh evaluation
-        // nor a cache hit — it never reached the compiler.
-        if e.pruned.is_some() {
-            rep.pruned += 1;
-            if e.pruned.as_deref() == Some(crate::eval::PRUNE_MODEL_RANK) {
-                rep.model_pruned += 1;
-            }
-        } else if e.cache_hit {
-            rep.cache_hits += 1;
-        } else {
-            rep.fresh += 1;
+        let evaluated_before = rep.tally.evaluated;
+        rep.tally.count(&e.facts());
+        let fresh = rep.tally.evaluated > evaluated_before;
+        if fresh {
             rep.fresh_wall_us += e.wall_us;
-            // A failed probe never got a verdict on its merits: it is
-            // counted on its own, not as a rejection.
-            if e.failed {
-                rep.failed += 1;
-            } else if !e.verified {
-                rep.rejected += 1;
-            }
         }
-        rep.retries += e.retries as u64;
-        rep.faults += e.faults as u64;
-        rep.outliers += e.outliers as u64;
         if let Some(w) = e.worker {
             let row = worker_map.entry(w).or_insert(WorkerRow {
                 worker: w,
@@ -342,9 +306,7 @@ fn analyze_scope(scope: &str, evs: &[&EvalEvent]) -> ScopeReport {
             }
             let srow = strat_map.get_mut(&e.strategy).unwrap();
             srow.probes += 1;
-            if e.pruned.is_none() && !e.cache_hit {
-                srow.fresh += 1;
-            }
+            srow.fresh += fresh as u64;
             if let Some(c) = e.cycles {
                 if srow.best_cycles.is_none_or(|b| c < b) {
                     srow.best_cycles = Some(c);
@@ -450,21 +412,22 @@ pub fn render(rep: &TraceReport, format: ReportFormat) -> String {
 fn render_text(rep: &TraceReport) -> String {
     let mut s = String::new();
     for sc in &rep.scopes {
+        let t = sc.tally;
         s.push_str(&format!("== {} ==\n", sc.scope));
         s.push_str(&format!(
             "probes {} (fresh {}, cache hits {}, rejected {}, pruned {})\n",
-            sc.probes, sc.fresh, sc.cache_hits, sc.rejected, sc.pruned
+            sc.probes, t.evaluated, t.cache_hits, t.rejected, t.pruned
         ));
-        if sc.model_pruned > 0 {
+        if t.model_pruned > 0 {
             s.push_str(&format!(
                 "cost model pruned {} of {} candidates before compile\n",
-                sc.model_pruned, sc.probes
+                t.model_pruned, sc.probes
             ));
         }
-        if sc.retries + sc.faults + sc.outliers + sc.failed > 0 {
+        if t.retries + t.faults + t.outliers + t.failed > 0 {
             s.push_str(&format!(
                 "chaos: {} retries, {} faults injected, {} outliers rejected, {} failed\n",
-                sc.retries, sc.faults, sc.outliers, sc.failed
+                t.retries, t.faults, t.outliers, t.failed
             ));
         }
         if let (Some(a), Some(b)) = (sc.first_cycles, sc.best_cycles) {
@@ -536,7 +499,7 @@ fn render_text(rep: &TraceReport) -> String {
         }
         s.push_str(&format!(
             "cache: {} hits, ~{} us saved (mean fresh eval {} us)\n\n",
-            sc.cache_hits,
+            t.cache_hits,
             f4(sc.saved_wall_us_est()),
             f4(sc.mean_fresh_wall_us())
         ));
@@ -583,6 +546,7 @@ fn render_json(rep: &TraceReport) -> String {
     s.push_str(&format!("\"malformed\":{},", rep.malformed));
     s.push_str("\"scopes\":[");
     for (i, sc) in rep.scopes.iter().enumerate() {
+        let t = sc.tally;
         if i > 0 {
             s.push(',');
         }
@@ -590,19 +554,19 @@ fn render_json(rep: &TraceReport) -> String {
             "{{\"scope\":{},\"probes\":{},\"fresh\":{},\"cache_hits\":{},\"rejected\":{},\"pruned\":{}",
             jstr(&sc.scope),
             sc.probes,
-            sc.fresh,
-            sc.cache_hits,
-            sc.rejected,
-            sc.pruned
+            t.evaluated,
+            t.cache_hits,
+            t.rejected,
+            t.pruned
         ));
         // Model-era field: present only when the cost model cut something,
         // so reports over model-free traces stay byte-identical.
-        if sc.model_pruned > 0 {
-            s.push_str(&format!(",\"model_pruned\":{}", sc.model_pruned));
+        if t.model_pruned > 0 {
+            s.push_str(&format!(",\"model_pruned\":{}", t.model_pruned));
         }
         s.push_str(&format!(
             ",\"retries\":{},\"faults\":{},\"outliers\":{},\"failed\":{}",
-            sc.retries, sc.faults, sc.outliers, sc.failed
+            t.retries, t.faults, t.outliers, t.failed
         ));
         s.push_str(&format!(
             ",\"first_cycles\":{},\"best_cycles\":{},\"speedup\":{}",
@@ -713,18 +677,19 @@ fn render_json(rep: &TraceReport) -> String {
 fn render_md(rep: &TraceReport) -> String {
     let mut s = String::new();
     for sc in &rep.scopes {
+        let t = sc.tally;
         s.push_str(&format!("## `{}`\n\n", sc.scope));
         s.push_str(&format!(
             "{} probes — {} fresh, {} cache hits, {} rejected, {} pruned; ",
-            sc.probes, sc.fresh, sc.cache_hits, sc.rejected, sc.pruned
+            sc.probes, t.evaluated, t.cache_hits, t.rejected, t.pruned
         ));
-        if sc.model_pruned > 0 {
-            s.push_str(&format!("{} model-pruned; ", sc.model_pruned));
+        if t.model_pruned > 0 {
+            s.push_str(&format!("{} model-pruned; ", t.model_pruned));
         }
-        if sc.retries + sc.faults + sc.outliers + sc.failed > 0 {
+        if t.retries + t.faults + t.outliers + t.failed > 0 {
             s.push_str(&format!(
                 "chaos: {} retries, {} faults, {} outliers, {} failed; ",
-                sc.retries, sc.faults, sc.outliers, sc.failed
+                t.retries, t.faults, t.outliers, t.failed
             ));
         }
         if let (Some(a), Some(b)) = (sc.first_cycles, sc.best_cycles) {
@@ -922,7 +887,12 @@ mod tests {
         let sc = &rep.scopes[0];
         assert_eq!(sc.n, Some(100));
         assert_eq!(
-            (sc.probes, sc.fresh, sc.cache_hits, sc.rejected),
+            (
+                sc.probes,
+                sc.tally.evaluated,
+                sc.tally.cache_hits,
+                sc.tally.rejected
+            ),
             (6, 5, 1, 1)
         );
         assert_eq!(sc.first_cycles, Some(100));
@@ -944,7 +914,7 @@ mod tests {
         // Model-free traces: no model_pruned accounting, no extra output.
         let plain = vec![eval("SEED", Some(100), false), eval("UR", Some(80), false)];
         let rep = analyze(&plain, 0);
-        assert_eq!(rep.scopes[0].model_pruned, 0);
+        assert_eq!(rep.scopes[0].tally.model_pruned, 0);
         assert!(!render(&rep, ReportFormat::Text).contains("cost model"));
         assert!(!render(&rep, ReportFormat::Json).contains("model_pruned"));
         assert!(!render(&rep, ReportFormat::Markdown).contains("model-pruned"));
@@ -962,7 +932,10 @@ mod tests {
         let events = vec![eval("SEED", Some(100), false), cut, illegal];
         let rep = analyze(&events, 0);
         let sc = &rep.scopes[0];
-        assert_eq!((sc.probes, sc.pruned, sc.model_pruned), (3, 2, 1));
+        assert_eq!(
+            (sc.probes, sc.tally.pruned, sc.tally.model_pruned),
+            (3, 2, 1)
+        );
         assert!(render(&rep, ReportFormat::Text)
             .contains("cost model pruned 1 of 3 candidates before compile"));
         let json = render(&rep, ReportFormat::Json);

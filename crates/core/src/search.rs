@@ -23,16 +23,15 @@
 //! bit-identical for any `jobs` count (the determinism invariant; see
 //! `crates/core/src/eval.rs`).
 
-use crate::eval::EvalEngine;
+use crate::eval::{EvalEngine, Tally};
 use crate::fault::FaultPlan;
-use crate::metrics::{self, MetricsRegistry};
 use crate::runner::Context;
+use crate::strategy::DriverResult;
 use crate::subject::Subject;
 use crate::timer::Timer;
 use ifko_blas::{Kernel, Workload};
 use ifko_fko::{AnalysisReport, CompileSession, TransformParams};
 use ifko_xsim::MachineConfig;
-use std::sync::Arc;
 
 /// Which phase of the line search produced a gain.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -194,6 +193,33 @@ pub struct SearchResult {
 }
 
 impl SearchResult {
+    /// The one place a result is assembled: what a driver found, who
+    /// drove and who won, and the search's [`Tally`].
+    pub(crate) fn new(
+        found: DriverResult,
+        strategy: &str,
+        winner_strategy: String,
+        tally: Tally,
+    ) -> SearchResult {
+        SearchResult {
+            best: found.best,
+            best_cycles: found.best_cycles,
+            default_cycles: found.default_cycles,
+            gains: found.gains,
+            evaluations: tally.evaluated,
+            rejected: tally.rejected,
+            cache_hits: tally.cache_hits,
+            pruned: tally.pruned,
+            model_pruned: tally.model_pruned,
+            strategy: strategy.to_string(),
+            winner_strategy,
+            retries: tally.retries,
+            faults: tally.faults,
+            outliers: tally.outliers,
+            failed: tally.failed,
+        }
+    }
+
     /// iFKO-over-FKO speedup (Figure 7's total).
     pub fn speedup_over_default(&self) -> f64 {
         self.default_cycles as f64 / self.best_cycles.max(1) as f64
@@ -202,56 +228,6 @@ impl SearchResult {
 
 /// Phase label used for the seeding evaluation (FKO defaults).
 pub const PHASE_SEED: &str = "SEED";
-
-/// Per-phase search instrumentation: candidate counts, phase wins, and
-/// winner improvement deltas, reported to a metrics registry. The winner
-/// bookkeeping replays the skeleton's own selection rule (serial in-order
-/// scan, strict improvement, the seeding result establishes the baseline
-/// without counting as a win), so the counters agree with the search's
-/// actual decisions at any `jobs` width.
-pub(crate) struct SearchMetrics {
-    reg: Arc<MetricsRegistry>,
-    cur_best: Option<u64>,
-}
-
-impl SearchMetrics {
-    pub(crate) fn new(reg: Arc<MetricsRegistry>) -> SearchMetrics {
-        SearchMetrics {
-            reg,
-            cur_best: None,
-        }
-    }
-
-    /// Fold one submitted batch's results into the counters.
-    pub(crate) fn observe_batch(&mut self, phase: &str, results: &[Option<u64>]) {
-        self.reg
-            .counter(&metrics::labeled(
-                metrics::SEARCH_CANDIDATES,
-                "phase",
-                phase,
-            ))
-            .add(results.len() as u64);
-        for c in results.iter().flatten().copied() {
-            match self.cur_best {
-                None => self.cur_best = Some(c),
-                Some(b) if c < b => {
-                    self.reg
-                        .counter(&metrics::labeled(
-                            metrics::SEARCH_PHASE_WINS,
-                            "phase",
-                            phase,
-                        ))
-                        .inc();
-                    self.reg
-                        .histogram(metrics::SEARCH_WINNER_DELTA_PCT, metrics::PCT_BUCKETS)
-                        .observe((b - c) * 100 / b.max(1));
-                    self.cur_best = Some(c);
-                }
-                Some(_) => {}
-            }
-        }
-    }
-}
 
 /// Run the modified line search for a BLAS kernel on the caller's
 /// compile session with a private serial engine (compile + verify +
@@ -506,23 +482,15 @@ pub fn line_search_batched(
         }
     }
 
-    SearchResult {
+    // The skeleton sees no counters: callers that track them (the
+    // strategy harness) fill the tally in.
+    let found = DriverResult {
         best,
         best_cycles,
         default_cycles,
         gains,
-        evaluations: 0, // filled in by callers that track it
-        rejected: 0,
-        cache_hits: 0,
-        pruned: 0,
-        model_pruned: 0,
-        strategy: "line".to_string(),
-        winner_strategy: "line".to_string(),
-        retries: 0,
-        faults: 0,
-        outliers: 0,
-        failed: 0,
-    }
+    };
+    SearchResult::new(found, "line", "line".to_string(), Tally::default())
 }
 
 #[cfg(test)]

@@ -42,9 +42,9 @@ pub use global::{Anneal, HillClimb, RandomSearch, SearchSpace};
 pub use line::LineSearch;
 pub use portfolio::Portfolio;
 
-use crate::eval::{Batch, EvalEngine, ModelCtx, Span};
+use crate::eval::{Batch, EvalEngine, ModelCtx, Span, Tally};
 use crate::metrics;
-use crate::search::{PhaseGain, SearchMetrics, SearchOptions, SearchResult, PHASE_SEED};
+use crate::search::{PhaseGain, SearchOptions, SearchResult, PHASE_SEED};
 use crate::subject::Subject;
 use ifko_fko::{precheck, AnalysisReport, TransformParams};
 use ifko_xsim::MachineConfig;
@@ -246,11 +246,16 @@ pub trait SearchDriver {
 /// Everything a [`SearchDriver`] may see and do: the analysis report and
 /// machine model (to build a legal candidate space), the search options,
 /// a deterministic strategy seed, and [`submit`](SearchCtx::submit).
+///
+/// The context owns the search's side of the evaluation loop: the subject
+/// being tuned, the engine its batches run on, and the running [`Tally`]
+/// of everything submitted so far.
 pub struct SearchCtx<'a> {
-    rep: &'a AnalysisReport,
-    machine: &'a MachineConfig,
-    opts: &'a SearchOptions,
-    seed: u64,
+    subject: &'a Subject<'a>,
+    engine: &'a EvalEngine,
+    /// The root `search` span every evaluation's spans hang off.
+    search_id: u64,
+    tally: Tally,
     budget: Budget,
     started: Instant,
     probes: u64,
@@ -260,24 +265,22 @@ pub struct SearchCtx<'a> {
     truncated: bool,
     best: Option<(TransformParams, u64)>,
     winner_strategy: Option<&'static str>,
-    #[allow(clippy::type_complexity)]
-    eval: &'a mut dyn FnMut(&'static str, &'static str, &[TransformParams]) -> Vec<Option<u64>>,
 }
 
 impl<'a> SearchCtx<'a> {
     pub fn rep(&self) -> &'a AnalysisReport {
-        self.rep
+        self.subject.sess.report()
     }
     pub fn machine(&self) -> &'a MachineConfig {
-        self.machine
+        &self.subject.machine
     }
     pub fn opts(&self) -> &'a SearchOptions {
-        self.opts
+        &self.subject.opts
     }
     /// Deterministic seed for strategy rng (the workload seed; mix in a
     /// per-driver salt so racing drivers draw independent streams).
     pub fn strategy_seed(&self) -> u64 {
-        self.seed
+        self.subject.scope.seed
     }
     /// Candidates submitted so far (fresh + cached + pruned).
     pub fn probes(&self) -> u64 {
@@ -356,6 +359,16 @@ impl<'a> SearchCtx<'a> {
     /// rejected, pruned, *or* cut by the budget (over-budget candidates
     /// are never evaluated — their slots come back `None` so driver
     /// bookkeeping stays index-aligned).
+    ///
+    /// Every admitted batch flows through the engine with the legality
+    /// precheck (`opts.prune`) and the static cost model attached
+    /// (predictions traced; the predicted-worst `opts.model_prune`
+    /// fraction pruned), and is counted on the spot: the running tally,
+    /// the per-phase and per-strategy probe counters, and — where the
+    /// in-order strict-improvement scan moves the best — the per-phase
+    /// win and improvement-delta instruments. The seeding result
+    /// establishes the baseline without counting as a win, so the
+    /// counters agree with the search's decisions at any `jobs` width.
     pub fn submit(&mut self, phase: &'static str, cands: &[TransformParams]) -> Vec<Option<u64>> {
         if cands.is_empty() {
             return Vec::new();
@@ -364,22 +377,69 @@ impl<'a> SearchCtx<'a> {
         if allowed < cands.len() {
             self.truncated = true;
         }
-        let mut results = if allowed == 0 {
-            Vec::new()
-        } else {
-            (self.eval)(self.strategy, phase, &cands[..allowed])
-        };
-        self.probes += allowed as u64;
-        // Replay the selection rule (in-order scan, strict improvement)
-        // for cross-strategy winner attribution.
-        for (cand, res) in cands[..allowed].iter().zip(results.iter()) {
-            if let Some(c) = *res {
-                let improves = self.best.as_ref().is_none_or(|(_, b)| c < *b);
-                if improves {
-                    self.best = Some((cand.clone(), c));
-                    self.winner_strategy = Some(self.strategy);
+        let cands_in = &cands[..allowed];
+        let (subject, engine, search_id) = (self.subject, self.engine, self.search_id);
+        let reg = engine.metrics();
+        let mut results = Vec::new();
+        if allowed > 0 {
+            let (rep, opts) = (self.rep(), self.opts());
+            let check = |p: &TransformParams| {
+                if opts.prune {
+                    precheck(p, rep)
+                } else {
+                    Ok(())
                 }
+            };
+            let model = |p: &TransformParams| subject.predict(p);
+            let batch = Batch {
+                scope: &subject.scope,
+                strategy: self.strategy,
+                phase,
+                precheck: &check,
+                model: Some(ModelCtx {
+                    hook: &model,
+                    prune_frac: opts.model_prune,
+                }),
+            };
+            let out = engine.evaluate(&batch, cands_in, |p| {
+                subject.evaluate(p, Some(engine), search_id)
+            });
+            reg.counter(&metrics::labeled(
+                metrics::SEARCH_CANDIDATES,
+                "phase",
+                phase,
+            ))
+            .add(allowed as u64);
+            reg.counter(&metrics::labeled(
+                metrics::STRATEGY_PROBES,
+                "strategy",
+                self.strategy,
+            ))
+            .add(allowed as u64);
+            self.tally += out.tally;
+            results = out.results;
+        }
+        self.probes += allowed as u64;
+        // The selection rule (in-order scan, strict improvement), kept
+        // across every strategy's submissions for winner attribution.
+        for (cand, res) in cands_in.iter().zip(results.iter()) {
+            let Some(c) = *res else { continue };
+            match self.best.as_ref().map(|(_, b)| *b) {
+                Some(b) if c >= b => continue,
+                Some(b) => {
+                    reg.counter(&metrics::labeled(
+                        metrics::SEARCH_PHASE_WINS,
+                        "phase",
+                        phase,
+                    ))
+                    .inc();
+                    reg.histogram(metrics::SEARCH_WINNER_DELTA_PCT, metrics::PCT_BUCKETS)
+                        .observe((b - c) * 100 / b.max(1));
+                }
+                None => {}
             }
+            self.best = Some((cand.clone(), c));
+            self.winner_strategy = Some(self.strategy);
         }
         results.resize(cands.len(), None);
         results
@@ -399,12 +459,11 @@ impl<'a> SearchCtx<'a> {
 /// evaluator ([`Subject::evaluate`], hung off this function's root
 /// `search` span). When `warm` is given, the stored winner is re-verified
 /// first (`WARM` phase) and, if it still verifies, returned immediately
-/// without running the driver. Every batch flows through the cost model
-/// (predictions traced; the predicted-worst `opts.model_prune` fraction
-/// pruned). When `transfer` is given (no exact warm hit, but a nearby
-/// tuned record by static-feature distance), the transferred point is
-/// probed once up front (`XFER` phase) so the driver's searches start
-/// from — and the final winner can be — a proven neighbor.
+/// without running the driver. When `transfer` is given (no exact warm
+/// hit, but a nearby tuned record by static-feature distance), the
+/// transferred point is probed once up front (`XFER` phase) so the
+/// driver's searches start from — and the final winner can be — a proven
+/// neighbor.
 pub(crate) fn run_search(
     subject: &Subject<'_>,
     engine: &EvalEngine,
@@ -413,70 +472,12 @@ pub(crate) fn run_search(
     warm: Option<&TunedRecord>,
     transfer: Option<&TunedRecord>,
 ) -> SearchResult {
-    let (rep, machine, opts, scope) = (
-        subject.sess.report(),
-        &subject.machine,
-        &subject.opts,
-        &subject.scope,
-    );
-    let search_span = Span::root(engine.trace().cloned(), scope.key(), "search");
-    let search_id = search_span.id();
-    let eval_point = |p: &TransformParams| subject.evaluate(p, Some(engine), search_id);
-    let model = |p: &TransformParams| subject.predict(p);
-
-    let reg = engine.metrics().clone();
-    let mut sm = SearchMetrics::new(reg.clone());
-    let mut evaluations = 0u32;
-    let mut rejected = 0u32;
-    let mut cache_hits = 0u32;
-    let mut pruned = 0u32;
-    let mut model_pruned = 0u32;
-    let mut retries = 0u32;
-    let mut faults = 0u32;
-    let mut outliers = 0u32;
-    let mut failed = 0u32;
-    let check = |p: &TransformParams| {
-        if opts.prune {
-            precheck(p, rep)
-        } else {
-            Ok(())
-        }
-    };
-    let mut eval = |strategy: &'static str, phase: &'static str, cands: &[TransformParams]| {
-        let batch = Batch {
-            scope,
-            strategy,
-            phase,
-            precheck: &check,
-            model: Some(ModelCtx {
-                hook: &model,
-                prune_frac: opts.model_prune,
-            }),
-        };
-        let out = engine.evaluate(&batch, cands, eval_point);
-        sm.observe_batch(phase, &out.results);
-        reg.counter(&metrics::labeled(
-            metrics::STRATEGY_PROBES,
-            "strategy",
-            strategy,
-        ))
-        .add(cands.len() as u64);
-        evaluations += out.evaluated;
-        rejected += out.rejected;
-        cache_hits += out.cache_hits;
-        pruned += out.pruned;
-        model_pruned += out.model_pruned;
-        retries += out.retries;
-        faults += out.faults;
-        outliers += out.outliers;
-        failed += out.failed;
-        out.results
-    };
+    let search_span = Span::root(engine.trace().cloned(), subject.scope.key(), "search");
     let mut ctx = SearchCtx {
-        rep,
-        machine,
-        opts,
-        seed: scope.seed,
+        subject,
+        engine,
+        search_id: search_span.id(),
+        tally: Tally::default(),
         budget,
         started: Instant::now(),
         probes: 0,
@@ -485,106 +486,94 @@ pub(crate) fn run_search(
         truncated: false,
         best: None,
         winner_strategy: None,
-        eval: &mut eval,
     };
-
-    // (best, best_cycles, default_cycles, gains, strategy, winner_strategy)
-    let (best, best_cycles, default_cycles, gains, strategy, winner) = 'run: {
-        if let Some(rec) = warm {
-            ctx.strategy = STRATEGY_WARM;
-            let defaults = TransformParams::defaults(rep, machine);
-            let seeded = ctx.submit(PHASE_SEED, std::slice::from_ref(&defaults));
-            if let Some(default_cycles) = seeded[0] {
-                let warmed = ctx.submit(PHASE_WARM, std::slice::from_ref(&rec.params));
-                if let Some(warm_cycles) = warmed[0] {
-                    // Stored winner re-verified: trust it without a search.
-                    // The winner credit stays with the strategy that
-                    // originally found the stored point.
-                    reg.counter(metrics::DB_WARM_HITS).inc();
-                    let (best, best_cycles) = if warm_cycles < default_cycles {
-                        (rec.params.clone(), warm_cycles)
-                    } else {
-                        (defaults, default_cycles)
-                    };
-                    let finder = if rec.strategy.is_empty() {
-                        STRATEGY_WARM.to_string()
-                    } else {
-                        rec.strategy.clone()
-                    };
-                    break 'run (
-                        best,
-                        best_cycles,
-                        default_cycles,
-                        Vec::new(),
-                        STRATEGY_WARM.to_string(),
-                        finder,
-                    );
-                }
-            }
-            // The stored winner no longer verifies (or even the defaults
-            // failed): fall through to the full search. The seeding
-            // evaluation above stays cached, so nothing is wasted.
-            ctx.strategy = spec.name();
-        }
-        if warm.is_none() {
-            if let Some(rec) = transfer {
-                // Transfer warm start: probe the nearest tuned neighbor's
-                // winner once (re-verified like any candidate) before the
-                // driver runs. If it holds up, the strict-improvement
-                // winner tracking below lets it beat the driver's result;
-                // if it doesn't verify, the search proceeds unharmed.
-                ctx.strategy = STRATEGY_XFER;
-                let defaults = TransformParams::defaults(rep, machine);
-                let _ = ctx.submit(PHASE_SEED, std::slice::from_ref(&defaults));
-                let _ = ctx.submit(PHASE_XFER, std::slice::from_ref(&rec.params));
-                reg.counter(metrics::DB_XFER_SEEDS).inc();
-                ctx.strategy = spec.name();
-            }
-        }
-        let mut driver = spec.build();
-        let dr = driver.run(&mut ctx);
-        let winner = ctx.winner_strategy.unwrap_or(driver.name()).to_string();
-        // The context tracked the best verified point across *every*
-        // submission, including the transfer probe, which the driver's
-        // own result cannot see. Prefer it when strictly better.
-        let (best, best_cycles) = match ctx.best() {
-            Some((p, c)) if c < dr.best_cycles => (p.clone(), c),
-            _ => (dr.best, dr.best_cycles),
-        };
-        (
-            best,
-            best_cycles,
-            dr.default_cycles,
-            dr.gains,
-            spec.name().to_string(),
-            winner,
-        )
+    let warmed = warm.and_then(|rec| warm_start(&mut ctx, rec));
+    let strategy = if warmed.is_some() {
+        STRATEGY_WARM
+    } else {
+        spec.name()
     };
-    drop(ctx);
-    reg.counter(&metrics::labeled(
-        metrics::STRATEGY_WINS,
-        "strategy",
-        &winner,
-    ))
-    .inc();
+    let (found, winner) = warmed.unwrap_or_else(|| {
+        if let (None, Some(rec)) = (warm, transfer) {
+            transfer_seed(&mut ctx, rec);
+        }
+        drive(&mut ctx, spec)
+    });
+    engine
+        .metrics()
+        .counter(&metrics::labeled(
+            metrics::STRATEGY_WINS,
+            "strategy",
+            &winner,
+        ))
+        .inc();
+    SearchResult::new(found, strategy, winner, ctx.tally)
+}
 
-    SearchResult {
+/// Warm start: seed at the defaults, then re-verify the stored winner.
+/// `Some((result, finder))` when it still verifies — it is trusted
+/// without a search, and the winner credit stays with the strategy that
+/// originally found the stored point. `None` when the stored winner no
+/// longer verifies (or even the defaults failed): the caller falls
+/// through to the full search, and the seeding evaluation stays cached,
+/// so nothing is wasted.
+fn warm_start(ctx: &mut SearchCtx<'_>, rec: &TunedRecord) -> Option<(DriverResult, String)> {
+    let outer = std::mem::replace(&mut ctx.strategy, STRATEGY_WARM);
+    let defaults = TransformParams::defaults(ctx.rep(), ctx.machine());
+    let cycles = ctx.submit(PHASE_SEED, std::slice::from_ref(&defaults))[0].and_then(|seeded| {
+        let warmed = ctx.submit(PHASE_WARM, std::slice::from_ref(&rec.params))[0]?;
+        Some((seeded, warmed))
+    });
+    ctx.strategy = outer;
+    let (default_cycles, warm_cycles) = cycles?;
+    ctx.engine.metrics().counter(metrics::DB_WARM_HITS).inc();
+    let (best, best_cycles) = if warm_cycles < default_cycles {
+        (rec.params.clone(), warm_cycles)
+    } else {
+        (defaults, default_cycles)
+    };
+    let finder = if rec.strategy.is_empty() {
+        STRATEGY_WARM.to_string()
+    } else {
+        rec.strategy.clone()
+    };
+    let found = DriverResult {
         best,
         best_cycles,
         default_cycles,
-        gains,
-        evaluations,
-        rejected,
-        cache_hits,
-        pruned,
-        model_pruned,
-        strategy,
-        winner_strategy: winner,
-        retries,
-        faults,
-        outliers,
-        failed,
+        gains: Vec::new(),
+    };
+    Some((found, finder))
+}
+
+/// Transfer warm start: probe the nearest tuned neighbor's winner once
+/// (re-verified like any candidate) before the driver runs. If it holds
+/// up, the context's strict-improvement winner tracking lets it beat the
+/// driver's result; if it doesn't verify, the search proceeds unharmed.
+fn transfer_seed(ctx: &mut SearchCtx<'_>, rec: &TunedRecord) {
+    let outer = std::mem::replace(&mut ctx.strategy, STRATEGY_XFER);
+    let defaults = TransformParams::defaults(ctx.rep(), ctx.machine());
+    let _ = ctx.submit(PHASE_SEED, std::slice::from_ref(&defaults));
+    let _ = ctx.submit(PHASE_XFER, std::slice::from_ref(&rec.params));
+    ctx.engine.metrics().counter(metrics::DB_XFER_SEEDS).inc();
+    ctx.strategy = outer;
+}
+
+/// Run `spec`'s driver and return what it found with the name of the
+/// strategy whose probe found it.
+fn drive(ctx: &mut SearchCtx<'_>, spec: StrategySpec) -> (DriverResult, String) {
+    let mut driver = spec.build();
+    let mut found = driver.run(ctx);
+    // The context tracked the best verified point across *every*
+    // submission, including the transfer probe, which the driver's own
+    // result cannot see. Prefer it when strictly better.
+    if let Some((p, c)) = ctx.best() {
+        if c < found.best_cycles {
+            (found.best, found.best_cycles) = (p.clone(), c);
+        }
     }
+    let winner = ctx.winner_strategy.unwrap_or(driver.name());
+    (found, winner.to_string())
 }
 
 /// Evaluate the seeding point (FKO defaults, falling back to the fully

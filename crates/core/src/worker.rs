@@ -278,9 +278,12 @@ impl WorkerSpec {
             src: v.get("src").and_then(Json::as_str).map(str::to_string),
             machine: str_field("machine")?,
             context: str_field("context")?,
-            n: v.get("n")
-                .and_then(Json::as_u64)
-                .ok_or("handshake missing `n`")? as usize,
+            n: crate::config::checked_n(
+                v.get("n")
+                    .and_then(Json::as_u64)
+                    .ok_or("handshake missing `n`")?,
+            )
+            .map_err(|e| format!("handshake: {e}"))?,
             seed: v
                 .get("seed")
                 .and_then(Json::as_u64)

@@ -46,15 +46,15 @@ fn fixture_analysis_is_faithful() {
     let s = &rep.scopes[0];
     assert_eq!(s.n, Some(1024));
     assert_eq!(s.probes, 7);
-    assert_eq!(s.fresh, 6);
-    assert_eq!(s.cache_hits, 1);
-    assert_eq!(s.rejected, 1, "failed probes are not rejections");
+    assert_eq!(s.tally.evaluated, 6);
+    assert_eq!(s.tally.cache_hits, 1);
+    assert_eq!(s.tally.rejected, 1, "failed probes are not rejections");
     // Chaos accounting rode along: two transient faults were retried,
     // one timing outlier was rejected, one candidate burned its budget.
-    assert_eq!(s.retries, 4);
-    assert_eq!(s.faults, 5);
-    assert_eq!(s.outliers, 1);
-    assert_eq!(s.failed, 1);
+    assert_eq!(s.tally.retries, 4);
+    assert_eq!(s.tally.faults, 5);
+    assert_eq!(s.tally.outliers, 1);
+    assert_eq!(s.tally.failed, 1);
     assert_eq!(s.first_cycles, Some(10_000));
     assert_eq!(s.best_cycles, Some(2_500));
     assert!((s.speedup() - 4.0).abs() < 1e-9);
@@ -170,8 +170,8 @@ fn live_trace_reports_in_every_format() {
         s.probes,
         (out.result.evaluations + out.result.cache_hits + out.result.pruned) as u64
     );
-    assert_eq!(s.rejected, out.result.rejected as u64);
-    assert_eq!(s.pruned, out.result.pruned as u64);
+    assert_eq!(s.tally.rejected, out.result.rejected);
+    assert_eq!(s.tally.pruned, out.result.pruned);
     assert_eq!(s.best_cycles, Some(out.result.best_cycles));
     assert!(s.best_stats.is_some(), "winner stats missing from trace");
     for fmt in [

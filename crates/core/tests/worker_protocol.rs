@@ -246,3 +246,38 @@ fn serve_survives_unknown_commands_and_keeps_serving() {
     assert_eq!(ok(&reply(&mut ours, "{\"cmd\":\"shutdown\"}")), Some(true));
     server.join().unwrap();
 }
+
+/// A handshake is wire input too: a problem size of zero or beyond
+/// `MAX_N` is refused with an error naming `n` before the worker sizes a
+/// single operand vector (it used to panic or abort in
+/// `Workload::generate`), and the serve loop ends cleanly.
+#[test]
+fn handshake_with_out_of_range_n_is_refused() {
+    use ifko::report::{parse_json, Json};
+    use ifko::worker::WorkerSpec;
+    use ifko::SearchOptions;
+
+    let mach = ifko_xsim::p4e();
+    let opts = SearchOptions::quick();
+    let ctx = ifko::runner::Context::OutOfCache;
+    let scope = ifko::eval::EvalScope::new("ddot", &mach, ctx, 512, 1, &opts.timer);
+    let good = WorkerSpec::blas("ddot", &mach, ctx, 512, 1, &opts, &scope).to_json();
+    assert!(WorkerSpec::from_json(&parse_json(&good).unwrap()).is_ok());
+
+    for bad in ["0", "1e18", &(ifko::config::MAX_N + 1).to_string()] {
+        let handshake = good.replacen("\"n\":512", &format!("\"n\":{bad}"), 1);
+        assert_ne!(handshake, good, "the spec's wire form moved");
+        let (mut ours, theirs) = UnixStream::pair().unwrap();
+        let server = std::thread::spawn(move || {
+            let mut r = theirs.try_clone().unwrap();
+            let mut w = theirs;
+            ifko::worker::serve(&mut r, &mut w)
+        });
+        proto::write_frame(&mut ours, &handshake).unwrap();
+        let ack = parse_json(&proto::read_frame(&mut ours).unwrap().unwrap()).unwrap();
+        assert_eq!(ack.get("ok").and_then(Json::as_bool), Some(false));
+        let err = ack.get("error").and_then(Json::as_str).unwrap();
+        assert!(err.contains("n = "), "n = {bad}: error must name n: {err}");
+        server.join().unwrap().unwrap();
+    }
+}

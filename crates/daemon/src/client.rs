@@ -2,6 +2,7 @@
 //! `ifko tune --remote`, `ifko daemon <cmd>`, and the e2e tests.
 
 use crate::proto::{esc, read_frame, write_frame};
+use ifko::config::checked_n;
 use ifko::report::{parse_json, Json};
 use ifko::runner::Context;
 use ifko::strategy::{Budget, StrategySpec};
@@ -96,7 +97,9 @@ impl TuneRequest {
     /// a request means the same search of the same workload wherever it
     /// runs: machine `p4e`, context `oc`, N 40 000 out of cache / 1024 in
     /// L2, the seed of [`TuneConfig::paper`], the quick candidate sets
-    /// unless `full`, the line search, no budget.
+    /// unless `full`, the line search, no budget. A given `n` must lie in
+    /// `1..=`[`ifko::config::MAX_N`]: it arrives off the wire or the
+    /// command line and sizes the operand allocations.
     pub fn config(&self) -> Result<TuneConfig, String> {
         let set = |field: &&String| !field.is_empty();
         let machine = Some(&self.machine)
@@ -107,10 +110,13 @@ impl TuneRequest {
         let context = Some(&self.context).filter(set).map_or("oc", String::as_str);
         let context = Context::from_label(context)
             .ok_or_else(|| format!("unknown context `{context}` (oc | ic)"))?;
-        let n = self.n.unwrap_or(match context {
-            Context::OutOfCache => 40_000,
-            Context::InL2 => 1024,
-        });
+        let n = match self.n {
+            Some(n) => checked_n(n as u64).map_err(|e| e.to_string())?,
+            None => match context {
+                Context::OutOfCache => 40_000,
+                Context::InL2 => 1024,
+            },
+        };
         let search = if self.full {
             SearchOptions::default()
         } else {

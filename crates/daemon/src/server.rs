@@ -393,13 +393,31 @@ fn handle_tune(server: &Arc<Server>, req: &Json) -> Result<String, String> {
         }
         inflight.insert(flight_key);
     }
-    let result = run_tune(server, &req);
-    {
-        let mut inflight = server.inflight.lock().unwrap();
-        inflight.remove(&flight_key);
+    // Released on every way out, a panicking session included: a key
+    // left behind would park every later identical request forever.
+    let _flight = Flight {
+        server,
+        key: flight_key,
+    };
+    run_tune(server, &req)
+}
+
+/// A held single-flight key; dropping it releases the key and wakes the
+/// requests waiting on it.
+struct Flight<'a> {
+    server: &'a Server,
+    key: u64,
+}
+
+impl Drop for Flight<'_> {
+    fn drop(&mut self) {
+        self.server
+            .inflight
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+            .remove(&self.key);
+        self.server.inflight_cv.notify_all();
     }
-    server.inflight_cv.notify_all();
-    result
 }
 
 fn run_tune(server: &Arc<Server>, req: &TuneRequest) -> Result<String, String> {

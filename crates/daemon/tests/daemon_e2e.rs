@@ -323,3 +323,53 @@ fn pack_install_round_trip_warm_starts_fresh_deployment() {
     let _ = std::fs::remove_dir_all(&source_dir);
     let _ = std::fs::remove_dir_all(&deploy_dir);
 }
+
+/// Wire input must not kill or wedge the daemon: an absurd `n` is refused
+/// with an error that names it (it used to panic the connection thread in
+/// `Workload::generate`, or abort the process on allocation), the daemon
+/// keeps serving, and the refused request's single-flight key is released
+/// — the same request again gets the same answer instead of parking on
+/// the condvar forever.
+#[test]
+fn oversized_n_is_refused_and_leaves_the_daemon_serving() {
+    let db_dir = tmp("bad-n-db");
+    let socket = db_dir.join("ifkod.sock");
+    let handle = Daemon::start(DaemonConfig {
+        socket: socket.clone(),
+        db_dir: db_dir.clone(),
+        cache_dir: None,
+        jobs: 1,
+        quiet: true,
+    })
+    .unwrap();
+
+    for bad in ["1e18", "1000000000000", "0"] {
+        let payload = format!("{{\"cmd\":\"tune\",\"kernel\":\"ddot\",\"n\":{bad}}}");
+        let refused = |what: &str| {
+            let reply = Client::connect(&socket).unwrap().request(&payload);
+            reply
+                .err()
+                .unwrap_or_else(|| panic!("n = {bad} must be refused ({what})"))
+        };
+        let err = refused("first");
+        assert!(err.contains("n = "), "error must name n: {err}");
+        Client::connect(&socket).unwrap().ping().unwrap();
+        assert_eq!(refused("repeat"), err, "the repeat must not hang or differ");
+    }
+    // The largest accepted size is still a size, not an error.
+    let edge = TuneRequest {
+        kernel: Some("ddot".into()),
+        n: Some(ifko::config::MAX_N + 1),
+        ..TuneRequest::default()
+    };
+    assert!(edge.config().is_err());
+    assert!(TuneRequest {
+        n: Some(ifko::config::MAX_N),
+        ..edge
+    }
+    .config()
+    .is_ok());
+
+    handle.stop();
+    let _ = std::fs::remove_dir_all(&db_dir);
+}

@@ -2,9 +2,9 @@
 //!
 //! The linear IR (`LinearKernel::ops`, or any `&[Op]` slice) has labels and
 //! branches but no explicit block structure. This module builds a CFG over
-//! it and runs classic bit-vector dataflow problems with a worklist solver:
-//! liveness, definite assignment ("every use dominated by a def"), and
-//! reaching definitions with def-use chains. The optimizer's dead-code
+//! it and runs two classic bit-vector dataflow problems to a worklist
+//! fixpoint: liveness (backward, may) and definite assignment ("every use
+//! dominated by a def": forward, must). The optimizer's dead-code
 //! elimination and the stage verifier both run on top of it, so the same
 //! analyses that power transforms also machine-check their output.
 
@@ -117,12 +117,6 @@ impl Cfg {
     pub fn entry(&self) -> usize {
         0
     }
-    /// Blocks with no successors (the halt block, and any dead tail).
-    pub fn exit_blocks(&self) -> Vec<usize> {
-        (0..self.blocks.len())
-            .filter(|&b| self.blocks[b].succs.is_empty())
-            .collect()
-    }
 }
 
 /// Build the CFG. Leaders are op 0, every label, and every op following a
@@ -210,109 +204,6 @@ pub fn build_cfg(ops: &[Op]) -> Cfg {
 }
 
 // ---------------------------------------------------------------------------
-// Generic worklist solver
-// ---------------------------------------------------------------------------
-
-/// Direction of a dataflow problem.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum Direction {
-    Forward,
-    Backward,
-}
-
-/// Meet operator: union for "may" problems, intersect for "must" problems.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum Meet {
-    Union,
-    Intersect,
-}
-
-/// A block-level bit-vector dataflow problem: per-block `gen`/`kill`, a
-/// boundary value at the entry (forward) or exits (backward), and a lattice
-/// meet. Transfer is the standard `out = gen ∪ (in \ kill)`.
-pub struct Problem {
-    pub direction: Direction,
-    pub meet: Meet,
-    pub nbits: usize,
-    pub gen: Vec<BitVec>,
-    pub kill: Vec<BitVec>,
-    pub boundary: BitVec,
-}
-
-/// Fixpoint solution. For forward problems `inp[b]` is at block entry and
-/// `out[b]` at block exit; for backward problems `inp[b]` is the value at
-/// block *exit* (meet over successors) and `out[b]` at block entry.
-pub struct Solution {
-    pub inp: Vec<BitVec>,
-    pub out: Vec<BitVec>,
-}
-
-/// Iterative worklist solver. Must-problems start non-boundary blocks at
-/// top (all ones) so unreachable code never weakens reachable facts.
-pub fn solve(cfg: &Cfg, p: &Problem) -> Solution {
-    let nb = cfg.blocks.len();
-    let top = match p.meet {
-        Meet::Union => BitVec::empty(p.nbits),
-        Meet::Intersect => BitVec::full(p.nbits),
-    };
-    let boundary_blocks: Vec<usize> = match p.direction {
-        Direction::Forward => vec![cfg.entry()],
-        Direction::Backward => cfg.exit_blocks(),
-    };
-    let mut inp = vec![top.clone(); nb];
-    let mut out = vec![top.clone(); nb];
-    for &b in &boundary_blocks {
-        inp[b] = p.boundary.clone();
-    }
-    // Seed out[] from the boundary-adjusted inputs.
-    for b in 0..nb {
-        out[b].transfer(&inp[b], &p.gen[b], &p.kill[b]);
-    }
-    let mut work: Vec<usize> = (0..nb).collect();
-    let mut queued = vec![true; nb];
-    while let Some(b) = work.pop() {
-        queued[b] = false;
-        let neighbors: &[usize] = match p.direction {
-            Direction::Forward => &cfg.blocks[b].preds,
-            Direction::Backward => &cfg.blocks[b].succs,
-        };
-        if !neighbors.is_empty() {
-            let mut acc = out[neighbors[0]].clone();
-            for &n in &neighbors[1..] {
-                match p.meet {
-                    Meet::Union => acc.union_with(&out[n]),
-                    Meet::Intersect => acc.intersect_with(&out[n]),
-                }
-            }
-            if boundary_blocks.contains(&b) {
-                // Boundary facts always hold at the boundary.
-                match p.meet {
-                    Meet::Union => acc.union_with(&p.boundary),
-                    Meet::Intersect => acc.intersect_with(&p.boundary),
-                }
-            }
-            inp[b] = acc;
-        }
-        let mut new_out = out[b].clone();
-        new_out.transfer(&inp[b], &p.gen[b], &p.kill[b]);
-        if new_out != out[b] {
-            out[b] = new_out;
-            let downstream: Vec<usize> = match p.direction {
-                Direction::Forward => cfg.blocks[b].succs.clone(),
-                Direction::Backward => cfg.blocks[b].preds.clone(),
-            };
-            for d in downstream {
-                if !queued[d] {
-                    queued[d] = true;
-                    work.push(d);
-                }
-            }
-        }
-    }
-    Solution { inp, out }
-}
-
-// ---------------------------------------------------------------------------
 // Liveness
 // ---------------------------------------------------------------------------
 
@@ -378,10 +269,9 @@ pub fn liveness(ops: &[Op], nvregs: usize, exit_live: &[V], cfg: &Cfg) -> Livene
     }
 }
 
-/// [`liveness`] into caller-owned scratch storage: a specialized
-/// backward-union worklist solver that computes the same (unique) fixpoint
-/// as [`solve`] without allocating when `s` is reused. The solution lands
-/// in `s.live_in` / `s.live_out`.
+/// [`liveness`] into caller-owned scratch storage: a backward-union
+/// worklist solver that allocates nothing when `s` is reused. The solution
+/// lands in `s.live_in` / `s.live_out`.
 pub fn liveness_into(
     ops: &[Op],
     nvregs: usize,
@@ -402,8 +292,8 @@ pub fn liveness_into(
             ops[i].for_each_use(&mut |u| gen.set(u as usize));
         }
     }
-    // Boundary: exit_live is live-out of every exit block. `live_out` plays
-    // the solver's `inp` role (meet over successors), `live_in` its `out`.
+    // Boundary: exit_live is live-out of every exit block (one with no
+    // successors: the halt block, and any dead tail).
     for b in 0..nb {
         s.is_exit[b] = cfg.blocks[b].succs.is_empty();
         if s.is_exit[b] {
@@ -471,7 +361,6 @@ pub fn undefined_uses(
 ) -> Vec<(usize, V)> {
     let nb = cfg.blocks.len();
     let mut gen = vec![BitVec::empty(nvregs); nb];
-    let kill = vec![BitVec::empty(nvregs); nb];
     for (b, blk) in cfg.blocks.iter().enumerate() {
         for op in &ops[blk.start..blk.end] {
             if let Some(d) = op.def() {
@@ -483,20 +372,47 @@ pub fn undefined_uses(
     for &v in entry_defined {
         boundary.set(v as usize);
     }
-    let sol = solve(
-        cfg,
-        &Problem {
-            direction: Direction::Forward,
-            meet: Meet::Intersect,
-            nbits: nvregs,
-            gen,
-            kill,
-            boundary,
-        },
-    );
+    // Worklist fixpoint: defined at a block's entry = the intersection of
+    // its predecessors' exits; at its exit = entry ∪ gen (nothing kills a
+    // definition). Every block but the entry starts at top (all ones) so
+    // unreachable code never weakens reachable facts.
+    let mut inp = vec![BitVec::full(nvregs); nb];
+    inp[cfg.entry()] = boundary.clone();
+    let mut out = inp.clone();
+    for b in 0..nb {
+        out[b].union_with(&gen[b]);
+    }
+    let mut work: Vec<usize> = (0..nb).collect();
+    let mut queued = vec![true; nb];
+    while let Some(b) = work.pop() {
+        queued[b] = false;
+        if let Some((first, rest)) = cfg.blocks[b].preds.split_first() {
+            let mut acc = out[*first].clone();
+            for &n in rest {
+                acc.intersect_with(&out[n]);
+            }
+            if b == cfg.entry() {
+                // Boundary facts are all that holds at the entry, back
+                // edges or not.
+                acc.intersect_with(&boundary);
+            }
+            inp[b] = acc;
+        }
+        let mut new_out = inp[b].clone();
+        new_out.union_with(&gen[b]);
+        if new_out != out[b] {
+            out[b] = new_out;
+            for &d in &cfg.blocks[b].succs {
+                if !queued[d] {
+                    queued[d] = true;
+                    work.push(d);
+                }
+            }
+        }
+    }
     let mut bad = Vec::new();
     for (b, blk) in cfg.blocks.iter().enumerate() {
-        let mut defined = sol.inp[b].clone();
+        let mut defined = inp[b].clone();
         for (i, op) in ops.iter().enumerate().take(blk.end).skip(blk.start) {
             for u in op.uses() {
                 if !defined.get(u as usize) {
@@ -509,106 +425,6 @@ pub fn undefined_uses(
         }
     }
     bad
-}
-
-// ---------------------------------------------------------------------------
-// Reaching definitions and def-use chains
-// ---------------------------------------------------------------------------
-
-/// Reaching definitions over def *sites* (op indices that define a vreg).
-pub struct ReachingDefs {
-    /// All def sites: (op index, defined vreg), ascending by op index.
-    pub sites: Vec<(usize, V)>,
-    /// Bit sets over `sites` indices at block entry.
-    pub reach_in: Vec<BitVec>,
-}
-
-pub fn reaching_defs(ops: &[Op], nvregs: usize, cfg: &Cfg) -> ReachingDefs {
-    let sites: Vec<(usize, V)> = ops
-        .iter()
-        .enumerate()
-        .filter_map(|(i, op)| op.def().map(|d| (i, d)))
-        .collect();
-    let ns = sites.len();
-    // Def sites per vreg, for kill sets.
-    let mut sites_of = vec![Vec::<usize>::new(); nvregs];
-    for (si, &(_, v)) in sites.iter().enumerate() {
-        sites_of[v as usize].push(si);
-    }
-    let site_at: std::collections::HashMap<usize, usize> = sites
-        .iter()
-        .enumerate()
-        .map(|(si, &(i, _))| (i, si))
-        .collect();
-    let nb = cfg.blocks.len();
-    let mut gen = vec![BitVec::empty(ns); nb];
-    let mut kill = vec![BitVec::empty(ns); nb];
-    for (b, blk) in cfg.blocks.iter().enumerate() {
-        for i in blk.start..blk.end {
-            if let Some(d) = ops[i].def() {
-                for &s in &sites_of[d as usize] {
-                    gen[b].clear(s);
-                    kill[b].set(s);
-                }
-                gen[b].set(site_at[&i]);
-            }
-        }
-    }
-    let sol = solve(
-        cfg,
-        &Problem {
-            direction: Direction::Forward,
-            meet: Meet::Union,
-            nbits: ns,
-            gen,
-            kill,
-            boundary: BitVec::empty(ns),
-        },
-    );
-    ReachingDefs {
-        sites,
-        reach_in: sol.inp,
-    }
-}
-
-/// Def-use chains: for every def site, the op indices of uses it reaches.
-pub fn def_use_chains(ops: &[Op], cfg: &Cfg, rd: &ReachingDefs) -> Vec<Vec<usize>> {
-    let mut uses = vec![Vec::new(); rd.sites.len()];
-    let nvregs = rd
-        .sites
-        .iter()
-        .map(|&(_, v)| v as usize + 1)
-        .max()
-        .unwrap_or(0);
-    // Current reaching site per vreg set, walked forward per block.
-    for (b, blk) in cfg.blocks.iter().enumerate() {
-        let mut cur: Vec<Vec<usize>> = vec![Vec::new(); nvregs];
-        for si in rd.reach_in[b].iter() {
-            let (_, v) = rd.sites[si];
-            cur[v as usize].push(si);
-        }
-        for (i, op) in ops.iter().enumerate().take(blk.end).skip(blk.start) {
-            for u in op.uses() {
-                if (u as usize) < nvregs {
-                    for &si in &cur[u as usize] {
-                        uses[si].push(i);
-                    }
-                }
-            }
-            if let Some(d) = op.def() {
-                let si = rd
-                    .sites
-                    .binary_search_by_key(&i, |&(idx, _)| idx)
-                    .expect("def op must be a site");
-                cur[d as usize] = vec![si];
-            }
-        }
-    }
-    for u in &mut uses {
-        u.sort_unstable();
-        u.dedup();
-    }
-    uses
 }
 
 #[cfg(test)]
@@ -729,28 +545,5 @@ mod tests {
         let cfg = build_cfg(&ops);
         let bad = undefined_uses(&ops, 2, &[], &cfg);
         assert!(bad.iter().all(|&(_, v)| v != 0), "{bad:?}");
-    }
-
-    #[test]
-    fn reaching_defs_and_chains() {
-        let ops = vec![
-            ld(0, 0),              // site 0
-            st(0, 1),              // uses site 0
-            ld(0, 2),              // site 1
-            Op::Label(LabelId(0)), // loop head
-            st(0, 3),              // uses site 1 and the loop-around def
-            ld(0, 4),              // site 2
-            Op::CondBr {
-                cond: Cond::Gt,
-                target: LabelId(0),
-            },
-        ];
-        let cfg = build_cfg(&ops);
-        let rd = reaching_defs(&ops, 1, &cfg);
-        assert_eq!(rd.sites, vec![(0, 0), (2, 0), (5, 0)]);
-        let chains = def_use_chains(&ops, &cfg, &rd);
-        assert_eq!(chains[0], vec![1]);
-        assert_eq!(chains[1], vec![4]);
-        assert_eq!(chains[2], vec![4], "loop-carried def reaches the head use");
     }
 }

@@ -2,63 +2,46 @@
 //! parameters and problem sizes never change kernel semantics. This is
 //! the reproduction's strongest guarantee — the empirical search may try
 //! any point in this space, so every point must be correct.
+//!
+//! Uses the in-repo `Rng64`, so it runs ungated in the tier-1 suite.
 
 use ifko_fko::ir::{PrefKind, PtrId};
 use ifko_fko::{ArgSlot, CompileOpts, CompileSession, PrefSpec, RetSlot, TransformParams};
-use ifko_xsim::{opteron, p4e, Cpu, FReg, IReg, MachineConfig, Memory};
-use proptest::prelude::*;
+use ifko_xsim::{opteron, p4e, Cpu, FReg, IReg, MachineConfig, Memory, Rng64};
 
-fn arb_params(n_ptrs: usize, has_red: bool) -> impl Strategy<Value = TransformParams> {
-    let kind = prop_oneof![
-        Just(None),
-        Just(Some(PrefKind::Nta)),
-        Just(Some(PrefKind::T0)),
-        Just(Some(PrefKind::T1)),
-        Just(Some(PrefKind::W)),
+const CASES: usize = 48;
+
+/// An arbitrary point: any unroll and prefetch setting for each of the
+/// kernel's `n_ptrs` pointers, accumulator expansion only when the kernel
+/// has a reduction.
+fn arb_params(rng: &mut Rng64, n_ptrs: usize, has_red: bool) -> TransformParams {
+    let kinds = [
+        None,
+        Some(PrefKind::Nta),
+        Some(PrefKind::T0),
+        Some(PrefKind::T1),
+        Some(PrefKind::W),
     ];
-    (
-        any::<bool>(), // simd
-        prop_oneof![
-            Just(1u32),
-            Just(2),
-            Just(3),
-            Just(4),
-            Just(5),
-            Just(8),
-            Just(16),
-            Just(32)
-        ],
-        if has_red {
-            prop_oneof![Just(1u32), Just(2), Just(3), Just(4), Just(6)].boxed()
-        } else {
-            Just(1u32).boxed()
-        },
-        any::<bool>(), // wnt
-        prop::collection::vec((kind, 0i64..2048), n_ptrs..=n_ptrs),
-        any::<bool>(), // loop_control
-        any::<bool>(), // cisc
-        any::<bool>(), // copy prop
-    )
-        .prop_map(move |(simd, unroll, ae, wnt, pf, lc, cisc, cp)| {
-            let mut p = TransformParams::off();
-            p.simd = simd;
-            p.unroll = unroll;
-            p.accum_expand = ae;
-            p.wnt = wnt;
-            p.prefetch = pf
-                .into_iter()
-                .enumerate()
-                .map(|(i, (kind, dist))| PrefSpec {
-                    ptr: PtrId(i as u32),
-                    kind,
-                    dist,
-                })
-                .collect();
-            p.loop_control = lc;
-            p.cisc_memops = cisc;
-            p.copy_prop = cp;
-            p
+    let mut p = TransformParams::off();
+    p.simd = rng.gen_bool(0.5);
+    p.unroll = [1u32, 2, 3, 4, 5, 8, 16, 32][rng.range_usize(8)];
+    p.accum_expand = if has_red {
+        [1u32, 2, 3, 4, 6][rng.range_usize(5)]
+    } else {
+        1
+    };
+    p.wnt = rng.gen_bool(0.5);
+    p.prefetch = (0..n_ptrs)
+        .map(|i| PrefSpec {
+            ptr: PtrId(i as u32),
+            kind: kinds[rng.range_usize(kinds.len())],
+            dist: rng.range_usize(2048) as i64,
         })
+        .collect();
+    p.loop_control = rng.gen_bool(0.5);
+    p.cisc_memops = rng.gen_bool(0.5);
+    p.copy_prop = rng.gen_bool(0.5);
+    p
 }
 
 /// Run a two-vector kernel and return (ret_f, ret_i, x, y).
@@ -187,63 +170,94 @@ NEWMAX:
 ROUT_END
 "#;
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+/// ddot under `params`: the sum within reassociation error, both operands
+/// untouched.
+fn check_ddot(mach: &MachineConfig, params: &TransformParams, n: usize, seed: u64) {
+    let (xs, ys) = data(n, seed);
+    let want: f64 = xs.iter().zip(&ys).map(|(a, b)| a * b).sum();
+    let (got, _, x_after, y_after) = exec(DOT, mach, params, n, 0.0, &xs, &ys);
+    assert!(
+        (got - want).abs() <= 1e-9 * want.abs().max(1.0),
+        "got {got} want {want}, n={n} under {params:?}"
+    );
+    assert_eq!(x_after, xs, "dot must not write X");
+    assert_eq!(y_after, ys, "dot must not write Y");
+}
 
-    /// ddot is correct under arbitrary parameters, sizes, machines.
-    #[test]
-    fn ddot_correct_under_arbitrary_params(
-        params in arb_params(2, true),
-        n in 0usize..600,
-        seed in 0u64..1000,
-        on_opteron in any::<bool>(),
-    ) {
-        let mach = if on_opteron { opteron() } else { p4e() };
-        let (xs, ys) = data(n, seed);
-        let want: f64 = xs.iter().zip(&ys).map(|(a, b)| a * b).sum();
-        let (got, _, x_after, y_after) = exec(DOT, &mach, &params, n, 0.0, &xs, &ys);
-        prop_assert!((got - want).abs() <= 1e-9 * want.abs().max(1.0),
-            "got {got} want {want} under {params:?}");
-        prop_assert_eq!(x_after, xs, "dot must not write X");
-        prop_assert_eq!(y_after, ys, "dot must not write Y");
+/// ddot is correct under arbitrary parameters, sizes, machines.
+#[test]
+fn ddot_correct_under_arbitrary_params() {
+    let mut rng = Rng64::seed_from_u64(0xf40_0001);
+    for _ in 0..CASES {
+        let params = arb_params(&mut rng, 2, true);
+        let (n, seed) = (rng.range_usize(600), rng.range_usize(1000) as u64);
+        let mach = if rng.gen_bool(0.5) { opteron() } else { p4e() };
+        check_ddot(&mach, &params, n, seed);
     }
+}
 
-    /// daxpy is bit-exact under arbitrary parameters (no reductions, so
-    /// reassociation cannot change results).
-    #[test]
-    fn daxpy_exact_under_arbitrary_params(
-        params in arb_params(2, false),
-        n in 0usize..600,
-        seed in 0u64..1000,
-    ) {
-        let mach = p4e();
+/// The committed `proptest` regression: six accumulators under unroll 4
+/// with a remainder-heavy N = 14 (two full trips of the expanded body,
+/// then the cleanup loop).
+#[test]
+fn regression_ddot_six_accumulators_unroll_four_n14() {
+    let mut params = TransformParams::off();
+    params.unroll = 4;
+    params.accum_expand = 6;
+    params.loop_control = true;
+    params.dead_code_elim = true;
+    params.branch_cleanup = true;
+    params.prefetch = (0..2)
+        .map(|i| PrefSpec {
+            ptr: PtrId(i),
+            kind: None,
+            dist: 0,
+        })
+        .collect();
+    check_ddot(&p4e(), &params, 14, 0);
+}
+
+/// daxpy is bit-exact under arbitrary parameters (no reductions, so
+/// reassociation cannot change results).
+#[test]
+fn daxpy_exact_under_arbitrary_params() {
+    let mut rng = Rng64::seed_from_u64(0xf40_0002);
+    let mach = p4e();
+    for _ in 0..CASES {
+        let params = arb_params(&mut rng, 2, false);
+        let (n, seed) = (rng.range_usize(600), rng.range_usize(1000) as u64);
         let (xs, ys) = data(n, seed);
         let alpha = 1.25;
         let (_, _, x_after, y_after) = exec(AXPY, &mach, &params, n, alpha, &xs, &ys);
         for i in 0..n {
-            prop_assert_eq!(y_after[i], ys[i] + alpha * xs[i], "i={}", i);
+            assert_eq!(y_after[i], ys[i] + alpha * xs[i], "i={i} under {params:?}");
         }
-        prop_assert_eq!(x_after, xs);
+        assert_eq!(x_after, xs);
     }
+}
 
-    /// idamax (control flow + cold blocks + unroll) returns the exact
-    /// first-maximum index under arbitrary parameters.
-    #[test]
-    fn idamax_exact_under_arbitrary_params(
-        params in arb_params(1, false),
-        n in 1usize..400,
-        seed in 0u64..1000,
-    ) {
-        let mach = p4e();
+/// idamax (control flow + cold blocks + unroll) returns the exact
+/// first-maximum index under arbitrary parameters.
+#[test]
+fn idamax_exact_under_arbitrary_params() {
+    let mut rng = Rng64::seed_from_u64(0xf40_0003);
+    let mach = p4e();
+    for _ in 0..CASES {
+        let params = arb_params(&mut rng, 1, false);
+        let (n, seed) = (1 + rng.range_usize(399), rng.range_usize(1000) as u64);
         let (xs, _) = data(n, seed);
         let want = xs
             .iter()
             .enumerate()
             .fold((0usize, f64::NEG_INFINITY), |(bi, bv), (i, &v)| {
-                if v.abs() > bv { (i, v.abs()) } else { (bi, bv) }
+                if v.abs() > bv {
+                    (i, v.abs())
+                } else {
+                    (bi, bv)
+                }
             })
             .0 as i64;
-        let (_, got, ..) = exec(IAMAX, &mach, &params, n, 0.0, &xs, &xs.clone());
-        prop_assert_eq!(got, want, "n={} params={:?}", n, params);
+        let (_, got, ..) = exec(IAMAX, &mach, &params, n, 0.0, &xs, &xs);
+        assert_eq!(got, want, "n={n} params={params:?}");
     }
 }

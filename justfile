@@ -4,6 +4,10 @@
 check:
     scripts/check.sh
 
+# Lines under crates/*/src with each file cut at its first #[cfg(test)]
+size *FILES:
+    scripts/size.sh {{FILES}}
+
 fmt:
     cargo fmt --all
 

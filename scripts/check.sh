@@ -7,6 +7,14 @@ cd "$(dirname "$0")/.."
 
 step() { printf '\n== %s ==\n' "$*"; }
 
+step "no gated test targets"
+# A `required-features` line lets plain `cargo test` skip a target without
+# saying so; two property suites sat unrun behind one for a dozen PRs.
+if grep -n 'required-features' crates/*/Cargo.toml; then
+    echo "error: a crates/*/Cargo.toml gates a target behind required-features" >&2
+    exit 1
+fi
+
 step "cargo fmt --check"
 cargo fmt --all -- --check
 
@@ -27,8 +35,10 @@ step "system benchmark package (benchmark/): offline build + quick test"
 # the benchmark names (`EvalEngine::eval_batch`, `search::{line_search_batched,
 # SearchOptions}`, `generic::run_generic`, `runner::run_once`,
 # `worker::{WorkerSpec::blas, WorkerPool, serve_stdio}`, `proto::esc`,
-# `report::{parse_json, Json}`, `strategy::db::*`, `TuneConfig`, ...) —
-# see DESIGN.md, "One evaluation path".
+# `report::{parse_json, Json}`, `strategy::db::*`, `TuneConfig`, the
+# fields `SearchResult.{evaluations, cache_hits, pruned}` and
+# `EvalEvent.{params, cycles}`, ...) — see DESIGN.md, "One evaluation
+# path" and "One record per probe".
 cargo test --release --offline --manifest-path benchmark/Cargo.toml -q
 
 step "ifko lint kernels/*.hil"
