@@ -9,12 +9,14 @@
 //! unchanged by [`parse_json`] — including control characters, which a
 //! journal line or a wire frame must never carry raw.
 
-/// A parsed JSON value. Numbers are kept as `f64`; every integer this
-/// tool reads (cycles, microseconds, counters) is far below 2^53.
+/// A parsed JSON value. An unsigned integer token that fits a `u64` is
+/// kept exactly as [`Json::Int`] — seeds and fingerprints use all 64 bits
+/// and an `f64` holds 53 — and every other number is an `f64`.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Json {
     Null,
     Bool(bool),
+    Int(u64),
     Num(f64),
     Str(String),
     Arr(Vec<Json>),
@@ -34,10 +36,28 @@ impl Json {
             _ => None,
         }
     }
+    /// A `Num` holding a whole number inside `range`.
+    fn whole(&self, range: std::ops::Range<f64>) -> Option<f64> {
+        match self {
+            Json::Num(n) if n.fract() == 0.0 && range.contains(n) => Some(*n),
+            _ => None,
+        }
+    }
+    /// The number as a `u64`, if it is one: `None` for a fractional,
+    /// negative or out-of-range value, never a truncation.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            Json::Num(n) if *n >= 0.0 => Some(*n as u64),
-            _ => None,
+            Json::Int(n) => Some(*n),
+            _ => self.whole(0.0..u64::MAX as f64).map(|n| n as u64),
+        }
+    }
+    /// The number as an `i64`, under the same rule as [`Json::as_u64`].
+    pub fn as_i64(&self) -> Option<i64> {
+        match self {
+            Json::Int(n) => i64::try_from(*n).ok(),
+            _ => self
+                .whole(i64::MIN as f64..i64::MAX as f64)
+                .map(|n| n as i64),
         }
     }
     pub fn as_bool(&self) -> Option<bool> {
@@ -48,7 +68,15 @@ impl Json {
     }
     pub fn as_f64(&self) -> Option<f64> {
         match self {
+            Json::Int(n) => Some(*n as f64),
             Json::Num(n) => Some(*n),
+            _ => None,
+        }
+    }
+    /// An array whose every item is a number.
+    pub fn as_f64s(&self) -> Option<Vec<f64>> {
+        match self {
+            Json::Arr(items) => items.iter().map(Json::as_f64).collect(),
             _ => None,
         }
     }
@@ -160,11 +188,11 @@ fn parse_value(b: &[u8], i: &mut usize) -> Option<Json> {
             if *i == start {
                 return None;
             }
-            std::str::from_utf8(&b[start..*i])
-                .ok()?
-                .parse::<f64>()
-                .ok()
-                .map(Json::Num)
+            let tok = std::str::from_utf8(&b[start..*i]).ok()?;
+            match tok.parse::<u64>() {
+                Ok(n) => Some(Json::Int(n)),
+                Err(_) => tok.parse::<f64>().ok().map(Json::Num),
+            }
         }
     }
 }
@@ -220,4 +248,28 @@ pub fn esc(s: &str) -> String {
         }
     }
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn integers_are_exact_and_never_a_truncation() {
+        let u = |s: &str| parse_json(s).unwrap().as_u64();
+        assert_eq!(u("9007199254740993"), Some((1 << 53) + 1));
+        assert_eq!(u("18446744073709551615"), Some(u64::MAX));
+        assert_eq!(u("1e3"), Some(1000));
+        assert_eq!(u("1024.0"), Some(1024));
+        for refused in ["1024.7", "-1", "18446744073709551616", "1e300", "\"7\""] {
+            assert_eq!(u(refused), None, "{refused}");
+        }
+        let i = |s: &str| parse_json(s).unwrap().as_i64();
+        assert_eq!(i("-128"), Some(-128));
+        assert_eq!(i("9223372036854775807"), Some(i64::MAX));
+        assert_eq!(i("9223372036854775808"), None);
+        assert_eq!(i("-0.5"), None);
+        // An integer is still a number to a reader that wants a float.
+        assert_eq!(parse_json("7").unwrap().as_f64(), Some(7.0));
+    }
 }

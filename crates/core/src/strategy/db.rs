@@ -398,13 +398,6 @@ fn kind_from_abbrev(s: &str) -> Option<PrefKind> {
     }
 }
 
-fn as_i64(v: &Json) -> Option<i64> {
-    match v {
-        Json::Num(n) => Some(*n as i64),
-        _ => None,
-    }
-}
-
 /// Parse a [`params_json`] object back into a point.
 pub fn params_from_json(v: &Json) -> Option<TransformParams> {
     let mut prefetch = Vec::new();
@@ -417,7 +410,7 @@ pub fn params_from_json(v: &Json) -> Option<TransformParams> {
             prefetch.push(PrefSpec {
                 ptr: PtrId(item.get("ptr")?.as_u64()? as u32),
                 kind,
-                dist: as_i64(item.get("dist")?)?,
+                dist: item.get("dist")?.as_i64()?,
             });
         }
     } else {
@@ -471,16 +464,7 @@ pub fn parse_record(line: &str) -> Option<TunedRecord> {
     let v = parse_json(line.trim())?;
     // Tolerant: records from older revisions carry no `sfv` field, and a
     // malformed one degrades to None rather than dropping the record.
-    let features = v.get("sfv").and_then(|j| match j {
-        Json::Arr(items) => items
-            .iter()
-            .map(|x| match x {
-                Json::Num(n) => Some(*n),
-                _ => None,
-            })
-            .collect::<Option<Vec<f64>>>(),
-        _ => None,
-    });
+    let features = v.get("sfv").and_then(Json::as_f64s);
     Some(TunedRecord {
         key: v.get("key")?.as_str()?.to_string(),
         kernel: v.get("kernel")?.as_str()?.to_string(),

@@ -733,35 +733,49 @@ mod tests {
     #[test]
     fn spec_round_trips_through_json() {
         let machine = p4e();
-        let opts = SearchOptions {
-            faults: Some(FaultPlan::uniform(7, 0.25)),
-            max_retries: 8,
-            ..SearchOptions::quick()
-        };
-        let scope = EvalScope::new("ddot", &machine, Context::OutOfCache, 1024, 7, &opts.timer);
-        let spec = WorkerSpec::blas(
-            "ddot",
-            &machine,
-            Context::OutOfCache,
-            1024,
-            7,
-            &opts,
-            &scope,
-        );
-        let v = parse_json(&spec.to_json()).unwrap();
-        let back = WorkerSpec::from_json(&v).unwrap();
-        assert_eq!(back.kernel.as_deref(), Some("ddot"));
-        assert_eq!(back.machine, "P4E");
-        assert_eq!(back.context, "oc");
-        assert_eq!(back.n, 1024);
-        assert_eq!(back.seed, 7);
-        assert_eq!(back.timer.reps, opts.timer.reps);
-        assert_eq!(
-            back.timer.interference.to_bits(),
-            opts.timer.interference.to_bits()
-        );
-        assert_eq!(back.chaos, Some(FaultPlan::uniform(7, 0.25)));
-        assert_eq!(back.scope_key, scope.key());
+        // Seeds use all 64 bits: the two large ones are not representable
+        // in an f64, and a handshake that rounds one replays a different
+        // chaos plan (or refuses itself as scope drift).
+        for seed in [7, (1 << 53) + 1, u64::MAX - 1] {
+            let mut opts = SearchOptions {
+                faults: Some(FaultPlan::uniform(seed, 0.25)),
+                max_retries: 8,
+                ..SearchOptions::quick()
+            };
+            opts.timer.seed = seed;
+            let scope = EvalScope::new(
+                "ddot",
+                &machine,
+                Context::OutOfCache,
+                1024,
+                seed,
+                &opts.timer,
+            );
+            let spec = WorkerSpec::blas(
+                "ddot",
+                &machine,
+                Context::OutOfCache,
+                1024,
+                seed,
+                &opts,
+                &scope,
+            );
+            let v = parse_json(&spec.to_json()).unwrap();
+            let back = WorkerSpec::from_json(&v).unwrap();
+            assert_eq!(back.kernel.as_deref(), Some("ddot"));
+            assert_eq!(back.machine, "P4E");
+            assert_eq!(back.context, "oc");
+            assert_eq!(back.n, 1024);
+            assert_eq!(back.seed, seed);
+            assert_eq!(back.timer.seed, seed);
+            assert_eq!(back.timer.reps, opts.timer.reps);
+            assert_eq!(
+                back.timer.interference.to_bits(),
+                opts.timer.interference.to_bits()
+            );
+            assert_eq!(back.chaos, Some(FaultPlan::uniform(seed, 0.25)));
+            assert_eq!(back.scope_key, scope.key());
+        }
     }
 
     #[test]

@@ -178,3 +178,43 @@ fn killed_worker_runs_are_reproducible() {
     };
     assert_eq!(run(), run(), "killed-worker run is not reproducible");
 }
+
+/// A chaos seed above 2^53 crosses the worker handshake exactly: were it
+/// rounded on the way in, the workers would replay a different fault
+/// plan from the dispatcher's, and serial and pooled runs would part
+/// ways in both winner and tally.
+#[test]
+fn wide_chaos_seed_gives_the_serial_run_under_a_pool() {
+    let kernel = Kernel {
+        op: BlasOp::Dot,
+        prec: Prec::D,
+    };
+    let cfg = || {
+        TuneConfig::quick(1024)
+            .faults(FaultPlan::uniform((1 << 53) + 1, 0.3))
+            .max_retries(8)
+    };
+    let serial = cfg().tune(kernel).unwrap();
+    let reg = std::sync::Arc::new(ifko::MetricsRegistry::new());
+    let pooled = cfg()
+        .workers(2)
+        .worker_launcher(WorkerLauncher::new(env!("CARGO_BIN_EXE_ifko-worker")))
+        .metrics(reg.clone())
+        .tune(kernel)
+        .unwrap();
+    assert!(
+        reg.counter(ifko::metrics::ENGINE_WORKER_EVALS).get() > 0,
+        "the pool refused the handshake and nothing ran remotely"
+    );
+    let profile = |o: &ifko::TuneOutcome| {
+        let r = &o.result;
+        (
+            format!("{:?}", r.best),
+            r.best_cycles,
+            o.cycles,
+            (r.retries, r.faults, r.outliers, r.failed),
+        )
+    };
+    assert_eq!(profile(&serial), profile(&pooled));
+    assert!(serial.result.faults > 0, "the chaos plan injected nothing");
+}

@@ -69,20 +69,33 @@ impl TuneRequest {
     }
 
     /// Read a request back from its wire form (the daemon's side of
-    /// [`TuneRequest::to_json`]). Absent or mistyped optional fields stay
-    /// unset, so the daemon's defaults apply.
+    /// [`TuneRequest::to_json`]). An absent optional field stays unset, so
+    /// the daemon's default applies; a field present with the wrong type
+    /// is an error — falling back to the default there would tune a
+    /// different workload than the one asked for and report success.
     pub(crate) fn from_json(v: &Json) -> Result<TuneRequest, String> {
-        let string = |name| v.get(name).and_then(Json::as_str).map(str::to_string);
+        fn field<'a, T>(
+            v: &'a Json,
+            name: &str,
+            what: &str,
+            read: impl Fn(&'a Json) -> Option<T>,
+        ) -> Result<Option<T>, String> {
+            v.get(name)
+                .map(|j| read(j).ok_or_else(|| format!("tune field `{name}` must be {what}")))
+                .transpose()
+        }
+        let string = |name| field(v, name, "a string", |j| j.as_str().map(str::to_string));
+        let integer = |name| field(v, name, "a non-negative integer", Json::as_u64);
         let req = TuneRequest {
-            kernel: string("kernel"),
-            src: string("src"),
-            machine: string("machine").unwrap_or_default(),
-            context: string("context").unwrap_or_default(),
-            n: v.get("n").and_then(Json::as_u64).map(|n| n as usize),
-            seed: v.get("seed").and_then(Json::as_u64),
-            full: v.get("full").and_then(Json::as_bool).unwrap_or(false),
-            strategy: string("strategy"),
-            budget: string("budget"),
+            kernel: string("kernel")?,
+            src: string("src")?,
+            machine: string("machine")?.unwrap_or_default(),
+            context: string("context")?.unwrap_or_default(),
+            n: integer("n")?.map(|n| n as usize),
+            seed: integer("seed")?,
+            full: field(v, "full", "a boolean", Json::as_bool)?.unwrap_or(false),
+            strategy: string("strategy")?,
+            budget: string("budget")?,
         };
         if req.kernel.is_none() && req.src.is_none() {
             return Err("tune needs a kernel name or a src".to_string());
@@ -262,7 +275,12 @@ mod tests {
             src: Some("ROUTINE \"k\";\n\tx += 1.0;\n".into()),
             ..TuneRequest::default()
         };
-        for req in [blas, src] {
+        // A seed uses all 64 bits; neither of these fits an f64.
+        let wide = |seed| TuneRequest {
+            seed: Some(seed),
+            ..blas.clone()
+        };
+        for req in [wide((1 << 53) + 1), wide(u64::MAX - 1), blas, src] {
             let wire = parse_json(&req.to_json()).expect("to_json writes JSON");
             assert_eq!(TuneRequest::from_json(&wire), Ok(req));
         }

@@ -13,7 +13,7 @@
 //! to append or compact.
 
 use crate::client::TuneRequest;
-use crate::proto::{error_response, object, ok_response, write_frame, Field};
+use crate::proto::{error_response, object, ok_response, read_frame, write_frame, Field};
 use ifko::artifact;
 use ifko::eval::{fnv64, machine_fingerprint, EvalCache};
 use ifko::metrics;
@@ -182,12 +182,15 @@ fn handle_connection(server: Arc<Server>, stream: UnixStream) {
     // A short read timeout turns a blocking read into an idle tick, so
     // a connection parked between requests still notices shutdown.
     let _ = stream.set_read_timeout(Some(Duration::from_millis(200)));
-    let mut stream = stream;
+    let mut frames = IdleReader {
+        stream: &stream,
+        stop: &server.stop,
+    };
     loop {
-        match read_frame_idle(&mut stream, &server.stop) {
+        match read_frame(&mut frames) {
             Ok(Some(payload)) => {
                 let response = dispatch(&server, &payload);
-                if write_frame(&mut stream, &response).is_err() {
+                if write_frame(&mut &stream, &response).is_err() {
                     break;
                 }
             }
@@ -202,70 +205,29 @@ fn handle_connection(server: Arc<Server>, stream: UnixStream) {
     }
 }
 
-/// [`read_frame`] for the server side: read timeouts are idle ticks
-/// (partial progress is kept, so a timeout can never desync the
-/// framing), and a shutdown observed between frames reads as EOF.
-fn read_frame_idle(stream: &mut UnixStream, stop: &AtomicBool) -> std::io::Result<Option<String>> {
-    use std::io::Read;
-    let mut len_buf = [0u8; 4];
-    let mut filled = 0;
-    while filled < 4 {
-        if stop.load(Ordering::SeqCst) {
-            return Ok(None);
-        }
-        match stream.read(&mut len_buf[filled..]) {
-            Ok(0) if filled == 0 => return Ok(None),
-            Ok(0) => {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::UnexpectedEof,
-                    "connection closed mid-length",
-                ))
+/// What the server side of a connection adds to [`read_frame`]: a read
+/// timeout is an idle tick, retried (the frame reader keeps its partial
+/// progress, so a tick can never desync the framing), and a raised `stop`
+/// reads as end-of-stream — between frames that is a clean close, inside
+/// one it is the torn frame it would be had the client gone away.
+struct IdleReader<'a> {
+    stream: &'a UnixStream,
+    stop: &'a AtomicBool,
+}
+
+impl std::io::Read for IdleReader<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        use std::io::ErrorKind::{TimedOut, WouldBlock};
+        loop {
+            if self.stop.load(Ordering::SeqCst) {
+                return Ok(0);
             }
-            Ok(k) => filled += k,
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock
-                        | std::io::ErrorKind::TimedOut
-                        | std::io::ErrorKind::Interrupted
-                ) => {}
-            Err(e) => return Err(e),
-        }
-    }
-    let len = u32::from_be_bytes(len_buf);
-    if len > crate::proto::MAX_FRAME {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            format!("frame length {len} exceeds MAX_FRAME"),
-        ));
-    }
-    let mut buf = vec![0u8; len as usize];
-    let mut got = 0;
-    while got < buf.len() {
-        if stop.load(Ordering::SeqCst) {
-            return Ok(None);
-        }
-        match stream.read(&mut buf[got..]) {
-            Ok(0) => {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::UnexpectedEof,
-                    "connection closed mid-frame",
-                ))
+            match self.stream.read(buf) {
+                Err(e) if matches!(e.kind(), WouldBlock | TimedOut) => {}
+                done => return done,
             }
-            Ok(k) => got += k,
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock
-                        | std::io::ErrorKind::TimedOut
-                        | std::io::ErrorKind::Interrupted
-                ) => {}
-            Err(e) => return Err(e),
         }
     }
-    String::from_utf8(buf)
-        .map(Some)
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
 }
 
 fn dispatch(server: &Arc<Server>, payload: &str) -> String {
@@ -341,6 +303,13 @@ fn handle_query(server: &Arc<Server>, req: &Json) -> Result<String, String> {
             format!("{:?}", k.prec)
         }
     };
+    let sfv = req
+        .get("sfv")
+        .map(|j| {
+            j.as_f64s()
+                .ok_or("query field `sfv` must be an array of numbers")
+        })
+        .transpose()?;
     let key = db_key(
         kernel,
         &prec,
@@ -357,22 +326,13 @@ fn handle_query(server: &Arc<Server>, req: &Json) -> Result<String, String> {
     }
     // Exact miss: nearest-by-static-features transfer lookup when the
     // caller supplied a feature vector.
-    if let Some(Json::Arr(items)) = req.get("sfv") {
-        let sfv: Option<Vec<f64>> = items
-            .iter()
-            .map(|x| match x {
-                Json::Num(n) => Some(*n),
-                _ => None,
-            })
-            .collect();
-        if let Some(sfv) = sfv {
-            if let Some(rec) = server.db.nearest_by_features(&sfv, &key) {
-                return Ok(object(&[
-                    Field::Bool("found", true),
-                    Field::Bool("nearest", true),
-                    Field::Raw("record", record_json(&rec)),
-                ]));
-            }
+    if let Some(sfv) = sfv {
+        if let Some(rec) = server.db.nearest_by_features(&sfv, &key) {
+            return Ok(object(&[
+                Field::Bool("found", true),
+                Field::Bool("nearest", true),
+                Field::Raw("record", record_json(&rec)),
+            ]));
         }
     }
     Ok(object(&[Field::Bool("found", false)]))
@@ -463,4 +423,40 @@ fn run_tune(server: &Arc<Server>, req: &TuneRequest) -> Result<String, String> {
         Field::Num("pruned", result.pruned as u64),
         Field::Raw("params", params_json(&result.best)),
     ]))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::Write;
+
+    fn idle_read(stream: &UnixStream, stop: &AtomicBool) -> std::io::Result<Option<String>> {
+        read_frame(&mut IdleReader { stream, stop })
+    }
+
+    #[test]
+    fn idle_ticks_keep_the_frame_and_shutdown_reads_as_end_of_stream() {
+        let (ours, mut theirs) = UnixStream::pair().unwrap();
+        let tick = Duration::from_millis(20);
+        ours.set_read_timeout(Some(tick)).unwrap();
+        let stop = AtomicBool::new(false);
+
+        // A frame arriving in two pieces, several ticks apart, is one frame.
+        let mut wire: Vec<u8> = Vec::new();
+        write_frame(&mut wire, "{\"cmd\":\"ping\"}").unwrap();
+        let writer = std::thread::spawn(move || {
+            theirs.write_all(&wire[..6]).unwrap();
+            std::thread::sleep(tick * 4);
+            theirs.write_all(&wire[6..]).unwrap();
+            theirs
+        });
+        let frame = idle_read(&ours, &stop).unwrap();
+        assert_eq!(frame.as_deref(), Some("{\"cmd\":\"ping\"}"));
+        let _theirs = writer.join().unwrap();
+
+        // Shutdown between frames is a clean end-of-stream, not an error,
+        // though the peer is still connected and has sent nothing.
+        stop.store(true, Ordering::SeqCst);
+        assert!(matches!(idle_read(&ours, &stop), Ok(None)));
+    }
 }

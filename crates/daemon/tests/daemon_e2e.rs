@@ -373,3 +373,127 @@ fn oversized_n_is_refused_and_leaves_the_daemon_serving() {
     handle.stop();
     let _ = std::fs::remove_dir_all(&db_dir);
 }
+
+/// A quiet daemon over a fresh database, for the adversarial cases.
+fn quiet_daemon(name: &str) -> (ifko_daemon::DaemonHandle, PathBuf, PathBuf) {
+    let db_dir = tmp(name);
+    let socket = db_dir.join("ifkod.sock");
+    let handle = Daemon::start(DaemonConfig {
+        socket: socket.clone(),
+        db_dir: db_dir.clone(),
+        cache_dir: None,
+        jobs: 1,
+        quiet: true,
+    })
+    .unwrap();
+    (handle, socket, db_dir)
+}
+
+/// Bytes that are not a frame: the handler drops that connection without
+/// a reply, and the daemon answers a `ping` on a new one afterwards.
+#[test]
+fn malformed_frames_drop_the_connection_not_the_daemon() {
+    use std::io::Write;
+    use std::os::unix::net::UnixStream;
+    let (handle, socket, db_dir) = quiet_daemon("bad-frames-db");
+
+    let over_max = (ifko_daemon::MAX_FRAME + 1).to_be_bytes();
+    let cases: [(&str, Vec<u8>); 5] = [
+        // Must be refused before a 4 GiB allocation.
+        ("length word of u32::MAX", u32::MAX.to_be_bytes().to_vec()),
+        ("length word just above MAX_FRAME", over_max.to_vec()),
+        ("torn mid-length", vec![0, 0]),
+        (
+            "torn mid-payload",
+            [&100u32.to_be_bytes()[..], b"0123456789"].concat(),
+        ),
+        (
+            "non-UTF-8 payload",
+            [&4u32.to_be_bytes()[..], &[0xff, 0xfe, 0xfd, 0xfc]].concat(),
+        ),
+    ];
+    for (what, bytes) in cases {
+        let mut s = UnixStream::connect(&socket).unwrap();
+        s.set_read_timeout(Some(std::time::Duration::from_secs(10)))
+            .unwrap();
+        s.write_all(&bytes).unwrap();
+        // Closing our write side is what tears the torn frames.
+        s.shutdown(std::net::Shutdown::Write).unwrap();
+        let reply = ifko_daemon::read_frame(&mut s);
+        assert!(!matches!(reply, Ok(Some(_))), "{what}: got {reply:?}");
+        Client::connect(&socket)
+            .unwrap()
+            .ping()
+            .unwrap_or_else(|e| panic!("{what}: the daemon stopped serving: {e}"));
+    }
+
+    handle.stop();
+    let _ = std::fs::remove_dir_all(&db_dir);
+}
+
+/// Well-framed requests that are not well-formed: each gets a typed
+/// `ok:false` naming what is wrong, on a connection that stays usable,
+/// and none starts a tune under a default the caller did not ask for.
+#[test]
+fn malformed_requests_get_typed_errors() {
+    let (handle, socket, db_dir) = quiet_daemon("bad-requests-db");
+
+    let cases = [
+        ("this is not json {{{", "unparseable"),
+        ("[1,2,3]", "unknown cmd"),
+        ("{}", "unknown cmd"),
+        ("{\"cmd\":7}", "unknown cmd"),
+        ("{\"cmd\":\"frobnicate\"}", "frobnicate"),
+        (
+            "{\"cmd\":\"tune\",\"kernel\":7}",
+            "`kernel` must be a string",
+        ),
+        (
+            "{\"cmd\":\"tune\",\"kernel\":\"ddot\",\"n\":\"big\"}",
+            "`n` must be a non-negative integer",
+        ),
+        (
+            "{\"cmd\":\"tune\",\"kernel\":\"ddot\",\"n\":1.5}",
+            "`n` must be a non-negative integer",
+        ),
+        (
+            "{\"cmd\":\"tune\",\"kernel\":\"ddot\",\"n\":64,\"seed\":-1}",
+            "`seed` must be a non-negative integer",
+        ),
+        (
+            "{\"cmd\":\"tune\",\"kernel\":\"ddot\",\"n\":64,\"full\":\"yes\"}",
+            "`full` must be a boolean",
+        ),
+        (
+            "{\"cmd\":\"query\",\"kernel\":7,\"machine\":\"p4e\"}",
+            "kernel",
+        ),
+        (
+            "{\"cmd\":\"query\",\"kernel\":\"ddot\",\"machine\":7}",
+            "machine",
+        ),
+        (
+            "{\"cmd\":\"query\",\"kernel\":\"ddot\",\"machine\":\"p4e\",\"sfv\":[1,\"x\"]}",
+            "`sfv` must be an array of numbers",
+        ),
+        (
+            "{\"cmd\":\"query\",\"kernel\":\"ddot\",\"machine\":\"p4e\",\"sfv\":3}",
+            "`sfv` must be an array of numbers",
+        ),
+    ];
+    let mut client = Client::connect(&socket).unwrap();
+    for (payload, needle) in cases {
+        let err = client
+            .request(payload)
+            .expect_err(&format!("{payload} must be refused"));
+        assert!(err.contains(needle), "{payload}: error {err:?}");
+        client.ping().unwrap();
+    }
+    Client::connect(&socket).unwrap().ping().unwrap();
+    // Refusals wrote nothing.
+    let stats = client.stats().unwrap();
+    assert_eq!(stats.get("live").and_then(|j| j.as_u64()), Some(0));
+
+    handle.stop();
+    let _ = std::fs::remove_dir_all(&db_dir);
+}

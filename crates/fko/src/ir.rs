@@ -52,7 +52,7 @@ pub struct MemRef {
 
 /// FP right-hand operand: register or memory (the x86 CISC form produced
 /// by the mem-operand fusion peephole).
-#[derive(Clone, Copy, PartialEq, Hash, Debug)]
+#[derive(Clone, Copy, PartialEq, Debug)]
 pub enum RoM {
     Reg(V),
     Mem(MemRef),
@@ -234,45 +234,6 @@ pub enum Op {
         dst: V,
         arrival: u8,
     },
-}
-
-/// Structural hash for the sub-candidate cache fingerprint (the only
-/// reason this is manual is `FConst`'s `f64`, hashed by bit pattern).
-impl std::hash::Hash for Op {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        use Op::*;
-        std::mem::discriminant(self).hash(state);
-        match self {
-            FLd { dst, mem, w } => (dst, mem, w).hash(state),
-            FSt { mem, src, w, nt } => (mem, src, w, nt).hash(state),
-            FMov { dst, src, w } | FAbs { dst, src, w } => (dst, src, w).hash(state),
-            FConst { dst, val } => (dst, val.to_bits()).hash(state),
-            FZero { dst, w } => (dst, w).hash(state),
-            FBin { op, dst, a, b, w } => (op, dst, a, b, w).hash(state),
-            FSqrt { dst, src } | FBcast { dst, src } | FHSum { dst, src } | FHMax { dst, src } => {
-                (dst, src).hash(state)
-            }
-            FCmp { a, b } => (a, b).hash(state),
-            IConst { dst, val } => (dst, val).hash(state),
-            IMov { dst, src } => (dst, src).hash(state),
-            IBin { op, dst, a, b } => (op, dst, a, b).hash(state),
-            ICmp { a, b } => (a, b).hash(state),
-            IDecFlags(v) => v.hash(state),
-            Label(l) | Br(l) => l.hash(state),
-            CondBr { cond, target } => (cond, target).hash(state),
-            Prefetch {
-                ptr,
-                dist_bytes,
-                kind,
-            } => (ptr, dist_bytes, kind).hash(state),
-            PtrBump { ptr, elems } => (ptr, elems).hash(state),
-            FSpillLd { dst, slot, w } => (dst, slot, w).hash(state),
-            FSpillSt { slot, src, w } => (slot, src, w).hash(state),
-            ISpillLd { dst, slot } => (dst, slot).hash(state),
-            ISpillSt { slot, src } => (slot, src).hash(state),
-            IParamMov { dst, arrival } | FParamMov { dst, arrival } => (dst, arrival).hash(state),
-        }
-    }
 }
 
 impl Op {
@@ -504,7 +465,7 @@ pub enum ParamSlot {
 }
 
 /// Return value.
-#[derive(Clone, Copy, PartialEq, Hash, Debug)]
+#[derive(Clone, Copy, PartialEq, Debug)]
 pub enum RetVal {
     None,
     /// FP scalar result, delivered in FReg(0) at halt.

@@ -13,11 +13,11 @@
 //! The search compiles the same kernel hundreds of times under varying
 //! parameters, so the primary entry point is a [`CompileSession`]: created
 //! once per (kernel, machine), it owns the lowered IR, the analysis
-//! report, reusable per-stage scratch buffers, and a two-level
-//! sub-candidate cache that skips redundant back-end work when candidates
-//! differ only in timer-irrelevant parameters. One-shot convenience
-//! wrappers ([`compile`], [`compile_defaults`]) remain for tools that
-//! compile once.
+//! report, reusable per-stage scratch buffers, and one sub-candidate
+//! cache — a map from the normalized parameter point to its prediction
+//! and its program — that skips the whole pipeline when candidates differ
+//! only in timer-irrelevant parameters. One-shot convenience wrappers
+//! ([`compile`], [`compile_defaults`]) remain for tools that compile once.
 
 pub mod analysis;
 pub mod codegen;
@@ -41,9 +41,8 @@ pub use verify::{lint_analysis, precheck, Reject};
 
 use ifko_xsim::MachineConfig;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// Any failure along the compilation pipeline. Every variant carries its
@@ -193,12 +192,15 @@ pub struct StageProfile {
 /// Counters accumulated by a [`CompileSession`] over its lifetime.
 #[derive(Clone, Copy, PartialEq, Eq, Default, Debug)]
 pub struct SessionStats {
-    /// Total `compile` calls.
+    /// Total `compile` calls, failed ones included.
     pub compiles: u64,
-    /// Calls served (fully or from the post-xform stage on) by the
-    /// sub-candidate cache.
+    /// Calls answered from the sub-candidate cache: the normalized point
+    /// had already compiled (with verification, if this caller asked for
+    /// it), so no stage ran.
     pub subcache_hits: u64,
-    /// Calls that ran the full back end (opt/regalloc/codegen).
+    /// Calls that got through `xform` and ran the back end
+    /// (opt/regalloc/codegen): one per distinct normalized point, plus one
+    /// per verify upgrade.
     pub subcache_misses: u64,
 }
 
@@ -212,76 +214,13 @@ struct Scratch {
     code: codegen::CodegenScratch,
 }
 
-/// The transform parameters that still matter after xform: the repeatable
-/// optimization switches consumed by [`opt::optimize`]. Part of the L2
-/// cache key — two candidates with identical post-xform IR but different
-/// switches compile to different programs.
-#[derive(Clone, Copy, PartialEq, Hash)]
-struct OptKey {
-    loop_control: bool,
-    cisc_memops: bool,
-    copy_prop: bool,
-    dead_code_elim: bool,
-    branch_cleanup: bool,
-}
-
-impl OptKey {
-    fn of(p: &TransformParams) -> OptKey {
-        OptKey {
-            loop_control: p.loop_control,
-            cisc_memops: p.cisc_memops,
-            copy_prop: p.copy_prop,
-            dead_code_elim: p.dead_code_elim,
-            branch_cleanup: p.branch_cleanup,
-        }
-    }
-}
-
-/// Cached cost prediction: keyed by normalized [`TransformParams`]; the
-/// stored params are the collision guard.
-struct PredEntry {
-    params: TransformParams,
-    pred: costmodel::CostPrediction,
-}
-
-/// L1 entry: keyed by normalized [`TransformParams`]; the stored params
-/// are the collision guard.
-struct L1Entry {
-    params: TransformParams,
-    out: CompiledKernel,
-    verified: bool,
-}
-
-/// L2 entry: keyed by the post-xform [`xform::LinearKernel`] fingerprint
-/// plus [`OptKey`]; the stored kernel/key are the collision guard.
-struct L2Entry {
-    lin: xform::LinearKernel,
-    opt: OptKey,
-    out: CompiledKernel,
-    verified: bool,
-}
-
-/// FNV-1a, used for the sub-candidate cache keys. Collisions are safe —
-/// every entry carries a full structural collision guard — so the hash
-/// only needs to be cheap and well-distributed.
-struct FnvHasher(u64);
-
-impl Hasher for FnvHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x100_0000_01b3);
-        }
-    }
-}
-
-fn fnv_of(value: impl Hash) -> u64 {
-    let mut h = FnvHasher(0xcbf2_9ce4_8422_2325);
-    value.hash(&mut h);
-    h.finish()
+/// What the session holds for one normalized parameter point; each half
+/// is filled by whichever of `predict` / `compile` asks for it first.
+#[derive(Default)]
+struct Candidate {
+    pred: Option<CostPrediction>,
+    /// The compiled program, and whether IR verification ran on it.
+    out: Option<(CompiledKernel, bool)>,
 }
 
 /// Drop parameter content that cannot change the compiled program:
@@ -298,16 +237,16 @@ fn normalized(params: &TransformParams) -> TransformParams {
 ///
 /// Owns the lowered [`ir::KernelIr`], its [`AnalysisReport`], a pool of
 /// per-stage scratch buffers (xform working set, liveness bit-vectors,
-/// register-allocation tables, codegen label maps), and a two-level
-/// sub-candidate cache:
-///
-/// * **L1** — keyed by normalized [`TransformParams`]: a hit skips the
-///   entire pipeline (candidates differing only in timer-irrelevant
-///   parameters such as disabled prefetch specs).
-/// * **L2** — keyed by the post-xform linear IR plus the repeatable
-///   optimization switches: a hit skips opt/regalloc/codegen (~80% of
-///   per-candidate cost) when different transform parameters produce the
-///   same transformed loop.
+/// register-allocation tables, codegen label maps), and one sub-candidate
+/// cache: a map from the normalized [`TransformParams`] point (disabled
+/// prefetch specs dropped) to its [`CostPrediction`] and its compiled
+/// program. A `compile` hit skips the entire pipeline; a `predict` hit
+/// skips `xform`. There is no cache below that, keyed on the post-xform
+/// IR: distinct normalized points that transform to the same loop are
+/// what the legality precheck removes before the compiler sees them, and
+/// over the `IC` and `OC` suite tunes such a level answered 0 of 3 091
+/// compiles while charging every miss a fingerprint and an IR snapshot
+/// (DESIGN.md, "Compile sessions and sub-candidate caching").
 ///
 /// Only successful compiles are cached; entries compiled without IR
 /// verification are transparently recompiled (and upgraded) when a
@@ -321,9 +260,7 @@ pub struct CompileSession {
     ir: ir::KernelIr,
     rep: AnalysisReport,
     scratch: Mutex<Vec<Scratch>>,
-    l1: Mutex<HashMap<u64, L1Entry>>,
-    l2: Mutex<HashMap<u64, L2Entry>>,
-    pred: Mutex<HashMap<u64, PredEntry>>,
+    candidates: Mutex<HashMap<TransformParams, Candidate>>,
     compiles: AtomicU64,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -338,9 +275,7 @@ impl CompileSession {
             ir,
             rep,
             scratch: Mutex::new(Vec::new()),
-            l1: Mutex::new(HashMap::new()),
-            l2: Mutex::new(HashMap::new()),
-            pred: Mutex::new(HashMap::new()),
+            candidates: Mutex::new(HashMap::new()),
             compiles: AtomicU64::new(0),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -422,6 +357,12 @@ impl CompileSession {
         }
     }
 
+    fn candidates(&self) -> MutexGuard<'_, HashMap<TransformParams, Candidate>> {
+        self.candidates
+            .lock()
+            .expect("a thread panicked while holding the candidate map")
+    }
+
     /// Statically predict the cost of one candidate: run the transforms
     /// (xform only — no opt/regalloc/codegen, no simulation) and analyze
     /// the post-xform IR with [`costmodel::predict_lin`]. `mach` must be
@@ -432,26 +373,17 @@ impl CompileSession {
         &self,
         params: &TransformParams,
         mach: &MachineConfig,
-    ) -> Result<costmodel::CostPrediction, CompileError> {
+    ) -> Result<CostPrediction, CompileError> {
         let norm = normalized(params);
-        let key = fnv_of(&norm);
-        if let Some(e) = self.pred.lock().unwrap().get(&key) {
-            if e.params == norm {
-                return Ok(e.pred.clone());
-            }
+        if let Some(pred) = self.candidates().get(&norm).and_then(|c| c.pred.clone()) {
+            return Ok(pred);
         }
         let mut sc = self.scratch.lock().unwrap().pop().unwrap_or_default();
         let lin = xform::apply_transforms_with(&self.ir, params, &self.rep, &mut sc.xform)
             .map_err(|e| CompileError::xform(e.to_string()));
         self.scratch.lock().unwrap().push(sc);
         let pred = costmodel::predict_lin(&lin?, mach);
-        self.pred.lock().unwrap().insert(
-            key,
-            PredEntry {
-                params: norm,
-                pred: pred.clone(),
-            },
-        );
+        self.candidates().entry(norm).or_default().pred = Some(pred.clone());
         Ok(pred)
     }
 
@@ -464,13 +396,12 @@ impl CompileSession {
         self.compiles.fetch_add(1, Ordering::Relaxed);
         let t_total = Instant::now();
         let norm = normalized(params);
-        let l1_key = fnv_of(&norm);
-        let cached = {
-            let l1 = self.l1.lock().unwrap();
-            l1.get(&l1_key).and_then(|e| {
-                (e.params == norm && (e.verified || !opts.verify_ir)).then(|| e.out.clone())
-            })
-        };
+        // A verifying caller never receives a program compiled without
+        // verification: it recompiles and upgrades the entry below.
+        let cached = self.candidates().get(&norm).and_then(|c| match &c.out {
+            Some((out, verified)) if *verified || !opts.verify_ir => Some(out.clone()),
+            _ => None,
+        });
         if let Some(out) = cached {
             self.hits.fetch_add(1, Ordering::Relaxed);
             self.emit(&mut opts, "subcache", t_total.elapsed());
@@ -479,16 +410,17 @@ impl CompileSession {
         // Check a scratch bundle out of the pool for the slow path; push
         // it back whatever the outcome.
         let mut sc = self.scratch.lock().unwrap().pop().unwrap_or_default();
-        let result = self.compile_slow(params, norm, l1_key, &mut opts, &mut sc);
+        let result = self.compile_slow(params, &mut opts, &mut sc);
         self.scratch.lock().unwrap().push(sc);
+        if let Ok(out) = &result {
+            self.candidates().entry(norm).or_default().out = Some((out.clone(), opts.verify_ir));
+        }
         result
     }
 
     fn compile_slow(
         &self,
         params: &TransformParams,
-        norm: TransformParams,
-        l1_key: u64,
         opts: &mut CompileOpts<'_>,
         sc: &mut Scratch,
     ) -> Result<CompiledKernel, CompileError> {
@@ -516,33 +448,7 @@ impl CompileSession {
         self.emit(opts, "xform", t0.elapsed());
         let mut lin = lin?;
         check("xform", &lin, None)?;
-
-        let okey = OptKey::of(params);
-        let l2_key = fnv_of((lin.prec, &lin.vregs, &lin.ops, lin.ret, lin.n_labels, okey));
-        let t_l2 = Instant::now();
-        let cached = {
-            let l2 = self.l2.lock().unwrap();
-            l2.get(&l2_key).and_then(|e| {
-                (e.opt == okey && e.lin == lin && (e.verified || !verify_ir))
-                    .then(|| (e.out.clone(), e.verified))
-            })
-        };
-        if let Some((out, verified)) = cached {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            self.emit(opts, "subcache", t_l2.elapsed());
-            self.l1.lock().unwrap().insert(
-                l1_key,
-                L1Entry {
-                    params: norm,
-                    out: out.clone(),
-                    verified,
-                },
-            );
-            return Ok(out);
-        }
         self.misses.fetch_add(1, Ordering::Relaxed);
-        // Snapshot the post-xform IR now; `optimize` rewrites it in place.
-        let lin_snapshot = lin.clone();
 
         let t0 = Instant::now();
         opt::optimize_with(&mut lin, params, &mut sc.opt);
@@ -567,23 +473,6 @@ impl CompileSession {
                 return Err(CompileError::Verify("codegen", diags));
             }
         }
-        self.l2.lock().unwrap().insert(
-            l2_key,
-            L2Entry {
-                lin: lin_snapshot,
-                opt: okey,
-                out: out.clone(),
-                verified: verify_ir,
-            },
-        );
-        self.l1.lock().unwrap().insert(
-            l1_key,
-            L1Entry {
-                params: norm,
-                out: out.clone(),
-                verified: verify_ir,
-            },
-        );
         Ok(out)
     }
 }

@@ -11,7 +11,7 @@ use crate::ir::{PrefKind, PtrId};
 use ifko_xsim::MachineConfig;
 
 /// Prefetch setting for one array.
-#[derive(Clone, Copy, PartialEq, Hash, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct PrefSpec {
     pub ptr: PtrId,
     /// `None` disables prefetch for this array.
@@ -21,7 +21,7 @@ pub struct PrefSpec {
 }
 
 /// The full transformation parameter set.
-#[derive(Clone, PartialEq, Hash, Debug)]
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct TransformParams {
     /// SV: SIMD vectorize the tuned loop (applied only when legal).
     pub simd: bool,

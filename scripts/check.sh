@@ -99,6 +99,16 @@ cargo run --release -p ifko-cli -- tune kernels/ddot.hil --n 1024 \
     > "$obs_tmp/workers-serial.txt"
 diff <(grep 'iFKO best' "$obs_tmp/workers.txt") \
      <(grep 'iFKO best' "$obs_tmp/workers-serial.txt")
+# And under a chaos seed above 2^53, which the handshake must carry
+# exactly: rounded, the workers replay another fault plan and both the
+# winner and the fault tally part from the serial run's.
+for w in 0 2; do
+    cargo run --release -p ifko-cli -- tune kernels/ddot.hil --n 1024 \
+        --chaos 0x20000000000001:0.3 --workers "$w" > "$obs_tmp/chaos-workers-$w.txt"
+done
+diff <(grep -E 'iFKO best|fault handling' "$obs_tmp/chaos-workers-0.txt") \
+     <(grep -E 'iFKO best|fault handling' "$obs_tmp/chaos-workers-2.txt")
+grep -q 'fault handling' "$obs_tmp/chaos-workers-2.txt"
 
 step "harness smoke: ifkod daemon (remote tune, warm hit, pack/install)"
 daemon_sock="$obs_tmp/ifkod.sock"
