@@ -30,13 +30,13 @@ fn main() {
 
     println!("\nFigure 5(b). P4E: speedup of in-L2-tuned over out-of-cache-tuned");
     println!("{:<10} {:>10}", "kernel", "speedup");
-    for (oc, ic) in p4_oc.iter().zip(p4_ic) {
-        let (Some(oc), Some(ic)) = (&oc.tune, &ic.tune) else {
+    for (row, ic) in p4_oc.iter().zip(p4_ic) {
+        let (Some(oc), Some(ic)) = (&row.tune, &ic.tune) else {
             continue;
         };
         // Compare cycles/element: contexts use different N.
         let per_oc = oc.cycles as f64 / n_oc;
         let per_ic = ic.cycles as f64 / n_ic;
-        println!("{:<10} {:>9.2}x", oc.kernel.name(), per_oc / per_ic);
+        println!("{:<10} {:>9.2}x", row.kernel.name(), per_oc / per_ic);
     }
 }

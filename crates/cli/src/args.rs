@@ -148,6 +148,32 @@ impl Args {
         }
         Ok(a)
     }
+
+    /// The flags given (set away from their defaults) that only an
+    /// in-process tune applies: a `--remote` request carries the machine,
+    /// context, size, seed, `--full`, strategy and budget, and nothing
+    /// else.
+    pub fn local_only(&self) -> Vec<&'static str> {
+        [
+            ("--jobs", self.jobs != 1),
+            ("--workers", self.workers != 0),
+            ("--trace", self.trace.is_some()),
+            ("--trace-chrome", self.trace_chrome.is_some()),
+            ("--timeseries", self.timeseries.is_some()),
+            ("--metrics", self.metrics.is_some()),
+            ("--verify-ir", self.verify_ir),
+            ("--no-prune", self.no_prune),
+            ("--model-prune", self.model_prune.is_some()),
+            ("--db", self.db.is_some()),
+            ("--warm-start", self.warm_start),
+            ("--chaos", self.chaos.is_some()),
+            ("--max-retries", self.max_retries.is_some()),
+            ("--profile-pipeline", self.profile_pipeline),
+        ]
+        .into_iter()
+        .filter_map(|(flag, given)| given.then_some(flag))
+        .collect()
+    }
 }
 
 #[cfg(test)]
@@ -319,6 +345,67 @@ mod tests {
         let a = Args::parse(v(&["k.hil"])).unwrap();
         assert!(a.remote.is_none());
         assert!(Args::parse(v(&["k.hil", "--remote"])).is_err());
+    }
+
+    #[test]
+    fn local_only_names_exactly_the_flags_given() {
+        let a = Args::parse(v(&[
+            "k.hil",
+            "--n",
+            "1024",
+            "--seed",
+            "3",
+            "--strategy",
+            "random",
+        ]))
+        .unwrap();
+        assert!(a.local_only().is_empty(), "{:?}", a.local_only());
+        let a = Args::parse(v(&[
+            "k.hil",
+            "--remote",
+            "s.sock",
+            "--metrics",
+            "m.json",
+            "--jobs",
+            "4",
+            "--db",
+            "d",
+            "--verify-ir",
+        ]))
+        .unwrap();
+        assert_eq!(
+            a.local_only(),
+            ["--jobs", "--metrics", "--verify-ir", "--db"]
+        );
+        let every = Args::parse(v(&[
+            "k.hil",
+            "--jobs",
+            "2",
+            "--workers",
+            "2",
+            "--trace",
+            "t",
+            "--trace-chrome",
+            "c",
+            "--timeseries",
+            "ts",
+            "--metrics",
+            "m",
+            "--verify-ir",
+            "--no-prune",
+            "--model-prune",
+            "0.5",
+            "--db",
+            "d",
+            "--warm-start",
+            "--chaos",
+            "7",
+            "--max-retries",
+            "1",
+            "--profile-pipeline",
+        ]))
+        .unwrap();
+        assert_eq!(every.local_only().len(), 14);
     }
 
     #[test]

@@ -651,12 +651,12 @@ fn cmd_tune(src: &str, args: &Args) -> Result<(), String> {
 /// cache and tuned-results index, so identical requests coalesce and
 /// repeats short-circuit on verified warm starts.
 fn cmd_tune_remote(request: &TuneRequest, args: &Args, socket: &str) -> Result<(), String> {
-    if args.trace.is_some()
-        || args.trace_chrome.is_some()
-        || args.timeseries.is_some()
-        || args.chaos.is_some()
-    {
-        eprintln!("note: trace/chaos flags are local-only and ignored with --remote");
+    let ignored = args.local_only();
+    if !ignored.is_empty() {
+        eprintln!(
+            "note: local-only flags ignored with --remote: {}",
+            ignored.join(", ")
+        );
     }
     let mut client = Client::connect(socket)
         .map_err(|e| format!("--remote {socket}: {e} (is ifkod running?)"))?;

@@ -443,7 +443,7 @@ fn daemon_remote_tune_and_control_plane() {
     })
     .unwrap();
 
-    let remote_tune = || {
+    let remote_tune = |extra: &[&str]| {
         Command::new(bin())
             .args([
                 "tune",
@@ -453,10 +453,11 @@ fn daemon_remote_tune_and_control_plane() {
                 "--remote",
                 socket.to_str().unwrap(),
             ])
+            .args(extra)
             .output()
             .unwrap()
     };
-    let out = remote_tune();
+    let out = remote_tune(&[]);
     assert!(
         out.status.success(),
         "{}",
@@ -466,10 +467,19 @@ fn daemon_remote_tune_and_control_plane() {
     assert!(text.contains("warm start         : no"), "cold:\n{text}");
 
     // Second identical request is a warm hit from the daemon's index.
-    let out = remote_tune();
+    // A flag only a local tune applies is named on stderr, not dropped
+    // silently, and does not fail the run.
+    let metrics = dir.join("m.json");
+    let out = remote_tune(&["--metrics", metrics.to_str().unwrap()]);
     assert!(out.status.success());
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("warm start         : yes"), "warm:\n{text}");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        err.contains("local-only") && err.contains("--metrics"),
+        "stderr must name the ignored flag:\n{err}"
+    );
+    assert!(!metrics.exists(), "--remote writes no local metrics");
 
     // Control plane: ping, metrics, stats.
     let out = Command::new(bin())

@@ -168,11 +168,11 @@ pub fn verify_record(rec: &TunedRecord) -> VerifyOutcome {
         Ok(c) => c,
         Err(e) => return VerifyOutcome::Failed(format!("compile at stored params: {e}")),
     };
-    let ran = match subject.simulate(&compiled) {
-        Ok(r) => r,
+    let out = match subject.simulate(&compiled) {
+        Ok(out) => out,
         Err(e) => return VerifyOutcome::Failed(format!("run: {e}")),
     };
-    match subject.test(&ran) {
+    match subject.test(&out) {
         Ok(()) => VerifyOutcome::Verified,
         Err(e) => VerifyOutcome::Failed(format!("outputs: {e}")),
     }

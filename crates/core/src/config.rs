@@ -16,10 +16,9 @@
 //! through it, across kernels and contexts) and optionally a
 //! [`TraceSink`] every evaluation reports to.
 
-use crate::driver::{flops_rate, tune_subject, TuneError, TuneFailure, TuneOutcome};
+use crate::driver::{tune_subject, TuneError, TuneFailure, TuneOutcome};
 use crate::eval::{EvalCache, EvalEngine, JsonlSink, TeeSink, TraceSink};
 use crate::fault::FaultPlan;
-use crate::generic::GenericTuneOutcome;
 use crate::metrics::MetricsRegistry;
 use crate::runner::Context;
 use crate::search::SearchOptions;
@@ -355,34 +354,16 @@ impl TuneConfig {
     /// Tune one BLAS kernel (the paper's "ifko" data point).
     pub fn tune(&self, kernel: Kernel) -> Result<TuneOutcome, TuneError> {
         let name = kernel.name();
-        let n = self.size();
         let subject = self
             .open_blas(kernel)
             .map_err(|e| TuneError(format!("{name}: {e}")))?;
-        let (tuned, final_cycles) = tune_subject(&subject, self).map_err(|e| {
+        tune_subject(&subject, self).map_err(|e| {
             TuneError(match e {
                 TuneFailure::Recompile(e) => {
                     format!("{name}: best params failed to recompile: {e}")
                 }
                 TuneFailure::Run(e) => format!("{name}: winner failed to run: {e}"),
             })
-        })?;
-        // The paper's timer protocol over the winner's clean cycle count.
-        let cycles = self
-            .final_timer
-            .time_from(final_cycles, &tuned.compiled.name);
-        Ok(TuneOutcome {
-            kernel,
-            machine: self.machine.name.to_string(),
-            context: self.context,
-            n,
-            table3_row: tuned.result.best.table3_row(subject.sess.report()),
-            result: tuned.result,
-            compiled: tuned.compiled,
-            cycles,
-            mflops: flops_rate(kernel, n, cycles, &self.machine),
-            pipeline_profile: tuned.pipeline_profile,
-            features: tuned.features,
         })
     }
 
@@ -398,20 +379,18 @@ impl TuneConfig {
         let compiled = sess
             .compile(&params, CompileOpts::default())
             .map_err(|e| TuneError(format!("{name}: {e}")))?;
-        let ran = subject.simulate(&compiled).map_err(TuneError)?;
+        let out = subject.simulate(&compiled).map_err(TuneError)?;
         subject
-            .test(&ran)
+            .test(&out)
             .map_err(|e| TuneError(format!("{name} defaults failed verify: {e}")))?;
-        Ok(self
-            .final_timer
-            .time_from(ran.stats().cycles, &compiled.name))
+        Ok(self.final_timer.time_from(out.cycles, &compiled.name))
     }
 
     /// Tune an arbitrary user HIL kernel with differential verification.
     /// Candidates run through the config's evaluation engine: batched
     /// across its worker threads, memoized in its cache under a
     /// source-fingerprinted scope, and traced to its sink.
-    pub fn tune_source(&self, src: &str) -> Result<GenericTuneOutcome, CompileError> {
+    pub fn tune_source(&self, src: &str) -> Result<TuneOutcome, CompileError> {
         let subject = Subject::source(
             src,
             &self.machine,
@@ -420,11 +399,10 @@ impl TuneConfig {
             self.seed,
             &self.search,
         )?;
-        match tune_subject(&subject, self) {
-            Ok((outcome, _)) => Ok(outcome),
-            Err(TuneFailure::Recompile(e)) => Err(e),
-            Err(TuneFailure::Run(e)) => Err(CompileError::codegen(e)),
-        }
+        tune_subject(&subject, self).map_err(|e| match e {
+            TuneFailure::Recompile(e) => e,
+            TuneFailure::Run(e) => CompileError::codegen(e),
+        })
     }
 
     fn open_blas(&self, kernel: Kernel) -> Result<Subject<'static>, CompileError> {

@@ -3,13 +3,12 @@
 //!
 //! Configuration lives in [`TuneConfig`](crate::config::TuneConfig), whose
 //! `tune` / `tune_source` methods open a subject (what is being tuned,
-//! see `subject.rs`) and hand it to `tune_subject` here.
+//! see `subject.rs`) and hand it to `tune_subject` here, which builds
+//! the one [`TuneOutcome`] both return.
 
 use crate::config::TuneConfig;
 use crate::eval::Span;
-use crate::generic::GenericTuneOutcome;
 use crate::metrics;
-use crate::runner::Context;
 use crate::search::SearchResult;
 use crate::strategy::{db_key, run_search, TunedRecord, STRATEGY_WARM};
 use crate::subject::{Oracle, Subject};
@@ -18,17 +17,17 @@ use ifko_blas::Kernel;
 use ifko_fko::{CompileError, CompileOpts, CompiledKernel, TransformParams};
 use ifko_xsim::{FeatureVector, MachineConfig};
 
-/// Everything produced by tuning one kernel on one machine/context.
+/// Everything produced by tuning one kernel — suite or `.hil` source —
+/// on one machine/context.
 #[derive(Clone, Debug)]
 pub struct TuneOutcome {
-    pub kernel: Kernel,
-    pub machine: String,
-    pub context: Context,
-    pub n: usize,
     pub result: SearchResult,
     /// The winning kernel, recompiled at the best parameters.
     pub compiled: CompiledKernel,
-    /// Final reported cycles (paper timer protocol) and MFLOPS.
+    /// Final reported cycles and MFLOPS. A suite kernel's are the paper's
+    /// timer protocol over the winner's clean run and its Figure 5 rate;
+    /// a `.hil` source's are that run's exact count (its candidates are
+    /// timed exactly too) and 0, since it has no flop count.
     pub cycles: u64,
     pub mflops: f64,
     /// Table-3 style parameter summary for the winning point.
@@ -65,16 +64,13 @@ pub(crate) enum TuneFailure {
 /// [`TuneConfig::tune`] and [`TuneConfig::tune_source`]. It owns the
 /// worker-pool spawn, the warm / transfer lookup in the tuned database,
 /// the search itself, the winner's recompile and one clean final run,
-/// the database store, and the run-level spans and metrics — so whatever
-/// is tuned, a tune is traced, counted and persisted the same way.
-///
-/// Returns what both public outcomes share, plus the cycle count of the
-/// winner's final run (which `TuneConfig::tune` puts through its final
-/// timer).
+/// the database store, the final report, and the run-level spans and
+/// metrics — so whatever is tuned, a tune is traced, counted, persisted
+/// and reported the same way.
 pub(crate) fn tune_subject(
     subject: &Subject<'_>,
     cfg: &TuneConfig,
-) -> Result<(GenericTuneOutcome, u64), TuneFailure> {
+) -> Result<TuneOutcome, TuneFailure> {
     let scope = &subject.scope;
     let mut engine = cfg.engine();
     let reg = engine.metrics().clone();
@@ -151,10 +147,10 @@ pub(crate) fn tune_subject(
     drop(final_span);
     // That run, plus the baseline run a differential oracle made when
     // the subject was opened (before there was an engine to count it).
-    let baseline_runs = matches!(subject.oracle, Oracle::Differential { .. }) as u64;
+    let baseline_runs = matches!(subject.oracle, Oracle::Baseline { .. }) as u64;
     reg.counter(metrics::ENGINE_SIMULATIONS)
         .add(1 + baseline_runs);
-    let final_stats = *ran.map_err(TuneFailure::Run)?.stats();
+    let final_stats = ran.map_err(TuneFailure::Run)?.stats;
 
     // Persist the verified winner — unless this run itself was answered
     // by the database (re-storing would overwrite the finder's name).
@@ -190,13 +186,29 @@ pub(crate) fn tune_subject(
     reg.counter(metrics::PIPE_SUBCACHE_MISSES)
         .add(pipe.subcache_misses);
 
-    let outcome = GenericTuneOutcome {
+    // The report: a suite kernel's winner goes through the paper's final
+    // timer, a source's keeps its exact count like its candidates did.
+    let (cycles, mflops) = match &subject.oracle {
+        Oracle::Reference { kernel, .. } => {
+            let cycles = cfg
+                .final_timer
+                .time_from(final_stats.cycles, &compiled.name);
+            (
+                cycles,
+                flops_rate(*kernel, scope.n, cycles, &subject.machine),
+            )
+        }
+        Oracle::Baseline { .. } => (final_stats.cycles, 0.0),
+    };
+    Ok(TuneOutcome {
+        table3_row: result.best.table3_row(subject.sess.report()),
         result,
         compiled,
+        cycles,
+        mflops,
         pipeline_profile: subject.sess.profile(),
         features: FeatureVector::from_stats(&final_stats, scope.n as u64),
-    };
-    Ok((outcome, final_stats.cycles))
+    })
 }
 
 /// MFLOPS for a kernel run (paper Figure 5 metric).
@@ -207,6 +219,7 @@ pub fn flops_rate(kernel: Kernel, n: usize, cycles: u64, machine: &MachineConfig
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::Context;
     use ifko_blas::ops::BlasOp;
     use ifko_xsim::isa::Prec;
     use ifko_xsim::{opteron, p4e};
@@ -239,7 +252,6 @@ mod tests {
             .tune(k)
             .unwrap();
         assert!(out.cycles > 0);
-        assert_eq!(out.machine, "Opteron");
     }
 
     #[test]

@@ -1,21 +1,27 @@
-//! Tuning *arbitrary* user-written HIL kernels — the paper's long-range
-//! goal ("in keeping the search in the compiler, we hope to generalize it
-//! enough to tune almost any floating point kernel").
+//! Operands and differential checking for *arbitrary* user-written HIL
+//! kernels — the paper's long-range goal ("in keeping the search in the
+//! compiler, we hope to generalize it enough to tune almost any floating
+//! point kernel").
 //!
-//! Unlike the BLAS suite, an arbitrary kernel has no reference
-//! implementation, so candidates are verified **differentially**: every
-//! candidate's outputs (all pointer-argument arrays, plus the scalar or
-//! integer return value) are compared against the outputs of the same
-//! kernel compiled with every transformation off. Reductions reassociate
-//! under SIMD/AE, so floating comparisons use a size-scaled tolerance.
+//! [`GenericWorkload`] is the one operand set a tune runs on: a `.hil`
+//! source's is generated from its argument convention
+//! ([`GenericWorkload::for_kernel`]), a suite kernel's is moved out of
+//! its BLAS `Workload` (`[x, y][..n_vectors]`, `[alpha, beta]`), and
+//! every run of either returns one [`Outputs`]. What differs between the
+//! two is only the oracle (see `subject.rs`): an arbitrary kernel has no
+//! reference implementation, so its candidates are verified
+//! **differentially** — every output (all pointer-argument arrays, plus
+//! the scalar or integer return value) is compared against the outputs
+//! of the same kernel compiled with every transformation off. Reductions
+//! reassociate under SIMD/AE, so floating comparisons use a size-scaled
+//! tolerance. Tuning a source is
+//! [`TuneConfig::tune_source`](crate::TuneConfig::tune_source).
 
-use crate::config::TuneConfig;
-use crate::runner::{simulate, Context, Operands};
-use crate::search::{SearchOptions, SearchResult};
-use ifko_fko::{ArgSlot, CompileError, CompiledKernel};
+use crate::runner::{image_bytes, simulate, Context, Operands, Outputs};
+use ifko_fko::{ArgSlot, CompiledKernel};
 use ifko_xsim::isa::Prec;
 use ifko_xsim::rng::Rng64;
-use ifko_xsim::{MachineConfig, RunStats};
+use ifko_xsim::MachineConfig;
 
 /// A workload for an arbitrary kernel, shaped by its argument convention.
 #[derive(Clone, Debug)]
@@ -51,17 +57,9 @@ impl GenericWorkload {
     }
 }
 
-/// Captured outputs of a generic run.
-#[derive(Clone, Debug)]
-pub struct GenericOutputs {
-    pub ret_f: f64,
-    pub ret_i: i64,
-    pub vectors: Vec<Vec<f64>>,
-    pub cycles: u64,
-    /// Full simulator counters of the run (`cycles` above is
-    /// `stats.cycles`, kept as its own field for convenience).
-    pub stats: RunStats,
-}
+/// [`Outputs`] under the name the system benchmark
+/// (`benchmark/src/staged.rs`) still uses for a `.hil` run.
+pub type GenericOutputs = Outputs;
 
 /// Execute a compiled kernel against a generic workload (one pooled
 /// simulation, see [`crate::runner::simulate`]).
@@ -70,27 +68,19 @@ pub fn run_generic(
     w: &GenericWorkload,
     context: Context,
     machine: &MachineConfig,
-) -> Result<GenericOutputs, String> {
-    let eb = compiled.prec.bytes();
+) -> Result<Outputs, String> {
     let ops = Operands {
         n: w.n,
         vectors: &w.vectors,
         scalars: &w.scalars,
-        capacity: ((w.n as u64 * eb) * (w.vectors.len() as u64 + 1) + (1 << 20)) as usize,
+        capacity: image_bytes(w.n, compiled.prec, w.vectors.len() + 1),
     };
-    let raw = simulate(compiled, &ops, context, machine).map_err(|e| e.0)?;
-    Ok(GenericOutputs {
-        ret_f: raw.ret_f,
-        ret_i: raw.ret_i,
-        vectors: raw.vectors,
-        cycles: raw.stats.cycles,
-        stats: raw.stats,
-    })
+    simulate(compiled, &ops, context, machine).map_err(|e| e.0)
 }
 
 /// Differential comparison against the untransformed baseline, with a
 /// size-scaled tolerance for reassociated reductions.
-pub(crate) fn outputs_agree(a: &GenericOutputs, b: &GenericOutputs, prec: Prec, n: usize) -> bool {
+pub(crate) fn outputs_agree(a: &Outputs, b: &Outputs, prec: Prec, n: usize) -> bool {
     let eps = match prec {
         Prec::S => f32::EPSILON as f64,
         Prec::D => f64::EPSILON,
@@ -107,45 +97,22 @@ pub(crate) fn outputs_agree(a: &GenericOutputs, b: &GenericOutputs, prec: Prec, 
             .all(|(va, vb)| va.iter().zip(vb).all(|(x, y)| close(*x, *y)))
 }
 
-/// Result of tuning an arbitrary kernel.
-pub struct GenericTuneOutcome {
-    pub result: SearchResult,
-    pub compiled: CompiledKernel,
-    /// Per-stage compile-time profile (empty unless
-    /// [`TuneConfig::profile_pipeline`](crate::TuneConfig::profile_pipeline)
-    /// is on).
-    pub pipeline_profile: Vec<ifko_fko::StageProfile>,
-    /// The winner's size-normalized counter vector (one clean run of the
-    /// recompiled winner) — the transfer warm-start hook (ROADMAP item 3).
-    pub features: ifko_xsim::FeatureVector,
-}
-
-/// Tune any HIL source on a machine/context: analyze, establish the
-/// untransformed-baseline outputs, then line-search with differential
-/// verification. Convenience wrapper over
-/// [`TuneConfig::tune_source`](crate::config::TuneConfig::tune_source).
-pub fn tune_source(
-    src: &str,
-    machine: &MachineConfig,
-    context: Context,
-    n: usize,
-    seed: u64,
-    opts: &SearchOptions,
-) -> Result<GenericTuneOutcome, CompileError> {
-    let cfg = TuneConfig::paper()
-        .machine(machine.clone())
-        .context(context)
-        .n(n)
-        .seed(seed)
-        .search(opts.clone());
-    cfg.tune_source(src)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::TuneConfig;
+    use crate::search::SearchOptions;
     use ifko_fko::{CompileOpts, CompileSession, TransformParams};
     use ifko_xsim::p4e;
+
+    fn quick(context: Context, n: usize, seed: u64) -> TuneConfig {
+        TuneConfig::paper()
+            .machine(p4e())
+            .context(context)
+            .n(n)
+            .seed(seed)
+            .search(SearchOptions::quick())
+    }
 
     const WAXPBY: &str = r#"
 ROUTINE waxpy(alpha, X, Y, W, N);
@@ -169,9 +136,9 @@ ROUT_END
 
     #[test]
     fn tunes_nonsuite_kernel_differentially() {
-        let mach = p4e();
-        let opts = SearchOptions::quick();
-        let out = tune_source(WAXPBY, &mach, Context::OutOfCache, 4000, 7, &opts).unwrap();
+        let out = quick(Context::OutOfCache, 4000, 7)
+            .tune_source(WAXPBY)
+            .unwrap();
         assert!(out.result.best_cycles <= out.result.default_cycles);
         assert!(out.result.evaluations > 5);
         assert!(out.result.best.simd, "waxpby vectorizes");
@@ -181,9 +148,7 @@ ROUT_END
 
     #[test]
     fn differential_check_rejects_nothing_on_correct_compiler() {
-        let mach = p4e();
-        let opts = SearchOptions::quick();
-        let out = tune_source(WAXPBY, &mach, Context::InL2, 1024, 3, &opts).unwrap();
+        let out = quick(Context::InL2, 1024, 3).tune_source(WAXPBY).unwrap();
         assert_eq!(out.result.rejected, 0, "all candidates should verify");
     }
 

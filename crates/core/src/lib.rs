@@ -6,7 +6,10 @@
 //!
 //! * [`runner`] — executes any compiled kernel on the simulated machine
 //!   under a memory **context** (out-of-cache or in-L2-cache, the paper's
-//!   two timing regimes) and extracts results;
+//!   two timing regimes) and extracts results, one [`Outputs`] per run
+//!   whether the kernel is from the BLAS suite or a `.hil` source;
+//! * [`generic`] — the one operand set ([`GenericWorkload`]) and the
+//!   differential comparison that verifies kernels with no reference;
 //! * [`tester`] — checks a candidate kernel's output against the Rust
 //!   reference implementation ("unnecessary in theory, but useful in
 //!   practice");
@@ -41,10 +44,12 @@
 //! * [`config`] — [`TuneConfig`], the builder-style configuration every
 //!   entry point takes;
 //! * [`driver`] — the one tune driver behind `TuneConfig::tune` and
-//!   `TuneConfig::tune_source`, over the crate's one evaluation path (a
-//!   subject — session, scope, tester/timer oracle — and its staged
-//!   compile → simulate → test → time function, which the engine, the
-//!   worker protocol and the daemon all call);
+//!   `TuneConfig::tune_source`, which both return its one
+//!   [`TuneOutcome`], over the crate's one evaluation path (a subject —
+//!   session, scope, operand set, and an oracle that is the verdict and
+//!   nothing else — and its staged compile → simulate → test → time
+//!   function, which the engine, the worker protocol and the daemon all
+//!   call);
 //! * [`json`] — the one JSON reader and string escaper.
 //!
 //! Most users want the [`prelude`]:
@@ -89,7 +94,7 @@ pub use eval::{
 };
 pub use explain::{explain_files, Bottleneck, ExplainReport};
 pub use fault::FaultPlan;
-pub use generic::{tune_source, GenericTuneOutcome, GenericWorkload};
+pub use generic::GenericWorkload;
 pub use metrics::{MetricsRegistry, Timeseries};
 pub use runner::{Context, KernelArgs, Outputs, RunFailure};
 pub use search::{SearchOptions, SearchResult};

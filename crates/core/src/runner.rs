@@ -1,9 +1,10 @@
 //! Kernel execution harness: binds operands to a compiled kernel's
 //! calling convention, establishes the timing context, runs on the
 //! simulator, and extracts outputs. One lay-out/bind/run/extract path
-//! ([`RunContext::run`]) serves both the BLAS suite ([`run_once`]) and
-//! arbitrary HIL kernels ([`crate::generic::run_generic`]), on reusable
-//! contexts drawn from a process-wide pool ([`simulate`]).
+//! ([`RunContext::run`]) with one result type ([`Outputs`]) serves both
+//! the BLAS suite ([`run_once`]) and arbitrary HIL kernels
+//! ([`crate::generic::run_generic`]), on reusable contexts drawn from a
+//! process-wide pool ([`simulate`]).
 
 use ifko_blas::{Kernel, RetKind, Workload};
 use ifko_fko::{ArgSlot, CompiledKernel, RetSlot};
@@ -52,13 +53,16 @@ pub struct KernelArgs<'a> {
     pub context: Context,
 }
 
-/// Outputs captured after a run (vectors widened to f64 for comparison).
+/// What one simulation produced: return registers, the final contents
+/// of every operand vector (widened to f64, in argument order — a suite
+/// kernel's `x` is `vectors[0]`, its `y` `vectors[1]`), and the counters.
 #[derive(Clone, Debug)]
 pub struct Outputs {
     pub ret_f: f64,
     pub ret_i: i64,
-    pub x: Vec<f64>,
-    pub y: Vec<f64>,
+    pub vectors: Vec<Vec<f64>>,
+    /// `stats.cycles`, kept as its own field for convenience.
+    pub cycles: u64,
     pub stats: RunStats,
 }
 
@@ -83,16 +87,6 @@ pub struct Operands<'a, V> {
     /// Bytes of simulated memory (operands plus slack): accesses beyond
     /// it fault.
     pub capacity: usize,
-}
-
-/// What one simulation produced: return registers, the final contents
-/// of every operand vector (widened to f64), and the counters.
-#[derive(Clone, Debug)]
-pub struct RawRun {
-    pub ret_f: f64,
-    pub ret_i: i64,
-    pub vectors: Vec<Vec<f64>>,
-    pub stats: RunStats,
 }
 
 /// A reusable simulation context: one CPU and one memory image, good for
@@ -124,7 +118,7 @@ impl RunContext {
         ops: &Operands<'_, V>,
         context: Context,
         machine: &MachineConfig,
-    ) -> Result<RawRun, RunFailure> {
+    ) -> Result<Outputs, RunFailure> {
         let RunContext { cpu, mem } = self;
         let prec = compiled.prec;
         let eb = prec.bytes();
@@ -181,7 +175,7 @@ impl RunContext {
             .run(&compiled.program, mem)
             .map_err(|e| RunFailure(format!("{}: {e}", compiled.name)))?;
 
-        Ok(RawRun {
+        Ok(Outputs {
             ret_f: match (compiled.ret, prec) {
                 (RetSlot::F0, Prec::D) => cpu.freg_f64(FReg(0)),
                 (RetSlot::F0, Prec::S) => cpu.freg_f32(FReg(0)) as f64,
@@ -192,6 +186,7 @@ impl RunContext {
                 _ => 0,
             },
             vectors: addrs.iter().map(|a| load_vec(mem, *a, n, prec)).collect(),
+            cycles: stats.cycles,
             stats,
         })
     }
@@ -212,7 +207,7 @@ pub fn simulate<V: AsRef<[f64]>>(
     ops: &Operands<'_, V>,
     context: Context,
     machine: &MachineConfig,
-) -> Result<RawRun, RunFailure> {
+) -> Result<Outputs, RunFailure> {
     // The lock is never held across a run, so it cannot be poisoned.
     let pooled = POOL.lock().expect("run-context pool lock").pop();
     let mut ctx = pooled.unwrap_or_else(|| RunContext::new(machine));
@@ -239,27 +234,32 @@ pub fn run_once(
         n: w.n,
         vectors: &both[..args.kernel.op.n_vectors()],
         scalars: &[w.alpha, w.beta],
-        capacity: (w.n as u64 * args.kernel.prec.bytes() * 2 + (1 << 20)) as usize,
+        capacity: image_bytes(w.n, args.kernel.prec, 2),
     };
-    let raw = simulate(compiled, &ops, args.context, machine)?;
-    // Sanity: the ret slot must agree with the op's return kind.
-    match (args.kernel.op.ret(), compiled.ret) {
-        (RetKind::Float, RetSlot::F0) | (RetKind::Index, RetSlot::I0) | (RetKind::None, _) => {}
-        (want, got) => {
-            return Err(RunFailure(format!(
-                "{}: return mismatch (op wants {want:?}, kernel delivers {got:?})",
-                compiled.name
-            )))
+    let out = simulate(compiled, &ops, args.context, machine)?;
+    check_ret(args.kernel, compiled)?;
+    Ok(out)
+}
+
+/// Bytes of simulated memory for `slots` vectors of `n` elements plus
+/// 1 MiB of slack. A suite kernel's image is two vectors whatever it
+/// binds; a HIL source's is one per vector plus one.
+pub(crate) fn image_bytes(n: usize, prec: Prec, slots: usize) -> usize {
+    (n as u64 * prec.bytes() * slots as u64 + (1 << 20)) as usize
+}
+
+/// Sanity: a suite kernel's return slot must agree with its op's return
+/// kind.
+pub(crate) fn check_ret(kernel: Kernel, compiled: &CompiledKernel) -> Result<(), RunFailure> {
+    match (kernel.op.ret(), compiled.ret) {
+        (RetKind::Float, RetSlot::F0) | (RetKind::Index, RetSlot::I0) | (RetKind::None, _) => {
+            Ok(())
         }
+        (want, got) => Err(RunFailure(format!(
+            "{}: return mismatch (op wants {want:?}, kernel delivers {got:?})",
+            compiled.name
+        ))),
     }
-    let mut vectors = raw.vectors.into_iter();
-    Ok(Outputs {
-        ret_f: raw.ret_f,
-        ret_i: raw.ret_i,
-        x: vectors.next().unwrap_or_default(),
-        y: vectors.next().unwrap_or_default(),
-        stats: raw.stats,
-    })
 }
 
 /// Lay an operand out at the kernel's precision: one bounds check and one
@@ -372,7 +372,7 @@ mod tests {
         let xs = w.x_f32();
         let mut ys = w.y_f32();
         ifko_blas::reference::axpy(w.alpha as f32, &xs, &mut ys);
-        for (i, (got, want)) in out.y.iter().zip(&ys).enumerate() {
+        for (i, (got, want)) in out.vectors[1].iter().zip(&ys).enumerate() {
             assert_eq!(*got as f32, *want, "i={i}");
         }
     }

@@ -6,9 +6,12 @@
 //! the compiler, the tester and the timer — and its long-range goal is
 //! that an arbitrary HIL kernel goes through that same loop with only the
 //! tester swapped. Here that is literal: a subject carries its compile
-//! session, its evaluation scope and an [`Oracle`], and the staged
-//! function below (chaos-compile retry → compile → one simulation → test
-//! → time) consults the oracle at exactly three points. The in-process
+//! session, its evaluation scope, one operand set and an [`Oracle`] that
+//! is a verdict and nothing else. The staged function below
+//! (chaos-compile retry → compile → one simulation → test → time)
+//! consults the oracle at exactly three points — `simulate` (image size
+//! and return check), `test`, and the `time` stage — and the tune driver
+//! at one more, its final report. The in-process
 //! engine (through [`crate::strategy::run_search`]), `ifko worker`
 //! (through [`crate::worker::serve`]) and, by way of
 //! [`TuneConfig`](crate::TuneConfig), `ifkod` all call it, so a candidate
@@ -16,8 +19,8 @@
 
 use crate::eval::{fnv64, EvalEngine, EvalRecord, EvalScope, Span};
 use crate::fault::FaultPlan;
-use crate::generic::{outputs_agree, run_generic, GenericOutputs, GenericWorkload};
-use crate::runner::{run_once, Context, KernelArgs, Outputs};
+use crate::generic::{outputs_agree, run_generic, GenericWorkload};
+use crate::runner::{check_ret, image_bytes, simulate, Context, Operands, Outputs};
 use crate::search::SearchOptions;
 use crate::tester::Expected;
 use ifko_blas::hil_src::hil_source;
@@ -26,54 +29,44 @@ use ifko_fko::{
     CompileError, CompileOpts, CompileSession, CompiledKernel, Locality, TransformParams,
 };
 use ifko_xsim::isa::Prec;
-use ifko_xsim::{MachineConfig, RunStats};
+use ifko_xsim::MachineConfig;
 use std::time::{Duration, Instant};
 
-/// How a candidate's outputs are judged and its time is taken.
+/// How a candidate's outputs are judged and its time is taken — the only
+/// thing that differs between a suite kernel and a `.hil` source.
 pub(crate) enum Oracle {
     /// A BLAS-suite kernel: outputs are checked against what the Rust
     /// reference makes of the workload ([`Expected`], computed when the
-    /// subject is opened) and the run's cycle count goes through the
-    /// search timer's statistics.
-    Blas {
+    /// subject is opened), the kernel must return in the slot its op
+    /// returns in, and the run's cycle count goes through the search
+    /// timer's statistics.
+    Reference {
         kernel: Kernel,
-        workload: Workload,
         expected: Expected<'static>,
     },
     /// An arbitrary HIL source: outputs are compared against those of the
     /// same kernel compiled with every transformation off, and the run's
     /// exact cycle count is the candidate's time.
-    Differential {
+    Baseline {
         src: String,
         prec: Prec,
-        workload: GenericWorkload,
-        baseline: GenericOutputs,
+        baseline: Outputs,
     },
 }
 
-impl Oracle {
-    fn blas(kernel: Kernel, workload: Workload) -> Oracle {
-        Oracle::Blas {
-            expected: Expected::of(kernel, &workload).into_owned(),
-            kernel,
-            workload,
-        }
-    }
-}
-
-/// The outputs of one simulation, in the shape its oracle's tester reads.
-pub(crate) enum Ran {
-    Blas(Outputs),
-    Differential(GenericOutputs),
-}
-
-impl Ran {
-    pub(crate) fn stats(&self) -> &RunStats {
-        match self {
-            Ran::Blas(out) => &out.stats,
-            Ran::Differential(out) => &out.stats,
-        }
-    }
+/// A suite kernel's operands and oracle. The reference runs on the
+/// workload first; then its vectors move (not copy) into the operand set
+/// `run_once` binds: `[x, y][..n_vectors]` and `[alpha, beta]`.
+fn suite(kernel: Kernel, w: Workload) -> (GenericWorkload, Oracle) {
+    let expected = Expected::of(kernel, &w).into_owned();
+    let mut vectors = vec![w.x, w.y];
+    vectors.truncate(kernel.op.n_vectors());
+    let workload = GenericWorkload {
+        n: w.n,
+        vectors,
+        scalars: vec![w.alpha, w.beta],
+    };
+    (workload, Oracle::Reference { kernel, expected })
 }
 
 /// A subject's compile session: opened by the subject, or lent by a
@@ -95,14 +88,16 @@ impl std::ops::Deref for Session<'_> {
 
 /// What is being tuned: a compile session, the evaluation scope (label,
 /// machine, context, size, seed, timer), the search options the
-/// evaluation reads (timer, IR verification, chaos plan, retry budget)
-/// and the [`Oracle`] that judges and times candidates.
+/// evaluation reads (timer, IR verification, chaos plan, retry budget),
+/// the operands every candidate runs on, and the [`Oracle`] that judges
+/// and times candidates.
 pub(crate) struct Subject<'s> {
     pub(crate) sess: Session<'s>,
     pub(crate) scope: EvalScope,
     pub(crate) machine: MachineConfig,
     pub(crate) context: Context,
     pub(crate) opts: SearchOptions,
+    pub(crate) workload: GenericWorkload,
     pub(crate) oracle: Oracle,
     /// When the session was opened and how long the front end (parse,
     /// lowering, analysis) took. The tune driver starts its root `tune`
@@ -125,6 +120,7 @@ impl Subject<'static> {
     ) -> Result<Subject<'static>, CompileError> {
         let opened = Instant::now();
         let sess = CompileSession::from_source(&hil_source(kernel.op, kernel.prec), machine)?;
+        let (workload, oracle) = suite(kernel, Workload::generate(n, seed));
         Ok(Subject {
             parse_wall: opened.elapsed(),
             sess: Session::Own(Box::new(sess)),
@@ -132,7 +128,8 @@ impl Subject<'static> {
             machine: machine.clone(),
             context,
             opts: opts.clone(),
-            oracle: Oracle::blas(kernel, Workload::generate(n, seed)),
+            workload,
+            oracle,
             opened,
         })
     }
@@ -165,10 +162,10 @@ impl Subject<'static> {
             machine: machine.clone(),
             context,
             opts: opts.clone(),
-            oracle: Oracle::Differential {
+            workload,
+            oracle: Oracle::Baseline {
                 src: src.to_string(),
                 prec: base.prec,
-                workload,
                 baseline,
             },
             opened,
@@ -188,13 +185,16 @@ impl<'s> Subject<'s> {
         machine: &MachineConfig,
         opts: &SearchOptions,
     ) -> Subject<'s> {
+        let scope = EvalScope::new(kernel.name(), machine, context, workload.n, 0, &opts.timer);
+        let (workload, oracle) = suite(kernel, workload.clone());
         Subject {
             sess: Session::Lent(sess),
-            scope: EvalScope::new(kernel.name(), machine, context, workload.n, 0, &opts.timer),
+            scope,
             machine: machine.clone(),
             context,
             opts: opts.clone(),
-            oracle: Oracle::blas(kernel, workload.clone()),
+            workload,
+            oracle,
             opened: Instant::now(),
             parse_wall: Duration::ZERO,
         }
@@ -203,8 +203,8 @@ impl<'s> Subject<'s> {
     /// Element precision of the kernel (part of the tuned-db key).
     pub(crate) fn prec(&self) -> Prec {
         match &self.oracle {
-            Oracle::Blas { kernel, .. } => kernel.prec,
-            Oracle::Differential { prec, .. } => *prec,
+            Oracle::Reference { kernel, .. } => kernel.prec,
+            Oracle::Baseline { prec, .. } => *prec,
         }
     }
 
@@ -222,47 +222,41 @@ impl<'s> Subject<'s> {
             .map(|pred| pred.predicted_cycles(self.scope.n as u64, locality))
     }
 
-    /// One simulation of `compiled` on the subject's workload.
-    pub(crate) fn simulate(&self, compiled: &CompiledKernel) -> Result<Ran, String> {
-        match &self.oracle {
-            Oracle::Blas {
-                kernel, workload, ..
-            } => {
-                let args = KernelArgs {
-                    kernel: *kernel,
-                    workload,
-                    context: self.context,
-                };
-                run_once(compiled, &args, &self.machine)
-                    .map(Ran::Blas)
-                    .map_err(|e| e.0)
-            }
-            Oracle::Differential { workload, .. } => {
-                run_generic(compiled, workload, self.context, &self.machine).map(Ran::Differential)
-            }
+    /// One simulation of `compiled` on the subject's operands.
+    pub(crate) fn simulate(&self, compiled: &CompiledKernel) -> Result<Outputs, String> {
+        let w = &self.workload;
+        // Each oracle keeps the memory image its entry point has always
+        // sized (`run_once` / `run_generic`): the pooled image grows
+        // whenever a run asks for more than it holds, so one size for
+        // both would move peak RSS.
+        let slots = match &self.oracle {
+            Oracle::Reference { .. } => 2,
+            Oracle::Baseline { .. } => w.vectors.len() + 1,
+        };
+        let ops = Operands {
+            n: w.n,
+            vectors: &w.vectors,
+            scalars: &w.scalars,
+            capacity: image_bytes(w.n, compiled.prec, slots),
+        };
+        let out = simulate(compiled, &ops, self.context, &self.machine).map_err(|e| e.0)?;
+        if let Oracle::Reference { kernel, .. } = &self.oracle {
+            check_ret(*kernel, compiled).map_err(|e| e.0)?;
         }
+        Ok(out)
     }
 
     /// The oracle's verdict on one run's outputs.
-    pub(crate) fn test(&self, ran: &Ran) -> Result<(), String> {
-        match (&self.oracle, ran) {
-            (Oracle::Blas { expected, .. }, Ran::Blas(out)) => expected.check(out).map_err(|e| e.0),
-            (
-                Oracle::Differential {
-                    prec,
-                    workload,
-                    baseline,
-                    ..
-                },
-                Ran::Differential(got),
-            ) => {
-                if outputs_agree(got, baseline, *prec, workload.n) {
+    pub(crate) fn test(&self, out: &Outputs) -> Result<(), String> {
+        match &self.oracle {
+            Oracle::Reference { expected, .. } => expected.check(out).map_err(|e| e.0),
+            Oracle::Baseline { prec, baseline, .. } => {
+                if outputs_agree(out, baseline, *prec, self.workload.n) {
                     Ok(())
                 } else {
                     Err("outputs differ from the untransformed baseline".to_string())
                 }
             }
-            _ => unreachable!("a run is tested by the oracle that made it"),
         }
     }
 
@@ -344,15 +338,15 @@ impl<'s> Subject<'s> {
 
         // The candidate's one simulation.
         let sim_span = eval_span.child("simulate");
-        let ran = self.simulate(&compiled);
+        let out = self.simulate(&compiled);
         drop(sim_span);
         if let Some(engine) = engine {
             engine.count_simulation();
         }
-        let Ok(ran) = ran else {
+        let Ok(out) = out else {
             return rec;
         };
-        let stats = *ran.stats();
+        let stats = out.stats;
         rec.stats = Some(stats);
 
         // Test (the paper's tester step). The harness may flake under
@@ -360,11 +354,11 @@ impl<'s> Subject<'s> {
         // and is then re-run until a clean verdict or the budget is out.
         {
             let _test_span = eval_span.child("test");
-            if self.test(&ran).is_err() {
+            if self.test(&out).is_err() {
                 return rec;
             }
             let retest = || {
-                let _ = self.test(&ran);
+                let _ = self.test(&out);
             };
             if !self.ride_out(chaos, FaultPlan::tester_flakes, &mut rec, retest) {
                 return EvalRecord::failed(rec.retries, rec.faults);
@@ -375,7 +369,7 @@ impl<'s> Subject<'s> {
         // are draws over `stats.cycles`, not re-runs.
         let _time_span = eval_span.child("time");
         match &self.oracle {
-            Oracle::Blas { .. } => {
+            Oracle::Reference { .. } => {
                 let t = self
                     .opts
                     .timer
@@ -392,7 +386,7 @@ impl<'s> Subject<'s> {
             // (`benchmark/src/staged.rs::replay_hil`) and fails the run
             // if the winner or the probe counts differ, and every stored
             // `TunedRecord.cycles` of a `.hil` tune is such a count.
-            Oracle::Differential { .. } => rec.cycles = Some(stats.cycles),
+            Oracle::Baseline { .. } => rec.cycles = Some(stats.cycles),
         }
         rec
     }

@@ -195,13 +195,16 @@ impl<'w> Expected<'w> {
         }
     }
 
-    /// Check one run's outputs against the expectation.
+    /// Check one run's outputs against the expectation: `x` is the run's
+    /// first operand vector, `y` its second (a missing one reads as
+    /// empty, so it fails on length).
     pub fn check(&self, out: &Outputs) -> Result<(), VerifyError> {
+        let got = |i: usize| out.vectors.get(i).map_or(&[][..], Vec::as_slice);
         if let Some(x) = &self.x {
-            x.expect("x", &out.x)?;
+            x.expect("x", got(0))?;
         }
         if let Some(y) = &self.y {
-            y.expect("y", &out.y)?;
+            y.expect("y", got(1))?;
         }
         match self.ret {
             Ret::Nothing => Ok(()),
@@ -299,8 +302,8 @@ mod tests {
         let out = Outputs {
             ret_f: 123.0,
             ret_i: 0,
-            x: w.x.clone(),
-            y: w.y.clone(),
+            vectors: vec![w.x.clone(), w.y.clone()],
+            cycles: 0,
             stats: Default::default(),
         };
         let k = ifko_blas::Kernel {
@@ -316,8 +319,8 @@ mod tests {
         let out = Outputs {
             ret_f: 0.0,
             ret_i: 0,
-            x: w.x.clone(),
-            y: w.y.clone(), // axpy should have changed y
+            vectors: vec![w.x.clone(), w.y.clone()], // axpy should have changed y
+            cycles: 0,
             stats: Default::default(),
         };
         let k = ifko_blas::Kernel {
@@ -359,13 +362,13 @@ mod tests {
                 let mut out = Outputs {
                     ret_f: 0.0,
                     ret_i: 0,
-                    x,
-                    y,
+                    vectors: vec![x, y],
+                    cycles: 0,
                     stats: Default::default(),
                 };
                 verify(k, &w, &out).unwrap_or_else(|e| panic!("{}: {e}", k.name()));
                 // ... except for one element of its input.
-                out.x[3] = 999.0;
+                out.vectors[0][3] = 999.0;
                 assert!(verify(k, &w, &out).is_err(), "{}", k.name());
             }
         }

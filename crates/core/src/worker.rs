@@ -141,8 +141,8 @@ impl WorkerSpec {
     /// reconstruct the identical session and baseline.
     pub(crate) fn of(subject: &Subject<'_>) -> WorkerSpec {
         let (kernel, src) = match &subject.oracle {
-            Oracle::Blas { kernel, .. } => (Some(kernel.name()), None),
-            Oracle::Differential { src, .. } => (None, Some(src.clone())),
+            Oracle::Reference { kernel, .. } => (Some(kernel.name()), None),
+            Oracle::Baseline { src, .. } => (None, Some(src.clone())),
         };
         let scope = &subject.scope;
         WorkerSpec {

@@ -10,11 +10,16 @@
 //! machine, another precision), a run must equal the same run on a
 //! brand-new `Cpu::new` + `Memory::new`.
 //!
-//! What rests on that: a tune simulates each candidate exactly once.
+//! And the two entry points are one path: `run_once` on a suite kernel's
+//! `Workload` equals `run_generic` on the operands a tune binds for it
+//! (`[x, y][..n_vectors]`, `[alpha, beta]`) bit for bit.
+//!
+//! What rests on that: a tune simulates each candidate exactly once, and
+//! a suite kernel and a `.hil` source share one operand and result type.
 
 use ifko::generic::{run_generic, GenericWorkload};
 use ifko::prelude::*;
-use ifko::runner::{run_once, KernelArgs, Operands, RawRun, RunContext};
+use ifko::runner::{run_once, KernelArgs, Operands, Outputs, RunContext};
 use ifko_blas::hil_src::hil_source;
 use ifko_fko::{
     compile_defaults, ArgSlot, CompileOpts, CompileSession, CompiledKernel, RetSlot,
@@ -64,8 +69,38 @@ fn run_once_is_pure_for_every_suite_kernel() {
                 assert_eq!(a.stats, b.stats, "{what}: counters");
                 assert_eq!(a.ret_f.to_bits(), b.ret_f.to_bits(), "{what}: ret_f");
                 assert_eq!(a.ret_i, b.ret_i, "{what}: ret_i");
-                assert_eq!(bits(&a.x), bits(&b.x), "{what}: x");
-                assert_eq!(bits(&a.y), bits(&b.y), "{what}: y");
+                assert_eq!(bits(&a.vectors[0]), bits(&b.vectors[0]), "{what}: x");
+                assert_eq!(a.vectors.len(), b.vectors.len(), "{what}: vectors");
+                if let (Some(ya), Some(yb)) = (a.vectors.get(1), b.vectors.get(1)) {
+                    assert_eq!(bits(ya), bits(yb), "{what}: y");
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn run_once_and_run_generic_are_one_path_for_every_suite_kernel() {
+    for mach in [p4e(), opteron()] {
+        for k in ALL_KERNELS {
+            let compiled = compile_defaults(&hil_source(k.op, k.prec), &mach).unwrap();
+            for context in CONTEXTS {
+                let w = Workload::generate(context.paper_n().min(3000), 11);
+                let args = KernelArgs {
+                    kernel: k,
+                    workload: &w,
+                    context,
+                };
+                let once = run_once(&compiled, &args, &mach).unwrap();
+                let operands = GenericWorkload {
+                    n: w.n,
+                    vectors: [w.x.clone(), w.y.clone()][..k.op.n_vectors()].to_vec(),
+                    scalars: vec![w.alpha, w.beta],
+                };
+                let generic = run_generic(&compiled, &operands, context, &mach).unwrap();
+                let what = format!("{} {} {}", k.name(), mach.name, context.label());
+                assert_same_run(&generic, &once, &what);
+                assert_eq!(generic.cycles, once.cycles, "{what}: cycles");
             }
         }
     }
@@ -104,7 +139,7 @@ fn fresh_run(
     ops: &Operands<'_, Vec<f64>>,
     context: Context,
     machine: &MachineConfig,
-) -> Result<RawRun, RunError> {
+) -> Result<Outputs, RunError> {
     let (prec, n) = (compiled.prec, ops.n);
     let eb = prec.bytes();
     let mut mem = Memory::new(ops.capacity);
@@ -144,7 +179,7 @@ fn fresh_run(
     }
     cpu.set_ireg(IReg(7), frame as i64);
     let stats = cpu.run(&compiled.program, &mut mem)?;
-    Ok(RawRun {
+    Ok(Outputs {
         ret_f: match (compiled.ret, prec) {
             (RetSlot::F0, Prec::D) => cpu.freg_f64(FReg(0)),
             (RetSlot::F0, Prec::S) => cpu.freg_f32(FReg(0)) as f64,
@@ -166,6 +201,7 @@ fn fresh_run(
                     .collect(),
             })
             .collect(),
+        cycles: stats.cycles,
         stats,
     })
 }
@@ -364,7 +400,7 @@ fn dirty(ctx: &mut RunContext, rng: &mut Rng64) {
     }
 }
 
-fn assert_same_run(got: &RawRun, want: &RawRun, what: &str) {
+fn assert_same_run(got: &Outputs, want: &Outputs, what: &str) {
     assert_eq!(got.stats, want.stats, "{what}: counters");
     assert_eq!(got.ret_f.to_bits(), want.ret_f.to_bits(), "{what}: ret_f");
     assert_eq!(got.ret_i, want.ret_i, "{what}: ret_i");

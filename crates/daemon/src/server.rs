@@ -388,25 +388,23 @@ fn run_tune(server: &Arc<Server>, req: &TuneRequest) -> Result<String, String> {
         .db(Arc::clone(&server.db));
     metrics::global().counter(metrics::DAEMON_SESSIONS).inc();
 
-    let (result, cycles, mflops, label) = match (&req.kernel, &req.src) {
+    let (out, label) = match (&req.kernel, &req.src) {
         (Some(name), _) => {
             let kernel = Kernel::by_name(name).ok_or_else(|| format!("unknown kernel {name:?}"))?;
-            let out = cfg.tune(kernel).map_err(|e| e.to_string())?;
-            (out.result, out.cycles, out.mflops, name.to_string())
+            (cfg.tune(kernel).map_err(|e| e.to_string())?, name.as_str())
         }
         (None, src) => {
             let src = src.as_deref().expect("from_json requires kernel or src");
-            let out = cfg.tune_source(src).map_err(|e| e.to_string())?;
-            let cycles = out.result.best_cycles;
-            (out.result, cycles, 0.0, "hil".to_string())
+            (cfg.tune_source(src).map_err(|e| e.to_string())?, "hil")
         }
     };
+    let result = &out.result;
     let warm = result.strategy == STRATEGY_WARM;
     if warm {
         metrics::global().counter(metrics::DAEMON_WARM_HITS).inc();
     }
     Ok(object(&[
-        Field::Str("kernel", &label),
+        Field::Str("kernel", label),
         Field::Str("machine", &machine_fingerprint(cfg.machine_ref())),
         Field::Str("context", cfg.context_of().label()),
         Field::Num("n", cfg.size() as u64),
@@ -416,8 +414,8 @@ fn run_tune(server: &Arc<Server>, req: &TuneRequest) -> Result<String, String> {
         Field::Str("winner_strategy", &result.winner_strategy),
         Field::Num("default_cycles", result.default_cycles),
         Field::Num("best_cycles", result.best_cycles),
-        Field::Num("cycles", cycles),
-        Field::Float("mflops", mflops),
+        Field::Num("cycles", out.cycles),
+        Field::Float("mflops", out.mflops),
         Field::Num("evaluations", result.evaluations as u64),
         Field::Num("cache_hits", result.cache_hits as u64),
         Field::Num("pruned", result.pruned as u64),

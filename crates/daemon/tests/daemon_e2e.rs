@@ -250,6 +250,45 @@ fn concurrent_daemon_sessions_match_serial_winner() {
     let _ = std::fs::remove_dir_all(&daemon_dir);
 }
 
+/// A `.hil` tune over the socket reports what a local tune of the same
+/// request does: the winner's exact cycle count (its best) and no MFLOPS
+/// rate — a source has no flop count — with the winner `tune_source`
+/// finds in-process from the config `TuneRequest::config` builds.
+#[test]
+fn hil_reply_reports_the_exact_count_and_the_local_winner() {
+    let (handle, socket, db_dir) = quiet_daemon("hil-reply-db");
+    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../kernels");
+    for name in ["ddot.hil", "snrm2.hil", "waxpby.hil"] {
+        let src = std::fs::read_to_string(format!("{dir}/{name}")).unwrap();
+        let req = TuneRequest {
+            src: Some(src.clone()),
+            context: "ic".to_string(),
+            ..TuneRequest::default()
+        };
+        let v = Client::connect(&socket).unwrap().tune(&req).unwrap();
+        let num = |k: &str| v.get(k).and_then(|j| j.as_u64()).unwrap();
+        assert_eq!(num("cycles"), num("best_cycles"), "{name}");
+        assert_eq!(
+            v.get("mflops").and_then(|j| j.as_f64()),
+            Some(0.0),
+            "{name}"
+        );
+
+        let local = req.config().unwrap().tune_source(&src).unwrap();
+        assert_eq!(local.cycles, local.result.best_cycles, "{name}");
+        assert_eq!(local.mflops, 0.0, "{name}");
+        assert_eq!(num("best_cycles"), local.result.best_cycles, "{name}");
+        let local_params = ifko::report::parse_json(&params_json(&local.result.best)).unwrap();
+        assert_eq!(
+            format!("{:?}", v.get("params").unwrap()),
+            format!("{local_params:?}"),
+            "{name}: winner params diverged"
+        );
+    }
+    handle.stop();
+    let _ = std::fs::remove_dir_all(&db_dir);
+}
+
 /// `pack` from a live daemon → `install` into an empty results dir →
 /// the first tune against it short-circuits on a verified warm start
 /// with the bit-identical winner.

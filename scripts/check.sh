@@ -15,6 +15,18 @@ if grep -n 'required-features' crates/*/Cargo.toml; then
     exit 1
 fi
 
+step "panic sites (scripts/panics.sh)"
+# `.unwrap()` / `.expect(` / `panic!` / `unreachable!` in shipping code:
+# a number that may only go down. Lower the ceiling whenever it does.
+panic_ceiling=66
+panic_sites="$(scripts/panics.sh | awk '{ print $1 }')"
+echo "$panic_sites panic sites (ceiling $panic_ceiling)"
+if [ "$panic_sites" -gt "$panic_ceiling" ]; then
+    echo "error: $panic_sites panic sites, above the ceiling of $panic_ceiling" >&2
+    scripts/panics.sh -v >&2
+    exit 1
+fi
+
 step "cargo fmt --check"
 cargo fmt --all -- --check
 
