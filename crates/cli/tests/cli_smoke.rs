@@ -1,7 +1,9 @@
 //! Smoke tests of the `ifko` CLI binary against the shipped sample
-//! kernels.
+//! kernels, and the flag tables: every flag `ifko`, `ifkod` and
+//! `pipeline` read, given a good value, no value and a bad value.
 
-use std::process::Command;
+use std::path::{Path, PathBuf};
+use std::process::{Command, Stdio};
 
 fn bin() -> &'static str {
     env!("CARGO_BIN_EXE_ifko")
@@ -9,6 +11,532 @@ fn bin() -> &'static str {
 
 fn repo(path: &str) -> String {
     format!("{}/../../{}", env!("CARGO_MANIFEST_DIR"), path)
+}
+
+/// A binary of this workspace: `ifko`, or one a workspace `cargo test`
+/// builds next to it (`ifkod`, `pipeline`, the experiment binaries).
+fn exe(name: &str) -> PathBuf {
+    let path = Path::new(bin()).with_file_name(name);
+    assert!(
+        path.exists(),
+        "{} is not built: run the workspace's tests (`cargo test` at the root)",
+        path.display()
+    );
+    path
+}
+
+/// A scratch directory, removed when dropped.
+struct Scratch(PathBuf);
+
+impl Scratch {
+    fn new(name: &str) -> Scratch {
+        let dir = std::env::temp_dir().join(format!("ifko-cli-{name}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        Scratch(dir)
+    }
+    fn path(&self, name: &str) -> String {
+        self.0.join(name).to_str().unwrap().to_string()
+    }
+}
+
+impl Drop for Scratch {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+/// One command line and what it must do: exit with `code` and write a
+/// first stderr line containing `first` ("" accepts any line).
+struct Case {
+    exe: String,
+    args: Vec<String>,
+    env: Vec<(&'static str, &'static str)>,
+    code: i32,
+    first: String,
+}
+
+fn case(exe: &str, args: &[&str], code: i32, first: &str) -> Case {
+    Case {
+        exe: exe.to_string(),
+        args: args.iter().map(|a| a.to_string()).collect(),
+        env: Vec::new(),
+        code,
+        first: first.to_string(),
+    }
+}
+
+/// `exe args...` must succeed.
+fn ok(exe: &str, args: &[&str]) -> Case {
+    case(exe, args, 0, "")
+}
+
+/// `exe args... flag` (the flag's value left off) must be refused.
+fn needs(exe: &str, args: &[&str], flag: &str) -> Case {
+    let mut c = case(exe, args, 2, &format!("{exe}: {flag} needs a value"));
+    c.args.push(flag.to_string());
+    c
+}
+
+/// Run every case with `dir` as the working directory, then fail naming
+/// each case that exited or began its stderr otherwise. A case still
+/// running after two minutes is killed (exit 124) rather than left to
+/// hang the suite.
+fn check(dir: &Path, cases: &[Case]) {
+    let mut wrong = Vec::new();
+    for c in cases {
+        let out = Command::new("timeout")
+            .arg("120")
+            .arg(exe(&c.exe))
+            .args(&c.args)
+            .envs(c.env.iter().copied())
+            .current_dir(dir)
+            .stdin(Stdio::null())
+            .output()
+            .unwrap();
+        let err = String::from_utf8_lossy(&out.stderr);
+        let first = err.lines().next().unwrap_or("");
+        if out.status.code() != Some(c.code) || !first.contains(&c.first) {
+            wrong.push(format!(
+                "{} {}: exit {:?}, stderr `{first}`; want exit {} and `{}`",
+                c.exe,
+                c.args.join(" "),
+                out.status.code(),
+                c.code,
+                c.first
+            ));
+        }
+    }
+    assert!(
+        wrong.is_empty(),
+        "{} of {} cases:\n{}",
+        wrong.len(),
+        cases.len(),
+        wrong.join("\n")
+    );
+}
+
+/// `analyze`, `compile` and `tune`: each flag they read.
+#[test]
+fn flag_table_kernel_commands() {
+    let t = Scratch::new("flags-kernel");
+    let k = repo("kernels/ddot.hil");
+    let k = k.as_str();
+    let (trace, chrome, ts) = (t.path("t.jsonl"), t.path("c.json"), t.path("ts.jsonl"));
+    let (metrics, db) = (t.path("m.json"), t.path("db"));
+    let mut cases = vec![
+        ok("ifko", &["analyze", k, "--machine", "opteron"]),
+        ok("ifko", &["analyze", k, "-m", "p4e"]),
+        needs("ifko", &["analyze", k], "--machine"),
+        case(
+            "ifko",
+            &["analyze", k, "--machine", "x"],
+            2,
+            "unknown machine `x` (p4e | opteron)",
+        ),
+        case(
+            "ifko",
+            &[
+                "compile",
+                k,
+                "--machine",
+                "opteron",
+                "--scalar",
+                "--ur",
+                "4",
+                "--ae",
+                "2",
+                "--wnt",
+            ],
+            0,
+            "# dot for Opteron:",
+        ),
+        case(
+            "ifko",
+            &["compile", k, "-m", "p4e", "--pf-dist", "128"],
+            0,
+            "# dot for P4E:",
+        ),
+        case("ifko", &["compile", k, "--no-pf"], 0, "# dot for P4E:"),
+        case(
+            "ifko",
+            &["compile", k, "--machine", "x"],
+            2,
+            "unknown machine `x` (p4e | opteron)",
+        ),
+        ok(
+            "ifko",
+            &[
+                "tune",
+                k,
+                "--machine",
+                "opteron",
+                "--context",
+                "ic",
+                "--n",
+                "256",
+                "--seed",
+                "3",
+                "--jobs",
+                "2",
+                "--strategy",
+                "random",
+                "--budget",
+                "16",
+                "--model-prune",
+                "0.5",
+                "--max-retries",
+                "1",
+                "--chaos",
+                "7",
+                "--verify-ir",
+                "--no-prune",
+                "--profile-pipeline",
+                "--trace",
+                &trace,
+                "--trace-chrome",
+                &chrome,
+                "--timeseries",
+                &ts,
+                "--metrics",
+                &metrics,
+                "--db",
+                &db,
+                "--warm-start",
+            ],
+        ),
+        ok(
+            "ifko",
+            &[
+                "tune",
+                k,
+                "-m",
+                "p4e",
+                "-c",
+                "oc",
+                "--n",
+                "256",
+                "--full",
+                "--budget",
+                "8",
+                "-j",
+                "1",
+                "--workers",
+                "2",
+            ],
+        ),
+        case(
+            "ifko",
+            &["tune", k, "--machine", "x"],
+            2,
+            "unknown machine `x` (p4e | opteron)",
+        ),
+        case(
+            "ifko",
+            &["tune", k, "--n", "256", "--metrics", "/dev/null/m"],
+            1,
+            "tuning on P4E (oc), N=256",
+        ),
+        case(
+            "ifko",
+            &["tune", k, "--remote", "/nope"],
+            1,
+            "ifko: --remote /nope: No such file or directory (os error 2) (is ifkod running?)",
+        ),
+        case(
+            "ifko",
+            &["tune", k, "--model-prune", "2"],
+            2,
+            "ifko: --model-prune: 2 outside [0, 1]",
+        ),
+        case(
+            "ifko",
+            &["tune", k, "--model-prune", "x"],
+            2,
+            "ifko: --model-prune: invalid float literal",
+        ),
+    ];
+    for flag in ["--ur", "--ae", "--pf-dist"] {
+        cases.push(needs("ifko", &["compile", k], flag));
+        let msg = format!("ifko: {flag}: invalid digit found in string");
+        cases.push(case("ifko", &["compile", k, flag, "x"], 2, &msg));
+    }
+    for flag in [
+        "--machine",
+        "--context",
+        "--n",
+        "--seed",
+        "--jobs",
+        "--workers",
+        "--trace",
+        "--trace-chrome",
+        "--timeseries",
+        "--metrics",
+        "--strategy",
+        "--budget",
+        "--model-prune",
+        "--db",
+        "--remote",
+        "--chaos",
+        "--max-retries",
+    ] {
+        cases.push(needs("ifko", &["tune", k], flag));
+    }
+    for flag in ["--n", "--seed", "--jobs", "--workers", "--max-retries"] {
+        let msg = format!("ifko: {flag}: invalid digit found in string");
+        cases.push(case("ifko", &["tune", k, flag, "x"], 2, &msg));
+    }
+    check(&t.0, &cases);
+}
+
+/// `lint`, `report` and `explain`: each flag they read.
+#[test]
+fn flag_table_trace_commands() {
+    let t = Scratch::new("flags-trace");
+    let k = repo("kernels/ddot.hil");
+    let k = k.as_str();
+    let trace = repo("crates/core/tests/fixtures/explain-trace.jsonl");
+    let trace = trace.as_str();
+    let chrome = t.path("c.json");
+    std::fs::write(&chrome, "{\"traceEvents\":[]}").unwrap();
+    let db = t.path("db");
+    let cases = vec![
+        ok(
+            "ifko",
+            &["lint", k, "--machine", "opteron", "--format", "json"],
+        ),
+        ok("ifko", &["lint", k, "-m", "p4e", "-f", "text"]),
+        needs("ifko", &["lint", k], "--machine"),
+        needs("ifko", &["lint", k], "--format"),
+        case(
+            "ifko",
+            &["lint", k, "--machine", "x"],
+            2,
+            "unknown machine `x` (p4e | opteron)",
+        ),
+        case(
+            "ifko",
+            &["lint", k, "--format", "md"],
+            2,
+            "unknown format `md` (text | json)",
+        ),
+        ok("ifko", &["report", trace, "--format", "md"]),
+        ok("ifko", &["report", trace, "-f", "json"]),
+        needs("ifko", &["report", trace], "--format"),
+        case(
+            "ifko",
+            &["report", trace, "--format", "x"],
+            2,
+            "unknown format `x` (text | json | md)",
+        ),
+        ok("ifko", &["explain", trace, "--format", "json", "--db", &db]),
+        ok("ifko", &["explain", trace, "-f", "md"]),
+        ok("ifko", &["explain", "--check-chrome", &chrome]),
+        needs("ifko", &["explain", trace], "--format"),
+        needs("ifko", &["explain", trace], "--db"),
+        needs("ifko", &["explain", trace], "--check-chrome"),
+        case(
+            "ifko",
+            &["explain", trace, "--format", "x"],
+            2,
+            "unknown format `x` (text | json | md)",
+        ),
+        case(
+            "ifko",
+            &["explain", trace, "--db", "/dev/null/d"],
+            2,
+            "ifko: --db /dev/null/d: Not a directory (os error 20)",
+        ),
+        case(
+            "ifko",
+            &["explain", "--check-chrome", "/nope"],
+            2,
+            "ifko: cannot read /nope: No such file or directory (os error 2)",
+        ),
+    ];
+    check(&t.0, &cases);
+}
+
+/// `db`, `pack`, `install`, `daemon` and `tune --remote`: each flag they
+/// read, against a daemon run in this process.
+#[test]
+fn flag_table_store_commands() {
+    let t = Scratch::new("flags-store");
+    let k = repo("kernels/ddot.hil");
+    let k = k.as_str();
+    let (db, fresh, socket) = (t.path("db"), t.path("fresh"), t.path("s.sock"));
+    let (a1, a2, a3) = (t.path("a1.ifko"), t.path("a2.ifko"), t.path("a3.ifko"));
+    let handle = ifko_daemon::server::Daemon::start(ifko_daemon::server::DaemonConfig {
+        socket: socket.clone().into(),
+        db_dir: t.0.join("daemondb"),
+        cache_dir: None,
+        jobs: 1,
+        quiet: true,
+    })
+    .unwrap();
+    let no_dir = "ifko: --db /dev/null/d: Not a directory (os error 20)";
+    let no_daemon = "ifko: /nope: No such file or directory (os error 2) (is ifkod running?)";
+    let cases = vec![
+        ok("ifko", &["tune", k, "--n", "512", "--remote", &socket]),
+        ok("ifko", &["db", "stats", "--db", &db, "--format", "json"]),
+        ok("ifko", &["db", "compact", "--db", &db, "-f", "text"]),
+        ok("ifko", &["db", "prune", "--rev-missing", "--db", &db]),
+        needs("ifko", &["db", "stats"], "--db"),
+        needs("ifko", &["db", "stats"], "--format"),
+        case("ifko", &["db", "stats", "--db", "/dev/null/d"], 2, no_dir),
+        case(
+            "ifko",
+            &["db", "stats", "--format", "md"],
+            2,
+            "unknown format `md` (text | json)",
+        ),
+        case(
+            "ifko",
+            &["db", "stats", "--rev-missing", "--db", &db],
+            2,
+            "ifko: --rev-missing only applies to `ifko db prune`",
+        ),
+        ok("ifko", &["pack", "--db", &db, "--out", &a1]),
+        ok("ifko", &["pack", "--socket", &socket, "-o", &a2]),
+        ok("ifko", &["pack", "-s", &socket, "--out", &a3]),
+        needs("ifko", &["pack"], "--db"),
+        needs("ifko", &["pack"], "--out"),
+        needs("ifko", &["pack"], "--socket"),
+        case("ifko", &["pack", "--db", "/dev/null/d"], 2, no_dir),
+        case(
+            "ifko",
+            &["pack", "--db", &db, "--out", "/dev/null/a"],
+            2,
+            "ifko: --out /dev/null/a: Not a directory (os error 20)",
+        ),
+        case("ifko", &["pack", "--socket", "/nope"], 2, no_daemon),
+        ok("ifko", &["install", &a2, "--db", &fresh]),
+        ok("ifko", &["install", &a1, "--db", &fresh, "--no-verify"]),
+        needs("ifko", &["install", &a1], "--db"),
+        case("ifko", &["install", &a1, "--db", "/dev/null/d"], 2, no_dir),
+        ok("ifko", &["daemon", "ping", "--socket", &socket]),
+        ok("ifko", &["daemon", "stats", "-s", &socket]),
+        needs("ifko", &["daemon", "ping"], "--socket"),
+        case(
+            "ifko",
+            &["daemon", "ping", "--socket", "/nope"],
+            2,
+            no_daemon,
+        ),
+        ok("ifko", &["daemon", "stop", "--socket", &socket]),
+    ];
+    check(&t.0, &cases);
+    handle.wait();
+}
+
+/// `ifkod`: each flag it reads. A daemon that starts is stopped through
+/// `ifko daemon stop`; one that should not start but does fails the test
+/// after a minute instead of hanging it.
+#[test]
+fn flag_table_ifkod() {
+    let t = Scratch::new("flags-ifkod");
+    for (sock, args) in [
+        (
+            "a.sock",
+            [
+                "--db", "db-a", "--cache", "cache-a", "--jobs", "1", "--quiet",
+            ],
+        ),
+        (
+            "b.sock",
+            ["--db", "db-b", "-j", "2", "-q", "--cache", "cache-b"],
+        ),
+    ] {
+        let mut child = Command::new(exe("ifkod"))
+            .args(["--socket", sock])
+            .args(args)
+            .current_dir(&t.0)
+            .spawn()
+            .unwrap();
+        let socket = t.0.join(sock);
+        for _ in 0..200 {
+            if socket.exists() {
+                break;
+            }
+            std::thread::sleep(std::time::Duration::from_millis(25));
+        }
+        let stop = Command::new(bin())
+            .args(["daemon", "stop", "-s", socket.to_str().unwrap()])
+            .output()
+            .unwrap();
+        assert!(
+            stop.status.success(),
+            "{}",
+            String::from_utf8_lossy(&stop.stderr)
+        );
+        assert!(
+            child.wait().unwrap().success(),
+            "ifkod --socket {sock} {args:?}"
+        );
+    }
+    let cases = vec![
+        needs("ifkod", &[], "--socket"),
+        needs("ifkod", &[], "--db"),
+        needs("ifkod", &[], "--cache"),
+        case("ifkod", &["--jobs"], 2, "ifkod: --jobs needs a"),
+        case("ifkod", &["--jobs", "x"], 2, "ifkod: --jobs"),
+        case(
+            "ifkod",
+            &["--socket", "/dev/null/s.sock", "--db", "d"],
+            2,
+            "ifkod: File exists (os error 17)",
+        ),
+        case(
+            "ifkod",
+            &["--socket", "s.sock", "--db", "/dev/null/d"],
+            2,
+            "ifkod: Not a directory (os error 20)",
+        ),
+        case(
+            "ifkod",
+            &["--socket", "c.sock", "--db", "d", "--cache", "/dev/null/c"],
+            2,
+            "ifkod: Not a directory (os error 20)",
+        ),
+    ];
+    check(&t.0, &cases);
+}
+
+/// `pipeline`: each flag it reads.
+#[test]
+fn flag_table_pipeline() {
+    let t = Scratch::new("flags-pipeline");
+    let base = repo("BENCH_pipeline.json");
+    let base = base.as_str();
+    let out = t.path("out.json");
+    let mut slow = case(
+        "pipeline",
+        &["--out", "/dev/null/x"],
+        1,
+        "cannot write /dev/null/x",
+    );
+    slow.env.push(("IFKO_BENCH_SECS", "0"));
+    let cases = vec![
+        ok("pipeline", &["--compare", base, "--current", base]),
+        ok(
+            "pipeline",
+            &["--out", &out, "--current", base, "--compare", base],
+        ),
+        case(
+            "pipeline",
+            &["--compare", "/nope", "--current", base],
+            2,
+            "pipeline: cannot read /nope: No such file or directory (os error 2)",
+        ),
+        case(
+            "pipeline",
+            &["--current", "/nope", "--compare", base],
+            2,
+            "pipeline: cannot read /nope: No such file or directory (os error 2)",
+        ),
+        slow,
+    ];
+    check(&t.0, &cases);
 }
 
 #[test]
@@ -513,4 +1041,319 @@ fn daemon_remote_tune_and_control_plane() {
     assert!(out.status.success());
     handle.wait();
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A flag the command does not read is refused, not dropped: each of
+/// these used to exit 0 (or run the whole experiment) as if it were not
+/// there.
+#[test]
+fn foreign_flags_are_refused() {
+    let t = Scratch::new("flags-foreign");
+    let k = repo("kernels/ddot.hil");
+    let k = k.as_str();
+    let f = t.path("F");
+    let cases = vec![
+        case(
+            "ifko",
+            &["tune", k, "--n", "512", "--ur", "8", "--wnt"],
+            2,
+            "ifko: unknown flag `--ur`",
+        ),
+        case(
+            "ifko",
+            &[
+                "analyze", k, "--jobs", "4", "--chaos", "7", "--remote", "/nope",
+            ],
+            2,
+            "ifko: unknown flag `--jobs`",
+        ),
+        case(
+            "ifko",
+            &["compile", k, "--trace", &f],
+            2,
+            "ifko: unknown flag `--trace`",
+        ),
+        case(
+            "ifko",
+            &["compile", k, "--n", "512"],
+            2,
+            "ifko: unknown flag `--n`",
+        ),
+        case(
+            "ifko",
+            &["lint", k, "--db", "d"],
+            2,
+            "ifko: unknown flag `--db`",
+        ),
+        case(
+            "ifko",
+            &["pack", "--bogus"],
+            2,
+            "ifko: unknown flag `--bogus`",
+        ),
+        case(
+            "ifko",
+            &["worker", "--jobs", "2"],
+            2,
+            "ifko: unknown flag `--jobs`",
+        ),
+        case("ifkod", &["--bogus"], 2, "ifkod: unknown flag `--bogus`"),
+        case(
+            "pipeline",
+            &["--bogus"],
+            2,
+            "pipeline: unknown flag `--bogus`",
+        ),
+        case(
+            "table3",
+            &["--quick", "--no-cache", "--job", "4"],
+            2,
+            "table3: unknown flag `--job`",
+        ),
+        case(
+            "strategies",
+            &["--quick", "--bogus"],
+            2,
+            "strategies: unknown flag `--bogus`",
+        ),
+        case(
+            "figure6",
+            &["--quick"],
+            2,
+            "figure6: unknown flag `--quick`",
+        ),
+    ];
+    check(&t.0, &cases);
+    assert!(!Path::new(&f).exists(), "compile --trace wrote a trace");
+}
+
+/// Every refused flag value exits 2 with `<flag>: <error>` before any
+/// work starts, whichever binary reads it: `ifko tune` used to exit 1 for
+/// these, `pipeline` panicked on a missing value, and the experiment
+/// binaries warned and ran on without the sink.
+#[test]
+fn flag_errors_share_one_form() {
+    let t = Scratch::new("flags-form");
+    let k = repo("kernels/ddot.hil");
+    let k = k.as_str();
+    let quick = ["--quick", "--no-cache"];
+    let with = |exe: &str, head: &[&str], tail: &[&str], first: &str| {
+        case(exe, &[head, tail].concat(), 2, first)
+    };
+    let cases = vec![
+        with(
+            "ifko",
+            &["tune", k],
+            &["--context", "x"],
+            "ifko: --context: unknown context `x` (oc | ic)",
+        ),
+        with(
+            "ifko",
+            &["tune", k],
+            &["--n", "0"],
+            "ifko: --n: n = 0 is out of range (1 ..= 4000000)",
+        ),
+        with(
+            "ifko",
+            &["tune", k],
+            &["--strategy", "x"],
+            "ifko: --strategy: unknown strategy `x`",
+        ),
+        with(
+            "ifko",
+            &["tune", k],
+            &["--budget", "x"],
+            "ifko: --budget: bad budget `x`",
+        ),
+        with(
+            "ifko",
+            &["tune", k],
+            &["--chaos", "x"],
+            "ifko: --chaos: bad chaos spec `x`",
+        ),
+        with(
+            "ifko",
+            &["tune", k],
+            &["--trace", "/dev/null/t"],
+            "ifko: --trace /dev/null/t: File exists",
+        ),
+        with(
+            "ifko",
+            &["tune", k],
+            &["--trace-chrome", "/dev/null/t"],
+            "ifko: --trace-chrome /dev/null/t: File exists",
+        ),
+        with(
+            "ifko",
+            &["tune", k],
+            &["--timeseries", "/dev/null/t"],
+            "ifko: --timeseries /dev/null/t: File exists",
+        ),
+        with(
+            "ifko",
+            &["tune", k],
+            &["--db", "/dev/null/d"],
+            "ifko: --db /dev/null/d: Not a directory",
+        ),
+        needs("pipeline", &[], "--out"),
+        needs("pipeline", &["--current", "x"], "--compare"),
+        needs("pipeline", &["--compare", "x"], "--current"),
+        needs("table3", &quick, "--jobs"),
+        with(
+            "table3",
+            &quick,
+            &["--jobs", "x"],
+            "table3: --jobs: invalid digit found in string",
+        ),
+        with(
+            "table3",
+            &quick,
+            &["--trace", "/dev/null/t"],
+            "table3: --trace /dev/null/t: File exists",
+        ),
+        with(
+            "table3",
+            &quick,
+            &["--trace-chrome", "/dev/null/t"],
+            "table3: --trace-chrome /dev/null/t: File exists",
+        ),
+        with(
+            "table3",
+            &quick,
+            &["--db", "/dev/null/d"],
+            "table3: --db /dev/null/d: Not a directory",
+        ),
+        needs("strategies", &quick, "--strategies"),
+        with(
+            "strategies",
+            &quick,
+            &["--strategies", "line,x"],
+            "strategies: --strategies: unknown strategy `x`",
+        ),
+        with(
+            "strategies",
+            &quick,
+            &["--db", "/dev/null/d"],
+            "strategies: --db /dev/null/d: Not a directory",
+        ),
+    ];
+    check(&t.0, &cases);
+}
+
+/// `--help` and `-h` print a help generated from the command's flag
+/// table: exit 0, a usage line, and every flag the command reads.
+#[test]
+fn every_command_answers_help() {
+    let report = &["--format"][..];
+    let tune_flags = &[
+        "--machine",
+        "--context",
+        "--n",
+        "--seed",
+        "--full",
+        "--jobs",
+        "--workers",
+        "--trace",
+        "--trace-chrome",
+        "--timeseries",
+        "--metrics",
+        "--verify-ir",
+        "--no-prune",
+        "--strategy",
+        "--budget",
+        "--warm-start",
+        "--model-prune",
+        "--db",
+        "--remote",
+        "--chaos",
+        "--max-retries",
+        "--profile-pipeline",
+    ][..];
+    let experiment = &[
+        "--quick",
+        "--no-cache",
+        "--jobs",
+        "--workers",
+        "--trace",
+        "--trace-chrome",
+        "--metrics",
+        "--strategy",
+        "--budget",
+        "--db",
+        "--warm-start",
+        "--chaos",
+        "--max-retries",
+        "--model-prune",
+    ][..];
+    let commands: &[(&str, &[&str], &[&str])] = &[
+        ("ifko", &["analyze"], &["--machine"]),
+        (
+            "ifko",
+            &["compile"],
+            &[
+                "--machine",
+                "--scalar",
+                "--ur",
+                "--ae",
+                "--wnt",
+                "--no-pf",
+                "--pf-dist",
+            ],
+        ),
+        ("ifko", &["tune"], tune_flags),
+        ("ifko", &["lint"], &["--machine", "--format"]),
+        ("ifko", &["report"], report),
+        (
+            "ifko",
+            &["explain"],
+            &["--format", "--db", "--check-chrome"],
+        ),
+        ("ifko", &["daemon"], &["--socket"]),
+        ("ifko", &["db"], &["--db", "--rev-missing", "--format"]),
+        ("ifko", &["pack"], &["--db", "--out", "--socket"]),
+        ("ifko", &["install"], &["--db", "--no-verify"]),
+        ("ifko", &["worker"], &[]),
+        (
+            "ifko",
+            &[],
+            &[
+                "analyze", "compile", "tune", "lint", "report", "explain", "daemon", "db", "pack",
+                "install", "worker",
+            ],
+        ),
+        (
+            "ifkod",
+            &[],
+            &["--socket", "--db", "--cache", "--jobs", "--quiet"],
+        ),
+        ("pipeline", &[], &["--out", "--compare", "--current"]),
+        ("table3", &[], experiment),
+        ("figure7", &[], experiment),
+        ("strategies", &[], &[experiment, &["--strategies"]].concat()),
+        ("table1", &[], &[]),
+        ("figure6", &[], &[]),
+    ];
+    for (name, sub, flags) in commands {
+        for help in ["--help", "-h"] {
+            let out = Command::new("timeout")
+                .arg("60")
+                .arg(exe(name))
+                .args(*sub)
+                .arg(help)
+                .stdin(Stdio::null())
+                .output()
+                .unwrap();
+            let text = String::from_utf8_lossy(&out.stdout);
+            let line = format!("{name} {} {help}", sub.join(" "));
+            assert!(
+                out.status.success(),
+                "{line}: {}",
+                String::from_utf8_lossy(&out.stderr)
+            );
+            assert!(text.starts_with("usage: "), "{line}:\n{text}");
+            for flag in *flags {
+                assert!(text.contains(flag), "{line} does not name {flag}:\n{text}");
+            }
+        }
+    }
 }
