@@ -8,9 +8,7 @@ use ifko::prelude::*;
 use ifko_bench::{format_relative_table, Experiment};
 
 fn main() {
-    let exp = Experiment::new("figure3")
-        .machine(opteron())
-        .context(Context::OutOfCache);
+    let exp = Experiment::new("figure3").sweep(opteron(), Context::OutOfCache);
     let n = exp.cfg().n_for(Context::OutOfCache);
     let sweeps = exp.run();
     println!(

@@ -8,9 +8,7 @@ use ifko::prelude::*;
 use ifko_bench::{format_relative_table, Experiment};
 
 fn main() {
-    let exp = Experiment::new("figure4")
-        .machine(p4e())
-        .context(Context::InL2);
+    let exp = Experiment::new("figure4").sweep(p4e(), Context::InL2);
     let n = exp.cfg().n_for(Context::InL2);
     let sweeps = exp.run();
     println!(

@@ -9,9 +9,7 @@ use ifko_baselines::Method;
 use ifko_bench::{averages, format_relative_table, Experiment};
 
 fn main() {
-    let exp = Experiment::new("figure4b")
-        .machine(opteron())
-        .context(Context::InL2);
+    let exp = Experiment::new("figure4b").sweep(opteron(), Context::InL2);
     let n = exp.cfg().n_for(Context::InL2);
     let sweeps = exp.run();
     let rows = &sweeps[0].rows;

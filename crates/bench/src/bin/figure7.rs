@@ -18,7 +18,7 @@ fn main() {
         .sweep(p4e(), Context::InL2)
         .sweep(opteron(), Context::InL2)
         .tune_only();
-    if exp.cfg().quick && exp.cfg().trace_path.is_none() {
+    if exp.cfg().quick && !exp.cfg().tune.traced() {
         let path = "results/traces/figure7-quick.jsonl";
         match JsonlSink::create(path) {
             Ok(sink) => {

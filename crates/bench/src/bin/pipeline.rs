@@ -26,6 +26,7 @@
 //! never an error. `scripts/bench_compare.sh` loops this against the
 //! committed `BENCH_pipeline.json` at the repo root.
 
+use ifko::flags::{Command, Flag};
 use ifko::json::{esc, parse_json, Json};
 use ifko::runner::{run_once, Context, KernelArgs};
 use ifko::search::{line_search_batched, SearchOptions};
@@ -340,35 +341,27 @@ fn compare(baseline: &str, current: &str) -> Result<bool, String> {
     Ok(ok)
 }
 
-fn main() {
-    let mut out_path = String::from("results/BENCH_pipeline.json");
-    let (mut baseline, mut current) = (None, None);
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--out" => out_path = args.next().expect("--out needs a path"),
-            "--compare" => baseline = Some(args.next().expect("--compare needs a baseline")),
-            "--current" => current = Some(args.next().expect("--current needs a result file")),
-            "--help" | "-h" => {
-                println!(
-                    "pipeline [--out PATH] [--compare BASELINE [--current FILE]]   \
-                     (env: IFKO_BENCH_SECS=min seconds per leg, IFKO_BENCH_TOL=gate percent)"
-                );
-                return;
-            }
-            other => {
-                eprintln!("unknown arg: {other}");
-                std::process::exit(2);
-            }
-        }
-    }
+#[rustfmt::skip]
+const PIPELINE: Command = Command {
+    about: "Compile-pipeline throughput per kernel and machine, and its regression gate. \
+            Environment: IFKO_BENCH_SECS (minimum seconds per leg), IFKO_BENCH_TOL (gate percent).",
+    ..Command::new("pipeline", &[&[
+        Flag::new("--out PATH", "result file (default results/BENCH_pipeline.json)"),
+        Flag::new("--compare BASELINE", "gate the result against BASELINE"),
+        Flag::new("--current FILE", "gate FILE instead of running the bench"),
+    ]])
+};
 
+fn main() {
+    let given = PIPELINE.from_env();
+    let out_path = given.raw("--out").unwrap_or("results/BENCH_pipeline.json");
+    let current = given.raw("--current");
     // `--current FILE` gates an existing run instead of making one.
     if current.is_none() {
-        bench(&out_path);
+        bench(out_path);
     }
-    if let Some(baseline) = baseline {
-        match compare(&baseline, current.as_deref().unwrap_or(&out_path)) {
+    if let Some(baseline) = given.raw("--compare") {
+        match compare(baseline, current.unwrap_or(out_path)) {
             Ok(true) => {}
             Ok(false) => std::process::exit(1),
             Err(e) => {

@@ -18,30 +18,21 @@
 //! keeps the strategy that originally found the stored point). Omit
 //! `--db` for a fully cold head-to-head.
 
+use ifko::flags::{boxed, Flag};
 use ifko::prelude::*;
-use ifko_bench::ExpConfig;
-use std::sync::Arc;
+use ifko_bench::{ExpConfig, FLAGS};
+
+#[rustfmt::skip]
+const STRATEGIES: &[Flag] = &[
+    Flag::new("--strategies LIST", "comma-separated strategies to race (default: all)")
+        .parse(|list| boxed(list.split(',').map(StrategySpec::parse).collect::<Result<Vec<_>, _>>())),
+];
 
 fn main() {
-    let cfg = ExpConfig::from_args();
-    let args: Vec<String> = std::env::args().collect();
-    let mut specs: Vec<StrategySpec> = StrategySpec::all().to_vec();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if a == "--strategies" {
-            if let Some(v) = it.next() {
-                specs = v
-                    .split(',')
-                    .map(|s| {
-                        StrategySpec::parse(s).unwrap_or_else(|e| {
-                            eprintln!("--strategies: {e}");
-                            std::process::exit(2)
-                        })
-                    })
-                    .collect();
-            }
-        }
-    }
+    let (cfg, given) = ExpConfig::from_env("strategies", &[FLAGS, &[STRATEGIES]].concat());
+    let specs = given
+        .get::<Vec<StrategySpec>>("--strategies")
+        .unwrap_or_else(|| StrategySpec::all().to_vec());
 
     let mach = p4e();
     let ctx = Context::OutOfCache;
@@ -61,7 +52,7 @@ fn main() {
         "strategy head-to-head on {} ({}), N={n}, budget={}",
         mach.name,
         ctx.label(),
-        cfg.budget
+        given.get("--budget").unwrap_or_else(Budget::unlimited)
     );
     println!(
         "{:<10} {:<8} {:>10} {:>8} {:>6} {:>6} {:>6}  winner",
@@ -69,19 +60,9 @@ fn main() {
     );
     for spec in &specs {
         for k in &kernels {
-            // A private cache per (strategy, kernel) run: no strategy
-            // rides on another's evaluations.
-            let mut tc = cfg
-                .tune_config(&mach, ctx)
-                .cache(Arc::new(EvalCache::new()))
-                .strategy(*spec);
-            if let Some(dir) = &cfg.db_dir {
-                match tc.clone().tuned_db(dir) {
-                    Ok(c) => tc = c,
-                    Err(e) => eprintln!("tuned-results db unavailable at {dir} ({e})"),
-                }
-            }
-            match tc.tune(*k) {
+            // `tune_config` gives each (strategy, kernel) run a private
+            // cache: no strategy rides on another's evaluations.
+            match cfg.tune_config(&mach, ctx).strategy(*spec).tune(*k) {
                 Ok(out) => println!(
                     "{:<10} {:<8} {:>10} {:>7.2}x {:>6} {:>6} {:>6}  {}",
                     spec.name(),
@@ -97,19 +78,14 @@ fn main() {
             }
         }
     }
-    if let Some(dir) = &cfg.db_dir {
-        match TunedDb::open(dir) {
-            Ok(db) => eprintln!(
-                "tuned-results database: {} record(s) in {dir} (tuned.jsonl)",
-                db.len()
-            ),
-            Err(e) => eprintln!("tuned-results db unreadable at {dir}: {e}"),
-        }
+    if let Some(db) = cfg.tune.base.db_of() {
+        let dir = given.raw("--db").unwrap_or("results/db");
+        eprintln!(
+            "tuned-results database: {} record(s) in {dir} (tuned.jsonl)",
+            db.len()
+        );
     }
-    if let Some(p) = &cfg.metrics_path {
-        match ifko::metrics::global().write_snapshot(p) {
-            Ok(()) => eprintln!("metrics snapshot written to {p}"),
-            Err(e) => eprintln!("cannot write metrics {p}: {e}"),
-        }
+    if let Err(e) = cfg.tune.finish(&[]) {
+        eprintln!("strategies: {e}");
     }
 }

@@ -3,9 +3,11 @@
 //! the simulated machine configurations and the model-compiler policies
 //! standing in for them (see DESIGN.md's substitution table).
 
+use ifko::flags::Command;
 use ifko_xsim::machine::all_machines;
 
 fn main() {
+    Command::new("table2", &[]).from_env();
     println!("Table 2. Platform / compiler information (simulated)");
     for m in all_machines() {
         println!("\n{} @ {} MHz", m.name, m.mhz);

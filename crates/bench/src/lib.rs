@@ -3,20 +3,21 @@
 //! One binary per table/figure of the paper (see DESIGN.md's experiment
 //! index). The [`Experiment`] builder is the shared entry point: name the
 //! experiment, pick machines/contexts (or explicit sweeps), and `run()`
-//! — flags (`--quick`, `--jobs N`, `--workers N`, `--trace PATH`,
-//! `--trace-chrome PATH`, `--no-cache`) are
-//! parsed from the command line, every sweep shares one evaluation cache
-//! (persisted under `results/cache/` so separate binaries reuse each
-//! other's points), and progress goes to stderr.
+//! — the command line is read against [`FLAGS`] (`--quick`, `--no-cache`
+//! and the tune flags `ifko tune` shares; `--help` lists them), every
+//! sweep shares one evaluation cache (persisted under `results/cache/` so
+//! separate binaries reuse each other's points), and progress goes to
+//! stderr.
 //!
 //! The library also holds the lower-level machinery: running all six
 //! tuning methodologies on a kernel ([`run_methods`]), formatting the
 //! relative-performance rows of Figures 2–4 ([`format_relative_table`]),
 //! Table 3 rows, and the Figure 7 per-phase decomposition.
 //!
-//! All binaries accept `--quick` (reduced N and search) so CI can exercise
-//! them; without it they run at paper scale (N=80000 / N=1024).
+//! All tuning binaries accept `--quick` (reduced N and search) so CI can
+//! exercise them; without it they run at paper scale (N=80000 / N=1024).
 
+use ifko::flags::{self, Command, Flag, Given, TuneFlags};
 use ifko::prelude::*;
 use ifko::runner::KernelArgs;
 use ifko_baselines::{atlas_best, compile_gcc, compile_icc, compile_icc_prof, LoopForm, Method};
@@ -27,127 +28,65 @@ use std::sync::Arc;
 /// Default location of the cross-process evaluation cache.
 pub const CACHE_DIR: &str = "results/cache";
 
+/// The flags every experiment binary reads: `--quick`, `--no-cache` and
+/// the tune flags it shares with `ifko tune` ([`flags::TUNE`]).
+#[rustfmt::skip]
+pub const FLAGS: &[&[Flag]] = &[
+    &[
+        Flag::new("--quick", "CI scale: N=20000 / 1024, quick search, exact timer"),
+        Flag::new("--no-cache", "neither read nor persist results/cache"),
+    ],
+    flags::TUNE,
+];
+
 /// Configuration of one experiment sweep.
-#[derive(Clone, Debug)]
+#[derive(Clone)]
 pub struct ExpConfig {
     pub n_out_of_cache: usize,
     pub n_in_l2: usize,
     pub quick: bool,
     pub seed: u64,
-    /// Worker threads per candidate batch (`--jobs N`; results are
-    /// bit-identical for every value).
-    pub jobs: usize,
-    /// Worker *processes* per candidate batch (`--workers N`; 0 = stay
-    /// in-process). Dispatches evaluations to `ifko-worker` children —
-    /// results stay bit-identical to serial and threaded runs.
-    pub workers: usize,
-    /// JSONL search-trace destination (`--trace PATH`).
-    pub trace_path: Option<String>,
-    /// Chrome/Perfetto trace destination (`--trace-chrome PATH`): the
-    /// same event stream rendered as `trace_event` JSON, openable in
-    /// `ui.perfetto.dev` or `chrome://tracing`.
-    pub trace_chrome_path: Option<String>,
-    /// Metrics-snapshot destination (`--metrics PATH`): the process-wide
-    /// registry is written here when the experiment finishes (JSON, or
-    /// Prometheus text for `.prom`/`.txt` paths).
-    pub metrics_path: Option<String>,
-    /// Persist/reuse evaluations under [`CACHE_DIR`] (disable with
+    /// Persist/reuse evaluations under [`CACHE_DIR`] (off with
     /// `--no-cache`).
     pub use_cache: bool,
-    /// Search strategy (`--strategy NAME`; default: the line search).
-    pub strategy: StrategySpec,
-    /// Probe/wall budget for each search (`--budget N` or `--budget 500ms`).
-    pub budget: Budget,
-    /// Tuned-results database directory (`--db DIR`, or `--warm-start`
-    /// for the conventional `results/db`).
-    pub db_dir: Option<String>,
-    /// Deterministic fault injection (`--chaos SEED[:RATE]`; off by
-    /// default — results stay bit-identical to a fault-free run).
-    pub chaos: Option<FaultPlan>,
-    /// Per-candidate retry budget for transient faults
-    /// (`--max-retries N`; None leaves the library default).
-    pub max_retries: Option<u32>,
-    /// Fraction of each batch the static cost model may prune before
-    /// compiling (`--model-prune FRAC`; 0 keeps predictions trace-only).
-    pub model_prune: f64,
+    /// The tune flags applied once for the process: every sweep's
+    /// [`TuneConfig`] starts from `tune.base`, sharing its sinks.
+    pub tune: TuneFlags,
 }
 
 impl ExpConfig {
-    /// Parse from CLI args: `--quick` reduces problem and search sizes,
-    /// `--jobs N` sets batch parallelism, `--trace PATH` dumps the JSONL
-    /// search trace, `--no-cache` skips the persistent evaluation cache.
-    pub fn from_args() -> ExpConfig {
-        let args: Vec<String> = std::env::args().collect();
-        let mut cfg = ExpConfig::new(args.iter().any(|a| a == "--quick"));
-        // A flag's value, or exit 2 naming the flag and what is wrong.
-        fn parsed<T, E: std::fmt::Display>(flag: &str, value: Result<T, E>) -> T {
-            value.unwrap_or_else(|e| {
-                eprintln!("{flag}: {e}");
-                std::process::exit(2)
-            })
-        }
-        let mut it = args.iter();
-        while let Some(a) = it.next() {
-            let flag = a.as_str();
-            let mut value = || parsed(flag, it.next().ok_or("needs a value"));
-            match flag {
-                "--jobs" => cfg.jobs = parsed(flag, value().parse::<usize>()).max(1),
-                "--workers" => cfg.workers = parsed(flag, value().parse()),
-                "--trace" => cfg.trace_path = Some(value().clone()),
-                "--trace-chrome" => cfg.trace_chrome_path = Some(value().clone()),
-                "--metrics" => cfg.metrics_path = Some(value().clone()),
-                "--no-cache" => cfg.use_cache = false,
-                "--strategy" => cfg.strategy = parsed(flag, StrategySpec::parse(value())),
-                "--budget" => cfg.budget = parsed(flag, Budget::parse(value())),
-                "--db" => cfg.db_dir = Some(value().clone()),
-                "--warm-start" => {
-                    cfg.db_dir.get_or_insert_with(|| "results/db".to_string());
-                }
-                "--chaos" => cfg.chaos = Some(parsed(flag, FaultPlan::parse(value()))),
-                "--max-retries" => cfg.max_retries = Some(parsed(flag, value().parse())),
-                "--model-prune" => {
-                    let frac = parsed(flag, value().parse::<f64>());
-                    let in_range = (0.0..=1.0).contains(&frac);
-                    cfg.model_prune = parsed(
-                        flag,
-                        in_range
-                            .then_some(frac)
-                            .ok_or_else(|| format!("{frac} outside [0, 1]")),
-                    );
-                }
-                // Unknown flags are not errors here: `strategies` parses
-                // its own (`--strategies`) out of the same argv.
-                _ => {}
-            }
-        }
-        cfg
+    /// Read this process's command line as the experiment binary `name`
+    /// with `flags` ([`FLAGS`], or more). `--help` prints the help; a flag
+    /// the binary does not read, a bad value, or a sink that cannot be
+    /// opened exits 2 before any sweep runs.
+    pub fn from_env(name: &str, flags: &[&'static [Flag]]) -> (ExpConfig, Given) {
+        let given = Command::new(name, flags).from_env();
+        let cfg = ExpConfig::from_flags(&given).unwrap_or_else(|e| flags::refuse(name, &e));
+        (cfg, given)
+    }
+    /// The config parsed flags describe, its sinks opened.
+    pub fn from_flags(given: &Given) -> Result<ExpConfig, String> {
+        let cfg = ExpConfig::new(given.has("--quick"));
+        Ok(ExpConfig {
+            use_cache: !given.has("--no-cache"),
+            tune: TuneFlags::open(given, cfg.tune.base)?,
+            ..cfg
+        })
     }
     pub fn new(quick: bool) -> ExpConfig {
-        let (n_oc, n_ic) = if quick {
-            (20_000, 1024)
+        use ifko_blas::workload::{N_IN_L2, N_OUT_OF_CACHE};
+        let (n_oc, n_ic, base) = if quick {
+            (20_000, 1024, TuneConfig::quick(20_000))
         } else {
-            (
-                ifko_blas::workload::N_OUT_OF_CACHE,
-                ifko_blas::workload::N_IN_L2,
-            )
+            (N_OUT_OF_CACHE, N_IN_L2, TuneConfig::paper())
         };
         ExpConfig {
             n_out_of_cache: n_oc,
             n_in_l2: n_ic,
             quick,
             seed: 0xb1a5,
-            jobs: 1,
-            workers: 0,
-            trace_path: None,
-            trace_chrome_path: None,
-            metrics_path: None,
             use_cache: true,
-            strategy: StrategySpec::Line,
-            budget: Budget::unlimited(),
-            db_dir: None,
-            chaos: None,
-            max_retries: None,
-            model_prune: 0.0,
+            tune: TuneFlags::new(base),
         }
     }
     pub fn n_for(&self, ctx: Context) -> usize {
@@ -157,39 +96,17 @@ impl ExpConfig {
         }
     }
     /// The tuning configuration for one machine/context under this
-    /// experiment config (cache/trace are attached by [`Experiment`]).
+    /// experiment config, with a private evaluation cache ([`Experiment`]
+    /// attaches its shared one).
     pub fn tune_config(&self, mach: &MachineConfig, ctx: Context) -> TuneConfig {
-        let n = self.n_for(ctx);
-        let base = if self.quick {
-            TuneConfig::quick(n)
-        } else {
-            TuneConfig::paper()
-        };
-        let mut cfg = base
+        self.tune
+            .base
+            .clone()
             .machine(mach.clone())
             .context(ctx)
-            .n(n)
+            .n(self.n_for(ctx))
             .seed(self.seed)
-            .jobs(self.jobs)
-            .workers(self.workers)
-            .strategy(self.strategy)
-            .budget(self.budget);
-        if let Some(plan) = &self.chaos {
-            cfg = cfg.faults(plan.clone());
-        }
-        if let Some(r) = self.max_retries {
-            cfg = cfg.max_retries(r);
-        }
-        if self.model_prune > 0.0 {
-            cfg = cfg.model_prune(self.model_prune);
-        }
-        if let Some(dir) = &self.db_dir {
-            match cfg.clone().tuned_db(dir) {
-                Ok(c) => cfg = c,
-                Err(e) => eprintln!("tuned-results db unavailable at {dir} ({e}); continuing"),
-            }
-        }
-        cfg
+            .cache(Arc::new(EvalCache::new()))
     }
     pub fn timer(&self) -> Timer {
         if self.quick {
@@ -259,35 +176,32 @@ impl Sweep {
     }
 }
 
-/// Builder for one experiment: which machines, contexts, and kernels to
-/// sweep, and whether to run the full six-methodology comparison or just
+/// Builder for one experiment: which (machine, context) pairs and kernels
+/// to sweep, and whether to run the full six-methodology comparison or just
 /// the iFKO tuner. All sweeps share the experiment's evaluation cache and
-/// trace sink.
+/// trace sinks.
 ///
 /// ```no_run
 /// use ifko_bench::Experiment;
 /// use ifko::prelude::*;
 ///
-/// let sweeps = Experiment::new("figure2").machine(p4e()).context(Context::OutOfCache).run();
+/// let sweeps = Experiment::new("figure2").sweep(p4e(), Context::OutOfCache).run();
 /// println!("{}", ifko_bench::format_relative_table("Figure 2", &sweeps[0].rows));
 /// ```
 pub struct Experiment {
     name: String,
     cfg: ExpConfig,
-    machines: Vec<MachineConfig>,
-    contexts: Vec<Context>,
-    explicit_sweeps: Vec<(MachineConfig, Context)>,
+    sweeps: Vec<(MachineConfig, Context)>,
     kernels: Vec<Kernel>,
     tune_only: bool,
-    trace: Option<Arc<dyn TraceSink>>,
 }
 
 impl Experiment {
     /// A named experiment configured from the command line
-    /// (see [`ExpConfig::from_args`]). Defaults: P4E, out-of-cache, the
-    /// full 14-kernel suite, all six methodologies.
-    pub fn new(name: impl Into<String>) -> Experiment {
-        Experiment::with_config(name, ExpConfig::from_args())
+    /// (see [`ExpConfig::from_env`]). Defaults: the full 14-kernel suite,
+    /// all six methodologies.
+    pub fn new(name: &str) -> Experiment {
+        Experiment::with_config(name, ExpConfig::from_env(name, FLAGS).0)
     }
 
     /// Same, with an explicit config (used by tests).
@@ -295,38 +209,15 @@ impl Experiment {
         Experiment {
             name: name.into(),
             cfg,
-            machines: vec![p4e()],
-            contexts: vec![Context::OutOfCache],
-            explicit_sweeps: Vec::new(),
+            sweeps: Vec::new(),
             kernels: ALL_KERNELS.to_vec(),
             tune_only: false,
-            trace: None,
         }
     }
 
-    /// Sweep this machine (replaces the default; call repeatedly or use
-    /// [`Self::machines`] for several).
-    pub fn machine(mut self, m: MachineConfig) -> Self {
-        self.machines = vec![m];
-        self
-    }
-    pub fn machines(mut self, ms: impl IntoIterator<Item = MachineConfig>) -> Self {
-        self.machines = ms.into_iter().collect();
-        self
-    }
-    /// Sweep this context (product with the machines).
-    pub fn context(mut self, c: Context) -> Self {
-        self.contexts = vec![c];
-        self
-    }
-    pub fn contexts(mut self, cs: impl IntoIterator<Item = Context>) -> Self {
-        self.contexts = cs.into_iter().collect();
-        self
-    }
-    /// Add one explicit (machine, context) sweep; when any are given they
-    /// replace the machines × contexts product.
+    /// Add one (machine, context) sweep; sweeps run in the order added.
     pub fn sweep(mut self, m: MachineConfig, c: Context) -> Self {
-        self.explicit_sweeps.push((m, c));
+        self.sweeps.push((m, c));
         self
     }
     /// Restrict the kernel set (default: the full suite).
@@ -340,9 +231,9 @@ impl Experiment {
         self.tune_only = true;
         self
     }
-    /// Attach a trace sink programmatically (overrides `--trace`).
+    /// Attach a trace sink programmatically, beside any `--trace`.
     pub fn trace(mut self, sink: Arc<dyn TraceSink>) -> Self {
-        self.trace = Some(sink);
+        self.cfg.tune.base = self.cfg.tune.base.clone().trace(sink);
         self
     }
     pub fn cfg(&self) -> &ExpConfig {
@@ -375,54 +266,9 @@ impl Experiment {
         } else {
             Arc::new(EvalCache::new())
         };
-        let trace: Option<Arc<dyn TraceSink>> = match (&self.trace, &self.cfg.trace_path) {
-            (Some(t), _) => Some(t.clone()),
-            (None, Some(p)) => match JsonlSink::create(p) {
-                Ok(s) => {
-                    eprintln!("[{}] tracing evaluations to {p}", self.name);
-                    Some(s)
-                }
-                Err(e) => {
-                    eprintln!("[{}] cannot open trace {p}: {e}", self.name);
-                    None
-                }
-            },
-            _ => None,
-        };
-        // The Chrome sink composes with `--trace`: both see the stream,
-        // and the render happens once on the final flush.
-        let chrome: Option<Arc<ifko::ChromeTraceSink>> = match &self.cfg.trace_chrome_path {
-            Some(p) => match ifko::ChromeTraceSink::create(p) {
-                Ok(s) => {
-                    eprintln!("[{}] rendering Chrome/Perfetto trace to {p}", self.name);
-                    Some(s)
-                }
-                Err(e) => {
-                    eprintln!("[{}] cannot open chrome trace {p}: {e}", self.name);
-                    None
-                }
-            },
-            None => None,
-        };
-
-        let pairs: Vec<(MachineConfig, Context)> = if !self.explicit_sweeps.is_empty() {
-            self.explicit_sweeps.clone()
-        } else {
-            self.machines
-                .iter()
-                .flat_map(|m| self.contexts.iter().map(move |c| (m.clone(), *c)))
-                .collect()
-        };
-
         let mut out = Vec::new();
-        for (mach, ctx) in pairs {
-            let mut tune_cfg = self.cfg.tune_config(&mach, ctx).cache(cache.clone());
-            if let Some(t) = &trace {
-                tune_cfg = tune_cfg.trace(t.clone());
-            }
-            if let Some(c) = &chrome {
-                tune_cfg = tune_cfg.trace(c.clone());
-            }
+        for (mach, ctx) in self.sweeps.clone() {
+            let tune_cfg = self.cfg.tune_config(&mach, ctx).cache(cache.clone());
             let rows = self
                 .kernels
                 .iter()
@@ -461,17 +307,8 @@ impl Experiment {
             "[{}] search evaluations: {fresh} fresh, {hits} cache hits",
             self.name
         );
-        if let Some(t) = &trace {
-            t.flush();
-        }
-        if let Some(c) = &chrome {
-            c.flush();
-        }
-        if let Some(p) = &self.cfg.metrics_path {
-            match ifko::metrics::global().write_snapshot(p) {
-                Ok(()) => eprintln!("[{}] metrics snapshot written to {p}", self.name),
-                Err(e) => eprintln!("[{}] cannot write metrics {p}: {e}", self.name),
-            }
+        if let Err(e) = self.cfg.tune.finish(&[]) {
+            eprintln!("[{}] {e}", self.name);
         }
         out
     }
@@ -560,19 +397,6 @@ pub fn run_methods(
     cfg: &ExpConfig,
 ) -> KernelRow {
     run_methods_with(kernel, &cfg.tune_config(mach, ctx), cfg)
-}
-
-/// Run the full 14-kernel sweep with a private evaluation cache shared
-/// across the kernels (convenience over [`Experiment`]).
-pub fn run_sweep(mach: &MachineConfig, ctx: Context, cfg: &ExpConfig) -> Vec<KernelRow> {
-    let tune_cfg = cfg.tune_config(mach, ctx);
-    ALL_KERNELS
-        .iter()
-        .map(|k| {
-            eprintln!("  ... {} on {} ({})", k.name(), mach.name, ctx.label());
-            run_methods_with(*k, &tune_cfg, cfg)
-        })
-        .collect()
 }
 
 /// Average of percent-of-best (the paper's AVG) and the vectorizable-only
@@ -694,21 +518,22 @@ mod tests {
         ExpConfig {
             n_out_of_cache: 3000,
             n_in_l2: 512,
-            quick: true,
             seed: 1,
-            jobs: 1,
-            workers: 0,
-            trace_path: None,
-            trace_chrome_path: None,
-            metrics_path: None,
             use_cache: false,
-            strategy: StrategySpec::Line,
-            budget: Budget::unlimited(),
-            db_dir: None,
-            chaos: None,
-            max_retries: None,
-            model_prune: 0.0,
+            ..ExpConfig::new(true)
         }
+    }
+
+    #[test]
+    fn unknown_flag_is_a_parse_error() {
+        let cmd = Command::new("table3", FLAGS);
+        let parse = |args: &[&str]| cmd.parse(args.iter().map(|a| a.to_string()));
+        let err = parse(&["--quick", "--job", "4"]).err();
+        assert_eq!(err.as_deref(), Some("unknown flag `--job`"));
+        let given = parse(&["--quick", "--no-cache", "--jobs", "4"]).unwrap();
+        let cfg = ExpConfig::from_flags(&given).unwrap();
+        assert!(cfg.quick && !cfg.use_cache);
+        assert_eq!(cfg.tune_config(&p4e(), Context::InL2).jobs_of(), 4);
     }
 
     #[test]

@@ -1,425 +1,445 @@
-//! Tiny dependency-free flag parser for the `ifko` CLI.
+//! The `ifko` subcommands' flag tables (see [`ifko::flags`]), and the
+//! tune request `ifko tune` builds from its flags.
 
-#[derive(Debug, Clone)]
-pub struct Args {
-    pub file: String,
-    pub machine: String,
-    pub context: String,
-    pub n: Option<usize>,
-    pub seed: u64,
-    pub full: bool,
-    pub scalar: bool,
-    pub ur: Option<u32>,
-    pub ae: Option<u32>,
-    pub wnt: bool,
-    pub no_pf: bool,
-    pub pf_dist: Option<i64>,
-    pub jobs: usize,
-    pub workers: usize,
-    pub trace: Option<String>,
-    pub trace_chrome: Option<String>,
-    pub timeseries: Option<String>,
-    pub metrics: Option<String>,
-    pub verify_ir: bool,
-    pub no_prune: bool,
-    pub strategy: Option<String>,
-    pub budget: Option<String>,
-    pub warm_start: bool,
-    pub model_prune: Option<f64>,
-    pub db: Option<String>,
-    pub chaos: Option<String>,
-    pub max_retries: Option<u32>,
-    pub profile_pipeline: bool,
-    pub remote: Option<String>,
+use ifko::config::checked_n;
+use ifko::flags::{self, boxed, num, Command, Flag, Given};
+use ifko::report::ReportFormat;
+use ifko::runner::Context;
+use ifko_daemon::client::TuneRequest;
+use ifko_xsim::MachineConfig;
+use std::any::Any;
+
+fn machine(s: &str) -> Result<Box<dyn Any>, String> {
+    let machine = MachineConfig::by_name(s);
+    boxed(machine.ok_or_else(|| format!("unknown machine `{s}` (p4e | opteron)")))
 }
 
-impl Args {
-    pub fn parse(argv: Vec<String>) -> Result<Args, String> {
-        let mut a = Args {
-            file: String::new(),
-            machine: "p4e".into(),
-            context: "oc".into(),
-            n: None,
-            seed: 0xb1a5,
-            full: false,
-            scalar: false,
-            ur: None,
-            ae: None,
-            wnt: false,
-            no_pf: false,
-            pf_dist: None,
-            jobs: 1,
-            workers: 0,
-            trace: None,
-            trace_chrome: None,
-            timeseries: None,
-            metrics: None,
-            verify_ir: false,
-            no_prune: false,
-            strategy: None,
-            budget: None,
-            warm_start: false,
-            model_prune: None,
-            db: None,
-            chaos: None,
-            max_retries: None,
-            profile_pipeline: false,
-            remote: None,
-        };
-        let mut it = argv.into_iter();
-        while let Some(tok) = it.next() {
-            let mut value = |name: &str| -> Result<String, String> {
-                it.next().ok_or_else(|| format!("{name} needs a value"))
-            };
-            match tok.as_str() {
-                "--machine" | "-m" => a.machine = value("--machine")?,
-                "--context" | "-c" => a.context = value("--context")?,
-                "--n" => a.n = Some(value("--n")?.parse().map_err(|e| format!("--n: {e}"))?),
-                "--seed" => {
-                    a.seed = value("--seed")?
-                        .parse()
-                        .map_err(|e| format!("--seed: {e}"))?
-                }
-                "--full" => a.full = true,
-                "--scalar" => a.scalar = true,
-                "--ur" => a.ur = Some(value("--ur")?.parse().map_err(|e| format!("--ur: {e}"))?),
-                "--ae" => a.ae = Some(value("--ae")?.parse().map_err(|e| format!("--ae: {e}"))?),
-                "--wnt" => a.wnt = true,
-                "--no-pf" => a.no_pf = true,
-                "--pf-dist" => {
-                    a.pf_dist = Some(
-                        value("--pf-dist")?
-                            .parse()
-                            .map_err(|e| format!("--pf-dist: {e}"))?,
-                    )
-                }
-                "--jobs" | "-j" => {
-                    a.jobs = value("--jobs")?
-                        .parse::<usize>()
-                        .map_err(|e| format!("--jobs: {e}"))?
-                        .max(1)
-                }
-                "--workers" => {
-                    a.workers = value("--workers")?
-                        .parse::<usize>()
-                        .map_err(|e| format!("--workers: {e}"))?
-                }
-                "--trace" => a.trace = Some(value("--trace")?),
-                "--trace-chrome" => a.trace_chrome = Some(value("--trace-chrome")?),
-                "--timeseries" => a.timeseries = Some(value("--timeseries")?),
-                "--metrics" => a.metrics = Some(value("--metrics")?),
-                "--verify-ir" => a.verify_ir = true,
-                "--profile-pipeline" => a.profile_pipeline = true,
-                "--no-prune" => a.no_prune = true,
-                "--strategy" => a.strategy = Some(value("--strategy")?),
-                "--budget" => a.budget = Some(value("--budget")?),
-                "--warm-start" => a.warm_start = true,
-                "--model-prune" => {
-                    let frac: f64 = value("--model-prune")?
-                        .parse()
-                        .map_err(|e| format!("--model-prune: {e}"))?;
-                    if !(0.0..=1.0).contains(&frac) {
-                        return Err(format!("--model-prune: {frac} outside [0, 1]"));
-                    }
-                    a.model_prune = Some(frac);
-                }
-                "--db" => a.db = Some(value("--db")?),
-                "--remote" => a.remote = Some(value("--remote")?),
-                "--chaos" => a.chaos = Some(value("--chaos")?),
-                "--max-retries" => {
-                    a.max_retries = Some(
-                        value("--max-retries")?
-                            .parse()
-                            .map_err(|e| format!("--max-retries: {e}"))?,
-                    )
-                }
-                other if other.starts_with('-') => return Err(format!("unknown flag `{other}`")),
-                file => {
-                    if a.file.is_empty() {
-                        a.file = file.to_string();
-                    } else {
-                        return Err(format!("unexpected argument `{file}`"));
-                    }
-                }
-            }
-        }
-        if a.file.is_empty() {
-            return Err("no kernel file given".into());
-        }
-        Ok(a)
-    }
+fn context(s: &str) -> Result<Box<dyn Any>, String> {
+    let context = Context::from_label(s);
+    boxed(context.ok_or_else(|| format!("unknown context `{s}` (oc | ic)")))
+}
 
-    /// The flags given (set away from their defaults) that only an
-    /// in-process tune applies: a `--remote` request carries the machine,
-    /// context, size, seed, `--full`, strategy and budget, and nothing
-    /// else.
-    pub fn local_only(&self) -> Vec<&'static str> {
-        [
-            ("--jobs", self.jobs != 1),
-            ("--workers", self.workers != 0),
-            ("--trace", self.trace.is_some()),
-            ("--trace-chrome", self.trace_chrome.is_some()),
-            ("--timeseries", self.timeseries.is_some()),
-            ("--metrics", self.metrics.is_some()),
-            ("--verify-ir", self.verify_ir),
-            ("--no-prune", self.no_prune),
-            ("--model-prune", self.model_prune.is_some()),
-            ("--db", self.db.is_some()),
-            ("--warm-start", self.warm_start),
-            ("--chaos", self.chaos.is_some()),
-            ("--max-retries", self.max_retries.is_some()),
-            ("--profile-pipeline", self.profile_pipeline),
-        ]
-        .into_iter()
-        .filter_map(|(flag, given)| given.then_some(flag))
-        .collect()
+fn size(s: &str) -> Result<Box<dyn Any>, String> {
+    let n = s.parse::<u64>().map_err(|e| e.to_string())?;
+    boxed(checked_n(n))
+}
+
+fn report_format(s: &str) -> Result<Box<dyn Any>, String> {
+    let format = ReportFormat::parse(s);
+    boxed(format.ok_or_else(|| format!("unknown format `{s}` (text | json | md)")))
+}
+
+/// `--format text|json`, read as "json?".
+fn json_format(s: &str) -> Result<Box<dyn Any>, String> {
+    match s {
+        "text" | "json" => Ok(Box::new(s == "json")),
+        _ => Err(format!("unknown format `{s}` (text | json)")),
+    }
+}
+
+#[rustfmt::skip]
+const MACHINE: Flag = Flag::new("-m, --machine NAME", "p4e | opteron (default p4e)").parse(machine).remote();
+const DB: Flag = Flag::new("--db DIR", "tuned-results database (default results/db)");
+
+/// The flags `ifko tune` reads besides the shared [`flags::TUNE`].
+#[rustfmt::skip]
+const TUNE: &[Flag] = &[
+    MACHINE,
+    Flag::new("-c, --context oc|ic", "out of cache or in L2 (default oc)").parse(context).remote(),
+    Flag::new("--n N", "problem size (default 40000 oc, 1024 ic)").parse(size).remote(),
+    Flag::new("--seed S", "workload seed").parse(num::<u64>).remote(),
+    Flag::new("--full", "the paper's full candidate sets").remote(),
+    Flag::new("--remote SOCKET", "tune on the ifkod serving SOCKET").remote(),
+    Flag::new("--timeseries PATH", "append a metrics timeseries to PATH"),
+    Flag::new("--verify-ir", "run the IR verifier between every stage"),
+    Flag::new("--no-prune", "compile provably futile candidates too"),
+    Flag::new("--profile-pipeline", "print wall time per compile stage"),
+];
+
+#[rustfmt::skip]
+pub const COMMANDS: &[Command] = &[
+    Command {
+        name: "ifko analyze", args: "FILE", flags: &[&[MACHINE]],
+        about: "Print what FKO reports back to the search (paper §2.2.2).",
+    },
+    Command {
+        name: "ifko compile", args: "FILE",
+        about: "Compile at FKO's defaults, or the parameters given, and print the assembly.",
+        flags: &[&[
+            MACHINE,
+            Flag::new("--scalar", "no SIMD vectorization"),
+            Flag::new("--ur N", "unroll factor").parse(num::<u32>),
+            Flag::new("--ae N", "accumulator expansion").parse(num::<u32>),
+            Flag::new("--wnt", "non-temporal writes"),
+            Flag::new("--no-pf", "no prefetch"),
+            Flag::new("--pf-dist BYTES", "distance of every prefetch").parse(num::<i64>),
+        ]],
+    },
+    Command {
+        name: "ifko tune", args: "FILE", flags: &[TUNE, flags::TUNE],
+        about: "Tune any HIL kernel empirically, each candidate verified against the untransformed build.",
+    },
+    Command {
+        name: "ifko lint", args: "FILE.hil...",
+        about: "Front end, tuning-opportunity analysis and IR verifier, no tuning; exit 1 on an error.",
+        flags: &[&[MACHINE, Flag::new("-f, --format FMT", "text | json").parse(json_format)]],
+    },
+    Command {
+        name: "ifko report", args: "TRACE.jsonl...",
+        about: "Analyze --trace output: convergence, phases, stage times, cache effectiveness.",
+        flags: &[&[Flag::new("-f, --format FMT", "text | json | md").parse(report_format)]],
+    },
+    Command {
+        name: "ifko explain", args: "[TRACE.jsonl...]",
+        about: "Why the winner won: counter deltas per transform, and its bottleneck.",
+        flags: &[&[
+            Flag::new("-f, --format FMT", "text | json | md").parse(report_format),
+            Flag::new("--db DIR", "cross-check this tuned-results database"),
+            Flag::new("--check-chrome FILE", "validate a --trace-chrome file"),
+        ]],
+    },
+    Command {
+        name: "ifko daemon", args: "<ping|stop|metrics|stats|compact>",
+        about: "Control a running ifkod.",
+        flags: &[&[Flag::new("-s, --socket PATH", "ifkod's socket (default results/ifkod.sock)")]],
+    },
+    Command {
+        name: "ifko db", args: "<stats|compact|prune>",
+        about: "Inspect, compact or prune a tuned-results database in place.",
+        flags: &[&[
+            DB,
+            Flag::new("--rev-missing", "prune: drop records of other repo revisions"),
+            Flag::new("-f, --format FMT", "text | json").parse(json_format),
+        ]],
+    },
+    Command {
+        name: "ifko pack", args: "",
+        about: "Export winners as a checksummed tune-cache artifact.",
+        flags: &[&[
+            DB,
+            Flag::new("-o, --out FILE", "write the artifact to FILE (default stdout)"),
+            Flag::new("-s, --socket PATH", "pack a running ifkod's database instead"),
+        ]],
+    },
+    Command {
+        name: "ifko install", args: "ARTIFACT",
+        about: "Import a tune-cache artifact, re-verifying every record it can.",
+        flags: &[&[DB, Flag::new("--no-verify", "install without re-verifying")]],
+    },
+    Command {
+        name: "ifko worker", args: "", flags: &[],
+        about: "Evaluate candidates over the wire protocol on stdin/stdout (tune --workers spawns it).",
+    },
+];
+
+/// The request `ifko tune` sends a daemon, and tunes from in-process:
+/// the flags a request carries, with `src` as the kernel.
+pub fn tune_request(given: &Given, src: &str) -> TuneRequest {
+    TuneRequest {
+        kernel: None,
+        src: Some(src.to_string()),
+        machine: given.raw("--machine").unwrap_or("p4e").to_string(),
+        context: given.raw("--context").unwrap_or("oc").to_string(),
+        n: given.get("--n"),
+        seed: Some(given.get("--seed").unwrap_or(0xb1a5)),
+        full: given.has("--full"),
+        strategy: given.raw("--strategy").map(str::to_string),
+        budget: given.raw("--budget").map(str::to_string),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ifko::flags::TuneFlags;
+    use ifko::{FaultPlan, StrategySpec, TuneConfig};
 
-    fn v(s: &[&str]) -> Vec<String> {
-        s.iter().map(|x| x.to_string()).collect()
+    fn parse(cmd: &str, s: &[&str]) -> Result<Given, String> {
+        let name = format!("ifko {cmd}");
+        let cmd = COMMANDS.iter().find(|c| c.name == name).unwrap();
+        cmd.parse(s.iter().map(|x| x.to_string()))
     }
 
     #[test]
     fn defaults_and_positional() {
-        let a = Args::parse(v(&["k.hil"])).unwrap();
-        assert_eq!(a.file, "k.hil");
-        assert_eq!(a.machine, "p4e");
-        assert_eq!(a.context, "oc");
-        assert!(!a.full);
+        let g = parse("tune", &["k.hil"]).unwrap();
+        assert_eq!(g.positional, ["k.hil"]);
+        let r = tune_request(&g, "");
+        assert_eq!((r.machine.as_str(), r.context.as_str()), ("p4e", "oc"));
+        assert_eq!((r.n, r.seed, r.full), (None, Some(0xb1a5), false));
     }
 
     #[test]
     fn flags_parse() {
-        let a = Args::parse(v(&[
-            "k.hil",
-            "--machine",
-            "opteron",
-            "--context",
-            "ic",
-            "--n",
-            "2048",
-            "--ur",
-            "8",
-            "--ae",
-            "4",
-            "--wnt",
-            "--no-pf",
-            "--full",
-            "--seed",
-            "9",
-        ]))
+        let g = parse(
+            "tune",
+            &[
+                "k.hil",
+                "--machine",
+                "opteron",
+                "--context",
+                "ic",
+                "--n",
+                "2048",
+                "--full",
+                "--seed",
+                "9",
+            ],
+        )
         .unwrap();
-        assert_eq!(a.machine, "opteron");
-        assert_eq!(a.context, "ic");
-        assert_eq!(a.n, Some(2048));
-        assert_eq!(a.ur, Some(8));
-        assert_eq!(a.ae, Some(4));
-        assert!(a.wnt && a.no_pf && a.full);
-        assert_eq!(a.seed, 9);
+        let r = tune_request(&g, "");
+        assert_eq!((r.machine.as_str(), r.context.as_str()), ("opteron", "ic"));
+        assert_eq!((r.n, r.seed, r.full), (Some(2048), Some(9), true));
+        let g = parse(
+            "compile",
+            &["k.hil", "--ur", "8", "--ae", "4", "--wnt", "--no-pf"],
+        )
+        .unwrap();
+        assert_eq!(
+            (g.get::<u32>("--ur"), g.get::<u32>("--ae")),
+            (Some(8), Some(4))
+        );
+        assert!(g.has("--wnt") && g.has("--no-pf") && !g.has("--scalar"));
     }
 
     #[test]
     fn jobs_and_trace_parse() {
-        let a = Args::parse(v(&[
-            "k.hil",
-            "--jobs",
-            "4",
-            "--trace",
-            "t.jsonl",
-            "--metrics",
-            "m.json",
-        ]))
+        let g = parse(
+            "tune",
+            &[
+                "k.hil",
+                "--jobs",
+                "4",
+                "--trace",
+                "t.jsonl",
+                "--metrics",
+                "m.json",
+            ],
+        )
         .unwrap();
-        assert_eq!(a.jobs, 4);
-        assert_eq!(a.trace.as_deref(), Some("t.jsonl"));
-        assert_eq!(a.metrics.as_deref(), Some("m.json"));
-        // --jobs clamps to at least one worker.
-        let a = Args::parse(v(&["k.hil", "-j", "0"])).unwrap();
-        assert_eq!(a.jobs, 1);
+        assert_eq!(g.get::<usize>("--jobs"), Some(4));
+        assert_eq!(g.raw("--trace"), Some("t.jsonl"));
+        assert_eq!(g.raw("--metrics"), Some("m.json"));
+        // --jobs clamps to at least one worker when applied.
+        let g = parse("tune", &["k.hil", "-j", "0"]).unwrap();
+        let run = TuneFlags::open(&g, TuneConfig::quick(64)).unwrap();
+        assert_eq!(run.base.jobs_of(), 1);
     }
 
     #[test]
     fn workers_parse() {
-        // --workers 0 (the default) means in-process evaluation — no
-        // clamp, unlike --jobs.
-        let a = Args::parse(v(&["k.hil"])).unwrap();
-        assert_eq!(a.workers, 0);
-        let a = Args::parse(v(&["k.hil", "--workers", "4", "--jobs", "2"])).unwrap();
-        assert_eq!(a.workers, 4);
-        assert_eq!(a.jobs, 2);
-        assert!(Args::parse(v(&["k.hil", "--workers", "nope"])).is_err());
-        assert!(Args::parse(v(&["k.hil", "--workers"])).is_err());
+        // --workers 0 (the default) means in-process evaluation.
+        assert_eq!(
+            parse("tune", &["k.hil"]).unwrap().get::<usize>("--workers"),
+            None
+        );
+        let g = parse("tune", &["k.hil", "--workers", "4", "--jobs", "2"]).unwrap();
+        assert_eq!(g.get::<usize>("--workers"), Some(4));
+        assert_eq!(g.get::<usize>("--jobs"), Some(2));
+        assert!(parse("tune", &["k.hil", "--workers", "nope"]).is_err());
+        assert!(parse("tune", &["k.hil", "--workers"]).is_err());
     }
 
     #[test]
     fn observability_sinks_parse() {
-        let a = Args::parse(v(&[
-            "k.hil",
-            "--trace-chrome",
-            "t.chrome.json",
-            "--timeseries",
-            "ts.jsonl",
-        ]))
+        let g = parse(
+            "tune",
+            &[
+                "k.hil",
+                "--trace-chrome",
+                "t.chrome.json",
+                "--timeseries",
+                "ts.jsonl",
+            ],
+        )
         .unwrap();
-        assert_eq!(a.trace_chrome.as_deref(), Some("t.chrome.json"));
-        assert_eq!(a.timeseries.as_deref(), Some("ts.jsonl"));
+        assert_eq!(g.raw("--trace-chrome"), Some("t.chrome.json"));
+        assert_eq!(g.raw("--timeseries"), Some("ts.jsonl"));
         // Off by default, and both flags require a value.
-        let a = Args::parse(v(&["k.hil"])).unwrap();
-        assert!(a.trace_chrome.is_none() && a.timeseries.is_none());
-        assert!(Args::parse(v(&["k.hil", "--trace-chrome"])).is_err());
-        assert!(Args::parse(v(&["k.hil", "--timeseries"])).is_err());
+        let g = parse("tune", &["k.hil"]).unwrap();
+        assert!(!g.has("--trace-chrome") && !g.has("--timeseries"));
+        assert!(parse("tune", &["k.hil", "--trace-chrome"]).is_err());
+        assert!(parse("tune", &["k.hil", "--timeseries"]).is_err());
     }
 
     #[test]
     fn verify_and_prune_flags_parse() {
-        let a = Args::parse(v(&["k.hil", "--verify-ir", "--no-prune"])).unwrap();
-        assert!(a.verify_ir && a.no_prune);
-        let a = Args::parse(v(&["k.hil"])).unwrap();
-        assert!(!a.verify_ir && !a.no_prune);
+        let g = parse("tune", &["k.hil", "--verify-ir", "--no-prune"]).unwrap();
+        assert!(g.has("--verify-ir") && g.has("--no-prune"));
+        let g = parse("tune", &["k.hil"]).unwrap();
+        assert!(!g.has("--verify-ir") && !g.has("--no-prune"));
     }
 
     #[test]
     fn profile_pipeline_flag_parses() {
-        let a = Args::parse(v(&["k.hil", "--profile-pipeline"])).unwrap();
-        assert!(a.profile_pipeline);
-        let a = Args::parse(v(&["k.hil"])).unwrap();
-        assert!(!a.profile_pipeline);
+        assert!(parse("tune", &["k.hil", "--profile-pipeline"])
+            .unwrap()
+            .has("--profile-pipeline"));
+        assert!(!parse("tune", &["k.hil"]).unwrap().has("--profile-pipeline"));
     }
 
     #[test]
     fn strategy_flags_parse() {
-        let a = Args::parse(v(&[
-            "k.hil",
-            "--strategy",
-            "portfolio",
-            "--budget",
-            "64",
-            "--warm-start",
-            "--db",
-            "results/db",
-        ]))
+        let g = parse(
+            "tune",
+            &[
+                "k.hil",
+                "--strategy",
+                "portfolio",
+                "--budget",
+                "64",
+                "--warm-start",
+                "--db",
+                "results/db",
+            ],
+        )
         .unwrap();
-        assert_eq!(a.strategy.as_deref(), Some("portfolio"));
-        assert_eq!(a.budget.as_deref(), Some("64"));
-        assert!(a.warm_start);
-        assert_eq!(a.db.as_deref(), Some("results/db"));
-        let a = Args::parse(v(&["k.hil"])).unwrap();
-        assert!(a.strategy.is_none() && a.budget.is_none() && !a.warm_start && a.db.is_none());
+        assert_eq!(
+            g.get::<StrategySpec>("--strategy"),
+            Some(StrategySpec::Portfolio)
+        );
+        let r = tune_request(&g, "");
+        assert_eq!(
+            (r.strategy.as_deref(), r.budget.as_deref()),
+            (Some("portfolio"), Some("64"))
+        );
+        assert!(g.has("--warm-start"));
+        assert_eq!(g.raw("--db"), Some("results/db"));
+        let r = tune_request(&parse("tune", &["k.hil"]).unwrap(), "");
+        assert!(r.strategy.is_none() && r.budget.is_none());
+        assert!(parse("tune", &["k.hil", "--strategy", "nope"]).is_err());
     }
 
     #[test]
     fn model_prune_flag_parses_and_validates() {
-        let a = Args::parse(v(&["k.hil", "--model-prune", "0.5"])).unwrap();
-        assert_eq!(a.model_prune, Some(0.5));
+        let g = parse("tune", &["k.hil", "--model-prune", "0.5"]).unwrap();
+        assert_eq!(g.get::<f64>("--model-prune"), Some(0.5));
         // Off by default; bad or out-of-range values are rejected.
-        let a = Args::parse(v(&["k.hil"])).unwrap();
-        assert!(a.model_prune.is_none());
-        assert!(Args::parse(v(&["k.hil", "--model-prune"])).is_err());
-        assert!(Args::parse(v(&["k.hil", "--model-prune", "1.5"])).is_err());
-        assert!(Args::parse(v(&["k.hil", "--model-prune", "-0.1"])).is_err());
-        assert!(Args::parse(v(&["k.hil", "--model-prune", "x"])).is_err());
+        assert!(!parse("tune", &["k.hil"]).unwrap().has("--model-prune"));
+        assert!(parse("tune", &["k.hil", "--model-prune"]).is_err());
+        let err = |v: &str| parse("tune", &["k.hil", "--model-prune", v]).err();
+        assert_eq!(
+            err("1.5").as_deref(),
+            Some("--model-prune: 1.5 outside [0, 1]")
+        );
+        assert!(err("-0.1").is_some() && err("x").is_some());
     }
 
     #[test]
     fn chaos_flags_parse() {
-        let a = Args::parse(v(&["k.hil", "--chaos", "7:0.2", "--max-retries", "5"])).unwrap();
-        assert_eq!(a.chaos.as_deref(), Some("7:0.2"));
-        assert_eq!(a.max_retries, Some(5));
+        let g = parse("tune", &["k.hil", "--chaos", "7:0.2", "--max-retries", "5"]).unwrap();
+        assert_eq!(g.get::<FaultPlan>("--chaos").map(|p| p.seed), Some(7));
+        assert_eq!(g.get::<u32>("--max-retries"), Some(5));
         // Off by default: no plan, retry budget left to the library.
-        let a = Args::parse(v(&["k.hil"])).unwrap();
-        assert!(a.chaos.is_none() && a.max_retries.is_none());
-        assert!(Args::parse(v(&["k.hil", "--max-retries", "x"])).is_err());
-        assert!(Args::parse(v(&["k.hil", "--chaos"])).is_err());
+        let g = parse("tune", &["k.hil"]).unwrap();
+        assert!(!g.has("--chaos") && !g.has("--max-retries"));
+        assert!(parse("tune", &["k.hil", "--max-retries", "x"]).is_err());
+        assert!(parse("tune", &["k.hil", "--chaos"]).is_err());
     }
 
     #[test]
     fn remote_flag_parses() {
-        let a = Args::parse(v(&["k.hil", "--remote", "results/ifkod.sock"])).unwrap();
-        assert_eq!(a.remote.as_deref(), Some("results/ifkod.sock"));
+        let g = parse("tune", &["k.hil", "--remote", "results/ifkod.sock"]).unwrap();
+        assert_eq!(g.raw("--remote"), Some("results/ifkod.sock"));
         // Off by default, and the socket path is required.
-        let a = Args::parse(v(&["k.hil"])).unwrap();
-        assert!(a.remote.is_none());
-        assert!(Args::parse(v(&["k.hil", "--remote"])).is_err());
+        assert!(!parse("tune", &["k.hil"]).unwrap().has("--remote"));
+        assert!(parse("tune", &["k.hil", "--remote"]).is_err());
     }
 
     #[test]
     fn local_only_names_exactly_the_flags_given() {
-        let a = Args::parse(v(&[
-            "k.hil",
-            "--n",
-            "1024",
-            "--seed",
-            "3",
-            "--strategy",
-            "random",
-        ]))
+        let g = parse(
+            "tune",
+            &[
+                "k.hil",
+                "--n",
+                "1024",
+                "--seed",
+                "3",
+                "--strategy",
+                "random",
+            ],
+        )
         .unwrap();
-        assert!(a.local_only().is_empty(), "{:?}", a.local_only());
-        let a = Args::parse(v(&[
-            "k.hil",
-            "--remote",
-            "s.sock",
-            "--metrics",
-            "m.json",
-            "--jobs",
-            "4",
-            "--db",
-            "d",
-            "--verify-ir",
-        ]))
+        assert!(g.local_only().is_empty(), "{:?}", g.local_only());
+        let g = parse(
+            "tune",
+            &[
+                "k.hil",
+                "--remote",
+                "s.sock",
+                "--metrics",
+                "m.json",
+                "--jobs",
+                "4",
+                "--db",
+                "d",
+                "--verify-ir",
+            ],
+        )
         .unwrap();
         assert_eq!(
-            a.local_only(),
-            ["--jobs", "--metrics", "--verify-ir", "--db"]
+            g.local_only(),
+            ["--metrics", "--jobs", "--db", "--verify-ir"]
         );
-        let every = Args::parse(v(&[
-            "k.hil",
-            "--jobs",
-            "2",
-            "--workers",
-            "2",
-            "--trace",
-            "t",
-            "--trace-chrome",
-            "c",
-            "--timeseries",
-            "ts",
-            "--metrics",
-            "m",
-            "--verify-ir",
-            "--no-prune",
-            "--model-prune",
-            "0.5",
-            "--db",
-            "d",
-            "--warm-start",
-            "--chaos",
-            "7",
-            "--max-retries",
-            "1",
-            "--profile-pipeline",
-        ]))
+        let every = parse(
+            "tune",
+            &[
+                "k.hil",
+                "--jobs",
+                "2",
+                "--workers",
+                "2",
+                "--trace",
+                "t",
+                "--trace-chrome",
+                "c",
+                "--timeseries",
+                "ts",
+                "--metrics",
+                "m",
+                "--verify-ir",
+                "--no-prune",
+                "--model-prune",
+                "0.5",
+                "--db",
+                "d",
+                "--warm-start",
+                "--chaos",
+                "7",
+                "--max-retries",
+                "1",
+                "--profile-pipeline",
+            ],
+        )
         .unwrap();
         assert_eq!(every.local_only().len(), 14);
     }
 
     #[test]
     fn missing_file_rejected() {
-        assert!(Args::parse(v(&["--wnt"])).is_err());
+        let err = parse("tune", &["--full"]).err().unwrap_or_default();
+        assert!(err.starts_with("missing FILE"), "{err}");
     }
 
     #[test]
     fn unknown_flag_rejected() {
-        assert!(Args::parse(v(&["k.hil", "--bogus"])).is_err());
+        assert_eq!(
+            parse("tune", &["k.hil", "--bogus"]).err().as_deref(),
+            Some("unknown flag `--bogus`")
+        );
+        // A flag of another subcommand is as unknown as a misspelling.
+        assert_eq!(
+            parse("tune", &["k.hil", "--ur", "8"]).err().as_deref(),
+            Some("unknown flag `--ur`")
+        );
     }
 
     #[test]
     fn missing_value_rejected() {
-        assert!(Args::parse(v(&["k.hil", "--ur"])).is_err());
+        assert_eq!(
+            parse("compile", &["k.hil", "--ur"]).err().as_deref(),
+            Some("--ur needs a value")
+        );
     }
 }

@@ -5,6 +5,7 @@
 //! (`CARGO_BIN_EXE_ifko-worker`) without depending on the CLI crate.
 
 fn main() {
+    ifko::flags::Command::new("ifko-worker", &[]).from_env();
     if let Err(e) = ifko::worker::serve_stdio() {
         eprintln!("ifko-worker: {e}");
         std::process::exit(1);

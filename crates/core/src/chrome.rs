@@ -40,8 +40,9 @@ pub struct ChromeTraceSink {
 }
 
 impl ChromeTraceSink {
-    /// Create a sink writing to `path` (parent directories are created;
-    /// the file itself is written on flush/drop).
+    /// Create a sink writing to `path` (parent directories are created,
+    /// and the file, so a path that cannot be written fails here; the
+    /// trace itself is written on flush/drop).
     pub fn create(path: impl AsRef<Path>) -> std::io::Result<Arc<ChromeTraceSink>> {
         let path = path.as_ref().to_path_buf();
         if let Some(dir) = path.parent() {
@@ -49,6 +50,7 @@ impl ChromeTraceSink {
                 std::fs::create_dir_all(dir)?;
             }
         }
+        std::fs::File::create(&path)?;
         Ok(Arc::new(ChromeTraceSink {
             path,
             events: Mutex::new(Vec::new()),

@@ -158,14 +158,6 @@ impl TuneConfig {
         let sink = JsonlSink::create(path)?;
         Ok(self.trace(sink))
     }
-    /// Additionally render the search as a Chrome/Perfetto trace at
-    /// `path` (convenience over [`Self::trace`] with a
-    /// [`ChromeTraceSink`](crate::chrome::ChromeTraceSink); composes
-    /// with `trace_file` — both sinks see the whole stream).
-    pub fn trace_chrome(self, path: impl AsRef<Path>) -> std::io::Result<Self> {
-        let sink = crate::chrome::ChromeTraceSink::create(path)?;
-        Ok(self.trace(sink))
-    }
     /// Share an evaluation cache with other configs/processes.
     pub fn cache(mut self, cache: Arc<EvalCache>) -> Self {
         self.cache = cache;
@@ -300,6 +292,9 @@ impl TuneConfig {
     }
     pub fn strategy_of(&self) -> StrategySpec {
         self.strategy
+    }
+    pub fn db_of(&self) -> Option<&TunedDb> {
+        self.db.as_deref()
     }
 
     /// Build the evaluation engine this config describes. All runs share

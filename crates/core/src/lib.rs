@@ -43,6 +43,9 @@
 //!   database ([`TunedDb`](strategy::TunedDb)) used for warm starts;
 //! * [`config`] — [`TuneConfig`], the builder-style configuration every
 //!   entry point takes;
+//! * [`flags`] — the one flag table behind every command line: parsing,
+//!   `--help`, and the tune flags `ifko tune` and the experiment
+//!   binaries share, applied to a `TuneConfig` in one place;
 //! * [`driver`] — the one tune driver behind `TuneConfig::tune` and
 //!   `TuneConfig::tune_source`, which both return its one
 //!   [`TuneOutcome`], over the crate's one evaluation path (a subject —
@@ -70,6 +73,7 @@ pub mod driver;
 pub mod eval;
 pub mod explain;
 pub mod fault;
+pub mod flags;
 pub mod generic;
 mod journal;
 pub mod json;

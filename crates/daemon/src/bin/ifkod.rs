@@ -1,8 +1,5 @@
-//! `ifkod` — the tuning daemon executable.
-//!
-//! ```text
-//! ifkod [--socket PATH] [--db DIR] [--cache DIR] [--jobs N] [--quiet]
-//! ```
+//! `ifkod` — the tuning daemon executable (`ifkod --help` lists its
+//! flags).
 //!
 //! Serves tune/query/pack requests over the Unix socket until a client
 //! sends `shutdown` (`ifko daemon stop --socket PATH`). The tuned-results
@@ -10,35 +7,31 @@
 //! lifetime, so repeat tunes short-circuit on verified warm starts and
 //! repeat candidates hit the cross-phase cache.
 
+use ifko::flags::{num, Command, Flag};
 use ifko_daemon::server::{Daemon, DaemonConfig};
 use std::process::ExitCode;
 
+#[rustfmt::skip]
+const IFKOD: Command = Command {
+    about: "Serve tune, query and pack requests on a Unix socket until `ifko daemon stop`.",
+    ..Command::new("ifkod", &[&[
+        Flag::new("-s, --socket PATH", "socket to serve (default results/ifkod.sock)"),
+        Flag::new("--db DIR", "tuned-results database (default results/db)"),
+        Flag::new("--cache DIR", "persist the evaluation cache in DIR"),
+        Flag::new("-j, --jobs N", "threads per candidate batch").parse(num::<usize>),
+        Flag::new("-q, --quiet", "no per-request log lines"),
+    ]])
+};
+
 fn main() -> ExitCode {
-    let mut cfg = DaemonConfig::new("results/ifkod.sock", "results/db");
-    let mut it = std::env::args().skip(1);
-    while let Some(tok) = it.next() {
-        match tok.as_str() {
-            "--socket" | "-s" => match it.next() {
-                Some(v) => cfg.socket = v.into(),
-                None => return usage("--socket needs a value"),
-            },
-            "--db" => match it.next() {
-                Some(v) => cfg.db_dir = v.into(),
-                None => return usage("--db needs a value"),
-            },
-            "--cache" => match it.next() {
-                Some(v) => cfg.cache_dir = Some(v.into()),
-                None => return usage("--cache needs a value"),
-            },
-            "--jobs" | "-j" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(v) => cfg.jobs = v,
-                None => return usage("--jobs needs a number"),
-            },
-            "--quiet" | "-q" => cfg.quiet = true,
-            "--help" | "-h" => return usage(""),
-            other => return usage(&format!("unknown flag `{other}`")),
-        }
-    }
+    let given = IFKOD.from_env();
+    let mut cfg = DaemonConfig::new(
+        given.raw("--socket").unwrap_or("results/ifkod.sock"),
+        given.raw("--db").unwrap_or("results/db"),
+    );
+    cfg.cache_dir = given.raw("--cache").map(Into::into);
+    cfg.jobs = given.get("--jobs").unwrap_or(cfg.jobs);
+    cfg.quiet = given.has("--quiet");
     match Daemon::start(cfg) {
         Ok(handle) => {
             handle.wait();
@@ -49,12 +42,4 @@ fn main() -> ExitCode {
             ExitCode::from(2)
         }
     }
-}
-
-fn usage(err: &str) -> ExitCode {
-    if !err.is_empty() {
-        eprintln!("ifkod: {err}");
-    }
-    eprintln!("usage: ifkod [--socket PATH] [--db DIR] [--cache DIR] [--jobs N] [--quiet]");
-    ExitCode::from(if err.is_empty() { 0 } else { 2 })
 }

@@ -15,6 +15,14 @@ if grep -n 'required-features' crates/*/Cargo.toml; then
     exit 1
 fi
 
+step "one argv reader"
+# Every command reads its flags through the one table in ifko::flags;
+# a second argv walk is how flags came to be dropped silently.
+if grep -rln 'std::env::args' crates/*/src | grep -vx 'crates/core/src/flags.rs'; then
+    echo "error: only crates/core/src/flags.rs may read std::env::args" >&2
+    exit 1
+fi
+
 step "panic sites (scripts/panics.sh)"
 # `.unwrap()` / `.expect(` / `panic!` / `unreachable!` in shipping code:
 # a number that may only go down. Lower the ceiling whenever it does.
