@@ -112,18 +112,17 @@ pub(crate) fn tune_subject(
         (db, key)
     });
     let warm = db.as_ref().and_then(|(db, key)| db.lookup(key));
-    // The kernel's static feature vector at FKO defaults: the similarity
-    // key stored with every tuned record, and — when the exact warm
-    // lookup missed — the probe for a transfer seed from the nearest
-    // tuned neighbor.
-    let defaults = TransformParams::defaults(subject.sess.report(), &subject.machine);
-    let defaults_sfv = subject
-        .sess
-        .predict(&defaults, &subject.machine)
-        .ok()
-        .map(|pred| pred.features().values);
-    let transfer = match (&db, &warm, &defaults_sfv) {
-        (Some((db, key)), None, Some(sfv)) => db.nearest_by_features(sfv, key),
+    // The kernel's static feature vector at FKO defaults, priced only for
+    // its two readers: the similarity key stored with every tuned record,
+    // and — when the exact warm lookup missed — the probe for a transfer
+    // seed from the nearest tuned neighbor. A second call is a cache hit.
+    let defaults_sfv = || {
+        let defaults = TransformParams::defaults(subject.sess.report(), &subject.machine);
+        let pred = subject.sess.predict(&defaults, &subject.machine).ok()?;
+        Some(pred.features().values)
+    };
+    let transfer = match (&db, &warm) {
+        (Some((db, key)), None) => defaults_sfv().and_then(|sfv| db.nearest_by_features(&sfv, key)),
         _ => None,
     };
 
@@ -169,7 +168,7 @@ pub(crate) fn tune_subject(
                     strategy: result.winner_strategy.clone(),
                     cycles: result.best_cycles,
                     params: result.best.clone(),
-                    features: defaults_sfv,
+                    features: defaults_sfv(),
                 },
                 subject.opts.faults.as_ref(),
             );
@@ -185,6 +184,7 @@ pub(crate) fn tune_subject(
         .add(pipe.subcache_hits);
     reg.counter(metrics::PIPE_SUBCACHE_MISSES)
         .add(pipe.subcache_misses);
+    reg.counter(metrics::PIPE_PREDICTIONS).add(pipe.predictions);
 
     // The report: a suite kernel's winner goes through the paper's final
     // timer, a source's keeps its exact count like its candidates did.

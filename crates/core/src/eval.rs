@@ -200,8 +200,8 @@ pub const PRUNE_MODEL_RANK: &str = "model-rank";
 /// A static cost model attached to a batch: `hook` maps a candidate to
 /// its predicted cycles (`None` = no prediction, never pruned), and
 /// `prune_frac` is the fraction of fresh candidates to discard from the
-/// predicted-worst end (0.0 disables pruning; predictions still flow
-/// into the trace).
+/// predicted-worst end. `hook` runs only when its price is read: by the
+/// ranking (`prune_frac > 0`) or a trace sink's `predicted` field.
 pub struct ModelCtx<'m> {
     pub hook: &'m (dyn Fn(&TransformParams) -> Option<u64> + Sync),
     pub prune_frac: f64,
@@ -551,17 +551,18 @@ impl EvalEngine {
     /// reason in its trace event. Because pruning happens before the
     /// cache, a pruned point costs O(1) regardless of phase or pass.
     ///
-    /// When `batch.model` is attached, every legal candidate gets a
-    /// predicted cycle count in its trace event, and — when
-    /// `prune_frac > 0` — the predicted-worst fraction of the batch is
-    /// pruned before compilation, exactly like legality pruning: result
-    /// `None`, reason `model-rank`, never cached. Cache hits count
-    /// toward the keep quota (a cached point is free but anchors the
-    /// cutoff) yet only *fresh* (unique, uncached, legal) candidates are
-    /// ever dropped. The keep/drop decision is made serially before the
-    /// parallel pass (sorted by predicted cycles, submission order
-    /// breaking ties; candidates tied with the cutoff prediction are all
-    /// kept; unpredicted candidates are never pruned), so the outcome is
+    /// When `batch.model` is attached and its price has a reader (see
+    /// [`ModelCtx`]), every legal candidate gets a predicted cycle count
+    /// in its trace event, and — when `prune_frac > 0` — the
+    /// predicted-worst fraction of the batch is pruned before
+    /// compilation, exactly like legality pruning: result `None`, reason
+    /// `model-rank`, never cached. Cache hits count toward the keep quota
+    /// (a cached point is free but anchors the cutoff) yet only *fresh*
+    /// (unique, uncached, legal) candidates are ever dropped. The
+    /// keep/drop decision is made serially before the parallel pass
+    /// (sorted by predicted cycles, submission order breaking ties;
+    /// candidates tied with the cutoff prediction are all kept;
+    /// unpredicted candidates are never pruned), so the outcome is
     /// bit-identical at any `jobs` width.
     pub fn evaluate<F>(&self, batch: &Batch<'_>, cands: &[TransformParams], eval: F) -> BatchOutcome
     where
@@ -605,11 +606,12 @@ impl EvalEngine {
             });
         }
 
-        // Serial model pass: predict every legal candidate (hits and
-        // duplicates included — predictions are session-cached and feed
-        // the predicted-vs-actual trace), then rank the fresh work and
-        // drop the predicted-worst fraction.
-        if let Some(m) = model {
+        // Serial model pass, run only when a prediction has a reader (the
+        // ranking or the trace): predict every legal candidate (hits and
+        // duplicates included — predictions are session-cached), then
+        // rank the fresh work and drop the predicted-worst fraction.
+        let model = model.as_ref();
+        if let Some(m) = model.filter(|m| m.prune_frac > 0.0 || self.trace.is_some()) {
             for (cand, probe) in cands.iter().zip(&mut probes) {
                 if !matches!(probe.fate, Fate::Pruned(_)) {
                     probe.predicted = (m.hook)(cand);
@@ -1185,6 +1187,22 @@ mod tests {
             }
         };
         let plain = EvalEngine::new(2).evaluate(&modeled_batch(&scope(), None), &cands, f);
+        // No sink and nothing to rank: the price has no reader, so the
+        // model is never called.
+        let never = |_: &TransformParams| -> Option<u64> { panic!("unread prediction computed") };
+        let unread = EvalEngine::new(2).evaluate(
+            &modeled_batch(
+                &scope(),
+                Some(ModelCtx {
+                    hook: &never,
+                    prune_frac: 0.0,
+                }),
+            ),
+            &cands,
+            f,
+        );
+        assert_eq!(plain.results, unread.results);
+        assert_eq!(plain.tally, unread.tally);
         let sink = MemSink::new();
         let eng = EvalEngine::new(2).with_trace(sink.clone());
         let hook = |p: &TransformParams| Some(p.unroll as u64 * 7);

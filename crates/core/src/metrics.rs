@@ -640,6 +640,8 @@ pub const PIPE_COMPILES: &str = "ifko_pipeline_compiles_total";
 pub const PIPE_SUBCACHE_HITS: &str = "ifko_pipeline_subcache_hits_total";
 /// Compiles that ran the full back end.
 pub const PIPE_SUBCACHE_MISSES: &str = "ifko_pipeline_subcache_misses_total";
+/// Cost-model predictions that ran `xform` (prediction-cache misses).
+pub const PIPE_PREDICTIONS: &str = "ifko_pipeline_predictions_total";
 
 #[cfg(test)]
 mod tests {

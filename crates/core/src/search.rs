@@ -108,8 +108,8 @@ pub struct SearchOptions {
     pub prune: bool,
     /// Fraction of each batch's fresh candidates to prune from the
     /// predicted-worst end of the static cost model's ranking
-    /// (`--model-prune FRAC`). 0.0 (the default) disables pruning —
-    /// predictions still flow into the trace when a model is attached.
+    /// (`--model-prune FRAC`). 0.0 (the default) disables pruning; the
+    /// model then runs only when a trace sink will record its predictions.
     pub model_prune: f64,
     /// Chaos plan (`--chaos SEED[:RATE]`): inject deterministic transient
     /// faults into compile/tester/timing. `None` (the default) evaluates

@@ -361,9 +361,9 @@ impl<'a> SearchCtx<'a> {
     /// bookkeeping stays index-aligned).
     ///
     /// Every admitted batch flows through the engine with the legality
-    /// precheck (`opts.prune`) and the static cost model attached
-    /// (predictions traced; the predicted-worst `opts.model_prune`
-    /// fraction pruned), and is counted on the spot: the running tally,
+    /// precheck (`opts.prune`) and the static cost model attached (priced
+    /// only for a trace sink or an `opts.model_prune` cut above 0), and is
+    /// counted on the spot: the running tally,
     /// the per-phase and per-strategy probe counters, and — where the
     /// in-order strict-improvement scan moves the best — the per-phase
     /// win and improvement-delta instruments. The seeding result

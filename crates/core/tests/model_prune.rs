@@ -11,10 +11,19 @@
 //! 4. **Transfer warm starts** — when `--warm-start` finds no exact hit,
 //!    the nearest tuned record by static-feature distance is probed
 //!    (visible in the trace as an `XFER` probe), after re-verification.
+//! 5. **Priced on demand** — a candidate is predicted only when the price
+//!    is read (a trace sink, or a prune fraction above 0), and reading it
+//!    never changes the search.
 
 use ifko::eval::{MemSink, SearchEvent};
+use ifko::metrics::{self, MetricsRegistry};
 use ifko::prelude::*;
 use ifko::strategy::TunedDb;
+use ifko::worker::WorkerLauncher;
+use ifko_fko::StaticFeatureVector;
+use std::sync::Arc;
+
+const WAXPBY_HIL: &str = include_str!("../../../kernels/waxpby.hil");
 
 fn dk(op: BlasOp) -> Kernel {
     Kernel { op, prec: Prec::D }
@@ -179,4 +188,83 @@ fn nearest_neighbor_seeds_transfer_warm_start() {
     assert_eq!(warm.result.best_cycles, cold.result.best_cycles);
 
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `ifko_pipeline_predictions_total` after one tune under `cfg`: of the
+/// BLAS `ddot`, or of a `.hil` source.
+fn predictions(cfg: TuneConfig, hil: Option<&str>) -> u64 {
+    let reg = Arc::new(MetricsRegistry::new());
+    let cfg = cfg.metrics(reg.clone());
+    match hil {
+        None => drop(cfg.tune(dk(BlasOp::Dot)).unwrap()),
+        Some(src) => drop(cfg.tune_source(src).unwrap()),
+    }
+    reg.counter_value(metrics::PIPE_PREDICTIONS)
+        .expect("the tune driver exports the prediction counter")
+}
+
+/// Nothing reads the price of an untraced, unpruned tune, so the cost
+/// model never runs. A sink (the trace's `predicted` field) or a prune
+/// fraction above 0 (the ranking) is a reader, and then it does.
+#[test]
+fn the_cost_model_runs_only_when_its_price_is_read() {
+    for mach in [p4e(), opteron()] {
+        for hil in [None, Some(WAXPBY_HIL)] {
+            let base = || cfg(1024).machine(mach.clone());
+            let tag = format!("{} on {}", hil.map_or("ddot", |_| "waxpby.hil"), mach.name);
+            assert_eq!(predictions(base().model_prune(0.0), hil), 0, "{tag}");
+            assert!(predictions(base().trace(MemSink::new()), hil) > 0, "{tag}");
+            assert!(predictions(base().model_prune(0.5), hil) > 0, "{tag}");
+        }
+    }
+}
+
+/// The tuned db reads the static features at FKO defaults: a cold tune
+/// stores them, full length. A warm re-tune neither looks for a transfer
+/// seed nor stores, so it prices nothing.
+#[test]
+fn tuned_db_prices_defaults_only_for_its_readers() {
+    let dir = std::env::temp_dir().join(format!("ifko-lazy-sfv-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let db_cfg = || cfg(1024).tuned_db(dir.join("db")).unwrap();
+    assert!(predictions(db_cfg(), None) > 0, "cold --db tune");
+    let db = TunedDb::open(dir.join("db")).unwrap();
+    let features = db.records()[0].features.clone();
+    assert_eq!(
+        features.map(|f| f.len()),
+        Some(StaticFeatureVector::NAMES.len())
+    );
+    assert_eq!(predictions(db_cfg(), None), 0, "warm --db re-tune");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Reading the price never changes the search: with and without a sink,
+/// at either prune fraction, the whole `SearchResult` is equal — best
+/// point, cycles, every tally counter, `model_pruned`. At 0.5 this pins
+/// that a pruned tune predicts with no sink attached.
+#[test]
+fn attaching_a_sink_never_changes_the_search() {
+    let run = |c: TuneConfig| format!("{:?}", c.tune(dk(BlasOp::Dot)).unwrap().result);
+    for mach in [p4e(), opteron()] {
+        for frac in [0.0, 0.5] {
+            let base = || cfg(1024).machine(mach.clone()).model_prune(frac);
+            assert_eq!(
+                run(base()),
+                run(base().trace(MemSink::new())),
+                "{} at model_prune {frac}",
+                mach.name
+            );
+        }
+    }
+    let pooled = || {
+        cfg(1024)
+            .workers(2)
+            .worker_launcher(WorkerLauncher::new(env!("CARGO_BIN_EXE_ifko-worker")))
+    };
+    assert_eq!(
+        run(pooled()),
+        run(pooled().trace(MemSink::new())),
+        "workers(2)"
+    );
 }

@@ -202,6 +202,8 @@ pub struct SessionStats {
     /// (opt/regalloc/codegen): one per distinct normalized point, plus one
     /// per verify upgrade.
     pub subcache_misses: u64,
+    /// `predict` calls that ran `xform` (prediction-half cache misses).
+    pub predictions: u64,
 }
 
 /// Per-stage scratch buffers, bundled so one checkout covers a whole
@@ -264,6 +266,7 @@ pub struct CompileSession {
     compiles: AtomicU64,
     hits: AtomicU64,
     misses: AtomicU64,
+    predictions: AtomicU64,
     /// `Some` once profiling is enabled: per-stage wall-time samples (µs).
     profile: Mutex<Option<HashMap<&'static str, Vec<u64>>>>,
 }
@@ -279,6 +282,7 @@ impl CompileSession {
             compiles: AtomicU64::new(0),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
+            predictions: AtomicU64::new(0),
             profile: Mutex::new(None),
         }
     }
@@ -348,12 +352,13 @@ impl CompileSession {
     }
 
     /// Lifetime counters (total compiles, sub-candidate cache hits and
-    /// misses).
+    /// misses, predictions that ran `xform`).
     pub fn stats(&self) -> SessionStats {
         SessionStats {
             compiles: self.compiles.load(Ordering::Relaxed),
             subcache_hits: self.hits.load(Ordering::Relaxed),
             subcache_misses: self.misses.load(Ordering::Relaxed),
+            predictions: self.predictions.load(Ordering::Relaxed),
         }
     }
 
@@ -378,6 +383,7 @@ impl CompileSession {
         if let Some(pred) = self.candidates().get(&norm).and_then(|c| c.pred.clone()) {
             return Ok(pred);
         }
+        self.predictions.fetch_add(1, Ordering::Relaxed);
         let mut sc = self.scratch.lock().unwrap().pop().unwrap_or_default();
         let lin = xform::apply_transforms_with(&self.ir, params, &self.rep, &mut sc.xform)
             .map_err(|e| CompileError::xform(e.to_string()));

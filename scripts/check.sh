@@ -86,6 +86,9 @@ test -s "$obs_tmp/explain-ts.jsonl"
 # A `.hil` tune goes through the same tune driver as a BLAS one, so it
 # must count itself like one.
 grep -q ifko_tune_runs_total "$obs_tmp/explain-metrics.json"
+# A traced tune reads every candidate's predicted cycles, so it prices them.
+grep -Eq '"ifko_pipeline_predictions_total":\{"type":"counter","value":[1-9]' \
+    "$obs_tmp/explain-metrics.json"
 cargo run --release -p ifko-cli -- explain "$obs_tmp/explain.jsonl" \
     | grep -q "per-transform attribution"
 cargo run --release -p ifko-cli -- explain "$obs_tmp/explain.jsonl" --format json >/dev/null
@@ -116,9 +119,11 @@ grep -q 'iFKO best' "$obs_tmp/workers.txt"
 # Same kernel/size in-process: the pooled winner line must match
 # bit-for-bit (the merge-determinism invariant, end to end).
 cargo run --release -p ifko-cli -- tune kernels/ddot.hil --n 1024 \
-    > "$obs_tmp/workers-serial.txt"
+    --metrics "$obs_tmp/serial-metrics.prom" > "$obs_tmp/workers-serial.txt"
 diff <(grep 'iFKO best' "$obs_tmp/workers.txt") \
      <(grep 'iFKO best' "$obs_tmp/workers-serial.txt")
+# Untraced and unpruned, nothing reads a prediction: the cost model never runs.
+grep -qx 'ifko_pipeline_predictions_total 0' "$obs_tmp/serial-metrics.prom"
 # And under a chaos seed above 2^53, which the handshake must carry
 # exactly: rounded, the workers replay another fault plan and both the
 # winner and the fault tally part from the serial run's.
