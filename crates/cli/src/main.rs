@@ -9,7 +9,7 @@
 
 use ifko::artifact;
 use ifko::flags::{self, Given, TuneFlags};
-use ifko::report::{parse_json, report_files, Json, ReportFormat};
+use ifko::report::{parse_json, profile_table, report_files, Json, ReportFormat};
 use ifko::strategy::db::params_from_json;
 use ifko::strategy::TunedDb;
 use ifko::worker::WorkerLauncher;
@@ -366,16 +366,7 @@ fn cmd_tune(given: &Given) -> Result<(), String> {
     }
     if !out.pipeline_profile.is_empty() {
         println!("\npipeline stage profile (wall time per candidate compile):");
-        println!(
-            "  {:<10} {:>7} {:>9} {:>11} {:>11}",
-            "stage", "count", "min_us", "median_us", "total_us"
-        );
-        for st in &out.pipeline_profile {
-            println!(
-                "  {:<10} {:>7} {:>9} {:>11} {:>11}",
-                st.stage, st.count, st.min_us, st.median_us, st.total_us
-            );
-        }
+        print!("{}", profile_table(&out.pipeline_profile));
     }
     run.finish(&out.pipeline_profile)
 }

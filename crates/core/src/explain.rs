@@ -23,13 +23,17 @@
 //!   [`FeatureVector`](ifko_xsim::FeatureVector) of size-normalized
 //!   rates that transfer warm-starts consume (ROADMAP item 3).
 //!
-//! Like `report`, everything renders deterministically in text, JSON,
-//! or markdown, so the JSON form is golden-testable.
+//! Like `report`, it reads the trace through the shared fold (scope
+//! grouping and selection-rule replay) and renders deterministically:
+//! text and Markdown from one [`Doc`], JSON by hand, so the JSON form is
+//! golden-testable.
 
+use crate::doc::{Col, Doc, Table};
 use crate::eval::{EvalEvent, SearchEvent};
-use crate::json::esc;
-use crate::report::{f4, read_trace, scope_n, ReportFormat};
+use crate::json::{esc, list};
+use crate::report::{by_scope, entry, f4, replay, scope_n, ReportFormat};
 use crate::strategy::TunedDb;
+use crate::trace::read_traces;
 use ifko_xsim::{FeatureVector, RunStats};
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -239,6 +243,32 @@ pub struct CounterDelta {
 }
 
 impl CounterDelta {
+    /// The counters' names, in the order [`values`](Self::values) gives them.
+    const NAMES: [&'static str; 6] = [
+        "cycles",
+        "l1_misses",
+        "l2_misses",
+        "mispredicts",
+        "bus_bytes",
+        "prefetch_efficacy",
+    ];
+
+    /// Each counter's movement: `signed` as the text prints it, or plain
+    /// as the JSON writes it.
+    fn values(&self, signed: bool) -> [String; 6] {
+        let n = |v: i64| {
+            if signed {
+                format!("{v:+}")
+            } else {
+                v.to_string()
+            }
+        };
+        let pe = self.prefetch_efficacy;
+        let pe = if signed { format!("{pe:+.4}") } else { f4(pe) };
+        let (c, l1, l2) = (n(self.cycles), n(self.l1_misses), n(self.l2_misses));
+        [c, l1, l2, n(self.mispredicts), n(self.bus_bytes), pe]
+    }
+
     fn between(from: &RunStats, to: &RunStats) -> CounterDelta {
         let d = |a: u64, b: u64| b as i64 - a as i64;
         CounterDelta {
@@ -336,21 +366,11 @@ pub struct ExplainReport {
 /// Analyze a merged event stream (the explain-side sibling of
 /// [`report::analyze`](crate::report::analyze)).
 pub fn analyze(events: &[SearchEvent], malformed: usize) -> ExplainReport {
-    let mut order: Vec<String> = Vec::new();
-    let mut by_scope: HashMap<String, Vec<&EvalEvent>> = HashMap::new();
-    for ev in events {
-        if let SearchEvent::Eval(e) = ev {
-            if !by_scope.contains_key(&e.scope) {
-                order.push(e.scope.clone());
-            }
-            by_scope.entry(e.scope.clone()).or_default().push(e);
-        }
-    }
     ExplainReport {
         malformed,
-        scopes: order
+        scopes: by_scope(events)
             .iter()
-            .map(|scope| explain_scope(scope, &by_scope[scope]))
+            .map(|(scope, evs)| explain_scope(scope, evs))
             .collect(),
     }
 }
@@ -368,10 +388,10 @@ fn explain_scope(scope: &str, evs: &[&EvalEvent]) -> ScopeExplain {
             pred_by_params.entry(e.params.as_str()).or_insert(p);
         }
     }
-    let view = |probe: u64, e: &EvalEvent, cycles: u64| {
+    let view = |probe: usize, e: &EvalEvent, cycles: u64| {
         let stats = stats_by_params.get(e.params.as_str()).copied();
         CandidateView {
-            probe,
+            probe: probe as u64,
             phase: e.phase.clone(),
             params: e.params.clone(),
             cycles,
@@ -383,23 +403,14 @@ fn explain_scope(scope: &str, evs: &[&EvalEvent]) -> ScopeExplain {
         }
     };
 
-    // Measured candidates, their knob maps, and the convergence path
-    // (same strict-improvement replay as report::analyze).
-    // (probe index, event, cycles, parsed knobs)
-    type Measured<'a> = (u64, &'a EvalEvent, u64, Vec<(String, String)>);
-    let mut measured: Vec<Measured> = Vec::new();
-    let mut path: Vec<CandidateView> = Vec::new();
-    let mut best: Option<u64> = None;
-    for (idx, e) in evs.iter().enumerate() {
-        let Some(cycles) = e.cycles.filter(|_| e.verified) else {
-            continue;
-        };
-        measured.push((idx as u64, e, cycles, knobs(&e.params)));
-        if best.is_none_or(|b| cycles < b) {
-            best = Some(cycles);
-            path.push(view(idx as u64, e, cycles));
-        }
-    }
+    // The measured candidates and the convergence path: the baseline
+    // plus every strict improvement.
+    let measured = replay(evs);
+    let path: Vec<CandidateView> = measured
+        .iter()
+        .filter(|m| m.wins())
+        .map(|m| view(m.idx, m.ev, m.cycles))
+        .collect();
     let baseline = path.first().cloned();
     let winner = path.last().cloned();
     let winner_vs_baseline = match (&baseline, &winner) {
@@ -413,38 +424,33 @@ fn explain_scope(scope: &str, evs: &[&EvalEvent]) -> ScopeExplain {
     // Nearest-neighbor attribution: pair each probe with the most
     // recent earlier probe differing in exactly one knob, and group the
     // pairs by the transform that knob belongs to.
-    let mut label_order: Vec<String> = Vec::new();
-    let mut rows: HashMap<String, TransformRow> = HashMap::new();
-    for i in 0..measured.len() {
-        let (_, ei, ci, ki) = &measured[i];
-        let neighbor = measured[..i].iter().rev().find_map(|(_, ej, cj, kj)| {
-            let diffs = knob_diff(kj, ki);
-            match diffs.as_slice() {
-                [one] => Some((*cj, stats_by_params.get(ej.params.as_str()), one.clone())),
-                _ => None,
-            }
+    let knobbed: Vec<_> = measured.iter().map(|m| (m, knobs(&m.ev.params))).collect();
+    let mut attribution: Vec<TransformRow> = Vec::new();
+    for (i, (m, ki)) in knobbed.iter().enumerate() {
+        let neighbor = knobbed[..i].iter().rev().find_map(|(n, kj)| {
+            let [one] = <[_; 1]>::try_from(knob_diff(kj, ki)).ok()?;
+            Some((n, one))
         });
-        let Some((cj, sj, (knob, from, to))) = neighbor else {
+        let Some((n, (knob, from, to))) = neighbor else {
             continue;
         };
-        let dcycles = *ci as i64 - cj as i64;
-        let delta = match (sj, stats_by_params.get(ei.params.as_str())) {
+        let dcycles = m.cycles as i64 - n.cycles as i64;
+        let stats = |e: &EvalEvent| stats_by_params.get(e.params.as_str());
+        let delta = match (stats(n.ev), stats(m.ev)) {
             (Some(a), Some(b)) => Some(CounterDelta::between(a, b)),
             _ => None,
         };
         let label = transform_label(&knob);
-        let row = rows.entry(label.clone()).or_insert_with(|| {
-            label_order.push(label.clone());
-            TransformRow {
-                transform: label,
-                pairs: 0,
-                knob: knob.clone(),
-                from: from.clone(),
-                to: to.clone(),
-                dcycles,
-                delta,
-            }
-        });
+        let new = || TransformRow {
+            transform: label.clone(),
+            pairs: 0,
+            knob: knob.clone(),
+            from: from.clone(),
+            to: to.clone(),
+            dcycles,
+            delta,
+        };
+        let row = entry(&mut attribution, |r| r.transform == label, new);
         row.pairs += 1;
         // Exemplar: the biggest cycle win; measured pairs beat
         // cycles-only pairs at equal improvement.
@@ -458,8 +464,6 @@ fn explain_scope(scope: &str, evs: &[&EvalEvent]) -> ScopeExplain {
             row.delta = delta;
         }
     }
-    let attribution: Vec<TransformRow> =
-        label_order.into_iter().map(|l| rows[&l].clone()).collect();
 
     let n = scope_n(scope);
     let features = winner
@@ -484,32 +488,36 @@ fn explain_scope(scope: &str, evs: &[&EvalEvent]) -> ScopeExplain {
 }
 
 /// Cross-check each scope's trace winner against a tuned database:
-/// does the stored winner for the same kernel agree with what the trace
-/// converged to?
+/// does the stored winner for the same kernel, machine and context agree
+/// with what the trace converged to?
 pub fn annotate_with_db(rep: &mut ExplainReport, db: &TunedDb) {
     let records = db.records();
     for scope in &mut rep.scopes {
-        let kernel = scope.scope.split('@').next().unwrap_or("");
         let Some(winner) = &scope.winner else {
             continue;
         };
-        let mut note = format!("no stored winner for kernel `{kernel}`");
-        for rec in &records {
-            if rec.kernel != kernel && !kernel.starts_with(&rec.kernel) {
-                continue;
-            }
-            let stored = format!("{:?}", rec.params);
-            note = if stored == winner.params {
+        // The scope key is `kernel@machine/context/n{N}/s{seed}/timer`.
+        let (kernel, rest) = scope
+            .scope
+            .split_once('@')
+            .unwrap_or((scope.scope.as_str(), ""));
+        let mut at = rest.split('/');
+        let (machine, context) = (at.next(), at.next());
+        let stored = records.iter().find(|r| {
+            r.kernel == kernel
+                && Some(r.machine.as_str()) == machine
+                && Some(r.context.as_str()) == context
+        });
+        scope.db_note = Some(match stored {
+            None => format!("no stored winner for kernel `{kernel}`"),
+            Some(rec) if format!("{:?}", rec.params) == winner.params => {
                 format!("winner matches stored db entry ({} cycles)", rec.cycles)
-            } else {
-                format!(
-                    "winner differs from stored db entry ({} cycles, strategy {})",
-                    rec.cycles, rec.strategy
-                )
-            };
-            break;
-        }
-        scope.db_note = Some(note);
+            }
+            Some(rec) => format!(
+                "winner differs from stored db entry ({} cycles, strategy {})",
+                rec.cycles, rec.strategy
+            ),
+        });
     }
 }
 
@@ -521,9 +529,9 @@ pub fn annotate_with_db(rep: &mut ExplainReport, db: &TunedDb) {
 /// `report::render` — the JSON form is golden-tested).
 pub fn render(rep: &ExplainReport, format: ReportFormat) -> String {
     match format {
-        ReportFormat::Text => render_text(rep),
+        ReportFormat::Text => doc(rep).text(),
         ReportFormat::Json => render_json(rep),
-        ReportFormat::Markdown => render_md(rep),
+        ReportFormat::Markdown => doc(rep).markdown(),
     }
 }
 
@@ -532,45 +540,55 @@ fn fmt_params(p: &str) -> String {
     p.strip_prefix("TransformParams ").unwrap_or(p).to_string()
 }
 
+/// The attribution table's counter cells: every movement but cycles.
 fn delta_cells(d: Option<&CounterDelta>) -> [String; 5] {
     match d {
-        Some(d) => [
-            format!("{:+}", d.l1_misses),
-            format!("{:+}", d.l2_misses),
-            format!("{:+}", d.mispredicts),
-            format!("{:+}", d.bus_bytes),
-            format!("{:+.4}", d.prefetch_efficacy),
-        ],
+        Some(d) => {
+            let [_, rest @ ..] = d.values(true);
+            rest
+        }
         None => std::array::from_fn(|_| "-".to_string()),
     }
 }
 
-fn render_text(rep: &ExplainReport) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "ifko explain — why the winner wins");
+// The tables of the text and Markdown renderings.
+#[rustfmt::skip]
+const ATTRIBUTION: &[Col] = &[
+    Col::left("TRANSFORM", 10), Col::right("PAIRS", 5), Col::left("KNOB", 14), Col::left("CHANGE", 22),
+    Col::right("dCYCLES", 9), Col::right("dL1MISS", 8), Col::right("dL2MISS", 8),
+    Col::right("dMISPR", 8), Col::right("dBUSBYTES", 10), Col::right("dPFEFF", 8),
+];
+/// `PRED` and `ERR%` are dropped for a path without predictions.
+#[rustfmt::skip]
+const PATH: &[Col] = &[
+    Col::right("PROBE", 5), Col::left("PHASE", 8), Col::right("CYCLES", 10), Col::right("PRED", 10),
+    Col::right("ERR%", 7), Col::left("BOTTLENECK", 16), Col::right("IPC", 7), Col::right("L1MR", 7),
+    Col::right("L2MR", 7), Col::right("PFEFF", 7),
+];
+
+/// The text and Markdown renderings' one document.
+fn doc(rep: &ExplainReport) -> Doc {
+    let mut d = Doc::default();
+    d.line("ifko explain — why the winner wins");
     if rep.malformed > 0 {
-        let _ = writeln!(out, "({} malformed line(s) skipped)", rep.malformed);
+        d.line(format!("({} malformed line(s) skipped)", rep.malformed));
     }
     for s in &rep.scopes {
-        let _ = writeln!(out, "\n== {} ==", s.scope);
-        let _ = writeln!(
-            out,
+        d.line("");
+        d.heading(&s.scope);
+        d.line(format!(
             "probes: {} ({} measured)  speedup: {}x",
             s.probes,
             s.measured,
             f4(s.speedup())
-        );
-        // Model-era columns: only rendered when the trace carries
-        // predictions, so pre-model traces keep their exact output.
-        let has_pred = s.path.iter().any(|c| c.predicted.is_some());
+        ));
         for (name, c) in [("baseline", &s.baseline), ("winner", &s.winner)] {
             if let Some(c) = c {
                 let pred = match (c.predicted, c.pred_err_pct()) {
                     (Some(p), Some(err)) => format!("  pred {p} ({err:+.1}%)"),
                     _ => String::new(),
                 };
-                let _ = writeln!(
-                    out,
+                d.line(format!(
                     "{:<8} [{}] {:>10} cycles{}  {}  {}",
                     name,
                     c.phase,
@@ -578,129 +596,90 @@ fn render_text(rep: &ExplainReport) -> String {
                     pred,
                     c.bottleneck.map_or("unclassified", |b| b.label()),
                     fmt_params(&c.params),
-                );
+                ));
             }
         }
-        if let Some(d) = &s.winner_vs_baseline {
-            let _ = writeln!(out, "\nwinner vs baseline (counter movement):");
-            let _ = writeln!(out, "  cycles            {:+}", d.cycles);
-            let _ = writeln!(out, "  l1_misses         {:+}", d.l1_misses);
-            let _ = writeln!(out, "  l2_misses         {:+}", d.l2_misses);
-            let _ = writeln!(out, "  mispredicts       {:+}", d.mispredicts);
-            let _ = writeln!(out, "  bus_bytes         {:+}", d.bus_bytes);
-            let _ = writeln!(out, "  prefetch_efficacy {:+.4}", d.prefetch_efficacy);
+        if let Some(dl) = &s.winner_vs_baseline {
+            d.line("");
+            d.line("winner vs baseline (counter movement):");
+            for (name, v) in CounterDelta::NAMES.iter().zip(dl.values(true)) {
+                d.line(format!("  {name:<17} {v}"));
+            }
         }
         if !s.attribution.is_empty() {
-            let _ = writeln!(out, "\nper-transform attribution (best one-knob pair):");
-            let _ = writeln!(
-                out,
-                "{:<10} {:>5} {:<14} {:<22} {:>9} {:>8} {:>8} {:>8} {:>10} {:>8}",
-                "TRANSFORM",
-                "PAIRS",
-                "KNOB",
-                "CHANGE",
-                "dCYCLES",
-                "dL1MISS",
-                "dL2MISS",
-                "dMISPR",
-                "dBUSBYTES",
-                "dPFEFF"
-            );
+            d.line("");
+            d.line("per-transform attribution (best one-knob pair):");
+            let mut t = Table::new(ATTRIBUTION);
             for r in &s.attribution {
-                let cells = delta_cells(r.delta.as_ref());
                 let change = format!("{} -> {}", r.from, r.to);
-                let _ = writeln!(
-                    out,
-                    "{:<10} {:>5} {:<14} {:<22} {:>9} {:>8} {:>8} {:>8} {:>10} {:>8}",
-                    r.transform,
-                    r.pairs,
-                    r.knob,
-                    change,
-                    format!("{:+}", r.dcycles),
-                    cells[0],
-                    cells[1],
-                    cells[2],
-                    cells[3],
-                    cells[4],
-                );
+                let dcycles = format!("{:+}", r.dcycles);
+                let [l1, l2, mispr, bus, pf] = delta_cells(r.delta.as_ref());
+                t.row(&[
+                    &r.transform,
+                    &r.pairs,
+                    &r.knob,
+                    &change,
+                    &dcycles,
+                    &l1,
+                    &l2,
+                    &mispr,
+                    &bus,
+                    &pf,
+                ]);
             }
+            d.table(t);
         }
         if s.path.len() > 1 {
-            let _ = writeln!(out, "\nconvergence path (bottleneck per candidate):");
-            if has_pred {
-                let _ = writeln!(
-                    out,
-                    "{:>5} {:<8} {:>10} {:>10} {:>7} {:<16} {:>7} {:>7} {:>7} {:>7}",
-                    "PROBE",
-                    "PHASE",
-                    "CYCLES",
-                    "PRED",
-                    "ERR%",
-                    "BOTTLENECK",
-                    "IPC",
-                    "L1MR",
-                    "L2MR",
-                    "PFEFF"
-                );
-            } else {
-                let _ = writeln!(
-                    out,
-                    "{:>5} {:<8} {:>10} {:<16} {:>7} {:>7} {:>7} {:>7}",
-                    "PROBE", "PHASE", "CYCLES", "BOTTLENECK", "IPC", "L1MR", "L2MR", "PFEFF"
-                );
-            }
+            d.line("");
+            d.line("convergence path (bottleneck per candidate):");
+            let mut t = Table::new(PATH);
             for c in &s.path {
                 let dash = || "-".to_string();
-                let (ipc, l1, l2, pf) = match &c.stats {
-                    Some(st) => (
-                        f4(st.ipc()),
-                        f4(st.l1_miss_ratio()),
-                        f4(st.l2_miss_ratio()),
-                        f4(st.prefetch_efficacy()),
-                    ),
-                    None => (dash(), dash(), dash(), dash()),
-                };
-                if has_pred {
-                    let pred = c.predicted.map_or_else(dash, |p| p.to_string());
-                    let err = c.pred_err_pct().map_or_else(dash, |e| format!("{e:+.1}"));
-                    let _ = writeln!(
-                        out,
-                        "{:>5} {:<8} {:>10} {:>10} {:>7} {:<16} {:>7} {:>7} {:>7} {:>7}",
-                        c.probe,
-                        c.phase,
-                        c.cycles,
-                        pred,
-                        err,
-                        c.bottleneck.map_or("unclassified", |b| b.label()),
-                        ipc,
-                        l1,
-                        l2,
-                        pf,
-                    );
-                } else {
-                    let _ = writeln!(
-                        out,
-                        "{:>5} {:<8} {:>10} {:<16} {:>7} {:>7} {:>7} {:>7}",
-                        c.probe,
-                        c.phase,
-                        c.cycles,
-                        c.bottleneck.map_or("unclassified", |b| b.label()),
-                        ipc,
-                        l1,
-                        l2,
-                        pf,
-                    );
-                }
+                let [ipc, l1, l2, pf] = c.stats.map_or_else(
+                    || std::array::from_fn(|_| dash()),
+                    |st| {
+                        [
+                            st.ipc(),
+                            st.l1_miss_ratio(),
+                            st.l2_miss_ratio(),
+                            st.prefetch_efficacy(),
+                        ]
+                        .map(f4)
+                    },
+                );
+                let pred = c.predicted.map_or_else(dash, |p| p.to_string());
+                let err = c.pred_err_pct().map_or_else(dash, |e| format!("{e:+.1}"));
+                let bottleneck = c.bottleneck.map_or("unclassified", |b| b.label());
+                t.row(&[
+                    &c.probe,
+                    &c.phase,
+                    &c.cycles,
+                    &pred,
+                    &err,
+                    &bottleneck,
+                    &ipc,
+                    &l1,
+                    &l2,
+                    &pf,
+                ]);
             }
+            // Model-era columns: only rendered when the trace carries
+            // predictions, so pre-model traces keep their exact output.
+            if s.path.iter().all(|c| c.predicted.is_none()) {
+                t.drop_col("PRED");
+                t.drop_col("ERR%");
+            }
+            d.table(t);
         }
         if let Some(f) = &s.features {
-            let _ = writeln!(out, "\nwinner feature vector: {}", f.to_json());
+            d.line("");
+            d.line(format!("winner feature vector: {}", f.to_json()));
         }
         if let Some(note) = &s.db_note {
-            let _ = writeln!(out, "tuned-db: {note}");
+            d.line(format!("tuned-db: {note}"));
         }
     }
-    out
+    d
 }
 
 fn candidate_json(c: &CandidateView) -> String {
@@ -737,26 +716,14 @@ fn candidate_json(c: &CandidateView) -> String {
 }
 
 fn delta_json(d: &CounterDelta) -> String {
-    format!(
-        "{{\"cycles\":{},\"l1_misses\":{},\"l2_misses\":{},\"mispredicts\":{},\
-         \"bus_bytes\":{},\"prefetch_efficacy\":{}}}",
-        d.cycles,
-        d.l1_misses,
-        d.l2_misses,
-        d.mispredicts,
-        d.bus_bytes,
-        f4(d.prefetch_efficacy)
-    )
+    let fields = CounterDelta::NAMES.iter().zip(d.values(false));
+    let fields: Vec<String> = fields.map(|(k, v)| format!("\"{k}\":{v}")).collect();
+    format!("{{{}}}", fields.join(","))
 }
 
 fn render_json(rep: &ExplainReport) -> String {
-    let mut out = format!("{{\n  \"malformed\": {},\n  \"scopes\": [", rep.malformed);
-    for (si, s) in rep.scopes.iter().enumerate() {
-        if si > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
+    let scopes = list(&rep.scopes, |s| {
+        let mut out = format!(
             "\n    {{\"scope\":\"{}\",\"probes\":{},\"measured\":{},\"speedup\":{}",
             esc(&s.scope),
             s.probes,
@@ -772,13 +739,8 @@ fn render_json(rep: &ExplainReport) -> String {
         if let Some(d) = &s.winner_vs_baseline {
             let _ = write!(out, ",\n     \"winner_vs_baseline\":{}", delta_json(d));
         }
-        out.push_str(",\n     \"attribution\":[");
-        for (i, r) in s.attribution.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
+        let attribution = list(&s.attribution, |r| {
+            let mut o = format!(
                 "\n      {{\"transform\":\"{}\",\"pairs\":{},\"knob\":\"{}\",\
                  \"from\":\"{}\",\"to\":\"{}\",\"dcycles\":{}",
                 esc(&r.transform),
@@ -789,117 +751,27 @@ fn render_json(rep: &ExplainReport) -> String {
                 r.dcycles
             );
             if let Some(d) = &r.delta {
-                let _ = write!(out, ",\"delta\":{}", delta_json(d));
+                let _ = write!(o, ",\"delta\":{}", delta_json(d));
             }
-            out.push('}');
-        }
-        out.push_str("],\n     \"path\":[");
-        for (i, c) in s.path.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\n      {}", candidate_json(c));
-        }
-        out.push(']');
+            o + "}"
+        });
+        let path = list(&s.path, |c| format!("\n      {}", candidate_json(c)));
+        let _ = write!(
+            out,
+            ",\n     \"attribution\":[{attribution}],\n     \"path\":[{path}]"
+        );
         if let Some(f) = &s.features {
             let _ = write!(out, ",\n     \"features\":{}", f.to_json());
         }
         if let Some(note) = &s.db_note {
             let _ = write!(out, ",\n     \"db\":\"{}\"", esc(note));
         }
-        out.push('}');
-    }
-    out.push_str("\n  ]\n}\n");
-    out
-}
-
-fn render_md(rep: &ExplainReport) -> String {
-    let mut out = String::from("# ifko explain\n");
-    if rep.malformed > 0 {
-        let _ = writeln!(out, "\n_{} malformed line(s) skipped_", rep.malformed);
-    }
-    for s in &rep.scopes {
-        let _ = writeln!(out, "\n## `{}`\n", s.scope);
-        let _ = writeln!(
-            out,
-            "{} probes ({} measured), speedup **{}x**\n",
-            s.probes,
-            s.measured,
-            f4(s.speedup())
-        );
-        let has_pred = s.path.iter().any(|c| c.predicted.is_some());
-        if has_pred {
-            let _ = writeln!(
-                out,
-                "| candidate | phase | cycles | predicted | err% | bottleneck |"
-            );
-            let _ = writeln!(out, "|---|---|---:|---:|---:|---|");
-        } else {
-            let _ = writeln!(out, "| candidate | phase | cycles | bottleneck |");
-            let _ = writeln!(out, "|---|---|---:|---|");
-        }
-        for (name, c) in [("baseline", &s.baseline), ("winner", &s.winner)] {
-            if let Some(c) = c {
-                if has_pred {
-                    let pred = c.predicted.map_or_else(|| "-".into(), |p| p.to_string());
-                    let err = c
-                        .pred_err_pct()
-                        .map_or_else(|| "-".into(), |e| format!("{e:+.1}"));
-                    let _ = writeln!(
-                        out,
-                        "| {} | {} | {} | {} | {} | {} |",
-                        name,
-                        c.phase,
-                        c.cycles,
-                        pred,
-                        err,
-                        c.bottleneck.map_or("unclassified", |b| b.label())
-                    );
-                } else {
-                    let _ = writeln!(
-                        out,
-                        "| {} | {} | {} | {} |",
-                        name,
-                        c.phase,
-                        c.cycles,
-                        c.bottleneck.map_or("unclassified", |b| b.label())
-                    );
-                }
-            }
-        }
-        if !s.attribution.is_empty() {
-            let _ = writeln!(
-                out,
-                "\n| transform | pairs | knob | change | Δcycles | ΔL1 | ΔL2 | Δmispred | Δbus | Δpf-eff |"
-            );
-            let _ = writeln!(out, "|---|---:|---|---|---:|---:|---:|---:|---:|---:|");
-            for r in &s.attribution {
-                let cells = delta_cells(r.delta.as_ref());
-                let _ = writeln!(
-                    out,
-                    "| {} | {} | `{}` | `{} -> {}` | {:+} | {} | {} | {} | {} | {} |",
-                    r.transform,
-                    r.pairs,
-                    r.knob,
-                    r.from,
-                    r.to,
-                    r.dcycles,
-                    cells[0],
-                    cells[1],
-                    cells[2],
-                    cells[3],
-                    cells[4],
-                );
-            }
-        }
-        if let Some(f) = &s.features {
-            let _ = writeln!(out, "\nwinner feature vector: `{}`", f.to_json());
-        }
-        if let Some(note) = &s.db_note {
-            let _ = writeln!(out, "\ntuned-db: {note}");
-        }
-    }
-    out
+        out + "}"
+    });
+    format!(
+        "{{\n  \"malformed\": {},\n  \"scopes\": [{scopes}\n  ]\n}}\n",
+        rep.malformed
+    )
 }
 
 /// Convenience: read, merge, analyze, and render trace files, optionally
@@ -909,14 +781,8 @@ pub fn explain_files(
     format: ReportFormat,
     db: Option<&TunedDb>,
 ) -> std::io::Result<String> {
-    let mut events = Vec::new();
-    let mut malformed = 0;
-    for p in paths {
-        let data = read_trace(p)?;
-        events.extend(data.events);
-        malformed += data.malformed;
-    }
-    let mut rep = analyze(&events, malformed);
+    let data = read_traces(paths)?;
+    let mut rep = analyze(&data.events, data.malformed);
     if let Some(db) = db {
         annotate_with_db(&mut rep, db);
     }
@@ -1051,7 +917,7 @@ mod tests {
             "{json}"
         );
         let md = render(&rep, ReportFormat::Markdown);
-        assert!(md.contains("| predicted | err% |"), "{md}");
+        assert!(md.contains("| PRED | ERR% |"), "{md}");
 
         // Model-free traces keep the pre-model layout exactly.
         let plain = vec![

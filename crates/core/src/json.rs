@@ -1,13 +1,15 @@
-//! The workspace's one JSON reader and one JSON string writer.
+//! The workspace's one JSON reader.
 //!
 //! Everything here is hand-rolled (the workspace builds offline, no
 //! serde): a minimal parser ([`parse_json`] into [`Json`]) used by the
 //! trace reader, the tuned-results database, the artifact format, the
-//! worker and daemon wire protocol and the Chrome-trace validator, and
-//! [`esc`], the string escaper every hand-written serializer in the
-//! crate goes through. A string that [`esc`] wrote is read back
-//! unchanged by [`parse_json`] — including control characters, which a
-//! journal line or a wire frame must never carry raw.
+//! worker and daemon wire protocol and the Chrome-trace validator. The
+//! string escaper every hand-written serializer goes through is
+//! `ifko_fko::diag::json_escape`, re-exported here as [`esc`] so the
+//! lower crate's diagnostics and this crate share one. A string that
+//! [`esc`] wrote is read back unchanged by [`parse_json`] — including
+//! control characters, which a journal line or a wire frame must never
+//! carry raw.
 
 /// A parsed JSON value. An unsigned integer token that fits a `u64` is
 /// kept exactly as [`Json::Int`] — seeds and fingerprints use all 64 bits
@@ -231,23 +233,11 @@ fn parse_string(b: &[u8], i: &mut usize) -> Option<String> {
     }
 }
 
-/// Escape `s` for use inside a JSON string literal: backslash, quote,
-/// and every control character (a raw newline inside a JSONL record
-/// would split it into two malformed lines).
-pub fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
+pub use ifko_fko::diag::json_escape as esc;
+
+/// The body of a JSON array: each item written by `f`, comma-separated.
+pub(crate) fn list<T>(items: &[T], f: impl FnMut(&T) -> String) -> String {
+    items.iter().map(f).collect::<Vec<_>>().join(",")
 }
 
 #[cfg(test)]

@@ -53,7 +53,11 @@
 //!   nothing else — and its staged compile → simulate → test → time
 //!   function, which the engine, the worker protocol and the daemon all
 //!   call);
-//! * [`json`] — the one JSON reader and string escaper.
+//! * [`report`] and [`explain`] — the trace analyzers, over one trace
+//!   fold, printing text and Markdown through `doc` (crate-private), the
+//!   one document model of heading, line and table blocks;
+//! * [`json`] — the one JSON reader; its [`esc`](json::esc) re-exports
+//!   the one string escaper, `ifko_fko::diag::json_escape`.
 //!
 //! Most users want the [`prelude`]:
 //!
@@ -69,6 +73,7 @@ pub mod artifact;
 pub mod cache;
 pub mod chrome;
 pub mod config;
+mod doc;
 pub mod driver;
 pub mod eval;
 pub mod explain;

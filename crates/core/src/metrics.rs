@@ -356,8 +356,6 @@ impl MetricsRegistry {
         s
     }
 
-    /// Write a snapshot to `path`: Prometheus text when the extension is
-    /// `.prom` or `.txt`, JSON otherwise.
     /// Start a background sampler that appends one compact JSONL
     /// snapshot of this registry to `path` every `interval` — the
     /// time-resolved view of a tune (cache hit rate, candidates/sec,
@@ -419,6 +417,8 @@ impl MetricsRegistry {
         })
     }
 
+    /// Write a snapshot to `path`: Prometheus text when the extension is
+    /// `.prom` or `.txt`, JSON otherwise.
     pub fn write_snapshot(&self, path: impl AsRef<Path>) -> std::io::Result<()> {
         let path = path.as_ref();
         if let Some(dir) = path.parent() {

@@ -19,22 +19,100 @@
 //!   [`RunStats`].
 //!
 //! The format's own reader does the parsing
-//! ([`read_trace`](crate::trace::read_trace), hand-rolled like the rest
+//! ([`read_traces`](crate::trace::read_traces), hand-rolled like the rest
 //! of the workspace's JSON). Malformed lines are **skipped and
 //! counted**, never fatal — a trace cut short by Ctrl-C must still
 //! report.
+//!
+//! The fold over the events — the grouping into scopes ([`by_scope`])
+//! and the replay of the search's selection rule ([`replay`]) — is
+//! shared with [`explain`](crate::explain), and both print their text and
+//! Markdown through one [`Doc`].
 
+use crate::doc::{Col, Doc, Table};
 use crate::eval::Tally;
-use crate::json::esc;
-use crate::trace::{EvalEvent, SearchEvent};
+use crate::json::{esc, list};
+use crate::trace::{read_traces, EvalEvent, SearchEvent};
+use ifko_fko::StageProfile;
 use ifko_xsim::RunStats;
-use std::collections::HashMap;
 use std::path::Path;
 
 pub use crate::json::{parse_json, Json};
 // The trace reader is part of the trace format ([`crate::trace`]); the
 // analyzer's callers keep finding it here.
 pub use crate::trace::{parse_trace_line, read_trace, TraceData};
+
+// ---------------------------------------------------------------------------
+// The trace fold `report` and `explain` share
+// ---------------------------------------------------------------------------
+
+/// The row `is` picks out of `rows`, appended by `new` on first sight:
+/// how every table of the fold keeps first-appearance order. The search
+/// runs from the back, because a trace's events come in runs of one
+/// scope and one phase.
+pub(crate) fn entry<T>(
+    rows: &mut Vec<T>,
+    is: impl Fn(&T) -> bool,
+    new: impl FnOnce() -> T,
+) -> &mut T {
+    let i = rows.iter().rposition(is).unwrap_or_else(|| {
+        rows.push(new());
+        rows.len() - 1
+    });
+    &mut rows[i]
+}
+
+/// The eval events of each scope in trace order, scopes in order of
+/// first appearance.
+pub(crate) fn by_scope(events: &[SearchEvent]) -> Vec<(&str, Vec<&EvalEvent>)> {
+    let mut scopes: Vec<(&str, Vec<&EvalEvent>)> = Vec::new();
+    for e in events.iter().filter_map(SearchEvent::as_eval) {
+        entry(&mut scopes, |s| s.0 == e.scope, || (&e.scope, Vec::new()))
+            .1
+            .push(e);
+    }
+    scopes
+}
+
+/// A verified probe, as the search's selection rule sees it.
+pub(crate) struct Measured<'a> {
+    /// 0-based probe index within the scope.
+    pub(crate) idx: usize,
+    pub(crate) ev: &'a EvalEvent,
+    pub(crate) cycles: u64,
+    /// The best cycles before this probe; `None` for the first.
+    pub(crate) before: Option<u64>,
+}
+
+impl Measured<'_> {
+    /// Whether the probe became the best: the first verified probe seeds
+    /// the baseline, and a later one must strictly improve on the best.
+    pub(crate) fn wins(&self) -> bool {
+        self.before.is_none_or(|b| self.cycles < b)
+    }
+}
+
+/// Replay the search's selection rule over one scope's probes in order.
+pub(crate) fn replay<'a>(evs: &[&'a EvalEvent]) -> Vec<Measured<'a>> {
+    let mut best = None;
+    let mut out = Vec::new();
+    for (idx, ev) in evs.iter().enumerate() {
+        let Some(cycles) = ev.cycles.filter(|_| ev.verified) else {
+            continue;
+        };
+        let m = Measured {
+            idx,
+            ev,
+            cycles,
+            before: best,
+        };
+        if m.wins() {
+            best = Some(cycles);
+        }
+        out.push(m);
+    }
+    out
+}
 
 // ---------------------------------------------------------------------------
 // Aggregation
@@ -63,7 +141,7 @@ pub struct PhaseRow {
 /// Per-strategy attribution: probes submitted under each strategy tag
 /// (portfolio racing tags each member's batches), the wins among them,
 /// and the best cycles each strategy reached.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct StrategyRow {
     pub strategy: String,
     pub probes: u64,
@@ -75,7 +153,7 @@ pub struct StrategyRow {
 /// Per-worker attribution for pooled runs (`--workers N`): fresh
 /// evaluations answered by each worker process and their wall-clock.
 /// Empty for in-process traces.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct WorkerRow {
     pub worker: u32,
     pub evals: u64,
@@ -84,7 +162,7 @@ pub struct WorkerRow {
 
 /// Everything the trace says about one evaluation scope (one kernel on
 /// one machine/context/size).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct ScopeReport {
     pub scope: String,
     /// Problem size, parsed back out of the scope key.
@@ -141,7 +219,7 @@ impl ScopeReport {
 }
 
 /// Aggregated wall-clock of one pipeline stage across the trace.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct StageRow {
     pub stage: String,
     pub count: u64,
@@ -172,15 +250,6 @@ impl TraceReport {
         let fresh = self.scopes.iter().map(|sc| sc.tally.evaluated as u64);
         Some((sims, fresh.sum()))
     }
-
-    /// The text and Markdown renderers' line for that pair.
-    fn simulations_line(&self) -> Option<String> {
-        let (sims, fresh) = self.simulations_per_fresh_eval()?;
-        let ratio = f4(sims as f64 / fresh.max(1) as f64);
-        Some(format!(
-            "simulations / fresh eval: {sims} / {fresh} = {ratio}\n"
-        ))
-    }
 }
 
 /// Span stages that contain other spans rather than doing leaf work.
@@ -188,50 +257,30 @@ const CONTAINER_STAGES: &[&str] = &["tune", "search", "eval", "compile"];
 
 /// Analyze decoded events (use [`read_trace`] to obtain them).
 pub fn analyze(events: &[SearchEvent], malformed: usize) -> TraceReport {
-    let mut order: Vec<String> = Vec::new();
-    let mut by_scope: HashMap<String, Vec<&EvalEvent>> = HashMap::new();
-    let mut stage_map: HashMap<String, (u64, u64)> = HashMap::new();
-    for ev in events {
-        match ev {
-            SearchEvent::Eval(e) => {
-                if !by_scope.contains_key(&e.scope) {
-                    order.push(e.scope.clone());
-                }
-                by_scope.entry(e.scope.clone()).or_default().push(e);
-            }
-            SearchEvent::Span(s) => {
-                let entry = stage_map.entry(s.stage.clone()).or_insert((0, 0));
-                entry.0 += 1;
-                entry.1 += s.wall_us;
-            }
-        }
-    }
-
-    let scopes = order
-        .iter()
-        .map(|scope| analyze_scope(scope, &by_scope[scope]))
-        .collect();
-
-    let mut stages: Vec<StageRow> = Vec::new();
-    let mut containers: Vec<StageRow> = Vec::new();
-    for (stage, (count, total_us)) in stage_map {
-        let row = StageRow {
-            stage,
-            count,
-            total_us,
-        };
-        if CONTAINER_STAGES.contains(&row.stage.as_str()) {
-            containers.push(row);
+    let (mut stages, mut containers) = (Vec::new(), Vec::new());
+    for s in events.iter().filter_map(SearchEvent::as_span) {
+        let rows = if CONTAINER_STAGES.contains(&s.stage.as_str()) {
+            &mut containers
         } else {
-            stages.push(row);
-        }
+            &mut stages
+        };
+        let new = || StageRow {
+            stage: s.stage.clone(),
+            ..Default::default()
+        };
+        let row = entry(rows, |r: &StageRow| r.stage == s.stage, new);
+        row.count += 1;
+        row.total_us += s.wall_us;
     }
-    stages.sort_by(|a, b| b.total_us.cmp(&a.total_us).then(a.stage.cmp(&b.stage)));
-    containers.sort_by(|a, b| b.total_us.cmp(&a.total_us).then(a.stage.cmp(&b.stage)));
-
+    for rows in [&mut stages, &mut containers] {
+        rows.sort_by(|a, b| b.total_us.cmp(&a.total_us).then(a.stage.cmp(&b.stage)));
+    }
     TraceReport {
         malformed,
-        scopes,
+        scopes: by_scope(events)
+            .iter()
+            .map(|(scope, evs)| analyze_scope(scope, evs))
+            .collect(),
         stages,
         containers,
     }
@@ -242,25 +291,9 @@ fn analyze_scope(scope: &str, evs: &[&EvalEvent]) -> ScopeReport {
         scope: scope.to_string(),
         n: scope_n(scope),
         probes: evs.len() as u64,
-        tally: Tally::default(),
-        first_cycles: None,
-        best_cycles: None,
-        best_params: None,
-        convergence: Vec::new(),
-        phases: Vec::new(),
-        strategies: Vec::new(),
-        winner_strategy: None,
-        best_stats: None,
-        fresh_wall_us: 0,
-        workers: Vec::new(),
+        ..Default::default()
     };
-    let mut worker_map: HashMap<u32, WorkerRow> = HashMap::new();
-    let mut phase_order: Vec<String> = Vec::new();
-    let mut phase_map: HashMap<String, PhaseRow> = HashMap::new();
-    let mut strat_order: Vec<String> = Vec::new();
-    let mut strat_map: HashMap<String, StrategyRow> = HashMap::new();
-    let mut best: Option<u64> = None;
-    for (idx, e) in evs.iter().enumerate() {
+    for e in evs {
         let evaluated_before = rep.tally.evaluated;
         rep.tally.count(&e.facts());
         let fresh = rep.tally.evaluated > evaluated_before;
@@ -268,96 +301,62 @@ fn analyze_scope(scope: &str, evs: &[&EvalEvent]) -> ScopeReport {
             rep.fresh_wall_us += e.wall_us;
         }
         if let Some(w) = e.worker {
-            let row = worker_map.entry(w).or_insert(WorkerRow {
+            let new = || WorkerRow {
                 worker: w,
-                evals: 0,
-                wall_us: 0,
-            });
+                ..Default::default()
+            };
+            let row = entry(&mut rep.workers, |r| r.worker == w, new);
             row.evals += 1;
             row.wall_us += e.wall_us;
         }
-        if !phase_map.contains_key(&e.phase) {
-            phase_order.push(e.phase.clone());
-            phase_map.insert(
-                e.phase.clone(),
-                PhaseRow {
-                    phase: e.phase.clone(),
-                    candidates: 0,
-                    wins: 0,
-                    speedup: 1.0,
-                },
-            );
-        }
-        let row = phase_map.get_mut(&e.phase).unwrap();
-        row.candidates += 1;
+        let new = || PhaseRow {
+            phase: e.phase.clone(),
+            candidates: 0,
+            wins: 0,
+            speedup: 1.0,
+        };
+        entry(&mut rep.phases, |r| r.phase == e.phase, new).candidates += 1;
         if !e.strategy.is_empty() {
-            if !strat_map.contains_key(&e.strategy) {
-                strat_order.push(e.strategy.clone());
-                strat_map.insert(
-                    e.strategy.clone(),
-                    StrategyRow {
-                        strategy: e.strategy.clone(),
-                        probes: 0,
-                        fresh: 0,
-                        wins: 0,
-                        best_cycles: None,
-                    },
-                );
-            }
-            let srow = strat_map.get_mut(&e.strategy).unwrap();
-            srow.probes += 1;
-            srow.fresh += fresh as u64;
-            if let Some(c) = e.cycles {
-                if srow.best_cycles.is_none_or(|b| c < b) {
-                    srow.best_cycles = Some(c);
-                }
-            }
-        }
-        // Replay the search's selection rule: in-order scan, strict
-        // improvement; the first verified probe seeds the baseline.
-        if let Some(c) = e.cycles {
-            let won = match best {
-                None => {
-                    rep.first_cycles = Some(c);
-                    true
-                }
-                Some(b) if c < b => {
-                    row.wins += 1;
-                    row.speedup *= b as f64 / c as f64;
-                    true
-                }
-                Some(_) => false,
+            let new = || StrategyRow {
+                strategy: e.strategy.clone(),
+                ..Default::default()
             };
-            if won {
-                best = Some(c);
-                if !e.strategy.is_empty() {
-                    strat_map.get_mut(&e.strategy).unwrap().wins += 1;
-                    rep.winner_strategy = Some(e.strategy.clone());
+            let row = entry(&mut rep.strategies, |r| r.strategy == e.strategy, new);
+            row.probes += 1;
+            row.fresh += fresh as u64;
+            if let Some(c) = e.cycles {
+                if row.best_cycles.is_none_or(|b| c < b) {
+                    row.best_cycles = Some(c);
                 }
-                rep.best_params = Some(e.params.clone());
-                rep.best_stats = e.stats;
-                rep.convergence.push(ConvPoint {
-                    probe: idx as u64 + 1,
-                    cycles: c,
-                    phase: e.phase.clone(),
-                });
             }
         }
     }
-    rep.best_cycles = best;
-    rep.phases = phase_order
-        .into_iter()
-        .map(|p| phase_map.remove(&p).unwrap())
-        .collect();
-    rep.strategies = strat_order
-        .into_iter()
-        .map(|p| strat_map.remove(&p).unwrap())
-        .collect();
-    rep.workers = {
-        let mut rows: Vec<WorkerRow> = worker_map.into_values().collect();
-        rows.sort_by_key(|r| r.worker);
-        rows
-    };
+    rep.workers.sort_by_key(|r| r.worker);
+
+    for m in replay(evs).iter().filter(|m| m.wins()) {
+        let (e, c) = (m.ev, m.cycles);
+        match m.before {
+            None => rep.first_cycles = Some(c),
+            Some(b) => {
+                if let Some(row) = rep.phases.iter_mut().find(|r| r.phase == e.phase) {
+                    row.wins += 1;
+                    row.speedup *= b as f64 / c as f64;
+                }
+            }
+        }
+        if let Some(row) = rep.strategies.iter_mut().find(|r| r.strategy == e.strategy) {
+            row.wins += 1;
+            rep.winner_strategy = Some(e.strategy.clone());
+        }
+        rep.best_cycles = Some(c);
+        rep.best_params = Some(e.params.clone());
+        rep.best_stats = e.stats;
+        rep.convergence.push(ConvPoint {
+            probe: m.idx as u64 + 1,
+            cycles: c,
+            phase: e.phase.clone(),
+        });
+    }
     rep
 }
 
@@ -403,138 +402,145 @@ pub(crate) fn f4(v: f64) -> String {
 /// JSON form is golden-testable.
 pub fn render(rep: &TraceReport, format: ReportFormat) -> String {
     match format {
-        ReportFormat::Text => render_text(rep),
+        ReportFormat::Text => doc(rep).text(),
         ReportFormat::Json => render_json(rep),
-        ReportFormat::Markdown => render_md(rep),
+        ReportFormat::Markdown => doc(rep).markdown(),
     }
 }
 
-fn render_text(rep: &TraceReport) -> String {
-    let mut s = String::new();
+// The tables of the text and Markdown renderings.
+#[rustfmt::skip]
+const PHASES: &[Col] = &[
+    Col::left("phase", 12), Col::right("cands", 5), Col::right("wins", 5), Col::left("speedup", 0).gap(2),
+];
+#[rustfmt::skip]
+const STRATEGIES: &[Col] = &[
+    Col::left("strategy", 12), Col::right("probes", 6), Col::right("fresh", 5), Col::right("wins", 5),
+    Col::right("best", 8),
+];
+#[rustfmt::skip]
+const WORKERS: &[Col] = &[Col::left("worker", 12), Col::right("evals", 6), Col::right("wall_us", 10)];
+#[rustfmt::skip]
+const STAGES: &[Col] = &[
+    Col::left("stage", 12), Col::right("count", 5), Col::right("total_us", 10), Col::right("%", 5).gap(2),
+];
+#[rustfmt::skip]
+const PROFILE: &[Col] = &[
+    Col::left("stage", 10), Col::right("count", 7), Col::right("min_us", 9), Col::right("median_us", 11),
+    Col::right("total_us", 11),
+];
+
+/// The text and Markdown renderings' one document.
+fn doc(rep: &TraceReport) -> Doc {
+    let mut d = Doc::default();
     for sc in &rep.scopes {
         let t = sc.tally;
-        s.push_str(&format!("== {} ==\n", sc.scope));
-        s.push_str(&format!(
-            "probes {} (fresh {}, cache hits {}, rejected {}, pruned {})\n",
+        d.heading(&sc.scope);
+        d.line(format!(
+            "probes {} (fresh {}, cache hits {}, rejected {}, pruned {})",
             sc.probes, t.evaluated, t.cache_hits, t.rejected, t.pruned
         ));
         if t.model_pruned > 0 {
-            s.push_str(&format!(
-                "cost model pruned {} of {} candidates before compile\n",
+            d.line(format!(
+                "cost model pruned {} of {} candidates before compile",
                 t.model_pruned, sc.probes
             ));
         }
         if t.retries + t.faults + t.outliers + t.failed > 0 {
-            s.push_str(&format!(
-                "chaos: {} retries, {} faults injected, {} outliers rejected, {} failed\n",
+            d.line(format!(
+                "chaos: {} retries, {} faults injected, {} outliers rejected, {} failed",
                 t.retries, t.faults, t.outliers, t.failed
             ));
         }
         if let (Some(a), Some(b)) = (sc.first_cycles, sc.best_cycles) {
-            s.push_str(&format!(
-                "cycles {a} -> {b}  (speedup {}x)\n",
+            d.line(format!(
+                "cycles {a} -> {b}  (speedup {}x)",
                 f4(sc.speedup())
             ));
         }
         if let Some(p) = &sc.best_params {
-            s.push_str(&format!("best {p}\n"));
+            d.line(format!("best {p}"));
         }
-        s.push_str("phase        cands  wins  speedup\n");
+        let mut phases = Table::new(PHASES);
         for ph in &sc.phases {
-            s.push_str(&format!(
-                "{:<12} {:>5} {:>5}  {}\n",
-                ph.phase,
-                ph.candidates,
-                ph.wins,
-                f4(ph.speedup)
-            ));
+            phases.row(&[&ph.phase, &ph.candidates, &ph.wins, &f4(ph.speedup)]);
         }
+        d.table(phases);
         if !sc.strategies.is_empty() {
-            s.push_str("strategy     probes fresh  wins     best\n");
+            let mut strategies = Table::new(STRATEGIES);
             for st in &sc.strategies {
-                s.push_str(&format!(
-                    "{:<12} {:>6} {:>5} {:>5} {:>8}\n",
-                    st.strategy,
-                    st.probes,
-                    st.fresh,
-                    st.wins,
-                    st.best_cycles.map_or("-".to_string(), |c| c.to_string())
-                ));
+                let best = st.best_cycles.map_or("-".to_string(), |c| c.to_string());
+                strategies.row(&[&st.strategy, &st.probes, &st.fresh, &st.wins, &best]);
             }
+            d.table(strategies);
             if let Some(w) = &sc.winner_strategy {
-                s.push_str(&format!("winner strategy: {w}\n"));
+                d.line(format!("winner strategy: {w}"));
             }
         }
         if !sc.workers.is_empty() {
-            s.push_str("worker        evals    wall_us\n");
+            let mut workers = Table::new(WORKERS);
             for wr in &sc.workers {
-                s.push_str(&format!(
-                    "{:<12} {:>6} {:>10}\n",
-                    format!("w{}", wr.worker),
-                    wr.evals,
-                    wr.wall_us
-                ));
+                workers.row(&[&format!("w{}", wr.worker), &wr.evals, &wr.wall_us]);
             }
+            d.table(workers);
         }
         if !sc.convergence.is_empty() {
-            s.push_str("convergence (probe: cycles @phase):");
-            for c in &sc.convergence {
-                s.push_str(&format!(" {}:{}@{}", c.probe, c.cycles, c.phase));
-            }
-            s.push('\n');
+            let points: String = sc
+                .convergence
+                .iter()
+                .map(|c| format!(" {}:{}@{}", c.probe, c.cycles, c.phase))
+                .collect();
+            d.line(format!("convergence (probe: cycles @phase):{points}"));
         }
         if let Some(st) = &sc.best_stats {
-            s.push_str(&format!(
+            let mut hw = format!(
                 "winner hw: insts {}  L1 miss {}  L2 miss {}  bus rd/wr {}/{} B",
                 st.insts,
                 f4(st.l1_miss_ratio()),
                 f4(st.l2_miss_ratio()),
                 st.bus_read_bytes,
                 st.bus_write_bytes
-            ));
+            );
             if let Some(n) = sc.n {
-                s.push_str(&format!("  cyc/elem {}", f4(st.cycles_per_elem(n))));
+                hw += &format!("  cyc/elem {}", f4(st.cycles_per_elem(n)));
             }
-            s.push('\n');
+            d.line(hw);
         }
-        s.push_str(&format!(
-            "cache: {} hits, ~{} us saved (mean fresh eval {} us)\n\n",
+        d.line(format!(
+            "cache: {} hits, ~{} us saved (mean fresh eval {} us)",
             t.cache_hits,
             f4(sc.saved_wall_us_est()),
             f4(sc.mean_fresh_wall_us())
         ));
+        d.line("");
     }
 
     if !rep.stages.is_empty() {
         let total: u64 = rep.stages.iter().map(|r| r.total_us).sum();
-        s.push_str("== stage time attribution ==\n");
-        s.push_str("stage        count   total_us      %\n");
+        d.heading("stage time attribution");
+        let mut stages = Table::new(STAGES);
         for row in &rep.stages {
-            let pct = if total == 0 {
-                0.0
-            } else {
-                row.total_us as f64 * 100.0 / total as f64
-            };
-            s.push_str(&format!(
-                "{:<12} {:>5} {:>10}  {:>5}\n",
-                row.stage,
-                row.count,
-                row.total_us,
-                format!("{pct:.1}")
-            ));
+            let pct = row.total_us as f64 * 100.0 / total.max(1) as f64;
+            stages.row(&[&row.stage, &row.count, &row.total_us, &format!("{pct:.1}")]);
         }
+        d.table(stages);
         if let Some(sub) = rep.stages.iter().find(|r| r.stage == "subcache") {
-            s.push_str(&format!(
-                "pipeline sub-candidate cache: {} hits (probe cost {} us)\n",
+            d.line(format!(
+                "pipeline sub-candidate cache: {} hits (probe cost {} us)",
                 sub.count, sub.total_us
             ));
         }
-        s.push_str(&rep.simulations_line().unwrap_or_default());
+        if let Some((sims, fresh)) = rep.simulations_per_fresh_eval() {
+            let ratio = f4(sims as f64 / fresh.max(1) as f64);
+            d.line(format!(
+                "simulations / fresh eval: {sims} / {fresh} = {ratio}"
+            ));
+        }
     }
     if rep.malformed > 0 {
-        s.push_str(&format!("({} malformed lines skipped)\n", rep.malformed));
+        d.line(format!("({} malformed lines skipped)", rep.malformed));
     }
-    s
+    d
 }
 
 fn jstr(s: &str) -> String {
@@ -542,15 +548,9 @@ fn jstr(s: &str) -> String {
 }
 
 fn render_json(rep: &TraceReport) -> String {
-    let mut s = String::from("{");
-    s.push_str(&format!("\"malformed\":{},", rep.malformed));
-    s.push_str("\"scopes\":[");
-    for (i, sc) in rep.scopes.iter().enumerate() {
+    let scopes = list(&rep.scopes, |sc| {
         let t = sc.tally;
-        if i > 0 {
-            s.push(',');
-        }
-        s.push_str(&format!(
+        let mut s = format!(
             "{{\"scope\":{},\"probes\":{},\"fresh\":{},\"cache_hits\":{},\"rejected\":{},\"pruned\":{}",
             jstr(&sc.scope),
             sc.probes,
@@ -558,198 +558,96 @@ fn render_json(rep: &TraceReport) -> String {
             t.cache_hits,
             t.rejected,
             t.pruned
-        ));
+        );
         // Model-era field: present only when the cost model cut something,
         // so reports over model-free traces stay byte-identical.
         if t.model_pruned > 0 {
-            s.push_str(&format!(",\"model_pruned\":{}", t.model_pruned));
+            s += &format!(",\"model_pruned\":{}", t.model_pruned);
         }
-        s.push_str(&format!(
+        s += &format!(
             ",\"retries\":{},\"faults\":{},\"outliers\":{},\"failed\":{}",
             t.retries, t.faults, t.outliers, t.failed
-        ));
-        s.push_str(&format!(
+        );
+        s += &format!(
             ",\"first_cycles\":{},\"best_cycles\":{},\"speedup\":{}",
             opt_u64(sc.first_cycles),
             opt_u64(sc.best_cycles),
             f4(sc.speedup())
-        ));
+        );
         if let Some(p) = &sc.best_params {
-            s.push_str(&format!(",\"best_params\":{}", jstr(p)));
+            s += &format!(",\"best_params\":{}", jstr(p));
         }
-        s.push_str(",\"phases\":[");
-        for (j, ph) in sc.phases.iter().enumerate() {
-            if j > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!(
+        let phases = list(&sc.phases, |ph| {
+            format!(
                 "{{\"phase\":{},\"candidates\":{},\"wins\":{},\"speedup\":{}}}",
                 jstr(&ph.phase),
                 ph.candidates,
                 ph.wins,
                 f4(ph.speedup)
-            ));
-        }
-        s.push_str("],\"strategies\":[");
-        for (j, st) in sc.strategies.iter().enumerate() {
-            if j > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!(
+            )
+        });
+        let strategies = list(&sc.strategies, |st| {
+            format!(
                 "{{\"strategy\":{},\"probes\":{},\"fresh\":{},\"wins\":{},\"best_cycles\":{}}}",
                 jstr(&st.strategy),
                 st.probes,
                 st.fresh,
                 st.wins,
                 opt_u64(st.best_cycles)
-            ));
-        }
-        s.push(']');
+            )
+        });
+        s += &format!(",\"phases\":[{phases}],\"strategies\":[{strategies}]");
         if let Some(w) = &sc.winner_strategy {
-            s.push_str(&format!(",\"winner_strategy\":{}", jstr(w)));
+            s += &format!(",\"winner_strategy\":{}", jstr(w));
         }
         // Worker-pool attribution: present only for pooled traces, so
         // reports over in-process traces stay byte-identical.
         if !sc.workers.is_empty() {
-            s.push_str(",\"workers\":[");
-            for (j, wr) in sc.workers.iter().enumerate() {
-                if j > 0 {
-                    s.push(',');
-                }
-                s.push_str(&format!(
+            let workers = list(&sc.workers, |wr| {
+                format!(
                     "{{\"worker\":{},\"evals\":{},\"wall_us\":{}}}",
                     wr.worker, wr.evals, wr.wall_us
-                ));
-            }
-            s.push(']');
+                )
+            });
+            s += &format!(",\"workers\":[{workers}]");
         }
-        s.push_str(",\"convergence\":[");
-        for (j, c) in sc.convergence.iter().enumerate() {
-            if j > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!(
+        let convergence = list(&sc.convergence, |c| {
+            format!(
                 "{{\"probe\":{},\"cycles\":{},\"phase\":{}}}",
                 c.probe,
                 c.cycles,
                 jstr(&c.phase)
-            ));
-        }
-        s.push(']');
+            )
+        });
+        s += &format!(",\"convergence\":[{convergence}]");
         if let Some(st) = &sc.best_stats {
-            s.push_str(&format!(
+            s += &format!(
                 ",\"winner\":{{\"insts\":{},\"l1_miss_ratio\":{},\"l2_miss_ratio\":{},\"bus_read_bytes\":{},\"bus_write_bytes\":{}",
                 st.insts,
                 f4(st.l1_miss_ratio()),
                 f4(st.l2_miss_ratio()),
                 st.bus_read_bytes,
                 st.bus_write_bytes
-            ));
+            );
             if let Some(n) = sc.n {
-                s.push_str(&format!(
-                    ",\"cycles_per_elem\":{}",
-                    f4(st.cycles_per_elem(n))
-                ));
+                s += &format!(",\"cycles_per_elem\":{}", f4(st.cycles_per_elem(n)));
             }
             s.push('}');
         }
-        s.push_str(&format!(
-            ",\"saved_wall_us_est\":{}}}",
-            f4(sc.saved_wall_us_est())
-        ));
-    }
-    s.push_str("],\"stages\":[");
-    for (i, row) in rep.stages.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push_str(&format!(
+        s + &format!(",\"saved_wall_us_est\":{}}}", f4(sc.saved_wall_us_est()))
+    });
+    let stages = list(&rep.stages, |row| {
+        format!(
             "{{\"stage\":{},\"count\":{},\"total_us\":{}}}",
             jstr(&row.stage),
             row.count,
             row.total_us
-        ));
-    }
-    s.push_str("]}");
-    s
-}
-
-fn render_md(rep: &TraceReport) -> String {
-    let mut s = String::new();
-    for sc in &rep.scopes {
-        let t = sc.tally;
-        s.push_str(&format!("## `{}`\n\n", sc.scope));
-        s.push_str(&format!(
-            "{} probes — {} fresh, {} cache hits, {} rejected, {} pruned; ",
-            sc.probes, t.evaluated, t.cache_hits, t.rejected, t.pruned
-        ));
-        if t.model_pruned > 0 {
-            s.push_str(&format!("{} model-pruned; ", t.model_pruned));
-        }
-        if t.retries + t.faults + t.outliers + t.failed > 0 {
-            s.push_str(&format!(
-                "chaos: {} retries, {} faults, {} outliers, {} failed; ",
-                t.retries, t.faults, t.outliers, t.failed
-            ));
-        }
-        if let (Some(a), Some(b)) = (sc.first_cycles, sc.best_cycles) {
-            s.push_str(&format!("{a} → {b} cycles (**{}×**)", f4(sc.speedup())));
-        }
-        s.push_str("\n\n| phase | candidates | wins | speedup |\n|---|---|---|---|\n");
-        for ph in &sc.phases {
-            s.push_str(&format!(
-                "| {} | {} | {} | {} |\n",
-                ph.phase,
-                ph.candidates,
-                ph.wins,
-                f4(ph.speedup)
-            ));
-        }
-        if !sc.strategies.is_empty() {
-            s.push_str("\n| strategy | probes | fresh | wins | best |\n|---|---|---|---|---|\n");
-            for st in &sc.strategies {
-                s.push_str(&format!(
-                    "| {} | {} | {} | {} | {} |\n",
-                    st.strategy,
-                    st.probes,
-                    st.fresh,
-                    st.wins,
-                    st.best_cycles.map_or("-".to_string(), |c| c.to_string())
-                ));
-            }
-            if let Some(w) = &sc.winner_strategy {
-                s.push_str(&format!("\nWinner strategy: **{w}**\n"));
-            }
-        }
-        if !sc.workers.is_empty() {
-            s.push_str("\n| worker | evals | wall µs |\n|---|---|---|\n");
-            for wr in &sc.workers {
-                s.push_str(&format!(
-                    "| w{} | {} | {} |\n",
-                    wr.worker, wr.evals, wr.wall_us
-                ));
-            }
-        }
-        s.push('\n');
-    }
-    if !rep.stages.is_empty() {
-        s.push_str("## Stage time attribution\n\n| stage | count | total µs |\n|---|---|---|\n");
-        for row in &rep.stages {
-            s.push_str(&format!(
-                "| {} | {} | {} |\n",
-                row.stage, row.count, row.total_us
-            ));
-        }
-        s.push('\n');
-        if let Some(line) = rep.simulations_line() {
-            s.push_str(&line);
-            s.push('\n');
-        }
-    }
-    if rep.malformed > 0 {
-        s.push_str(&format!("_{} malformed lines skipped._\n", rep.malformed));
-    }
-    s
+        )
+    });
+    format!(
+        "{{\"malformed\":{},\"scopes\":[{scopes}],\"stages\":[{stages}]}}",
+        rep.malformed
+    )
 }
 
 fn opt_u64(v: Option<u64>) -> String {
@@ -758,14 +656,24 @@ fn opt_u64(v: Option<u64>) -> String {
 
 /// Convenience: read, merge, analyze, and render trace files.
 pub fn report_files(paths: &[impl AsRef<Path>], format: ReportFormat) -> std::io::Result<String> {
-    let mut events = Vec::new();
-    let mut malformed = 0;
-    for p in paths {
-        let data = read_trace(p)?;
-        events.extend(data.events);
-        malformed += data.malformed;
+    let data = read_traces(paths)?;
+    Ok(render(&analyze(&data.events, data.malformed), format))
+}
+
+/// The `--profile-pipeline` stage table: one indented row per stage of
+/// the compile session's [`StageProfile`].
+pub fn profile_table(profile: &[StageProfile]) -> String {
+    let mut t = Table::new(PROFILE);
+    for st in profile {
+        t.row(&[
+            &st.stage,
+            &st.count,
+            &st.min_us,
+            &st.median_us,
+            &st.total_us,
+        ]);
     }
-    Ok(render(&analyze(&events, malformed), format))
+    t.text().lines().map(|l| format!("  {l}\n")).collect()
 }
 
 #[cfg(test)]
@@ -917,7 +825,7 @@ mod tests {
         assert_eq!(rep.scopes[0].tally.model_pruned, 0);
         assert!(!render(&rep, ReportFormat::Text).contains("cost model"));
         assert!(!render(&rep, ReportFormat::Json).contains("model_pruned"));
-        assert!(!render(&rep, ReportFormat::Markdown).contains("model-pruned"));
+        assert!(!render(&rep, ReportFormat::Markdown).contains("cost model"));
 
         // A "model-rank"-pruned probe counts into both pruned buckets;
         // a legality-pruned probe only into the total.
@@ -941,7 +849,8 @@ mod tests {
         let json = render(&rep, ReportFormat::Json);
         assert!(json.contains("\"model_pruned\":1"), "{json}");
         assert!(parse_json(&json).is_some(), "bad report json: {json}");
-        assert!(render(&rep, ReportFormat::Markdown).contains("1 model-pruned; "));
+        assert!(render(&rep, ReportFormat::Markdown)
+            .contains("cost model pruned 1 of 3 candidates before compile"));
     }
 
     #[test]

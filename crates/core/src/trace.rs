@@ -16,8 +16,9 @@
 //!
 //! Writer and reader sit side by side: [`SearchEvent::to_json`] /
 //! [`stats_json`] write a line, [`parse_trace_line`] / `parse_stats`
-//! read it back, and [`read_trace`] re-reads a whole file. The worker
-//! protocol reuses the `stats` pair for its reply frames.
+//! read it back, and [`read_trace`] / [`read_traces`] re-read whole
+//! files. The worker protocol reuses the `stats` pair for its reply
+//! frames.
 
 use crate::journal;
 use crate::json::{esc, parse_json, Json};
@@ -543,6 +544,18 @@ pub fn read_trace(path: impl AsRef<Path>) -> std::io::Result<TraceData> {
         events,
         malformed: loaded.malformed as usize,
     })
+}
+
+/// Read several trace files as one: events in file order, malformed
+/// lines summed.
+pub fn read_traces(paths: &[impl AsRef<Path>]) -> std::io::Result<TraceData> {
+    let mut all = TraceData::default();
+    for p in paths {
+        let data = read_trace(p)?;
+        all.events.extend(data.events);
+        all.malformed += data.malformed;
+    }
+    Ok(all)
 }
 
 #[cfg(test)]

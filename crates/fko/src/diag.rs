@@ -145,7 +145,10 @@ impl std::fmt::Display for Diagnostic {
     }
 }
 
-/// Escape a string for embedding in JSON.
+/// Escape `s` for use inside a JSON string literal: backslash, quote,
+/// and every control character (a raw newline inside a JSONL record
+/// would split it into two malformed lines). The workspace's one JSON
+/// string escaper; `ifko::json::esc` re-exports it.
 pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {

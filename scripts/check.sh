@@ -26,12 +26,24 @@ fi
 step "panic sites (scripts/panics.sh)"
 # `.unwrap()` / `.expect(` / `panic!` / `unreachable!` in shipping code:
 # a number that may only go down. Lower the ceiling whenever it does.
-panic_ceiling=66
+panic_ceiling=61
 panic_sites="$(scripts/panics.sh | awk '{ print $1 }')"
 echo "$panic_sites panic sites (ceiling $panic_ceiling)"
 if [ "$panic_sites" -gt "$panic_ceiling" ]; then
     echo "error: $panic_sites panic sites, above the ceiling of $panic_ceiling" >&2
     scripts/panics.sh -v >&2
+    exit 1
+fi
+
+step "shipping lines (scripts/size.sh)"
+# Lines under crates/*/src, tests cut: a number that may only go down.
+# Lower the ceiling whenever it does; a change that raises it says why
+# in CHANGES.md.
+size_ceiling=25562
+size_total="$(scripts/size.sh | awk '{ print $1 }')"
+echo "$size_total shipping lines (ceiling $size_ceiling)"
+if [ "$size_total" -gt "$size_ceiling" ]; then
+    echo "error: $size_total shipping lines, above the ceiling of $size_ceiling" >&2
     exit 1
 fi
 
