@@ -12,7 +12,6 @@
 
 use crate::ir::*;
 use ifko_xsim::MachineConfig;
-use std::collections::HashMap;
 
 /// Why a loop cannot be vectorized (reported back to the search).
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -180,13 +179,14 @@ pub fn classify_scalars(k: &KernelIr, l: &LoopIr) -> Vec<ScalarInfo> {
         any: bool,
         in_cold: bool,
     }
-    let mut table: HashMap<V, Acc> = HashMap::new();
+    // One entry per vreg; `any` marks the ones the loop touches.
+    let mut table = vec![Acc::default(); k.vregs.len()];
     let counter_vregs: Vec<V> = match &l.counter {
         Counter::Hidden { trips } => vec![*trips],
         Counter::Visible { ivar, n, .. } => vec![*ivar, *n],
     };
 
-    let visit = |op: &Op, cold: bool, table: &mut HashMap<V, Acc>| {
+    let visit = |op: &Op, cold: bool, table: &mut [Acc]| {
         // Reduction-add pattern: FBin{Add, dst, a==dst, b != dst}.
         let red_target = match op {
             Op::FBin {
@@ -202,10 +202,7 @@ pub fn classify_scalars(k: &KernelIr, l: &LoopIr) -> Vec<ScalarInfo> {
             _ => None,
         };
         if let Some(acc_v) = red_target {
-            let e = table.entry(acc_v).or_insert(Acc {
-                all_red_add: true,
-                ..Default::default()
-            });
+            let e = &mut table[acc_v as usize];
             if !e.any {
                 e.all_red_add = true;
                 e.first_is_def = Some(false);
@@ -214,30 +211,28 @@ pub fn classify_scalars(k: &KernelIr, l: &LoopIr) -> Vec<ScalarInfo> {
             e.sets += 1;
             e.uses += 1;
             e.in_cold |= cold;
-            // Other operands handled below via uses(), minus the acc.
+            // Other operands handled below, minus the acc.
         }
-        for u in op.uses() {
+        op.for_each_use(&mut |u| {
             if red_target == Some(u) {
-                continue;
+                return;
             }
-            let e = table.entry(u).or_default();
+            let e = &mut table[u as usize];
             if !e.any {
                 e.first_is_def = Some(false);
-                e.all_red_add = false;
             }
             e.any = true;
             e.uses += 1;
             e.all_red_add = false;
             e.in_cold |= cold;
-        }
+        });
         if let Some(d) = op.def() {
             if red_target == Some(d) {
                 return;
             }
-            let e = table.entry(d).or_default();
+            let e = &mut table[d as usize];
             if !e.any {
                 e.first_is_def = Some(true);
-                e.all_red_add = false;
             }
             e.any = true;
             e.sets += 1;
@@ -252,43 +247,30 @@ pub fn classify_scalars(k: &KernelIr, l: &LoopIr) -> Vec<ScalarInfo> {
         visit(op, true, &mut table);
     }
 
-    // Accesses outside the loop.
-    let used_outside: std::collections::HashSet<V> = k
-        .pre
-        .iter()
-        .chain(&k.post)
-        .flat_map(|o| o.uses().into_iter().chain(o.def()))
-        .chain(match k.ret {
-            RetVal::F(v) | RetVal::I(v) => Some(v),
-            RetVal::None => None,
-        })
-        .collect();
-    // Post-loop *uses* specifically (live-out).
-    let used_in_post: std::collections::HashSet<V> = k
-        .post
-        .iter()
-        .flat_map(|o| o.uses())
-        .chain(match k.ret {
-            RetVal::F(v) | RetVal::I(v) => Some(v),
-            RetVal::None => None,
-        })
-        .collect();
+    // Post-loop *uses* (live-out), including the return value.
+    let mut used_in_post = vec![false; k.vregs.len()];
+    for op in &k.post {
+        op.for_each_use(&mut |u| used_in_post[u as usize] = true);
+    }
+    if let RetVal::F(v) | RetVal::I(v) = k.ret {
+        used_in_post[v as usize] = true;
+    }
 
     let mut out = Vec::new();
-    for (v, acc) in table {
-        if counter_vregs.contains(&v) {
+    for (v, acc) in table.iter().enumerate() {
+        let v = v as V;
+        if !acc.any || counter_vregs.contains(&v) {
             continue;
         }
         let role = if acc.sets == 0 {
             ScalarRole::Invariant
         } else if acc.all_red_add && !acc.in_cold {
             ScalarRole::ReductionAdd
-        } else if acc.first_is_def == Some(true) && !used_in_post.contains(&v) && !acc.in_cold {
+        } else if acc.first_is_def == Some(true) && !used_in_post[v as usize] && !acc.in_cold {
             ScalarRole::Private
         } else {
             ScalarRole::Carried
         };
-        let _ = &used_outside;
         out.push(ScalarInfo {
             vreg: v,
             class: k.class(v),
@@ -298,7 +280,6 @@ pub fn classify_scalars(k: &KernelIr, l: &LoopIr) -> Vec<ScalarInfo> {
             line: k.vreg_line(v),
         });
     }
-    out.sort_by_key(|s| s.vreg);
     out
 }
 

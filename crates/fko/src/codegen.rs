@@ -107,16 +107,16 @@ pub fn codegen_with(
 
     // Physical register lookups.
     let ireg = |v: ir::V| -> Result<IReg, CodegenError> {
-        match alloc.map.get(&v) {
-            Some(Phys::I(r)) => Ok(IReg(*r)),
+        match alloc.get(v) {
+            Some(Phys::I(r)) => Ok(IReg(r)),
             other => Err(CodegenError(format!(
                 "int vreg v{v} has no int register: {other:?}"
             ))),
         }
     };
     let freg = |v: ir::V| -> Result<FReg, CodegenError> {
-        match alloc.map.get(&v) {
-            Some(Phys::F(r)) => Ok(FReg(*r)),
+        match alloc.get(v) {
+            Some(Phys::F(r)) => Ok(FReg(r)),
             other => Err(CodegenError(format!(
                 "fp vreg v{v} has no fp register: {other:?}"
             ))),

@@ -30,14 +30,13 @@
 //! ranking.
 
 use crate::analysis::AnalysisReport;
-use crate::dataflow::{build_cfg, liveness, per_op_live_out, BitVec};
+use crate::dataflow::{self, build_cfg, liveness, per_op_live_out, BitVec};
 use crate::diag::Diagnostic;
 use crate::ir::*;
 use crate::params::TransformParams;
 use crate::verify::REGS_PER_CLASS;
 use crate::xform::{apply_transforms, LinearKernel};
 use ifko_xsim::MachineConfig;
-use std::collections::HashMap;
 
 /// Where the operands live when the kernel runs — the timing context the
 /// prediction is asked for (paper §3: out-of-cache vs in-L2).
@@ -284,12 +283,8 @@ fn op_latency(op: &Op, m: &MachineConfig) -> u64 {
 /// body, then the earliest (the unrolled main loop precedes the scalar
 /// remainder). A loop-free program is its own "body".
 fn hot_loop(ops: &[Op]) -> (usize, usize) {
-    let mut label_at: HashMap<LabelId, usize> = HashMap::new();
-    for (i, op) in ops.iter().enumerate() {
-        if let Op::Label(l) = op {
-            label_at.entry(*l).or_insert(i);
-        }
-    }
+    let mut label_at = Vec::new();
+    dataflow::label_table(ops, |i| i, &mut label_at);
     // (is_cond && bumps, body length) ranking; strict improvement keeps
     // the earliest among equals.
     let mut best: Option<(bool, usize, usize)> = None; // (rank, len, start)
@@ -299,8 +294,9 @@ fn hot_loop(ops: &[Op]) -> (usize, usize) {
             Op::CondBr { target, .. } => (target, true),
             _ => continue,
         };
-        let Some(&t) = label_at.get(target) else {
-            continue;
+        let t = match label_at.get(target.0 as usize) {
+            Some(&t) if t != dataflow::NONE => t,
+            _ => continue,
         };
         if t > i {
             continue;

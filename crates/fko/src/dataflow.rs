@@ -8,7 +8,7 @@
 //! elimination and the stage verifier both run on top of it, so the same
 //! analyses that power transforms also machine-check their output.
 
-use crate::ir::{LabelId, Op, V};
+use crate::ir::{Op, V};
 
 // ---------------------------------------------------------------------------
 // Bit vectors
@@ -97,7 +97,7 @@ impl BitVec {
 
 /// A maximal straight-line run of ops. `start..end` indexes into the op
 /// stream the CFG was built from.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct Block {
     pub start: usize,
     pub end: usize,
@@ -106,11 +106,13 @@ pub struct Block {
 }
 
 /// CFG over a linear op stream.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct Cfg {
     pub blocks: Vec<Block>,
     /// Block index of every op.
     pub block_of: Vec<usize>,
+    /// First block binding each label, indexed by label id.
+    label_block: Vec<usize>,
 }
 
 impl Cfg {
@@ -119,88 +121,101 @@ impl Cfg {
     }
 }
 
+/// Dense sentinel for "no entry" in label-indexed tables.
+pub(crate) const NONE: usize = usize::MAX;
+
+/// Fill `table`, indexed by label id, with `at(i)` for the first op `i`
+/// that binds each label and [`NONE`] for the rest. It is sized by the
+/// largest label id the ops bind, so it needs no label count and
+/// tolerates the corrupt streams the verifier is handed.
+pub(crate) fn label_table(ops: &[Op], at: impl Fn(usize) -> usize, table: &mut Vec<usize>) {
+    table.clear();
+    for (i, op) in ops.iter().enumerate() {
+        if let Op::Label(l) = op {
+            let l = l.0 as usize;
+            if table.len() <= l {
+                table.resize(l + 1, NONE);
+            }
+            if table[l] == NONE {
+                table[l] = at(i);
+            }
+        }
+    }
+}
+
 /// Build the CFG. Leaders are op 0, every label, and every op following a
 /// branch. Branches to labels that do not exist simply get no edge (the
 /// verifier reports them separately; the solver stays total).
 pub fn build_cfg(ops: &[Op]) -> Cfg {
+    let mut cfg = Cfg::default();
+    build_cfg_into(ops, &mut cfg);
+    cfg
+}
+
+/// [`build_cfg`] into `cfg`, reusing its storage: the optimizer rebuilds
+/// the CFG on every dead-code pass, so a reused `Cfg` costs no allocation.
+pub(crate) fn build_cfg_into(ops: &[Op], cfg: &mut Cfg) {
     let n = ops.len();
-    let mut leader = vec![false; n.max(1)];
-    if n > 0 {
-        leader[0] = true;
-    }
+    let mut nb = 0;
+    cfg.block_of.clear();
     for (i, op) in ops.iter().enumerate() {
-        match op {
-            Op::Label(_) => leader[i] = true,
-            Op::Br(_) | Op::CondBr { .. } if i + 1 < n => leader[i + 1] = true,
-            _ => {}
-        }
-    }
-    let mut blocks: Vec<Block> = Vec::new();
-    let mut block_of = vec![0usize; n];
-    for i in 0..n {
-        if leader[i] {
-            if let Some(last) = blocks.last_mut() {
-                last.end = i;
+        let leader = i == 0
+            || matches!(op, Op::Label(_))
+            || matches!(ops[i - 1], Op::Br(_) | Op::CondBr { .. });
+        if leader {
+            if nb > 0 {
+                cfg.blocks[nb - 1].end = i;
             }
-            blocks.push(Block {
-                start: i,
-                end: n,
-                succs: vec![],
-                preds: vec![],
-            });
+            start_block(cfg, nb, i, n);
+            nb += 1;
         }
-        block_of[i] = blocks.len().saturating_sub(1);
+        cfg.block_of.push(nb - 1);
     }
-    if blocks.is_empty() {
-        blocks.push(Block {
-            start: 0,
-            end: 0,
-            succs: vec![],
-            preds: vec![],
-        });
+    if nb == 0 {
+        start_block(cfg, 0, 0, 0);
+        nb = 1;
     }
+    cfg.blocks.truncate(nb);
     // First block carrying each label (duplicates are a verifier error).
-    let mut label_block = std::collections::HashMap::<LabelId, usize>::new();
-    for (i, op) in ops.iter().enumerate() {
-        if let Op::Label(l) = op {
-            label_block.entry(*l).or_insert(block_of[i]);
+    let block_of = &cfg.block_of;
+    label_table(ops, |i| block_of[i], &mut cfg.label_block);
+    for b in 0..nb {
+        let last = cfg.blocks[b].end.checked_sub(1).and_then(|i| ops.get(i));
+        let (target, falls_through) = match last {
+            Some(Op::Br(l)) => (Some(l), false),
+            Some(Op::CondBr { target, .. }) => (Some(target), true),
+            _ => (None, true),
+        };
+        let succs = &mut cfg.blocks[b].succs;
+        if let Some(&t) = target.and_then(|l| cfg.label_block.get(l.0 as usize)) {
+            if t != NONE {
+                succs.push(t);
+            }
         }
-    }
-    let nb = blocks.len();
-    let ends: Vec<usize> = blocks.iter().map(|blk| blk.end).collect();
-    for (b, &end) in ends.iter().enumerate() {
-        let last = end.checked_sub(1).and_then(|i| ops.get(i));
-        let mut succs = Vec::new();
-        match last {
-            Some(Op::Br(l)) => {
-                if let Some(&t) = label_block.get(l) {
-                    succs.push(t);
-                }
-            }
-            Some(Op::CondBr { target, .. }) => {
-                if let Some(&t) = label_block.get(target) {
-                    succs.push(t);
-                }
-                if b + 1 < nb {
-                    succs.push(b + 1);
-                }
-            }
-            _ => {
-                if b + 1 < nb {
-                    succs.push(b + 1);
-                }
-            }
+        if falls_through && b + 1 < nb {
+            succs.push(b + 1);
         }
         succs.dedup();
-        blocks[b].succs = succs;
     }
     for b in 0..nb {
-        let succs = blocks[b].succs.clone();
-        for s in succs {
-            blocks[s].preds.push(b);
+        for i in 0..cfg.blocks[b].succs.len() {
+            let s = cfg.blocks[b].succs[i];
+            cfg.blocks[s].preds.push(b);
         }
     }
-    Cfg { blocks, block_of }
+}
+
+/// Make block `b` of `cfg` an empty block `start..end`, reusing the edge
+/// lists of a block left there by an earlier build.
+fn start_block(cfg: &mut Cfg, b: usize, start: usize, end: usize) {
+    if b == cfg.blocks.len() {
+        cfg.blocks.push(Block::default());
+    }
+    let blk = &mut cfg.blocks[b];
+    blk.start = start;
+    blk.end = end;
+    blk.succs.clear();
+    blk.preds.clear();
 }
 
 // ---------------------------------------------------------------------------
@@ -414,11 +429,11 @@ pub fn undefined_uses(
     for (b, blk) in cfg.blocks.iter().enumerate() {
         let mut defined = inp[b].clone();
         for (i, op) in ops.iter().enumerate().take(blk.end).skip(blk.start) {
-            for u in op.uses() {
+            op.for_each_use(&mut |u| {
                 if !defined.get(u as usize) {
                     bad.push((i, u));
                 }
-            }
+            });
             if let Some(d) = op.def() {
                 defined.set(d as usize);
             }

@@ -237,18 +237,10 @@ pub enum Op {
 }
 
 impl Op {
-    /// Virtual registers read by this op (including address registers are
-    /// implicit via MemRef/PtrId, which are not vregs).
-    pub fn uses(&self) -> Vec<V> {
-        let mut out = Vec::new();
-        self.for_each_use(&mut |v| out.push(v));
-        out
-    }
-
-    /// Visit every vreg read by this op, in the same order [`Op::uses`]
-    /// reports them, without allocating. The hot analyses (liveness,
-    /// use counting, hull computation) run this once per op per pass, so
-    /// the per-call `Vec` of [`Op::uses`] would dominate their cost.
+    /// Visit every vreg read by this op, in operand order, without
+    /// allocating (address registers are implicit via MemRef/PtrId, which
+    /// are not vregs). Every pass from xform to codegen walks uses this
+    /// way, so a compile costs no allocation per op.
     #[inline]
     pub fn for_each_use(&self, f: &mut impl FnMut(V)) {
         use Op::*;
@@ -300,7 +292,7 @@ impl Op {
         }
     }
 
-    /// Whether this op reads `v` (allocation-free `uses().contains(&v)`).
+    /// Whether this op reads `v`.
     #[inline]
     pub fn reads(&self, v: V) -> bool {
         let mut found = false;
@@ -542,6 +534,12 @@ pub fn display_ops(ops: &[Op]) -> String {
 mod tests {
     use super::*;
 
+    fn uses(op: &Op) -> Vec<V> {
+        let mut out = Vec::new();
+        op.for_each_use(&mut |v| out.push(v));
+        out
+    }
+
     #[test]
     fn def_use_classification() {
         let op = Op::FBin {
@@ -552,7 +550,7 @@ mod tests {
             w: Width::S,
         };
         assert_eq!(op.def(), Some(3));
-        assert_eq!(op.uses(), vec![1, 2]);
+        assert_eq!(uses(&op), vec![1, 2]);
 
         let st = Op::FSt {
             mem: MemRef {
@@ -564,7 +562,7 @@ mod tests {
             nt: false,
         };
         assert_eq!(st.def(), None);
-        assert_eq!(st.uses(), vec![5]);
+        assert_eq!(uses(&st), vec![5]);
 
         let mem_bin = Op::FBin {
             op: FOp::Mul,
@@ -576,7 +574,7 @@ mod tests {
             }),
             w: Width::V,
         };
-        assert_eq!(mem_bin.uses(), vec![2]);
+        assert_eq!(uses(&mem_bin), vec![2]);
     }
 
     #[test]

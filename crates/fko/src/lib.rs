@@ -42,7 +42,7 @@ pub use verify::{lint_analysis, precheck, Reject};
 use ifko_xsim::MachineConfig;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Any failure along the compilation pipeline. Every variant carries its
@@ -235,6 +235,15 @@ fn normalized(params: &TransformParams) -> TransformParams {
     p
 }
 
+/// Lock `m` even if a thread panicked while holding it. Every value a
+/// session guards stays whole across such a panic: the scratch pool only
+/// ever holds bundles returned by a finished pipeline run, and the profile
+/// and candidate map only ever receive complete entries. So the next
+/// compile proceeds on the data as it stands instead of panicking too.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// A reusable compilation session for one (kernel, machine) pair.
 ///
 /// Owns the lowered [`ir::KernelIr`], its [`AnalysisReport`], a pool of
@@ -307,7 +316,7 @@ impl CompileSession {
     /// (Self::profile). Off by default; sampling costs one mutex lock and
     /// one `Vec` push per stage per compile.
     pub fn enable_profiling(&self) {
-        let mut p = self.profile.lock().unwrap();
+        let mut p = lock(&self.profile);
         if p.is_none() {
             *p = Some(HashMap::new());
         }
@@ -317,7 +326,7 @@ impl CompileSession {
     /// compile since [`enable_profiling`](Self::enable_profiling), sorted
     /// by total time descending. Empty when profiling is off.
     pub fn profile(&self) -> Vec<StageProfile> {
-        let guard = self.profile.lock().unwrap();
+        let guard = lock(&self.profile);
         let Some(map) = guard.as_ref() else {
             return Vec::new();
         };
@@ -343,7 +352,7 @@ impl CompileSession {
     /// Record one stage timing: into the profile (when enabled) and out
     /// through the caller's observer.
     fn emit(&self, opts: &mut CompileOpts<'_>, stage: &'static str, d: Duration) {
-        if let Some(map) = self.profile.lock().unwrap().as_mut() {
+        if let Some(map) = lock(&self.profile).as_mut() {
             map.entry(stage).or_default().push(d.as_micros() as u64);
         }
         if let Some(f) = opts.observe.as_deref_mut() {
@@ -362,12 +371,6 @@ impl CompileSession {
         }
     }
 
-    fn candidates(&self) -> MutexGuard<'_, HashMap<TransformParams, Candidate>> {
-        self.candidates
-            .lock()
-            .expect("a thread panicked while holding the candidate map")
-    }
-
     /// Statically predict the cost of one candidate: run the transforms
     /// (xform only — no opt/regalloc/codegen, no simulation) and analyze
     /// the post-xform IR with [`costmodel::predict_lin`]. `mach` must be
@@ -380,16 +383,19 @@ impl CompileSession {
         mach: &MachineConfig,
     ) -> Result<CostPrediction, CompileError> {
         let norm = normalized(params);
-        if let Some(pred) = self.candidates().get(&norm).and_then(|c| c.pred.clone()) {
+        if let Some(pred) = lock(&self.candidates)
+            .get(&norm)
+            .and_then(|c| c.pred.clone())
+        {
             return Ok(pred);
         }
         self.predictions.fetch_add(1, Ordering::Relaxed);
-        let mut sc = self.scratch.lock().unwrap().pop().unwrap_or_default();
+        let mut sc = lock(&self.scratch).pop().unwrap_or_default();
         let lin = xform::apply_transforms_with(&self.ir, params, &self.rep, &mut sc.xform)
             .map_err(|e| CompileError::xform(e.to_string()));
-        self.scratch.lock().unwrap().push(sc);
+        lock(&self.scratch).push(sc);
         let pred = costmodel::predict_lin(&lin?, mach);
-        self.candidates().entry(norm).or_default().pred = Some(pred.clone());
+        lock(&self.candidates).entry(norm).or_default().pred = Some(pred.clone());
         Ok(pred)
     }
 
@@ -404,10 +410,12 @@ impl CompileSession {
         let norm = normalized(params);
         // A verifying caller never receives a program compiled without
         // verification: it recompiles and upgrades the entry below.
-        let cached = self.candidates().get(&norm).and_then(|c| match &c.out {
-            Some((out, verified)) if *verified || !opts.verify_ir => Some(out.clone()),
-            _ => None,
-        });
+        let cached = lock(&self.candidates)
+            .get(&norm)
+            .and_then(|c| match &c.out {
+                Some((out, verified)) if *verified || !opts.verify_ir => Some(out.clone()),
+                _ => None,
+            });
         if let Some(out) = cached {
             self.hits.fetch_add(1, Ordering::Relaxed);
             self.emit(&mut opts, "subcache", t_total.elapsed());
@@ -415,11 +423,12 @@ impl CompileSession {
         }
         // Check a scratch bundle out of the pool for the slow path; push
         // it back whatever the outcome.
-        let mut sc = self.scratch.lock().unwrap().pop().unwrap_or_default();
+        let mut sc = lock(&self.scratch).pop().unwrap_or_default();
         let result = self.compile_slow(params, &mut opts, &mut sc);
-        self.scratch.lock().unwrap().push(sc);
+        lock(&self.scratch).push(sc);
         if let Ok(out) = &result {
-            self.candidates().entry(norm).or_default().out = Some((out.clone(), opts.verify_ir));
+            lock(&self.candidates).entry(norm).or_default().out =
+                Some((out.clone(), opts.verify_ir));
         }
         result
     }
@@ -500,4 +509,70 @@ pub fn compile_defaults(src: &str, mach: &MachineConfig) -> Result<CompiledKerne
     let sess = CompileSession::from_source(src, mach)?;
     let params = TransformParams::defaults(sess.report(), mach);
     sess.compile(&params, CompileOpts::default())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const DOT: &str = r#"
+ROUTINE dot(X, Y, N);
+PARAMS :: X = DOUBLE_PTR, Y = DOUBLE_PTR, N = INT;
+SCALARS :: dot = DOUBLE:OUT, x = DOUBLE, y = DOUBLE;
+ROUT_BEGIN
+  dot = 0.0;
+  !! TUNE LOOP
+  LOOP i = 0, N
+  LOOP_BODY
+    x = X[0];
+    y = Y[0];
+    dot += x * y;
+    X += 1;
+    Y += 1;
+  LOOP_END
+  RETURN dot;
+ROUT_END
+"#;
+
+    /// Leave `m` poisoned: a thread panics while holding it.
+    fn poison<T: Send>(m: &Mutex<T>) {
+        std::thread::scope(|s| {
+            let held = s.spawn(|| {
+                let _guard = m.lock();
+                panic!("poisoning the lock on purpose");
+            });
+            assert!(held.join().is_err());
+        });
+        assert!(m.is_poisoned());
+    }
+
+    /// A panic on another thread that held any of the session's locks
+    /// leaves the session usable: the next compile, on a cached point
+    /// and on a fresh one, returns the same program a clean session does.
+    #[test]
+    fn poisoned_locks_do_not_panic_the_compiler() {
+        let mach = ifko_xsim::p4e();
+        let clean = CompileSession::from_source(DOT, &mach).unwrap();
+        let cached = TransformParams::off();
+        let fresh = TransformParams::defaults(clean.report(), &mach);
+        let want_cached = clean.compile(&cached, CompileOpts::default()).unwrap();
+        let want_fresh = clean.compile(&fresh, CompileOpts::default()).unwrap();
+        for which in ["scratch pool", "profile", "candidate map"] {
+            let sess = CompileSession::from_source(DOT, &mach).unwrap();
+            sess.enable_profiling();
+            sess.compile(&cached, CompileOpts::default()).unwrap();
+            match which {
+                "scratch pool" => poison(&sess.scratch),
+                "profile" => poison(&sess.profile),
+                _ => poison(&sess.candidates),
+            }
+            let got = sess.compile(&cached, CompileOpts::default()).unwrap();
+            assert_eq!(got.program, want_cached.program, "cached, {which}");
+            let got = sess.compile(&fresh, CompileOpts::default()).unwrap();
+            assert_eq!(got.program, want_fresh.program, "fresh, {which}");
+            sess.predict(&fresh, &mach).unwrap();
+            assert!(!sess.profile().is_empty(), "{which}");
+            assert_eq!(sess.stats().subcache_hits, 1, "{which}");
+        }
+    }
 }

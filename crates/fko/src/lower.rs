@@ -45,10 +45,11 @@ struct Lowerer<'a> {
     k: KernelIr,
     syms: HashMap<String, Sym>,
     labels: HashMap<String, LabelId>,
-    /// Running element offset per pointer (reset at loop-body entry).
-    run_off: HashMap<u32, i64>,
-    /// Pointer bumps accumulated while lowering a loop body.
-    bumps: HashMap<u32, i64>,
+    /// Running element offset per pointer id (reset at loop-body entry).
+    run_off: Vec<i64>,
+    /// Pointer bumps accumulated while lowering a loop body, per pointer
+    /// id (`None` = never bumped).
+    bumps: Vec<Option<i64>>,
     in_loop_body: bool,
     loop_ivar: Option<(String, V)>,
 }
@@ -133,8 +134,8 @@ pub fn lower(routine: &Routine, info: &ifko_hil::SemaInfo) -> Result<KernelIr, L
         k,
         syms,
         labels: HashMap::new(),
-        run_off: HashMap::new(),
-        bumps: HashMap::new(),
+        run_off: Vec::new(),
+        bumps: Vec::new(),
         in_loop_body: false,
         loop_ivar: None,
     };
@@ -271,17 +272,21 @@ impl Lowerer<'_> {
         };
 
         self.in_loop_body = true;
-        self.run_off.clear();
-        self.bumps.clear();
+        let n_ptrs = self.k.ptrs.len();
+        self.run_off = vec![0; n_ptrs];
+        self.bumps = vec![None; n_ptrs];
         let mut ops = Vec::new();
         for st in &l.body {
             self.stmt_into(st, &mut ops)?;
         }
         self.in_loop_body = false;
 
-        let mut bumps: Vec<(PtrId, i64)> =
-            self.bumps.iter().map(|(p, e)| (PtrId(*p), *e)).collect();
-        bumps.sort_by_key(|(p, _)| p.0);
+        let bumps: Vec<(PtrId, i64)> = self
+            .bumps
+            .iter()
+            .enumerate()
+            .filter_map(|(p, e)| Some((PtrId(p as u32), (*e)?)))
+            .collect();
         // Every accessed pointer must advance uniformly by the same element
         // count (contiguous unit-stride kernels); non-advancing pointers
         // are allowed (they are simply not prefetch candidates).
@@ -304,8 +309,9 @@ impl Lowerer<'_> {
                     return err(format!("unknown pointer `{ptr}`"));
                 };
                 if self.in_loop_body {
-                    *self.run_off.entry(pid.0).or_insert(0) += elems;
-                    *self.bumps.entry(pid.0).or_insert(0) += elems;
+                    let p = pid.0 as usize;
+                    self.run_off[p] += elems;
+                    *self.bumps[p].get_or_insert(0) += elems;
                 } else {
                     ops.push(Op::PtrBump {
                         ptr: pid,
@@ -443,7 +449,7 @@ impl Lowerer<'_> {
                 let Some(Sym::Ptr(pid)) = self.syms.get(ptr).copied() else {
                     return err(format!("unknown pointer `{ptr}`"));
                 };
-                let off = self.run_off.get(&pid.0).copied().unwrap_or(0) + offset;
+                let off = self.run_off.get(pid.0 as usize).copied().unwrap_or(0) + offset;
                 let (rv, rint) = self.expr_value(rhs, ops)?;
                 if rint {
                     return err("storing integer into FP array");
@@ -527,7 +533,7 @@ impl Lowerer<'_> {
                 let Some(Sym::Ptr(pid)) = self.syms.get(ptr).copied() else {
                     return err(format!("unknown pointer `{ptr}`"));
                 };
-                let off = self.run_off.get(&pid.0).copied().unwrap_or(0) + offset;
+                let off = self.run_off.get(pid.0 as usize).copied().unwrap_or(0) + offset;
                 let t = self.k.new_vreg(VClass::F);
                 ops.push(Op::FLd {
                     dst: t,

@@ -23,24 +23,40 @@ const NO_V: V = V::MAX;
 pub struct OptScratch {
     /// Use count per vreg.
     use_count: Vec<u32>,
-    /// Copy table per vreg (`NO_V` = absent).
+    /// Copy table per vreg (`NO_V` = absent), and the def count of the
+    /// copy's source when it was recorded: a copy holds while its source's
+    /// def count is unchanged, so redefining a source drops every copy of
+    /// it at once.
     copies: Vec<V>,
+    copy_stamp: Vec<u32>,
+    /// Defs seen so far per vreg.
+    defs: Vec<u32>,
     /// Vregs written into `copies` since the last label, for O(touched)
-    /// clears and value-invalidation scans.
+    /// clears.
     touched: Vec<V>,
     /// Label position table (`usize::MAX` = absent), indexed by `LabelId`.
     label_pos: Vec<usize>,
     /// Labels referenced by some branch, indexed by `LabelId`.
     referenced: Vec<bool>,
-    /// Per-op keep mask for dead-code elimination.
+    /// Per-op keep mask of the passes that delete ops.
     keep: Vec<bool>,
-    /// Liveness solver storage.
+    /// CFG and liveness solver storage.
+    cfg: dataflow::Cfg,
     live: dataflow::LivenessScratch,
     /// Current live set during the per-block backward DCE scan.
     live_now: dataflow::BitVec,
-    /// Deferred branch retargets / op removals.
+    /// Deferred branch retargets.
     retargets: Vec<(usize, LabelId)>,
-    remove: Vec<usize>,
+}
+
+impl OptScratch {
+    /// The source `v` is a live copy of, if any.
+    fn copy_of(&self, v: V) -> Option<V> {
+        match self.copies[v as usize] {
+            NO_V => None,
+            root => (self.copy_stamp[v as usize] == self.defs[root as usize]).then_some(root),
+        }
+    }
 }
 
 /// Run the repeatable optimization block to a fixed point.
@@ -83,8 +99,13 @@ pub fn copy_propagate(k: &mut LinearKernel) -> bool {
 
 fn copy_propagate_with(k: &mut LinearKernel, s: &mut OptScratch) -> bool {
     let mut changed = false;
+    let nv = k.vregs.len();
     s.copies.clear();
-    s.copies.resize(k.vregs.len(), NO_V);
+    s.copies.resize(nv, NO_V);
+    s.copy_stamp.clear();
+    s.copy_stamp.resize(nv, 0);
+    s.defs.clear();
+    s.defs.resize(nv, 0);
     s.touched.clear();
     for op in &mut k.ops {
         if matches!(op, Op::Label(_)) {
@@ -96,39 +117,23 @@ fn copy_propagate_with(k: &mut LinearKernel, s: &mut OptScratch) -> bool {
         }
         // Substitute uses (except tied operands).
         match op {
-            Op::FBin { b, .. } => {
-                if let RoM::Reg(r) = b {
-                    let nv = s.copies[*r as usize];
-                    if nv != NO_V {
-                        *r = nv;
-                        changed = true;
-                    }
+            Op::FBin { b: RoM::Reg(r), .. }
+            | Op::IBin {
+                b: IOrImm::Reg(r), ..
+            } => {
+                if let Some(nv) = s.copy_of(*r) {
+                    *r = nv;
+                    changed = true;
                 }
             }
-            Op::IBin { b, .. } => {
-                if let IOrImm::Reg(r) = b {
-                    let nv = s.copies[*r as usize];
-                    if nv != NO_V {
-                        *r = nv;
-                        changed = true;
-                    }
+            Op::FBin { .. } | Op::IBin { .. } | Op::IDecFlags(_) => {}
+            _ => op.map_uses(&mut |v| match s.copy_of(v) {
+                Some(nv) => {
+                    changed |= nv != v;
+                    nv
                 }
-            }
-            Op::IDecFlags(_) => {}
-            _ => {
-                let copies = &s.copies;
-                op.map_uses(&mut |v| {
-                    let nv = copies[v as usize];
-                    if nv != NO_V {
-                        if nv != v {
-                            changed = true;
-                        }
-                        nv
-                    } else {
-                        v
-                    }
-                });
-            }
+                None => v,
+            }),
         }
         // Update the copy table.
         let new_copy = match op {
@@ -138,21 +143,14 @@ fn copy_propagate_with(k: &mut LinearKernel, s: &mut OptScratch) -> bool {
         };
         if let Some(d) = op.def() {
             s.copies[d as usize] = NO_V;
-            // Invalidate copies whose source is redefined.
-            for &t in &s.touched {
-                if s.copies[t as usize] == d {
-                    s.copies[t as usize] = NO_V;
-                }
-            }
+            s.defs[d as usize] += 1;
         }
         if let Some((d, src)) = new_copy {
-            if d != src {
-                let r = s.copies[src as usize];
-                let root = if r != NO_V { r } else { src };
-                if root != d {
-                    s.copies[d as usize] = root;
-                    s.touched.push(d);
-                }
+            let root = s.copy_of(src).unwrap_or(src);
+            if d != src && root != d {
+                s.copies[d as usize] = root;
+                s.copy_stamp[d as usize] = s.defs[root as usize];
+                s.touched.push(d);
             }
         }
     }
@@ -181,6 +179,8 @@ fn count_uses(k: &LinearKernel, use_count: &mut Vec<u32>) {
 
 fn coalesce_movs_with(k: &mut LinearKernel, s: &mut OptScratch) -> bool {
     count_uses(k, &mut s.use_count);
+    s.keep.clear();
+    s.keep.resize(k.ops.len(), true);
     let mut changed = false;
     let mut i = 0;
     while i + 1 < k.ops.len() {
@@ -215,12 +215,26 @@ fn coalesce_movs_with(k: &mut LinearKernel, s: &mut OptScratch) -> bool {
                     *a = *d;
                 }
             }
-            k.ops.remove(i + 1);
+            // The move goes; the scan resumes after it.
+            s.keep[i + 1] = false;
             changed = true;
+            i += 1;
         }
         i += 1;
     }
+    if changed {
+        retain_kept(&mut k.ops, &s.keep);
+    }
     changed
+}
+
+/// Drop every op whose `keep` entry is false, in one pass.
+fn retain_kept(ops: &mut Vec<Op>, keep: &[bool]) {
+    let mut idx = 0;
+    ops.retain(|_| {
+        idx += 1;
+        keep[idx - 1]
+    });
 }
 
 /// Remove pure ops whose results are never used (iterated to fixpoint by
@@ -262,8 +276,9 @@ fn dead_code_elim_with(k: &mut LinearKernel, s: &mut OptScratch) -> bool {
         RetVal::None => &[],
     };
     let nvregs = k.vregs.len();
-    let cfg = dataflow::build_cfg(&k.ops);
-    dataflow::liveness_into(&k.ops, nvregs, exit_live, &cfg, &mut s.live);
+    dataflow::build_cfg_into(&k.ops, &mut s.cfg);
+    let cfg = &s.cfg;
+    dataflow::liveness_into(&k.ops, nvregs, exit_live, cfg, &mut s.live);
 
     s.keep.clear();
     s.keep.resize(k.ops.len(), true);
@@ -292,12 +307,7 @@ fn dead_code_elim_with(k: &mut LinearKernel, s: &mut OptScratch) -> bool {
     if s.keep.iter().all(|&kp| kp) {
         return false;
     }
-    let keep = &s.keep;
-    let mut idx = 0;
-    k.ops.retain(|_| {
-        idx += 1;
-        keep[idx - 1]
-    });
+    retain_kept(&mut k.ops, &s.keep);
     true
 }
 
@@ -309,9 +319,8 @@ pub fn fuse_mem_operands(k: &mut LinearKernel) -> bool {
 
 fn fuse_mem_operands_with(k: &mut LinearKernel, s: &mut OptScratch) -> bool {
     count_uses(k, &mut s.use_count);
-
-    let remove = &mut s.remove;
-    remove.clear();
+    s.keep.clear();
+    s.keep.resize(k.ops.len(), true);
     let mut changed = false;
     'outer: for i in 0..k.ops.len() {
         let (dst, mem, w) = match &k.ops[i] {
@@ -337,7 +346,7 @@ fn fuse_mem_operands_with(k: &mut LinearKernel, s: &mut OptScratch) -> bool {
                             ..
                         } if *b == RoM::Reg(dst) && *w2 == w && *a != dst => {
                             *b = RoM::Mem(mem);
-                            remove.push(i);
+                            s.keep[i] = false;
                             changed = true;
                         }
                         Op::FCmp {
@@ -345,7 +354,7 @@ fn fuse_mem_operands_with(k: &mut LinearKernel, s: &mut OptScratch) -> bool {
                             b: b @ RoM::Reg(_),
                         } if *b == RoM::Reg(dst) && w == Width::S && *a != dst => {
                             *b = RoM::Mem(mem);
-                            remove.push(i);
+                            s.keep[i] = false;
                             changed = true;
                         }
                         _ => {}
@@ -356,8 +365,8 @@ fn fuse_mem_operands_with(k: &mut LinearKernel, s: &mut OptScratch) -> bool {
             }
         }
     }
-    for &idx in remove.iter().rev() {
-        k.ops.remove(idx);
+    if changed {
+        retain_kept(&mut k.ops, &s.keep);
     }
     changed
 }
@@ -367,19 +376,26 @@ pub fn loop_control(k: &mut LinearKernel) -> bool {
     let mut changed = false;
     let mut i = 0;
     while i + 2 < k.ops.len() {
-        let matched = matches!(
-            (&k.ops[i], &k.ops[i + 1], &k.ops[i + 2]),
+        let dec = match (&k.ops[i], &k.ops[i + 1], &k.ops[i + 2]) {
             (
-                Op::IBin { op: IOp::Sub, dst, a, b: IOrImm::Imm(1) },
-                Op::ICmp { a: ca, b: IOrImm::Imm(0) },
-                Op::CondBr { cond: Cond::Gt | Cond::Ge | Cond::Ne | Cond::Eq | Cond::Le, .. },
-            ) if dst == a && ca == dst
-        );
-        if matched {
-            let x = match &k.ops[i] {
-                Op::IBin { dst, .. } => *dst,
-                _ => unreachable!(),
-            };
+                Op::IBin {
+                    op: IOp::Sub,
+                    dst,
+                    a,
+                    b: IOrImm::Imm(1),
+                },
+                Op::ICmp {
+                    a: ca,
+                    b: IOrImm::Imm(0),
+                },
+                Op::CondBr {
+                    cond: Cond::Gt | Cond::Ge | Cond::Ne | Cond::Eq | Cond::Le,
+                    ..
+                },
+            ) if dst == a && ca == dst => Some(*dst),
+            _ => None,
+        };
+        if let Some(x) = dec {
             k.ops[i] = Op::IDecFlags(x);
             k.ops.remove(i + 1);
             changed = true;

@@ -16,7 +16,6 @@
 
 use crate::ir::*;
 use crate::xform::LinearKernel;
-use std::collections::HashMap;
 
 /// A physical register assignment.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -28,11 +27,28 @@ pub enum Phys {
 /// Result of allocation.
 #[derive(Clone, Debug, Default)]
 pub struct Allocation {
-    pub map: HashMap<V, Phys>,
+    /// Register of each vreg, indexed by `V`.
+    map: Vec<Option<Phys>>,
     /// Number of 16-byte frame slots used by spills.
     pub frame_slots: u32,
     /// Diagnostics: how many vregs were spilled.
     pub spilled: u32,
+}
+
+impl Allocation {
+    /// The register `v` is assigned to, if any.
+    pub fn get(&self, v: V) -> Option<Phys> {
+        self.map.get(v as usize).copied().flatten()
+    }
+
+    /// Assign `v` to `phys`, or unassign it with `None`.
+    pub fn set(&mut self, v: V, phys: Option<Phys>) {
+        let i = v as usize;
+        if self.map.len() <= i {
+            self.map.resize(i + 1, None);
+        }
+        self.map[i] = phys;
+    }
 }
 
 /// Allocation failure (pathological pressure even after spilling).
@@ -65,15 +81,17 @@ struct Hull {
 }
 
 /// Reusable working set for [`allocate_with`]: dense first/last-position
-/// tables, the label-position table, region lists, and the hull vector,
-/// allocated once per compile session instead of once per candidate.
+/// tables, the label-position and cold-span tables, the branch and region
+/// lists, and the hull vector, allocated once per compile session instead
+/// of once per candidate.
 #[derive(Default)]
 pub struct AllocScratch {
     first: Vec<usize>,
     last: Vec<usize>,
     first_is_use: Vec<bool>,
     label_pos: Vec<usize>,
-    regions: Vec<(usize, usize)>,
+    branches: Vec<(usize, usize)>,
+    cold_end: Vec<usize>,
     extended: Vec<(usize, usize)>,
     hulls: Vec<Hull>,
 }
@@ -150,39 +168,39 @@ fn hulls_into(k: &LinearKernel, sc: &mut AllocScratch) {
         Some(&p) if p != NO_POS => Some(p),
         _ => None,
     };
-    sc.regions.clear();
+    // Every branch to a bound label, in op order: (position, target).
+    sc.branches.clear();
     for (i, op) in k.ops.iter().enumerate() {
         if let Op::CondBr { target, .. } | Op::Br(target) = op {
             if let Some(tp) = lpos(target) {
-                if tp < i {
-                    sc.regions.push((tp, i));
-                }
+                sc.branches.push((i, tp));
             }
         }
     }
-    // Extend regions over cold spans they branch into (targets far beyond
-    // the region end — cold code jumps back, so anything live in the
-    // region is live during the cold block too).
+    // Where a cold span starting at each position ends: its terminating
+    // Br, or the last op.
+    sc.cold_end.clear();
+    sc.cold_end.resize(n, n.saturating_sub(1));
+    for q in (0..n.saturating_sub(1)).rev() {
+        sc.cold_end[q] = if matches!(k.ops[q], Op::Br(_)) {
+            q
+        } else {
+            sc.cold_end[q + 1]
+        };
+    }
+    // Extend each backward-branch region over the cold spans it branches
+    // into (targets beyond the region end — cold code jumps back, so
+    // anything live in the region is live during the cold block too).
     sc.extended.clear();
-    for &(s, e) in &sc.regions {
-        let mut lo = s;
-        let mut hi = e;
-        for op in &k.ops[s..=e.min(n - 1)] {
-            if let Op::CondBr { target, .. } | Op::Br(target) = op {
-                if let Some(tp) = lpos(target) {
-                    if tp > e {
-                        // Cold span: from its label to its terminating Br.
-                        let mut q = tp;
-                        while q < n && !matches!(k.ops[q], Op::Br(_)) {
-                            q += 1;
-                        }
-                        hi = hi.max(q.min(n - 1));
-                        lo = lo.min(tp);
-                    }
-                }
-            }
-        }
-        sc.extended.push((lo, hi));
+    for &(e, s) in sc.branches.iter().filter(|&&(i, tp)| tp < i) {
+        let first = sc.branches.partition_point(|&(j, _)| j < s);
+        let hi = sc.branches[first..]
+            .iter()
+            .take_while(|&&(j, _)| j <= e)
+            .filter(|&&(_, tp)| tp > e)
+            .map(|&(_, tp)| sc.cold_end[tp])
+            .fold(e, usize::max);
+        sc.extended.push((s, hi));
     }
 
     sc.hulls.clear();
@@ -269,7 +287,10 @@ fn try_allocate(
     let mut free_i = ipool;
     let mut free_f = fpool;
     let mut active: Vec<(usize, V, Phys)> = Vec::new(); // (end, vreg, reg)
-    let mut map = HashMap::new();
+    let mut alloc = Allocation {
+        map: vec![None; k.vregs.len()],
+        ..Allocation::default()
+    };
     let mut failed: Vec<V> = Vec::new();
     for h in hs {
         // Expire.
@@ -293,7 +314,7 @@ fn try_allocate(
                 VClass::Int => Phys::I(r),
                 _ => Phys::F(r),
             };
-            map.insert(h.v, phys);
+            alloc.set(h.v, Some(phys));
             active.push((h.end, h.v, phys));
         } else {
             // Spill the active interval (same class) with the furthest
@@ -313,9 +334,9 @@ fn try_allocate(
                 Some((idx, &(vend, vv, vreg))) if vend > h.end => {
                     // Steal the victim's register.
                     active.remove(idx);
-                    map.remove(&vv);
+                    alloc.set(vv, None);
                     failed.push(vv);
-                    map.insert(h.v, vreg);
+                    alloc.set(h.v, Some(vreg));
                     active.push((h.end, h.v, vreg));
                 }
                 _ => failed.push(h.v),
@@ -323,11 +344,7 @@ fn try_allocate(
         }
     }
     if failed.is_empty() {
-        Ok(Allocation {
-            map,
-            frame_slots: 0,
-            spilled: 0,
-        })
+        Ok(alloc)
     } else {
         Err(failed)
     }
@@ -342,9 +359,17 @@ fn allocate_with_spills(k: &LinearKernel, hs: &[Hull]) -> Result<(Allocation, Ve
             let mut free_i = ipool;
             let mut free_f = fpool;
             let mut active: Vec<(usize, Phys)> = Vec::new();
-            let mut map = HashMap::new();
+            let mut is_spilled = vec![false; k.vregs.len()];
+            for &v in &spilled {
+                is_spilled[v as usize] = true;
+            }
+            let mut alloc = Allocation {
+                map: vec![None; k.vregs.len()],
+                frame_slots: 0,
+                spilled: spilled.len() as u32,
+            };
             for h in hs {
-                if spilled.contains(&h.v) {
+                if is_spilled[h.v as usize] {
                     continue;
                 }
                 active.retain(|(end, reg)| {
@@ -372,17 +397,10 @@ fn allocate_with_spills(k: &LinearKernel, hs: &[Hull]) -> Result<(Allocation, Ve
                     VClass::Int => Phys::I(r),
                     _ => Phys::F(r),
                 };
-                map.insert(h.v, phys);
+                alloc.set(h.v, Some(phys));
                 active.push((h.end, phys));
             }
-            Ok((
-                Allocation {
-                    map,
-                    frame_slots: 0,
-                    spilled: spilled.len() as u32,
-                },
-                spilled,
-            ))
+            Ok((alloc, spilled))
         }
     }
 }
@@ -394,100 +412,98 @@ fn rewrite_spills(
     alloc: &mut Allocation,
     spilled: &[V],
 ) -> Result<(), AllocError> {
-    let mut slot_of: HashMap<V, u32> = HashMap::new();
+    const NO_SLOT: u32 = u32::MAX;
+    let mut slot_of = vec![NO_SLOT; k.vregs.len()];
     for (i, v) in spilled.iter().enumerate() {
-        slot_of.insert(*v, i as u32);
+        slot_of[*v as usize] = i as u32;
     }
+    let slot = |v: V| match slot_of.get(v as usize) {
+        Some(&s) if s != NO_SLOT => Some(s),
+        _ => None,
+    };
     alloc.frame_slots = spilled.len() as u32;
 
     let mut out: Vec<Op> = Vec::with_capacity(k.ops.len() * 2);
-    for op in std::mem::take(&mut k.ops) {
-        let mut op = op;
-        let mut pre_ops: Vec<Op> = Vec::new();
-        let mut post_ops: Vec<Op> = Vec::new();
-        let mut scratch_i = 0usize;
-        let mut scratch_f = 0usize;
+    for mut op in std::mem::take(&mut k.ops) {
         // Capture the def BEFORE use-renaming: tied ops (dst == src, e.g.
         // IDecFlags) would otherwise report the scratch register as their
         // def and skip the store-back.
         let orig_def = op.def();
-        // Map each spilled use to a scratch reg, inserting a reload.
-        let uses = op.uses();
-        let mut use_map: HashMap<V, V> = HashMap::new();
-        for u in uses {
-            if let Some(&slot) = slot_of.get(&u) {
-                let class = k.vregs[u as usize];
-                let nv = {
-                    k.vregs.push(class);
-                    (k.vregs.len() - 1) as V
-                };
-                let sreg = match class {
-                    VClass::Int => {
-                        let r = I_SCRATCH[scratch_i.min(1)];
-                        scratch_i += 1;
-                        Phys::I(r)
-                    }
-                    _ => {
-                        let r = F_SCRATCH[scratch_f.min(1)];
-                        scratch_f += 1;
-                        Phys::F(r)
-                    }
-                };
-                alloc.map.insert(nv, sreg);
-                pre_ops.push(match class {
-                    VClass::Int => Op::ISpillLd { dst: nv, slot },
-                    VClass::F => Op::FSpillLd {
-                        dst: nv,
-                        slot,
-                        w: Width::S,
-                    },
-                    VClass::Vec => Op::FSpillLd {
-                        dst: nv,
-                        slot,
-                        w: Width::V,
-                    },
-                });
-                use_map.insert(u, nv);
-            }
-        }
-        op.map_uses(&mut |v| use_map.get(&v).copied().unwrap_or(v));
+        // Map each spilled use to a scratch reg, reloading it first. An op
+        // reads at most two vregs; one read twice is reloaded twice and
+        // read from its second reload.
+        let mut reloads = [(V::MAX, V::MAX); 2];
+        let mut n_reloads = 0usize;
+        let (mut scratch_i, mut scratch_f) = (0usize, 0usize);
+        op.for_each_use(&mut |u| {
+            let Some(slot) = slot(u) else { return };
+            let class = k.vregs[u as usize];
+            k.vregs.push(class);
+            let nv = (k.vregs.len() - 1) as V;
+            let sreg = match class {
+                VClass::Int => {
+                    let r = I_SCRATCH[scratch_i.min(1)];
+                    scratch_i += 1;
+                    Phys::I(r)
+                }
+                _ => {
+                    let r = F_SCRATCH[scratch_f.min(1)];
+                    scratch_f += 1;
+                    Phys::F(r)
+                }
+            };
+            alloc.set(nv, Some(sreg));
+            out.push(match class {
+                VClass::Int => Op::ISpillLd { dst: nv, slot },
+                VClass::F => Op::FSpillLd {
+                    dst: nv,
+                    slot,
+                    w: Width::S,
+                },
+                VClass::Vec => Op::FSpillLd {
+                    dst: nv,
+                    slot,
+                    w: Width::V,
+                },
+            });
+            reloads[n_reloads.min(1)] = (u, nv);
+            n_reloads += 1;
+        });
+        let reload_of = |v: V| reloads.iter().rev().find(|r| r.0 == v).map(|r| r.1);
+        op.map_uses(&mut |v| reload_of(v).unwrap_or(v));
         // Map a spilled def to a scratch reg + store.
-        if let Some(d) = orig_def {
-            if let Some(&slot) = slot_of.get(&d) {
-                let class = k.vregs[d as usize];
-                // Reuse the reload scratch if the def was also a use (tied
-                // ops) so the value flows through the same register.
-                let nv = if let Some(&nv) = use_map.get(&d) {
-                    nv
-                } else {
-                    k.vregs.push(class);
-                    let nv = (k.vregs.len() - 1) as V;
-                    let sreg = match class {
-                        VClass::Int => Phys::I(I_SCRATCH[0]),
-                        _ => Phys::F(F_SCRATCH[0]),
-                    };
-                    alloc.map.insert(nv, sreg);
-                    nv
-                };
-                op.map_def(&mut |v| if v == d { nv } else { v });
-                post_ops.push(match class {
-                    VClass::Int => Op::ISpillSt { slot, src: nv },
-                    VClass::F => Op::FSpillSt {
-                        slot,
-                        src: nv,
-                        w: Width::S,
-                    },
-                    VClass::Vec => Op::FSpillSt {
-                        slot,
-                        src: nv,
-                        w: Width::V,
-                    },
-                });
-            }
-        }
-        out.extend(pre_ops);
+        let Some((d, slot)) = orig_def.and_then(|d| Some((d, slot(d)?))) else {
+            out.push(op);
+            continue;
+        };
+        let class = k.vregs[d as usize];
+        // Reuse the reload scratch if the def was also a use (tied ops) so
+        // the value flows through the same register.
+        let nv = reload_of(d).unwrap_or_else(|| {
+            k.vregs.push(class);
+            let nv = (k.vregs.len() - 1) as V;
+            let sreg = match class {
+                VClass::Int => Phys::I(I_SCRATCH[0]),
+                _ => Phys::F(F_SCRATCH[0]),
+            };
+            alloc.set(nv, Some(sreg));
+            nv
+        });
+        op.map_def(&mut |v| if v == d { nv } else { v });
         out.push(op);
-        out.extend(post_ops);
+        out.push(match class {
+            VClass::Int => Op::ISpillSt { slot, src: nv },
+            VClass::F => Op::FSpillSt {
+                slot,
+                src: nv,
+                w: Width::S,
+            },
+            VClass::Vec => Op::FSpillSt {
+                slot,
+                src: nv,
+                w: Width::V,
+            },
+        });
     }
     k.ops = out;
     // A spilled return value is reloaded into a scratch register at the
@@ -496,28 +512,26 @@ fn rewrite_spills(
         RetVal::F(v) | RetVal::I(v) => Some(v),
         RetVal::None => None,
     };
-    if let Some(v) = ret_v {
-        if let Some(&slot) = slot_of.get(&v) {
-            let class = k.vregs[v as usize];
-            k.vregs.push(class);
-            let nv = (k.vregs.len() - 1) as V;
-            match class {
-                VClass::Int => {
-                    alloc.map.insert(nv, Phys::I(I_SCRATCH[0]));
-                    k.ops.push(Op::ISpillLd { dst: nv, slot });
-                    k.ret = RetVal::I(nv);
-                }
-                VClass::F => {
-                    alloc.map.insert(nv, Phys::F(F_SCRATCH[0]));
-                    k.ops.push(Op::FSpillLd {
-                        dst: nv,
-                        slot,
-                        w: Width::S,
-                    });
-                    k.ret = RetVal::F(nv);
-                }
-                VClass::Vec => return Err(AllocError("vector return value cannot spill".into())),
+    if let Some((v, slot)) = ret_v.and_then(|v| Some((v, slot(v)?))) {
+        let class = k.vregs[v as usize];
+        k.vregs.push(class);
+        let nv = (k.vregs.len() - 1) as V;
+        match class {
+            VClass::Int => {
+                alloc.set(nv, Some(Phys::I(I_SCRATCH[0])));
+                k.ops.push(Op::ISpillLd { dst: nv, slot });
+                k.ret = RetVal::I(nv);
             }
+            VClass::F => {
+                alloc.set(nv, Some(Phys::F(F_SCRATCH[0])));
+                k.ops.push(Op::FSpillLd {
+                    dst: nv,
+                    slot,
+                    w: Width::S,
+                });
+                k.ret = RetVal::F(nv);
+            }
+            VClass::Vec => return Err(AllocError("vector return value cannot spill".into())),
         }
     }
     Ok(())
@@ -566,7 +580,11 @@ ROUT_END
         let mut vs: Vec<V> = k
             .ops
             .iter()
-            .flat_map(|o| o.uses().into_iter().chain(o.def()))
+            .flat_map(|o| {
+                let mut vs = Vec::new();
+                o.for_each_use(&mut |v| vs.push(v));
+                vs.into_iter().chain(o.def())
+            })
             .chain(match k.ret {
                 RetVal::F(v) | RetVal::I(v) => Some(v),
                 RetVal::None => None,
@@ -583,7 +601,7 @@ ROUT_END
         let alloc = allocate(&mut k).unwrap();
         assert_eq!(alloc.spilled, 0);
         for v in all_vregs(&k) {
-            assert!(alloc.map.contains_key(&v), "vreg {v} unallocated");
+            assert!(alloc.get(v).is_some(), "vreg {v} unallocated");
         }
     }
 
@@ -595,11 +613,12 @@ ROUT_END
         p.accum_expand = 2;
         let mut k = linear(DOT, &p);
         let alloc = allocate(&mut k).unwrap();
-        for (v, phys) in &alloc.map {
-            match (k.vregs[*v as usize], phys) {
+        for v in 0..k.vregs.len() as V {
+            let Some(phys) = alloc.get(v) else { continue };
+            match (k.vregs[v as usize], phys) {
                 (VClass::Int, Phys::I(r)) => {
-                    assert!(*r < FRAME_REG, "int vreg in frame reg");
-                    assert!(*r >= 3, "params r0..r2 are pinned");
+                    assert!(r < FRAME_REG, "int vreg in frame reg");
+                    assert!(r >= 3, "params r0..r2 are pinned");
                 }
                 (VClass::F | VClass::Vec, Phys::F(_)) => {}
                 other => panic!("class/phys mismatch: {other:?}"),
@@ -622,7 +641,7 @@ ROUT_END
                 if a.v >= b.v {
                     continue;
                 }
-                let (Some(pa), Some(pb)) = (alloc.map.get(&a.v), alloc.map.get(&b.v)) else {
+                let (Some(pa), Some(pb)) = (alloc.get(a.v), alloc.get(b.v)) else {
                     continue;
                 };
                 if pa == pb {
@@ -648,7 +667,7 @@ ROUT_END
         match allocate(&mut k) {
             Ok(alloc) => {
                 for v in all_vregs(&k) {
-                    assert!(alloc.map.contains_key(&v), "vreg {v} unallocated");
+                    assert!(alloc.get(v).is_some(), "vreg {v} unallocated");
                 }
                 // Either it fits (good allocator) or it spilled.
                 if alloc.spilled > 0 {

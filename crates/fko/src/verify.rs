@@ -229,11 +229,17 @@ fn check_classes(
 /// V102 (dangling branch) and V103 (duplicate label). Returns whether the
 /// label structure is sound enough for CFG-based checks.
 fn check_labels(stage: &'static str, lin: &LinearKernel, diags: &mut Vec<Diagnostic>) -> bool {
-    let mut seen = std::collections::HashMap::<LabelId, usize>::new();
+    // Latest position binding each label, indexed by label id.
+    let mut seen: Vec<usize> = Vec::new();
     let mut ok = true;
     for (i, op) in lin.ops.iter().enumerate() {
         if let Op::Label(l) = op {
-            if let Some(first) = seen.insert(*l, i) {
+            let li = l.0 as usize;
+            if seen.len() <= li {
+                seen.resize(li + 1, dataflow::NONE);
+            }
+            let first = std::mem::replace(&mut seen[li], i);
+            if first != dataflow::NONE {
                 ok = false;
                 diags.push(
                     Diagnostic::error(
@@ -253,7 +259,7 @@ fn check_labels(stage: &'static str, lin: &LinearKernel, diags: &mut Vec<Diagnos
             _ => None,
         };
         if let Some(l) = target {
-            if !seen.contains_key(&l) {
+            if seen.get(l.0 as usize).is_none_or(|&p| p == dataflow::NONE) {
                 ok = false;
                 diags.push(
                     Diagnostic::error("V102", stage, format!("branch to undefined label L{}", l.0))
@@ -412,11 +418,11 @@ fn check_alloc(
     diags: &mut Vec<Diagnostic>,
 ) {
     let class_of = |v: V| lin.vregs.get(v as usize).copied();
-    let check_mapped = |i: usize, v: V, diags: &mut Vec<Diagnostic>| match alloc.map.get(&v) {
+    let check_mapped = |i: usize, v: V, diags: &mut Vec<Diagnostic>| match alloc.get(v) {
         None => diags.push(
             Diagnostic::error("V108", stage, format!("v{v} has no register assignment")).at_op(i),
         ),
-        Some(&phys) => {
+        Some(phys) => {
             let (idx, phys_is_int) = match phys {
                 Phys::I(r) => (r, true),
                 Phys::F(r) => (r, false),
@@ -448,8 +454,9 @@ fn check_alloc(
         }
     };
     for (i, op) in lin.ops.iter().enumerate() {
-        for v in op.uses().into_iter().chain(op.def()) {
-            check_mapped(i, v, diags);
+        op.for_each_use(&mut |v| check_mapped(i, v, diags));
+        if let Some(d) = op.def() {
+            check_mapped(i, d, diags);
         }
     }
 
@@ -488,12 +495,12 @@ fn check_alloc(
     // physical register.
     for (i, op) in lin.ops.iter().enumerate() {
         let Some(d) = op.def() else { continue };
-        let Some(&pd) = alloc.map.get(&d) else {
+        let Some(pd) = alloc.get(d) else {
             continue;
         };
         for v in per_op[i].iter() {
             let v = v as V;
-            if v != d && alloc.map.get(&v) == Some(&pd) {
+            if v != d && alloc.get(v) == Some(pd) {
                 diags.push(
                     Diagnostic::error(
                         "V109",

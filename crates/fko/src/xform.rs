@@ -11,7 +11,6 @@
 use crate::analysis::{classify_scalars, AnalysisReport, ScalarRole};
 use crate::ir::*;
 use crate::params::TransformParams;
-use std::collections::HashMap;
 
 /// Transform failure.
 #[derive(Clone, PartialEq, Debug)]
@@ -50,13 +49,34 @@ impl LinearKernel {
     }
 }
 
-/// Reusable working set for [`apply_transforms_with`]: the role map and
-/// prefetch insertion buffer survive across candidates in a compile
-/// session.
+/// Reusable working set for [`apply_transforms_with`]: the role table,
+/// the renaming tables of loop copies, and the prefetch insertion buffer
+/// survive across candidates in a compile session.
 #[derive(Default)]
 pub struct XformScratch {
-    roles: HashMap<V, ScalarRole>,
+    /// Role of every vreg the loop touches, indexed by `V`.
+    roles: Vec<Option<ScalarRole>>,
+    copier: Copier,
     inserts: Vec<(usize, Op)>,
+}
+
+/// Placeholder target of the body's jump to the halt label, resolved by
+/// [`finish`] once the halt label exists.
+const HALT: LabelId = LabelId(u32::MAX);
+
+/// Dense sentinel for "no vector twin" in [`vectorize`]'s table.
+const NO_V: V = V::MAX;
+
+fn role(roles: &[Option<ScalarRole>], v: V) -> Option<ScalarRole> {
+    roles.get(v as usize).copied().flatten()
+}
+
+fn set_role(roles: &mut Vec<Option<ScalarRole>>, v: V, r: ScalarRole) {
+    let i = v as usize;
+    if roles.len() <= i {
+        roles.resize(i + 1, None);
+    }
+    roles[i] = Some(r);
 }
 
 /// Apply the fundamental transformations and linearize.
@@ -69,6 +89,8 @@ pub fn apply_transforms(
 }
 
 /// [`apply_transforms`] with caller-owned scratch (the session-reuse path).
+/// `rep` must be the analysis of `kernel`: its scalar roles seed the
+/// transforms.
 pub fn apply_transforms_with(
     kernel: &KernelIr,
     params: &TransformParams,
@@ -76,20 +98,26 @@ pub fn apply_transforms_with(
     scratch: &mut XformScratch,
 ) -> Result<LinearKernel, XformError> {
     let mut k = kernel.clone();
-    let Some(mut l) = k.loop_.take() else {
+    // `orig` is the untransformed loop, kept for the remainder.
+    let (Some(mut l), Some(orig)) = (k.loop_.take(), kernel.loop_.as_ref()) else {
         return Err(XformError("kernel has no tuned loop".into()));
     };
-    // Snapshot the untransformed loop for the remainder instantiation.
-    let orig = l.clone();
 
-    // Role map over original vregs; updated as SV renames them.
+    // Role table over the original vregs, from the analysis of this same
+    // untransformed loop; SV adds its vector twins.
+    debug_assert!(
+        classify_scalars(&k, &l)
+            .iter()
+            .map(|s| (s.vreg, s.role))
+            .eq(rep.scalars.iter().map(|s| (s.vreg, s.role))),
+        "the analysis report does not describe this kernel"
+    );
     let roles = &mut scratch.roles;
     roles.clear();
-    roles.extend(
-        classify_scalars(&k, &l)
-            .into_iter()
-            .map(|s| (s.vreg, s.role)),
-    );
+    roles.resize(k.vregs.len(), None);
+    for s in &rep.scalars {
+        set_role(roles, s.vreg, s.role);
+    }
 
     let mut epilogue: Vec<Op> = Vec::new();
 
@@ -101,11 +129,11 @@ pub fn apply_transforms_with(
 
     // ---- UR: loop unrolling ----
     let unroll = params.unroll.max(1);
-    let mut body = l.body.clone();
-    let mut cold = l.cold.clone();
-    if unroll > 1 {
-        (body, cold) = unroll_loop(&mut k, &l, roles, unroll)?;
-    }
+    let (mut body, mut cold) = if unroll > 1 {
+        unroll_loop(&mut k, &l, roles, unroll, &mut scratch.copier)
+    } else {
+        (std::mem::take(&mut l.body), std::mem::take(&mut l.cold))
+    };
 
     // ---- AE: accumulator expansion ----
     let ae = params.accum_expand.max(1);
@@ -126,38 +154,36 @@ pub fn apply_transforms_with(
     }
 
     // ---- linearize ----
-    linearize(k, l, orig, body, cold, epilogue, unroll, roles)
+    linearize(k, l, orig, body, cold, epilogue, unroll, scratch)
 }
 
 /// Replace scalar FP ops by vector ops; returns via out-params the updated
-/// role map and reduction epilogue.
+/// role table and reduction epilogue.
 fn vectorize(
     k: &mut KernelIr,
     l: &mut LoopIr,
-    roles: &mut HashMap<V, ScalarRole>,
+    roles: &mut Vec<Option<ScalarRole>>,
     epilogue: &mut Vec<Op>,
 ) -> Result<(), XformError> {
     let veclen = k.prec.veclen();
+    let n = k.vregs.len();
     // Map each FP scalar vreg used in the body to a vector twin.
-    let mut vmap: HashMap<V, V> = HashMap::new();
+    let mut in_body = vec![false; n];
+    for op in &l.body {
+        op.for_each_use(&mut |v| in_body[v as usize] = true);
+        if let Some(d) = op.def() {
+            in_body[d as usize] = true;
+        }
+    }
+    let mut vmap = vec![NO_V; n];
     let mut pre_add: Vec<Op> = Vec::new();
-    let body_vregs: Vec<V> = {
-        let mut vs: Vec<V> = l
-            .body
-            .iter()
-            .flat_map(|o| o.uses().into_iter().chain(o.def()))
-            .collect();
-        vs.sort_unstable();
-        vs.dedup();
-        vs
-    };
-    for v in body_vregs {
+    for v in (0..n as V).filter(|&v| in_body[v as usize]) {
         if k.class(v) != VClass::F {
             continue;
         }
-        let role = roles.get(&v).copied().unwrap_or(ScalarRole::Private);
+        let r = role(roles, v).unwrap_or(ScalarRole::Private);
         let nv = k.new_vreg(VClass::Vec);
-        match role {
+        match r {
             ScalarRole::Invariant => {
                 // Broadcast once before the loop.
                 pre_add.push(Op::FBcast { dst: nv, src: v });
@@ -184,12 +210,15 @@ fn vectorize(
                 return Err(XformError("cannot vectorize carried scalar".into()))
             }
         }
-        roles.insert(nv, role);
-        vmap.insert(v, nv);
+        set_role(roles, nv, r);
+        vmap[v as usize] = nv;
     }
     // Rewrite the body.
+    let mut sub = |v: V| match vmap[v as usize] {
+        NO_V => v,
+        nv => nv,
+    };
     for op in &mut l.body {
-        let mut sub = |v: V| vmap.get(&v).copied().unwrap_or(v);
         op.map_uses(&mut sub);
         op.map_def(&mut sub);
         match op {
@@ -220,136 +249,132 @@ fn vectorize(
 fn unroll_loop(
     k: &mut KernelIr,
     l: &LoopIr,
-    roles: &HashMap<V, ScalarRole>,
+    roles: &[Option<ScalarRole>],
     unroll: u32,
-) -> Result<(Vec<Op>, Vec<Op>), XformError> {
-    let mut body = Vec::new();
-    let mut cold = Vec::new();
+    copier: &mut Copier,
+) -> (Vec<Op>, Vec<Op>) {
+    copier.plan(k, l, roles);
+    let mut body = Vec::with_capacity(l.body.len() * unroll as usize);
+    let mut cold = Vec::with_capacity(l.cold.len() * unroll as usize);
     for c in 0..unroll {
-        let (b, cd) = instantiate_copy(k, l, roles, c, c != 0)?;
-        body.extend(b);
-        cold.extend(cd);
+        copier.emit(k, l, c, c != 0, &mut body, &mut cold);
     }
-    Ok((body, cold))
+    (body, cold)
 }
 
-/// Instantiate one copy of body+cold. `rename` renames labels and private
-/// vregs (copy 0 of the main loop keeps the originals).
-fn instantiate_copy(
-    k: &mut KernelIr,
-    l: &LoopIr,
-    roles: &HashMap<V, ScalarRole>,
-    copy: u32,
-    rename: bool,
-) -> Result<(Vec<Op>, Vec<Op>), XformError> {
-    let mut vmap: HashMap<V, V> = HashMap::new();
-    let mut lmap: HashMap<LabelId, LabelId> = HashMap::new();
-    let bump_of: HashMap<u32, i64> = l.bumps.iter().map(|(p, e)| (p.0, *e)).collect();
+/// Renaming tables for copies of one loop. [`Copier::plan`] runs once per
+/// loop; each [`Copier::emit`] then costs one pass over the loop's ops,
+/// through dense maps from an original vreg, label or pointer id to its
+/// name or bump in the current copy.
+#[derive(Default)]
+struct Copier {
+    /// Private vregs and labels of the loop, ascending: the order in which
+    /// a renamed copy allocates their fresh names.
+    privates: Vec<V>,
+    labels: Vec<LabelId>,
+    /// Name of each original vreg / label in the current copy.
+    vmap: Vec<V>,
+    lmap: Vec<LabelId>,
+    /// Per-iteration element bump, indexed by pointer id.
+    bump_of: Vec<i64>,
+    /// The visible induction variable, when the loop reads it.
+    ivar: Option<V>,
+}
 
-    // Collect private vregs (renamed per copy).
-    if rename {
-        let mut seen: Vec<V> = l
-            .body
-            .iter()
-            .chain(&l.cold)
-            .flat_map(|o| o.uses().into_iter().chain(o.def()))
-            .collect();
-        seen.sort_unstable();
-        seen.dedup();
-        for v in seen {
-            if roles.get(&v) == Some(&ScalarRole::Private) {
-                let nv = k.new_vreg(k.class(v));
-                vmap.insert(v, nv);
+impl Copier {
+    fn plan(&mut self, k: &KernelIr, l: &LoopIr, roles: &[Option<ScalarRole>]) {
+        let ops = || l.body.iter().chain(&l.cold);
+        self.privates.clear();
+        self.labels.clear();
+        for op in ops() {
+            let mut note = |v: V| {
+                if role(roles, v) == Some(ScalarRole::Private) {
+                    self.privates.push(v);
+                }
+            };
+            op.for_each_use(&mut note);
+            if let Some(d) = op.def() {
+                note(d);
+            }
+            if let Op::Label(id) = op {
+                self.labels.push(*id);
             }
         }
-        // Fresh labels.
-        let mut labels: Vec<LabelId> = l
-            .body
-            .iter()
-            .chain(&l.cold)
-            .filter_map(|o| match o {
-                Op::Label(id) => Some(*id),
-                _ => None,
-            })
-            .collect();
-        labels.sort_by_key(|l| l.0);
-        labels.dedup();
-        for lab in labels {
-            lmap.insert(lab, k.new_label());
+        self.privates.sort_unstable();
+        self.privates.dedup();
+        self.labels.sort_by_key(|l| l.0);
+        self.labels.dedup();
+        self.vmap.clear();
+        self.vmap.extend(0..k.vregs.len() as V);
+        self.lmap.clear();
+        self.lmap.extend((0..k.n_labels).map(LabelId));
+        self.bump_of.clear();
+        self.bump_of.resize(k.ptrs.len(), 0);
+        for &(p, e) in &l.bumps {
+            if let Some(b) = self.bump_of.get_mut(p.0 as usize) {
+                *b = e;
+            }
         }
+        self.ivar = match l.counter {
+            Counter::Visible { ivar, .. } if ops().any(|o| o.reads(ivar)) => Some(ivar),
+            _ => None,
+        };
     }
 
-    let ivar = match &l.counter {
-        Counter::Visible { ivar, .. } => Some(*ivar),
-        Counter::Hidden { .. } => None,
-    };
-    // If this copy reads the induction variable, materialize the adjusted
-    // value `ivar - copy` once at the top of the copy.
-    let mut ivar_sub: Option<V> = None;
-    let reads_ivar = |ops: &[Op], iv: V| ops.iter().any(|o| o.uses().contains(&iv));
-    if let Some(iv) = ivar {
-        if copy > 0 && (reads_ivar(&l.body, iv) || reads_ivar(&l.cold, iv)) {
-            let t = k.new_vreg(VClass::Int);
-            ivar_sub = Some(t);
+    /// Append copy `copy` of the planned loop `l` to `body` and `cold`.
+    /// `rename` gives the copy fresh private vregs and labels (copy 0 of
+    /// the main loop keeps the originals). A later copy that reads the
+    /// induction variable reads `ivar - copy`, materialized once at its top.
+    fn emit(
+        &mut self,
+        k: &mut KernelIr,
+        l: &LoopIr,
+        copy: u32,
+        rename: bool,
+        body: &mut Vec<Op>,
+        cold: &mut Vec<Op>,
+    ) {
+        for &v in &self.privates {
+            self.vmap[v as usize] = if rename { k.new_vreg(k.class(v)) } else { v };
         }
-    }
-
-    let rewrite = |ops: &[Op],
-                   k: &KernelIr,
-                   vmap: &HashMap<V, V>,
-                   lmap: &HashMap<LabelId, LabelId>|
-     -> Vec<Op> {
-        let _ = k;
-        let mut out = Vec::new();
-        for op in ops {
+        for &lab in &self.labels {
+            self.lmap[lab.0 as usize] = if rename { k.new_label() } else { lab };
+        }
+        let ivar_sub = match self.ivar {
+            Some(iv) if copy > 0 => {
+                let t = k.new_vreg(VClass::Int);
+                body.push(Op::IMov { dst: t, src: iv });
+                body.push(Op::IBin {
+                    op: IOp::Sub,
+                    dst: t,
+                    a: t,
+                    b: IOrImm::Imm(copy as i64),
+                });
+                Some((iv, t))
+            }
+            _ => None,
+        };
+        let this = &*self;
+        let name = |v: V| this.vmap.get(v as usize).copied().unwrap_or(v);
+        let rewrite = |op: &Op| {
             let mut op = op.clone();
-            let mut subst = |v: V| {
-                if Some(v) == ivar {
-                    if let Some(t) = ivar_sub {
-                        return t;
-                    }
-                }
-                vmap.get(&v).copied().unwrap_or(v)
-            };
-            op.map_uses(&mut subst);
-            let mut subst_def = |v: V| vmap.get(&v).copied().unwrap_or(v);
-            op.map_def(&mut subst_def);
+            op.map_uses(&mut |v| match ivar_sub {
+                Some((iv, t)) if v == iv => t,
+                _ => name(v),
+            });
+            op.map_def(&mut |v| name(v));
             if let Some(mem) = op.mem_mut() {
-                let bump = bump_of.get(&mem.ptr.0).copied().unwrap_or(0);
+                let bump = this.bump_of.get(mem.ptr.0 as usize).copied().unwrap_or(0);
                 mem.off_elems += copy as i64 * bump;
             }
-            match &mut op {
-                Op::Label(id) => {
-                    if let Some(n) = lmap.get(id) {
-                        *id = *n;
-                    }
-                }
-                Op::Br(id) | Op::CondBr { target: id, .. } => {
-                    if let Some(n) = lmap.get(id) {
-                        *id = *n;
-                    }
-                }
-                _ => {}
+            if let Op::Label(id) | Op::Br(id) | Op::CondBr { target: id, .. } = &mut op {
+                *id = this.lmap.get(id.0 as usize).copied().unwrap_or(*id);
             }
-            out.push(op);
-        }
-        out
-    };
-
-    let mut body = Vec::new();
-    if let Some(t) = ivar_sub {
-        let iv = ivar.unwrap();
-        body.push(Op::IMov { dst: t, src: iv });
-        body.push(Op::IBin {
-            op: IOp::Sub,
-            dst: t,
-            a: t,
-            b: IOrImm::Imm(copy as i64),
-        });
+            op
+        };
+        body.extend(l.body.iter().map(rewrite));
+        cold.extend(l.cold.iter().map(rewrite));
     }
-    body.extend(rewrite(&l.body, k, &vmap, &lmap));
-    let cold = rewrite(&l.cold, k, &vmap, &lmap);
-    Ok((body, cold))
 }
 
 /// Rewrite reduction updates to rotate over `ae` accumulators; zero the
@@ -357,7 +382,7 @@ fn instantiate_copy(
 fn accumulate_expand(
     k: &mut KernelIr,
     body: &mut [Op],
-    roles: &HashMap<V, ScalarRole>,
+    roles: &[Option<ScalarRole>],
     ae: u32,
     epilogue: &mut Vec<Op>,
     vectorized: bool,
@@ -375,7 +400,7 @@ fn accumulate_expand(
                 } if dst == a => Some(*dst),
                 _ => None,
             })
-            .filter(|v| matches!(roles.get(v), Some(ScalarRole::ReductionAdd)))
+            .filter(|&v| role(roles, v) == Some(ScalarRole::ReductionAdd))
             .collect();
         vs.sort_unstable();
         vs.dedup();
@@ -475,11 +500,24 @@ fn insert_prefetches(
             ));
         }
     }
-    // Insert from the back so positions stay valid.
-    inserts.sort_by_key(|(pos, _)| std::cmp::Reverse(*pos));
-    for (pos, op) in inserts.drain(..) {
-        body.insert(pos.min(body.len()), op);
+    if inserts.is_empty() {
+        return;
     }
+    // Merge in one pass. A prefetch lands before the op at its position;
+    // prefetches sharing a position go in reverse order of the specs that
+    // asked for them.
+    inserts.sort_by_key(|(pos, _)| std::cmp::Reverse(*pos));
+    inserts.reverse();
+    let old = std::mem::take(body);
+    body.reserve(old.len() + inserts.len());
+    let mut pending = inserts.drain(..).peekable();
+    for (i, op) in old.into_iter().enumerate() {
+        while let Some((_, pf)) = pending.next_if(|(pos, _)| *pos <= i) {
+            body.push(pf);
+        }
+        body.push(op);
+    }
+    body.extend(pending.map(|(_, pf)| pf));
 }
 
 /// Assemble the final flat program.
@@ -487,12 +525,12 @@ fn insert_prefetches(
 fn linearize(
     mut k: KernelIr,
     l: LoopIr,
-    orig: LoopIr,
-    body: Vec<Op>,
+    orig: &LoopIr,
+    mut body: Vec<Op>,
     cold: Vec<Op>,
     epilogue: Vec<Op>,
     unroll: u32,
-    roles: &HashMap<V, ScalarRole>,
+    sc: &mut XformScratch,
 ) -> Result<LinearKernel, XformError> {
     let step = (l.elems_per_iter * unroll as u64) as i64;
     let total_bumps: Vec<(PtrId, i64)> = l
@@ -501,10 +539,12 @@ fn linearize(
         .map(|(p, e)| (*p, e * unroll as i64))
         .collect();
 
-    let mut ops: Vec<Op> = Vec::new();
-    ops.extend(k.pre.clone());
+    let mut ops = param_moves(&k.params);
+    ops.append(&mut k.pre);
 
-    match l.counter.clone() {
+    // Main loop. Per counter shape: the counter, its trip control, and
+    // the counter of the scalar remainder loop, if the step leaves one.
+    let (ctr, trip, rem) = match l.counter {
         Counter::Hidden { trips: n } => {
             let t_main = k.new_vreg(VClass::Int);
             ops.push(Op::IMov {
@@ -530,79 +570,7 @@ fn linearize(
             } else {
                 None
             };
-            let l_top = k.new_label();
-            let l_done = k.new_label();
-            ops.push(Op::ICmp {
-                a: t_main,
-                b: IOrImm::Imm(0),
-            });
-            ops.push(Op::CondBr {
-                cond: Cond::Le,
-                target: l_done,
-            });
-            ops.push(Op::Label(l_top));
-            ops.extend(body);
-            for (p, e) in &total_bumps {
-                ops.push(Op::PtrBump { ptr: *p, elems: *e });
-            }
-            ops.push(Op::IBin {
-                op: IOp::Sub,
-                dst: t_main,
-                a: t_main,
-                b: IOrImm::Imm(1),
-            });
-            ops.push(Op::ICmp {
-                a: t_main,
-                b: IOrImm::Imm(0),
-            });
-            ops.push(Op::CondBr {
-                cond: Cond::Gt,
-                target: l_top,
-            });
-            ops.push(Op::Label(l_done));
-            ops.extend(epilogue);
-
-            // Scalar remainder loop from the untransformed body.
-            let mut rem_cold = Vec::new();
-            if let Some(t_rem) = t_rem {
-                let (rbody, rcold) = instantiate_copy(&mut k, &orig, roles, 0, true)?;
-                rem_cold = rcold;
-                let r_top = k.new_label();
-                let r_done = k.new_label();
-                ops.push(Op::ICmp {
-                    a: t_rem,
-                    b: IOrImm::Imm(0),
-                });
-                ops.push(Op::CondBr {
-                    cond: Cond::Le,
-                    target: r_done,
-                });
-                ops.push(Op::Label(r_top));
-                ops.extend(rbody);
-                for (p, e) in &orig.bumps {
-                    ops.push(Op::PtrBump { ptr: *p, elems: *e });
-                }
-                ops.push(Op::IBin {
-                    op: IOp::Sub,
-                    dst: t_rem,
-                    a: t_rem,
-                    b: IOrImm::Imm(1),
-                });
-                ops.push(Op::ICmp {
-                    a: t_rem,
-                    b: IOrImm::Imm(0),
-                });
-                ops.push(Op::CondBr {
-                    cond: Cond::Gt,
-                    target: r_top,
-                });
-                ops.push(Op::Label(r_done));
-            }
-            ops.extend(k.post.clone());
-            ops.push(Op::Br(LabelId(u32::MAX))); // placeholder: jump to halt
-            ops.extend(cold);
-            ops.extend(rem_cold);
-            finish(k, ops)
+            (t_main, BY_ONE, t_rem)
         }
         Counter::Visible { ivar, n, down } => {
             if !down {
@@ -611,126 +579,102 @@ fn linearize(
                 ));
             }
             ops.push(Op::IMov { dst: ivar, src: n });
-            let l_top = k.new_label();
-            let l_done = k.new_label();
             if unroll > 1 {
-                ops.push(Op::ICmp {
-                    a: ivar,
-                    b: IOrImm::Imm(step),
-                });
-                ops.push(Op::CondBr {
-                    cond: Cond::Lt,
-                    target: l_done,
-                });
+                // Remainder: continue while ivar >= 1 with the original body.
+                (ivar, ((step, Cond::Lt), step, (step, Cond::Ge)), Some(ivar))
             } else {
-                ops.push(Op::ICmp {
-                    a: ivar,
-                    b: IOrImm::Imm(0),
-                });
-                ops.push(Op::CondBr {
-                    cond: Cond::Le,
-                    target: l_done,
-                });
+                (ivar, ((0, Cond::Le), step, (0, Cond::Gt)), None)
             }
-            ops.push(Op::Label(l_top));
-            ops.extend(body);
-            for (p, e) in &total_bumps {
-                ops.push(Op::PtrBump { ptr: *p, elems: *e });
-            }
-            ops.push(Op::IBin {
-                op: IOp::Sub,
-                dst: ivar,
-                a: ivar,
-                b: IOrImm::Imm(step),
-            });
-            ops.push(Op::ICmp {
-                a: ivar,
-                b: IOrImm::Imm(if unroll > 1 { step } else { 0 }),
-            });
-            ops.push(Op::CondBr {
-                cond: if unroll > 1 { Cond::Ge } else { Cond::Gt },
-                target: l_top,
-            });
-            ops.push(Op::Label(l_done));
-            ops.extend(epilogue);
-
-            // Remainder: continue while ivar >= 1 with the original body.
-            let mut rem_cold = Vec::new();
-            if unroll > 1 {
-                let (rbody, rcold) = instantiate_copy(&mut k, &orig, roles, 0, true)?;
-                rem_cold = rcold;
-                let r_top = k.new_label();
-                let r_done = k.new_label();
-                ops.push(Op::ICmp {
-                    a: ivar,
-                    b: IOrImm::Imm(0),
-                });
-                ops.push(Op::CondBr {
-                    cond: Cond::Le,
-                    target: r_done,
-                });
-                ops.push(Op::Label(r_top));
-                ops.extend(rbody);
-                for (p, e) in &orig.bumps {
-                    ops.push(Op::PtrBump { ptr: *p, elems: *e });
-                }
-                ops.push(Op::IBin {
-                    op: IOp::Sub,
-                    dst: ivar,
-                    a: ivar,
-                    b: IOrImm::Imm(1),
-                });
-                ops.push(Op::ICmp {
-                    a: ivar,
-                    b: IOrImm::Imm(0),
-                });
-                ops.push(Op::CondBr {
-                    cond: Cond::Gt,
-                    target: r_top,
-                });
-                ops.push(Op::Label(r_done));
-            }
-            ops.extend(k.post.clone());
-            ops.push(Op::Br(LabelId(u32::MAX)));
-            ops.extend(cold);
-            ops.extend(rem_cold);
-            finish(k, ops)
         }
+    };
+    counted_loop(&mut k, &mut ops, ctr, trip, &mut body, &total_bumps);
+    ops.extend(epilogue);
+
+    // Scalar remainder loop from the untransformed body.
+    let mut rem_cold = Vec::new();
+    if let Some(ctr) = rem {
+        let mut rbody = Vec::new();
+        sc.copier.plan(&k, orig, &sc.roles);
+        sc.copier
+            .emit(&mut k, orig, 0, true, &mut rbody, &mut rem_cold);
+        counted_loop(&mut k, &mut ops, ctr, BY_ONE, &mut rbody, &orig.bumps);
     }
+    ops.append(&mut k.post);
+    ops.push(Op::Br(HALT));
+    ops.extend(cold);
+    ops.append(&mut rem_cold);
+    finish(k, ops)
 }
 
-/// Resolve the halt-jump placeholder and package the linear kernel.
-fn finish(mut k: KernelIr, mut ops: Vec<Op>) -> Result<LinearKernel, XformError> {
-    let halt_label = k.new_label();
-    for op in &mut ops {
-        if let Op::Br(id) = op {
-            if id.0 == u32::MAX {
-                *id = halt_label;
-            }
-        }
-    }
-    // The halt label is bound at the end of the op stream; codegen places
-    // the return-value move and Halt there.
-    ops.push(Op::Label(halt_label));
-    // Materialize non-pointer parameters from their arrival registers as
-    // ordinary defs, so register allocation (and spilling) treats them
-    // like any other value. Arrival registers follow the shared calling
-    // convention: ints/pointers count up from r0, FP scalars down from x7.
-    let mut param_moves = Vec::new();
+/// A counted loop's control: the guard `(imm, cond)` under which the
+/// counter skips the loop, the decrement per trip, and the latch
+/// `(imm, cond)` under which it loops back.
+type Trip = ((i64, Cond), i64, (i64, Cond));
+
+/// Count down by one while positive.
+const BY_ONE: Trip = ((0, Cond::Le), 1, (0, Cond::Gt));
+
+/// Append a counted loop on `ctr`: each trip runs `body` and the pointer
+/// bumps, then steps the counter as `trip` says.
+fn counted_loop(
+    k: &mut KernelIr,
+    ops: &mut Vec<Op>,
+    ctr: V,
+    trip: Trip,
+    body: &mut Vec<Op>,
+    bumps: &[(PtrId, i64)],
+) {
+    let (guard, dec, latch) = trip;
+    let top = k.new_label();
+    let done = k.new_label();
+    ops.push(Op::ICmp {
+        a: ctr,
+        b: IOrImm::Imm(guard.0),
+    });
+    ops.push(Op::CondBr {
+        cond: guard.1,
+        target: done,
+    });
+    ops.push(Op::Label(top));
+    ops.append(body);
+    ops.extend(bumps.iter().map(|&(ptr, elems)| Op::PtrBump { ptr, elems }));
+    ops.push(Op::IBin {
+        op: IOp::Sub,
+        dst: ctr,
+        a: ctr,
+        b: IOrImm::Imm(dec),
+    });
+    ops.push(Op::ICmp {
+        a: ctr,
+        b: IOrImm::Imm(latch.0),
+    });
+    ops.push(Op::CondBr {
+        cond: latch.1,
+        target: top,
+    });
+    ops.push(Op::Label(done));
+}
+
+/// Materialize non-pointer parameters from their arrival registers as
+/// ordinary defs, so register allocation (and spilling) treats them like
+/// any other value. Arrival registers follow the shared calling
+/// convention: ints/pointers count up from r0, FP scalars down from x7.
+fn param_moves(params: &[ParamSlot]) -> Vec<Op> {
+    let mut ops = Vec::new();
     let mut int_slot = 0u8;
     let mut fp_slot = 7u8;
-    for pslot in &k.params {
+    for pslot in params {
         match pslot {
             ParamSlot::Ptr(_) => int_slot += 1,
             ParamSlot::Int { vreg } => {
-                param_moves.push(Op::IParamMov {
+                ops.push(Op::IParamMov {
                     dst: *vreg,
                     arrival: int_slot,
                 });
                 int_slot += 1;
             }
             ParamSlot::FScalar { vreg } => {
-                param_moves.push(Op::FParamMov {
+                ops.push(Op::FParamMov {
                     dst: *vreg,
                     arrival: fp_slot,
                 });
@@ -738,8 +682,20 @@ fn finish(mut k: KernelIr, mut ops: Vec<Op>) -> Result<LinearKernel, XformError>
             }
         }
     }
-    param_moves.extend(ops);
-    let ops = param_moves;
+    ops
+}
+
+/// Resolve the halt-jump placeholder and package the linear kernel.
+fn finish(mut k: KernelIr, mut ops: Vec<Op>) -> Result<LinearKernel, XformError> {
+    let halt_label = k.new_label();
+    for op in &mut ops {
+        if *op == Op::Br(HALT) {
+            *op = Op::Br(halt_label);
+        }
+    }
+    // The halt label is bound at the end of the op stream; codegen places
+    // the return-value move and Halt there.
+    ops.push(Op::Label(halt_label));
     Ok(LinearKernel {
         name: k.name,
         prec: k.prec,

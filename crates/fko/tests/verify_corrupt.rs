@@ -11,7 +11,6 @@ use ifko_fko::regalloc::{Allocation, Phys};
 use ifko_fko::verify::verify_stage;
 use ifko_fko::xform::{apply_transforms, LinearKernel};
 use ifko_xsim::{p4e, Prec};
-use std::collections::HashMap;
 
 /// Frontend + analysis + xform under `off()` params: a well-formed
 /// LinearKernel to corrupt, plus everything `verify_stage` needs.
@@ -222,14 +221,10 @@ fn nine_live_fp_registers_is_v110() {
     };
     let rep = analyze(&orig, &p4e());
     // An "allocation" that wraps the ninth value onto F(0).
-    let map: HashMap<V, Phys> = (0..nine)
-        .map(|v| (v as V, Phys::F((v % 8) as u8)))
-        .collect();
-    let alloc = Allocation {
-        map,
-        frame_slots: 0,
-        spilled: 0,
-    };
+    let mut alloc = Allocation::default();
+    for v in 0..nine {
+        alloc.set(v as V, Some(Phys::F((v % 8) as u8)));
+    }
     let diags = verify_stage(
         "regalloc",
         &lin,
@@ -254,8 +249,10 @@ fn unmapped_vreg_post_regalloc_is_v108() {
     let mut alloc = ifko_fko::regalloc::allocate(&mut lin).expect("allocates");
     // Clean first, then drop one mapping.
     assert!(verify_stage("regalloc", &lin, &k, &params, &rep, Some(&alloc)).is_empty());
-    let &v = alloc.map.keys().next().expect("nonempty map");
-    alloc.map.remove(&v);
+    let v = (0..lin.vregs.len() as V)
+        .find(|&v| alloc.get(v).is_some())
+        .expect("some vreg is mapped");
+    alloc.set(v, None);
     let diags = verify_stage("regalloc", &lin, &k, &params, &rep, Some(&alloc));
     assert!(
         codes(&diags).contains(&"V108"),

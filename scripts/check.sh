@@ -26,7 +26,7 @@ fi
 step "panic sites (scripts/panics.sh)"
 # `.unwrap()` / `.expect(` / `panic!` / `unreachable!` in shipping code:
 # a number that may only go down. Lower the ceiling whenever it does.
-panic_ceiling=61
+panic_ceiling=51
 panic_sites="$(scripts/panics.sh | awk '{ print $1 }')"
 echo "$panic_sites panic sites (ceiling $panic_ceiling)"
 if [ "$panic_sites" -gt "$panic_ceiling" ]; then
@@ -39,7 +39,7 @@ step "shipping lines (scripts/size.sh)"
 # Lines under crates/*/src, tests cut: a number that may only go down.
 # Lower the ceiling whenever it does; a change that raises it says why
 # in CHANGES.md.
-size_ceiling=25562
+size_ceiling=25559
 size_total="$(scripts/size.sh | awk '{ print $1 }')"
 echo "$size_total shipping lines (ceiling $size_ceiling)"
 if [ "$size_total" -gt "$size_ceiling" ]; then
