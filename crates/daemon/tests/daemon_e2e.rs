@@ -289,6 +289,107 @@ fn hil_reply_reports_the_exact_count_and_the_local_winner() {
     let _ = std::fs::remove_dir_all(&db_dir);
 }
 
+/// An `ifkod` process of its own, so its metrics registry counts only the
+/// requests of the test that started it; killed if that test fails first.
+struct DaemonProcess(std::process::Child);
+
+impl DaemonProcess {
+    fn start(socket: &std::path::Path, db_dir: &std::path::Path) -> DaemonProcess {
+        let child = std::process::Command::new(env!("CARGO_BIN_EXE_ifkod"))
+            .arg("--socket")
+            .arg(socket)
+            .arg("--db")
+            .arg(db_dir)
+            .arg("--quiet")
+            .spawn()
+            .unwrap();
+        let process = DaemonProcess(child);
+        for _ in 0..400 {
+            if Client::connect(socket).is_ok_and(|mut c| c.ping().is_ok()) {
+                return process;
+            }
+            std::thread::sleep(std::time::Duration::from_millis(25));
+        }
+        panic!("ifkod did not come up on {}", socket.display());
+    }
+}
+
+impl Drop for DaemonProcess {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
+/// One sample from Prometheus text (0 when the metric is absent).
+fn metric(text: &str, name: &str) -> u64 {
+    text.lines()
+        .find_map(|line| line.strip_prefix(name)?.strip_prefix(' ')?.parse().ok())
+        .unwrap_or(0)
+}
+
+/// A warm repeat of a tune, spelled differently but resolving to the same
+/// request, reuses the subject the first tune left open: the same winner
+/// and cycles, and not one simulation or compile-pipeline miss — neither
+/// a re-run of the stored winner nor its recompile in a new session. Both
+/// for a suite kernel and for a `.hil` source.
+#[test]
+fn a_warm_repeat_in_another_spelling_simulates_and_compiles_nothing() {
+    let db_dir = tmp("resident-db");
+    let socket = db_dir.join("ifkod.sock");
+    let daemon = DaemonProcess::start(&socket, &db_dir);
+    let mut client = Client::connect(&socket).unwrap();
+    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../kernels");
+    let waxpby = std::fs::read_to_string(format!("{dir}/waxpby.hil")).unwrap();
+    let suite = TuneRequest {
+        kernel: Some("ddot".to_string()),
+        n: Some(1024),
+        seed: Some(5),
+        ..TuneRequest::default()
+    };
+    let source = TuneRequest {
+        kernel: None,
+        src: Some(waxpby),
+        ..suite.clone()
+    };
+    for (what, slots, cold) in [("ddot", 1, suite), ("waxpby.hil", 2, source)] {
+        let spelled = TuneRequest {
+            machine: "p4e".to_string(),
+            context: "oc".to_string(),
+            ..cold.clone()
+        };
+        let first = client.tune(&cold).unwrap();
+        let before = client.metrics().unwrap();
+        let second = client.tune(&spelled).unwrap();
+        let after = client.metrics().unwrap();
+
+        let field = |v: &ifko::report::Json, k: &str| format!("{:?}", v.get(k));
+        assert_eq!(first.get("warm").and_then(|j| j.as_bool()), Some(false));
+        assert_eq!(second.get("warm").and_then(|j| j.as_bool()), Some(true));
+        for k in ["params", "best_cycles", "cycles"] {
+            assert_eq!(field(&first, k), field(&second, k), "{what}: {k}");
+        }
+        for name in [
+            "ifko_engine_simulations_total",
+            "ifko_pipeline_subcache_misses_total",
+        ] {
+            assert!(
+                metric(&before, name) > 0,
+                "{what}: the cold tune ran no {name}"
+            );
+            assert_eq!(
+                metric(&before, name),
+                metric(&after, name),
+                "{what}: the warm repeat moved {name}"
+            );
+        }
+        assert_eq!(metric(&after, "ifkod_subjects"), slots, "{what}");
+    }
+    client.shutdown().unwrap();
+    drop(daemon);
+    let _ = std::fs::remove_dir_all(&db_dir);
+}
+
 /// `pack` from a live daemon → `install` into an empty results dir →
 /// the first tune against it short-circuits on a verified warm start
 /// with the bit-identical winner.
