@@ -30,7 +30,7 @@ use crate::runner::Context;
 use crate::search::SearchOptions;
 use crate::strategy::db::{parse_record, record_json};
 use crate::strategy::{TunedDb, TunedRecord};
-use crate::subject::Subject;
+use crate::subject::{Oracle, Subject};
 use ifko_blas::Kernel;
 use ifko_fko::CompileOpts;
 use ifko_xsim::{opteron, p4e, MachineConfig};
@@ -160,7 +160,8 @@ pub fn verify_record(rec: &TunedRecord) -> VerifyOutcome {
     // tuning size so a verify pass stays cheap even for huge-N records.
     let n = rec.n.clamp(16, 4096);
     let opts = SearchOptions::default();
-    let subject = match Subject::blas(kernel, &machine, context, n, rec.seed, &opts) {
+    let oracle = Oracle::Reference { kernel };
+    let subject = match Subject::open(oracle, &machine, context, n, rec.seed, &opts) {
         Ok(s) => s,
         Err(e) => return VerifyOutcome::Failed(format!("front end: {e}")),
     };
@@ -168,11 +169,11 @@ pub fn verify_record(rec: &TunedRecord) -> VerifyOutcome {
         Ok(c) => c,
         Err(e) => return VerifyOutcome::Failed(format!("compile at stored params: {e}")),
     };
-    let out = match subject.simulate(&compiled) {
-        Ok(out) => out,
+    let ran = match subject.run(&rec.params, &compiled, None, None) {
+        Ok(ran) => ran,
         Err(e) => return VerifyOutcome::Failed(format!("run: {e}")),
     };
-    match subject.test(&out) {
+    match ran.verdict {
         Ok(()) => VerifyOutcome::Verified,
         Err(e) => VerifyOutcome::Failed(format!("outputs: {e}")),
     }

@@ -16,14 +16,14 @@
 //! through it, across kernels and contexts) and optionally a
 //! [`TraceSink`] every evaluation reports to.
 
-use crate::driver::{tune_subject, TuneError, TuneFailure, TuneOutcome};
+use crate::driver::{tune_subject, TuneError, TuneOutcome};
 use crate::eval::{EvalCache, EvalEngine, JsonlSink, TeeSink, TraceSink};
 use crate::fault::FaultPlan;
 use crate::metrics::MetricsRegistry;
 use crate::runner::Context;
 use crate::search::SearchOptions;
 use crate::strategy::{Budget, StrategySpec, TunedDb};
-use crate::subject::Subject;
+use crate::subject::{Oracle, Subject};
 use crate::timer::Timer;
 use crate::worker::{WorkerLauncher, WorkerPool, WorkerSpec};
 use ifko_blas::Kernel;
@@ -348,37 +348,51 @@ impl TuneConfig {
 
     /// Tune one BLAS kernel (the paper's "ifko" data point).
     pub fn tune(&self, kernel: Kernel) -> Result<TuneOutcome, TuneError> {
-        let name = kernel.name();
-        let subject = self
-            .open_blas(kernel)
-            .map_err(|e| TuneError(format!("{name}: {e}")))?;
-        tune_subject(&subject, self).map_err(|e| {
-            TuneError(match e {
-                TuneFailure::Recompile(e) => {
-                    format!("{name}: best params failed to recompile: {e}")
-                }
-                TuneFailure::Run(e) => format!("{name}: winner failed to run: {e}"),
-            })
-        })
+        self.tune_opened(&self.open(kernel)?)
+    }
+
+    /// Open one BLAS kernel for tuning: its compile session, workload and
+    /// reference results at this config's machine, context, size and seed.
+    pub fn open(&self, kernel: Kernel) -> Result<Opened, TuneError> {
+        let opened = self.open_subject(Oracle::Reference { kernel });
+        opened.map_err(|e| TuneError(format!("{}: {e}", kernel.name())))
+    }
+
+    /// Open an arbitrary user HIL kernel for tuning, as [`Self::open`]
+    /// does, with the outputs of one run of it untransformed as its oracle.
+    pub fn open_source(&self, src: &str) -> Result<Opened, CompileError> {
+        self.open_subject(Oracle::Baseline { src: src.into() })
+    }
+
+    fn open_subject(&self, oracle: Oracle) -> Result<Opened, CompileError> {
+        let (machine, context, n) = (&self.machine, self.context, self.size());
+        Subject::open(oracle, machine, context, n, self.seed, &self.search).map(Opened)
+    }
+
+    /// Tune what [`Self::open`] or [`Self::open_source`] opened, under a
+    /// config that agrees with the opener's on machine, context, size,
+    /// seed and search options. Each tune leaves the subject holding only
+    /// what a warm tune of it reads.
+    pub fn tune_opened(&self, opened: &Opened) -> Result<TuneOutcome, TuneError> {
+        tune_subject(&opened.0, self)
     }
 
     /// Time a kernel at FKO's static defaults (the paper's "FKO" point):
     /// one run, verified, then timed by the final timer.
     pub fn time_defaults(&self, kernel: Kernel) -> Result<u64, TuneError> {
         let name = kernel.name();
-        let subject = self
-            .open_blas(kernel)
-            .map_err(|e| TuneError(format!("{name}: {e}")))?;
-        let sess = &subject.sess;
-        let params = TransformParams::defaults(sess.report(), &self.machine);
-        let compiled = sess
+        let subject = self.open(kernel)?.0;
+        let params = TransformParams::defaults(subject.sess.report(), &self.machine);
+        let compiled = subject
+            .sess
             .compile(&params, CompileOpts::default())
             .map_err(|e| TuneError(format!("{name}: {e}")))?;
-        let out = subject.simulate(&compiled).map_err(TuneError)?;
-        subject
-            .test(&out)
+        let ran = subject
+            .run(&params, &compiled, None, None)
+            .map_err(TuneError)?;
+        ran.verdict
             .map_err(|e| TuneError(format!("{name} defaults failed verify: {e}")))?;
-        Ok(self.final_timer.time_from(out.cycles, &compiled.name))
+        Ok(self.final_timer.time_from(ran.stats.cycles, &compiled.name))
     }
 
     /// Tune an arbitrary user HIL kernel with differential verification.
@@ -386,31 +400,16 @@ impl TuneConfig {
     /// across its worker threads, memoized in its cache under a
     /// source-fingerprinted scope, and traced to its sink.
     pub fn tune_source(&self, src: &str) -> Result<TuneOutcome, CompileError> {
-        let subject = Subject::source(
-            src,
-            &self.machine,
-            self.context,
-            self.size(),
-            self.seed,
-            &self.search,
-        )?;
-        tune_subject(&subject, self).map_err(|e| match e {
-            TuneFailure::Recompile(e) => e,
-            TuneFailure::Run(e) => CompileError::codegen(e),
-        })
-    }
-
-    fn open_blas(&self, kernel: Kernel) -> Result<Subject<'static>, CompileError> {
-        Subject::blas(
-            kernel,
-            &self.machine,
-            self.context,
-            self.size(),
-            self.seed,
-            &self.search,
-        )
+        let opened = self.open_source(src)?;
+        self.tune_opened(&opened)
+            .map_err(|e| CompileError::codegen(e.0))
     }
 }
+
+/// A kernel or source opened for tuning ([`TuneConfig::open`],
+/// [`TuneConfig::open_source`]): its compile session, operands and
+/// oracle, kept between tunes by [`TuneConfig::tune_opened`].
+pub struct Opened(pub(crate) Subject<'static>);
 
 impl std::fmt::Debug for TuneConfig {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {

@@ -14,8 +14,10 @@ use crate::strategy::{db_key, run_search, TunedRecord, STRATEGY_WARM};
 use crate::subject::{Oracle, Subject};
 use crate::worker::WorkerSpec;
 use ifko_blas::Kernel;
-use ifko_fko::{CompileError, CompileOpts, CompiledKernel, TransformParams};
+use ifko_fko::{CompileOpts, CompiledKernel, SessionStats, TransformParams};
 use ifko_xsim::{FeatureVector, MachineConfig};
+use std::sync::atomic::Ordering;
+use std::time::Instant;
 
 /// Everything produced by tuning one kernel — suite or `.hil` source —
 /// on one machine/context.
@@ -52,26 +54,25 @@ impl std::fmt::Display for TuneError {
 }
 impl std::error::Error for TuneError {}
 
-/// Why a finished search could not be reported.
-pub(crate) enum TuneFailure {
-    /// The winning parameters did not recompile.
-    Recompile(CompileError),
-    /// The recompiled winner did not run.
-    Run(String),
-}
-
 /// Tune `subject` under `cfg`: the one driver behind
-/// [`TuneConfig::tune`] and [`TuneConfig::tune_source`]. It owns the
-/// worker-pool spawn, the warm / transfer lookup in the tuned database,
-/// the search itself, the winner's recompile and one clean final run,
+/// [`TuneConfig::tune_opened`], and so behind `tune` and `tune_source`.
+/// It owns the worker-pool spawn, the warm / transfer lookup in the tuned
+/// database, the search itself, the winner's recompile and final run,
 /// the database store, the final report, and the run-level spans and
 /// metrics — so whatever is tuned, a tune is traced, counted, persisted
 /// and reported the same way.
 pub(crate) fn tune_subject(
     subject: &Subject<'_>,
     cfg: &TuneConfig,
-) -> Result<TuneOutcome, TuneFailure> {
+) -> Result<TuneOutcome, TuneError> {
     let scope = &subject.scope;
+    let fail = |what: &str| TuneError(format!("{}: {what}", scope.kernel));
+    // A subject's first tune reports its open: the root span starts there
+    // and its session counters are counted from zero. A later tune of a
+    // subject kept open starts at its request and counts what it adds.
+    let opened = subject.take_open();
+    let started = opened.map_or_else(Instant::now, |(at, _)| at);
+    let pipe0 = opened.map_or_else(|| subject.sess.stats(), |_| SessionStats::default());
     let mut engine = cfg.engine();
     let reg = engine.metrics().clone();
     // Worker-process pool (`--workers N`): candidates evaluate in `ifko
@@ -85,14 +86,10 @@ pub(crate) fn tune_subject(
         }
     }
     let sink = engine.trace().cloned();
-    let tune_span = Span::root(sink.clone(), scope.key(), "tune").since(subject.opened);
-    Span::emit(
-        &sink,
-        scope.key(),
-        "parse",
-        Some(tune_span.id()),
-        subject.parse_wall,
-    );
+    let tune_span = Span::root(sink.clone(), scope.key(), "tune").since(started);
+    if let Some((_, parse)) = opened {
+        Span::emit(&sink, scope.key(), "parse", Some(tune_span.id()), parse);
+    }
     if cfg.profile_pipeline {
         subject.sess.enable_profiling();
     }
@@ -100,7 +97,7 @@ pub(crate) fn tune_subject(
     // Warm start: a stored winner for this kernel/precision/machine/
     // context/revision is re-verified through the engine before it can
     // end the search early (see `strategy::run_search`).
-    let prec = format!("{:?}", subject.prec());
+    let prec = format!("{:?}", subject.sess.ir().prec);
     let db = cfg.db.as_ref().map(|db| {
         let key = db_key(
             &scope.kernel,
@@ -138,18 +135,19 @@ pub(crate) fn tune_subject(
     let recompile_span = tune_span.child("recompile");
     let compiled = subject.sess.compile(&result.best, CompileOpts::default());
     drop(recompile_span);
-    let compiled = compiled.map_err(TuneFailure::Recompile)?;
-    // One clean run of the winner: its counters carry both the cycles
-    // the entry point reports and the winner's feature vector.
+    let compiled = compiled.map_err(|e| fail(&format!("best params failed to recompile: {e}")))?;
+    // The winner's run, made when the search ran its point on this subject,
+    // carries both the cycles reported and the winner's feature vector.
     let final_span = tune_span.child("final-time");
-    let ran = subject.simulate(&compiled);
+    let ran = subject.run(&result.best, &compiled, Some(&final_span), Some(&engine));
     drop(final_span);
-    // That run, plus the baseline run a differential oracle made when
-    // the subject was opened (before there was an engine to count it).
-    let baseline_runs = matches!(subject.oracle, Oracle::Baseline { .. }) as u64;
+    // Plus the baseline runs a differential oracle made outside the
+    // engine: at open, or deriving its operands again after a trim.
     reg.counter(metrics::ENGINE_SIMULATIONS)
-        .add(1 + baseline_runs);
-    let final_stats = ran.map_err(TuneFailure::Run)?.stats;
+        .add(subject.baseline_runs.swap(0, Ordering::Relaxed));
+    let final_stats = ran
+        .map_err(|e| fail(&format!("winner failed to run: {e}")))?
+        .stats;
 
     // Persist the verified winner — unless this run itself was answered
     // by the database (re-storing would overwrite the finder's name).
@@ -177,14 +175,16 @@ pub(crate) fn tune_subject(
 
     reg.counter(metrics::TUNE_RUNS).inc();
     reg.histogram(metrics::TUNE_WALL_US, metrics::US_BUCKETS)
-        .observe(subject.opened.elapsed().as_micros() as u64);
+        .observe(started.elapsed().as_micros() as u64);
     let pipe = subject.sess.stats();
-    reg.counter(metrics::PIPE_COMPILES).add(pipe.compiles);
+    reg.counter(metrics::PIPE_COMPILES)
+        .add(pipe.compiles - pipe0.compiles);
     reg.counter(metrics::PIPE_SUBCACHE_HITS)
-        .add(pipe.subcache_hits);
+        .add(pipe.subcache_hits - pipe0.subcache_hits);
     reg.counter(metrics::PIPE_SUBCACHE_MISSES)
-        .add(pipe.subcache_misses);
-    reg.counter(metrics::PIPE_PREDICTIONS).add(pipe.predictions);
+        .add(pipe.subcache_misses - pipe0.subcache_misses);
+    reg.counter(metrics::PIPE_PREDICTIONS)
+        .add(pipe.predictions - pipe0.predictions);
 
     // The report: a suite kernel's winner goes through the paper's final
     // timer, a source's keeps its exact count like its candidates did.
@@ -200,6 +200,7 @@ pub(crate) fn tune_subject(
         }
         Oracle::Baseline { .. } => (final_stats.cycles, 0.0),
     };
+    subject.trim(&result.best);
     Ok(TuneOutcome {
         table3_row: result.best.table3_row(subject.sess.report()),
         result,

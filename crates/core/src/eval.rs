@@ -46,8 +46,7 @@ pub use crate::trace::{
 };
 
 /// FNV-1a over a byte string (stable fingerprinting, no external deps).
-/// Public: artifact checksums and the daemon's single-flight keys
-/// reuse it.
+/// Public: artifact checksums and the daemon's subject keys reuse it.
 pub fn fnv64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {

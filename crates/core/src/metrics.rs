@@ -530,10 +530,10 @@ pub fn global() -> Arc<MetricsRegistry> {
 pub const ENGINE_BATCHES: &str = "ifko_engine_batches_total";
 /// Fresh candidate evaluations (compile + verify + time).
 pub const ENGINE_EVALS: &str = "ifko_engine_evals_total";
-/// Simulator runs made by a tune in this process: one per fresh
-/// candidate that compiled, plus the driver's own (the winner's final
-/// run; a generic tune's baseline run). Candidates evaluated in worker
-/// processes are simulated there and not counted here.
+/// Simulator runs made by a tune in this process: one per program (a
+/// normalized point) its subject runs for the first time, a candidate's
+/// or the winner's, plus a generic subject's baseline runs. Candidates
+/// evaluated in worker processes are simulated there and not counted.
 pub const ENGINE_SIMULATIONS: &str = "ifko_engine_simulations_total";
 /// Fresh evaluations rejected by compilation or the tester.
 pub const ENGINE_REJECTED: &str = "ifko_engine_rejected_total";
@@ -628,6 +628,8 @@ pub const DAEMON_WARM_HITS: &str = "ifkod_warm_hits_total";
 pub const DAEMON_CONNECTIONS: &str = "ifkod_connections_total";
 /// Daemon requests that failed to parse or errored mid-handling.
 pub const DAEMON_ERRORS: &str = "ifkod_errors_total";
+/// Tune subjects the daemon keeps open, one per resolved request key.
+pub const DAEMON_SUBJECTS: &str = "ifkod_subjects";
 
 /// Tuning runs driven end to end.
 pub const TUNE_RUNS: &str = "ifko_tune_runs_total";

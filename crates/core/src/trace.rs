@@ -326,8 +326,8 @@ impl Span {
     }
 
     /// Backdate the span to `start`, for a span that can only be opened
-    /// once the work it covers has begun (the `tune` root of a `.hil`
-    /// subject, whose scope key is known only after the parse).
+    /// once the work it covers has begun (the `tune` root of a freshly
+    /// opened subject, whose scope key is known only after the parse).
     pub fn since(mut self, start: std::time::Instant) -> Span {
         self.start = start;
         self

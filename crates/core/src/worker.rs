@@ -176,15 +176,16 @@ impl WorkerSpec {
             faults: self.chaos.clone(),
             ..SearchOptions::default()
         };
-        let subject = if let Some(name) = &self.kernel {
-            let kernel = Kernel::by_name(name).ok_or_else(|| format!("unknown kernel `{name}`"))?;
-            Subject::blas(kernel, &machine, context, self.n, self.seed, &opts)
-                .map_err(|e| format!("{name}: {e}"))?
-        } else {
-            let src = self.src.as_deref().expect("spec validated");
-            Subject::source(src, &machine, context, self.n, self.seed, &opts)
-                .map_err(|e| e.to_string())?
+        let oracle = match (&self.kernel, &self.src) {
+            (Some(name), _) => Oracle::Reference {
+                kernel: Kernel::by_name(name).ok_or_else(|| format!("unknown kernel `{name}`"))?,
+            },
+            (None, src) => Oracle::Baseline {
+                src: src.clone().unwrap_or_default(),
+            },
         };
+        let subject = Subject::open(oracle, &machine, context, self.n, self.seed, &opts)
+            .map_err(|e| e.to_string())?;
         if subject.scope.key() != self.scope_key {
             return Err(format!(
                 "scope drift: dispatcher `{}` vs worker `{}`",

@@ -14,20 +14,23 @@
 //! `Workload` equals `run_generic` on the operands a tune binds for it
 //! (`[x, y][..n_vectors]`, `[alpha, beta]`) bit for bit.
 //!
-//! What rests on that: a tune simulates each candidate exactly once, and
-//! a suite kernel and a `.hil` source share one operand and result type.
+//! What rests on that: a tune simulates each distinct program it compiles
+//! exactly once, and a suite kernel and a `.hil` source share one operand
+//! and result type.
 
 use ifko::generic::{run_generic, GenericWorkload};
 use ifko::prelude::*;
 use ifko::runner::{run_once, KernelArgs, Operands, Outputs, RunContext};
+use ifko::search::line_search_batched;
 use ifko_blas::hil_src::hil_source;
 use ifko_fko::{
-    compile_defaults, ArgSlot, CompileOpts, CompileSession, CompiledKernel, RetSlot,
+    compile_defaults, normalized, ArgSlot, CompileOpts, CompileSession, CompiledKernel, RetSlot,
     TransformParams,
 };
 use ifko_xsim::isa::Inst::*;
 use ifko_xsim::isa::{Addr, FReg, IReg};
 use ifko_xsim::{Asm, Cpu, Memory, Rng64, RunError};
+use std::collections::{HashMap, HashSet};
 
 const CONTEXTS: [Context; 2] = [Context::OutOfCache, Context::InL2];
 
@@ -471,9 +474,52 @@ fn machine_bus_and_precision_switches_are_clean() {
     run(&mut ctx, BlasOp::Swap, Prec::D, &p4e());
 }
 
-/// A serial cold tune simulates once per fresh candidate that compiled,
-/// plus once for the winner's final report — also under chaos timer
-/// spikes, where every re-time is a re-draw over the same cycle count.
+/// The parameter points behind a tune trace's `params` strings: the line
+/// search replayed over the trace's own results submits exactly the
+/// tune's probes, so every string meets its point.
+fn traced_points(
+    sink: &MemSink,
+    src: &str,
+    machine: &MachineConfig,
+) -> HashMap<String, TransformParams> {
+    let results: HashMap<_, _> = sink
+        .evals()
+        .into_iter()
+        .map(|e| (e.params, e.cycles))
+        .collect();
+    let sess = CompileSession::from_source(src, machine).unwrap();
+    let opts = SearchOptions::default();
+    let mut points = HashMap::new();
+    line_search_batched(sess.report(), machine, &opts, |_, cands| {
+        let mut out = Vec::new();
+        for p in cands {
+            let key = format!("{p:?}");
+            out.push(results.get(&key).copied().flatten());
+            points.insert(key, p.clone());
+        }
+        out
+    });
+    points
+}
+
+/// Distinct normalized points among a traced tune's fresh evaluations
+/// that compiled (and so ran or found their program's run).
+fn distinct_runs(sink: &MemSink, src: &str, machine: &MachineConfig) -> u64 {
+    let points = traced_points(sink, src, machine);
+    let fresh = sink.evals().into_iter();
+    let ran = fresh.filter(|e| !e.cache_hit && e.stats.is_some());
+    let distinct: HashSet<_> = ran.map(|e| normalized(&points[&e.params])).collect();
+    distinct.len() as u64
+}
+
+/// A cold tune simulates once per distinct program it compiled: once per
+/// distinct normalized point among its fresh evaluations that compiled,
+/// and not once more for the winner's report, whose run is the one the
+/// search made. That holds under chaos timer spikes (every re-time is a
+/// re-draw over the same cycle count) and at `--jobs 8`, where points
+/// that compile to one program may run at once yet simulate once. The
+/// paper's in-L2 candidate sets sweep prefetch distances of arrays whose
+/// prefetch is off, so some fresh points do share a program.
 #[test]
 fn a_tune_simulates_each_compiled_candidate_exactly_once() {
     let ddot = Kernel {
@@ -487,34 +533,74 @@ fn a_tune_simulates_each_compiled_candidate_exactly_once() {
         timer_rep: 0.3,
         persist: 0.0,
     };
+    let src = hil_source(ddot.op, ddot.prec);
+    let mut shared = 0;
     for machine in [p4e(), opteron()] {
-        for plan in [None, Some(spikes.clone())] {
+        let mut serial = None;
+        for (plan, jobs) in [(None, 1), (Some(spikes.clone()), 1), (None, 8)] {
             let reg = std::sync::Arc::new(MetricsRegistry::new());
-            let mut cfg = TuneConfig::quick(4096)
+            let sink = MemSink::new();
+            let mut cfg = TuneConfig::quick(1024)
+                .search(SearchOptions::default())
+                .context(Context::InL2)
                 .machine(machine.clone())
-                .metrics(reg.clone());
+                .metrics(reg.clone())
+                .trace(sink.clone())
+                .jobs(jobs);
             if let Some(plan) = &plan {
                 cfg = cfg.faults(plan.clone());
             }
             cfg.tune(ddot).unwrap();
             let count = |name| reg.counter_value(name).unwrap_or(0);
+            let what = format!("{} chaos={} jobs={jobs}", machine.name, plan.is_some());
             // Nothing was rejected or failed, so every fresh evaluation
-            // compiled and was simulated.
-            assert_eq!(count(metrics::ENGINE_REJECTED), 0);
-            assert_eq!(count(metrics::ENGINE_FAILED), 0);
+            // compiled and was judged by a run.
+            assert_eq!(count(metrics::ENGINE_REJECTED), 0, "{what}");
+            assert_eq!(count(metrics::ENGINE_FAILED), 0, "{what}");
             let fresh = count(metrics::ENGINE_EVALS);
-            assert!(fresh > 5, "cold tune must evaluate candidates");
-            assert_eq!(
-                count(metrics::ENGINE_SIMULATIONS),
-                fresh + 1,
-                "{} chaos={}",
-                machine.name,
-                plan.is_some()
-            );
+            assert!(fresh > 5, "{what}: cold tune must evaluate candidates");
+            let sims = count(metrics::ENGINE_SIMULATIONS);
+            assert_eq!(sims, distinct_runs(&sink, &src, &machine), "{what}");
+            assert_eq!(*serial.get_or_insert(sims), sims, "{what}: serial counts");
+            shared += fresh - sims;
             if plan.is_some() {
                 assert!(count(metrics::ENGINE_FAULTS) > 0, "spikes must fire");
                 assert!(count(metrics::ENGINE_RETRIES) > 0, "spikes must re-time");
             }
         }
     }
+    assert!(shared > 0, "no two fresh points shared a program");
+}
+
+/// A `.hil` subject counts its baseline run once, when its first tune
+/// reports the open, and a second tune of the same opened subject — every
+/// probe an evaluation-cache hit, the winner's run kept — simulates
+/// nothing and traces no `parse`.
+#[test]
+fn a_source_counts_its_baseline_run_once_per_open() {
+    let src = std::fs::read_to_string(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../kernels/waxpby.hil"
+    ))
+    .unwrap();
+    let reg = std::sync::Arc::new(MetricsRegistry::new());
+    let sink = MemSink::new();
+    let cfg = TuneConfig::quick(1024)
+        .search(SearchOptions::default())
+        .context(Context::InL2)
+        .metrics(reg.clone())
+        .trace(sink.clone());
+    let opened = cfg.open_source(&src).unwrap();
+    let first = cfg.tune_opened(&opened).unwrap();
+    let sims = || reg.counter_value(metrics::ENGINE_SIMULATIONS).unwrap_or(0);
+    let after_first = sims();
+    assert_eq!(after_first, distinct_runs(&sink, &src, &p4e()) + 1);
+    let second = cfg.tune_opened(&opened).unwrap();
+    assert_eq!(second.result.evaluations, 0);
+    assert_eq!(sims(), after_first, "the second tune simulated");
+    assert_eq!(second.result.best, first.result.best);
+    assert_eq!(second.cycles, first.cycles);
+    // Two tunes, one open: the second reports no front end.
+    let stages = |stage: &str| sink.spans().iter().filter(|s| s.stage == stage).count();
+    assert_eq!((stages("tune"), stages("parse")), (2, 1));
 }

@@ -13,7 +13,7 @@ use ifko::{verify, SearchOptions};
 use ifko_blas::hil_src::hil_source;
 use ifko_blas::ops::BlasOp;
 use ifko_blas::{Kernel, Workload};
-use ifko_fko::{CompileError, CompileOpts, CompileSession, TransformParams};
+use ifko_fko::{normalized, CompileError, CompileOpts, CompileSession, TransformParams};
 use ifko_xsim::isa::Prec;
 use ifko_xsim::{opteron, p4e, MachineConfig};
 
@@ -94,13 +94,6 @@ fn subcache_hits_never_change_the_winner() {
 /// for the first time, and every other successful compile is a hit.
 #[test]
 fn misses_are_distinct_normalized_points() {
-    // The session's own normalization: a prefetch spec that is off cannot
-    // change the program, whatever distance it carries.
-    let normalized = |p: &TransformParams| {
-        let mut p = p.clone();
-        p.prefetch.retain(|s| s.kind.is_some());
-        p
-    };
     let opts = SearchOptions::default();
     for mach in [p4e(), opteron()] {
         for op in [BlasOp::Axpy, BlasOp::Asum] {

@@ -11,8 +11,9 @@
 //! * [`proto`] — the wire protocol: length-prefixed JSON frames
 //!   (4-byte big-endian length + UTF-8 payload), zero-dep on both ends.
 //! * [`server`] — [`Daemon`](server::Daemon): the accept loop, one
-//!   handler thread per connection, single-flight coalescing of
-//!   identical concurrent tune requests, and `ifkod_*` metrics on the
+//!   handler thread per connection, one resident subject per resolved
+//!   tune request (its slot's lock is the single flight that coalesces
+//!   concurrent requests resolving alike), and `ifkod_*` metrics on the
 //!   global registry (scrapable via the `metrics` request).
 //! * [`client`] — [`Client`](client::Client): a thin blocking client
 //!   used by `ifko tune --remote`, `ifko daemon <cmd>`, and the tests.
@@ -20,9 +21,9 @@
 //! Determinism contract: the daemon extends the engine's bit-identity
 //! guarantee to the socket boundary. N concurrent clients tuning the
 //! same kernel/machine/context converge to the bit-identical winner of
-//! a serial run: identical requests coalesce (single-flight) so one
-//! session computes while the rest wait, then re-verify the stored
-//! winner through the normal warm-start path.
+//! a serial run: requests that resolve alike coalesce (single-flight)
+//! so one session computes while the rest wait, then re-verify the
+//! stored winner through the normal warm-start path.
 
 pub mod client;
 pub mod server;

@@ -228,8 +228,8 @@ struct Candidate {
 /// Drop parameter content that cannot change the compiled program:
 /// prefetch specs with `kind == None` are skipped entirely by
 /// [`xform`]'s prefetch insertion (and never inspected by the verifier),
-/// so candidates differing only there are the same sub-candidate.
-fn normalized(params: &TransformParams) -> TransformParams {
+/// so candidates differing only there are one program (the tuner's key).
+pub fn normalized(params: &TransformParams) -> TransformParams {
     let mut p = params.clone();
     p.prefetch.retain(|s| s.kind.is_some());
     p
@@ -397,6 +397,21 @@ impl CompileSession {
         let pred = costmodel::predict_lin(&lin?, mach);
         lock(&self.candidates).entry(norm).or_default().pred = Some(pred.clone());
         Ok(pred)
+    }
+
+    /// Normalized points the session holds a prediction or program for.
+    pub fn cached_points(&self) -> usize {
+        lock(&self.candidates).len()
+    }
+
+    /// Forget every cached point but `keep`'s and every pooled scratch
+    /// bundle: what a session kept open between tunes holds.
+    pub fn retain(&self, keep: &TransformParams) {
+        let keep = normalized(keep);
+        let mut candidates = lock(&self.candidates);
+        candidates.retain(|p, _| *p == keep);
+        candidates.shrink_to_fit();
+        *lock(&self.scratch) = Vec::new();
     }
 
     /// Compile the session's kernel under the given parameters.
