@@ -34,7 +34,10 @@
 //!
 //! Responses always carry `"ok":true|false`; failures add `"error"`.
 
-use std::io::{Read, Write};
+use std::hint::spin_loop;
+use std::io::{ErrorKind, Read, Write};
+use std::os::unix::net::UnixStream;
+use std::time::{Duration, Instant};
 
 /// Maximum frame payload size (16 MiB): a packed artifact with tens of
 /// thousands of records fits with room to spare.
@@ -52,6 +55,36 @@ pub fn write_frame(w: &mut impl Write, payload: &str) -> std::io::Result<()> {
     w.write_all(&(len as u32).to_be_bytes())?;
     w.write_all(payload.as_bytes())?;
     w.flush()
+}
+
+/// How long a [`Polling`] read polls before it blocks: a few answers from
+/// a subject `ifkod` keeps open, which take tens of µs each.
+const POLL: Duration = Duration::from_micros(200);
+
+/// A socket whose reads poll for up to [`POLL`] before they block. A
+/// blocking read parks the thread, and how soon a shared host runs a
+/// parked thread again — on this core or on another, idle one — varies
+/// by more than a warm request takes; data that arrives while a read
+/// polls is read without that wake-up.
+pub struct Polling<'a>(pub &'a UnixStream);
+
+impl Read for Polling<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let mut stream = self.0;
+        stream.set_nonblocking(true)?;
+        let t0 = Instant::now();
+        let polled = loop {
+            match stream.read(buf) {
+                Err(e) if e.kind() == ErrorKind::WouldBlock && t0.elapsed() < POLL => spin_loop(),
+                done => break done,
+            }
+        };
+        stream.set_nonblocking(false)?;
+        match polled {
+            Err(e) if e.kind() == ErrorKind::WouldBlock => stream.read(buf),
+            done => done,
+        }
+    }
 }
 
 /// Read one frame. Returns `Ok(None)` on a clean EOF at a frame

@@ -1,7 +1,7 @@
 //! Blocking client for the `ifkod` socket protocol — the library behind
 //! `ifko tune --remote`, `ifko daemon <cmd>`, and the e2e tests.
 
-use crate::proto::{esc, read_frame, write_frame};
+use crate::proto::{esc, read_frame, write_frame, Polling};
 use ifko::config::checked_n;
 use ifko::report::{parse_json, Json};
 use ifko::runner::Context;
@@ -165,7 +165,8 @@ impl Client {
     /// daemon's error message.
     pub fn request(&mut self, payload: &str) -> Result<Json, String> {
         write_frame(&mut self.stream, payload).map_err(|e| format!("send: {e}"))?;
-        let reply = read_frame(&mut self.stream)
+        // A warm reply comes back within tens of µs: poll for it.
+        let reply = read_frame(&mut Polling(&self.stream))
             .map_err(|e| format!("recv: {e}"))?
             .ok_or("daemon closed the connection")?;
         let v = parse_json(&reply).ok_or_else(|| format!("unparseable response: {reply}"))?;
