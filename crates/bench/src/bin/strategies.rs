@@ -85,7 +85,7 @@ fn main() {
             db.len()
         );
     }
-    if let Err(e) = cfg.tune.finish(&[]) {
+    if let Err(e) = cfg.tune.finish() {
         eprintln!("strategies: {e}");
     }
 }

@@ -231,7 +231,7 @@ impl Experiment {
         self.tune_only = true;
         self
     }
-    /// Attach a trace sink programmatically, beside any `--trace`.
+    /// Attach a trace sink programmatically, in place of any `--trace`.
     pub fn trace(mut self, sink: Arc<dyn TraceSink>) -> Self {
         self.cfg.tune.base = self.cfg.tune.base.clone().trace(sink);
         self
@@ -307,7 +307,7 @@ impl Experiment {
             "[{}] search evaluations: {fresh} fresh, {hits} cache hits",
             self.name
         );
-        if let Err(e) = self.cfg.tune.finish(&[]) {
+        if let Err(e) = self.cfg.tune.finish() {
             eprintln!("[{}] {e}", self.name);
         }
         out

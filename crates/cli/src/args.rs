@@ -24,9 +24,19 @@ fn size(s: &str) -> Result<Box<dyn Any>, String> {
     boxed(checked_n(n))
 }
 
-fn report_format(s: &str) -> Result<Box<dyn Any>, String> {
+fn explain_format(s: &str) -> Result<Box<dyn Any>, String> {
     let format = ReportFormat::parse(s);
     boxed(format.ok_or_else(|| format!("unknown format `{s}` (text | json | md)")))
+}
+
+/// `ifko report --format`: an analysis format, or `chrome` (read as
+/// `None`), the trace itself rendered for Perfetto.
+fn report_format(s: &str) -> Result<Box<dyn Any>, String> {
+    let format = match s {
+        "chrome" => Some(None),
+        _ => ReportFormat::parse(s).map(Some),
+    };
+    boxed(format.ok_or_else(|| format!("unknown format `{s}` (text | json | md | chrome)")))
 }
 
 /// `--format text|json`, read as "json?".
@@ -50,10 +60,8 @@ const TUNE: &[Flag] = &[
     Flag::new("--seed S", "workload seed").parse(num::<u64>).remote(),
     Flag::new("--full", "the paper's full candidate sets").remote(),
     Flag::new("--remote SOCKET", "tune on the ifkod serving SOCKET").remote(),
-    Flag::new("--timeseries PATH", "append a metrics timeseries to PATH"),
     Flag::new("--verify-ir", "run the IR verifier between every stage"),
     Flag::new("--no-prune", "compile provably futile candidates too"),
-    Flag::new("--profile-pipeline", "print wall time per compile stage"),
 ];
 
 #[rustfmt::skip]
@@ -87,15 +95,14 @@ pub const COMMANDS: &[Command] = &[
     Command {
         name: "ifko report", args: "TRACE.jsonl...",
         about: "Analyze --trace output: convergence, phases, stage times, cache effectiveness.",
-        flags: &[&[Flag::new("-f, --format FMT", "text | json | md").parse(report_format)]],
+        flags: &[&[Flag::new("-f, --format FMT", "text | json | md | chrome (one trace)").parse(report_format)]],
     },
     Command {
-        name: "ifko explain", args: "[TRACE.jsonl...]",
+        name: "ifko explain", args: "TRACE.jsonl...",
         about: "Why the winner won: counter deltas per transform, and its bottleneck.",
         flags: &[&[
-            Flag::new("-f, --format FMT", "text | json | md").parse(report_format),
+            Flag::new("-f, --format FMT", "text | json | md").parse(explain_format),
             Flag::new("--db DIR", "cross-check this tuned-results database"),
-            Flag::new("--check-chrome FILE", "validate a --trace-chrome file"),
         ]],
     },
     Command {
@@ -244,22 +251,16 @@ mod tests {
     fn observability_sinks_parse() {
         let g = parse(
             "tune",
-            &[
-                "k.hil",
-                "--trace-chrome",
-                "t.chrome.json",
-                "--timeseries",
-                "ts.jsonl",
-            ],
+            &["k.hil", "--trace", "t.jsonl", "--metrics", "m.prom"],
         )
         .unwrap();
-        assert_eq!(g.raw("--trace-chrome"), Some("t.chrome.json"));
-        assert_eq!(g.raw("--timeseries"), Some("ts.jsonl"));
+        assert_eq!(g.raw("--trace"), Some("t.jsonl"));
+        assert_eq!(g.raw("--metrics"), Some("m.prom"));
         // Off by default, and both flags require a value.
         let g = parse("tune", &["k.hil"]).unwrap();
-        assert!(!g.has("--trace-chrome") && !g.has("--timeseries"));
-        assert!(parse("tune", &["k.hil", "--trace-chrome"]).is_err());
-        assert!(parse("tune", &["k.hil", "--timeseries"]).is_err());
+        assert!(!g.has("--trace") && !g.has("--metrics"));
+        assert!(parse("tune", &["k.hil", "--trace"]).is_err());
+        assert!(parse("tune", &["k.hil", "--metrics"]).is_err());
     }
 
     #[test]
@@ -268,14 +269,6 @@ mod tests {
         assert!(g.has("--verify-ir") && g.has("--no-prune"));
         let g = parse("tune", &["k.hil"]).unwrap();
         assert!(!g.has("--verify-ir") && !g.has("--no-prune"));
-    }
-
-    #[test]
-    fn profile_pipeline_flag_parses() {
-        assert!(parse("tune", &["k.hil", "--profile-pipeline"])
-            .unwrap()
-            .has("--profile-pipeline"));
-        assert!(!parse("tune", &["k.hil"]).unwrap().has("--profile-pipeline"));
     }
 
     #[test]
@@ -392,10 +385,6 @@ mod tests {
                 "2",
                 "--trace",
                 "t",
-                "--trace-chrome",
-                "c",
-                "--timeseries",
-                "ts",
                 "--metrics",
                 "m",
                 "--verify-ir",
@@ -409,11 +398,10 @@ mod tests {
                 "7",
                 "--max-retries",
                 "1",
-                "--profile-pipeline",
             ],
         )
         .unwrap();
-        assert_eq!(every.local_only().len(), 14);
+        assert_eq!(every.local_only().len(), 11);
     }
 
     #[test]

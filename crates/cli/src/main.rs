@@ -9,7 +9,7 @@
 
 use ifko::artifact;
 use ifko::flags::{self, Given, TuneFlags};
-use ifko::report::{parse_json, profile_table, report_files, Json, ReportFormat};
+use ifko::report::{parse_json, read_trace, report_files, Json, ReportFormat};
 use ifko::strategy::db::params_from_json;
 use ifko::strategy::TunedDb;
 use ifko::worker::WorkerLauncher;
@@ -87,33 +87,26 @@ fn machine(given: &Given) -> MachineConfig {
     given.get("--machine").unwrap_or_else(p4e)
 }
 
+/// `ifko report`: the analysis of one or more traces, or — `--format
+/// chrome` — one trace rendered for Perfetto. Span ids restart in every
+/// process, so the spans of two traces cannot be told apart: Chrome reads
+/// one.
 fn cmd_report(given: &Given) -> Result<(), String> {
-    let format = given.get("--format").unwrap_or(ReportFormat::Text);
-    let out = report_files(&given.positional, format).map_err(|e| e.to_string())?;
-    print!("{out}");
+    let (files, n) = (&given.positional, given.positional.len());
+    let out = match given.get("--format").unwrap_or(Some(ReportFormat::Text)) {
+        Some(format) => report_files(files, format),
+        None if n > 1 => return Err(format!("--format chrome reads one trace, not {n}")),
+        None => read_trace(&files[0]).map(|t| ifko::chrome::render_chrome(&t.events)),
+    };
+    print!("{}", out.map_err(|e| e.to_string())?);
     Ok(())
 }
 
 /// `ifko explain`: microarchitectural attribution over a search trace —
 /// which transform bought which counter deltas, and what the winner is
-/// bound by. `--check-chrome` instead validates a `--trace-chrome` output
-/// (parses as JSON, spans nest) so CI needs no external JSON tooling.
+/// bound by.
 fn cmd_explain(given: &Given) -> Result<(), String> {
     let files = &given.positional;
-    if let Some(path) = given.raw("--check-chrome") {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-        let summary = ifko::validate_chrome_trace(&text).map_err(|e| format!("{path}: {e}"))?;
-        println!(
-            "{path}: ok ({} events: {} span slices, {} candidate slices)",
-            summary.events, summary.spans, summary.evals
-        );
-        if files.is_empty() {
-            return Ok(());
-        }
-    }
-    if files.is_empty() {
-        return Err("no trace files given (see `ifko explain --help`)".into());
-    }
     let db = match given.raw("--db") {
         Some(dir) => Some(TunedDb::open(dir).map_err(|e| format!("--db {dir}: {e}"))?),
         None => None,
@@ -295,29 +288,18 @@ fn cmd_tune(given: &Given) -> Result<(), String> {
     let mut cfg = request
         .config()?
         .verify_ir(given.has("--verify-ir"))
-        .prune(!given.has("--no-prune"))
-        .profile_pipeline(given.has("--profile-pipeline"));
+        .prune(!given.has("--no-prune"));
     // Workers are this same binary re-invoked as `ifko worker`, so the
     // pool works from any build/install location.
     if let Ok(exe) = std::env::current_exe() {
         cfg = cfg.worker_launcher(WorkerLauncher::new(exe).arg("worker"));
     }
     let run = TuneFlags::open(given, cfg).unwrap_or_else(|e| flags::refuse("ifko", &e));
-    let timeseries = given.raw("--timeseries").map(|path| {
-        let ts = ifko::metrics::global()
-            .timeseries(path, std::time::Duration::from_millis(50))
-            .unwrap_or_else(|e| flags::refuse("ifko", &format!("--timeseries {path}: {e}")));
-        eprintln!("appending metrics timeseries to {path}");
-        ts
-    });
     let cfg = &run.base;
     let (machine, context, n) = (cfg.machine_ref().name, cfg.context_of().label(), cfg.size());
     let (jobs, strategy) = (cfg.jobs_of(), cfg.strategy_of().name());
     eprintln!("tuning on {machine} ({context}), N={n}, jobs={jobs}, strategy={strategy} ...");
     let out = cfg.tune_source(&src).map_err(|e| e.to_string())?;
-    if let Some(ts) = timeseries {
-        ts.stop();
-    }
     println!("baseline (untuned) : not measured (search starts at FKO defaults)");
     println!(
         "FKO defaults       : {:>10} cycles",
@@ -364,11 +346,7 @@ fn cmd_tune(given: &Given) -> Result<(), String> {
     {
         println!("  {name:<24} {v:>12.6}");
     }
-    if !out.pipeline_profile.is_empty() {
-        println!("\npipeline stage profile (wall time per candidate compile):");
-        print!("{}", profile_table(&out.pipeline_profile));
-    }
-    run.finish(&out.pipeline_profile)
+    run.finish()
 }
 
 /// `ifko tune FILE --remote SOCKET`: ship the tune to a running `ifkod`

@@ -122,8 +122,7 @@ fn flag_table_kernel_commands() {
     let t = Scratch::new("flags-kernel");
     let k = repo("kernels/ddot.hil");
     let k = k.as_str();
-    let (trace, chrome, ts) = (t.path("t.jsonl"), t.path("c.json"), t.path("ts.jsonl"));
-    let (metrics, db) = (t.path("m.json"), t.path("db"));
+    let (trace, metrics, db) = (t.path("t.jsonl"), t.path("m.json"), t.path("db"));
     let mut cases = vec![
         ok("ifko", &["analyze", k, "--machine", "opteron"]),
         ok("ifko", &["analyze", k, "-m", "p4e"]),
@@ -191,13 +190,8 @@ fn flag_table_kernel_commands() {
                 "7",
                 "--verify-ir",
                 "--no-prune",
-                "--profile-pipeline",
                 "--trace",
                 &trace,
-                "--trace-chrome",
-                &chrome,
-                "--timeseries",
-                &ts,
                 "--metrics",
                 &metrics,
                 "--db",
@@ -269,8 +263,6 @@ fn flag_table_kernel_commands() {
         "--jobs",
         "--workers",
         "--trace",
-        "--trace-chrome",
-        "--timeseries",
         "--metrics",
         "--strategy",
         "--budget",
@@ -297,8 +289,6 @@ fn flag_table_trace_commands() {
     let k = k.as_str();
     let trace = repo("crates/core/tests/fixtures/explain-trace.jsonl");
     let trace = trace.as_str();
-    let chrome = t.path("c.json");
-    std::fs::write(&chrome, "{\"traceEvents\":[]}").unwrap();
     let db = t.path("db");
     let cases = vec![
         ok(
@@ -322,19 +312,26 @@ fn flag_table_trace_commands() {
         ),
         ok("ifko", &["report", trace, "--format", "md"]),
         ok("ifko", &["report", trace, "-f", "json"]),
+        ok("ifko", &["report", trace, "--format", "chrome"]),
         needs("ifko", &["report", trace], "--format"),
         case(
             "ifko",
             &["report", trace, "--format", "x"],
             2,
-            "unknown format `x` (text | json | md)",
+            "unknown format `x` (text | json | md | chrome)",
+        ),
+        // Span ids restart in every process: two traces' spans would
+        // nest under each other's parents.
+        case(
+            "ifko",
+            &["report", trace, trace, "--format", "chrome"],
+            2,
+            "ifko: --format chrome reads one trace, not 2",
         ),
         ok("ifko", &["explain", trace, "--format", "json", "--db", &db]),
         ok("ifko", &["explain", trace, "-f", "md"]),
-        ok("ifko", &["explain", "--check-chrome", &chrome]),
         needs("ifko", &["explain", trace], "--format"),
         needs("ifko", &["explain", trace], "--db"),
-        needs("ifko", &["explain", trace], "--check-chrome"),
         case(
             "ifko",
             &["explain", trace, "--format", "x"],
@@ -343,15 +340,15 @@ fn flag_table_trace_commands() {
         ),
         case(
             "ifko",
-            &["explain", trace, "--db", "/dev/null/d"],
+            &["explain", trace, "--format", "chrome"],
             2,
-            "ifko: --db /dev/null/d: Not a directory (os error 20)",
+            "unknown format `chrome` (text | json | md)",
         ),
         case(
             "ifko",
-            &["explain", "--check-chrome", "/nope"],
+            &["explain", trace, "--db", "/dev/null/d"],
             2,
-            "ifko: cannot read /nope: No such file or directory (os error 2)",
+            "ifko: --db /dev/null/d: Not a directory (os error 20)",
         ),
     ];
     check(&t.0, &cases);
@@ -1177,17 +1174,31 @@ fn flag_errors_share_one_form() {
             &["--trace", "/dev/null/t"],
             "ifko: --trace /dev/null/t: File exists",
         ),
+        // A tune's one live sink is the JSONL trace: the Chrome view is
+        // rendered from it by `ifko report --format chrome`.
         with(
             "ifko",
             &["tune", k],
             &["--trace-chrome", "/dev/null/t"],
-            "ifko: --trace-chrome /dev/null/t: File exists",
+            "ifko: unknown flag `--trace-chrome`",
         ),
         with(
             "ifko",
             &["tune", k],
             &["--timeseries", "/dev/null/t"],
-            "ifko: --timeseries /dev/null/t: File exists",
+            "ifko: unknown flag `--timeseries`",
+        ),
+        with(
+            "ifko",
+            &["tune", k],
+            &["--profile-pipeline"],
+            "ifko: unknown flag `--profile-pipeline`",
+        ),
+        with(
+            "ifko",
+            &["explain"],
+            &["--check-chrome", "/dev/null/t"],
+            "ifko: unknown flag `--check-chrome`",
         ),
         with(
             "ifko",
@@ -1215,7 +1226,13 @@ fn flag_errors_share_one_form() {
             "table3",
             &quick,
             &["--trace-chrome", "/dev/null/t"],
-            "table3: --trace-chrome /dev/null/t: File exists",
+            "table3: unknown flag `--trace-chrome`",
+        ),
+        with(
+            "table3",
+            &quick,
+            &["--timeseries", "/dev/null/t"],
+            "table3: unknown flag `--timeseries`",
         ),
         with(
             "table3",
@@ -1254,8 +1271,6 @@ fn every_command_answers_help() {
         "--jobs",
         "--workers",
         "--trace",
-        "--trace-chrome",
-        "--timeseries",
         "--metrics",
         "--verify-ir",
         "--no-prune",
@@ -1267,7 +1282,6 @@ fn every_command_answers_help() {
         "--remote",
         "--chaos",
         "--max-retries",
-        "--profile-pipeline",
     ][..];
     let experiment = &[
         "--quick",
@@ -1275,7 +1289,6 @@ fn every_command_answers_help() {
         "--jobs",
         "--workers",
         "--trace",
-        "--trace-chrome",
         "--metrics",
         "--strategy",
         "--budget",
@@ -1303,11 +1316,7 @@ fn every_command_answers_help() {
         ("ifko", &["tune"], tune_flags),
         ("ifko", &["lint"], &["--machine", "--format"]),
         ("ifko", &["report"], report),
-        (
-            "ifko",
-            &["explain"],
-            &["--format", "--db", "--check-chrome"],
-        ),
+        ("ifko", &["explain"], &["--format", "--db"]),
         ("ifko", &["daemon"], &["--socket"]),
         ("ifko", &["db"], &["--db", "--rev-missing", "--format"]),
         ("ifko", &["pack"], &["--db", "--out", "--socket"]),

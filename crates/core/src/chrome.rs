@@ -1,99 +1,40 @@
-//! Chrome `trace_event` (Perfetto) export of the search-event stream.
+//! Chrome `trace_event` (Perfetto) rendering of a search trace.
 //!
-//! [`ChromeTraceSink`] is a [`TraceSink`] that buffers every
-//! [`SearchEvent`] a tune emits and, on flush/drop, renders them as a
-//! Chrome trace JSON object (`{"traceEvents": [...]}`) that opens
-//! directly in Perfetto or `chrome://tracing`. The whole tune becomes a
-//! flame chart: the span tree (tune → parse / search → eval → compile →
-//! per-stage) on one track, every candidate evaluation (phase, params,
-//! cycles, cache hits, retries, chaos faults) on a second, and — when
-//! `--profile-pipeline` is on — the session's [`StageProfile`] totals on
-//! a third.
+//! The JSONL trace (`--trace PATH`) is the one record stream a tune
+//! writes; this module is one view of it. `ifko report TRACE.jsonl
+//! --format chrome` reads the file back and [`render_chrome`] turns its
+//! events into a Chrome trace JSON object (`{"traceEvents": [...]}`) that
+//! opens directly in Perfetto or `chrome://tracing`. The whole tune
+//! becomes a flame chart: the span tree (tune → parse / search → eval →
+//! compile → per-stage) on one track, and every candidate evaluation
+//! (phase, params, cycles, cache hits, retries, chaos faults) on a
+//! second.
 //!
 //! Span records carry a duration and a parent id but no start timestamp
 //! (they are emitted on guard drop, children before parents, and
 //! fault-free trace bytes are frozen by compatibility tests — adding a
-//! field is not an option). The exporter therefore *synthesizes* a
+//! field is not an option). The renderer therefore *synthesizes* a
 //! deterministic timeline from the tree: a span's children are laid out
 //! sequentially from its start, and a span's rendered duration is
 //! `max(own wall_us, sum of children)`, which guarantees every child
-//! nests strictly inside its parent — exactly the invariant
-//! [`validate_chrome_trace`] (and CI) checks. Wall-clock overlap between
-//! parallel workers is intentionally serialized; the chart shows
-//! attribution, not concurrency.
+//! nests strictly inside its parent. Wall-clock overlap between parallel
+//! workers is intentionally serialized; the chart shows attribution, not
+//! concurrency.
+//!
+//! Span ids come from a per-process counter, so two trace files reuse
+//! the same ids: a rendering reads one trace, never a merge of several.
 
-use crate::eval::{EvalEvent, SearchEvent, SpanEvent, TraceSink};
-use crate::json::{esc, parse_json, Json};
-use ifko_fko::StageProfile;
+use crate::eval::{EvalEvent, SearchEvent, SpanEvent};
+use crate::json::esc;
 use std::collections::HashMap;
 use std::fmt::Write as _;
-use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
-
-/// Buffering sink; see the module docs. Create with
-/// [`ChromeTraceSink::create`], share as `Arc`, and either let the last
-/// drop write the file or call [`ChromeTraceSink::flush`] explicitly.
-pub struct ChromeTraceSink {
-    path: PathBuf,
-    events: Mutex<Vec<SearchEvent>>,
-    profile: Mutex<Vec<StageProfile>>,
-}
-
-impl ChromeTraceSink {
-    /// Create a sink writing to `path` (parent directories are created,
-    /// and the file, so a path that cannot be written fails here; the
-    /// trace itself is written on flush/drop).
-    pub fn create(path: impl AsRef<Path>) -> std::io::Result<Arc<ChromeTraceSink>> {
-        let path = path.as_ref().to_path_buf();
-        if let Some(dir) = path.parent() {
-            if !dir.as_os_str().is_empty() {
-                std::fs::create_dir_all(dir)?;
-            }
-        }
-        std::fs::File::create(&path)?;
-        Ok(Arc::new(ChromeTraceSink {
-            path,
-            events: Mutex::new(Vec::new()),
-            profile: Mutex::new(Vec::new()),
-        }))
-    }
-
-    /// Attach the pipeline stage profile (`--profile-pipeline`) so it
-    /// renders as its own track.
-    pub fn add_profile(&self, rows: &[StageProfile]) {
-        self.profile.lock().unwrap().extend(rows.iter().cloned());
-    }
-
-    /// Render the buffered events to the target file.
-    pub fn write_out(&self) -> std::io::Result<()> {
-        let events = self.events.lock().unwrap().clone();
-        let profile = self.profile.lock().unwrap().clone();
-        std::fs::write(&self.path, render_chrome(&events, &profile))
-    }
-}
-
-impl TraceSink for ChromeTraceSink {
-    fn record(&self, ev: &SearchEvent) {
-        self.events.lock().unwrap().push(ev.clone());
-    }
-    fn flush(&self) {
-        let _ = self.write_out();
-    }
-}
-
-impl Drop for ChromeTraceSink {
-    fn drop(&mut self) {
-        let _ = self.write_out();
-    }
-}
 
 const SPAN_TID: u64 = 1;
 const EVAL_TID: u64 = 2;
-const PROFILE_TID: u64 = 3;
 
-/// Render an event stream (+ optional stage profile) as a Chrome trace
-/// JSON string. Deterministic for a given input.
-pub fn render_chrome(events: &[SearchEvent], profile: &[StageProfile]) -> String {
+/// Render an event stream as a Chrome trace JSON string. Deterministic
+/// for a given input.
+pub fn render_chrome(events: &[SearchEvent]) -> String {
     let mut out = String::from("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n");
     let mut first = true;
     let mut push = |out: &mut String, line: String| {
@@ -104,11 +45,7 @@ pub fn render_chrome(events: &[SearchEvent], profile: &[StageProfile]) -> String
     };
 
     // Track names.
-    for (tid, name) in [
-        (SPAN_TID, "pipeline spans"),
-        (EVAL_TID, "candidates"),
-        (PROFILE_TID, "stage profile"),
-    ] {
+    for (tid, name) in [(SPAN_TID, "pipeline spans"), (EVAL_TID, "candidates")] {
         push(
             &mut out,
             format!(
@@ -191,25 +128,6 @@ pub fn render_chrome(events: &[SearchEvent], profile: &[StageProfile]) -> String
         ets += dur;
     }
 
-    // --- Stage-profile track ---------------------------------------------
-    let mut pts = 0u64;
-    for row in profile {
-        push(
-            &mut out,
-            format!(
-                "{{\"ph\":\"X\",\"pid\":1,\"tid\":{PROFILE_TID},\"name\":\"{}\",\
-                 \"cat\":\"profile\",\"ts\":{pts},\"dur\":{},\"args\":{{\"count\":{},\
-                 \"min_us\":{},\"median_us\":{}}}}}",
-                esc(row.stage),
-                row.total_us.max(1),
-                row.count,
-                row.min_us,
-                row.median_us,
-            ),
-        );
-        pts += row.total_us.max(1);
-    }
-
     out.push_str("\n]}\n");
     out
 }
@@ -263,85 +181,72 @@ fn eval_slice(e: &EvalEvent, ts: u64, dur: u64) -> String {
     )
 }
 
-/// Summary returned by [`validate_chrome_trace`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ChromeTraceSummary {
-    pub events: usize,
-    pub spans: usize,
-    pub evals: usize,
-}
-
-/// Check that `text` is valid Chrome `trace_event` JSON and that the
-/// complete (`"ph":"X"`) events on every thread nest properly: sorted by
-/// start time, each slice either begins after the enclosing slice ends
-/// or fits entirely inside it. This is the structural invariant Perfetto
-/// needs to draw a flame chart, and the invariant the synthesized
-/// timeline promises; `ifko explain --check-chrome` and CI call this.
-pub fn validate_chrome_trace(text: &str) -> Result<ChromeTraceSummary, String> {
-    let v = parse_json(text).ok_or("not valid JSON")?;
-    let Some(Json::Arr(events)) = v.get("traceEvents") else {
-        return Err("missing traceEvents array".into());
-    };
-    let mut summary = ChromeTraceSummary {
-        events: events.len(),
-        ..Default::default()
-    };
-    let mut by_tid: HashMap<u64, Vec<(u64, u64, String)>> = HashMap::new();
-    for ev in events {
-        let ph = ev
-            .get("ph")
-            .and_then(Json::as_str)
-            .ok_or("event without ph")?;
-        if ph != "X" {
-            continue;
-        }
-        let name = ev
-            .get("name")
-            .and_then(Json::as_str)
-            .ok_or("X event without name")?
-            .to_string();
-        let tid = ev.get("tid").and_then(Json::as_u64).ok_or("missing tid")?;
-        let ts = ev.get("ts").and_then(Json::as_u64).ok_or("missing ts")?;
-        let dur = ev.get("dur").and_then(Json::as_u64).ok_or("missing dur")?;
-        match ev.get("cat").and_then(Json::as_str) {
-            Some("span") => summary.spans += 1,
-            Some("eval") => summary.evals += 1,
-            _ => {}
-        }
-        by_tid.entry(tid).or_default().push((ts, dur, name));
-    }
-    for (tid, mut slices) in by_tid {
-        slices.sort_by_key(|&(ts, dur, _)| (ts, std::cmp::Reverse(dur)));
-        let mut stack: Vec<(u64, u64, String)> = Vec::new();
-        for (ts, dur, name) in slices {
-            while let Some(top) = stack.last() {
-                if ts >= top.0 + top.1 {
-                    stack.pop();
-                } else {
-                    break;
-                }
-            }
-            if let Some((tts, tdur, tname)) = stack.last() {
-                if ts + dur > tts + tdur {
-                    return Err(format!(
-                        "tid {tid}: slice `{name}` [{ts},{}) overflows enclosing `{tname}` \
-                         [{tts},{})",
-                        ts + dur,
-                        tts + tdur
-                    ));
-                }
-            }
-            stack.push((ts, dur, name));
-        }
-    }
-    Ok(summary)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::eval::Span;
-    use crate::eval::{MemSink, SearchEvent};
+    use crate::eval::{MemSink, Span, TraceSink};
+    use crate::json::{parse_json, Json};
+    use crate::prelude::*;
+    use crate::trace::{parse_trace_line, read_trace};
+
+    /// Check that `text` is valid Chrome `trace_event` JSON and that the
+    /// complete (`"ph":"X"`) events on every thread nest properly: sorted
+    /// by start time, each slice either begins after the enclosing slice
+    /// ends or fits entirely inside it. This is the structural invariant
+    /// Perfetto needs to draw a flame chart, and the one the synthesized
+    /// timeline promises. Returns the span and candidate slice counts.
+    fn validate_chrome_trace(text: &str) -> Result<(usize, usize), String> {
+        let v = parse_json(text).ok_or("not valid JSON")?;
+        let Some(Json::Arr(events)) = v.get("traceEvents") else {
+            return Err("missing traceEvents array".into());
+        };
+        let (mut spans, mut evals) = (0, 0);
+        let mut by_tid: HashMap<u64, Vec<(u64, u64, String)>> = HashMap::new();
+        for ev in events {
+            let ph = ev
+                .get("ph")
+                .and_then(Json::as_str)
+                .ok_or("event without ph")?;
+            if ph != "X" {
+                continue;
+            }
+            let name = ev
+                .get("name")
+                .and_then(Json::as_str)
+                .ok_or("X event without name")?
+                .to_string();
+            let tid = ev.get("tid").and_then(Json::as_u64).ok_or("missing tid")?;
+            let ts = ev.get("ts").and_then(Json::as_u64).ok_or("missing ts")?;
+            let dur = ev.get("dur").and_then(Json::as_u64).ok_or("missing dur")?;
+            match ev.get("cat").and_then(Json::as_str) {
+                Some("span") => spans += 1,
+                Some("eval") => evals += 1,
+                _ => {}
+            }
+            by_tid.entry(tid).or_default().push((ts, dur, name));
+        }
+        for (tid, mut slices) in by_tid {
+            slices.sort_by_key(|&(ts, dur, _)| (ts, std::cmp::Reverse(dur)));
+            let mut stack: Vec<(u64, u64, String)> = Vec::new();
+            for (ts, dur, name) in slices {
+                while stack.last().is_some_and(|top| ts >= top.0 + top.1) {
+                    stack.pop();
+                }
+                if let Some((tts, tdur, tname)) = stack.last() {
+                    if ts + dur > tts + tdur {
+                        return Err(format!(
+                            "tid {tid}: slice `{name}` [{ts},{}) overflows enclosing `{tname}` \
+                             [{tts},{})",
+                            ts + dur,
+                            tts + tdur
+                        ));
+                    }
+                }
+                stack.push((ts, dur, name));
+            }
+        }
+        Ok((spans, evals))
+    }
 
     fn eval_event(phase: &str, cycles: u64, wall: u64) -> SearchEvent {
         SearchEvent::Eval(EvalEvent {
@@ -379,38 +284,10 @@ mod tests {
         let mut events: Vec<SearchEvent> = sink.events();
         events.push(eval_event("SEED", 100, 7));
         events.push(eval_event("SV", 80, 5));
-        let profile = vec![StageProfile {
-            stage: "xform",
-            count: 2,
-            min_us: 1,
-            median_us: 2,
-            total_us: 5,
-        }];
-        let text = render_chrome(&events, &profile);
-        let summary = validate_chrome_trace(&text).expect("trace must validate");
-        assert_eq!(summary.spans, 4);
-        assert_eq!(summary.evals, 2);
+        let text = render_chrome(&events);
+        assert_eq!(validate_chrome_trace(&text), Ok((4, 2)));
         // Deterministic output.
-        assert_eq!(text, render_chrome(&events, &profile));
-    }
-
-    #[test]
-    fn sink_writes_on_flush_and_validates() {
-        let dir = std::env::temp_dir().join(format!("ifko-chrome-{}", std::process::id()));
-        let path = dir.join("trace.json");
-        let sink = ChromeTraceSink::create(&path).unwrap();
-        let dyn_sink: std::sync::Arc<dyn TraceSink> = sink.clone();
-        {
-            let root = Span::root(Some(dyn_sink.clone()), "k", "tune");
-            let _child = root.child("search");
-        }
-        sink.record(&eval_event("SEED", 42, 3));
-        sink.flush();
-        let text = std::fs::read_to_string(&path).unwrap();
-        let summary = validate_chrome_trace(&text).unwrap();
-        assert_eq!(summary.spans, 2);
-        assert_eq!(summary.evals, 1);
-        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(text, render_chrome(&events));
     }
 
     #[test]
@@ -421,5 +298,52 @@ mod tests {
         ]}"#;
         assert!(validate_chrome_trace(bad).is_err());
         assert!(validate_chrome_trace("not json").is_err());
+    }
+
+    /// The committed sample trace renders byte-identically to its golden
+    /// file, whose slices nest. Regenerate the golden with:
+    /// `target/release/ifko report crates/core/tests/fixtures/sample-trace.jsonl \
+    ///    --format chrome > crates/core/tests/fixtures/sample-trace.chrome.json`
+    #[test]
+    fn sample_trace_renders_its_golden() {
+        let fixture = |name: &str| format!("{}/tests/fixtures/{name}", env!("CARGO_MANIFEST_DIR"));
+        let trace = read_trace(fixture("sample-trace.jsonl")).unwrap();
+        let want = std::fs::read_to_string(fixture("sample-trace.chrome.json")).unwrap();
+        assert_eq!(
+            render_chrome(&trace.events),
+            want,
+            "chrome drifted from the golden file"
+        );
+        let (spans, evals) = validate_chrome_trace(&want).unwrap();
+        assert_eq!(spans, 15);
+        assert_eq!(
+            evals,
+            trace.events.iter().filter_map(SearchEvent::as_eval).count()
+        );
+    }
+
+    /// A live tune's events render to the same bytes as those events
+    /// written to JSONL and read back: rendering after the fact, from the
+    /// trace file, loses nothing a live sink would have seen.
+    #[test]
+    fn rendering_from_the_file_loses_nothing() {
+        let sink = MemSink::new();
+        TuneConfig::quick(1024)
+            .trace(sink.clone())
+            .tune(Kernel {
+                op: BlasOp::Dot,
+                prec: Prec::D,
+            })
+            .unwrap();
+        let live = sink.events();
+        assert!(live
+            .iter()
+            .any(|e| e.as_eval().is_some_and(|e| e.stats.is_some())));
+        assert!(live.iter().any(|e| e.as_span().is_some()));
+        let reread: Vec<SearchEvent> = live
+            .iter()
+            .map(|e| parse_trace_line(&e.to_json()).unwrap())
+            .collect();
+        assert_eq!(render_chrome(&live), render_chrome(&reread));
     }
 }

@@ -17,7 +17,7 @@
 //! [`TraceSink`] every evaluation reports to.
 
 use crate::driver::{tune_subject, TuneError, TuneOutcome};
-use crate::eval::{EvalCache, EvalEngine, JsonlSink, TeeSink, TraceSink};
+use crate::eval::{EvalCache, EvalEngine, JsonlSink, TraceSink};
 use crate::fault::FaultPlan;
 use crate::metrics::MetricsRegistry;
 use crate::runner::Context;
@@ -73,7 +73,6 @@ pub struct TuneConfig {
     pub(crate) strategy: StrategySpec,
     pub(crate) budget: Budget,
     pub(crate) db: Option<Arc<TunedDb>>,
-    pub(crate) profile_pipeline: bool,
     pub(crate) workers: usize,
     pub(crate) worker_launcher: Option<WorkerLauncher>,
 }
@@ -97,7 +96,6 @@ impl TuneConfig {
             strategy: StrategySpec::Line,
             budget: Budget::unlimited(),
             db: None,
-            profile_pipeline: false,
             workers: 0,
             worker_launcher: None,
         }
@@ -143,14 +141,9 @@ impl TuneConfig {
         self
     }
     /// Send every evaluation's [`SearchEvent`](crate::eval::SearchEvent)
-    /// to this sink.
+    /// to this sink, in place of any set before.
     pub fn trace(mut self, sink: Arc<dyn TraceSink>) -> Self {
-        self.trace = Some(match self.trace.take() {
-            None => sink,
-            // Calling `trace` again adds a sink rather than replacing
-            // the first: every configured sink sees the whole stream.
-            Some(prev) => TeeSink::pair(prev, sink),
-        });
+        self.trace = Some(sink);
         self
     }
     /// Trace to a JSONL file at `path` (convenience over [`Self::trace`]).
@@ -201,14 +194,6 @@ impl TuneConfig {
     /// every candidate; predictions still land in the trace.
     pub fn model_prune(mut self, frac: f64) -> Self {
         self.search.model_prune = frac.clamp(0.0, 1.0);
-        self
-    }
-    /// Collect a per-stage wall-time profile (min/median/total per
-    /// pipeline stage) across every candidate compile
-    /// (`--profile-pipeline`). The profile lands on the outcome's
-    /// `pipeline_profile`.
-    pub fn profile_pipeline(mut self, on: bool) -> Self {
-        self.profile_pipeline = on;
         self
     }
     /// Inject deterministic, seeded faults into the evaluation pipeline

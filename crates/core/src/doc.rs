@@ -1,8 +1,7 @@
-//! The one document model behind `ifko report`, `ifko explain` and the
-//! `--profile-pipeline` stage table: a [`Doc`] of heading, line and
-//! [`Table`] blocks with two renderings. Text is the reference walk;
-//! Markdown carries the same lines and cells, with `##` headings and
-//! pipe tables.
+//! The one document model behind `ifko report` and `ifko explain`: a
+//! [`Doc`] of heading, line and [`Table`] blocks with two renderings.
+//! Text is the reference walk; Markdown carries the same lines and
+//! cells, with `##` headings and pipe tables.
 
 use std::fmt::Display;
 

@@ -34,10 +34,6 @@ pub struct TuneOutcome {
     pub mflops: f64,
     /// Table-3 style parameter summary for the winning point.
     pub table3_row: String,
-    /// Per-stage compile-time profile (empty unless
-    /// [`TuneConfig::profile_pipeline`](crate::TuneConfig::profile_pipeline)
-    /// is on).
-    pub pipeline_profile: Vec<ifko_fko::StageProfile>,
     /// The winner's size-normalized counter vector (one clean run of the
     /// recompiled winner) — the transfer warm-start hook (ROADMAP item 3).
     pub features: FeatureVector,
@@ -89,9 +85,6 @@ pub(crate) fn tune_subject(
     let tune_span = Span::root(sink.clone(), scope.key(), "tune").since(started);
     if let Some((_, parse)) = opened {
         Span::emit(&sink, scope.key(), "parse", Some(tune_span.id()), parse);
-    }
-    if cfg.profile_pipeline {
-        subject.sess.enable_profiling();
     }
 
     // Warm start: a stored winner for this kernel/precision/machine/
@@ -207,7 +200,6 @@ pub(crate) fn tune_subject(
         compiled,
         cycles,
         mflops,
-        pipeline_profile: subject.sess.profile(),
         features: FeatureVector::from_stats(&final_stats, scope.n as u64),
     })
 }

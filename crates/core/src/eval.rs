@@ -42,7 +42,7 @@ use crate::timer::Timer;
 // events it emits: `ifko::eval::{EvalCache, MemSink, …}` resolve here.
 pub use crate::cache::EvalCache;
 pub use crate::trace::{
-    stats_json, EvalEvent, JsonlSink, MemSink, SearchEvent, Span, SpanEvent, TeeSink, TraceSink,
+    stats_json, EvalEvent, JsonlSink, MemSink, SearchEvent, Span, SpanEvent, TraceSink,
 };
 
 /// FNV-1a over a byte string (stable fingerprinting, no external deps).

@@ -8,14 +8,14 @@
 //! from them, and [`Given::local_only`] is the given entries a `--remote`
 //! tune request does not carry. The tune flags `ifko tune` and the
 //! experiment harness share are [`TUNE`], applied to a [`TuneConfig`] by
-//! [`TuneFlags::open`] alone.
+//! [`TuneFlags::open`] alone. Its one trace sink is `--trace`'s JSONL
+//! file; every other view of a tune (`ifko report`, `ifko explain`, the
+//! Chrome rendering) is read from that file afterwards.
 
-use crate::chrome::ChromeTraceSink;
 use crate::config::TuneConfig;
 use crate::eval::{JsonlSink, TraceSink};
 use crate::fault::FaultPlan;
 use crate::strategy::{Budget, StrategySpec};
-use ifko_fko::StageProfile;
 use std::any::Any;
 use std::fmt::Display;
 use std::str::FromStr;
@@ -95,7 +95,6 @@ pub const TUNE: &[Flag] = &[
     Flag::new("-j, --jobs N", "evaluate candidate batches on N threads").parse(num::<usize>),
     Flag::new("--workers N", "evaluate on N worker processes (0: in-process)").parse(num::<usize>),
     Flag::new("--trace PATH", "write the JSONL search trace to PATH"),
-    Flag::new("--trace-chrome PATH", "render a Chrome/Perfetto trace to PATH"),
     Flag::new("--metrics PATH", "write a metrics snapshot at the end (.prom: text format)"),
     Flag::new("--strategy NAME", "line | random | hillclimb | anneal | portfolio")
         .parse(|s| boxed(StrategySpec::parse(s))).remote(),
@@ -277,7 +276,6 @@ pub fn refuse(program: &str, why: &str) -> ! {
 pub struct TuneFlags {
     pub base: TuneConfig,
     trace: Option<Arc<JsonlSink>>,
-    chrome: Option<(String, Arc<ChromeTraceSink>)>,
     metrics: Option<String>,
 }
 
@@ -287,15 +285,14 @@ impl TuneFlags {
         TuneFlags {
             base,
             trace: None,
-            chrome: None,
             metrics: None,
         }
     }
 
     /// Apply the [`TUNE`] flags in `given` to `base`, naming on stderr
     /// each one that changes how the search runs. Each sink — trace,
-    /// Chrome trace, tuned-results database — is opened here, once per
-    /// process; one that cannot be opened is an error naming its flag.
+    /// tuned-results database — is opened here, once per process; one
+    /// that cannot be opened is an error naming its flag.
     pub fn open(given: &Given, mut base: TuneConfig) -> Result<TuneFlags, String> {
         if let Some(jobs) = given.get("--jobs") {
             base = base.jobs(jobs);
@@ -339,13 +336,6 @@ impl TuneFlags {
             run.trace = Some(sink);
             eprintln!("tracing evaluations to {path}");
         }
-        if let Some(path) = given.raw("--trace-chrome") {
-            let sink =
-                ChromeTraceSink::create(path).map_err(|e| format!("--trace-chrome {path}: {e}"))?;
-            run.base = run.base.trace(sink.clone());
-            run.chrome = Some((path.to_string(), sink));
-            eprintln!("rendering Chrome/Perfetto trace to {path}");
-        }
         run.metrics = given.raw("--metrics").map(str::to_string);
         Ok(run)
     }
@@ -355,17 +345,11 @@ impl TuneFlags {
         self.trace.is_some()
     }
 
-    /// Close the process's tunes: flush the JSONL trace, render the
-    /// Chrome trace with `profile` as its own track, and write the
+    /// Close the process's tunes: flush the JSONL trace and write the
     /// metrics snapshot.
-    pub fn finish(&self, profile: &[StageProfile]) -> Result<(), String> {
+    pub fn finish(&self) -> Result<(), String> {
         if let Some(sink) = &self.trace {
             sink.flush();
-        }
-        if let Some((path, sink)) = &self.chrome {
-            sink.add_profile(profile);
-            sink.write_out()
-                .map_err(|e| format!("--trace-chrome {path}: {e}"))?;
         }
         if let Some(path) = &self.metrics {
             crate::metrics::global()

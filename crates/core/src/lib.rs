@@ -29,6 +29,7 @@
 //!   persisted to `results/cache/evals.jsonl`);
 //! * [`trace`] — the search-trace format: [`SearchEvent`] records, their
 //!   JSONL writer and reader, the [`TraceSink`]s and the [`Span`] guard;
+//!   [`chrome`] renders a trace as a Chrome/Perfetto flame chart;
 //! * `journal` (crate-private) — the one crash-safe append-only JSONL
 //!   journal under the evaluation cache and the tuned-results database;
 //! * [`fault`] — deterministic, seeded chaos engineering for the
@@ -94,17 +95,16 @@ pub mod timer;
 pub mod trace;
 pub mod worker;
 
-pub use chrome::{validate_chrome_trace, ChromeTraceSink};
 pub use config::TuneConfig;
 pub use driver::{flops_rate, TuneError, TuneOutcome};
 pub use eval::{
     machine_fingerprint, EvalCache, EvalEngine, EvalEvent, EvalScope, JsonlSink, MemSink,
-    SearchEvent, Span, SpanEvent, Tally, TeeSink, TraceSink,
+    SearchEvent, Span, SpanEvent, Tally, TraceSink,
 };
 pub use explain::{explain_files, Bottleneck, ExplainReport};
 pub use fault::FaultPlan;
 pub use generic::GenericWorkload;
-pub use metrics::{MetricsRegistry, Timeseries};
+pub use metrics::MetricsRegistry;
 pub use runner::{Context, KernelArgs, Outputs, RunFailure};
 pub use search::{SearchOptions, SearchResult};
 pub use strategy::{Budget, SearchCtx, SearchDriver, StrategySpec, TunedDb, TunedRecord};

@@ -356,67 +356,6 @@ impl MetricsRegistry {
         s
     }
 
-    /// Start a background sampler that appends one compact JSONL
-    /// snapshot of this registry to `path` every `interval` — the
-    /// time-resolved view of a tune (cache hit rate, candidates/sec,
-    /// convergence counters over wall time). One line per sample:
-    ///
-    /// ```json
-    /// {"t_us":N,"counters":{...},"gauges":{...},"histograms":{name:{"count":N,"sum":N}}}
-    /// ```
-    ///
-    /// A sample is written immediately on start and once more on
-    /// [`Timeseries::stop`] (or drop), so even a sub-interval run
-    /// yields a usable trajectory. The file is opened in append mode:
-    /// successive runs extend one history.
-    pub fn timeseries(
-        self: &Arc<Self>,
-        path: impl AsRef<Path>,
-        interval: std::time::Duration,
-    ) -> std::io::Result<Timeseries> {
-        use std::io::Write as _;
-        let path = path.as_ref().to_path_buf();
-        if let Some(dir) = path.parent() {
-            if !dir.as_os_str().is_empty() {
-                std::fs::create_dir_all(dir)?;
-            }
-        }
-        let mut file = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&path)?;
-        let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let reg = Arc::clone(self);
-        let flag = Arc::clone(&stop);
-        let handle = std::thread::spawn(move || {
-            let t0 = std::time::Instant::now();
-            let sample = |file: &mut std::fs::File| {
-                let line = sample_line(&reg, t0.elapsed().as_micros() as u64);
-                let _ = writeln!(file, "{line}");
-            };
-            sample(&mut file);
-            loop {
-                // Sleep in short slices so stop() returns promptly.
-                let mut remaining = interval;
-                while !flag.load(Ordering::Relaxed) && !remaining.is_zero() {
-                    let slice = remaining.min(std::time::Duration::from_millis(20));
-                    std::thread::sleep(slice);
-                    remaining = remaining.saturating_sub(slice);
-                }
-                if flag.load(Ordering::Relaxed) {
-                    break;
-                }
-                sample(&mut file);
-            }
-            sample(&mut file);
-            let _ = file.flush();
-        });
-        Ok(Timeseries {
-            stop,
-            handle: Some(handle),
-        })
-    }
-
     /// Write a snapshot to `path`: Prometheus text when the extension is
     /// `.prom` or `.txt`, JSON otherwise.
     pub fn write_snapshot(&self, path: impl AsRef<Path>) -> std::io::Result<()> {
@@ -432,66 +371,6 @@ impl MetricsRegistry {
         };
         std::fs::write(path, text)
     }
-}
-
-/// Guard for a running [`MetricsRegistry::timeseries`] sampler.
-/// Stopping (or dropping) writes a final snapshot and joins the thread.
-pub struct Timeseries {
-    stop: Arc<std::sync::atomic::AtomicBool>,
-    handle: Option<std::thread::JoinHandle<()>>,
-}
-
-impl Timeseries {
-    /// Stop sampling after one final snapshot.
-    pub fn stop(mut self) {
-        self.finish();
-    }
-    fn finish(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-    }
-}
-
-impl Drop for Timeseries {
-    fn drop(&mut self) {
-        self.finish();
-    }
-}
-
-/// One timeseries JSONL line: compact (histograms reduced to
-/// count/sum), deterministic ordering via `snapshot()`.
-fn sample_line(reg: &MetricsRegistry, t_us: u64) -> String {
-    let (mut counters, mut gauges, mut hists) = (String::new(), String::new(), String::new());
-    for m in reg.snapshot() {
-        match &m.value {
-            MetricValue::Counter(v) => {
-                if !counters.is_empty() {
-                    counters.push(',');
-                }
-                counters.push_str(&format!("\"{}\":{v}", esc(&m.name)));
-            }
-            MetricValue::Gauge(v) => {
-                if !gauges.is_empty() {
-                    gauges.push(',');
-                }
-                gauges.push_str(&format!("\"{}\":{v}", esc(&m.name)));
-            }
-            MetricValue::Histogram { count, sum, .. } => {
-                if !hists.is_empty() {
-                    hists.push(',');
-                }
-                hists.push_str(&format!(
-                    "\"{}\":{{\"count\":{count},\"sum\":{sum}}}",
-                    esc(&m.name)
-                ));
-            }
-        }
-    }
-    format!(
-        "{{\"t_us\":{t_us},\"counters\":{{{counters}}},\"gauges\":{{{gauges}}},\"histograms\":{{{hists}}}}}"
-    )
 }
 
 /// The family name of a metric: everything before the `{labels}` suffix.
@@ -648,54 +527,6 @@ pub const PIPE_PREDICTIONS: &str = "ifko_pipeline_predictions_total";
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn timeseries_appends_parseable_snapshots() {
-        let reg = Arc::new(MetricsRegistry::new());
-        reg.counter("ts_test_total").add(3);
-        reg.gauge("ts_test_gauge").set(-2);
-        reg.histogram("ts_test_us", &[10, 100]).observe(42);
-        let dir = std::env::temp_dir().join(format!("ifko-ts-{}", std::process::id()));
-        let path = dir.join("ts.jsonl");
-        let ts = reg
-            .timeseries(&path, std::time::Duration::from_millis(5))
-            .unwrap();
-        reg.counter("ts_test_total").add(4);
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        ts.stop();
-        let text = std::fs::read_to_string(&path).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        // At least the start sample and the final stop sample.
-        assert!(
-            lines.len() >= 2,
-            "expected >= 2 samples, got {}",
-            lines.len()
-        );
-        for l in &lines {
-            let v = crate::report::parse_json(l).expect("every line parses");
-            assert!(v.get("t_us").is_some());
-        }
-        let last = crate::report::parse_json(lines.last().unwrap()).unwrap();
-        assert_eq!(
-            last.get("counters")
-                .unwrap()
-                .get("ts_test_total")
-                .unwrap()
-                .as_u64(),
-            Some(7)
-        );
-        assert_eq!(
-            last.get("histograms")
-                .unwrap()
-                .get("ts_test_us")
-                .unwrap()
-                .get("count")
-                .unwrap()
-                .as_u64(),
-            Some(1)
-        );
-        let _ = std::fs::remove_dir_all(&dir);
-    }
 
     #[test]
     fn counters_and_gauges_record() {

@@ -33,7 +33,6 @@ use crate::doc::{Col, Doc, Table};
 use crate::eval::Tally;
 use crate::json::{esc, list};
 use crate::trace::{read_traces, EvalEvent, SearchEvent};
-use ifko_fko::StageProfile;
 use ifko_xsim::RunStats;
 use std::path::Path;
 
@@ -424,11 +423,6 @@ const WORKERS: &[Col] = &[Col::left("worker", 12), Col::right("evals", 6), Col::
 const STAGES: &[Col] = &[
     Col::left("stage", 12), Col::right("count", 5), Col::right("total_us", 10), Col::right("%", 5).gap(2),
 ];
-#[rustfmt::skip]
-const PROFILE: &[Col] = &[
-    Col::left("stage", 10), Col::right("count", 7), Col::right("min_us", 9), Col::right("median_us", 11),
-    Col::right("total_us", 11),
-];
 
 /// The text and Markdown renderings' one document.
 fn doc(rep: &TraceReport) -> Doc {
@@ -658,22 +652,6 @@ fn opt_u64(v: Option<u64>) -> String {
 pub fn report_files(paths: &[impl AsRef<Path>], format: ReportFormat) -> std::io::Result<String> {
     let data = read_traces(paths)?;
     Ok(render(&analyze(&data.events, data.malformed), format))
-}
-
-/// The `--profile-pipeline` stage table: one indented row per stage of
-/// the compile session's [`StageProfile`].
-pub fn profile_table(profile: &[StageProfile]) -> String {
-    let mut t = Table::new(PROFILE);
-    for st in profile {
-        t.row(&[
-            &st.stage,
-            &st.count,
-            &st.min_us,
-            &st.median_us,
-            &st.total_us,
-        ]);
-    }
-    t.text().lines().map(|l| format!("  {l}\n")).collect()
 }
 
 #[cfg(test)]

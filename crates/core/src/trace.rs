@@ -222,33 +222,6 @@ pub trait TraceSink: Send + Sync {
     fn flush(&self) {}
 }
 
-/// Fan one search-event stream out to several sinks — how a single tune
-/// feeds a JSONL trace (`--trace`) and a Chrome trace (`--trace-chrome`)
-/// at the same time.
-pub struct TeeSink(Vec<Arc<dyn TraceSink>>);
-
-impl TeeSink {
-    pub fn new(sinks: Vec<Arc<dyn TraceSink>>) -> Arc<TeeSink> {
-        Arc::new(TeeSink(sinks))
-    }
-    pub fn pair(a: Arc<dyn TraceSink>, b: Arc<dyn TraceSink>) -> Arc<TeeSink> {
-        TeeSink::new(vec![a, b])
-    }
-}
-
-impl TraceSink for TeeSink {
-    fn record(&self, ev: &SearchEvent) {
-        for s in &self.0 {
-            s.record(ev);
-        }
-    }
-    fn flush(&self) {
-        for s in &self.0 {
-            s.flush();
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Span guard API
 // ---------------------------------------------------------------------------

@@ -175,18 +175,12 @@ impl<'a> CompileOpts<'a> {
             observe: Some(observe),
         }
     }
-}
-
-/// Wall-time distribution of one pipeline stage across every compile a
-/// session ran. Collected only after [`CompileSession::enable_profiling`];
-/// times are microseconds.
-#[derive(Clone, Debug)]
-pub struct StageProfile {
-    pub stage: &'static str,
-    pub count: u64,
-    pub min_us: u64,
-    pub median_us: u64,
-    pub total_us: u64,
+    /// Report one stage timing to the observer, if any.
+    fn emit(&mut self, stage: &'static str, d: Duration) {
+        if let Some(f) = self.observe.as_deref_mut() {
+            f(stage, d);
+        }
+    }
 }
 
 /// Counters accumulated by a [`CompileSession`] over its lifetime.
@@ -237,8 +231,8 @@ pub fn normalized(params: &TransformParams) -> TransformParams {
 
 /// Lock `m` even if a thread panicked while holding it. Every value a
 /// session guards stays whole across such a panic: the scratch pool only
-/// ever holds bundles returned by a finished pipeline run, and the profile
-/// and candidate map only ever receive complete entries. So the next
+/// ever holds bundles returned by a finished pipeline run, and the
+/// candidate map only ever receives complete entries. So the next
 /// compile proceeds on the data as it stands instead of panicking too.
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
@@ -276,8 +270,6 @@ pub struct CompileSession {
     hits: AtomicU64,
     misses: AtomicU64,
     predictions: AtomicU64,
-    /// `Some` once profiling is enabled: per-stage wall-time samples (µs).
-    profile: Mutex<Option<HashMap<&'static str, Vec<u64>>>>,
 }
 
 impl CompileSession {
@@ -292,7 +284,6 @@ impl CompileSession {
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             predictions: AtomicU64::new(0),
-            profile: Mutex::new(None),
         }
     }
 
@@ -310,54 +301,6 @@ impl CompileSession {
     /// The loop analysis the search tunes against.
     pub fn report(&self) -> &AnalysisReport {
         &self.rep
-    }
-
-    /// Start collecting per-stage wall-time samples for [`profile`]
-    /// (Self::profile). Off by default; sampling costs one mutex lock and
-    /// one `Vec` push per stage per compile.
-    pub fn enable_profiling(&self) {
-        let mut p = lock(&self.profile);
-        if p.is_none() {
-            *p = Some(HashMap::new());
-        }
-    }
-
-    /// Per-stage wall-time distribution (min/median/total) over every
-    /// compile since [`enable_profiling`](Self::enable_profiling), sorted
-    /// by total time descending. Empty when profiling is off.
-    pub fn profile(&self) -> Vec<StageProfile> {
-        let guard = lock(&self.profile);
-        let Some(map) = guard.as_ref() else {
-            return Vec::new();
-        };
-        let mut rows: Vec<StageProfile> = map
-            .iter()
-            .filter(|(_, samples)| !samples.is_empty())
-            .map(|(stage, samples)| {
-                let mut s = samples.clone();
-                s.sort_unstable();
-                StageProfile {
-                    stage,
-                    count: s.len() as u64,
-                    min_us: s[0],
-                    median_us: s[s.len() / 2],
-                    total_us: s.iter().sum(),
-                }
-            })
-            .collect();
-        rows.sort_by(|a, b| b.total_us.cmp(&a.total_us).then(a.stage.cmp(b.stage)));
-        rows
-    }
-
-    /// Record one stage timing: into the profile (when enabled) and out
-    /// through the caller's observer.
-    fn emit(&self, opts: &mut CompileOpts<'_>, stage: &'static str, d: Duration) {
-        if let Some(map) = lock(&self.profile).as_mut() {
-            map.entry(stage).or_default().push(d.as_micros() as u64);
-        }
-        if let Some(f) = opts.observe.as_deref_mut() {
-            f(stage, d);
-        }
     }
 
     /// Lifetime counters (total compiles, sub-candidate cache hits and
@@ -433,7 +376,7 @@ impl CompileSession {
             });
         if let Some(out) = cached {
             self.hits.fetch_add(1, Ordering::Relaxed);
-            self.emit(&mut opts, "subcache", t_total.elapsed());
+            opts.emit("subcache", t_total.elapsed());
             return Ok(out);
         }
         // Check a scratch bundle out of the pool for the slow path; push
@@ -475,27 +418,27 @@ impl CompileSession {
         let t0 = Instant::now();
         let lin = xform::apply_transforms_with(k, params, rep, &mut sc.xform)
             .map_err(|e| CompileError::xform(e.to_string()));
-        self.emit(opts, "xform", t0.elapsed());
+        opts.emit("xform", t0.elapsed());
         let mut lin = lin?;
         check("xform", &lin, None)?;
         self.misses.fetch_add(1, Ordering::Relaxed);
 
         let t0 = Instant::now();
         opt::optimize_with(&mut lin, params, &mut sc.opt);
-        self.emit(opts, "opt", t0.elapsed());
+        opts.emit("opt", t0.elapsed());
         check("opt", &lin, None)?;
 
         let t0 = Instant::now();
         let alloc = regalloc::allocate_with(&mut lin, &mut sc.alloc)
             .map_err(|e| CompileError::alloc(e.to_string()));
-        self.emit(opts, "regalloc", t0.elapsed());
+        opts.emit("regalloc", t0.elapsed());
         let alloc = alloc?;
         check("regalloc", &lin, Some(&alloc))?;
 
         let t0 = Instant::now();
         let out = codegen::codegen_with(&lin, &alloc, &mut sc.code)
             .map_err(|e| CompileError::codegen(e.to_string()));
-        self.emit(opts, "codegen", t0.elapsed());
+        opts.emit("codegen", t0.elapsed());
         let out = out?;
         if verify_ir {
             let diags = verify::verify_compiled(&out, &alloc);
@@ -572,13 +515,11 @@ ROUT_END
         let fresh = TransformParams::defaults(clean.report(), &mach);
         let want_cached = clean.compile(&cached, CompileOpts::default()).unwrap();
         let want_fresh = clean.compile(&fresh, CompileOpts::default()).unwrap();
-        for which in ["scratch pool", "profile", "candidate map"] {
+        for which in ["scratch pool", "candidate map"] {
             let sess = CompileSession::from_source(DOT, &mach).unwrap();
-            sess.enable_profiling();
             sess.compile(&cached, CompileOpts::default()).unwrap();
             match which {
                 "scratch pool" => poison(&sess.scratch),
-                "profile" => poison(&sess.profile),
                 _ => poison(&sess.candidates),
             }
             let got = sess.compile(&cached, CompileOpts::default()).unwrap();
@@ -586,7 +527,6 @@ ROUT_END
             let got = sess.compile(&fresh, CompileOpts::default()).unwrap();
             assert_eq!(got.program, want_fresh.program, "fresh, {which}");
             sess.predict(&fresh, &mach).unwrap();
-            assert!(!sess.profile().is_empty(), "{which}");
             assert_eq!(sess.stats().subcache_hits, 1, "{which}");
         }
     }

@@ -61,18 +61,17 @@ observe:
         --metrics results/traces/figure7-quick-metrics.json
     cargo run --release -p ifko-cli -- report results/traces/figure7-quick.jsonl
 
-# Tune one kernel with every observability sink on, then explain the
-# winner (microarchitectural attribution + bottleneck classification)
-# and validate the Chrome/Perfetto trace. Open the .chrome.json file in
+# Tune one kernel with its trace on, then explain the winner
+# (microarchitectural attribution + bottleneck classification) and
+# render the trace for Chrome/Perfetto. Open the .chrome.json file in
 # ui.perfetto.dev to browse the search timeline.
 explain:
     mkdir -p results/traces
     cargo run --release -p ifko-cli -- tune kernels/ddot.hil --n 1024 --jobs 2 \
-        --trace results/traces/ddot.jsonl \
-        --trace-chrome results/traces/ddot.chrome.json \
-        --timeseries results/traces/ddot-ts.jsonl
+        --trace results/traces/ddot.jsonl
     cargo run --release -p ifko-cli -- explain results/traces/ddot.jsonl
-    cargo run --release -p ifko-cli -- explain --check-chrome results/traces/ddot.chrome.json
+    cargo run --release -p ifko-cli -- report results/traces/ddot.jsonl --format chrome \
+        > results/traces/ddot.chrome.json
 
 # Long-running tuning daemon on the conventional socket and db; clients
 # reach it with `ifko tune ... --remote results/ifkod.sock` and the

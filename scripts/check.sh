@@ -26,7 +26,7 @@ fi
 step "panic sites (scripts/panics.sh)"
 # `.unwrap()` / `.expect(` / `panic!` / `unreachable!` in shipping code:
 # a number that may only go down. Lower the ceiling whenever it does.
-panic_ceiling=47
+panic_ceiling=43
 panic_sites="$(scripts/panics.sh | awk '{ print $1 }')"
 echo "$panic_sites panic sites (ceiling $panic_ceiling)"
 if [ "$panic_sites" -gt "$panic_ceiling" ]; then
@@ -39,7 +39,7 @@ step "shipping lines (scripts/size.sh)"
 # Lines under crates/*/src, tests cut: a number that may only go down.
 # Lower the ceiling whenever it does; a change that raises it says why
 # in CHANGES.md.
-size_ceiling=25654
+size_ceiling=25216
 size_total="$(scripts/size.sh | awk '{ print $1 }')"
 echo "$size_total shipping lines (ceiling $size_ceiling)"
 if [ "$size_total" -gt "$size_ceiling" ]; then
@@ -89,12 +89,10 @@ step "harness smoke: ifko report (trace analyzer)"
 cargo run --release -p ifko-cli -- report "$obs_tmp/table3.jsonl" | grep -q "stage time attribution"
 cargo run --release -p ifko-cli -- report "$obs_tmp/table3.jsonl" --format json >/dev/null
 
-step "harness smoke: ifko explain + --trace-chrome + --timeseries"
+step "harness smoke: ifko explain + ifko report --format chrome"
 cargo run --release -p ifko-cli -- tune kernels/ddot.hil --n 512 --jobs 2 \
-    --trace "$obs_tmp/explain.jsonl" --trace-chrome "$obs_tmp/explain.chrome.json" \
-    --timeseries "$obs_tmp/explain-ts.jsonl" \
+    --trace "$obs_tmp/explain.jsonl" \
     --metrics "$obs_tmp/explain-metrics.json" >/dev/null
-test -s "$obs_tmp/explain-ts.jsonl"
 # A `.hil` tune goes through the same tune driver as a BLAS one, so it
 # must count itself like one.
 grep -q ifko_tune_runs_total "$obs_tmp/explain-metrics.json"
@@ -104,9 +102,8 @@ grep -Eq '"ifko_pipeline_predictions_total":\{"type":"counter","value":[1-9]' \
 cargo run --release -p ifko-cli -- explain "$obs_tmp/explain.jsonl" \
     | grep -q "per-transform attribution"
 cargo run --release -p ifko-cli -- explain "$obs_tmp/explain.jsonl" --format json >/dev/null
-# The Chrome trace must parse as JSON with properly nested spans — the
-# validator is built in, so the gate needs no external JSON tooling.
-cargo run --release -p ifko-cli -- explain --check-chrome "$obs_tmp/explain.chrome.json"
+# The Chrome/Perfetto view is rendered from the trace after the fact.
+cargo run --release -p ifko-cli -- report "$obs_tmp/explain.jsonl" --format chrome >/dev/null
 
 step "harness smoke: strategies --quick (search strategies + tuned db)"
 cargo run --release -p ifko-bench --bin strategies -- --quick \
