@@ -84,11 +84,6 @@ impl BlasOp {
         }
     }
 
-    /// Does the kernel take a scalar `alpha`?
-    pub fn has_alpha(self) -> bool {
-        self.n_scalars() >= 1
-    }
-
     /// Number of FP scalar arguments (`rot` takes c and s).
     pub fn n_scalars(self) -> usize {
         match self {
@@ -166,12 +161,6 @@ impl Kernel {
     pub fn flops(&self, n: u64) -> u64 {
         self.op.flops(n)
     }
-}
-
-/// Extension ops beyond the paper's survey (see DESIGN.md) — exercised by
-/// tests and the `custom_kernel` example, not by the paper's figures.
-pub fn extended_ops() -> [BlasOp; 2] {
-    [BlasOp::Rot, BlasOp::Nrm2]
 }
 
 /// The four extension kernels.

@@ -589,6 +589,7 @@ fn tune_improves_custom_kernel() {
 
 #[test]
 fn tune_with_trace_and_metrics_then_report() {
+    use ifko::report::{parse_json, Json};
     let dir = std::env::temp_dir().join(format!("ifko-cli-obs-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
@@ -635,15 +636,22 @@ fn tune_with_trace_and_metrics_then_report() {
     assert!(text.contains("stage time attribution"), "report:\n{text}");
     assert!(text.contains("simulate"));
 
-    // JSON format is machine-readable and mentions the same scope.
-    let out = Command::new(bin())
-        .args(["report", trace.to_str().unwrap(), "--format", "json"])
-        .output()
-        .unwrap();
-    assert!(out.status.success());
-    let json = String::from_utf8_lossy(&out.stdout);
-    assert!(json.trim_start().starts_with('{'));
-    assert!(json.contains("\"scopes\""));
+    // Both analyzers' JSON is machine-readable and heads a block with
+    // the tuned scope.
+    for cmd in ["report", "explain"] {
+        let out = Command::new(bin())
+            .args([cmd, trace.to_str().unwrap(), "--format", "json"])
+            .output()
+            .unwrap();
+        assert!(out.status.success());
+        let json = String::from_utf8_lossy(&out.stdout);
+        let Some(Json::Arr(blocks)) = parse_json(&json) else {
+            panic!("{cmd}: not a JSON array of blocks:\n{json}");
+        };
+        let mut headings = blocks.iter().filter_map(|b| b.get("heading")?.as_str());
+        let found = headings.any(|h| h.starts_with("hil:dot#"));
+        assert!(found, "{cmd}: no scope heading:\n{json}");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

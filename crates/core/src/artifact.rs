@@ -25,7 +25,7 @@
 //! probe.
 
 use crate::eval::{fnv64, machine_fingerprint};
-use crate::json::parse_json;
+use crate::json::{esc, parse_json};
 use crate::runner::Context;
 use crate::search::SearchOptions;
 use crate::strategy::db::{parse_record, record_json};
@@ -67,7 +67,7 @@ pub fn pack_records(rev: &str, records: &[TunedRecord]) -> String {
     format!(
         "{{\"magic\":\"{MAGIC}\",\"version\":{VERSION},\"rev\":\"{}\",\"records\":{},\
          \"checksum\":\"{checksum:016x}\"}}\n{body}",
-        rev.replace('"', ""),
+        esc(rev),
         recs.len(),
     )
 }
@@ -283,6 +283,17 @@ mod tests {
         // The record line inside the artifact is byte-identical to the
         // database serialization.
         assert!(text.contains(&record_json(&rec)));
+    }
+
+    /// The manifest writes the rev through the JSON escaper: a backslash
+    /// or a quote in it reads back exactly.
+    #[test]
+    fn rev_is_escaped_in_the_manifest() {
+        let rec = defaults_record();
+        let text = pack_records("r\\1\"x", std::slice::from_ref(&rec));
+        let art = parse(&text).unwrap();
+        assert_eq!(art.rev, "r\\1\"x");
+        assert_eq!(art.records, vec![rec]);
     }
 
     #[test]

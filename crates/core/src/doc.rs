@@ -1,9 +1,35 @@
 //! The one document model behind `ifko report` and `ifko explain`: a
-//! [`Doc`] of heading, line and [`Table`] blocks with two renderings.
-//! Text is the reference walk; Markdown carries the same lines and
-//! cells, with `##` headings and pipe tables.
+//! [`Doc`] of heading, line and [`Table`] blocks with three renderings.
+//! Text is the reference walk; Markdown and JSON carry the same lines
+//! and cells, Markdown with `##` headings and pipe tables, JSON as an
+//! array of `{"heading"}`, `{"line"}` and `{"table"}` blocks.
 
+use crate::json::esc;
 use std::fmt::Display;
+
+/// Which rendering of a [`Doc`] a command prints.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum ReportFormat {
+    Text,
+    Json,
+    Markdown,
+}
+
+impl ReportFormat {
+    pub fn parse(s: &str) -> Option<ReportFormat> {
+        match s {
+            "text" => Some(ReportFormat::Text),
+            "json" => Some(ReportFormat::Json),
+            "md" | "markdown" => Some(ReportFormat::Markdown),
+            _ => None,
+        }
+    }
+}
+
+/// A JSON string literal.
+fn quote(s: &str) -> String {
+    format!("\"{}\"", esc(s))
+}
 
 /// One column of a [`Table`]: its heading, the width cells are padded
 /// to (longer cells are never cut), the side they are padded on, and the
@@ -77,7 +103,7 @@ impl Table {
 
     /// The heading line, then one line per row, each cell padded to its
     /// column's width.
-    pub(crate) fn text(&self) -> String {
+    fn text(&self) -> String {
         let mut out = String::new();
         for cells in std::iter::once(&self.heads()).chain(&self.rows) {
             for (i, (c, cell)) in self.cols.iter().zip(cells).enumerate() {
@@ -111,6 +137,18 @@ impl Table {
         }
         out
     }
+
+    /// One object per row, keyed by column heading, one row a line.
+    fn json(&self) -> String {
+        let rows = self.rows.iter().map(|cells| {
+            let cells = self.cols.iter().zip(cells);
+            let cells: Vec<String> = cells
+                .map(|(c, cell)| format!("{}:{}", quote(c.head), quote(cell)))
+                .collect();
+            format!("{{{}}}", cells.join(","))
+        });
+        rows.collect::<Vec<_>>().join(",\n")
+    }
 }
 
 enum Block {
@@ -119,8 +157,8 @@ enum Block {
     Table(Table),
 }
 
-/// A report as a sequence of blocks, built once and rendered in either
-/// format.
+/// A report as a sequence of blocks, built once and rendered in any
+/// [`ReportFormat`].
 #[derive(Default)]
 pub(crate) struct Doc(Vec<Block>);
 
@@ -129,7 +167,8 @@ impl Doc {
         self.0.push(Block::Heading(h.into()));
     }
     /// One line of prose; an empty line is a blank line in the text
-    /// rendering and nothing in Markdown, which separates every block.
+    /// rendering and nothing in Markdown, which separates every block,
+    /// or in JSON.
     pub(crate) fn line(&mut self, l: impl Into<String>) {
         self.0.push(Block::Line(l.into()));
     }
@@ -137,7 +176,15 @@ impl Doc {
         self.0.push(Block::Table(t));
     }
 
-    pub(crate) fn text(&self) -> String {
+    pub(crate) fn render(&self, format: ReportFormat) -> String {
+        match format {
+            ReportFormat::Text => self.text(),
+            ReportFormat::Json => self.json(),
+            ReportFormat::Markdown => self.markdown(),
+        }
+    }
+
+    fn text(&self) -> String {
         let mut out = String::new();
         for b in &self.0 {
             match b {
@@ -149,7 +196,7 @@ impl Doc {
         out
     }
 
-    pub(crate) fn markdown(&self) -> String {
+    fn markdown(&self) -> String {
         let blocks: Vec<String> = self
             .0
             .iter()
@@ -161,6 +208,21 @@ impl Doc {
             })
             .collect();
         blocks.join("\n")
+    }
+
+    /// An array of blocks, one a line, followed by a newline.
+    fn json(&self) -> String {
+        let blocks: Vec<String> = self
+            .0
+            .iter()
+            .filter_map(|b| match b {
+                Block::Heading(h) => Some(format!("{{\"heading\":{}}}", quote(h))),
+                Block::Line(l) if l.is_empty() => None,
+                Block::Line(l) => Some(format!("{{\"line\":{}}}", quote(l))),
+                Block::Table(t) => Some(format!("{{\"table\":[{}]}}", t.json())),
+            })
+            .collect();
+        format!("[{}]\n", blocks.join(",\n"))
     }
 }
 
@@ -199,6 +261,18 @@ mod tests {
             "## scope\n\nfirst\n\n| name | n | note |\n| --- | ---: | --- |\n\
              | a\\|b | 7 | x |\n| longer-than-6 | 12345 |  |\n"
         );
+    }
+
+    #[test]
+    fn json_carries_the_same_lines_and_cells() {
+        let json = sample().render(ReportFormat::Json);
+        assert_eq!(
+            json,
+            "[{\"heading\":\"scope\"},\n{\"line\":\"first\"},\n\
+             {\"table\":[{\"name\":\"a|b\",\"n\":\"7\",\"note\":\"x\"},\n\
+             {\"name\":\"longer-than-6\",\"n\":\"12345\",\"note\":\"\"}]}]\n"
+        );
+        assert!(crate::json::parse_json(&json).is_some(), "{json}");
     }
 
     #[test]

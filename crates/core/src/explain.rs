@@ -24,19 +24,17 @@
 //!   rates that transfer warm-starts consume (ROADMAP item 3).
 //!
 //! Like `report`, it reads the trace through the shared fold (scope
-//! grouping and selection-rule replay) and renders deterministically:
-//! text and Markdown from one [`Doc`], JSON by hand, so the JSON form is
+//! grouping and selection-rule replay) and renders text, Markdown and
+//! JSON deterministically from one [`Doc`], so every format is
 //! golden-testable.
 
 use crate::doc::{Col, Doc, Table};
 use crate::eval::{EvalEvent, SearchEvent};
-use crate::json::{esc, list};
 use crate::report::{by_scope, entry, f4, replay, scope_n, ReportFormat};
 use crate::strategy::TunedDb;
 use crate::trace::read_traces;
 use ifko_xsim::{FeatureVector, RunStats};
 use std::collections::HashMap;
-use std::fmt::Write as _;
 use std::path::Path;
 
 // ---------------------------------------------------------------------------
@@ -253,18 +251,10 @@ impl CounterDelta {
         "prefetch_efficacy",
     ];
 
-    /// Each counter's movement: `signed` as the text prints it, or plain
-    /// as the JSON writes it.
-    fn values(&self, signed: bool) -> [String; 6] {
-        let n = |v: i64| {
-            if signed {
-                format!("{v:+}")
-            } else {
-                v.to_string()
-            }
-        };
-        let pe = self.prefetch_efficacy;
-        let pe = if signed { format!("{pe:+.4}") } else { f4(pe) };
+    /// Each counter's movement, signed.
+    fn values(&self) -> [String; 6] {
+        let n = |v: i64| format!("{v:+}");
+        let pe = format!("{:+.4}", self.prefetch_efficacy);
         let (c, l1, l2) = (n(self.cycles), n(self.l1_misses), n(self.l2_misses));
         [c, l1, l2, n(self.mispredicts), n(self.bus_bytes), pe]
     }
@@ -525,14 +515,10 @@ pub fn annotate_with_db(rep: &mut ExplainReport, db: &TunedDb) {
 // Rendering
 // ---------------------------------------------------------------------------
 
-/// Render an explain report (deterministic for a given trace, like
-/// `report::render` — the JSON form is golden-tested).
+/// Render an explanation in the chosen format (deterministic for a given
+/// trace, like `report::render`, so every format is golden-tested).
 pub fn render(rep: &ExplainReport, format: ReportFormat) -> String {
-    match format {
-        ReportFormat::Text => doc(rep).text(),
-        ReportFormat::Json => render_json(rep),
-        ReportFormat::Markdown => doc(rep).markdown(),
-    }
+    doc(rep).render(format)
 }
 
 fn fmt_params(p: &str) -> String {
@@ -544,14 +530,14 @@ fn fmt_params(p: &str) -> String {
 fn delta_cells(d: Option<&CounterDelta>) -> [String; 5] {
     match d {
         Some(d) => {
-            let [_, rest @ ..] = d.values(true);
+            let [_, rest @ ..] = d.values();
             rest
         }
         None => std::array::from_fn(|_| "-".to_string()),
     }
 }
 
-// The tables of the text and Markdown renderings.
+// The explanation's tables.
 #[rustfmt::skip]
 const ATTRIBUTION: &[Col] = &[
     Col::left("TRANSFORM", 10), Col::right("PAIRS", 5), Col::left("KNOB", 14), Col::left("CHANGE", 22),
@@ -566,7 +552,7 @@ const PATH: &[Col] = &[
     Col::right("L2MR", 7), Col::right("PFEFF", 7),
 ];
 
-/// The text and Markdown renderings' one document.
+/// The explanation's one document.
 fn doc(rep: &ExplainReport) -> Doc {
     let mut d = Doc::default();
     d.line("ifko explain — why the winner wins");
@@ -602,7 +588,7 @@ fn doc(rep: &ExplainReport) -> Doc {
         if let Some(dl) = &s.winner_vs_baseline {
             d.line("");
             d.line("winner vs baseline (counter movement):");
-            for (name, v) in CounterDelta::NAMES.iter().zip(dl.values(true)) {
+            for (name, v) in CounterDelta::NAMES.iter().zip(dl.values()) {
                 d.line(format!("  {name:<17} {v}"));
             }
         }
@@ -682,98 +668,6 @@ fn doc(rep: &ExplainReport) -> Doc {
     d
 }
 
-fn candidate_json(c: &CandidateView) -> String {
-    let mut o = format!(
-        "{{\"probe\":{},\"phase\":\"{}\",\"params\":\"{}\",\"cycles\":{}",
-        c.probe,
-        esc(&c.phase),
-        esc(&c.params),
-        c.cycles
-    );
-    if let Some(b) = c.bottleneck {
-        let _ = write!(o, ",\"bottleneck\":\"{}\"", b.label());
-    }
-    // Model-era fields: only present when the trace carried a prediction,
-    // so pre-model goldens stay byte-identical.
-    if let Some(p) = c.predicted {
-        let _ = write!(o, ",\"predicted\":{p}");
-        if let Some(err) = c.pred_err_pct() {
-            let _ = write!(o, ",\"pred_err_pct\":{}", f4(err));
-        }
-    }
-    if let Some(st) = &c.stats {
-        let _ = write!(
-            o,
-            ",\"ipc\":{},\"l1_miss_ratio\":{},\"l2_miss_ratio\":{},\"prefetch_efficacy\":{}",
-            f4(st.ipc()),
-            f4(st.l1_miss_ratio()),
-            f4(st.l2_miss_ratio()),
-            f4(st.prefetch_efficacy())
-        );
-    }
-    o.push('}');
-    o
-}
-
-fn delta_json(d: &CounterDelta) -> String {
-    let fields = CounterDelta::NAMES.iter().zip(d.values(false));
-    let fields: Vec<String> = fields.map(|(k, v)| format!("\"{k}\":{v}")).collect();
-    format!("{{{}}}", fields.join(","))
-}
-
-fn render_json(rep: &ExplainReport) -> String {
-    let scopes = list(&rep.scopes, |s| {
-        let mut out = format!(
-            "\n    {{\"scope\":\"{}\",\"probes\":{},\"measured\":{},\"speedup\":{}",
-            esc(&s.scope),
-            s.probes,
-            s.measured,
-            f4(s.speedup())
-        );
-        if let Some(b) = &s.baseline {
-            let _ = write!(out, ",\n     \"baseline\":{}", candidate_json(b));
-        }
-        if let Some(w) = &s.winner {
-            let _ = write!(out, ",\n     \"winner\":{}", candidate_json(w));
-        }
-        if let Some(d) = &s.winner_vs_baseline {
-            let _ = write!(out, ",\n     \"winner_vs_baseline\":{}", delta_json(d));
-        }
-        let attribution = list(&s.attribution, |r| {
-            let mut o = format!(
-                "\n      {{\"transform\":\"{}\",\"pairs\":{},\"knob\":\"{}\",\
-                 \"from\":\"{}\",\"to\":\"{}\",\"dcycles\":{}",
-                esc(&r.transform),
-                r.pairs,
-                esc(&r.knob),
-                esc(&r.from),
-                esc(&r.to),
-                r.dcycles
-            );
-            if let Some(d) = &r.delta {
-                let _ = write!(o, ",\"delta\":{}", delta_json(d));
-            }
-            o + "}"
-        });
-        let path = list(&s.path, |c| format!("\n      {}", candidate_json(c)));
-        let _ = write!(
-            out,
-            ",\n     \"attribution\":[{attribution}],\n     \"path\":[{path}]"
-        );
-        if let Some(f) = &s.features {
-            let _ = write!(out, ",\n     \"features\":{}", f.to_json());
-        }
-        if let Some(note) = &s.db_note {
-            let _ = write!(out, ",\n     \"db\":\"{}\"", esc(note));
-        }
-        out + "}"
-    });
-    format!(
-        "{{\n  \"malformed\": {},\n  \"scopes\": [{scopes}\n  ]\n}}\n",
-        rep.malformed
-    )
-}
-
 /// Convenience: read, merge, analyze, and render trace files, optionally
 /// cross-checking winners against a tuned database.
 pub fn explain_files(
@@ -792,7 +686,13 @@ pub fn explain_files(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::report::parse_trace_line;
+    use crate::report::{parse_json, parse_trace_line, Json};
+
+    const FORMATS: [ReportFormat; 3] = [
+        ReportFormat::Text,
+        ReportFormat::Json,
+        ReportFormat::Markdown,
+    ];
 
     fn eval_line(phase: &str, params: &str, cycles: u64, stats: Option<(u64, u64)>) -> String {
         let stats_part = match stats {
@@ -880,7 +780,8 @@ mod tests {
         assert_eq!(wd.l1_misses, -80);
         // Feature vector derives from the winner's stats and scope n.
         let f = s.features.as_ref().unwrap();
-        assert!((f.get("ipc").unwrap() - 1.0).abs() < 1e-9);
+        assert_eq!(FeatureVector::NAMES[1], "ipc");
+        assert!((f.values[1] - 1.0).abs() < 1e-9);
     }
 
     #[test]
@@ -912,10 +813,8 @@ mod tests {
         assert!(text.contains("ERR%"), "{text}");
         assert!(text.contains("pred 410 (+2.5%)"), "{text}");
         let json = render(&rep, ReportFormat::Json);
-        assert!(
-            json.contains("\"predicted\":410,\"pred_err_pct\":2.5000"),
-            "{json}"
-        );
+        assert!(json.contains("pred 410 (+2.5%)"), "{json}");
+        assert!(json.contains(r#""PRED":"410","ERR%":"+2.5""#), "{json}");
         let md = render(&rep, ReportFormat::Markdown);
         assert!(md.contains("| PRED | ERR% |"), "{md}");
 
@@ -925,13 +824,9 @@ mod tests {
             eval_line("UR", "simd=1 ur=4", 400, Some((400, 20))),
         ];
         let rep = analyze(&events(&plain), 0);
-        for fmt in [
-            ReportFormat::Text,
-            ReportFormat::Json,
-            ReportFormat::Markdown,
-        ] {
+        for fmt in FORMATS {
             let out = render(&rep, fmt);
-            for marker in ["PRED", "ERR%", "predicted", "pred_err_pct"] {
+            for marker in ["PRED", "ERR%", " pred "] {
                 assert!(!out.contains(marker), "{fmt:?} leaked `{marker}`: {out}");
             }
         }
@@ -979,24 +874,24 @@ mod tests {
             eval_line("SV", "simd=1 ur=1", 700, None),
         ];
         let rep = analyze(&events(&lines), 1);
-        for fmt in [
-            ReportFormat::Text,
-            ReportFormat::Json,
-            ReportFormat::Markdown,
-        ] {
+        for fmt in FORMATS {
             let a = render(&rep, fmt);
             let b = render(&rep, fmt);
             assert_eq!(a, b);
             assert!(!a.is_empty());
         }
+        // One scope heading, then its winner line.
         let j = render(&rep, ReportFormat::Json);
-        let parsed = crate::report::parse_json(&j).expect("explain JSON must parse");
-        let scopes = parsed.get("scopes").unwrap();
-        if let crate::report::Json::Arr(items) = scopes {
-            assert_eq!(items.len(), 1);
-            assert!(items[0].get("winner").is_some());
-        } else {
-            panic!("scopes must be an array");
-        }
+        let Some(Json::Arr(blocks)) = parse_json(&j) else {
+            panic!("explain JSON must be an array of blocks: {j}");
+        };
+        let text = |key: &str| -> Vec<&str> {
+            blocks.iter().filter_map(|b| b.get(key)?.as_str()).collect()
+        };
+        assert_eq!(text("heading"), ["k@m/oc/n1024/s1/r1"]);
+        assert!(
+            text("line").iter().any(|l| l.starts_with("winner   [SV]")),
+            "{j}"
+        );
     }
 }

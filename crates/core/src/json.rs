@@ -235,11 +235,6 @@ fn parse_string(b: &[u8], i: &mut usize) -> Option<String> {
 
 pub use ifko_fko::diag::json_escape as esc;
 
-/// The body of a JSON array: each item written by `f`, comma-separated.
-pub(crate) fn list<T>(items: &[T], f: impl FnMut(&T) -> String) -> String {
-    items.iter().map(f).collect::<Vec<_>>().join(",")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -26,16 +26,16 @@
 //!
 //! The fold over the events — the grouping into scopes ([`by_scope`])
 //! and the replay of the search's selection rule ([`replay`]) — is
-//! shared with [`explain`](crate::explain), and both print their text and
-//! Markdown through one [`Doc`].
+//! shared with [`explain`](crate::explain), and both print their text,
+//! Markdown and JSON through one [`Doc`].
 
 use crate::doc::{Col, Doc, Table};
 use crate::eval::Tally;
-use crate::json::{esc, list};
 use crate::trace::{read_traces, EvalEvent, SearchEvent};
 use ifko_xsim::RunStats;
 use std::path::Path;
 
+pub use crate::doc::ReportFormat;
 pub use crate::json::{parse_json, Json};
 // The trace reader is part of the trace format ([`crate::trace`]); the
 // analyzer's callers keep finding it here.
@@ -372,42 +372,19 @@ pub(crate) fn scope_n(scope: &str) -> Option<u64> {
 // Rendering
 // ---------------------------------------------------------------------------
 
-/// Output format of [`render`].
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum ReportFormat {
-    Text,
-    Json,
-    Markdown,
-}
-
-impl ReportFormat {
-    pub fn parse(s: &str) -> Option<ReportFormat> {
-        match s {
-            "text" => Some(ReportFormat::Text),
-            "json" => Some(ReportFormat::Json),
-            "md" | "markdown" => Some(ReportFormat::Markdown),
-            _ => None,
-        }
-    }
-}
-
 /// Deterministic float formatting shared by all renderers.
 pub(crate) fn f4(v: f64) -> String {
     format!("{v:.4}")
 }
 
 /// Render a report in the chosen format. Output is deterministic for a
-/// given trace (floats fixed to 4 decimals, stable orderings), so the
-/// JSON form is golden-testable.
+/// given trace (floats fixed to 4 decimals, stable orderings), so every
+/// format is golden-testable.
 pub fn render(rep: &TraceReport, format: ReportFormat) -> String {
-    match format {
-        ReportFormat::Text => doc(rep).text(),
-        ReportFormat::Json => render_json(rep),
-        ReportFormat::Markdown => doc(rep).markdown(),
-    }
+    doc(rep).render(format)
 }
 
-// The tables of the text and Markdown renderings.
+// The report's tables.
 #[rustfmt::skip]
 const PHASES: &[Col] = &[
     Col::left("phase", 12), Col::right("cands", 5), Col::right("wins", 5), Col::left("speedup", 0).gap(2),
@@ -424,7 +401,7 @@ const STAGES: &[Col] = &[
     Col::left("stage", 12), Col::right("count", 5), Col::right("total_us", 10), Col::right("%", 5).gap(2),
 ];
 
-/// The text and Markdown renderings' one document.
+/// The report's one document.
 fn doc(rep: &TraceReport) -> Doc {
     let mut d = Doc::default();
     for sc in &rep.scopes {
@@ -537,117 +514,6 @@ fn doc(rep: &TraceReport) -> Doc {
     d
 }
 
-fn jstr(s: &str) -> String {
-    format!("\"{}\"", esc(s))
-}
-
-fn render_json(rep: &TraceReport) -> String {
-    let scopes = list(&rep.scopes, |sc| {
-        let t = sc.tally;
-        let mut s = format!(
-            "{{\"scope\":{},\"probes\":{},\"fresh\":{},\"cache_hits\":{},\"rejected\":{},\"pruned\":{}",
-            jstr(&sc.scope),
-            sc.probes,
-            t.evaluated,
-            t.cache_hits,
-            t.rejected,
-            t.pruned
-        );
-        // Model-era field: present only when the cost model cut something,
-        // so reports over model-free traces stay byte-identical.
-        if t.model_pruned > 0 {
-            s += &format!(",\"model_pruned\":{}", t.model_pruned);
-        }
-        s += &format!(
-            ",\"retries\":{},\"faults\":{},\"outliers\":{},\"failed\":{}",
-            t.retries, t.faults, t.outliers, t.failed
-        );
-        s += &format!(
-            ",\"first_cycles\":{},\"best_cycles\":{},\"speedup\":{}",
-            opt_u64(sc.first_cycles),
-            opt_u64(sc.best_cycles),
-            f4(sc.speedup())
-        );
-        if let Some(p) = &sc.best_params {
-            s += &format!(",\"best_params\":{}", jstr(p));
-        }
-        let phases = list(&sc.phases, |ph| {
-            format!(
-                "{{\"phase\":{},\"candidates\":{},\"wins\":{},\"speedup\":{}}}",
-                jstr(&ph.phase),
-                ph.candidates,
-                ph.wins,
-                f4(ph.speedup)
-            )
-        });
-        let strategies = list(&sc.strategies, |st| {
-            format!(
-                "{{\"strategy\":{},\"probes\":{},\"fresh\":{},\"wins\":{},\"best_cycles\":{}}}",
-                jstr(&st.strategy),
-                st.probes,
-                st.fresh,
-                st.wins,
-                opt_u64(st.best_cycles)
-            )
-        });
-        s += &format!(",\"phases\":[{phases}],\"strategies\":[{strategies}]");
-        if let Some(w) = &sc.winner_strategy {
-            s += &format!(",\"winner_strategy\":{}", jstr(w));
-        }
-        // Worker-pool attribution: present only for pooled traces, so
-        // reports over in-process traces stay byte-identical.
-        if !sc.workers.is_empty() {
-            let workers = list(&sc.workers, |wr| {
-                format!(
-                    "{{\"worker\":{},\"evals\":{},\"wall_us\":{}}}",
-                    wr.worker, wr.evals, wr.wall_us
-                )
-            });
-            s += &format!(",\"workers\":[{workers}]");
-        }
-        let convergence = list(&sc.convergence, |c| {
-            format!(
-                "{{\"probe\":{},\"cycles\":{},\"phase\":{}}}",
-                c.probe,
-                c.cycles,
-                jstr(&c.phase)
-            )
-        });
-        s += &format!(",\"convergence\":[{convergence}]");
-        if let Some(st) = &sc.best_stats {
-            s += &format!(
-                ",\"winner\":{{\"insts\":{},\"l1_miss_ratio\":{},\"l2_miss_ratio\":{},\"bus_read_bytes\":{},\"bus_write_bytes\":{}",
-                st.insts,
-                f4(st.l1_miss_ratio()),
-                f4(st.l2_miss_ratio()),
-                st.bus_read_bytes,
-                st.bus_write_bytes
-            );
-            if let Some(n) = sc.n {
-                s += &format!(",\"cycles_per_elem\":{}", f4(st.cycles_per_elem(n)));
-            }
-            s.push('}');
-        }
-        s + &format!(",\"saved_wall_us_est\":{}}}", f4(sc.saved_wall_us_est()))
-    });
-    let stages = list(&rep.stages, |row| {
-        format!(
-            "{{\"stage\":{},\"count\":{},\"total_us\":{}}}",
-            jstr(&row.stage),
-            row.count,
-            row.total_us
-        )
-    });
-    format!(
-        "{{\"malformed\":{},\"scopes\":[{scopes}],\"stages\":[{stages}]}}",
-        rep.malformed
-    )
-}
-
-fn opt_u64(v: Option<u64>) -> String {
-    v.map_or("null".to_string(), |x| x.to_string())
-}
-
 /// Convenience: read, merge, analyze, and render trace files.
 pub fn report_files(paths: &[impl AsRef<Path>], format: ReportFormat) -> std::io::Result<String> {
     let data = read_traces(paths)?;
@@ -658,6 +524,12 @@ pub fn report_files(paths: &[impl AsRef<Path>], format: ReportFormat) -> std::io
 mod tests {
     use super::*;
     use crate::trace::{parse_stats, stats_json, SpanEvent};
+
+    const FORMATS: [ReportFormat; 3] = [
+        ReportFormat::Text,
+        ReportFormat::Json,
+        ReportFormat::Markdown,
+    ];
 
     /// Writer (`stats_json`) and reader (`parse_stats`) iterate
     /// the same `RunStats::FIELDS` table, so any counter vector must
@@ -801,9 +673,9 @@ mod tests {
         let plain = vec![eval("SEED", Some(100), false), eval("UR", Some(80), false)];
         let rep = analyze(&plain, 0);
         assert_eq!(rep.scopes[0].tally.model_pruned, 0);
-        assert!(!render(&rep, ReportFormat::Text).contains("cost model"));
-        assert!(!render(&rep, ReportFormat::Json).contains("model_pruned"));
-        assert!(!render(&rep, ReportFormat::Markdown).contains("cost model"));
+        for fmt in FORMATS {
+            assert!(!render(&rep, fmt).contains("cost model"), "{fmt:?}");
+        }
 
         // A "model-rank"-pruned probe counts into both pruned buckets;
         // a legality-pruned probe only into the total.
@@ -822,13 +694,10 @@ mod tests {
             (sc.probes, sc.tally.pruned, sc.tally.model_pruned),
             (3, 2, 1)
         );
-        assert!(render(&rep, ReportFormat::Text)
-            .contains("cost model pruned 1 of 3 candidates before compile"));
-        let json = render(&rep, ReportFormat::Json);
-        assert!(json.contains("\"model_pruned\":1"), "{json}");
-        assert!(parse_json(&json).is_some(), "bad report json: {json}");
-        assert!(render(&rep, ReportFormat::Markdown)
-            .contains("cost model pruned 1 of 3 candidates before compile"));
+        let line = "cost model pruned 1 of 3 candidates before compile";
+        for fmt in FORMATS {
+            assert!(render(&rep, fmt).contains(line), "{fmt:?}");
+        }
     }
 
     #[test]
@@ -874,20 +743,23 @@ mod tests {
         events.extend([sim(1), sim(2)]);
         let rep = analyze(&events, 0);
         assert_eq!(rep.simulations_per_fresh_eval(), Some((2, 2)));
-        let line = "simulations / fresh eval: 2 / 2 = 1.0000\n";
-        assert!(render(&rep, ReportFormat::Text).contains(line));
-        assert!(render(&rep, ReportFormat::Markdown).contains(line));
-        assert!(!render(&rep, ReportFormat::Json).contains("fresh eval"));
+        let line = "simulations / fresh eval: 2 / 2 = 1.0000";
+        for fmt in FORMATS {
+            assert!(render(&rep, fmt).contains(line), "{fmt:?}");
+        }
     }
 
     #[test]
     fn renderers_are_deterministic_and_well_formed() {
         let events = vec![eval("SEED", Some(100), false), eval("UR", Some(50), false)];
         let rep = analyze(&events, 0);
+        for fmt in FORMATS {
+            assert_eq!(render(&rep, fmt), render(&analyze(&events, 0), fmt));
+        }
         let json = render(&rep, ReportFormat::Json);
-        assert_eq!(json, render(&analyze(&events, 0), ReportFormat::Json));
-        // The JSON renderer must emit parseable JSON.
         assert!(parse_json(&json).is_some(), "bad report json: {json}");
+        let ur = r#"{"phase":"UR","cands":"1","wins":"1","speedup":"2.0000"}"#;
+        assert!(json.contains(ur), "{json}");
         let text = render(&rep, ReportFormat::Text);
         assert!(text.contains("speedup 2.0000x"));
         let md = render(&rep, ReportFormat::Markdown);

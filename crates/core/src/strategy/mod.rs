@@ -102,10 +102,6 @@ impl Budget {
             max_wall: Some(d),
         }
     }
-    pub fn is_unlimited(&self) -> bool {
-        self.max_probes.is_none() && self.max_wall.is_none()
-    }
-
     /// Parse a `--budget` argument: a plain integer is a probe count,
     /// a `500ms` / `2s` suffix is a wall-clock cap.
     pub fn parse(s: &str) -> Result<Budget, String> {
@@ -611,8 +607,6 @@ mod tests {
         );
         assert!(Budget::parse("lots").is_err());
         assert!(Budget::parse("").is_err());
-        assert!(Budget::unlimited().is_unlimited());
-        assert!(!Budget::probes(1).is_unlimited());
     }
 
     #[test]

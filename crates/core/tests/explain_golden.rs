@@ -1,6 +1,6 @@
-//! `ifko explain` against committed fixtures: a frozen live trace must
-//! produce byte-identical JSON output (golden file), the analysis facts
-//! behind that rendering must hold, and explain must degrade gracefully
+//! `ifko explain` against committed fixtures: every fixture must produce
+//! byte-identical output (golden files), the analysis facts behind that
+//! rendering must hold, and explain must degrade gracefully
 //! over the hand-authored report fixture (simplified `k=v` params).
 
 use ifko::explain::analyze;
@@ -9,6 +9,8 @@ use ifko::prelude::*;
 use ifko::report::{read_trace, ReportFormat};
 use ifko::strategy::db::db_key;
 use ifko::TunedRecord;
+
+mod common;
 
 fn fixture(name: &str) -> String {
     format!("{}/tests/fixtures/{name}", env!("CARGO_MANIFEST_DIR"))
@@ -40,6 +42,18 @@ fn golden_text_explains() {
 #[test]
 fn golden_markdown_explains() {
     assert_goldens("md", ReportFormat::Markdown);
+}
+
+/// JSON is a third rendering of the same document: the same headings,
+/// lines and table cells as the text, as an array of blocks.
+#[test]
+fn json_carries_the_texts_blocks() {
+    for t in TRACES {
+        let path = [fixture(&format!("{t}.jsonl"))];
+        let json = explain_files(&path, ReportFormat::Json, None).unwrap();
+        let text = explain_files(&path, ReportFormat::Text, None).unwrap();
+        common::assert_json_follows_text(&json, &text);
+    }
 }
 
 /// `ifko explain --format json` over the committed trace is
@@ -98,7 +112,8 @@ fn fixture_attribution_is_faithful() {
     // The winner's feature vector rode along for the transfer hook.
     let f = s.features.as_ref().expect("winner feature vector");
     assert_eq!(f.values.len(), ifko_xsim::FeatureVector::NAMES.len());
-    assert!(f.get("cycles_per_elem").unwrap() > 0.0);
+    assert_eq!(ifko_xsim::FeatureVector::NAMES[0], "cycles_per_elem");
+    assert!(f.values[0] > 0.0);
 }
 
 /// Model-era golden: the committed trace was recorded with the static

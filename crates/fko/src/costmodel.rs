@@ -167,10 +167,8 @@ impl CostPrediction {
 
 /// A stable, named vector of analysis-side features — the static twin of
 /// the measured `ifko_xsim::FeatureVector`, with the same contract: a
-/// fixed append-only `NAMES` table index-aligned with `values`, size
-/// normalization (rates per element, not raw counts), `get` by name, a
-/// `distance` metric that refuses mismatched schemas, and deterministic
-/// 6-decimal JSON.
+/// fixed append-only `NAMES` table index-aligned with `values`, and size
+/// normalization (rates per element, not raw counts).
 #[derive(Clone, Debug, PartialEq)]
 pub struct StaticFeatureVector {
     pub values: Vec<f64>,
@@ -198,44 +196,6 @@ impl StaticFeatureVector {
         "vector_fraction",
         "uncovered_stall",
     ];
-
-    /// Value of a named feature.
-    pub fn get(&self, name: &str) -> Option<f64> {
-        Self::NAMES
-            .iter()
-            .position(|n| *n == name)
-            .and_then(|i| self.values.get(i).copied())
-    }
-
-    /// Euclidean distance to another vector; `None` when the lengths
-    /// differ (vectors from different schema versions are incomparable).
-    pub fn distance(&self, other: &StaticFeatureVector) -> Option<f64> {
-        if self.values.len() != other.values.len() {
-            return None;
-        }
-        Some(
-            self.values
-                .iter()
-                .zip(&other.values)
-                .map(|(a, b)| (a - b) * (a - b))
-                .sum::<f64>()
-                .sqrt(),
-        )
-    }
-
-    /// Deterministic JSON object `{name: value, ...}` with fixed
-    /// 6-decimal formatting.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        for (i, (name, v)) in Self::NAMES.iter().zip(&self.values).enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\"{name}\":{v:.6}"));
-        }
-        out.push('}');
-        out
-    }
 }
 
 /// Completion latency of one op on `m`, in cycles. Zero-latency entries
@@ -859,18 +819,13 @@ ROUT_END
         let f2 = predict(DOT, &p, &m).features();
         assert_eq!(f1, f2);
         assert_eq!(f1.values.len(), StaticFeatureVector::NAMES.len());
-        assert!(f1.get("pred_cycles_per_elem").unwrap() > 0.0);
-        assert!(f1.get("flops_per_elem").unwrap() > 1.9); // mul+add per elem
-        assert_eq!(f1.get("no_such"), None);
-        assert_eq!(f1.distance(&f1), Some(0.0));
-        let short = StaticFeatureVector {
-            values: f1.values[..3].to_vec(),
-        };
-        assert_eq!(f1.distance(&short), None);
-        let j = f1.to_json();
-        for name in StaticFeatureVector::NAMES {
-            assert!(j.contains(&format!("\"{name}\":")), "missing {name}");
-        }
+        let names = StaticFeatureVector::NAMES;
+        assert_eq!(
+            names[..3],
+            ["pred_cycles_per_elem", "insts_per_elem", "flops_per_elem"]
+        );
+        assert!(f1.values[0] > 0.0);
+        assert!(f1.values[2] > 1.9); // mul+add per elem
         assert!(f1.values.iter().all(|v| v.is_finite()));
     }
 

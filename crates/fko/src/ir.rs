@@ -510,24 +510,6 @@ impl KernelIr {
     pub fn class(&self, v: V) -> VClass {
         self.vregs[v as usize]
     }
-    /// Number of elements each original loop iteration consumes after the
-    /// current transform state (veclen if vectorized).
-    pub fn ptr_by_name(&self, name: &str) -> Option<PtrId> {
-        self.ptrs
-            .iter()
-            .position(|p| p.name == name)
-            .map(|i| PtrId(i as u32))
-    }
-}
-
-/// Render IR ops for debugging and golden tests.
-pub fn display_ops(ops: &[Op]) -> String {
-    use std::fmt::Write;
-    let mut s = String::new();
-    for op in ops {
-        let _ = writeln!(s, "  {op:?}");
-    }
-    s
 }
 
 #[cfg(test)]

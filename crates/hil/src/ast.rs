@@ -220,14 +220,6 @@ impl Routine {
     pub fn scalar(&self, name: &str) -> Option<&ScalarDecl> {
         self.scalars.iter().find(|s| s.name == name)
     }
-    /// Names of all pointer parameters, in declaration order.
-    pub fn pointer_params(&self) -> Vec<&str> {
-        self.params
-            .iter()
-            .filter(|p| matches!(p.ty, ParamType::Ptr { .. }))
-            .map(|p| p.name.as_str())
-            .collect()
-    }
     /// The tuned loop, if one is marked (searched recursively).
     pub fn tuned_loop(&self) -> Option<&Loop> {
         fn find(stmts: &[Stmt]) -> Option<&Loop> {
@@ -296,7 +288,6 @@ mod tests {
         assert!(r.param("X").is_some());
         assert!(r.param("Z").is_none());
         assert!(r.scalar("s").unwrap().out);
-        assert_eq!(r.pointer_params(), vec!["X"]);
     }
 
     #[test]

@@ -401,14 +401,6 @@ impl Cpu {
         }
     }
 
-    /// Is the line containing `addr` resident in L2? (harness/test helper)
-    pub fn l2_resident(&self, addr: u64) -> bool {
-        self.l2.peek(addr).is_hit()
-    }
-    pub fn l1_resident(&self, addr: u64) -> bool {
-        self.l1.peek(addr).is_hit()
-    }
-
     // ---------------------------------------------------------------- issue
 
     #[inline]

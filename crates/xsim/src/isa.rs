@@ -326,44 +326,6 @@ pub enum Inst {
     Prefetch(Addr, PrefKind),
 }
 
-impl Inst {
-    /// True for instructions that read or write data memory (prefetches are
-    /// hints, not accesses).
-    pub fn is_mem_access(&self) -> bool {
-        use Inst::*;
-        matches!(
-            self,
-            ILoad(..)
-                | IStore(..)
-                | FLd(..)
-                | FSt(..)
-                | FStNt(..)
-                | VLd(..)
-                | VSt(..)
-                | VStNt(..)
-                | FAdd(_, RegOrMem::Mem(_), _)
-                | FSub(_, RegOrMem::Mem(_), _)
-                | FMul(_, RegOrMem::Mem(_), _)
-                | FDiv(_, RegOrMem::Mem(_), _)
-                | FMax(_, RegOrMem::Mem(_), _)
-                | FCmp(_, RegOrMem::Mem(_), _)
-                | VAdd(_, RegOrMem::Mem(_), _)
-                | VSub(_, RegOrMem::Mem(_), _)
-                | VMul(_, RegOrMem::Mem(_), _)
-                | VMax(_, RegOrMem::Mem(_), _)
-                | VCmpGt(_, RegOrMem::Mem(_), _)
-        )
-    }
-
-    /// True for stores (normal or non-temporal).
-    pub fn is_store(&self) -> bool {
-        matches!(
-            self,
-            Inst::IStore(..) | Inst::FSt(..) | Inst::FStNt(..) | Inst::VSt(..) | Inst::VStNt(..)
-        )
-    }
-}
-
 /// An assembled program: a flat instruction sequence plus resolved label
 /// targets (`labels[l]` is the instruction index label `l` points to).
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -422,16 +384,6 @@ mod tests {
         assert_eq!(a.to_string(), "[r1+r2*8-16]");
         let b = Addr::base(IReg(0));
         assert_eq!(b.to_string(), "[r0]");
-    }
-
-    #[test]
-    fn mem_access_classification() {
-        assert!(Inst::FLd(FReg(0), Addr::base(IReg(0)), Prec::D).is_mem_access());
-        assert!(Inst::FAdd(FReg(0), RegOrMem::Mem(Addr::base(IReg(0))), Prec::D).is_mem_access());
-        assert!(!Inst::FAdd(FReg(0), RegOrMem::Reg(FReg(1)), Prec::D).is_mem_access());
-        assert!(!Inst::Prefetch(Addr::base(IReg(0)), PrefKind::Nta).is_mem_access());
-        assert!(Inst::VStNt(Addr::base(IReg(0)), FReg(0), Prec::S).is_store());
-        assert!(!Inst::FLd(FReg(0), Addr::base(IReg(0)), Prec::D).is_store());
     }
 
     #[test]

@@ -227,11 +227,6 @@ impl Memory {
     pub fn load_f32_slice(&self, addr: u64, n: usize) -> Result<Vec<f32>, MemFault> {
         self.load_elems(addr, n, f32::from_le_bytes)
     }
-
-    /// Reset the allocator (keeps capacity, zeroes nothing).
-    pub fn reset_alloc(&mut self) {
-        self.next = self.base;
-    }
 }
 
 #[cfg(test)]

@@ -237,33 +237,6 @@ impl FeatureVector {
         }
     }
 
-    /// Value of a named feature.
-    pub fn get(&self, name: &str) -> Option<f64> {
-        Self::NAMES
-            .iter()
-            .position(|n| *n == name)
-            .and_then(|i| self.values.get(i).copied())
-    }
-
-    /// Euclidean distance to another vector (the nearest-neighbor
-    /// metric transfer warm-starts use). Returns `None` when the two
-    /// vectors have different lengths — i.e. they were produced by
-    /// different schema versions — instead of silently comparing the
-    /// common prefix.
-    pub fn distance(&self, other: &FeatureVector) -> Option<f64> {
-        if self.values.len() != other.values.len() {
-            return None;
-        }
-        Some(
-            self.values
-                .iter()
-                .zip(&other.values)
-                .map(|(a, b)| (a - b) * (a - b))
-                .sum::<f64>()
-                .sqrt(),
-        )
-    }
-
     /// Deterministic JSON object `{name: value, ...}` with fixed
     /// 6-decimal formatting (stable across platforms).
     pub fn to_json(&self) -> String {
@@ -398,23 +371,15 @@ mod tests {
         };
         let f = FeatureVector::from_stats(&s, 1024);
         assert_eq!(f.values.len(), FeatureVector::NAMES.len());
-        assert!((f.get("cycles_per_elem").unwrap() - 4.0).abs() < 1e-12);
-        assert!((f.get("ipc").unwrap() - 2.0).abs() < 1e-12);
-        assert!((f.get("bus_bytes_per_elem").unwrap() - 8.0).abs() < 1e-12);
-        assert!((f.get("prefetch_efficacy").unwrap() - 0.75).abs() < 1e-12);
-        assert!((f.get("nt_store_fraction").unwrap() - 0.5).abs() < 1e-12);
-        assert_eq!(f.get("no_such_feature"), None);
-        // Distance to itself is zero; to the default vector it is not.
-        assert_eq!(f.distance(&f), Some(0.0));
-        let z = FeatureVector::from_stats(&RunStats::default(), 1024);
-        assert!(f.distance(&z).unwrap() > 1.0);
-        // Vectors from different schema versions are incomparable, not
-        // silently truncated to the common prefix.
-        let short = FeatureVector {
-            values: f.values[..f.values.len() - 1].to_vec(),
+        let get = |name: &str| {
+            let i = FeatureVector::NAMES.iter().position(|n| *n == name);
+            f.values[i.unwrap()]
         };
-        assert_eq!(f.distance(&short), None);
-        assert_eq!(short.distance(&f), None);
+        assert!((get("cycles_per_elem") - 4.0).abs() < 1e-12);
+        assert!((get("ipc") - 2.0).abs() < 1e-12);
+        assert!((get("bus_bytes_per_elem") - 8.0).abs() < 1e-12);
+        assert!((get("prefetch_efficacy") - 0.75).abs() < 1e-12);
+        assert!((get("nt_store_fraction") - 0.5).abs() < 1e-12);
         // JSON is deterministic and lists every feature by name.
         let j = f.to_json();
         for name in FeatureVector::NAMES {
