@@ -1,6 +1,6 @@
 //! Smoke tests of the `ifko` CLI binary against the shipped sample
-//! kernels, and the flag tables: every flag `ifko`, `ifkod` and
-//! `pipeline` read, given a good value, no value and a bad value.
+//! kernels, and the flag tables: every flag `ifko` and `ifkod` read,
+//! given a good value, no value and a bad value.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
@@ -14,7 +14,7 @@ fn repo(path: &str) -> String {
 }
 
 /// A binary of this workspace: `ifko`, or one a workspace `cargo test`
-/// builds next to it (`ifkod`, `pipeline`, the experiment binaries).
+/// builds next to it (`ifkod`, the experiment binaries).
 fn exe(name: &str) -> PathBuf {
     let path = Path::new(bin()).with_file_name(name);
     assert!(
@@ -495,43 +495,6 @@ fn flag_table_ifkod() {
             2,
             "ifkod: Not a directory (os error 20)",
         ),
-    ];
-    check(&t.0, &cases);
-}
-
-/// `pipeline`: each flag it reads.
-#[test]
-fn flag_table_pipeline() {
-    let t = Scratch::new("flags-pipeline");
-    let base = repo("BENCH_pipeline.json");
-    let base = base.as_str();
-    let out = t.path("out.json");
-    let mut slow = case(
-        "pipeline",
-        &["--out", "/dev/null/x"],
-        1,
-        "cannot write /dev/null/x",
-    );
-    slow.env.push(("IFKO_BENCH_SECS", "0"));
-    let cases = vec![
-        ok("pipeline", &["--compare", base, "--current", base]),
-        ok(
-            "pipeline",
-            &["--out", &out, "--current", base, "--compare", base],
-        ),
-        case(
-            "pipeline",
-            &["--compare", "/nope", "--current", base],
-            2,
-            "pipeline: cannot read /nope: No such file or directory (os error 2)",
-        ),
-        case(
-            "pipeline",
-            &["--current", "/nope", "--compare", base],
-            2,
-            "pipeline: cannot read /nope: No such file or directory (os error 2)",
-        ),
-        slow,
     ];
     check(&t.0, &cases);
 }
@@ -1104,12 +1067,6 @@ fn foreign_flags_are_refused() {
         ),
         case("ifkod", &["--bogus"], 2, "ifkod: unknown flag `--bogus`"),
         case(
-            "pipeline",
-            &["--bogus"],
-            2,
-            "pipeline: unknown flag `--bogus`",
-        ),
-        case(
             "table3",
             &["--quick", "--no-cache", "--job", "4"],
             2,
@@ -1214,9 +1171,6 @@ fn flag_errors_share_one_form() {
             &["--db", "/dev/null/d"],
             "ifko: --db /dev/null/d: Not a directory",
         ),
-        needs("pipeline", &[], "--out"),
-        needs("pipeline", &["--current", "x"], "--compare"),
-        needs("pipeline", &["--compare", "x"], "--current"),
         needs("table3", &quick, "--jobs"),
         with(
             "table3",
@@ -1343,7 +1297,6 @@ fn every_command_answers_help() {
             &[],
             &["--socket", "--db", "--cache", "--jobs", "--quiet"],
         ),
-        ("pipeline", &[], &["--out", "--compare", "--current"]),
         ("table3", &[], experiment),
         ("figure7", &[], experiment),
         ("strategies", &[], &[experiment, &["--strategies"]].concat()),

@@ -53,6 +53,10 @@ impl Json {
             _ => self.whole(0.0..u64::MAX as f64).map(|n| n as u64),
         }
     }
+    /// The number as a `u32`, under the same rule as [`Json::as_u64`].
+    pub fn as_u32(&self) -> Option<u32> {
+        self.as_u64().and_then(|n| u32::try_from(n).ok())
+    }
     /// The number as an `i64`, under the same rule as [`Json::as_u64`].
     pub fn as_i64(&self) -> Option<i64> {
         match self {
@@ -249,6 +253,10 @@ mod tests {
         for refused in ["1024.7", "-1", "18446744073709551616", "1e300", "\"7\""] {
             assert_eq!(u(refused), None, "{refused}");
         }
+        let u32_ = |s: &str| parse_json(s).unwrap().as_u32();
+        assert_eq!(u32_("4294967295"), Some(u32::MAX));
+        assert_eq!(u32_("4294967297"), None);
+        assert_eq!(u32_("-1"), None);
         let i = |s: &str| parse_json(s).unwrap().as_i64();
         assert_eq!(i("-128"), Some(-128));
         assert_eq!(i("9223372036854775807"), Some(i64::MAX));

@@ -36,7 +36,6 @@ use ifko_xsim::MachineConfig;
 /// Which phase of the line search produced a gain.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum Phase {
-    Sv,
     Wnt,
     PfDist,
     PfIns,
@@ -47,7 +46,6 @@ pub enum Phase {
 impl Phase {
     pub fn label(self) -> &'static str {
         match self {
-            Phase::Sv => "SV",
             Phase::Wnt => "WNT",
             Phase::PfDist => "PF DST",
             Phase::PfIns => "PF INS",
@@ -92,11 +90,6 @@ pub struct SearchOptions {
     pub pf_dists: Vec<i64>,
     /// Accumulator counts to try.
     pub ae_candidates: Vec<u32>,
-    /// Also try disabling vectorization (off by default: the paper's
-    /// search keeps SV at its default).
-    pub try_sv_off: bool,
-    /// Interaction-aware refinement (restricted 2-D re-sweeps).
-    pub refine: bool,
     /// Run the IR verifier between every pipeline stage for every
     /// candidate, even in release builds (always on under
     /// `debug_assertions`).
@@ -127,8 +120,6 @@ impl Default for SearchOptions {
             ur_candidates: vec![1, 2, 3, 4, 5, 6, 8, 12, 16, 24, 32, 64, 128],
             pf_dists: vec![64, 128, 256, 384, 512, 768, 1024, 1536, 1920, 2048],
             ae_candidates: vec![1, 2, 3, 4, 5, 6],
-            try_sv_off: false,
-            refine: true,
             verify_ir: false,
             prune: true,
             model_prune: 0.0,
@@ -146,8 +137,6 @@ impl SearchOptions {
             ur_candidates: vec![1, 2, 4, 8, 16],
             pf_dists: vec![128, 512, 1024],
             ae_candidates: vec![1, 2, 4],
-            try_sv_off: false,
-            refine: true,
             verify_ir: false,
             prune: true,
             model_prune: 0.0,
@@ -300,24 +289,11 @@ pub fn line_search_batched(
     };
     let mut gains = Vec::new();
 
-    // With refinement on, the whole phase sequence repeats while it keeps
-    // improving (max 2 passes): parameters interact — e.g. WNT only pays
-    // off once the written array's prefetch has been dropped, so a second
-    // WNT phase after the PF INS phase can flip it (the Opteron copy case).
-    let passes = if opts.refine { 2 } else { 1 };
-
-    // ---- optional SV phase ----
-    if opts.try_sv_off && best.simd {
-        let before = best_cycles;
-        let mut cand = best.clone();
-        cand.simd = false;
-        sweep(Phase::Sv.label(), vec![cand], &mut best, &mut best_cycles);
-        gains.push(PhaseGain {
-            phase: Phase::Sv,
-            before,
-            after: best_cycles,
-        });
-    }
+    // The whole phase sequence repeats while it keeps improving (max 2
+    // passes): parameters interact — e.g. WNT only pays off once the
+    // written array's prefetch has been dropped, so a second WNT phase
+    // after the PF INS phase can flip it (the Opteron copy case).
+    const PASSES: usize = 2;
 
     // PF DST: a 1-D distance sweep per candidate array. Arrays are swept
     // one after another (each array's sweep builds on the winner of the
@@ -348,7 +324,7 @@ pub fn line_search_batched(
         }
     }
 
-    for _pass in 0..passes {
+    for _pass in 0..PASSES {
         let cycles_at_pass_start = best_cycles;
         // ---- WNT ----
         {
@@ -428,9 +404,7 @@ pub fn line_search_batched(
             sweep(Phase::Ur.label(), cands, &mut best, &mut best_cycles);
             // Restricted 2-D refinement: unrolling changes the prefetch
             // schedule, so re-sweep the distances at the new unroll.
-            if opts.refine {
-                pf_dist_sweep(&mut sweep, &mut best, &mut best_cycles, &opts.pf_dists);
-            }
+            pf_dist_sweep(&mut sweep, &mut best, &mut best_cycles, &opts.pf_dists);
             gains.push(PhaseGain {
                 phase: Phase::Ur,
                 before,
@@ -458,7 +432,7 @@ pub fn line_search_batched(
             sweep(Phase::Ae.label(), cands, &mut best, &mut best_cycles);
             // AE interacts with UR (accumulators rotate over unroll
             // copies): re-check a few unroll factors at the chosen AE.
-            if opts.refine && !rep.ae_candidates.is_empty() {
+            if !rep.ae_candidates.is_empty() {
                 let cands: Vec<TransformParams> = opts
                     .ur_candidates
                     .iter()

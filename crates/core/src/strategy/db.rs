@@ -408,7 +408,7 @@ pub fn params_from_json(v: &Json) -> Option<TransformParams> {
                 k => Some(kind_from_abbrev(k.as_str()?)?),
             };
             prefetch.push(PrefSpec {
-                ptr: PtrId(item.get("ptr")?.as_u64()? as u32),
+                ptr: PtrId(item.get("ptr")?.as_u32()?),
                 kind,
                 dist: item.get("dist")?.as_i64()?,
             });
@@ -418,8 +418,8 @@ pub fn params_from_json(v: &Json) -> Option<TransformParams> {
     }
     Some(TransformParams {
         simd: v.get("simd")?.as_bool()?,
-        unroll: v.get("unroll")?.as_u64()? as u32,
-        accum_expand: v.get("ae")?.as_u64()? as u32,
+        unroll: v.get("unroll")?.as_u32()?,
+        accum_expand: v.get("ae")?.as_u32()?,
         wnt: v.get("wnt")?.as_bool()?,
         prefetch,
         loop_control: v.get("lc")?.as_bool()?,
@@ -536,6 +536,16 @@ mod tests {
         let off = TransformParams::off();
         let v = parse_json(&params_json(&off)).unwrap();
         assert_eq!(params_from_json(&v), Some(off));
+    }
+
+    #[test]
+    fn out_of_range_params_are_refused_not_truncated() {
+        let mut p = sample_params();
+        p.unroll = 1;
+        let text = params_json(&p);
+        let wide = text.replacen("\"unroll\":1,", "\"unroll\":4294967297,", 1);
+        assert_ne!(wide, text, "the point's wire form moved");
+        assert_eq!(params_from_json(&parse_json(&wide).unwrap()), None);
     }
 
     #[test]

@@ -243,8 +243,8 @@ impl WorkerSpec {
         let timer = Timer {
             reps: t
                 .get("reps")
-                .and_then(Json::as_u64)
-                .ok_or("timer missing `reps`")? as u32,
+                .and_then(Json::as_u32)
+                .ok_or("timer `reps` missing or out of range")?,
             interference: t
                 .get("interference")
                 .and_then(Json::as_f64)
@@ -291,7 +291,10 @@ impl WorkerSpec {
                 .ok_or("handshake missing `seed`")?,
             timer,
             verify_ir: v.get("verify_ir").and_then(Json::as_bool).unwrap_or(false),
-            max_retries: v.get("max_retries").and_then(Json::as_u64).unwrap_or(2) as u32,
+            max_retries: v
+                .get("max_retries")
+                .map_or(Some(2), Json::as_u32)
+                .ok_or("handshake `max_retries` out of range")?,
             chaos,
             scope_key: str_field("scope")?,
         };
@@ -336,9 +339,9 @@ fn parse_eval_record(v: &Json) -> Option<EvalRecord> {
     Some(EvalRecord {
         cycles,
         stats: v.get("stats").and_then(parse_stats),
-        retries: v.get("retries")?.as_u64()? as u32,
-        faults: v.get("faults")?.as_u64()? as u32,
-        outliers: v.get("outliers")?.as_u64()? as u32,
+        retries: v.get("retries")?.as_u32()?,
+        faults: v.get("faults")?.as_u32()?,
+        outliers: v.get("outliers")?.as_u32()?,
         failed: v.get("failed")?.as_bool()?,
     })
 }
@@ -790,6 +793,14 @@ mod tests {
         spec.src = Some("ROUTINE x".to_string());
         let v = parse_json(&spec.to_json()).unwrap();
         assert!(WorkerSpec::from_json(&v).is_err());
+        // A count past u32 is refused, never truncated (2^32 + 2 would
+        // read as 2 retries).
+        spec.src = None;
+        let good = spec.to_json();
+        let wide = good.replacen("\"max_retries\":2", "\"max_retries\":4294967298", 1);
+        assert_ne!(wide, good, "the spec's wire form moved");
+        let err = WorkerSpec::from_json(&parse_json(&wide).unwrap()).unwrap_err();
+        assert!(err.contains("max_retries"), "{err}");
     }
 
     #[test]

@@ -154,7 +154,7 @@ fn trace_covers_the_whole_search() {
     // Phase labels are the Figure 7 set (plus SEED).
     for ev in &evs {
         assert!(
-            ["SEED", "SV", "WNT", "PF DST", "PF INS", "UR", "AE"].contains(&ev.phase.as_str()),
+            ["SEED", "WNT", "PF DST", "PF INS", "UR", "AE"].contains(&ev.phase.as_str()),
             "unexpected phase {}",
             ev.phase
         );

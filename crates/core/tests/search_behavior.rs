@@ -19,8 +19,7 @@ fn second_pass_only_runs_when_first_improved() {
     let mach = p4e();
     let src = hil_source(BlasOp::Dot, Prec::D);
     let (_, rep) = analyze_kernel(&src, &mach).unwrap();
-    let mut opts = SearchOptions::quick();
-    opts.refine = true;
+    let opts = SearchOptions::quick();
     let defaults = TransformParams::defaults(&rep, &mach);
     let r = line_search_batched(&rep, &mach, &opts, |_, c| {
         c.iter()
@@ -40,8 +39,7 @@ fn second_pass_resolves_phase_order_interactions() {
     let mach = p4e();
     let src = hil_source(BlasOp::Copy, Prec::D);
     let (_, rep) = analyze_kernel(&src, &mach).unwrap();
-    let mut opts = SearchOptions::quick();
-    opts.refine = true;
+    let opts = SearchOptions::quick();
     let cost = |p: &TransformParams| -> u64 {
         let mut c = 1000u64;
         if p.unroll >= 8 {
@@ -118,8 +116,7 @@ fn search_explores_all_prefetch_kinds() {
     let mach = p4e();
     let src = hil_source(BlasOp::Dot, Prec::D);
     let (_, rep) = analyze_kernel(&src, &mach).unwrap();
-    let mut opts = SearchOptions::quick();
-    opts.refine = false;
+    let opts = SearchOptions::quick();
     let mut kinds_seen = std::collections::HashSet::new();
     let _ = line_search_batched(&rep, &mach, &opts, |_, c| {
         c.iter()

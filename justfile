@@ -33,11 +33,6 @@ workers:
     cargo run --release -p ifko-cli -- tune kernels/ddot.hil --n 1024 \
         --workers 2
 
-# Compiler-throughput bench (candidates/sec) + regression gate
-# (`pipeline --compare`) against the committed BENCH_pipeline.json
-bench-pipeline:
-    scripts/bench_compare.sh
-
 # System benchmark package (own workspace under benchmark/): build it
 # offline against this tree's crates and run its `run --quick` smoke
 # test, so a public-API change that breaks it fails here first

@@ -1,7 +1,10 @@
 #!/usr/bin/env bash
-# The one-stop gate: formatting, lints, the full offline test suite, and a
-# quick end-to-end harness smoke (table3 --quick, which also exercises the
-# persistent evaluation cache). Everything here must pass before a merge.
+# The one-stop gate: formatting, lints, the full offline test suite, and
+# end-to-end smokes that run each binary and grep its output. Every
+# contract that can be checked in-process (determinism across jobs and
+# workers, exact work counts, the daemon's warm path) is a Tier-1 test,
+# not a step here: this script gates no wall-clock number. Everything
+# here must pass before a merge.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -39,7 +42,7 @@ step "shipping lines (scripts/size.sh)"
 # Lines under crates/*/src, tests cut: a number that may only go down.
 # Lower the ceiling whenever it does; a change that raises it says why
 # in CHANGES.md.
-size_ceiling=24874
+size_ceiling=24442
 size_total="$(scripts/size.sh | awk '{ print $1 }')"
 echo "$size_total shipping lines (ceiling $size_ceiling)"
 if [ "$size_total" -gt "$size_ceiling" ]; then
@@ -96,9 +99,6 @@ cargo run --release -p ifko-cli -- tune kernels/ddot.hil --n 512 --jobs 2 \
 # A `.hil` tune goes through the same tune driver as a BLAS one, so it
 # must count itself like one.
 grep -q ifko_tune_runs_total "$obs_tmp/explain-metrics.json"
-# A traced tune reads every candidate's predicted cycles, so it prices them.
-grep -Eq '"ifko_pipeline_predictions_total":\{"type":"counter","value":[1-9]' \
-    "$obs_tmp/explain-metrics.json"
 cargo run --release -p ifko-cli -- explain "$obs_tmp/explain.jsonl" \
     | grep -q "per-transform attribution"
 cargo run --release -p ifko-cli -- explain "$obs_tmp/explain.jsonl" --format json >/dev/null
@@ -125,24 +125,6 @@ step "harness smoke: ifko tune --workers (worker-process pool)"
 cargo run --release -p ifko-cli -- tune kernels/ddot.hil --n 1024 \
     --workers 2 > "$obs_tmp/workers.txt"
 grep -q 'iFKO best' "$obs_tmp/workers.txt"
-# Same kernel/size in-process: the pooled winner line must match
-# bit-for-bit (the merge-determinism invariant, end to end).
-cargo run --release -p ifko-cli -- tune kernels/ddot.hil --n 1024 \
-    --metrics "$obs_tmp/serial-metrics.prom" > "$obs_tmp/workers-serial.txt"
-diff <(grep 'iFKO best' "$obs_tmp/workers.txt") \
-     <(grep 'iFKO best' "$obs_tmp/workers-serial.txt")
-# Untraced and unpruned, nothing reads a prediction: the cost model never runs.
-grep -qx 'ifko_pipeline_predictions_total 0' "$obs_tmp/serial-metrics.prom"
-# And under a chaos seed above 2^53, which the handshake must carry
-# exactly: rounded, the workers replay another fault plan and both the
-# winner and the fault tally part from the serial run's.
-for w in 0 2; do
-    cargo run --release -p ifko-cli -- tune kernels/ddot.hil --n 1024 \
-        --chaos 0x20000000000001:0.3 --workers "$w" > "$obs_tmp/chaos-workers-$w.txt"
-done
-diff <(grep -E 'iFKO best|fault handling' "$obs_tmp/chaos-workers-0.txt") \
-     <(grep -E 'iFKO best|fault handling' "$obs_tmp/chaos-workers-2.txt")
-grep -q 'fault handling' "$obs_tmp/chaos-workers-2.txt"
 
 step "harness smoke: ifkod daemon (remote tune, warm hit, pack/install)"
 daemon_sock="$obs_tmp/ifkod.sock"
@@ -154,23 +136,14 @@ for _ in $(seq 50); do [ -S "$daemon_sock" ] && break; sleep 0.1; done
 cargo run --release -p ifko-cli -- daemon ping --socket "$daemon_sock"
 # First remote tune is cold; the identical repeat must answer from the
 # daemon's in-memory tuned-results index.
-daemon_sims() {
-    cargo run --release -p ifko-cli -- daemon metrics --socket "$daemon_sock" \
-        > "$obs_tmp/daemon-metrics.txt"
-    awk '$1 == "ifko_engine_simulations_total" { print $2 }' "$obs_tmp/daemon-metrics.txt"
-}
 cargo run --release -p ifko-cli -- tune kernels/ddot.hil --n 1024 \
     --remote "$daemon_sock" > "$obs_tmp/remote-cold.txt"
 grep -q 'warm start         : no' "$obs_tmp/remote-cold.txt"
-cold_sims="$(daemon_sims)"
 cargo run --release -p ifko-cli -- tune kernels/ddot.hil --n 1024 \
     --remote "$daemon_sock" > "$obs_tmp/remote-warm.txt"
 grep -q 'warm start         : yes' "$obs_tmp/remote-warm.txt"
-# The warm repeat tunes the subject the cold tune left open: it
-# re-simulates nothing, not even the stored winner.
-warm_sims="$(daemon_sims)"
-echo "daemon simulations: $cold_sims after the cold tune, $warm_sims after the warm one"
-test -n "$cold_sims" && test "$cold_sims" = "$warm_sims"
+cargo run --release -p ifko-cli -- daemon metrics --socket "$daemon_sock" \
+    > "$obs_tmp/daemon-metrics.txt"
 grep -qx 'ifkod_subjects 1' "$obs_tmp/daemon-metrics.txt"
 grep -q ifkod_requests_total "$obs_tmp/daemon-metrics.txt"
 # Pack the daemon's winners, re-verify them into a fresh results dir,
@@ -193,13 +166,5 @@ trap 'rm -rf "$obs_tmp"' EXIT
 step "harness smoke: figure7 --quick (sample trace)"
 cargo run --release -p ifko-bench --bin figure7 -- --quick >/dev/null
 test -s results/traces/figure7-quick.jsonl
-
-step "pipeline throughput vs committed baseline (bench_compare)"
-# Short reps keep the gate fast; rates are calibration-normalized, so a
-# slower machine than the baseline's is fine. IFKO_BENCH_TOL loosens
-# the 10% floor; IFKO_BENCH_ATTEMPTS bounds re-benching on transient
-# host slowdowns. The run it writes under results/ is gitignored: the
-# gate leaves the tree clean.
-IFKO_BENCH_SECS="${IFKO_BENCH_SECS:-0.25}" scripts/bench_compare.sh
 
 printf '\nAll checks passed.\n'
