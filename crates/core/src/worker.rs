@@ -892,4 +892,37 @@ mod tests {
         let v = parse_json(&eval_response(10, &rej)).unwrap();
         assert_eq!(parse_eval_record(&v).unwrap().cycles, None);
     }
+
+    #[test]
+    fn eval_records_round_trip_over_seeded_values() {
+        let mut r = ifko_xsim::Rng64::seed_from_u64(0xe7a1);
+        let wide = |r: &mut ifko_xsim::Rng64| match r.range_usize(4) {
+            0 => u64::MAX,
+            1 => (1 << 53) + 1,
+            _ => r.next_u64(),
+        };
+        for _ in 0..200 {
+            let mut stats = ifko_xsim::RunStats::default();
+            for (_, _, set) in ifko_xsim::RunStats::FIELDS {
+                set(&mut stats, wide(&mut r));
+            }
+            let narrow = |r: &mut ifko_xsim::Rng64| match r.range_usize(3) {
+                0 => u32::MAX,
+                _ => r.next_u64() as u32,
+            };
+            let rec = EvalRecord {
+                cycles: r.gen_bool(0.5).then(|| wide(&mut r)),
+                stats: r.gen_bool(0.5).then_some(stats),
+                retries: narrow(&mut r),
+                faults: narrow(&mut r),
+                outliers: narrow(&mut r),
+                failed: r.gen_bool(0.5),
+            };
+            let id = wide(&mut r);
+            let v = parse_json(&eval_response(id, &rec)).unwrap();
+            assert_eq!(v.get("id").and_then(Json::as_u64), Some(id));
+            let back = parse_eval_record(&v).unwrap();
+            assert_eq!(format!("{back:?}"), format!("{rec:?}"));
+        }
+    }
 }

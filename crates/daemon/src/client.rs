@@ -288,4 +288,41 @@ mod tests {
         let empty = parse_json("{\"cmd\":\"tune\"}").unwrap();
         assert!(TuneRequest::from_json(&empty).is_err());
     }
+
+    #[test]
+    fn tune_requests_round_trip_over_seeded_values() {
+        const ALPHABET: &[char] = &['a', 'Z', '0', ' ', '"', '\\', '\n', '\u{1}', 'é', '😀'];
+        let mut r = ifko_xsim::Rng64::seed_from_u64(0x7e9);
+        let string = |r: &mut ifko_xsim::Rng64| -> String {
+            let len = r.range_usize(10);
+            (0..len)
+                .map(|_| ALPHABET[r.range_usize(ALPHABET.len())])
+                .collect()
+        };
+        for _ in 0..300 {
+            let maybe = |r: &mut ifko_xsim::Rng64| r.gen_bool(0.5).then(|| string(r));
+            let kernel = maybe(&mut r);
+            let src = maybe(&mut r).or_else(|| kernel.is_none().then(String::new));
+            let req = TuneRequest {
+                kernel,
+                src,
+                machine: maybe(&mut r).unwrap_or_default(),
+                context: maybe(&mut r).unwrap_or_default(),
+                n: r.gen_bool(0.5).then(|| match r.range_usize(3) {
+                    0 => usize::MAX,
+                    1 => u32::MAX as usize,
+                    _ => r.next_u64() as usize,
+                }),
+                seed: r.gen_bool(0.5).then(|| match r.range_usize(3) {
+                    0 => u64::MAX,
+                    _ => r.next_u64(),
+                }),
+                full: r.gen_bool(0.5),
+                strategy: maybe(&mut r),
+                budget: maybe(&mut r),
+            };
+            let wire = parse_json(&req.to_json()).expect("to_json writes JSON");
+            assert_eq!(TuneRequest::from_json(&wire), Ok(req));
+        }
+    }
 }
