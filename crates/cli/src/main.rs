@@ -9,6 +9,7 @@
 
 use ifko::artifact;
 use ifko::flags::{self, Given, TuneFlags};
+use ifko::json::{obj, Array, Raw};
 use ifko::report::{parse_json, read_trace, report_files, Json, ReportFormat};
 use ifko::strategy::db::params_from_json;
 use ifko::strategy::TunedDb;
@@ -141,11 +142,8 @@ fn cmd_lint(given: &Given) -> Result<bool, String> {
             .count();
         if json {
             let diags: Vec<String> = diags.iter().map(Diagnostic::to_json).collect();
-            let file = ifko_fko::diag::json_escape(file);
-            out_json.push(format!(
-                "{{\"file\":\"{file}\",\"diagnostics\":[{}]}}",
-                diags.join(",")
-            ));
+            let diags = Array(diags.iter().map(|d| Raw(d)));
+            out_json.push(obj().field("file", file).field("diagnostics", diags));
         } else {
             for d in &diags {
                 println!("{file}: {}", d.render_text());
@@ -153,8 +151,9 @@ fn cmd_lint(given: &Given) -> Result<bool, String> {
         }
     }
     if json {
-        let files = out_json.join(",");
-        println!("{{\"files\":[{files}],\"errors\":{errors},\"warnings\":{warnings}}}");
+        let out = obj().field("files", Array(&out_json));
+        let out = out.field("errors", errors).field("warnings", warnings);
+        println!("{}", out.finish());
     } else {
         println!(
             "{} file(s) checked: {errors} error(s), {warnings} warning(s)",
@@ -481,7 +480,9 @@ fn cmd_db(given: &Given) -> Result<(), String> {
     };
     if json {
         if sub == "prune" {
-            println!("{{\"pruned\":{pruned},\"stats\":{}}}", stats.to_json());
+            let stats = stats.to_json();
+            let out = obj().field("pruned", pruned).field("stats", Raw(&stats));
+            println!("{}", out.finish());
         } else {
             println!("{}", stats.to_json());
         }

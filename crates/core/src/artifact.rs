@@ -25,7 +25,7 @@
 //! probe.
 
 use crate::eval::{fnv64, machine_fingerprint};
-use crate::json::{esc, parse_json};
+use crate::json::{obj, parse_json};
 use crate::runner::Context;
 use crate::search::SearchOptions;
 use crate::strategy::db::{parse_record, record_json};
@@ -63,13 +63,13 @@ pub fn pack_records(rev: &str, records: &[TunedRecord]) -> String {
         body.push_str(&record_json(rec));
         body.push('\n');
     }
-    let checksum = fnv64(body.as_bytes());
-    format!(
-        "{{\"magic\":\"{MAGIC}\",\"version\":{VERSION},\"rev\":\"{}\",\"records\":{},\
-         \"checksum\":\"{checksum:016x}\"}}\n{body}",
-        esc(rev),
-        recs.len(),
-    )
+    let manifest = obj()
+        .field("magic", MAGIC)
+        .field("version", VERSION)
+        .field("rev", rev)
+        .field("records", recs.len())
+        .field("checksum", format!("{:016x}", fnv64(body.as_bytes())));
+    format!("{}\n{body}", manifest.finish())
 }
 
 /// Parse and validate artifact text: magic, version, record count, and
@@ -79,27 +79,23 @@ pub fn parse(text: &str) -> Result<Artifact, String> {
         .split_once('\n')
         .ok_or_else(|| "empty artifact".to_string())?;
     let m = parse_json(manifest.trim()).ok_or_else(|| "unparseable manifest".to_string())?;
-    let magic = m.get("magic").and_then(|j| j.as_str()).unwrap_or("");
-    if magic != MAGIC {
+    let manifest_field = |e| format!("manifest: {e}");
+    let magic = m.field::<&str>("magic").map_err(manifest_field)?;
+    if magic != Some(MAGIC) {
         return Err(format!(
-            "bad magic {magic:?}: not an ifko tune-cache artifact"
+            "bad magic {:?}: not an ifko tune-cache artifact",
+            magic.unwrap_or("")
         ));
     }
-    let version = m.get("version").and_then(|j| j.as_u64()).unwrap_or(0);
+    let version: u64 = m.req("version").map_err(manifest_field)?;
     if version != VERSION {
         return Err(format!(
             "unsupported artifact version {version} (expected {VERSION})"
         ));
     }
-    let expect_n = m
-        .get("records")
-        .and_then(|j| j.as_u64())
-        .ok_or_else(|| "manifest missing record count".to_string())?;
-    let expect_sum = m
-        .get("checksum")
-        .and_then(|j| j.as_str())
-        .ok_or_else(|| "manifest missing checksum".to_string())?
-        .to_string();
+    let expect_n: u64 = m.req("records").map_err(manifest_field)?;
+    let expect_sum: &str = m.req("checksum").map_err(manifest_field)?;
+    let rev: Option<String> = m.field("rev").map_err(manifest_field)?;
     let got_sum = format!("{:016x}", fnv64(body.as_bytes()));
     if got_sum != expect_sum {
         return Err(format!(
@@ -122,11 +118,7 @@ pub fn parse(text: &str) -> Result<Artifact, String> {
         ));
     }
     Ok(Artifact {
-        rev: m
-            .get("rev")
-            .and_then(|j| j.as_str())
-            .unwrap_or("unknown")
-            .to_string(),
+        rev: rev.unwrap_or_else(|| "unknown".to_string()),
         records,
     })
 }

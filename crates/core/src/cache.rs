@@ -7,7 +7,7 @@
 
 use crate::fault::FaultPlan;
 use crate::journal::{self, Journal};
-use crate::json::{esc, parse_json, Json};
+use crate::json::{obj, parse_json};
 use crate::metrics::{self, Counter, Gauge, Histogram};
 use std::collections::HashMap;
 use std::path::Path;
@@ -138,21 +138,14 @@ impl EvalCache {
 
 /// Serialize one cache entry as a journal line (no trailing newline).
 fn cache_line(key: &str, val: Option<u64>) -> String {
-    match val {
-        Some(c) => format!("{{\"key\":\"{}\",\"cycles\":{c}}}", esc(key)),
-        None => format!("{{\"key\":\"{}\",\"cycles\":null}}", esc(key)),
-    }
+    obj().field("key", key).field("cycles", val).finish()
 }
 
 /// Parse one `{"key":"...","cycles":N|null}` line (the shape
 /// [`cache_line`] writes). Returns `None` on any malformed line.
 fn parse_entry(line: &str) -> Option<(String, Option<u64>)> {
     let v = parse_json(line)?;
-    let key = v.get("key")?.as_str()?.to_string();
-    match v.get("cycles")? {
-        Json::Null => Some((key, None)),
-        c => Some((key, Some(c.as_u64()?))),
-    }
+    Some((v.req("key").ok()?, v.req("cycles").ok()?))
 }
 
 #[cfg(test)]

@@ -25,9 +25,9 @@
 //! the same ids: a rendering reads one trace, never a merge of several.
 
 use crate::eval::{EvalEvent, SearchEvent, SpanEvent};
-use crate::json::esc;
+use crate::json::{obj, Fixed, Obj, Raw};
+use ifko_xsim::RunStats;
 use std::collections::HashMap;
-use std::fmt::Write as _;
 
 const SPAN_TID: u64 = 1;
 const EVAL_TID: u64 = 2;
@@ -35,31 +35,19 @@ const EVAL_TID: u64 = 2;
 /// Render an event stream as a Chrome trace JSON string. Deterministic
 /// for a given input.
 pub fn render_chrome(events: &[SearchEvent]) -> String {
-    let mut out = String::from("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n");
-    let mut first = true;
-    let mut push = |out: &mut String, line: String| {
-        if !std::mem::take(&mut first) {
-            out.push_str(",\n");
-        }
-        out.push_str(&line);
-    };
+    // One event a line.
+    let mut lines: Vec<String> = Vec::new();
 
     // Track names.
+    let meta = |tid: u64, what: &str, name: &str| {
+        let args = obj().field("name", name);
+        let o = obj().field("ph", "M").field("pid", 1u64).field("tid", tid);
+        o.field("name", what).field("args", args).finish()
+    };
     for (tid, name) in [(SPAN_TID, "pipeline spans"), (EVAL_TID, "candidates")] {
-        push(
-            &mut out,
-            format!(
-                "{{\"ph\":\"M\",\"pid\":1,\"tid\":{tid},\"name\":\"thread_name\",\
-                 \"args\":{{\"name\":\"{name}\"}}}}"
-            ),
-        );
+        lines.push(meta(tid, "thread_name", name));
     }
-    push(
-        &mut out,
-        "{\"ph\":\"M\",\"pid\":1,\"tid\":1,\"name\":\"process_name\",\
-         \"args\":{\"name\":\"ifko tune\"}}"
-            .to_string(),
-    );
+    lines.push(meta(1, "process_name", "ifko tune"));
 
     // --- Span track: synthesized nested timeline -------------------------
     let spans: Vec<&SpanEvent> = events
@@ -104,19 +92,12 @@ pub fn render_chrome(events: &[SearchEvent]) -> String {
     placed.sort_by_key(|&(_, ts, dur)| (ts, std::cmp::Reverse(dur)));
     for (idx, ts, dur) in placed {
         let s = spans[idx];
-        push(
-            &mut out,
-            format!(
-                "{{\"ph\":\"X\",\"pid\":1,\"tid\":{SPAN_TID},\"name\":\"{}\",\"cat\":\"span\",\
-                 \"ts\":{ts},\"dur\":{dur},\"args\":{{\"scope\":\"{}\",\"id\":{},\
-                 \"parent\":{},\"wall_us\":{}}}}}",
-                esc(&s.stage),
-                esc(&s.scope),
-                s.id,
-                s.parent.map_or("null".to_string(), |p| p.to_string()),
-                s.wall_us,
-            ),
-        );
+        let args = obj()
+            .field("scope", &s.scope)
+            .field("id", s.id)
+            .field("parent", s.parent)
+            .field("wall_us", s.wall_us);
+        lines.push(slice(SPAN_TID, &s.stage, "span", ts, dur, args));
     }
 
     // --- Candidate track: one slice per evaluation, in trace order -------
@@ -124,12 +105,23 @@ pub fn render_chrome(events: &[SearchEvent]) -> String {
     for e in events {
         let SearchEvent::Eval(e) = e else { continue };
         let dur = e.wall_us.max(1);
-        push(&mut out, eval_slice(e, ets, dur));
+        lines.push(eval_slice(e, ets, dur));
         ets += dur;
     }
 
-    out.push_str("\n]}\n");
-    out
+    let events = format!("[\n{}\n]", lines.join(",\n"));
+    let chrome = obj().field("displayTimeUnit", "ms");
+    chrome.field("traceEvents", Raw(&events)).finish() + "\n"
+}
+
+/// One complete (`"ph":"X"`) slice on track `tid`.
+fn slice(tid: u64, name: &str, cat: &str, ts: u64, dur: u64, args: Obj) -> String {
+    let o = obj().field("ph", "X").field("pid", 1u64).field("tid", tid);
+    let o = o.field("name", name).field("cat", cat);
+    o.field("ts", ts)
+        .field("dur", dur)
+        .field("args", args)
+        .finish()
 }
 
 fn eval_slice(e: &EvalEvent, ts: u64, dur: u64) -> String {
@@ -141,44 +133,23 @@ fn eval_slice(e: &EvalEvent, ts: u64, dur: u64) -> String {
     } else if e.failed {
         name.push_str(" (failed)");
     }
-    let mut args = format!(
-        "{{\"scope\":\"{}\",\"params\":\"{}\",\"cycles\":{},\"verified\":{},\
-         \"cache_hit\":{}",
-        esc(&e.scope),
-        esc(&e.params),
-        e.cycles.map_or("null".to_string(), |c| c.to_string()),
-        e.verified,
-        e.cache_hit,
-    );
-    if !e.strategy.is_empty() {
-        let _ = write!(args, ",\"strategy\":\"{}\"", esc(&e.strategy));
-    }
-    if let Some(p) = &e.pruned {
-        let _ = write!(args, ",\"pruned\":\"{}\"", esc(p));
-    }
-    if e.retries > 0 {
-        let _ = write!(args, ",\"retries\":{}", e.retries);
-    }
-    if e.faults > 0 {
-        let _ = write!(args, ",\"faults\":{}", e.faults);
-    }
-    if let Some(st) = &e.stats {
-        let _ = write!(
-            args,
-            ",\"ipc\":{:.4},\"l1_miss_ratio\":{:.4},\"l2_miss_ratio\":{:.4},\
-             \"prefetch_efficacy\":{:.4}",
-            st.ipc(),
-            st.l1_miss_ratio(),
-            st.l2_miss_ratio(),
-            st.prefetch_efficacy()
-        );
-    }
-    args.push('}');
-    format!(
-        "{{\"ph\":\"X\",\"pid\":1,\"tid\":{EVAL_TID},\"name\":\"{}\",\"cat\":\"eval\",\
-         \"ts\":{ts},\"dur\":{dur},\"args\":{args}}}",
-        esc(&name),
-    )
+    let stats = e.stats.as_ref();
+    let ratio = |f: fn(&RunStats) -> f64| stats.map(|st| Fixed(f(st), 4));
+    let args = obj()
+        .field("scope", &e.scope)
+        .field("params", &e.params)
+        .field("cycles", e.cycles)
+        .field("verified", e.verified)
+        .field("cache_hit", e.cache_hit)
+        .maybe("strategy", Some(&e.strategy).filter(|s| !s.is_empty()))
+        .maybe("pruned", e.pruned.as_ref())
+        .maybe("retries", Some(e.retries).filter(|&n| n > 0))
+        .maybe("faults", Some(e.faults).filter(|&n| n > 0))
+        .maybe("ipc", ratio(RunStats::ipc))
+        .maybe("l1_miss_ratio", ratio(RunStats::l1_miss_ratio))
+        .maybe("l2_miss_ratio", ratio(RunStats::l2_miss_ratio))
+        .maybe("prefetch_efficacy", ratio(RunStats::prefetch_efficacy));
+    slice(EVAL_TID, &name, "eval", ts, dur, args)
 }
 
 #[cfg(test)]

@@ -394,7 +394,7 @@ impl TuneConfig {
 /// A kernel or source opened for tuning ([`TuneConfig::open`],
 /// [`TuneConfig::open_source`]): its compile session, operands and
 /// oracle, kept between tunes by [`TuneConfig::tune_opened`].
-pub struct Opened(pub(crate) Subject<'static>);
+pub struct Opened(pub(crate) Subject);
 
 impl std::fmt::Debug for TuneConfig {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {

@@ -4,7 +4,7 @@
 //! and cells, Markdown with `##` headings and pipe tables, JSON as an
 //! array of `{"heading"}`, `{"line"}` and `{"table"}` blocks.
 
-use crate::json::esc;
+use crate::json::{obj, Obj, Raw};
 use std::fmt::Display;
 
 /// Which rendering of a [`Doc`] a command prints.
@@ -24,11 +24,6 @@ impl ReportFormat {
             _ => None,
         }
     }
-}
-
-/// A JSON string literal.
-fn quote(s: &str) -> String {
-    format!("\"{}\"", esc(s))
 }
 
 /// One column of a [`Table`]: its heading, the width cells are padded
@@ -142,10 +137,9 @@ impl Table {
     fn json(&self) -> String {
         let rows = self.rows.iter().map(|cells| {
             let cells = self.cols.iter().zip(cells);
-            let cells: Vec<String> = cells
-                .map(|(c, cell)| format!("{}:{}", quote(c.head), quote(cell)))
-                .collect();
-            format!("{{{}}}", cells.join(","))
+            cells
+                .fold(obj(), |o, (c, cell)| o.field(c.head, cell))
+                .finish()
         });
         rows.collect::<Vec<_>>().join(",\n")
     }
@@ -216,11 +210,12 @@ impl Doc {
             .0
             .iter()
             .filter_map(|b| match b {
-                Block::Heading(h) => Some(format!("{{\"heading\":{}}}", quote(h))),
+                Block::Heading(h) => Some(obj().field("heading", h)),
                 Block::Line(l) if l.is_empty() => None,
-                Block::Line(l) => Some(format!("{{\"line\":{}}}", quote(l))),
-                Block::Table(t) => Some(format!("{{\"table\":[{}]}}", t.json())),
+                Block::Line(l) => Some(obj().field("line", l)),
+                Block::Table(t) => Some(obj().field("table", Raw(&format!("[{}]", t.json())))),
             })
+            .map(Obj::finish)
             .collect();
         format!("[{}]\n", blocks.join(",\n"))
     }

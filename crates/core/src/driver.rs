@@ -57,10 +57,7 @@ impl std::error::Error for TuneError {}
 /// the database store, the final report, and the run-level spans and
 /// metrics — so whatever is tuned, a tune is traced, counted, persisted
 /// and reported the same way.
-pub(crate) fn tune_subject(
-    subject: &Subject<'_>,
-    cfg: &TuneConfig,
-) -> Result<TuneOutcome, TuneError> {
+pub(crate) fn tune_subject(subject: &Subject, cfg: &TuneConfig) -> Result<TuneOutcome, TuneError> {
     let scope = &subject.scope;
     let fail = |what: &str| TuneError(format!("{}: {what}", scope.kernel));
     // A subject's first tune reports its open: the root span starts there

@@ -57,8 +57,8 @@
 //! * [`report`] and [`explain`] — the trace analyzers, over one trace
 //!   fold, printing text and Markdown through `doc` (crate-private), the
 //!   one document model of heading, line and table blocks;
-//! * [`json`] — the one JSON reader; its [`esc`](json::esc) re-exports
-//!   the one string escaper, `ifko_fko::diag::json_escape`.
+//! * [`json`] — the one JSON codec: one object writer and one typed
+//!   field reader; [`esc`](json::esc) is `ifko_fko::diag::json_escape`.
 //!
 //! Most users want the [`prelude`]:
 //!

@@ -32,7 +32,7 @@
 //! deliberate simplification that keeps the registry a flat string map
 //! while still rendering as proper Prometheus labels.
 
-use crate::json::esc;
+use crate::json::{obj, Array};
 use std::collections::HashMap;
 use std::path::Path;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
@@ -277,37 +277,24 @@ impl MetricsRegistry {
     /// render as `{"type":...,"value":N}`; histograms include bucket
     /// bounds, per-bucket counts, total count, and sum.
     pub fn to_json(&self) -> String {
-        let mut s = String::from("{");
-        for (i, m) in self.snapshot().iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!("\"{}\":", esc(&m.name)));
-            match &m.value {
-                MetricValue::Counter(v) => {
-                    s.push_str(&format!("{{\"type\":\"counter\",\"value\":{v}}}"))
-                }
-                MetricValue::Gauge(v) => {
-                    s.push_str(&format!("{{\"type\":\"gauge\",\"value\":{v}}}"))
-                }
-                MetricValue::Histogram {
-                    bounds,
-                    counts,
-                    count,
-                    sum,
-                } => {
-                    let b: Vec<String> = bounds.iter().map(|v| v.to_string()).collect();
-                    let c: Vec<String> = counts.iter().map(|v| v.to_string()).collect();
-                    s.push_str(&format!(
-                        "{{\"type\":\"histogram\",\"bounds\":[{}],\"counts\":[{}],\"count\":{count},\"sum\":{sum}}}",
-                        b.join(","),
-                        c.join(","),
-                    ));
-                }
-            }
-        }
-        s.push('}');
-        s
+        let reading = |value: &MetricValue| match value {
+            MetricValue::Counter(v) => obj().field("type", "counter").field("value", v),
+            MetricValue::Gauge(v) => obj().field("type", "gauge").field("value", v),
+            MetricValue::Histogram {
+                bounds,
+                counts,
+                count,
+                sum,
+            } => obj()
+                .field("type", "histogram")
+                .field("bounds", Array(bounds))
+                .field("counts", Array(counts))
+                .field("count", count)
+                .field("sum", sum),
+        };
+        let snapshot = self.snapshot().into_iter();
+        let o = snapshot.fold(obj(), |o, m| o.field(&m.name, reading(&m.value)));
+        o.finish()
     }
 
     /// Prometheus text exposition format (one `# TYPE` line per family;

@@ -12,10 +12,10 @@
 //! free to contain embedded newlines — packed artifacts and HIL kernel
 //! sources ride inside JSON strings. A frame longer than [`MAX_FRAME`]
 //! is rejected before allocation, so a corrupt or adversarial length
-//! word cannot balloon memory. JSON parsing reuses the repo's
-//! hand-rolled [`crate::json::parse_json`]; serialization is the same
-//! hand-written style as the rest of the codebase — no external crates
-//! on either end.
+//! word cannot balloon memory. Payloads are written by the object
+//! writer of [`crate::json`] and read by its typed field reader, the
+//! codec every trace line and journal record goes through too — no
+//! external crates on either end.
 //!
 //! Two subsystems speak this framing: the `ifkod` daemon (over its Unix
 //! socket) and the [`crate::worker`] evaluation pool (over per-worker
@@ -122,41 +122,16 @@ pub fn read_frame(r: &mut impl Read) -> std::io::Result<Option<String>> {
 }
 
 pub use crate::json::esc;
+use crate::json::obj;
 
 /// Build an error response.
 pub fn error_response(msg: &str) -> String {
-    format!("{{\"ok\":false,\"error\":\"{}\"}}", esc(msg))
+    obj().field("ok", false).field("error", msg).finish()
 }
 
 /// Build a trivial success response.
 pub fn ok_response() -> String {
-    "{\"ok\":true}".to_string()
-}
-
-/// One field of a JSON object under construction.
-pub enum Field<'a> {
-    Str(&'a str, &'a str),
-    Num(&'a str, u64),
-    Float(&'a str, f64),
-    Bool(&'a str, bool),
-    /// Pre-serialized JSON (an object/array) spliced in verbatim.
-    Raw(&'a str, String),
-}
-
-/// Serialize an `"ok":true` object with the given fields.
-pub fn object(fields: &[Field]) -> String {
-    let mut s = String::from("{\"ok\":true");
-    for f in fields {
-        match f {
-            Field::Str(k, v) => s.push_str(&format!(",\"{k}\":\"{}\"", esc(v))),
-            Field::Num(k, v) => s.push_str(&format!(",\"{k}\":{v}")),
-            Field::Float(k, v) => s.push_str(&format!(",\"{k}\":{v:.6}")),
-            Field::Bool(k, v) => s.push_str(&format!(",\"{k}\":{v}")),
-            Field::Raw(k, v) => s.push_str(&format!(",\"{k}\":{v}")),
-        }
-    }
-    s.push('}');
-    s
+    obj().field("ok", true).finish()
 }
 
 #[cfg(test)]
@@ -192,25 +167,5 @@ mod tests {
         // EOF mid-length-word is an error too.
         let mut r = std::io::Cursor::new(vec![0u8, 0]);
         assert!(read_frame(&mut r).is_err());
-    }
-
-    #[test]
-    fn object_serializes_and_escapes() {
-        let s = object(&[
-            Field::Str("name", "a\"b\nc"),
-            Field::Num("n", 42),
-            Field::Bool("warm", true),
-            Field::Raw("params", "{\"x\":1}".to_string()),
-        ]);
-        let v = crate::json::parse_json(&s).unwrap();
-        assert_eq!(v.get("ok").and_then(|j| j.as_bool()), Some(true));
-        assert_eq!(v.get("name").and_then(|j| j.as_str()), Some("a\"b\nc"));
-        assert_eq!(v.get("n").and_then(|j| j.as_u64()), Some(42));
-        assert_eq!(
-            v.get("params")
-                .and_then(|p| p.get("x"))
-                .and_then(|j| j.as_u64()),
-            Some(1)
-        );
     }
 }

@@ -23,14 +23,11 @@
 //! bit-identical for any `jobs` count (the determinism invariant; see
 //! `crates/core/src/eval.rs`).
 
-use crate::eval::{EvalEngine, Tally};
+use crate::eval::Tally;
 use crate::fault::FaultPlan;
-use crate::runner::Context;
 use crate::strategy::DriverResult;
-use crate::subject::Subject;
 use crate::timer::Timer;
-use ifko_blas::{Kernel, Workload};
-use ifko_fko::{AnalysisReport, CompileSession, TransformParams};
+use ifko_fko::{AnalysisReport, TransformParams};
 use ifko_xsim::MachineConfig;
 
 /// Which phase of the line search produced a gain.
@@ -217,29 +214,6 @@ impl SearchResult {
 
 /// Phase label used for the seeding evaluation (FKO defaults).
 pub const PHASE_SEED: &str = "SEED";
-
-/// Run the modified line search for a BLAS kernel on the caller's
-/// compile session with a private serial engine (compile + verify +
-/// time, memoized): the engine-backed rung over the
-/// [`line_search_batched`] skeleton.
-pub fn line_search(
-    sess: &CompileSession,
-    kernel: Kernel,
-    workload: &Workload,
-    context: Context,
-    machine: &MachineConfig,
-    opts: &SearchOptions,
-) -> SearchResult {
-    let subject = Subject::on_session(sess, kernel, workload, context, machine, opts);
-    crate::strategy::run_search(
-        &subject,
-        &EvalEngine::new(1),
-        crate::strategy::StrategySpec::Line,
-        crate::strategy::Budget::unlimited(),
-        None,
-        None,
-    )
-}
 
 /// The search skeleton over a *batch* evaluator: each 1-D phase submits
 /// its whole candidate sweep as one call. The returned vector must be
@@ -470,20 +444,17 @@ pub fn line_search_batched(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ifko_blas::hil_src::hil_source;
+    use crate::runner::Context;
+    use crate::TuneConfig;
     use ifko_blas::ops::BlasOp;
+    use ifko_blas::Kernel;
     use ifko_xsim::isa::Prec;
-    use ifko_xsim::p4e;
 
     fn search_kernel(op: BlasOp, n: usize, ctx: Context) -> SearchResult {
-        let mach = p4e();
-        let src = hil_source(op, Prec::D);
-        let sess = CompileSession::from_source(&src, &mach).unwrap();
-        let kernel = Kernel { op, prec: Prec::D };
-        let w = Workload::generate(n, 42);
         let mut opts = SearchOptions::quick();
         opts.timer = Timer::exact();
-        line_search(&sess, kernel, &w, ctx, &mach, &opts)
+        let cfg = TuneConfig::quick(n).context(ctx).seed(42).search(opts);
+        cfg.tune(Kernel { op, prec: Prec::D }).unwrap().result
     }
 
     #[test]

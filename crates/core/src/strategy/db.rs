@@ -28,7 +28,7 @@
 
 use crate::fault::FaultPlan;
 use crate::journal::{self, Journal};
-use crate::json::{esc, parse_json, Json};
+use crate::json::{obj, parse_json, Array, FieldError, Fixed, Json, Raw};
 use crate::metrics;
 use ifko_fko::ir::PtrId;
 use ifko_fko::{PrefSpec, TransformParams};
@@ -105,14 +105,13 @@ impl DbStats {
     /// JSON rendering (one object; `ifko db stats --format json` and the
     /// daemon's `stats` response both emit it).
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\"live\":{},\"file_lines\":{},\"dead\":{},\"dead_ratio\":{:.4},\"bytes\":{}}}",
-            self.live,
-            self.file_lines,
-            self.dead(),
-            self.dead_ratio(),
-            self.bytes
-        )
+        obj()
+            .field("live", self.live)
+            .field("file_lines", self.file_lines)
+            .field("dead", self.dead())
+            .field("dead_ratio", Fixed(self.dead_ratio(), 4))
+            .field("bytes", self.bytes)
+            .finish()
     }
 }
 
@@ -358,33 +357,24 @@ fn short_rev(h: &str) -> String {
 /// Serialize a parameter point as a stable JSON object (field names
 /// abbreviated like the Table 3 rows).
 pub fn params_json(p: &TransformParams) -> String {
-    let pf: Vec<String> = p
-        .prefetch
-        .iter()
-        .map(|s| {
-            format!(
-                "{{\"ptr\":{},\"kind\":{},\"dist\":{}}}",
-                s.ptr.0,
-                s.kind
-                    .map_or("null".to_string(), |k| format!("\"{}\"", k.abbrev())),
-                s.dist
-            )
-        })
-        .collect();
-    format!(
-        "{{\"simd\":{},\"unroll\":{},\"ae\":{},\"wnt\":{},\"lc\":{},\"cisc\":{},\
-         \"copy_prop\":{},\"dce\":{},\"branch_cleanup\":{},\"pf\":[{}]}}",
-        p.simd,
-        p.unroll,
-        p.accum_expand,
-        p.wnt,
-        p.loop_control,
-        p.cisc_memops,
-        p.copy_prop,
-        p.dead_code_elim,
-        p.branch_cleanup,
-        pf.join(",")
-    )
+    let pf = p.prefetch.iter().map(|s| {
+        obj()
+            .field("ptr", s.ptr.0)
+            .field("kind", s.kind.map(PrefKind::abbrev))
+            .field("dist", s.dist)
+    });
+    obj()
+        .field("simd", p.simd)
+        .field("unroll", p.unroll)
+        .field("ae", p.accum_expand)
+        .field("wnt", p.wnt)
+        .field("lc", p.loop_control)
+        .field("cisc", p.cisc_memops)
+        .field("copy_prop", p.copy_prop)
+        .field("dce", p.dead_code_elim)
+        .field("branch_cleanup", p.branch_cleanup)
+        .field("pf", Array(pf))
+        .finish()
 }
 
 fn kind_from_abbrev(s: &str) -> Option<PrefKind> {
@@ -400,84 +390,80 @@ fn kind_from_abbrev(s: &str) -> Option<PrefKind> {
 
 /// Parse a [`params_json`] object back into a point.
 pub fn params_from_json(v: &Json) -> Option<TransformParams> {
+    read_params(v).ok()
+}
+
+fn read_params(v: &Json) -> Result<TransformParams, FieldError> {
     let mut prefetch = Vec::new();
-    if let Json::Arr(items) = v.get("pf")? {
-        for item in items {
-            let kind = match item.get("kind")? {
-                Json::Null => None,
-                k => Some(kind_from_abbrev(k.as_str()?)?),
-            };
-            prefetch.push(PrefSpec {
-                ptr: PtrId(item.get("ptr")?.as_u32()?),
-                kind,
-                dist: item.get("dist")?.as_i64()?,
-            });
-        }
-    } else {
-        return None;
+    for item in v.req::<&[Json]>("pf")? {
+        let kind = match item.req::<Option<&str>>("kind")? {
+            None => None,
+            Some(k) => Some(kind_from_abbrev(k).ok_or(FieldError::Wrong {
+                field: "kind".to_string(),
+                want: "a prefetch kind",
+            })?),
+        };
+        prefetch.push(PrefSpec {
+            ptr: PtrId(item.req("ptr")?),
+            kind,
+            dist: item.req("dist")?,
+        });
     }
-    Some(TransformParams {
-        simd: v.get("simd")?.as_bool()?,
-        unroll: v.get("unroll")?.as_u32()?,
-        accum_expand: v.get("ae")?.as_u32()?,
-        wnt: v.get("wnt")?.as_bool()?,
+    Ok(TransformParams {
+        simd: v.req("simd")?,
+        unroll: v.req("unroll")?,
+        accum_expand: v.req("ae")?,
+        wnt: v.req("wnt")?,
         prefetch,
-        loop_control: v.get("lc")?.as_bool()?,
-        cisc_memops: v.get("cisc")?.as_bool()?,
-        copy_prop: v.get("copy_prop")?.as_bool()?,
-        dead_code_elim: v.get("dce")?.as_bool()?,
-        branch_cleanup: v.get("branch_cleanup")?.as_bool()?,
+        loop_control: v.req("lc")?,
+        cisc_memops: v.req("cisc")?,
+        copy_prop: v.req("copy_prop")?,
+        dead_code_elim: v.req("dce")?,
+        branch_cleanup: v.req("branch_cleanup")?,
     })
 }
 
 /// Serialize a record as one stable JSONL line — the on-disk and
-/// artifact wire format.
+/// artifact wire format. The static feature vector rides at the end,
+/// only when present, so records without one keep the older bytes.
 pub fn record_json(rec: &TunedRecord) -> String {
-    let mut s = format!(
-        "{{\"key\":\"{}\",\"kernel\":\"{}\",\"prec\":\"{}\",\"machine\":\"{}\",\
-         \"context\":\"{}\",\"rev\":\"{}\",\"n\":{},\"seed\":{},\"strategy\":\"{}\",\
-         \"cycles\":{},\"params\":{}",
-        esc(&rec.key),
-        esc(&rec.kernel),
-        esc(&rec.prec),
-        esc(&rec.machine),
-        esc(&rec.context),
-        esc(&rec.rev),
-        rec.n,
-        rec.seed,
-        esc(&rec.strategy),
-        rec.cycles,
-        params_json(&rec.params)
-    );
-    // Static feature vector rides at the end, only when present, so
-    // records without one stay byte-identical to the older format.
-    if let Some(f) = &rec.features {
-        let vals: Vec<String> = f.iter().map(|v| format!("{v:.6}")).collect();
-        s.push_str(&format!(",\"sfv\":[{}]", vals.join(",")));
-    }
-    s.push('}');
-    s
+    let sfv = rec.features.as_ref();
+    obj()
+        .field("key", &rec.key)
+        .field("kernel", &rec.kernel)
+        .field("prec", &rec.prec)
+        .field("machine", &rec.machine)
+        .field("context", &rec.context)
+        .field("rev", &rec.rev)
+        .field("n", rec.n)
+        .field("seed", rec.seed)
+        .field("strategy", &rec.strategy)
+        .field("cycles", rec.cycles)
+        .field("params", Raw(&params_json(&rec.params)))
+        .maybe("sfv", sfv.map(|f| Array(f.iter().map(|&v| Fixed(v, 6)))))
+        .finish()
 }
 
-/// Parse one [`record_json`] line back into a record.
+/// Parse one [`record_json`] line back into a record: `None` for a
+/// malformed one. Records from older revisions carry no `sfv`.
 pub fn parse_record(line: &str) -> Option<TunedRecord> {
-    let v = parse_json(line.trim())?;
-    // Tolerant: records from older revisions carry no `sfv` field, and a
-    // malformed one degrades to None rather than dropping the record.
-    let features = v.get("sfv").and_then(Json::as_f64s);
-    Some(TunedRecord {
-        key: v.get("key")?.as_str()?.to_string(),
-        kernel: v.get("kernel")?.as_str()?.to_string(),
-        prec: v.get("prec")?.as_str()?.to_string(),
-        machine: v.get("machine")?.as_str()?.to_string(),
-        context: v.get("context")?.as_str()?.to_string(),
-        rev: v.get("rev")?.as_str()?.to_string(),
-        n: v.get("n")?.as_u64()? as usize,
-        seed: v.get("seed")?.as_u64()?,
-        strategy: v.get("strategy")?.as_str()?.to_string(),
-        cycles: v.get("cycles")?.as_u64()?,
-        params: params_from_json(v.get("params")?)?,
-        features,
+    read_record(&parse_json(line.trim())?).ok()
+}
+
+fn read_record(v: &Json) -> Result<TunedRecord, FieldError> {
+    Ok(TunedRecord {
+        key: v.req("key")?,
+        kernel: v.req("kernel")?,
+        prec: v.req("prec")?,
+        machine: v.req("machine")?,
+        context: v.req("context")?,
+        rev: v.req("rev")?,
+        n: v.req("n")?,
+        seed: v.req("seed")?,
+        strategy: v.req("strategy")?,
+        cycles: v.req("cycles")?,
+        params: read_params(v.req("params")?)?,
+        features: v.field("sfv")?,
     })
 }
 

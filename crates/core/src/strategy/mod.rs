@@ -247,7 +247,7 @@ pub trait SearchDriver {
 /// being tuned, the engine its batches run on, and the running [`Tally`]
 /// of everything submitted so far.
 pub struct SearchCtx<'a> {
-    subject: &'a Subject<'a>,
+    subject: &'a Subject,
     engine: &'a EvalEngine,
     /// The root `search` span every evaluation's spans hang off.
     search_id: u64,
@@ -461,7 +461,7 @@ impl<'a> SearchCtx<'a> {
 /// driver's searches start from — and the final winner can be — a proven
 /// neighbor.
 pub(crate) fn run_search(
-    subject: &Subject<'_>,
+    subject: &Subject,
     engine: &EvalEngine,
     spec: StrategySpec,
     budget: Budget,

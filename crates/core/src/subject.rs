@@ -95,29 +95,12 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// A subject's compile session: opened by the subject, or lent by a
-/// caller who keeps it ([`crate::search::line_search`]).
-pub(crate) enum Session<'s> {
-    Own(Box<CompileSession>),
-    Lent(&'s CompileSession),
-}
-
-impl std::ops::Deref for Session<'_> {
-    type Target = CompileSession;
-    fn deref(&self) -> &CompileSession {
-        match self {
-            Session::Own(sess) => sess,
-            Session::Lent(sess) => sess,
-        }
-    }
-}
-
 /// What is being tuned: a compile session, the evaluation scope (label,
 /// machine, context, size, seed, timer), the search options the
 /// evaluation reads (timer, IR verification, chaos plan, retry budget),
 /// the [`Oracle`] that judges and times candidates, and its runs.
-pub(crate) struct Subject<'s> {
-    pub(crate) sess: Session<'s>,
+pub(crate) struct Subject {
+    pub(crate) sess: CompileSession,
     pub(crate) scope: EvalScope,
     pub(crate) machine: MachineConfig,
     pub(crate) context: Context,
@@ -136,7 +119,7 @@ pub(crate) struct Subject<'s> {
     pub(crate) baseline_runs: AtomicU64,
 }
 
-impl Subject<'static> {
+impl Subject {
     /// Open what `oracle` names at size `n` on operands seeded with `seed`:
     /// the front end, then the bench (for a source, its kernel compiled
     /// with every transformation off and run once).
@@ -147,7 +130,7 @@ impl Subject<'static> {
         n: usize,
         seed: u64,
         opts: &SearchOptions,
-    ) -> Result<Subject<'static>, CompileError> {
+    ) -> Result<Subject, CompileError> {
         let opened = Instant::now();
         let (sess, label) = match &oracle {
             Oracle::Reference { kernel } => {
@@ -165,7 +148,7 @@ impl Subject<'static> {
         };
         let subject = Subject {
             opened: Mutex::new(Some((opened, opened.elapsed()))),
-            sess: Session::Own(Box::new(sess)),
+            sess,
             scope: EvalScope::new(label, machine, context, n, seed, &opts.timer),
             machine: machine.clone(),
             context,
@@ -177,33 +160,6 @@ impl Subject<'static> {
         };
         subject.bench()?;
         Ok(subject)
-    }
-}
-
-impl<'s> Subject<'s> {
-    /// A BLAS-suite kernel on a session and workload the caller already
-    /// has (scope seed 0: the caller generated the workload). It is
-    /// searched, never tuned through the driver, so never trimmed.
-    pub(crate) fn on_session(
-        sess: &'s CompileSession,
-        kernel: Kernel,
-        workload: &Workload,
-        context: Context,
-        machine: &MachineConfig,
-        opts: &SearchOptions,
-    ) -> Subject<'s> {
-        Subject {
-            sess: Session::Lent(sess),
-            scope: EvalScope::new(kernel.name(), machine, context, workload.n, 0, &opts.timer),
-            machine: machine.clone(),
-            context,
-            opts: opts.clone(),
-            oracle: Oracle::Reference { kernel },
-            bench: Mutex::new(Some(Arc::new(suite(kernel, workload.clone())))),
-            runs: Mutex::default(),
-            opened: Mutex::new(None),
-            baseline_runs: AtomicU64::new(0),
-        }
     }
 
     /// The static cost model's cycles for `p`. Locality follows the

@@ -21,7 +21,7 @@
 //! frames.
 
 use crate::journal;
-use crate::json::{esc, parse_json, Json};
+use crate::json::{obj, parse_json, FieldError, Json, Obj};
 use ifko_xsim::RunStats;
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -136,64 +136,38 @@ impl SearchEvent {
 
 impl EvalEvent {
     pub fn to_json(&self) -> String {
-        let mut s = format!(
-            "{{\"scope\":\"{}\",\"phase\":\"{}\",\"params\":\"{}\",\"cycles\":{},\"verified\":{},\"cache_hit\":{},\"wall_us\":{}",
-            esc(&self.scope),
-            esc(&self.phase),
-            esc(&self.params),
-            self.cycles.map_or("null".to_string(), |c| c.to_string()),
-            self.verified,
-            self.cache_hit,
-            self.wall_us,
-        );
-        if !self.strategy.is_empty() {
-            s.push_str(&format!(",\"strategy\":\"{}\"", esc(&self.strategy)));
-        }
-        if let Some(st) = &self.stats {
-            s.push_str(&format!(",\"stats\":{}", stats_json(st)));
-        }
-        // Model-era field: only present when a cost model was attached,
-        // so model-free traces stay byte-identical to older readers.
-        if let Some(p) = self.predicted {
-            s.push_str(&format!(",\"predicted\":{p}"));
-        }
-        if let Some(why) = &self.pruned {
-            s.push_str(&format!(",\"pruned\":\"{}\"", esc(why)));
-        }
-        // Chaos-era fields ride at the end and only when set, so traces
-        // from fault-free runs stay byte-identical to older readers.
-        if self.retries > 0 {
-            s.push_str(&format!(",\"retries\":{}", self.retries));
-        }
-        if self.faults > 0 {
-            s.push_str(&format!(",\"faults\":{}", self.faults));
-        }
-        if self.outliers > 0 {
-            s.push_str(&format!(",\"outliers\":{}", self.outliers));
-        }
-        if self.failed {
-            s.push_str(",\"failed\":true");
-        }
-        // Worker-pool tag: only present for pooled evaluations, so
-        // in-process traces stay byte-identical to older readers.
-        if let Some(w) = self.worker {
-            s.push_str(&format!(",\"worker\":{w}"));
-        }
-        s.push('}');
-        s
+        obj()
+            .field("scope", &self.scope)
+            .field("phase", &self.phase)
+            .field("params", &self.params)
+            .field("cycles", self.cycles)
+            .field("verified", self.verified)
+            .field("cache_hit", self.cache_hit)
+            .field("wall_us", self.wall_us)
+            .maybe("strategy", Some(&self.strategy).filter(|s| !s.is_empty()))
+            .maybe("stats", self.stats.as_ref().map(stats_obj))
+            // Later fields are written only when set, so traces without a
+            // cost model, chaos or a worker pool keep the older bytes.
+            .maybe("predicted", self.predicted)
+            .maybe("pruned", self.pruned.as_ref())
+            .maybe("retries", Some(self.retries).filter(|&n| n > 0))
+            .maybe("faults", Some(self.faults).filter(|&n| n > 0))
+            .maybe("outliers", Some(self.outliers).filter(|&n| n > 0))
+            .maybe("failed", self.failed.then_some(true))
+            .maybe("worker", self.worker)
+            .finish()
     }
 }
 
 impl SpanEvent {
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\"span\":\"{}\",\"scope\":\"{}\",\"id\":{},\"parent\":{},\"wall_us\":{}}}",
-            esc(&self.stage),
-            esc(&self.scope),
-            self.id,
-            self.parent.map_or("null".to_string(), |p| p.to_string()),
-            self.wall_us,
-        )
+        obj()
+            .field("span", &self.stage)
+            .field("scope", &self.scope)
+            .field("id", self.id)
+            .field("parent", self.parent)
+            .field("wall_us", self.wall_us)
+            .finish()
     }
 }
 
@@ -201,16 +175,12 @@ impl SpanEvent {
 /// names and order come from [`RunStats::FIELDS`] — the same table
 /// `parse_stats` reads — so writer and reader cannot drift.
 pub fn stats_json(s: &RunStats) -> String {
-    let mut out = String::with_capacity(RunStats::FIELDS.len() * 24);
-    out.push('{');
-    for (i, (name, get, _)) in RunStats::FIELDS.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!("\"{name}\":{}", get(s)));
-    }
-    out.push('}');
-    out
+    stats_obj(s).finish()
+}
+
+pub(crate) fn stats_obj(s: &RunStats) -> Obj {
+    let fields = RunStats::FIELDS.iter();
+    fields.fold(obj(), |o, (name, get, _)| o.field(name, get(s)))
 }
 
 /// Where search events go. Implementations must tolerate concurrent
@@ -448,46 +418,40 @@ pub struct TraceData {
     pub malformed: usize,
 }
 
-/// Decode one trace line. Span lines are distinguished by their `"span"`
-/// key; everything else must look like an eval event.
+/// Decode one trace line: `None` for a malformed one. Span lines are
+/// distinguished by their `"span"` key; everything else must look like
+/// an eval event.
 pub fn parse_trace_line(line: &str) -> Option<SearchEvent> {
-    let v = parse_json(line)?;
-    if let Some(stage) = v.get("span") {
-        return Some(SearchEvent::Span(SpanEvent {
-            stage: stage.as_str()?.to_string(),
-            scope: v.get("scope")?.as_str()?.to_string(),
-            id: v.get("id")?.as_u64()?,
-            parent: match v.get("parent")? {
-                Json::Null => None,
-                p => Some(p.as_u64()?),
-            },
-            wall_us: v.get("wall_us")?.as_u64()?,
+    event(&parse_json(line)?).ok()
+}
+
+fn event(v: &Json) -> Result<SearchEvent, FieldError> {
+    if let Some(stage) = v.field("span")? {
+        return Ok(SearchEvent::Span(SpanEvent {
+            stage,
+            scope: v.req("scope")?,
+            id: v.req("id")?,
+            parent: v.req("parent")?,
+            wall_us: v.req("wall_us")?,
         }));
     }
-    Some(SearchEvent::Eval(EvalEvent {
-        scope: v.get("scope")?.as_str()?.to_string(),
-        phase: v.get("phase")?.as_str()?.to_string(),
-        params: v.get("params")?.as_str()?.to_string(),
-        cycles: match v.get("cycles")? {
-            Json::Null => None,
-            c => Some(c.as_u64()?),
-        },
-        verified: v.get("verified")?.as_bool()?,
-        cache_hit: v.get("cache_hit")?.as_bool()?,
-        wall_us: v.get("wall_us")?.as_u64()?,
-        stats: v.get("stats").and_then(parse_stats),
-        predicted: v.get("predicted").and_then(Json::as_u64),
-        pruned: v.get("pruned").and_then(Json::as_str).map(str::to_string),
-        strategy: v
-            .get("strategy")
-            .and_then(Json::as_str)
-            .unwrap_or("")
-            .to_string(),
-        retries: v.get("retries").and_then(Json::as_u64).unwrap_or(0) as u32,
-        faults: v.get("faults").and_then(Json::as_u64).unwrap_or(0) as u32,
-        outliers: v.get("outliers").and_then(Json::as_u64).unwrap_or(0) as u32,
-        failed: v.get("failed").and_then(Json::as_bool).unwrap_or(false),
-        worker: v.get("worker").and_then(Json::as_u64).map(|w| w as u32),
+    Ok(SearchEvent::Eval(EvalEvent {
+        scope: v.req("scope")?,
+        phase: v.req("phase")?,
+        params: v.req("params")?,
+        cycles: v.req("cycles")?,
+        verified: v.req("verified")?,
+        cache_hit: v.req("cache_hit")?,
+        wall_us: v.req("wall_us")?,
+        stats: v.field("stats")?.map(parse_stats).transpose()?,
+        predicted: v.field("predicted")?,
+        pruned: v.field("pruned")?,
+        strategy: v.field("strategy")?.unwrap_or_default(),
+        retries: v.field("retries")?.unwrap_or(0),
+        faults: v.field("faults")?.unwrap_or(0),
+        outliers: v.field("outliers")?.unwrap_or(0),
+        failed: v.field("failed")?.unwrap_or(false),
+        worker: v.field("worker")?,
     }))
 }
 
@@ -495,13 +459,13 @@ pub fn parse_trace_line(line: &str) -> Option<SearchEvent> {
 /// table the writer ([`stats_json`]) iterates, so new counters
 /// cannot drift between writer and reader. `cycles` must be present;
 /// counters missing from older traces default to zero.
-pub(crate) fn parse_stats(v: &Json) -> Option<RunStats> {
-    v.get("cycles")?.as_u64()?;
+pub(crate) fn parse_stats(v: &Json) -> Result<RunStats, FieldError> {
+    v.req::<u64>("cycles")?;
     let mut s = RunStats::default();
     for (name, _, set) in RunStats::FIELDS {
-        set(&mut s, v.get(name).and_then(Json::as_u64).unwrap_or(0));
+        set(&mut s, v.field(name)?.unwrap_or(0));
     }
-    Some(s)
+    Ok(s)
 }
 
 /// Read a trace file, skipping (and counting) malformed lines — a
@@ -615,5 +579,61 @@ mod tests {
         let j = spans[1].to_json();
         assert!(j.starts_with("{\"span\":\"tune\",\"scope\":\"sc\",\"id\":"));
         assert!(j.contains("\"parent\":null"));
+    }
+
+    /// A count past `u32` or of the wrong type makes its line malformed
+    /// (skipped and counted by the reader), never a truncated or zeroed
+    /// count; an absent count still reads as 0.
+    #[test]
+    fn out_of_range_or_mistyped_counts_make_the_line_malformed() {
+        let ev = EvalEvent {
+            scope: "s".into(),
+            phase: "UR".into(),
+            params: "p".into(),
+            cycles: Some(5),
+            verified: true,
+            cache_hit: false,
+            wall_us: 9,
+            stats: None,
+            predicted: None,
+            pruned: None,
+            strategy: String::new(),
+            retries: 0,
+            faults: 0,
+            outliers: 0,
+            failed: false,
+            worker: None,
+        };
+        let good = ev.to_json();
+        let with =
+            |field: &str, value: &str| format!("{},\"{field}\":{value}}}", &good[..good.len() - 1]);
+        let mut lines = vec![good.clone(), with("retries", "4294967295")];
+        for field in ["retries", "faults", "outliers", "worker"] {
+            for bad in ["4294967297", "\"x\""] {
+                assert!(
+                    parse_trace_line(&with(field, bad)).is_none(),
+                    "{field}: {bad}"
+                );
+                lines.push(with(field, bad));
+            }
+        }
+        match parse_trace_line(&good) {
+            Some(SearchEvent::Eval(back)) => assert_eq!(back, ev),
+            other => panic!("{other:?}"),
+        }
+        let path =
+            std::env::temp_dir().join(format!("ifko-trace-counts-{}.jsonl", std::process::id()));
+        std::fs::write(&path, lines.join("\n")).unwrap();
+        let data = read_trace(&path).unwrap();
+        let _ = std::fs::remove_file(&path);
+        assert_eq!((data.events.len(), data.malformed), (2, 8));
+        let report = crate::report::render(
+            &crate::report::analyze(&data.events, data.malformed),
+            crate::report::ReportFormat::Text,
+        );
+        assert!(report.contains("(8 malformed lines skipped)"), "{report}");
+        let retries = data.events.iter().filter_map(SearchEvent::as_eval);
+        let retries: Vec<u32> = retries.map(|e| e.retries).collect();
+        assert_eq!(retries, [0, u32::MAX]);
     }
 }

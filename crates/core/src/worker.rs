@@ -65,14 +65,14 @@ use std::time::Duration;
 
 use crate::eval::{EvalRecord, EvalScope};
 use crate::fault::FaultPlan;
-use crate::json::{parse_json, Json};
+use crate::json::{obj, parse_json, FieldError, Float, Json, Raw};
 use crate::proto;
 use crate::runner::Context;
 use crate::search::SearchOptions;
 use crate::strategy::db::{params_from_json, params_json};
 use crate::subject::{Oracle, Subject};
 use crate::timer::Timer;
-use crate::trace::{parse_stats, stats_json};
+use crate::trace::{parse_stats, stats_obj};
 use ifko_blas::Kernel;
 use ifko_fko::TransformParams;
 use ifko_xsim::MachineConfig;
@@ -139,7 +139,7 @@ impl WorkerSpec {
     /// The spec that makes a worker rebuild `subject`: its kernel name or
     /// — for a differential subject — the HIL source itself, so workers
     /// reconstruct the identical session and baseline.
-    pub(crate) fn of(subject: &Subject<'_>) -> WorkerSpec {
+    pub(crate) fn of(subject: &Subject) -> WorkerSpec {
         let (kernel, src) = match &subject.oracle {
             Oracle::Reference { kernel, .. } => (Some(kernel.name()), None),
             Oracle::Baseline { src, .. } => (None, Some(src.clone())),
@@ -164,7 +164,7 @@ impl WorkerSpec {
     /// A worker whose recomputed scope differs from the dispatcher's
     /// (different machine model, timer protocol, workload seed) must
     /// refuse to evaluate anything.
-    fn open(&self) -> Result<Subject<'static>, String> {
+    fn open(&self) -> Result<Subject, String> {
         let machine = MachineConfig::by_name(&self.machine)
             .ok_or_else(|| format!("unknown machine `{}`", self.machine))?;
         let context = Context::from_label(&self.context)
@@ -199,109 +199,75 @@ impl WorkerSpec {
     /// The handshake frame. Floats use Rust's shortest round-trip form,
     /// so the worker reconstructs bit-identical `f64` values.
     pub fn to_json(&self) -> String {
-        let mut s = format!(
-            "{{\"cmd\":\"hello\",\"machine\":\"{}\",\"context\":\"{}\",\"n\":{},\"seed\":{},\
-             \"timer\":{{\"reps\":{},\"interference\":{:?},\"seed\":{}}},\
-             \"verify_ir\":{},\"max_retries\":{},\"scope\":\"{}\"",
-            proto::esc(&self.machine),
-            proto::esc(&self.context),
-            self.n,
-            self.seed,
-            self.timer.reps,
-            self.timer.interference,
-            self.timer.seed,
-            self.verify_ir,
-            self.max_retries,
-            proto::esc(&self.scope_key),
-        );
-        if let Some(k) = &self.kernel {
-            s.push_str(&format!(",\"kernel\":\"{}\"", proto::esc(k)));
-        }
-        if let Some(src) = &self.src {
-            s.push_str(&format!(",\"src\":\"{}\"", proto::esc(src)));
-        }
-        if let Some(f) = &self.chaos {
-            s.push_str(&format!(
-                ",\"chaos\":{{\"seed\":{},\"compile\":{:?},\"tester\":{:?},\
-                 \"timer_rep\":{:?},\"persist\":{:?}}}",
-                f.seed, f.compile, f.tester, f.timer_rep, f.persist
-            ));
-        }
-        s.push('}');
-        s
+        let t = &self.timer;
+        let timer = obj()
+            .field("reps", t.reps)
+            .field("interference", Float(t.interference))
+            .field("seed", t.seed);
+        let chaos = self.chaos.as_ref().map(|f| {
+            obj()
+                .field("seed", f.seed)
+                .field("compile", Float(f.compile))
+                .field("tester", Float(f.tester))
+                .field("timer_rep", Float(f.timer_rep))
+                .field("persist", Float(f.persist))
+        });
+        obj()
+            .field("cmd", "hello")
+            .field("machine", &self.machine)
+            .field("context", &self.context)
+            .field("n", self.n)
+            .field("seed", self.seed)
+            .field("timer", timer)
+            .field("verify_ir", self.verify_ir)
+            .field("max_retries", self.max_retries)
+            .field("scope", &self.scope_key)
+            .maybe("kernel", self.kernel.as_ref())
+            .maybe("src", self.src.as_ref())
+            .maybe("chaos", chaos)
+            .finish()
     }
 
     /// Parse a handshake frame (worker side).
     pub fn from_json(v: &Json) -> Result<WorkerSpec, String> {
-        let str_field = |k: &str| {
-            v.get(k)
-                .and_then(Json::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("handshake missing `{k}`"))
-        };
-        let t = v.get("timer").ok_or("handshake missing `timer`")?;
-        let timer = Timer {
-            reps: t
-                .get("reps")
-                .and_then(Json::as_u32)
-                .ok_or("timer `reps` missing or out of range")?,
-            interference: t
-                .get("interference")
-                .and_then(Json::as_f64)
-                .ok_or("timer missing `interference`")?,
-            seed: t
-                .get("seed")
-                .and_then(Json::as_u64)
-                .ok_or("timer missing `seed`")?,
-        };
-        let chaos = match v.get("chaos") {
-            None | Some(Json::Null) => None,
-            Some(c) => {
-                let rate = |k: &str| {
-                    c.get(k)
-                        .and_then(Json::as_f64)
-                        .ok_or_else(|| format!("chaos missing `{k}`"))
-                };
-                Some(FaultPlan {
-                    seed: c
-                        .get("seed")
-                        .and_then(Json::as_u64)
-                        .ok_or("chaos missing `seed`")?,
-                    compile: rate("compile")?,
-                    tester: rate("tester")?,
-                    timer_rep: rate("timer_rep")?,
-                    persist: rate("persist")?,
-                })
-            }
-        };
-        let spec = WorkerSpec {
-            kernel: v.get("kernel").and_then(Json::as_str).map(str::to_string),
-            src: v.get("src").and_then(Json::as_str).map(str::to_string),
-            machine: str_field("machine")?,
-            context: str_field("context")?,
-            n: crate::config::checked_n(
-                v.get("n")
-                    .and_then(Json::as_u64)
-                    .ok_or("handshake missing `n`")?,
-            )
-            .map_err(|e| format!("handshake: {e}"))?,
-            seed: v
-                .get("seed")
-                .and_then(Json::as_u64)
-                .ok_or("handshake missing `seed`")?,
-            timer,
-            verify_ir: v.get("verify_ir").and_then(Json::as_bool).unwrap_or(false),
-            max_retries: v
-                .get("max_retries")
-                .map_or(Some(2), Json::as_u32)
-                .ok_or("handshake `max_retries` out of range")?,
-            chaos,
-            scope_key: str_field("scope")?,
-        };
+        let spec = Self::read(v).map_err(|e| format!("handshake: {e}"))?;
+        crate::config::checked_n(spec.n as u64).map_err(|e| format!("handshake: {e}"))?;
         if spec.kernel.is_none() == spec.src.is_none() {
             return Err("handshake needs exactly one of `kernel` / `src`".to_string());
         }
         Ok(spec)
+    }
+
+    fn read(v: &Json) -> Result<WorkerSpec, FieldError> {
+        let t: &Json = v.req("timer")?;
+        let timer = Timer {
+            reps: t.req("reps")?,
+            interference: t.req("interference")?,
+            seed: t.req("seed")?,
+        };
+        let chaos = match v.field::<Option<&Json>>("chaos")?.flatten() {
+            None => None,
+            Some(c) => Some(FaultPlan {
+                seed: c.req("seed")?,
+                compile: c.req("compile")?,
+                tester: c.req("tester")?,
+                timer_rep: c.req("timer_rep")?,
+                persist: c.req("persist")?,
+            }),
+        };
+        Ok(WorkerSpec {
+            kernel: v.field("kernel")?,
+            src: v.field("src")?,
+            machine: v.req("machine")?,
+            context: v.req("context")?,
+            n: v.req("n")?,
+            seed: v.req("seed")?,
+            timer,
+            verify_ir: v.field("verify_ir")?.unwrap_or(false),
+            max_retries: v.field("max_retries")?.unwrap_or(2),
+            chaos,
+            scope_key: v.req("scope")?,
+        })
     }
 }
 
@@ -310,39 +276,30 @@ impl WorkerSpec {
 // ---------------------------------------------------------------------------
 
 fn eval_response(id: u64, rec: &EvalRecord) -> String {
-    let mut fields = vec![
-        proto::Field::Num("id", id),
-        proto::Field::Raw(
-            "cycles",
-            rec.cycles.map_or("null".to_string(), |c| c.to_string()),
-        ),
-        proto::Field::Num("retries", rec.retries as u64),
-        proto::Field::Num("faults", rec.faults as u64),
-        proto::Field::Num("outliers", rec.outliers as u64),
-        proto::Field::Bool("failed", rec.failed),
-    ];
-    if let Some(st) = &rec.stats {
-        fields.push(proto::Field::Raw("stats", stats_json(st)));
-    }
-    proto::object(&fields)
+    obj()
+        .field("ok", true)
+        .field("id", id)
+        .field("cycles", rec.cycles)
+        .field("retries", rec.retries)
+        .field("faults", rec.faults)
+        .field("outliers", rec.outliers)
+        .field("failed", rec.failed)
+        .maybe("stats", rec.stats.as_ref().map(stats_obj))
+        .finish()
 }
 
-fn parse_eval_record(v: &Json) -> Option<EvalRecord> {
-    // Every field is required. Defaulting a missing `cycles`/`failed`
-    // would let a malformed-but-parseable reply merge as a phantom
-    // "failed candidate" instead of surfacing a protocol error and
-    // re-dispatching — never guess at a record.
-    let cycles = match v.get("cycles")? {
-        Json::Null => None,
-        j => Some(j.as_u64()?),
-    };
-    Some(EvalRecord {
-        cycles,
-        stats: v.get("stats").and_then(parse_stats),
-        retries: v.get("retries")?.as_u32()?,
-        faults: v.get("faults")?.as_u32()?,
-        outliers: v.get("outliers")?.as_u32()?,
-        failed: v.get("failed")?.as_bool()?,
+fn parse_eval_record(v: &Json) -> Result<EvalRecord, FieldError> {
+    // Every field but `stats` is required. Defaulting a missing
+    // `cycles`/`failed` would let a malformed-but-parseable reply merge
+    // as a phantom "failed candidate" instead of surfacing a protocol
+    // error and re-dispatching — never guess at a record.
+    Ok(EvalRecord {
+        cycles: v.req("cycles")?,
+        stats: v.field("stats")?.map(parse_stats).transpose()?,
+        retries: v.req("retries")?,
+        faults: v.req("faults")?,
+        outliers: v.req("outliers")?,
+        failed: v.req("failed")?,
     })
 }
 
@@ -368,10 +325,8 @@ pub fn serve(r: &mut impl Read, w: &mut impl Write) -> std::io::Result<()> {
             return Ok(());
         }
     };
-    proto::write_frame(
-        w,
-        &proto::object(&[proto::Field::Str("scope", subject.scope.key())]),
-    )?;
+    let ack = obj().field("ok", true).field("scope", subject.scope.key());
+    proto::write_frame(w, &ack.finish())?;
 
     // Chaos hook: abort (no cleanup, stream torn mid-conversation) upon
     // receiving eval request K+1 — a deterministic stand-in for a worker
@@ -612,10 +567,9 @@ impl WorkerHandle {
     /// a reply carrying any other id is a [`WorkerError::WrongId`] and
     /// the result is discarded, never merged.
     pub fn eval(&mut self, id: u64, p: &TransformParams) -> Result<EvalRecord, WorkerError> {
-        let req = format!(
-            "{{\"cmd\":\"eval\",\"id\":{id},\"params\":{}}}",
-            params_json(p)
-        );
+        let params = params_json(p);
+        let req = obj().field("cmd", "eval").field("id", id);
+        let req = req.field("params", Raw(&params)).finish();
         proto::write_frame(&mut self.stream, &req)?;
         let v = self.read_reply()?;
         let got = v
@@ -625,13 +579,13 @@ impl WorkerHandle {
         if got != id {
             return Err(WorkerError::WrongId { want: id, got });
         }
-        parse_eval_record(&v)
-            .ok_or_else(|| WorkerError::Protocol("eval reply lacks record fields".into()))
+        parse_eval_record(&v).map_err(|e| WorkerError::Protocol(format!("eval reply: {e}")))
     }
 
     /// Ask the worker to exit and reap it.
     pub fn shutdown(mut self) {
-        let _ = proto::write_frame(&mut self.stream, "{\"cmd\":\"shutdown\"}");
+        let bye = obj().field("cmd", "shutdown").finish();
+        let _ = proto::write_frame(&mut self.stream, &bye);
         let _ = self.read_reply();
         if let Some(mut child) = self.child.take() {
             let _ = child.wait();

@@ -2,13 +2,12 @@
 //! multi-pass refinement, candidate rejection, and the WNT×PF interaction
 //! that motivates the second pass.
 
-use ifko::runner::Context;
-use ifko::search::{line_search, line_search_batched, Phase, SearchOptions};
-use ifko::Timer;
+use ifko::search::{line_search_batched, Phase, SearchOptions};
+use ifko::{Timer, TuneConfig};
 use ifko_blas::hil_src::hil_source;
 use ifko_blas::ops::BlasOp;
-use ifko_blas::{Kernel, Workload};
-use ifko_fko::{analyze_kernel, CompileSession, TransformParams};
+use ifko_blas::Kernel;
+use ifko_fko::{analyze_kernel, TransformParams};
 use ifko_xsim::isa::Prec;
 use ifko_xsim::p4e;
 
@@ -90,17 +89,14 @@ fn rejected_candidates_never_win() {
 
 #[test]
 fn gains_multiply_to_total_across_passes() {
-    let mach = p4e();
-    let src = hil_source(BlasOp::Dot, Prec::S);
-    let sess = CompileSession::from_source(&src, &mach).unwrap();
     let k = Kernel {
         op: BlasOp::Dot,
         prec: Prec::S,
     };
-    let w = Workload::generate(6000, 13);
     let mut opts = SearchOptions::quick();
     opts.timer = Timer::exact();
-    let r = line_search(&sess, k, &w, Context::OutOfCache, &mach, &opts);
+    let r = TuneConfig::quick(6000).seed(13).search(opts).tune(k);
+    let r = r.unwrap().result;
     let product: f64 = r.gains.iter().map(|g| g.speedup()).product();
     let total = r.speedup_over_default();
     assert!(
@@ -134,17 +130,14 @@ fn search_explores_all_prefetch_kinds() {
 
 #[test]
 fn evaluation_counts_are_reported() {
-    let mach = p4e();
-    let src = hil_source(BlasOp::Scal, Prec::D);
-    let sess = CompileSession::from_source(&src, &mach).unwrap();
     let k = Kernel {
         op: BlasOp::Scal,
         prec: Prec::D,
     };
-    let w = Workload::generate(2000, 2);
     let mut opts = SearchOptions::quick();
     opts.timer = Timer::exact();
-    let r = line_search(&sess, k, &w, Context::OutOfCache, &mach, &opts);
+    let r = TuneConfig::quick(2000).seed(2).search(opts).tune(k);
+    let r = r.unwrap().result;
     assert!(
         r.evaluations >= 10,
         "expected a real search, got {}",

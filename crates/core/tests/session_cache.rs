@@ -8,7 +8,7 @@
 //! rebuilt for every candidate.
 
 use ifko::runner::{run_once, Context, KernelArgs};
-use ifko::search::{line_search, line_search_batched, SearchResult};
+use ifko::search::{line_search_batched, SearchResult};
 use ifko::{verify, SearchOptions};
 use ifko_blas::hil_src::hil_source;
 use ifko_blas::ops::BlasOp;
@@ -29,18 +29,28 @@ fn assert_same_outcome(a: &SearchResult, b: &SearchResult, what: &str) {
     );
 }
 
-fn search_fresh_session_per_candidate(
+/// The line search of `k`, compiling every candidate on `shared`, or on
+/// a session rebuilt for every single candidate when `shared` is `None`.
+fn search(
     k: Kernel,
     src: &str,
     mach: &MachineConfig,
     w: &Workload,
     opts: &SearchOptions,
+    shared: Option<&CompileSession>,
 ) -> SearchResult {
     let probe = CompileSession::from_source(src, mach).unwrap();
     line_search_batched(probe.report(), mach, opts, |_, c| {
         c.iter()
             .map(|p| {
-                let sess = CompileSession::from_source(src, mach).unwrap();
+                let fresh;
+                let sess = match shared {
+                    Some(sess) => sess,
+                    None => {
+                        fresh = CompileSession::from_source(src, mach).unwrap();
+                        &fresh
+                    }
+                };
                 let c = sess.compile(p, CompileOpts::default()).ok()?;
                 let args = KernelArgs {
                     kernel: k,
@@ -67,21 +77,19 @@ fn subcache_hits_never_change_the_winner() {
         let w = Workload::generate(800, 0xb1a5);
         let sess = CompileSession::from_source(&src, &mach).unwrap();
 
-        // Cold cache: the first search populates it. (The search layer's
-        // own evaluation memo already dedupes revisits within one run, so
-        // the session may see no repeats until the rerun below.)
-        let cold = line_search(&sess, k, &w, Context::OutOfCache, &mach, &opts);
+        // Cold cache: the first search populates it.
+        let cold = search(k, &src, &mach, &w, &opts, Some(&sess));
         let warm_stats = sess.stats();
 
         // Warm cache: rerun on the same session — compiles now come from
         // the sub-candidate cache — and from a session rebuilt for every
         // single candidate (no caching possible at all).
-        let warm = line_search(&sess, k, &w, Context::OutOfCache, &mach, &opts);
+        let warm = search(k, &src, &mach, &w, &opts, Some(&sess));
         assert!(
             sess.stats().subcache_hits > warm_stats.subcache_hits,
             "second search must be served by the cache"
         );
-        let uncached = search_fresh_session_per_candidate(k, &src, &mach, &w, &opts);
+        let uncached = search(k, &src, &mach, &w, &opts, None);
 
         assert_same_outcome(&cold, &warm, "cold vs warm cache");
         assert_same_outcome(&cold, &uncached, "shared session vs fresh-per-candidate");

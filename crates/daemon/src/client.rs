@@ -1,8 +1,9 @@
 //! Blocking client for the `ifkod` socket protocol — the library behind
 //! `ifko tune --remote`, `ifko daemon <cmd>`, and the e2e tests.
 
-use crate::proto::{esc, read_frame, write_frame, Polling};
+use crate::proto::{read_frame, write_frame, Polling};
 use ifko::config::checked_n;
+use ifko::json::{obj, Array, FieldError, Fixed};
 use ifko::report::{parse_json, Json};
 use ifko::runner::Context;
 use ifko::strategy::{Budget, StrategySpec};
@@ -36,36 +37,19 @@ pub struct TuneRequest {
 impl TuneRequest {
     /// The wire form: `cmd` plus every field that is set.
     pub(crate) fn to_json(&self) -> String {
-        let mut s = String::from("{\"cmd\":\"tune\"");
-        if let Some(k) = &self.kernel {
-            s.push_str(&format!(",\"kernel\":\"{}\"", esc(k)));
-        }
-        if let Some(src) = &self.src {
-            s.push_str(&format!(",\"src\":\"{}\"", esc(src)));
-        }
-        if !self.machine.is_empty() {
-            s.push_str(&format!(",\"machine\":\"{}\"", esc(&self.machine)));
-        }
-        if !self.context.is_empty() {
-            s.push_str(&format!(",\"context\":\"{}\"", esc(&self.context)));
-        }
-        if let Some(n) = self.n {
-            s.push_str(&format!(",\"n\":{n}"));
-        }
-        if let Some(seed) = self.seed {
-            s.push_str(&format!(",\"seed\":{seed}"));
-        }
-        if self.full {
-            s.push_str(",\"full\":true");
-        }
-        if let Some(st) = &self.strategy {
-            s.push_str(&format!(",\"strategy\":\"{}\"", esc(st)));
-        }
-        if let Some(b) = &self.budget {
-            s.push_str(&format!(",\"budget\":\"{}\"", esc(b)));
-        }
-        s.push('}');
-        s
+        let set = |s: &&String| !s.is_empty();
+        obj()
+            .field("cmd", "tune")
+            .maybe("kernel", self.kernel.as_ref())
+            .maybe("src", self.src.as_ref())
+            .maybe("machine", Some(&self.machine).filter(set))
+            .maybe("context", Some(&self.context).filter(set))
+            .maybe("n", self.n)
+            .maybe("seed", self.seed)
+            .maybe("full", self.full.then_some(true))
+            .maybe("strategy", self.strategy.as_ref())
+            .maybe("budget", self.budget.as_ref())
+            .finish()
     }
 
     /// Read a request back from its wire form (the daemon's side of
@@ -74,29 +58,20 @@ impl TuneRequest {
     /// is an error — falling back to the default there would tune a
     /// different workload than the one asked for and report success.
     pub(crate) fn from_json(v: &Json) -> Result<TuneRequest, String> {
-        fn field<'a, T>(
-            v: &'a Json,
-            name: &str,
-            what: &str,
-            read: impl Fn(&'a Json) -> Option<T>,
-        ) -> Result<Option<T>, String> {
-            v.get(name)
-                .map(|j| read(j).ok_or_else(|| format!("tune field `{name}` must be {what}")))
-                .transpose()
-        }
-        let string = |name| field(v, name, "a string", |j| j.as_str().map(str::to_string));
-        let integer = |name| field(v, name, "a non-negative integer", Json::as_u64);
-        let req = TuneRequest {
-            kernel: string("kernel")?,
-            src: string("src")?,
-            machine: string("machine")?.unwrap_or_default(),
-            context: string("context")?.unwrap_or_default(),
-            n: integer("n")?.map(|n| n as usize),
-            seed: integer("seed")?,
-            full: field(v, "full", "a boolean", Json::as_bool)?.unwrap_or(false),
-            strategy: string("strategy")?,
-            budget: string("budget")?,
+        let read = || -> Result<TuneRequest, FieldError> {
+            Ok(TuneRequest {
+                kernel: v.field("kernel")?,
+                src: v.field("src")?,
+                machine: v.field("machine")?.unwrap_or_default(),
+                context: v.field("context")?.unwrap_or_default(),
+                n: v.field("n")?,
+                seed: v.field("seed")?,
+                full: v.field("full")?.unwrap_or(false),
+                strategy: v.field("strategy")?,
+                budget: v.field("budget")?,
+            })
         };
+        let req = read().map_err(|e| format!("tune {e}"))?;
         if req.kernel.is_none() && req.src.is_none() {
             return Err("tune needs a kernel name or a src".to_string());
         }
@@ -181,17 +156,22 @@ impl Client {
         }
     }
 
+    /// Send a request that is its `cmd` alone.
+    fn command(&mut self, cmd: &str) -> Result<Json, String> {
+        self.request(&obj().field("cmd", cmd).finish())
+    }
+
     pub fn ping(&mut self) -> Result<(), String> {
-        self.request("{\"cmd\":\"ping\"}").map(|_| ())
+        self.command("ping").map(|_| ())
     }
 
     pub fn shutdown(&mut self) -> Result<(), String> {
-        self.request("{\"cmd\":\"shutdown\"}").map(|_| ())
+        self.command("shutdown").map(|_| ())
     }
 
     /// Prometheus text of the daemon's metrics registry.
     pub fn metrics(&mut self) -> Result<String, String> {
-        let v = self.request("{\"cmd\":\"metrics\"}")?;
+        let v = self.command("metrics")?;
         Ok(v.get("text")
             .and_then(|j| j.as_str())
             .unwrap_or_default()
@@ -200,19 +180,19 @@ impl Client {
 
     /// Database statistics (JSON object under `stats`).
     pub fn stats(&mut self) -> Result<Json, String> {
-        let v = self.request("{\"cmd\":\"stats\"}")?;
+        let v = self.command("stats")?;
         v.get("stats").cloned().ok_or("missing stats".to_string())
     }
 
     /// Compact the journal now; returns post-compaction statistics.
     pub fn compact(&mut self) -> Result<Json, String> {
-        let v = self.request("{\"cmd\":\"compact\"}")?;
+        let v = self.command("compact")?;
         v.get("stats").cloned().ok_or("missing stats".to_string())
     }
 
     /// Pack the daemon's database into artifact text.
     pub fn pack(&mut self) -> Result<String, String> {
-        let v = self.request("{\"cmd\":\"pack\"}")?;
+        let v = self.command("pack")?;
         Ok(v.get("artifact")
             .and_then(|j| j.as_str())
             .unwrap_or_default()
@@ -231,21 +211,15 @@ impl Client {
         prec: Option<&str>,
         sfv: Option<&[f64]>,
     ) -> Result<Json, String> {
-        let mut s = format!(
-            "{{\"cmd\":\"query\",\"kernel\":\"{}\",\"machine\":\"{}\",\"context\":\"{}\"",
-            esc(kernel),
-            esc(machine),
-            esc(context)
-        );
-        if let Some(p) = prec {
-            s.push_str(&format!(",\"prec\":\"{}\"", esc(p)));
-        }
-        if let Some(sfv) = sfv {
-            let vals: Vec<String> = sfv.iter().map(|v| format!("{v:.6}")).collect();
-            s.push_str(&format!(",\"sfv\":[{}]", vals.join(",")));
-        }
-        s.push('}');
-        self.request(&s)
+        let sfv = sfv.map(|sfv| Array(sfv.iter().map(|&v| Fixed(v, 6))));
+        let req = obj()
+            .field("cmd", "query")
+            .field("kernel", kernel)
+            .field("machine", machine)
+            .field("context", context)
+            .maybe("prec", prec)
+            .maybe("sfv", sfv);
+        self.request(&req.finish())
     }
 
     /// Run (or coalesce into) a tune session; returns the full response

@@ -15,15 +15,16 @@
 //! compact.
 
 use crate::client::TuneRequest;
-use crate::proto::{error_response, object, ok_response, read_frame, write_frame, Field, Polling};
+use crate::proto::{error_response, read_frame, write_frame, Polling};
 use ifko::artifact;
 use ifko::config::Opened;
 use ifko::eval::{fnv64, machine_fingerprint, EvalCache};
+use ifko::json::{obj, FieldError, Fixed, Obj, Raw};
 use ifko::metrics;
 use ifko::report::{parse_json, Json};
 use ifko::runner::Context;
 use ifko::strategy::db::{params_json, record_json};
-use ifko::strategy::{db_key, TunedDb, STRATEGY_WARM};
+use ifko::strategy::{db_key, TunedDb, TunedRecord, STRATEGY_WARM};
 use ifko_blas::Kernel;
 use ifko_xsim::MachineConfig;
 use std::collections::HashMap;
@@ -245,42 +246,47 @@ impl std::io::Read for IdleReader<'_> {
     }
 }
 
+/// The commands `ifkod` serves.
+const COMMANDS: [&str; 8] = [
+    "ping", "shutdown", "metrics", "stats", "compact", "pack", "query", "tune",
+];
+
 fn dispatch(server: &Arc<Server>, payload: &str) -> String {
     let Some(req) = parse_json(payload) else {
         metrics::global().counter(metrics::DAEMON_ERRORS).inc();
         return error_response("unparseable request");
     };
     let cmd = req.get("cmd").and_then(|j| j.as_str()).unwrap_or("");
+    // The label comes from the wire: one series for every command the
+    // daemon does not serve keeps the registry bounded and its text
+    // well formed whatever a client sends.
+    let kind = if COMMANDS.contains(&cmd) {
+        cmd
+    } else {
+        "unknown"
+    };
     metrics::global()
-        .counter(&metrics::labeled(metrics::DAEMON_REQUESTS, "kind", cmd))
+        .counter(&metrics::labeled(metrics::DAEMON_REQUESTS, "kind", kind))
         .inc();
     if !server.cfg.quiet && cmd != "ping" {
         eprintln!("ifkod: {cmd} request");
     }
+    let ok = || obj().field("ok", true);
     let result = match cmd {
-        "ping" => Ok(object(&[Field::Str("pong", "ifkod")])),
+        "ping" => Ok(ok().field("pong", "ifkod")),
         "shutdown" => {
             server.stop.store(true, Ordering::SeqCst);
-            Ok(ok_response())
+            Ok(ok())
         }
-        "metrics" => Ok(object(&[Field::Str(
-            "text",
-            &metrics::global().prometheus_text(),
-        )])),
-        "stats" => Ok(object(&[Field::Raw("stats", server.db.stats().to_json())])),
-        "compact" => Ok(object(&[Field::Raw(
-            "stats",
-            server.db.compact().to_json(),
-        )])),
-        "pack" => Ok(object(&[Field::Str(
-            "artifact",
-            &artifact::pack(&server.db),
-        )])),
+        "metrics" => Ok(ok().field("text", metrics::global().prometheus_text())),
+        "stats" => Ok(ok().field("stats", Raw(&server.db.stats().to_json()))),
+        "compact" => Ok(ok().field("stats", Raw(&server.db.compact().to_json()))),
+        "pack" => Ok(ok().field("artifact", artifact::pack(&server.db))),
         "query" => handle_query(server, &req),
         "tune" => handle_tune(server, &req),
         other => Err(format!("unknown cmd {other:?}")),
     };
-    result.unwrap_or_else(|e| {
+    result.map(Obj::finish).unwrap_or_else(|e| {
         metrics::global().counter(metrics::DAEMON_ERRORS).inc();
         error_response(&e)
     })
@@ -288,16 +294,12 @@ fn dispatch(server: &Arc<Server>, payload: &str) -> String {
 
 /// Exact-key (and optionally nearest-`sfv`) warm-start lookup, answered
 /// entirely from the in-memory index.
-fn handle_query(server: &Arc<Server>, req: &Json) -> Result<String, String> {
-    let kernel = req
-        .get("kernel")
-        .and_then(|j| j.as_str())
-        .ok_or("query needs a kernel name")?;
-    let machine_name = req
-        .get("machine")
-        .and_then(|j| j.as_str())
-        .ok_or("query needs a machine")?;
-    let context = req.get("context").and_then(|j| j.as_str()).unwrap_or("oc");
+fn handle_query(server: &Arc<Server>, req: &Json) -> Result<Obj, String> {
+    let refused = |e: FieldError| format!("query {e}");
+    let text = |name| req.field::<&str>(name).map_err(refused);
+    let kernel = text("kernel")?.ok_or("query needs a kernel name")?;
+    let machine_name = text("machine")?.ok_or("query needs a machine")?;
+    let context = text("context")?.unwrap_or("oc");
     let context = Context::from_label(context)
         .ok_or_else(|| format!("unknown context {context:?} (oc | ic)"))?;
     // The machine field accepts a model name (p4e/opteron) or a raw
@@ -310,7 +312,7 @@ fn handle_query(server: &Arc<Server>, req: &Json) -> Result<String, String> {
                 .ok_or_else(|| format!("unknown machine {machine_name:?}"))?,
         )
     };
-    let prec = match req.get("prec").and_then(|j| j.as_str()) {
+    let prec = match text("prec")? {
         Some(p) => p.to_string(),
         None => {
             let k = Kernel::by_name(kernel)
@@ -318,13 +320,7 @@ fn handle_query(server: &Arc<Server>, req: &Json) -> Result<String, String> {
             format!("{:?}", k.prec)
         }
     };
-    let sfv = req
-        .get("sfv")
-        .map(|j| {
-            j.as_f64s()
-                .ok_or("query field `sfv` must be an array of numbers")
-        })
-        .transpose()?;
+    let sfv: Option<Vec<f64>> = req.field("sfv").map_err(refused)?;
     let key = db_key(
         kernel,
         &prec,
@@ -332,30 +328,27 @@ fn handle_query(server: &Arc<Server>, req: &Json) -> Result<String, String> {
         context.label(),
         server.db.rev(),
     );
+    let found = |rec: &TunedRecord, nearest: bool| {
+        let o = obj().field("ok", true).field("found", true);
+        o.field("nearest", nearest)
+            .field("record", Raw(&record_json(rec)))
+    };
     if let Some(rec) = server.db.lookup(&key) {
-        return Ok(object(&[
-            Field::Bool("found", true),
-            Field::Bool("nearest", false),
-            Field::Raw("record", record_json(&rec)),
-        ]));
+        return Ok(found(&rec, false));
     }
     // Exact miss: nearest-by-static-features transfer lookup when the
     // caller supplied a feature vector.
     if let Some(sfv) = sfv {
         if let Some(rec) = server.db.nearest_by_features(&sfv, &key) {
-            return Ok(object(&[
-                Field::Bool("found", true),
-                Field::Bool("nearest", true),
-                Field::Raw("record", record_json(&rec)),
-            ]));
+            return Ok(found(&rec, true));
         }
     }
-    Ok(object(&[Field::Bool("found", false)]))
+    Ok(obj().field("ok", true).field("found", false))
 }
 
 /// Run one tune session over the shared database and cache, on the
 /// subject its key's slot keeps open.
-fn handle_tune(server: &Arc<Server>, req: &Json) -> Result<String, String> {
+fn handle_tune(server: &Arc<Server>, req: &Json) -> Result<Obj, String> {
     let req = TuneRequest::from_json(req)?;
     let cfg = req
         .config()?
@@ -403,24 +396,24 @@ fn handle_tune(server: &Arc<Server>, req: &Json) -> Result<String, String> {
     if warm {
         metrics::global().counter(metrics::DAEMON_WARM_HITS).inc();
     }
-    Ok(object(&[
-        Field::Str("kernel", req.kernel.as_deref().unwrap_or("hil")),
-        Field::Str("machine", &key.1),
-        Field::Str("context", context),
-        Field::Num("n", n as u64),
-        Field::Num("seed", seed),
-        Field::Bool("warm", warm),
-        Field::Str("strategy", &result.strategy),
-        Field::Str("winner_strategy", &result.winner_strategy),
-        Field::Num("default_cycles", result.default_cycles),
-        Field::Num("best_cycles", result.best_cycles),
-        Field::Num("cycles", out.cycles),
-        Field::Float("mflops", out.mflops),
-        Field::Num("evaluations", result.evaluations as u64),
-        Field::Num("cache_hits", result.cache_hits as u64),
-        Field::Num("pruned", result.pruned as u64),
-        Field::Raw("params", params_json(&result.best)),
-    ]))
+    Ok(obj()
+        .field("ok", true)
+        .field("kernel", req.kernel.as_deref().unwrap_or("hil"))
+        .field("machine", &key.1)
+        .field("context", context)
+        .field("n", n)
+        .field("seed", seed)
+        .field("warm", warm)
+        .field("strategy", &result.strategy)
+        .field("winner_strategy", &result.winner_strategy)
+        .field("default_cycles", result.default_cycles)
+        .field("best_cycles", result.best_cycles)
+        .field("cycles", out.cycles)
+        .field("mflops", Fixed(out.mflops, 6))
+        .field("evaluations", result.evaluations)
+        .field("cache_hits", result.cache_hits)
+        .field("pruned", result.pruned)
+        .field("params", Raw(&params_json(&result.best))))
 }
 
 #[cfg(test)]

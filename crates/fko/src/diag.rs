@@ -151,6 +151,12 @@ impl std::fmt::Display for Diagnostic {
 /// string escaper; `ifko::json::esc` re-exports it.
 pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
+    json_escape_into(&mut out, s);
+    out
+}
+
+/// [`json_escape`], appended to `out`.
+pub fn json_escape_into(out: &mut String, s: &str) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -158,11 +164,13 @@ pub fn json_escape(s: &str) -> String {
             '\n' => out.push_str("\\n"),
             '\t' => out.push_str("\\t"),
             '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c if (c as u32) < 0x20 => {
+                use std::fmt::Write;
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
             c => out.push(c),
         }
     }
-    out
 }
 
 #[cfg(test)]
