@@ -151,8 +151,10 @@ fn cmd_lint(given: &Given) -> Result<bool, String> {
         }
     }
     if json {
-        let out = obj().field("files", Array(&out_json));
-        let out = out.field("errors", errors).field("warnings", warnings);
+        let out = obj()
+            .field("files", Array(&out_json))
+            .field("errors", errors)
+            .field("warnings", warnings);
         println!("{}", out.finish());
     } else {
         println!(

@@ -40,9 +40,13 @@ pub fn render_chrome(events: &[SearchEvent]) -> String {
 
     // Track names.
     let meta = |tid: u64, what: &str, name: &str| {
-        let args = obj().field("name", name);
-        let o = obj().field("ph", "M").field("pid", 1u64).field("tid", tid);
-        o.field("name", what).field("args", args).finish()
+        obj()
+            .field("ph", "M")
+            .field("pid", 1u64)
+            .field("tid", tid)
+            .field("name", what)
+            .field("args", obj().field("name", name))
+            .finish()
     };
     for (tid, name) in [(SPAN_TID, "pipeline spans"), (EVAL_TID, "candidates")] {
         lines.push(meta(tid, "thread_name", name));
@@ -110,15 +114,21 @@ pub fn render_chrome(events: &[SearchEvent]) -> String {
     }
 
     let events = format!("[\n{}\n]", lines.join(",\n"));
-    let chrome = obj().field("displayTimeUnit", "ms");
-    chrome.field("traceEvents", Raw(&events)).finish() + "\n"
+    let chrome = obj()
+        .field("displayTimeUnit", "ms")
+        .field("traceEvents", Raw(&events));
+    chrome.finish() + "\n"
 }
 
 /// One complete (`"ph":"X"`) slice on track `tid`.
 fn slice(tid: u64, name: &str, cat: &str, ts: u64, dur: u64, args: Obj) -> String {
-    let o = obj().field("ph", "X").field("pid", 1u64).field("tid", tid);
-    let o = o.field("name", name).field("cat", cat);
-    o.field("ts", ts)
+    obj()
+        .field("ph", "X")
+        .field("pid", 1u64)
+        .field("tid", tid)
+        .field("name", name)
+        .field("cat", cat)
+        .field("ts", ts)
         .field("dur", dur)
         .field("args", args)
         .finish()

@@ -568,8 +568,11 @@ impl WorkerHandle {
     /// the result is discarded, never merged.
     pub fn eval(&mut self, id: u64, p: &TransformParams) -> Result<EvalRecord, WorkerError> {
         let params = params_json(p);
-        let req = obj().field("cmd", "eval").field("id", id);
-        let req = req.field("params", Raw(&params)).finish();
+        let req = obj()
+            .field("cmd", "eval")
+            .field("id", id)
+            .field("params", Raw(&params))
+            .finish();
         proto::write_frame(&mut self.stream, &req)?;
         let v = self.read_reply()?;
         let got = v

@@ -329,8 +329,10 @@ fn handle_query(server: &Arc<Server>, req: &Json) -> Result<Obj, String> {
         server.db.rev(),
     );
     let found = |rec: &TunedRecord, nearest: bool| {
-        let o = obj().field("ok", true).field("found", true);
-        o.field("nearest", nearest)
+        obj()
+            .field("ok", true)
+            .field("found", true)
+            .field("nearest", nearest)
             .field("record", Raw(&record_json(rec)))
     };
     if let Some(rec) = server.db.lookup(&key) {
