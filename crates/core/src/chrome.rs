@@ -84,7 +84,7 @@ pub fn render_chrome(events: &[SearchEvent]) -> String {
         for &c in children.get(&s.id).map_or(&[][..], |v| v.as_slice()) {
             cursor = layout(c, cursor, spans, children, out);
         }
-        let end = start + (cursor - start).max(s.wall_us);
+        let end = start.saturating_add((cursor - start).max(s.wall_us));
         out.push((idx, start, end - start));
         end
     }
@@ -110,7 +110,7 @@ pub fn render_chrome(events: &[SearchEvent]) -> String {
         let SearchEvent::Eval(e) = e else { continue };
         let dur = e.wall_us.max(1);
         lines.push(eval_slice(e, ets, dur));
-        ets += dur;
+        ets = ets.saturating_add(dur);
     }
 
     let events = format!("[\n{}\n]", lines.join(",\n"));

@@ -571,6 +571,28 @@ fn malformed_frames_drop_the_connection_not_the_daemon() {
     let _ = std::fs::remove_dir_all(&db_dir);
 }
 
+/// A frame of one value nested 100 000 deep is a typed refusal: the
+/// daemon process survives it and answers a `ping` on a new connection.
+/// A process of its own, since a stack overflow aborts the whole process.
+#[test]
+fn a_deeply_nested_frame_is_refused_not_fatal() {
+    use std::os::unix::net::UnixStream;
+    let db_dir = tmp("deep-frame-db");
+    let socket = db_dir.join("ifkod.sock");
+    let _daemon = DaemonProcess::start(&socket, &db_dir);
+    let mut s = UnixStream::connect(&socket).unwrap();
+    s.set_read_timeout(Some(std::time::Duration::from_secs(10)))
+        .unwrap();
+    ifko_daemon::write_frame(&mut s, &"[".repeat(100_000)).unwrap();
+    let reply = ifko_daemon::read_frame(&mut s).unwrap().unwrap();
+    assert!(reply.contains("unparseable"), "{reply}");
+    Client::connect(&socket)
+        .unwrap()
+        .ping()
+        .expect("the daemon stopped serving");
+    let _ = std::fs::remove_dir_all(&db_dir);
+}
+
 /// Well-framed requests that are not well-formed: each gets a typed
 /// `ok:false` naming what is wrong, on a connection that stays usable,
 /// and none starts a tune under a default the caller did not ask for.
