@@ -304,21 +304,6 @@ mod tests {
     }
 
     #[test]
-    fn model_prune_flag_parses_and_validates() {
-        let g = parse("tune", &["k.hil", "--model-prune", "0.5"]).unwrap();
-        assert_eq!(g.get::<f64>("--model-prune"), Some(0.5));
-        // Off by default; bad or out-of-range values are rejected.
-        assert!(!parse("tune", &["k.hil"]).unwrap().has("--model-prune"));
-        assert!(parse("tune", &["k.hil", "--model-prune"]).is_err());
-        let err = |v: &str| parse("tune", &["k.hil", "--model-prune", v]).err();
-        assert_eq!(
-            err("1.5").as_deref(),
-            Some("--model-prune: 1.5 outside [0, 1]")
-        );
-        assert!(err("-0.1").is_some() && err("x").is_some());
-    }
-
-    #[test]
     fn chaos_flags_parse() {
         let g = parse("tune", &["k.hil", "--chaos", "7:0.2", "--max-retries", "5"]).unwrap();
         assert_eq!(g.get::<FaultPlan>("--chaos").map(|p| p.seed), Some(7));
@@ -389,8 +374,6 @@ mod tests {
                 "m",
                 "--verify-ir",
                 "--no-prune",
-                "--model-prune",
-                "0.5",
                 "--db",
                 "d",
                 "--warm-start",
@@ -401,7 +384,7 @@ mod tests {
             ],
         )
         .unwrap();
-        assert_eq!(every.local_only().len(), 11);
+        assert_eq!(every.local_only().len(), 10);
     }
 
     #[test]

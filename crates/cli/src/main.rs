@@ -315,12 +315,6 @@ fn cmd_tune(given: &Given) -> Result<(), String> {
         "evaluations        : {} ({} rejected, {} cache hits, {} pruned)",
         out.result.evaluations, out.result.rejected, out.result.cache_hits, out.result.pruned
     );
-    if out.result.model_pruned > 0 {
-        println!(
-            "cost-model pruning : {} candidates skipped by predicted rank",
-            out.result.model_pruned
-        );
-    }
     if out.result.retries + out.result.faults + out.result.outliers + out.result.failed > 0 {
         println!(
             "fault handling     : {} faults injected, {} retries, {} outliers rejected, {} failed",

@@ -188,14 +188,6 @@ impl TuneConfig {
         self.search.prune = on;
         self
     }
-    /// Prune this fraction of each batch's fresh candidates from the
-    /// predicted-worst end of the static cost model's ranking
-    /// (`--model-prune FRAC`, clamped to [0, 1]). 0 (the default) keeps
-    /// every candidate; predictions still land in the trace.
-    pub fn model_prune(mut self, frac: f64) -> Self {
-        self.search.model_prune = frac.clamp(0.0, 1.0);
-        self
-    }
     /// Inject deterministic, seeded faults into the evaluation pipeline
     /// (`--chaos SEED[:RATE]`): transient compile failures, tester
     /// flakes, timing-rep spikes, and truncated journal writes. Off by

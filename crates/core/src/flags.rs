@@ -80,13 +80,6 @@ where
     boxed(s.parse::<T>())
 }
 
-fn fraction(s: &str) -> Result<Box<dyn Any>, String> {
-    match s.parse::<f64>() {
-        Ok(f) if !(0.0..=1.0).contains(&f) => Err(format!("{f} outside [0, 1]")),
-        frac => boxed(frac),
-    }
-}
-
 /// The tune flags `ifko tune` and every experiment binary read, applied
 /// by [`TuneFlags::open`]. A `--remote` request carries the strategy and
 /// the budget; the rest configure the process that runs the search.
@@ -104,7 +97,6 @@ pub const TUNE: &[Flag] = &[
     Flag::new("--warm-start", "use the tuned-results database (results/db without --db)"),
     Flag::new("--chaos SEED[:RATE]", "inject deterministic faults").parse(|s| boxed(FaultPlan::parse(s))),
     Flag::new("--max-retries N", "retries per fault site and candidate (default 2)").parse(num::<u32>),
-    Flag::new("--model-prune FRAC", "skip the predicted-worst FRAC of each batch").parse(fraction),
 ];
 
 /// A command line: the command's name, positionals and flags.
@@ -311,13 +303,6 @@ impl TuneFlags {
         if let Some(retries) = given.get("--max-retries") {
             base = base.max_retries(retries);
         }
-        if let Some(frac) = given.get::<f64>("--model-prune") {
-            base = base.model_prune(frac);
-            eprintln!(
-                "cost-model pruning on: dropping worst {:.0}% of each batch by predicted cycles",
-                frac * 100.0
-            );
-        }
         if let Some(strategy) = given.get("--strategy") {
             base = base.strategy(strategy);
         }
@@ -384,8 +369,8 @@ mod tests {
         assert_eq!(err(&["f", "--n"]), "--n needs a value");
         assert_eq!(err(&["f", "-n", "x"]), "--n: invalid digit found in string");
         assert_eq!(
-            err(&["f", "--model-prune", "2"]),
-            "--model-prune: 2 outside [0, 1]"
+            err(&["f", "--max-retries", "-1"]),
+            "--max-retries: invalid digit found in string"
         );
         assert_eq!(err(&["f", "g"]), "unexpected argument `g`");
         assert_eq!(err(&["--n", "3"]), "missing FILE (see `prog run --help`)");

@@ -405,9 +405,6 @@ pub const ENGINE_SIMULATIONS: &str = "ifko_engine_simulations_total";
 pub const ENGINE_REJECTED: &str = "ifko_engine_rejected_total";
 /// Candidates pruned by the legality precheck before compilation.
 pub const ENGINE_PRUNED: &str = "ifko_engine_pruned_total";
-/// Candidates pruned by the static cost model (`--model-prune`), a
-/// subset of `ifko_engine_pruned_total`.
-pub const ENGINE_MODEL_PRUNED: &str = "ifko_engine_model_pruned_total";
 /// Candidates submitted across all batches (pruned + cached + fresh).
 pub const ENGINE_PROBES: &str = "ifko_engine_probes_total";
 /// Batch probes answered by the evaluation cache (incl. in-batch dups).

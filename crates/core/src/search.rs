@@ -96,11 +96,6 @@ pub struct SearchOptions {
     /// a kernel with no reduction) are pruned for free. Winner-neutral —
     /// see `prune_equivalence.rs`.
     pub prune: bool,
-    /// Fraction of each batch's fresh candidates to prune from the
-    /// predicted-worst end of the static cost model's ranking
-    /// (`--model-prune FRAC`). 0.0 (the default) disables pruning; the
-    /// model then runs only when a trace sink will record its predictions.
-    pub model_prune: f64,
     /// Chaos plan (`--chaos SEED[:RATE]`): inject deterministic transient
     /// faults into compile/tester/timing. `None` (the default) evaluates
     /// everything fault-free.
@@ -119,7 +114,6 @@ impl Default for SearchOptions {
             ae_candidates: vec![1, 2, 3, 4, 5, 6],
             verify_ir: false,
             prune: true,
-            model_prune: 0.0,
             faults: None,
             max_retries: 2,
         }
@@ -136,7 +130,6 @@ impl SearchOptions {
             ae_candidates: vec![1, 2, 4],
             verify_ir: false,
             prune: true,
-            model_prune: 0.0,
             faults: None,
             max_retries: 2,
         }
@@ -157,10 +150,8 @@ pub struct SearchResult {
     pub rejected: u32,
     /// Evaluations answered by the cross-phase evaluation cache.
     pub cache_hits: u32,
-    /// Candidates pruned before compilation (legality + cost model).
+    /// Candidates pruned before compilation by the legality precheck.
     pub pruned: u32,
-    /// The cost-model subset of `pruned` (`--model-prune`).
-    pub model_pruned: u32,
     /// Strategy that drove the search (`line`, `random`, `portfolio`,
     /// ...; `warm` when a tuned-database hit ended it early).
     pub strategy: String,
@@ -196,7 +187,6 @@ impl SearchResult {
             rejected: tally.rejected,
             cache_hits: tally.cache_hits,
             pruned: tally.pruned,
-            model_pruned: tally.model_pruned,
             strategy: strategy.to_string(),
             winner_strategy,
             retries: tally.retries,

@@ -42,7 +42,7 @@ pub use global::{Anneal, HillClimb, RandomSearch, SearchSpace};
 pub use line::LineSearch;
 pub use portfolio::Portfolio;
 
-use crate::eval::{Batch, EvalEngine, ModelCtx, Span, Tally};
+use crate::eval::{Batch, EvalEngine, Span, Tally};
 use crate::metrics;
 use crate::search::{PhaseGain, SearchOptions, SearchResult, PHASE_SEED};
 use crate::subject::Subject;
@@ -358,9 +358,8 @@ impl<'a> SearchCtx<'a> {
     ///
     /// Every admitted batch flows through the engine with the legality
     /// precheck (`opts.prune`) and the static cost model attached (priced
-    /// only for a trace sink or an `opts.model_prune` cut above 0), and is
-    /// counted on the spot: the running tally,
-    /// the per-phase and per-strategy probe counters, and — where the
+    /// only for a trace sink), and is counted on the spot: the running
+    /// tally, the per-phase and per-strategy probe counters, and — where the
     /// in-order strict-improvement scan moves the best — the per-phase
     /// win and improvement-delta instruments. The seeding result
     /// establishes the baseline without counting as a win, so the
@@ -392,10 +391,7 @@ impl<'a> SearchCtx<'a> {
                 strategy: self.strategy,
                 phase,
                 precheck: &check,
-                model: Some(ModelCtx {
-                    hook: &model,
-                    prune_frac: opts.model_prune,
-                }),
+                model: Some(&model),
             };
             let out = engine.evaluate(&batch, cands_in, |p| {
                 subject.evaluate(p, Some(engine), search_id)

@@ -59,7 +59,8 @@ pub struct EvalEvent {
     pub predicted: Option<u64>,
     /// Rejection reason when the candidate was pruned before compilation
     /// (`None` for evaluated / cached candidates): a legality-precheck
-    /// code, or `model-rank` for cost-model pruning.
+    /// code. Older traces may hold `model-rank`, which counts as pruned
+    /// like any other reason.
     pub pruned: Option<String>,
     /// Search strategy that submitted the candidate (`line`, `random`,
     /// ...; empty for untagged batches such as the driver's final
@@ -498,7 +499,6 @@ pub fn read_traces(paths: &[impl AsRef<Path>]) -> std::io::Result<TraceData> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::eval::PRUNE_MODEL_RANK;
 
     #[test]
     fn event_json_shape() {
@@ -533,12 +533,12 @@ mod tests {
             .ends_with("\"wall_us\":9,\"strategy\":\"line\"}"));
         let modeled = EvalEvent {
             predicted: Some(1234),
-            pruned: Some(PRUNE_MODEL_RANK.to_string()),
+            pruned: Some("unroll-too-large".to_string()),
             ..ev.clone()
         };
         assert!(modeled
             .to_json()
-            .ends_with("\"wall_us\":9,\"predicted\":1234,\"pruned\":\"model-rank\"}"));
+            .ends_with("\"wall_us\":9,\"predicted\":1234,\"pruned\":\"unroll-too-large\"}"));
         let chaotic = EvalEvent {
             retries: 2,
             faults: 3,

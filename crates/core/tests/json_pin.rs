@@ -476,8 +476,6 @@ fn chrome_and_report_documents() {
             "\n",
             r#"{"line":"probes 4 (fresh 2, cache hits 1, rejected 1, pruned 1)"},"#,
             "\n",
-            r#"{"line":"cost model pruned 1 of 4 candidates before compile"},"#,
-            "\n",
             r#"{"line":"chaos: 0 retries, 0 faults injected, 0 outliers rejected, 1 failed"},"#,
             "\n",
             r#"{"table":[{"phase":"SEED","cands":"4","wins":"0","speedup":"1.0000"}]},"#,
