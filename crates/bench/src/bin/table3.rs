@@ -2,18 +2,8 @@
 //! empirical search selects, per platform and context — `SV:WNT`,
 //! per-array prefetch instruction and distance, `UR:AE`.
 
-use ifko::prelude::*;
-use ifko_bench::{format_table3, Experiment};
+use ifko_bench::{table3, Experiment};
 
 fn main() {
-    let sweeps = Experiment::new("table3")
-        .sweep(p4e(), Context::OutOfCache)
-        .sweep(opteron(), Context::OutOfCache)
-        .sweep(p4e(), Context::InL2)
-        .tune_only()
-        .run();
-    println!("Table 3. Transformation parameters by architecture and context\n");
-    for sweep in &sweeps {
-        println!("{}", format_table3(&sweep.title(), &sweep.rows));
-    }
+    print!("{}", table3(Experiment::new("table3")));
 }

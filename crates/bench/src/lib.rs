@@ -436,6 +436,24 @@ pub fn format_relative_table(title: &str, rows: &[KernelRow]) -> String {
     s
 }
 
+/// The paper's Table 3 as the `table3` binary prints it: the parameters
+/// the search selects on each of its three sweeps.
+pub fn table3(exp: Experiment) -> String {
+    let sweeps = exp
+        .sweep(p4e(), Context::OutOfCache)
+        .sweep(opteron(), Context::OutOfCache)
+        .sweep(p4e(), Context::InL2)
+        .tune_only()
+        .run();
+    let mut out =
+        String::from("Table 3. Transformation parameters by architecture and context\n\n");
+    for sweep in &sweeps {
+        out += &format_table3(&sweep.title(), &sweep.rows);
+        out.push('\n');
+    }
+    out
+}
+
 /// Render Table-3-style rows for a sweep.
 pub fn format_table3(title: &str, rows: &[KernelRow]) -> String {
     use std::fmt::Write;
