@@ -482,6 +482,44 @@ pub fn format_table3(title: &str, rows: &[KernelRow]) -> String {
     s
 }
 
+/// The `strategies` binary's head-to-head table: each strategy in `specs`
+/// tunes dswap and ddot out of cache on P4E, each run with a private
+/// evaluation cache so every strategy pays for its own probes, and one
+/// row reports best cycles, speedup over FKO defaults, the evaluation
+/// counters and the strategy whose probe found the winner.
+pub fn strategies(cfg: &ExpConfig, specs: &[StrategySpec]) -> String {
+    use std::fmt::Write;
+    let mach = p4e();
+    let ctx = Context::OutOfCache;
+    let kernels = [BlasOp::Swap, BlasOp::Dot].map(|op| Kernel { op, prec: Prec::D });
+    let mut s = String::new();
+    let _ = writeln!(
+        s,
+        "{:<10} {:<8} {:>10} {:>8} {:>6} {:>6} {:>6}  winner",
+        "strategy", "kernel", "best", "speedup", "evals", "hits", "pruned"
+    );
+    for spec in specs {
+        for k in &kernels {
+            let _ = match cfg.tune_config(&mach, ctx).strategy(*spec).tune(*k) {
+                Ok(out) => writeln!(
+                    s,
+                    "{:<10} {:<8} {:>10} {:>7.2}x {:>6} {:>6} {:>6}  {}",
+                    spec.name(),
+                    k.name(),
+                    out.result.best_cycles,
+                    out.result.speedup_over_default(),
+                    out.result.evaluations,
+                    out.result.cache_hits,
+                    out.result.pruned,
+                    out.result.winner_strategy,
+                ),
+                Err(e) => writeln!(s, "{:<10} {:<8} FAILED: {e}", spec.name(), k.name()),
+            };
+        }
+    }
+    s
+}
+
 /// Figure 7 data: per-kernel speedup of ifko over FKO, decomposed by
 /// search phase.
 pub fn format_figure7(title: &str, rows: &[KernelRow]) -> String {

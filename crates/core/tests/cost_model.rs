@@ -13,7 +13,7 @@
 use ifko::eval::{MemSink, SearchEvent};
 use ifko::metrics::{self, MetricsRegistry};
 use ifko::prelude::*;
-use ifko::strategy::TunedDb;
+use ifko::strategy::{TunedDb, TunedRecord};
 use ifko::worker::WorkerLauncher;
 use ifko_fko::StaticFeatureVector;
 use std::sync::Arc;
@@ -114,6 +114,63 @@ fn nearest_neighbor_seeds_transfer_warm_start() {
     // The transferred point is re-verified, never trusted: the final
     // winner matches a cold search exactly.
     let cold = cfg(1024).tune(dk(BlasOp::Axpy)).unwrap();
+    assert_eq!(warm.result.best, cold.result.best);
+    assert_eq!(warm.result.best_cycles, cold.result.best_cycles);
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A transfer probe that only ties the strategy's best loses the tie: a
+/// transferred point that differs from the cold winner in the distance of
+/// a dropped prefetch compiles to the same program and runs in the same
+/// cycles, and the tune still returns the point its strategy found.
+#[test]
+fn a_transfer_probe_that_ties_the_strategy_loses_the_tie() {
+    let dir = std::env::temp_dir().join(format!("ifko-xfer-tie-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+
+    let cold = cfg(1024).tune(dk(BlasOp::Copy)).unwrap();
+    let mut tied = cold.result.best.clone();
+    let dropped = tied
+        .prefetch
+        .iter_mut()
+        .find(|s| s.kind.is_none())
+        .expect("dcopy's winner drops a prefetch");
+    dropped.dist += 64;
+    assert_ne!(tied, cold.result.best);
+
+    // Store ddot's record, then make its point the tied one: the nearest
+    // (and only) neighbor dcopy's tune transfers from.
+    cfg(1024)
+        .tuned_db(dir.join("db"))
+        .unwrap()
+        .tune(dk(BlasOp::Dot))
+        .unwrap();
+    let db = TunedDb::open(dir.join("db")).unwrap();
+    let rec = TunedRecord {
+        params: tied.clone(),
+        ..db.records()[0].clone()
+    };
+    db.store(&rec);
+    drop(db);
+
+    let sink = MemSink::new();
+    let warm = cfg(1024)
+        .tuned_db(dir.join("db"))
+        .unwrap()
+        .trace(sink.clone())
+        .tune(dk(BlasOp::Copy))
+        .unwrap();
+    let xfer: Vec<_> = sink
+        .events()
+        .iter()
+        .filter_map(|e| match e {
+            SearchEvent::Eval(ev) if ev.phase == "XFER" => ev.cycles,
+            _ => None,
+        })
+        .collect();
+    assert_eq!(xfer, vec![cold.result.best_cycles], "the probe ties");
     assert_eq!(warm.result.best, cold.result.best);
     assert_eq!(warm.result.best_cycles, cold.result.best_cycles);
 
