@@ -37,10 +37,10 @@
 //!   compile failures, tester flakes, timing-rep spikes, and truncated
 //!   journal writes, answered by bounded retries, robust timing
 //!   statistics, graceful candidate failure, and crash-safe persistence;
-//! * [`strategy`] — the pluggable search-strategy subsystem: the
-//!   [`SearchDriver`](strategy::SearchDriver) trait, the line search and
-//!   three seeded global strategies behind it, a budget-aware portfolio
-//!   meta-driver that races them, and the persistent tuned-results
+//! * [`strategy`] — the search strategies, each a function of one search
+//!   context that owns the search's outcome: the line search, three
+//!   seeded global strategies, a budget-aware portfolio that races them
+//!   (all picked by [`StrategySpec`]), and the persistent tuned-results
 //!   database ([`TunedDb`](strategy::TunedDb)) used for warm starts;
 //! * [`config`] — [`TuneConfig`], the builder-style configuration every
 //!   entry point takes;
@@ -107,7 +107,7 @@ pub use generic::GenericWorkload;
 pub use metrics::MetricsRegistry;
 pub use runner::{Context, KernelArgs, Outputs, RunFailure};
 pub use search::{SearchOptions, SearchResult};
-pub use strategy::{Budget, SearchCtx, SearchDriver, StrategySpec, TunedDb, TunedRecord};
+pub use strategy::{Budget, StrategySpec, TunedDb, TunedRecord};
 pub use tester::verify;
 pub use timer::Timer;
 

@@ -25,7 +25,6 @@
 
 use crate::eval::Tally;
 use crate::fault::FaultPlan;
-use crate::strategy::DriverResult;
 use crate::timer::Timer;
 use ifko_fko::{AnalysisReport, TransformParams};
 use ifko_xsim::MachineConfig;
@@ -170,19 +169,22 @@ pub struct SearchResult {
 }
 
 impl SearchResult {
-    /// The one place a result is assembled: what a driver found, who
-    /// drove and who won, and the search's [`Tally`].
+    /// The one place a result is assembled: the best point and its
+    /// cycles, the seed's cycles, the per-phase gains, who drove and who
+    /// won, and the search's [`Tally`].
     pub(crate) fn new(
-        found: DriverResult,
+        (best, best_cycles): (TransformParams, u64),
+        default_cycles: u64,
+        gains: Vec<PhaseGain>,
         strategy: &str,
         winner_strategy: String,
         tally: Tally,
     ) -> SearchResult {
         SearchResult {
-            best: found.best,
-            best_cycles: found.best_cycles,
-            default_cycles: found.default_cycles,
-            gains: found.gains,
+            best,
+            best_cycles,
+            default_cycles,
+            gains,
             evaluations: tally.evaluated,
             rejected: tally.rejected,
             cache_hits: tally.cache_hits,
@@ -422,13 +424,14 @@ pub fn line_search_batched(
 
     // The skeleton sees no counters: callers that track them (the
     // strategy harness) fill the tally in.
-    let found = DriverResult {
-        best,
-        best_cycles,
+    SearchResult::new(
+        (best, best_cycles),
         default_cycles,
         gains,
-    };
-    SearchResult::new(found, "line", "line".to_string(), Tally::default())
+        "line",
+        "line".to_string(),
+        Tally::default(),
+    )
 }
 
 #[cfg(test)]

@@ -15,8 +15,8 @@
 //! the space generates are therefore never pruned for free — every probe
 //! is a real question.
 
-use super::{establish_seed, DriverResult, SearchCtx, SearchDriver};
-use crate::search::SearchOptions;
+use super::SearchCtx;
+use crate::search::{SearchOptions, PHASE_SEED};
 use ifko_fko::{AnalysisReport, TransformParams};
 use ifko_xsim::rng::Rng64;
 use ifko_xsim::{MachineConfig, PrefKind};
@@ -28,7 +28,7 @@ pub const PHASE_HC: &str = "HC";
 /// Phase label for simulated-annealing probes.
 pub const PHASE_SA: &str = "SA";
 
-/// Probes a global driver spends when no budget is given (chosen to be
+/// Probes a global strategy spends when no budget is given (chosen to be
 /// in the same ballpark as one full line search at the quick options).
 const DEFAULT_PROBES: u64 = 96;
 
@@ -252,226 +252,131 @@ fn pick_other<T: Clone + PartialEq>(list: &[T], cur: T, rng: &mut Rng64) -> Opti
     }
 }
 
-/// Fold one submitted batch into `(best, best_cycles)` with the standard
-/// in-order strict-improvement rule.
-fn fold(
-    cands: &[TransformParams],
-    results: &[Option<u64>],
-    best: &mut TransformParams,
-    best_cycles: &mut u64,
-) {
-    for (cand, res) in cands.iter().zip(results) {
-        if let Some(c) = *res {
-            if c < *best_cycles {
-                *best_cycles = c;
-                *best = cand.clone();
-            }
+/// Evaluate the seeding point (FKO defaults, falling back to the fully
+/// untransformed point, exactly like the line-search skeleton) and return
+/// `(seed_point, seed_cycles)`: where hill climbing and annealing start.
+fn seed(ctx: &mut SearchCtx<'_>) -> (TransformParams, u64) {
+    let d = TransformParams::defaults(ctx.rep(), ctx.machine());
+    match ctx.submit(PHASE_SEED, std::slice::from_ref(&d))[0] {
+        Some(c) => (d, c),
+        None => {
+            // Under a saturated chaos plan even the untransformed kernel
+            // can fail transiently: seed at u64::MAX (any later success
+            // wins) rather than panicking.
+            let off = TransformParams::off();
+            let c = ctx.submit(PHASE_SEED, std::slice::from_ref(&off))[0].unwrap_or(u64::MAX);
+            (off, c)
         }
     }
 }
 
-/// How many probes this driver should plan for: the budget's remaining
+/// How many probes this strategy should plan for: the budget's remaining
 /// allowance, or [`DEFAULT_PROBES`] when unlimited.
 fn planned_probes(ctx: &SearchCtx<'_>) -> u64 {
     ctx.remaining_probes().unwrap_or(DEFAULT_PROBES)
 }
 
-// ---------------------------------------------------------------------------
-// Random sampling
-// ---------------------------------------------------------------------------
+/// Candidates per random-sampling batch.
+const RANDOM_BATCH: u64 = 16;
 
 /// Seeded uniform random sampling: batches of independent draws over the
 /// legal space. The simplest global baseline — and, because batches are
 /// wide, the strategy that profits most from `--jobs`.
-#[derive(Clone, Debug)]
-pub struct RandomSearch {
-    /// Candidates per submitted batch.
-    pub batch: usize,
-}
-
-impl Default for RandomSearch {
-    fn default() -> Self {
-        RandomSearch { batch: 16 }
+pub(super) fn random(ctx: &mut SearchCtx<'_>) {
+    let space = SearchSpace::new(ctx.rep(), ctx.machine(), ctx.opts());
+    let mut rng = Rng64::seed_from_u64(ctx.strategy_seed() ^ 0x52414e44); // "RAND"
+    seed(ctx);
+    let mut left = planned_probes(ctx);
+    while left > 0 && !ctx.exhausted() {
+        let take = left.min(RANDOM_BATCH);
+        let cands: Vec<TransformParams> = (0..take).map(|_| space.random(&mut rng)).collect();
+        ctx.submit(PHASE_RAND, &cands);
+        left -= take;
     }
 }
 
-impl SearchDriver for RandomSearch {
-    fn name(&self) -> &'static str {
-        "random"
-    }
-
-    fn run(&mut self, ctx: &mut SearchCtx<'_>) -> DriverResult {
-        let space = SearchSpace::new(ctx.rep(), ctx.machine(), ctx.opts());
-        let mut rng = Rng64::seed_from_u64(ctx.strategy_seed() ^ 0x52414e44); // "RAND"
-        let (mut best, default_cycles) = establish_seed(ctx);
-        let mut best_cycles = default_cycles;
-        let mut left = planned_probes(ctx);
-        while left > 0 && !ctx.exhausted() {
-            let take = (left as usize).min(self.batch.max(1));
-            let cands: Vec<TransformParams> = (0..take).map(|_| space.random(&mut rng)).collect();
-            let results = ctx.submit(PHASE_RAND, &cands);
-            fold(&cands, &results, &mut best, &mut best_cycles);
-            left -= take as u64;
-        }
-        DriverResult {
-            best,
-            best_cycles,
-            default_cycles,
-            gains: Vec::new(),
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Hill climbing with restarts
-// ---------------------------------------------------------------------------
+/// Random restarts after hill climbing's initial descent from the seed.
+const RESTARTS: u32 = 3;
 
 /// Steepest-descent hill climbing: evaluate the full single-step
 /// neighborhood of the current point, move to its best strictly-improving
-/// member, and stop at a local optimum. Escapes local optima with seeded
-/// random restarts.
-#[derive(Clone, Debug)]
-pub struct HillClimb {
-    /// Random restarts after the initial descent from the defaults.
-    pub restarts: u32,
-}
-
-impl Default for HillClimb {
-    fn default() -> Self {
-        HillClimb { restarts: 3 }
-    }
-}
-
-impl SearchDriver for HillClimb {
-    fn name(&self) -> &'static str {
-        "hillclimb"
-    }
-
-    fn run(&mut self, ctx: &mut SearchCtx<'_>) -> DriverResult {
-        let space = SearchSpace::new(ctx.rep(), ctx.machine(), ctx.opts());
-        let mut rng = Rng64::seed_from_u64(ctx.strategy_seed() ^ 0x48434c42); // "HCLB"
-        let (mut best, default_cycles) = establish_seed(ctx);
-        let mut best_cycles = default_cycles;
-        'restarts: for restart in 0..=self.restarts {
-            let (mut cur, mut cur_cycles) = if restart == 0 {
-                (best.clone(), best_cycles)
-            } else {
+/// member, and stop at a local optimum. Escapes local optima with
+/// [`RESTARTS`] seeded random restarts.
+pub(super) fn hill_climb(ctx: &mut SearchCtx<'_>) {
+    let space = SearchSpace::new(ctx.rep(), ctx.machine(), ctx.opts());
+    let mut rng = Rng64::seed_from_u64(ctx.strategy_seed() ^ 0x48434c42); // "HCLB"
+    let mut seeded = Some(seed(ctx));
+    'restarts: for _ in 0..=RESTARTS {
+        let (mut cur, mut cur_cycles) = match seeded.take() {
+            Some(seeded) => seeded,
+            None => {
                 let start = space.random(&mut rng);
-                let res = ctx.submit(PHASE_HC, std::slice::from_ref(&start));
-                fold(
-                    std::slice::from_ref(&start),
-                    &res,
-                    &mut best,
-                    &mut best_cycles,
-                );
-                match res[0] {
+                match ctx.submit(PHASE_HC, std::slice::from_ref(&start))[0] {
                     Some(c) => (start, c),
                     None => continue, // start point rejected or out of budget
                 }
-            };
-            // Descend: the space is finite and every move strictly
-            // improves, so this terminates without an iteration cap.
-            loop {
-                if ctx.exhausted() {
-                    break 'restarts;
-                }
-                let nbrs = space.neighbors(&cur);
-                let results = ctx.submit(PHASE_HC, &nbrs);
-                fold(&nbrs, &results, &mut best, &mut best_cycles);
-                let mut step: Option<(usize, u64)> = None;
-                for (i, res) in results.iter().enumerate() {
-                    if let Some(c) = *res {
-                        if c < cur_cycles && step.is_none_or(|(_, b)| c < b) {
-                            step = Some((i, c));
-                        }
+            }
+        };
+        // Descend: the space is finite and every move strictly
+        // improves, so this terminates without an iteration cap.
+        loop {
+            if ctx.exhausted() {
+                break 'restarts;
+            }
+            let nbrs = space.neighbors(&cur);
+            let results = ctx.submit(PHASE_HC, &nbrs);
+            let mut step: Option<(usize, u64)> = None;
+            for (i, res) in results.iter().enumerate() {
+                if let Some(c) = *res {
+                    if c < cur_cycles && step.is_none_or(|(_, b)| c < b) {
+                        step = Some((i, c));
                     }
-                }
-                match step {
-                    Some((i, c)) => {
-                        cur = nbrs[i].clone();
-                        cur_cycles = c;
-                    }
-                    None => break, // local optimum
                 }
             }
-        }
-        DriverResult {
-            best,
-            best_cycles,
-            default_cycles,
-            gains: Vec::new(),
+            match step {
+                Some((i, c)) => {
+                    cur = nbrs[i].clone();
+                    cur_cycles = c;
+                }
+                None => break, // local optimum
+            }
         }
     }
 }
 
-// ---------------------------------------------------------------------------
-// Simulated annealing
-// ---------------------------------------------------------------------------
+/// Annealing's initial relative temperature: the fraction of the current
+/// cycles that a regression may cost and still be even odds to accept.
+const T0: f64 = 0.25;
 
 /// Simulated annealing: a single-mutation random walk that always accepts
 /// improvements and accepts regressions with probability
-/// `exp(-Δ/(T·cur))` under a linearly cooling relative temperature. The
-/// walk wanders early and converges late; the best point ever seen is
-/// what's returned.
-#[derive(Clone, Debug)]
-pub struct Anneal {
-    /// Initial relative temperature (fraction of current cycles that a
-    /// regression may cost and still be even odds to accept).
-    pub t0: f64,
-}
-
-impl Default for Anneal {
-    fn default() -> Self {
-        Anneal { t0: 0.25 }
-    }
-}
-
-impl SearchDriver for Anneal {
-    fn name(&self) -> &'static str {
-        "anneal"
-    }
-
-    fn run(&mut self, ctx: &mut SearchCtx<'_>) -> DriverResult {
-        let space = SearchSpace::new(ctx.rep(), ctx.machine(), ctx.opts());
-        let mut rng = Rng64::seed_from_u64(ctx.strategy_seed() ^ 0x414e4e4c); // "ANNL"
-        let (mut best, default_cycles) = establish_seed(ctx);
-        let mut best_cycles = default_cycles;
-        let mut cur = best.clone();
-        let mut cur_cycles = best_cycles;
-        let iters = planned_probes(ctx).max(1);
-        for i in 0..iters {
-            if ctx.exhausted() {
-                break;
-            }
-            let cand = space.mutate(&cur, &mut rng);
-            let res = ctx.submit(PHASE_SA, std::slice::from_ref(&cand));
-            fold(
-                std::slice::from_ref(&cand),
-                &res,
-                &mut best,
-                &mut best_cycles,
-            );
-            if let Some(c) = res[0] {
-                let t = self.t0 * (1.0 - i as f64 / iters as f64);
-                let accept = if c <= cur_cycles {
-                    true
-                } else if t <= 0.0 {
-                    false
-                } else {
-                    let delta = (c - cur_cycles) as f64 / cur_cycles.max(1) as f64;
-                    rng.unit_f64() < (-delta / t).exp()
-                };
-                if accept {
-                    cur = cand;
-                    cur_cycles = c;
-                }
-            }
+/// `exp(-Δ/(T·cur))` under a linearly cooling relative temperature
+/// (`T0 · (1 − i/iters)`). The walk wanders early and converges late; the
+/// context keeps the best point ever seen.
+pub(super) fn anneal(ctx: &mut SearchCtx<'_>) {
+    let space = SearchSpace::new(ctx.rep(), ctx.machine(), ctx.opts());
+    let mut rng = Rng64::seed_from_u64(ctx.strategy_seed() ^ 0x414e4e4c); // "ANNL"
+    let (mut cur, mut cur_cycles) = seed(ctx);
+    let iters = planned_probes(ctx).max(1);
+    for i in 0..iters {
+        if ctx.exhausted() {
+            break;
         }
-        DriverResult {
-            best,
-            best_cycles,
-            default_cycles,
-            gains: Vec::new(),
+        let cand = space.mutate(&cur, &mut rng);
+        if let Some(c) = ctx.submit(PHASE_SA, std::slice::from_ref(&cand))[0] {
+            let t = T0 * (1.0 - i as f64 / iters as f64);
+            let accept = if c <= cur_cycles {
+                true
+            } else if t <= 0.0 {
+                false
+            } else {
+                let delta = (c - cur_cycles) as f64 / cur_cycles.max(1) as f64;
+                rng.unit_f64() < (-delta / t).exp()
+            };
+            if accept {
+                cur = cand;
+                cur_cycles = c;
+            }
         }
     }
 }

@@ -1,29 +1,29 @@
-//! Pluggable search strategies: the subsystem that decides *which*
-//! parameter points to evaluate.
+//! Search strategies: the subsystem that decides *which* parameter
+//! points to evaluate.
 //!
 //! The paper's search is one fixed algorithm — the modified line search
 //! of §2.3 — but it explicitly anticipates richer searches as the
 //! transform space grows ("a more sophisticated search method may pay
-//! dividends"). This module makes the search a first-class, swappable
-//! component:
+//! dividends"). A strategy here is a plain function of the search's
+//! context, picked by [`StrategySpec`]:
 //!
-//! * [`SearchDriver`] — the strategy trait. A driver proposes candidate
-//!   batches through a [`SearchCtx`] and observes the results; the
-//!   context runs every batch through the shared
-//!   [`EvalEngine`](crate::eval::EvalEngine) (cache, pruning, tracing,
-//!   metrics all included) and enforces an explicit probe/wall-clock
-//!   [`Budget`].
-//! * [`LineSearch`] — the paper's modified line search behind the trait,
-//!   bit-identical to the pre-refactor implementation (guarded by
-//!   `strategy_subsystem.rs`).
-//! * [`RandomSearch`], [`HillClimb`], [`Anneal`] — global strategies
-//!   over the same legality-gated space, driven by the in-repo seeded
-//!   rng: same seed, same trace.
-//! * [`Portfolio`] — a meta-driver that races the strategies under a
-//!   shared budget and cache, and reports which member found the winner.
+//! * `SearchCtx` (crate-private) — a strategy proposes candidate batches
+//!   through `SearchCtx::submit`; the context runs every batch through the
+//!   shared [`EvalEngine`](crate::eval::EvalEngine) (cache, pruning,
+//!   tracing, metrics all included), enforces an explicit probe/wall-clock
+//!   [`Budget`], and is the one owner of the search's outcome: the seed's
+//!   cycles, the best point and the strategy whose probe found it.
+//! * `line` — the paper's modified line search
+//!   ([`line_search_batched`]), bit-identical to a serial reference
+//!   (guarded by `strategy_subsystem.rs`).
+//! * `random`, `hill_climb`, `anneal` — global strategies over the same
+//!   legality-gated space, driven by the in-repo seeded rng: same seed,
+//!   same trace.
+//! * `portfolio` — races the four under a shared budget and cache; the
+//!   member whose probe found the winner gets the credit.
 //! * [`TunedDb`] — a persistent tuned-results database
 //!   (one `results/db/tuned.jsonl` journal behind an in-memory map)
-//!   keyed by kernel/precision/machine/context/repo-rev; any driver
+//!   keyed by kernel/precision/machine/context/repo-rev; any strategy
 //!   warm-starts from it (the stored winner is *re-verified* before it
 //!   is trusted).
 //!
@@ -34,17 +34,13 @@
 
 pub mod db;
 mod global;
-mod line;
-mod portfolio;
 
 pub use db::{db_key, repo_rev, DbStats, TunedDb, TunedRecord};
-pub use global::{Anneal, HillClimb, RandomSearch, SearchSpace};
-pub use line::LineSearch;
-pub use portfolio::Portfolio;
+pub use global::SearchSpace;
 
 use crate::eval::{Batch, EvalEngine, Span, Tally};
 use crate::metrics;
-use crate::search::{PhaseGain, SearchOptions, SearchResult, PHASE_SEED};
+use crate::search::{line_search_batched, PhaseGain, SearchOptions, SearchResult, PHASE_SEED};
 use crate::subject::Subject;
 use ifko_fko::{precheck, AnalysisReport, TransformParams};
 use ifko_xsim::MachineConfig;
@@ -84,7 +80,7 @@ pub struct Budget {
 }
 
 impl Budget {
-    /// No cap: every driver runs to its natural convergence.
+    /// No cap: every strategy runs to its natural convergence.
     pub fn unlimited() -> Budget {
         Budget::default()
     }
@@ -191,62 +187,36 @@ impl StrategySpec {
         ]
     }
 
-    /// Instantiate the driver this spec names.
-    pub fn build(self) -> Box<dyn SearchDriver> {
+    /// Run this strategy over `ctx` to convergence or budget
+    /// exhaustion, returning its per-phase gains (the line search's; the
+    /// global strategies have no phase decomposition). What it found is
+    /// the context's to report.
+    fn run(self, ctx: &mut SearchCtx<'_>) -> Vec<PhaseGain> {
         match self {
-            StrategySpec::Line => Box::new(LineSearch),
-            StrategySpec::Random => Box::new(RandomSearch::default()),
-            StrategySpec::HillClimb => Box::new(HillClimb::default()),
-            StrategySpec::Anneal => Box::new(Anneal::default()),
-            StrategySpec::Portfolio => Box::new(Portfolio::default()),
+            StrategySpec::Line => return line(ctx),
+            StrategySpec::Random => global::random(ctx),
+            StrategySpec::HillClimb => global::hill_climb(ctx),
+            StrategySpec::Anneal => global::anneal(ctx),
+            StrategySpec::Portfolio => return portfolio(ctx),
         }
+        Vec::new()
     }
 }
 
 // ---------------------------------------------------------------------------
-// The driver trait
+// The strategies' window onto the engine
 // ---------------------------------------------------------------------------
 
-/// What a driver must hand back: the winning point and the numbers the
-/// rest of the pipeline reports (evaluation counters are tracked by the
-/// harness, not the driver).
-#[derive(Clone, Debug)]
-pub struct DriverResult {
-    pub best: TransformParams,
-    pub best_cycles: u64,
-    /// Cycles at FKO's static defaults (every driver seeds there).
-    pub default_cycles: u64,
-    /// Per-phase gains, for drivers with a meaningful phase decomposition
-    /// (the line search); global drivers may leave this empty.
-    pub gains: Vec<PhaseGain>,
-}
-
-/// A pluggable search strategy.
+/// Everything a strategy may see and do: the analysis report and machine
+/// model (to build a legal candidate space), the search options, a
+/// deterministic strategy seed, and [`submit`](SearchCtx::submit).
 ///
-/// A driver never touches the evaluation machinery directly: it proposes
-/// candidate batches via [`SearchCtx::submit`] and folds the returned
-/// cycles into its own state. The context owns budget enforcement,
-/// caching, pruning, tracing, and per-strategy attribution, so every
-/// driver automatically composes with the whole engine stack.
-pub trait SearchDriver {
-    /// Stable lower-case name, used for trace/metric/report attribution.
-    fn name(&self) -> &'static str;
-    /// Run the search to convergence or budget exhaustion.
-    fn run(&mut self, ctx: &mut SearchCtx<'_>) -> DriverResult;
-}
-
-// ---------------------------------------------------------------------------
-// The driver's window onto the engine
-// ---------------------------------------------------------------------------
-
-/// Everything a [`SearchDriver`] may see and do: the analysis report and
-/// machine model (to build a legal candidate space), the search options,
-/// a deterministic strategy seed, and [`submit`](SearchCtx::submit).
-///
-/// The context owns the search's side of the evaluation loop: the subject
-/// being tuned, the engine its batches run on, and the running [`Tally`]
-/// of everything submitted so far.
-pub struct SearchCtx<'a> {
+/// The context owns the search's side of the evaluation loop — the
+/// subject being tuned, the engine its batches run on, the running
+/// [`Tally`] of everything submitted so far — and its outcome: the seed's
+/// cycles, the best point and the strategy that found it. Strategies keep
+/// no copy of any of it.
+pub(crate) struct SearchCtx<'a> {
     subject: &'a Subject,
     engine: &'a EvalEngine,
     /// The root `search` span every evaluation's spans hang off.
@@ -258,51 +228,51 @@ pub struct SearchCtx<'a> {
     /// Absolute probe-count ceiling for the current portfolio member.
     cap: Option<u64>,
     strategy: &'static str,
-    truncated: bool,
-    best: Option<(TransformParams, u64)>,
+    /// Cycles of the first verified `SEED` probe: FKO's defaults, or the
+    /// untransformed point when the defaults failed.
+    seed_cycles: Option<u64>,
+    /// Cycles of the best verified point of the whole search, and the
+    /// strategy whose probe first reached them.
+    best_cycles: Option<u64>,
     winner_strategy: Option<&'static str>,
+    /// The first verified point at the best cycles since the strategy
+    /// began (since the search began, before one does).
+    found: Option<(TransformParams, u64)>,
 }
 
 impl<'a> SearchCtx<'a> {
-    pub fn rep(&self) -> &'a AnalysisReport {
+    fn rep(&self) -> &'a AnalysisReport {
         self.subject.sess.report()
     }
-    pub fn machine(&self) -> &'a MachineConfig {
+    fn machine(&self) -> &'a MachineConfig {
         &self.subject.machine
     }
-    pub fn opts(&self) -> &'a SearchOptions {
+    fn opts(&self) -> &'a SearchOptions {
         &self.subject.opts
     }
     /// Deterministic seed for strategy rng (the workload seed; mix in a
-    /// per-driver salt so racing drivers draw independent streams).
-    pub fn strategy_seed(&self) -> u64 {
+    /// per-strategy salt so racing strategies draw independent streams).
+    fn strategy_seed(&self) -> u64 {
         self.subject.scope.seed
     }
     /// Candidates submitted so far (fresh + cached + pruned).
-    pub fn probes(&self) -> u64 {
+    fn probes(&self) -> u64 {
         self.probes
     }
     /// True once the budget (or the current portfolio share) is spent.
-    /// Drivers should poll this in their outer loops; `submit` also
+    /// Strategies should poll this in their outer loops; `submit` also
     /// enforces it by truncating over-budget batches.
-    pub fn exhausted(&self) -> bool {
+    fn exhausted(&self) -> bool {
         self.allowance() == 0
     }
-    /// Whether any batch was cut short by the budget.
-    pub fn truncated(&self) -> bool {
-        self.truncated
-    }
-    /// Best verified point seen by *any* strategy so far this search.
-    pub fn best(&self) -> Option<(&TransformParams, u64)> {
-        self.best.as_ref().map(|(p, c)| (p, *c))
-    }
-    /// Name of the strategy that found the current best.
-    pub fn winner_strategy(&self) -> Option<&'static str> {
-        self.winner_strategy
+    /// Cycles of the best verified point since the strategy began
+    /// (`u64::MAX` before one verifies).
+    fn found_cycles(&self) -> u64 {
+        self.found.as_ref().map_or(u64::MAX, |(_, c)| *c)
     }
 
     /// Probes still admissible (`None` = unlimited).
-    pub(crate) fn remaining_probes(&self) -> Option<u64> {
+    fn remaining_probes(&self) -> Option<u64> {
         let b = self
             .budget
             .max_probes
@@ -313,19 +283,6 @@ impl<'a> SearchCtx<'a> {
             (Some(x), None) | (None, Some(x)) => Some(x),
             (Some(x), Some(y)) => Some(x.min(y)),
         }
-    }
-
-    /// Focus subsequent probes on one portfolio member: attribute them to
-    /// `strategy` and cap them at `share` more probes (when given).
-    pub(crate) fn enter_member(&mut self, strategy: &'static str, share: Option<u64>) {
-        self.strategy = strategy;
-        self.cap = share.map(|s| self.probes.saturating_add(s));
-    }
-
-    /// Restore the enclosing strategy label and lift the member cap.
-    pub(crate) fn exit_member(&mut self, strategy: &'static str) {
-        self.strategy = strategy;
-        self.cap = None;
     }
 
     fn allowance(&self) -> u64 {
@@ -353,7 +310,7 @@ impl<'a> SearchCtx<'a> {
     ///
     /// The returned vector is index-aligned with `cands`; `None` means
     /// rejected, pruned, *or* cut by the budget (over-budget candidates
-    /// are never evaluated — their slots come back `None` so driver
+    /// are never evaluated — their slots come back `None` so a strategy's
     /// bookkeeping stays index-aligned).
     ///
     /// Every admitted batch flows through the engine with the legality
@@ -364,14 +321,13 @@ impl<'a> SearchCtx<'a> {
     /// win and improvement-delta instruments. The seeding result
     /// establishes the baseline without counting as a win, so the
     /// counters agree with the search's decisions at any `jobs` width.
-    pub fn submit(&mut self, phase: &'static str, cands: &[TransformParams]) -> Vec<Option<u64>> {
+    /// The same scan keeps the search's outcome: the seed's cycles, the
+    /// best and its finder, and the best since the strategy began.
+    fn submit(&mut self, phase: &'static str, cands: &[TransformParams]) -> Vec<Option<u64>> {
         if cands.is_empty() {
             return Vec::new();
         }
         let allowed = self.allowance().min(cands.len() as u64) as usize;
-        if allowed < cands.len() {
-            self.truncated = true;
-        }
         let cands_in = &cands[..allowed];
         let (subject, engine, search_id) = (self.subject, self.engine, self.search_id);
         let reg = engine.metrics();
@@ -412,11 +368,17 @@ impl<'a> SearchCtx<'a> {
             results = out.results;
         }
         self.probes += allowed as u64;
-        // The selection rule (in-order scan, strict improvement), kept
-        // across every strategy's submissions for winner attribution.
+        // The selection rule (in-order scan, strict improvement): the one
+        // place a verified result can become a best.
         for (cand, res) in cands_in.iter().zip(results.iter()) {
             let Some(c) = *res else { continue };
-            match self.best.as_ref().map(|(_, b)| *b) {
+            if phase == PHASE_SEED {
+                self.seed_cycles.get_or_insert(c);
+            }
+            if self.found.as_ref().is_none_or(|(_, f)| c < *f) {
+                self.found = Some((cand.clone(), c));
+            }
+            match self.best_cycles {
                 Some(b) if c >= b => continue,
                 Some(b) => {
                     reg.counter(&metrics::labeled(
@@ -430,7 +392,7 @@ impl<'a> SearchCtx<'a> {
                 }
                 None => {}
             }
-            self.best = Some((cand.clone(), c));
+            self.best_cycles = Some(c);
             self.winner_strategy = Some(self.strategy);
         }
         results.resize(cands.len(), None);
@@ -450,12 +412,14 @@ impl<'a> SearchCtx<'a> {
 /// static cost model ([`Subject::predict`]) and the single-point
 /// evaluator ([`Subject::evaluate`], hung off this function's root
 /// `search` span). When `warm` is given, the stored winner is re-verified
-/// first (`WARM` phase) and, if it still verifies, returned immediately
-/// without running the driver. When `transfer` is given (no exact warm
+/// first (`WARM` phase) and, if it still verifies, the search ends there
+/// without running the strategy. When `transfer` is given (no exact warm
 /// hit, but a nearby tuned record by static-feature distance), the
-/// transferred point is probed once up front (`XFER` phase) so the
-/// driver's searches start from — and the final winner can be — a proven
-/// neighbor.
+/// transferred point is probed once up front (`XFER` phase).
+///
+/// The result is the best point the strategy found, unless a warm or
+/// transfer probe before it was strictly better; `(off, u64::MAX)` when
+/// nothing verified.
 pub(crate) fn run_search(
     subject: &Subject,
     engine: &EvalEngine,
@@ -475,22 +439,27 @@ pub(crate) fn run_search(
         probes: 0,
         cap: None,
         strategy: spec.name(),
-        truncated: false,
-        best: None,
+        seed_cycles: None,
+        best_cycles: None,
         winner_strategy: None,
+        found: None,
     };
-    let warmed = warm.and_then(|rec| warm_start(&mut ctx, rec));
-    let strategy = if warmed.is_some() {
-        STRATEGY_WARM
+    let finder = warm.and_then(|rec| warm_start(&mut ctx, rec));
+    let (strategy, gains) = if finder.is_some() {
+        (STRATEGY_WARM, Vec::new())
     } else {
-        spec.name()
-    };
-    let (found, winner) = warmed.unwrap_or_else(|| {
         if let (None, Some(rec)) = (warm, transfer) {
             transfer_seed(&mut ctx, rec);
         }
-        drive(&mut ctx, spec)
-    });
+        let before = ctx.found.take();
+        ctx.strategy = spec.name();
+        let gains = spec.run(&mut ctx);
+        if let Some(b) = before.filter(|(_, c)| *c < ctx.found_cycles()) {
+            ctx.found = Some(b);
+        }
+        (spec.name(), gains)
+    };
+    let winner = finder.unwrap_or_else(|| ctx.winner_strategy.unwrap_or(spec.name()).to_string());
     engine
         .metrics()
         .counter(&metrics::labeled(
@@ -499,91 +468,114 @@ pub(crate) fn run_search(
             &winner,
         ))
         .inc();
-    SearchResult::new(found, strategy, winner, ctx.tally)
+    SearchResult::new(
+        ctx.found
+            .unwrap_or_else(|| (TransformParams::off(), u64::MAX)),
+        ctx.seed_cycles.unwrap_or(u64::MAX),
+        gains,
+        strategy,
+        winner,
+        ctx.tally,
+    )
 }
 
 /// Warm start: seed at the defaults, then re-verify the stored winner.
-/// `Some((result, finder))` when it still verifies — it is trusted
-/// without a search, and the winner credit stays with the strategy that
+/// `Some(finder)` when it still verifies — the search ends without a
+/// strategy, and the winner credit stays with the strategy that
 /// originally found the stored point. `None` when the stored winner no
 /// longer verifies (or even the defaults failed): the caller falls
 /// through to the full search, and the seeding evaluation stays cached,
 /// so nothing is wasted.
-fn warm_start(ctx: &mut SearchCtx<'_>, rec: &TunedRecord) -> Option<(DriverResult, String)> {
-    let outer = std::mem::replace(&mut ctx.strategy, STRATEGY_WARM);
+fn warm_start(ctx: &mut SearchCtx<'_>, rec: &TunedRecord) -> Option<String> {
+    ctx.strategy = STRATEGY_WARM;
     let defaults = TransformParams::defaults(ctx.rep(), ctx.machine());
-    let cycles = ctx.submit(PHASE_SEED, std::slice::from_ref(&defaults))[0].and_then(|seeded| {
-        let warmed = ctx.submit(PHASE_WARM, std::slice::from_ref(&rec.params))[0]?;
-        Some((seeded, warmed))
-    });
-    ctx.strategy = outer;
-    let (default_cycles, warm_cycles) = cycles?;
+    ctx.submit(PHASE_SEED, std::slice::from_ref(&defaults))[0]?;
+    ctx.submit(PHASE_WARM, std::slice::from_ref(&rec.params))[0]?;
     ctx.engine.metrics().counter(metrics::DB_WARM_HITS).inc();
-    let (best, best_cycles) = if warm_cycles < default_cycles {
-        (rec.params.clone(), warm_cycles)
-    } else {
-        (defaults, default_cycles)
-    };
-    let finder = if rec.strategy.is_empty() {
+    Some(if rec.strategy.is_empty() {
         STRATEGY_WARM.to_string()
     } else {
         rec.strategy.clone()
-    };
-    let found = DriverResult {
-        best,
-        best_cycles,
-        default_cycles,
-        gains: Vec::new(),
-    };
-    Some((found, finder))
+    })
 }
 
 /// Transfer warm start: probe the nearest tuned neighbor's winner once
-/// (re-verified like any candidate) before the driver runs. If it holds
-/// up, the context's strict-improvement winner tracking lets it beat the
-/// driver's result; if it doesn't verify, the search proceeds unharmed.
+/// (re-verified like any candidate) before the strategy runs. If it holds
+/// up and the strategy finds nothing strictly better, it is the result;
+/// if it doesn't verify, the search proceeds unharmed.
 fn transfer_seed(ctx: &mut SearchCtx<'_>, rec: &TunedRecord) {
-    let outer = std::mem::replace(&mut ctx.strategy, STRATEGY_XFER);
+    ctx.strategy = STRATEGY_XFER;
     let defaults = TransformParams::defaults(ctx.rep(), ctx.machine());
     let _ = ctx.submit(PHASE_SEED, std::slice::from_ref(&defaults));
     let _ = ctx.submit(PHASE_XFER, std::slice::from_ref(&rec.params));
     ctx.engine.metrics().counter(metrics::DB_XFER_SEEDS).inc();
-    ctx.strategy = outer;
 }
 
-/// Run `spec`'s driver and return what it found with the name of the
-/// strategy whose probe found it.
-fn drive(ctx: &mut SearchCtx<'_>, spec: StrategySpec) -> (DriverResult, String) {
-    let mut driver = spec.build();
-    let mut found = driver.run(ctx);
-    // The context tracked the best verified point across *every*
-    // submission, including the transfer probe, which the driver's own
-    // result cannot see. Prefer it when strictly better.
-    if let Some((p, c)) = ctx.best() {
-        if c < found.best_cycles {
-            (found.best, found.best_cycles) = (p.clone(), c);
-        }
-    }
-    let winner = ctx.winner_strategy.unwrap_or(driver.name());
-    (found, winner.to_string())
+// ---------------------------------------------------------------------------
+// The line search and the portfolio
+// ---------------------------------------------------------------------------
+
+/// The paper's modified line search (§2.3) as a strategy (the default).
+/// Its skeleton submits every batch through the context, so its best
+/// point is the context's too; only the per-phase gains are its own.
+fn line(ctx: &mut SearchCtx<'_>) -> Vec<PhaseGain> {
+    let (rep, machine, opts) = (ctx.rep(), ctx.machine(), ctx.opts());
+    line_search_batched(rep, machine, opts, |phase, cands| ctx.submit(phase, cands)).gains
 }
 
-/// Evaluate the seeding point (FKO defaults, falling back to the fully
-/// untransformed point, exactly like the line-search skeleton) and return
-/// `(seed_point, seed_cycles)`. Shared by the global drivers.
-pub(crate) fn establish_seed(ctx: &mut SearchCtx<'_>) -> (TransformParams, u64) {
-    let d = TransformParams::defaults(ctx.rep(), ctx.machine());
-    match ctx.submit(PHASE_SEED, std::slice::from_ref(&d))[0] {
-        Some(c) => (d, c),
-        None => {
-            // Under a saturated chaos plan even the untransformed kernel
-            // can fail transiently: seed at u64::MAX (any later success
-            // wins) rather than panicking.
-            let off = TransformParams::off();
-            let c = ctx.submit(PHASE_SEED, std::slice::from_ref(&off))[0].unwrap_or(u64::MAX);
-            (off, c)
+/// The portfolio's members, in racing order (the first runs first and
+/// breaks ties).
+const MEMBERS: [StrategySpec; 4] = [
+    StrategySpec::Line,
+    StrategySpec::Random,
+    StrategySpec::HillClimb,
+    StrategySpec::Anneal,
+];
+
+/// Minimum probe share a global member gets when the line search ran
+/// without a budget (so members always get a real chance).
+const MIN_MEMBER_PROBES: u64 = 64;
+
+/// Race the [`MEMBERS`] under one budget, one cache, and one trace.
+///
+/// Members run sequentially over the *shared* evaluation cache, so a
+/// point one member already paid for is a free cache hit for the next —
+/// racing is about coverage, not redundancy. With a probe budget the
+/// remaining allowance is split evenly across the members still to run
+/// (later members inherit what earlier ones left unspent); without one,
+/// the line search runs to its natural convergence and each global
+/// member then gets a comparable number of probes. Each member's probes
+/// are tagged with its name, so the context credits the member whose
+/// probe first reached the winning cycles; the gains reported are the
+/// line search's while no later member strictly beats it.
+fn portfolio(ctx: &mut SearchCtx<'_>) -> Vec<PhaseGain> {
+    let mut gains = Vec::new();
+    let mut line_probes = MIN_MEMBER_PROBES;
+    for (i, member) in MEMBERS.into_iter().enumerate() {
+        if i > 0 && ctx.exhausted() {
+            break;
+        }
+        let (probes, found) = (ctx.probes(), ctx.found_cycles());
+        // Even split of whatever is left over the members still to run;
+        // unlimited budgets cap the global members at the line search's
+        // own spend so the race is fair.
+        let share = match ctx.remaining_probes() {
+            Some(rem) => Some((rem / (MEMBERS.len() - i) as u64).max(2)),
+            None if i > 0 => Some(line_probes.max(MIN_MEMBER_PROBES)),
+            None => None,
+        };
+        ctx.strategy = member.name();
+        ctx.cap = share.map(|s| probes.saturating_add(s));
+        let member_gains = member.run(ctx);
+        ctx.cap = None;
+        if i == 0 {
+            line_probes = ctx.probes() - probes;
+        }
+        if i == 0 || ctx.found_cycles() < found {
+            gains = member_gains;
         }
     }
+    gains
 }
 
 #[cfg(test)]
@@ -619,7 +611,6 @@ mod tests {
     fn strategy_spec_round_trips_names() {
         for spec in StrategySpec::all() {
             assert_eq!(StrategySpec::parse(spec.name()), Ok(spec));
-            assert_eq!(spec.build().name(), spec.name());
         }
         assert_eq!(StrategySpec::parse("HC"), Ok(StrategySpec::HillClimb));
         assert_eq!(StrategySpec::parse("sa"), Ok(StrategySpec::Anneal));

@@ -1,12 +1,13 @@
-//! The pluggable search-strategy subsystem, end to end:
+//! The search-strategy subsystem, end to end:
 //!
-//! 1. **Line-via-trait fidelity** — routing the modified line search
-//!    through the `SearchDriver` trait and the evaluation engine is
-//!    bit-identical to a hand-rolled serial reference evaluator, on both
-//!    machine models.
+//! 1. **Line-search fidelity** — running the modified line search as
+//!    `--strategy line` through the search context and the evaluation
+//!    engine is bit-identical to a hand-rolled serial reference
+//!    evaluator, on both machine models.
 //! 2. **Seeded determinism** — every global strategy (and the portfolio)
 //!    replays the identical probe sequence and outcome from the same seed.
-//! 3. **Budgets** — a probe budget caps the search.
+//! 3. **Budgets** — a probe budget caps the search, and the seed's cycles
+//!    survive a budget the transfer probes spend.
 //! 4. **Warm starts** — a tuned-results database answers a repeat run
 //!    with far fewer probes, after re-verifying the stored winner.
 //! 5. **Attribution** — portfolio traces carry per-member strategy tags
@@ -26,7 +27,7 @@ fn dk(op: BlasOp) -> Kernel {
 }
 
 /// The modified line search over a from-scratch serial evaluator:
-/// compile → simulate → verify → time, no engine, no cache, no trait.
+/// compile → simulate → verify → time, no engine, no cache, no context.
 fn serial_reference(k: Kernel, mach: &MachineConfig, n: usize) -> SearchResult {
     let src = hil_source(k.op, k.prec);
     let sess = CompileSession::from_source(&src, mach).unwrap();
@@ -49,7 +50,7 @@ fn serial_reference(k: Kernel, mach: &MachineConfig, n: usize) -> SearchResult {
     })
 }
 
-/// `--strategy line` through the trait + engine is bit-identical to the
+/// `--strategy line` through the context + engine is bit-identical to the
 /// serial reference, on both machine models (the acceptance criterion).
 #[test]
 fn line_driver_is_bit_identical_to_serial_reference() {
@@ -165,6 +166,48 @@ fn probe_budget_caps_the_search() {
         "search spent {tagged} probes against a budget of {budget}"
     );
     assert!(out.result.best_cycles <= out.result.default_cycles);
+}
+
+/// The seed's cycles outlive a budget the transfer probes spend: a tune
+/// that transfers from another kernel's record under a 2-probe budget
+/// (its `SEED` and `XFER` probes, leaving the strategy nothing) reports
+/// the traced `SEED` probe's cycles as `default_cycles` — the cycles the
+/// unbudgeted tune reports too.
+#[test]
+fn a_budget_spent_by_the_transfer_probes_keeps_the_seed() {
+    let dir = std::env::temp_dir().join(format!("ifko-xfer-budget-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    TuneConfig::quick(1024)
+        .tuned_db(&dir)
+        .unwrap()
+        .tune(dk(BlasOp::Dot))
+        .unwrap();
+
+    let sink = MemSink::new();
+    let budgeted = TuneConfig::quick(1024)
+        .tuned_db(&dir)
+        .unwrap()
+        .budget(Budget::probes(2))
+        .trace(sink.clone())
+        .tune(dk(BlasOp::Axpy))
+        .unwrap();
+    let evals = sink.evals();
+    assert!(evals.iter().any(|e| e.phase == "XFER"), "no transfer probe");
+    let seeds: Vec<u64> = evals
+        .iter()
+        .filter(|e| e.phase == "SEED")
+        .filter_map(|e| e.cycles)
+        .collect();
+    assert_eq!(seeds.len(), 1, "one verified SEED probe expected");
+    assert_ne!(budgeted.result.default_cycles, u64::MAX);
+    assert_eq!(budgeted.result.default_cycles, seeds[0]);
+
+    let unbudgeted = TuneConfig::quick(1024).tune(dk(BlasOp::Axpy)).unwrap();
+    assert_eq!(
+        budgeted.result.default_cycles,
+        unbudgeted.result.default_cycles
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Warm start: the tuned-results database answers a repeat run. The

@@ -46,7 +46,7 @@ fi
 step "panic sites (scripts/panics.sh)"
 # `.unwrap()` / `.expect(` / `panic!` / `unreachable!` in shipping code:
 # a number that may only go down. Lower the ceiling whenever it does.
-panic_ceiling=43
+panic_ceiling=42
 panic_sites="$(scripts/panics.sh | awk '{ print $1 }')"
 echo "$panic_sites panic sites (ceiling $panic_ceiling)"
 if [ "$panic_sites" -gt "$panic_ceiling" ]; then
@@ -59,7 +59,7 @@ step "shipping lines (scripts/size.sh)"
 # Lines under crates/*/src, tests cut: a number that may only go down.
 # Lower the ceiling whenever it does; a change that raises it says why
 # in CHANGES.md.
-size_ceiling=24314
+size_ceiling=24092
 size_total="$(scripts/size.sh | awk '{ print $1 }')"
 echo "$size_total shipping lines (ceiling $size_ceiling)"
 if [ "$size_total" -gt "$size_ceiling" ]; then
@@ -122,12 +122,12 @@ cargo run --release -p ifko-cli -- explain "$obs_tmp/explain.jsonl" --format jso
 # The Chrome/Perfetto view is rendered from the trace after the fact.
 cargo run --release -p ifko-cli -- report "$obs_tmp/explain.jsonl" --format chrome >/dev/null
 
-step "harness smoke: strategies --quick (search strategies + tuned db)"
+step "harness smoke: strategies --db (tuned db)"
+# What each strategy finds is tests/strategies_golden.rs's; this smoke
+# checks only what the golden cannot see: winners persist into the db's
+# one journal, and `ifko db stats` reads it.
 cargo run --release -p ifko-bench --bin strategies -- --quick \
-    --strategies line,random --budget 64 --db "$obs_tmp/db" > "$obs_tmp/strategies.txt"
-grep -q '^line ' "$obs_tmp/strategies.txt"
-grep -q '^random ' "$obs_tmp/strategies.txt"
-# Winners persist into the db's one journal.
+    --strategies line --budget 16 --db "$obs_tmp/db" > /dev/null
 grep -q '"key"' "$obs_tmp/db/tuned.jsonl"
 cargo run --release -p ifko-cli -- db stats --db "$obs_tmp/db" > "$obs_tmp/db-stats.txt"
 grep -q 'live records' "$obs_tmp/db-stats.txt"
