@@ -520,6 +520,36 @@ pub fn strategies(cfg: &ExpConfig, specs: &[StrategySpec]) -> String {
     s
 }
 
+/// The paper's Figure 7 as the `figure7` binary prints it: the per-phase
+/// decomposition of the search's speedup over FKO on each of its four
+/// sweeps, and the overall average.
+pub fn figure7(exp: Experiment) -> String {
+    use std::fmt::Write;
+    let sweeps = exp
+        .sweep(p4e(), Context::OutOfCache)
+        .sweep(opteron(), Context::OutOfCache)
+        .sweep(p4e(), Context::InL2)
+        .sweep(opteron(), Context::InL2)
+        .tune_only()
+        .run();
+    let mut out = String::from("Figure 7. Speedup of ifko over FKO, by tuned transformation\n\n");
+    let mut grand: Vec<f64> = Vec::new();
+    for sweep in &sweeps {
+        let tunes = sweep.rows.iter().filter_map(|r| r.tune.as_ref());
+        grand.extend(tunes.map(|t| t.result.speedup_over_default()));
+        let _ = writeln!(out, "{}", format_figure7(&sweep.title(), &sweep.rows));
+    }
+    if !grand.is_empty() {
+        let avg = grand.iter().sum::<f64>() / grand.len() as f64;
+        let _ = writeln!(
+            out,
+            "Overall: empirically-tuned kernels run {avg:.2}x faster than \
+             statically-tuned FKO on average (paper: 1.38x)"
+        );
+    }
+    out
+}
+
 /// Figure 7 data: per-kernel speedup of ifko over FKO, decomposed by
 /// search phase.
 pub fn format_figure7(title: &str, rows: &[KernelRow]) -> String {
