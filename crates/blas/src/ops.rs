@@ -84,15 +84,6 @@ impl BlasOp {
         }
     }
 
-    /// Number of FP scalar arguments (`rot` takes c and s).
-    pub fn n_scalars(self) -> usize {
-        match self {
-            BlasOp::Scal | BlasOp::Axpy => 1,
-            BlasOp::Rot => 2,
-            _ => 0,
-        }
-    }
-
     /// Which vectors are written (indices into the vector argument list).
     pub fn written_vectors(self) -> &'static [usize] {
         match self {

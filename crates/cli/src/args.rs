@@ -281,7 +281,6 @@ mod tests {
                 "portfolio",
                 "--budget",
                 "64",
-                "--warm-start",
                 "--db",
                 "results/db",
             ],
@@ -296,7 +295,6 @@ mod tests {
             (r.strategy.as_deref(), r.budget.as_deref()),
             (Some("portfolio"), Some("64"))
         );
-        assert!(g.has("--warm-start"));
         assert_eq!(g.raw("--db"), Some("results/db"));
         let r = tune_request(&parse("tune", &["k.hil"]).unwrap(), "");
         assert!(r.strategy.is_none() && r.budget.is_none());
@@ -376,7 +374,6 @@ mod tests {
                 "--no-prune",
                 "--db",
                 "d",
-                "--warm-start",
                 "--chaos",
                 "7",
                 "--max-retries",
@@ -384,7 +381,7 @@ mod tests {
             ],
         )
         .unwrap();
-        assert_eq!(every.local_only().len(), 10);
+        assert_eq!(every.local_only().len(), 9);
     }
 
     #[test]

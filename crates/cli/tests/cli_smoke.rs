@@ -194,7 +194,6 @@ fn flag_table_kernel_commands() {
                 &metrics,
                 "--db",
                 &db,
-                "--warm-start",
             ],
         ),
         ok(
@@ -240,6 +239,12 @@ fn flag_table_kernel_commands() {
             &["tune", k, "--model-prune", "0.5"],
             2,
             "ifko: unknown flag `--model-prune`",
+        ),
+        case(
+            "ifko",
+            &["tune", k, "--warm-start"],
+            2,
+            "ifko: unknown flag `--warm-start`",
         ),
     ];
     for flag in ["--ur", "--ae", "--pf-dist"] {
@@ -1276,7 +1281,6 @@ fn every_command_answers_help() {
         "--no-prune",
         "--strategy",
         "--budget",
-        "--warm-start",
         "--db",
         "--remote",
         "--chaos",
@@ -1292,7 +1296,6 @@ fn every_command_answers_help() {
         "--strategy",
         "--budget",
         "--db",
-        "--warm-start",
         "--chaos",
         "--max-retries",
     ][..];

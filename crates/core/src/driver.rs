@@ -10,7 +10,7 @@ use crate::config::TuneConfig;
 use crate::eval::Span;
 use crate::metrics;
 use crate::search::SearchResult;
-use crate::strategy::{db_key, run_search, TunedRecord, STRATEGY_WARM};
+use crate::strategy::{db_key, run_search, Probe, TunedRecord};
 use crate::subject::{Oracle, Subject};
 use crate::worker::WorkerSpec;
 use ifko_blas::Kernel;
@@ -35,7 +35,7 @@ pub struct TuneOutcome {
     /// Table-3 style parameter summary for the winning point.
     pub table3_row: String,
     /// The winner's size-normalized counter vector (one clean run of the
-    /// recompiled winner) — the transfer warm-start hook (ROADMAP item 3).
+    /// recompiled winner), for `ifko tune`'s report.
     pub features: FeatureVector,
 }
 
@@ -84,9 +84,9 @@ pub(crate) fn tune_subject(subject: &Subject, cfg: &TuneConfig) -> Result<TuneOu
         Span::emit(&sink, scope.key(), "parse", Some(tune_span.id()), parse);
     }
 
-    // Warm start: a stored winner for this kernel/precision/machine/
-    // context/revision is re-verified through the engine before it can
-    // end the search early (see `strategy::run_search`).
+    // The stored winner the search starts from (this kernel/precision/
+    // machine/context/revision's record, else the nearest by static
+    // features) is probed again before it is trusted (`run_search`).
     let prec = format!("{:?}", subject.sess.ir().prec);
     let db = cfg.db.as_ref().map(|db| {
         let key = db_key(
@@ -98,29 +98,19 @@ pub(crate) fn tune_subject(subject: &Subject, cfg: &TuneConfig) -> Result<TuneOu
         );
         (db, key)
     });
-    let warm = db.as_ref().and_then(|(db, key)| db.lookup(key));
     // The kernel's static feature vector at FKO defaults, priced only for
     // its two readers: the similarity key stored with every tuned record,
-    // and — when the exact warm lookup missed — the probe for a transfer
-    // seed from the nearest tuned neighbor. A second call is a cache hit.
+    // and the nearest-record lookup when the key has none. A second call
+    // is a cache hit.
     let defaults_sfv = || {
         let defaults = TransformParams::defaults(subject.sess.report(), &subject.machine);
         let pred = subject.sess.predict(&defaults, &subject.machine).ok()?;
         Some(pred.features().values)
     };
-    let transfer = match (&db, &warm) {
-        (Some((db, key)), None) => defaults_sfv().and_then(|sfv| db.nearest_by_features(&sfv, key)),
-        _ => None,
-    };
-
-    let result = run_search(
-        subject,
-        &engine,
-        cfg.strategy,
-        cfg.budget,
-        warm.as_ref(),
-        transfer.as_ref(),
-    );
+    let stored = db
+        .as_ref()
+        .and_then(|(db, key)| db.lookup_or_nearest(key, defaults_sfv));
+    let (result, probe) = run_search(subject, &engine, cfg.strategy, cfg.budget, stored.as_ref());
 
     let recompile_span = tune_span.child("recompile");
     let compiled = subject.sess.compile(&result.best, CompileOpts::default());
@@ -139,28 +129,28 @@ pub(crate) fn tune_subject(subject: &Subject, cfg: &TuneConfig) -> Result<TuneOu
         .map_err(|e| fail(&format!("winner failed to run: {e}")))?
         .stats;
 
-    // Persist the verified winner — unless this run itself was answered
-    // by the database (re-storing would overwrite the finder's name).
-    if let Some((db, key)) = db {
-        if result.strategy != STRATEGY_WARM {
-            db.store_with(
-                &TunedRecord {
-                    key,
-                    kernel: scope.kernel.clone(),
-                    prec,
-                    machine: scope.machine.clone(),
-                    context: scope.context.to_string(),
-                    rev: db.rev().to_string(),
-                    n: scope.n,
-                    seed: scope.seed,
-                    strategy: result.winner_strategy.clone(),
-                    cycles: result.best_cycles,
-                    params: result.best.clone(),
-                    features: defaults_sfv(),
-                },
-                subject.opts.faults.as_ref(),
-            );
-        }
+    // Persist the verified winner only where the key had no record, or
+    // its stored point was probed and failed to verify: a record the
+    // probe verified, or one the budget kept it from, stays as it is.
+    let keep = matches!(stored, Some((_, false))) && probe != Some(Probe::Refuted);
+    if let Some((db, key)) = db.filter(|_| !keep) {
+        db.store_with(
+            &TunedRecord {
+                key,
+                kernel: scope.kernel.clone(),
+                prec,
+                machine: scope.machine.clone(),
+                context: scope.context.to_string(),
+                rev: db.rev().to_string(),
+                n: scope.n,
+                seed: scope.seed,
+                strategy: result.winner_strategy.clone(),
+                cycles: result.best_cycles,
+                params: result.best.clone(),
+                features: defaults_sfv(),
+            },
+            subject.opts.faults.as_ref(),
+        );
     }
 
     reg.counter(metrics::TUNE_RUNS).inc();

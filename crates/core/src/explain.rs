@@ -21,7 +21,9 @@
 //!   on [`classify`]).
 //! * **Winner feature vector** — the stable
 //!   [`FeatureVector`](ifko_xsim::FeatureVector) of size-normalized
-//!   rates that transfer warm-starts consume (ROADMAP item 3).
+//!   rates measured on the winner's run. (Transfer between kernels reads
+//!   another vector: the static one at FKO's defaults, stored with each
+//!   tuned record.)
 //!
 //! Like `report`, it reads the trace through the shared fold (scope
 //! grouping and selection-rule replay) and renders text, Markdown and

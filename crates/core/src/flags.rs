@@ -94,7 +94,6 @@ pub const TUNE: &[Flag] = &[
     Flag::new("--budget PROBES|WALL", "cap the search: a probe count, 500ms or 2s")
         .parse(|s| boxed(Budget::parse(s))).remote(),
     Flag::new("--db DIR", "warm-start from and store winners in this tuned-results database"),
-    Flag::new("--warm-start", "use the tuned-results database (results/db without --db)"),
     Flag::new("--chaos SEED[:RATE]", "inject deterministic faults").parse(|s| boxed(FaultPlan::parse(s))),
     Flag::new("--max-retries N", "retries per fault site and candidate (default 2)").parse(num::<u32>),
 ];
@@ -309,8 +308,7 @@ impl TuneFlags {
         if let Some(budget) = given.get("--budget") {
             base = base.budget(budget);
         }
-        if given.has("--db") || given.has("--warm-start") {
-            let dir = given.raw("--db").unwrap_or("results/db");
+        if let Some(dir) = given.raw("--db") {
             base = base.tuned_db(dir).map_err(|e| format!("--db {dir}: {e}"))?;
             eprintln!("tuned-results database: {dir} (one journal, tuned.jsonl)");
         }
@@ -355,7 +353,10 @@ mod tests {
         name: "prog run",
         args: "FILE",
         about: "Run one thing.",
-        flags: &[&[Flag::new("-n, --n N", "a size").parse(num::<u32>).remote()], TUNE],
+        flags: &[&[
+            Flag::new("-n, --n N", "a size").parse(num::<u32>).remote(),
+            Flag::new("--dry", "a switch"),
+        ], TUNE],
     };
 
     fn parse(args: &[&str]) -> Result<Given, String> {
@@ -378,22 +379,12 @@ mod tests {
 
     #[test]
     fn values_are_typed_and_the_last_one_wins() {
-        let g = parse(&[
-            "f",
-            "-n",
-            "3",
-            "--strategy",
-            "hc",
-            "--n",
-            "4",
-            "--warm-start",
-        ])
-        .unwrap();
+        let g = parse(&["f", "-n", "3", "--strategy", "hc", "--n", "4", "--dry"]).unwrap();
         assert_eq!(g.positional, ["f"]);
         assert_eq!(g.get::<u32>("--n"), Some(4));
         assert_eq!(g.raw("--strategy"), Some("hc"));
         assert_eq!(g.get("--strategy"), Some(StrategySpec::HillClimb));
-        assert!(g.has("--warm-start") && !g.has("--db"));
+        assert!(g.has("--dry") && !g.has("--db"));
     }
 
     #[test]

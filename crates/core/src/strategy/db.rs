@@ -289,13 +289,27 @@ impl TunedDb {
         v
     }
 
+    /// The stored winner a tune of `key` starts from: the key's own
+    /// record, else (`.1` true) the record nearest to the static feature
+    /// vector `features` yields, asked only on a miss. The tune driver
+    /// and the daemon's `query` both look a winner up here.
+    pub fn lookup_or_nearest(
+        &self,
+        key: &str,
+        features: impl FnOnce() -> Option<Vec<f64>>,
+    ) -> Option<(TunedRecord, bool)> {
+        match self.lookup(key) {
+            Some(rec) => Some((rec, false)),
+            None => Some((self.nearest_by_features(&features()?, key)?, true)),
+        }
+    }
+
     /// The stored winner nearest to `features` by Euclidean distance
-    /// over the static feature vectors — the transfer warm-start lookup
-    /// for a kernel with no exact key hit. Only records that carry a
+    /// over the static feature vectors. Only records that carry a
     /// same-length feature vector participate; `exclude_key` (the exact
     /// key that just missed) never matches itself. Ties break toward the
     /// smaller key, so the choice is deterministic.
-    pub fn nearest_by_features(&self, features: &[f64], exclude_key: &str) -> Option<TunedRecord> {
+    fn nearest_by_features(&self, features: &[f64], exclude_key: &str) -> Option<TunedRecord> {
         let entries = self.entries();
         entries
             .values()

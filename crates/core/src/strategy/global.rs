@@ -255,7 +255,7 @@ fn pick_other<T: Clone + PartialEq>(list: &[T], cur: T, rng: &mut Rng64) -> Opti
 /// Evaluate the seeding point (FKO defaults, falling back to the fully
 /// untransformed point, exactly like the line-search skeleton) and return
 /// `(seed_point, seed_cycles)`: where hill climbing and annealing start.
-fn seed(ctx: &mut SearchCtx<'_>) -> (TransformParams, u64) {
+pub(super) fn seed(ctx: &mut SearchCtx<'_>) -> (TransformParams, u64) {
     let d = TransformParams::defaults(ctx.rep(), ctx.machine());
     match ctx.submit(PHASE_SEED, std::slice::from_ref(&d))[0] {
         Some(c) => (d, c),

@@ -24,8 +24,8 @@
 //! * [`TunedDb`] — a persistent tuned-results database
 //!   (one `results/db/tuned.jsonl` journal behind an in-memory map)
 //!   keyed by kernel/precision/machine/context/repo-rev; any strategy
-//!   warm-starts from it (the stored winner is *re-verified* before it
-//!   is trusted).
+//!   starts from its record for the key, or the nearest one by static
+//!   features, and probes that point again before trusting it.
 //!
 //! Per-candidate attribution flows through the whole observability
 //! stack: every [`EvalEvent`](crate::eval::EvalEvent) carries the
@@ -49,7 +49,8 @@ use std::time::{Duration, Instant};
 /// Phase label for re-verifying a tuned-db winner during warm start.
 pub const PHASE_WARM: &str = "WARM";
 
-/// Strategy label reported when a warm start short-circuits the search.
+/// Strategy label of a search a verified `WARM` probe ended, and of
+/// that probe.
 pub const STRATEGY_WARM: &str = "warm";
 
 /// Phase label for probing a transfer seed: the nearest tuned record by
@@ -224,6 +225,7 @@ pub(crate) struct SearchCtx<'a> {
     tally: Tally,
     budget: Budget,
     started: Instant,
+    /// Candidates submitted so far (fresh + cached + pruned).
     probes: u64,
     /// Absolute probe-count ceiling for the current portfolio member.
     cap: Option<u64>,
@@ -231,13 +233,12 @@ pub(crate) struct SearchCtx<'a> {
     /// Cycles of the first verified `SEED` probe: FKO's defaults, or the
     /// untransformed point when the defaults failed.
     seed_cycles: Option<u64>,
-    /// Cycles of the best verified point of the whole search, and the
-    /// strategy whose probe first reached them.
+    /// Cycles of the best verified point of the whole search.
     best_cycles: Option<u64>,
-    winner_strategy: Option<&'static str>,
     /// The first verified point at the best cycles since the strategy
-    /// began (since the search began, before one does).
-    found: Option<(TransformParams, u64)>,
+    /// began (since the search began, before one does), and the label of
+    /// the probe that found it.
+    found: Option<(TransformParams, u64, &'static str)>,
 }
 
 impl<'a> SearchCtx<'a> {
@@ -255,10 +256,6 @@ impl<'a> SearchCtx<'a> {
     fn strategy_seed(&self) -> u64 {
         self.subject.scope.seed
     }
-    /// Candidates submitted so far (fresh + cached + pruned).
-    fn probes(&self) -> u64 {
-        self.probes
-    }
     /// True once the budget (or the current portfolio share) is spent.
     /// Strategies should poll this in their outer loops; `submit` also
     /// enforces it by truncating over-budget batches.
@@ -268,7 +265,7 @@ impl<'a> SearchCtx<'a> {
     /// Cycles of the best verified point since the strategy began
     /// (`u64::MAX` before one verifies).
     fn found_cycles(&self) -> u64 {
-        self.found.as_ref().map_or(u64::MAX, |(_, c)| *c)
+        self.found.as_ref().map_or(u64::MAX, |f| f.1)
     }
 
     /// Probes still admissible (`None` = unlimited).
@@ -285,25 +282,21 @@ impl<'a> SearchCtx<'a> {
         }
     }
 
+    /// Probes the next batch may take: all of them for the seeding
+    /// batch (every result must at least rest on an evaluated baseline),
+    /// none once the wall-clock cap has passed, else what is left.
     fn allowance(&self) -> u64 {
         if self.probes == 0 {
-            // The seeding batch is always admitted: every result must at
-            // least rest on an evaluated baseline.
             return u64::MAX;
         }
-        if let Some(w) = self.budget.max_wall {
-            if self.started.elapsed() >= w {
-                return 0;
-            }
+        if self
+            .budget
+            .max_wall
+            .is_some_and(|w| self.started.elapsed() >= w)
+        {
+            return 0;
         }
-        let mut allow = u64::MAX;
-        if let Some(m) = self.budget.max_probes {
-            allow = allow.min(m.saturating_sub(self.probes));
-        }
-        if let Some(c) = self.cap {
-            allow = allow.min(c.saturating_sub(self.probes));
-        }
-        allow
+        self.remaining_probes().unwrap_or(u64::MAX)
     }
 
     /// Evaluate one candidate batch under the phase label `phase`.
@@ -322,7 +315,7 @@ impl<'a> SearchCtx<'a> {
     /// establishes the baseline without counting as a win, so the
     /// counters agree with the search's decisions at any `jobs` width.
     /// The same scan keeps the search's outcome: the seed's cycles, the
-    /// best and its finder, and the best since the strategy began.
+    /// best cycles, and the best since the strategy began with its finder.
     fn submit(&mut self, phase: &'static str, cands: &[TransformParams]) -> Vec<Option<u64>> {
         if cands.is_empty() {
             return Vec::new();
@@ -375,8 +368,8 @@ impl<'a> SearchCtx<'a> {
             if phase == PHASE_SEED {
                 self.seed_cycles.get_or_insert(c);
             }
-            if self.found.as_ref().is_none_or(|(_, f)| c < *f) {
-                self.found = Some((cand.clone(), c));
+            if self.found.as_ref().is_none_or(|f| c < f.1) {
+                self.found = Some((cand.clone(), c, self.strategy));
             }
             match self.best_cycles {
                 Some(b) if c >= b => continue,
@@ -393,7 +386,6 @@ impl<'a> SearchCtx<'a> {
                 None => {}
             }
             self.best_cycles = Some(c);
-            self.winner_strategy = Some(self.strategy);
         }
         results.resize(cands.len(), None);
         results
@@ -404,6 +396,17 @@ impl<'a> SearchCtx<'a> {
 // Harness: drive a strategy through an EvalEngine
 // ---------------------------------------------------------------------------
 
+/// What became of a search's probe of a stored winner.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Probe {
+    /// The point compiled, passed the tester and was timed.
+    Verified,
+    /// The point failed: its record no longer holds.
+    Refuted,
+    /// The budget ran out before the probe: nothing is known.
+    Cut,
+}
+
 /// Run `spec` over `subject` on an [`EvalEngine`]: the one entry point
 /// every search goes through.
 ///
@@ -411,23 +414,23 @@ impl<'a> SearchCtx<'a> {
 /// subject — the analysis report, machine, options and strategy seed, the
 /// static cost model ([`Subject::predict`]) and the single-point
 /// evaluator ([`Subject::evaluate`], hung off this function's root
-/// `search` span). When `warm` is given, the stored winner is re-verified
-/// first (`WARM` phase) and, if it still verifies, the search ends there
-/// without running the strategy. When `transfer` is given (no exact warm
-/// hit, but a nearby tuned record by static-feature distance), the
-/// transferred point is probed once up front (`XFER` phase).
+/// `search` span). `stored` is the database's record for the subject's
+/// key, or (`.1` true) the nearest record by static features: its point
+/// is probed up front ([`probe_stored`]), and a verified exact record
+/// ends the search there without running the strategy.
 ///
-/// The result is the best point the strategy found, unless a warm or
-/// transfer probe before it was strictly better; `(off, u64::MAX)` when
-/// nothing verified.
+/// The result is the best point the strategy found, unless the stored
+/// point or the seed before it was strictly better; `(off, u64::MAX)`
+/// when nothing verified. The winner is credited to the probe that found
+/// the result, a verified `WARM` probe to the record's own finder. The
+/// probe's fate comes back beside the result.
 pub(crate) fn run_search(
     subject: &Subject,
     engine: &EvalEngine,
     spec: StrategySpec,
     budget: Budget,
-    warm: Option<&TunedRecord>,
-    transfer: Option<&TunedRecord>,
-) -> SearchResult {
+    stored: Option<&(TunedRecord, bool)>,
+) -> (SearchResult, Option<Probe>) {
     let search_span = Span::root(engine.trace().cloned(), subject.scope.key(), "search");
     let mut ctx = SearchCtx {
         subject,
@@ -438,77 +441,78 @@ pub(crate) fn run_search(
         started: Instant::now(),
         probes: 0,
         cap: None,
-        strategy: spec.name(),
+        // Probes before the strategy's carry the label its own seed
+        // would: the portfolio's is its first member's.
+        strategy: match spec {
+            StrategySpec::Portfolio => MEMBERS[0].name(),
+            _ => spec.name(),
+        },
         seed_cycles: None,
         best_cycles: None,
-        winner_strategy: None,
         found: None,
     };
-    let finder = warm.and_then(|rec| warm_start(&mut ctx, rec));
-    let (strategy, gains) = if finder.is_some() {
+    let probe = stored.map(|(rec, nearest)| probe_stored(&mut ctx, rec, *nearest));
+    let warm = matches!((stored, probe), (Some((_, false)), Some(Probe::Verified)));
+    let reg = engine.metrics();
+    let (strategy, gains) = if warm {
+        reg.counter(metrics::DB_WARM_HITS).inc();
         (STRATEGY_WARM, Vec::new())
     } else {
-        if let (None, Some(rec)) = (warm, transfer) {
-            transfer_seed(&mut ctx, rec);
-        }
         let before = ctx.found.take();
         ctx.strategy = spec.name();
         let gains = spec.run(&mut ctx);
-        if let Some(b) = before.filter(|(_, c)| *c < ctx.found_cycles()) {
+        if let Some(b) = before.filter(|b| b.1 < ctx.found_cycles()) {
             ctx.found = Some(b);
         }
         (spec.name(), gains)
     };
-    let winner = finder.unwrap_or_else(|| ctx.winner_strategy.unwrap_or(spec.name()).to_string());
-    engine
-        .metrics()
-        .counter(&metrics::labeled(
-            metrics::STRATEGY_WINS,
-            "strategy",
-            &winner,
-        ))
-        .inc();
-    SearchResult::new(
-        ctx.found
-            .unwrap_or_else(|| (TransformParams::off(), u64::MAX)),
+    let (best, best_cycles, finder) = ctx
+        .found
+        .unwrap_or_else(|| (TransformParams::off(), u64::MAX, spec.name()));
+    let winner = match (finder, stored) {
+        (STRATEGY_WARM, Some((rec, _))) if !rec.strategy.is_empty() => rec.strategy.clone(),
+        _ => finder.to_string(),
+    };
+    reg.counter(&metrics::labeled(
+        metrics::STRATEGY_WINS,
+        "strategy",
+        &winner,
+    ))
+    .inc();
+    let result = SearchResult::new(
+        (best, best_cycles),
         ctx.seed_cycles.unwrap_or(u64::MAX),
         gains,
         strategy,
         winner,
         ctx.tally,
-    )
+    );
+    (result, probe)
 }
 
-/// Warm start: seed at the defaults, then re-verify the stored winner.
-/// `Some(finder)` when it still verifies — the search ends without a
-/// strategy, and the winner credit stays with the strategy that
-/// originally found the stored point. `None` when the stored winner no
-/// longer verifies (or even the defaults failed): the caller falls
-/// through to the full search, and the seeding evaluation stays cached,
-/// so nothing is wasted.
-fn warm_start(ctx: &mut SearchCtx<'_>, rec: &TunedRecord) -> Option<String> {
-    ctx.strategy = STRATEGY_WARM;
-    let defaults = TransformParams::defaults(ctx.rep(), ctx.machine());
-    ctx.submit(PHASE_SEED, std::slice::from_ref(&defaults))[0]?;
-    ctx.submit(PHASE_WARM, std::slice::from_ref(&rec.params))[0]?;
-    ctx.engine.metrics().counter(metrics::DB_WARM_HITS).inc();
-    Some(if rec.strategy.is_empty() {
-        STRATEGY_WARM.to_string()
+/// Probe a stored winner: seed the search (FKO's defaults, then the
+/// untransformed point if they fail) under the running strategy's label,
+/// then evaluate the record's point once, under `WARM` for the key's own
+/// record and `XFER` for the nearest one. The seed keeps its own label,
+/// so the result names the stored point's probe only when that point won.
+fn probe_stored(ctx: &mut SearchCtx<'_>, rec: &TunedRecord, nearest: bool) -> Probe {
+    global::seed(ctx);
+    let (running, probes) = (ctx.strategy, ctx.probes);
+    let phase = if nearest {
+        ctx.engine.metrics().counter(metrics::DB_XFER_SEEDS).inc();
+        ctx.strategy = STRATEGY_XFER;
+        PHASE_XFER
     } else {
-        rec.strategy.clone()
-    })
-}
-
-/// Transfer warm start: probe the nearest tuned neighbor's winner once
-/// (re-verified like any candidate) before the strategy runs. If it holds
-/// up and the strategy finds nothing strictly better, it is the result;
-/// if it doesn't verify, the search proceeds unharmed.
-fn transfer_seed(ctx: &mut SearchCtx<'_>, rec: &TunedRecord) {
-    ctx.strategy = STRATEGY_XFER;
-    let defaults = TransformParams::defaults(ctx.rep(), ctx.machine());
-    let _ = ctx.submit(PHASE_SEED, std::slice::from_ref(&defaults));
-    let _ = ctx.submit(PHASE_XFER, std::slice::from_ref(&rec.params));
-    ctx.engine.metrics().counter(metrics::DB_XFER_SEEDS).inc();
+        ctx.strategy = STRATEGY_WARM;
+        PHASE_WARM
+    };
+    let cycles = ctx.submit(phase, std::slice::from_ref(&rec.params))[0];
+    ctx.strategy = running;
+    match cycles {
+        _ if ctx.probes == probes => Probe::Cut,
+        Some(_) => Probe::Verified,
+        None => Probe::Refuted,
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -555,7 +559,7 @@ fn portfolio(ctx: &mut SearchCtx<'_>) -> Vec<PhaseGain> {
         if i > 0 && ctx.exhausted() {
             break;
         }
-        let (probes, found) = (ctx.probes(), ctx.found_cycles());
+        let (probes, found) = (ctx.probes, ctx.found_cycles());
         // Even split of whatever is left over the members still to run;
         // unlimited budgets cap the global members at the line search's
         // own spend so the race is fair.
@@ -569,7 +573,7 @@ fn portfolio(ctx: &mut SearchCtx<'_>) -> Vec<PhaseGain> {
         let member_gains = member.run(ctx);
         ctx.cap = None;
         if i == 0 {
-            line_probes = ctx.probes() - probes;
+            line_probes = ctx.probes - probes;
         }
         if i == 0 || ctx.found_cycles() < found {
             gains = member_gains;

@@ -9,7 +9,9 @@
 //! 3. **Budgets** — a probe budget caps the search, and the seed's cycles
 //!    survive a budget the transfer probes spend.
 //! 4. **Warm starts** — a tuned-results database answers a repeat run
-//!    with far fewer probes, after re-verifying the stored winner.
+//!    with far fewer probes, after re-verifying the stored winner; a
+//!    tune replaces a record only when its probe refuted it, and the
+//!    seed keeps its credit when FKO's defaults win.
 //! 5. **Attribution** — portfolio traces carry per-member strategy tags
 //!    and the winner is credited to a member, never to "portfolio".
 
@@ -257,6 +259,69 @@ fn warm_start_skips_the_search_but_still_verifies() {
     // The warm run must not overwrite the original finder's record.
     let db = TunedDb::open(&dir).unwrap();
     assert_eq!(db.len(), 1);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A re-tune whose budget ends before the stored winner's probe learns
+/// nothing about that point, so it keeps the record: under
+/// `Budget::probes(1)` only the seed runs, the journal stays
+/// byte-identical, and the next tune still warm-starts to the first
+/// winner rather than to FKO's defaults.
+#[test]
+fn a_budget_that_cuts_the_warm_probe_keeps_the_stored_winner() {
+    let dir = std::env::temp_dir().join(format!("ifko-warm-cut-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let k = dk(BlasOp::Dot);
+    let tune = |budget| {
+        TuneConfig::quick(1024)
+            .tuned_db(&dir)
+            .unwrap()
+            .budget(budget)
+            .tune(k)
+            .unwrap()
+    };
+    let cold = tune(Budget::unlimited());
+    assert!(cold.result.best_cycles < cold.result.default_cycles);
+    let journal = || std::fs::read(dir.join("tuned.jsonl")).unwrap();
+    let stored = journal();
+
+    let cut = tune(Budget::probes(1));
+    assert_eq!(cut.result.best_cycles, cut.result.default_cycles);
+    assert_eq!(journal(), stored, "a cut probe replaced the stored winner");
+
+    let warm = tune(Budget::unlimited());
+    assert_eq!(warm.result.strategy, "warm");
+    assert_eq!(warm.result.best, cold.result.best);
+    assert_eq!(warm.result.best_cycles, cold.result.best_cycles);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// When FKO's defaults win a budgeted warm or transfer tune, the credit
+/// is the seed's — the running strategy's — in the result and in the
+/// record stored for the key: `warm` and `xfer` name a result only when
+/// the stored point itself won.
+#[test]
+fn defaults_that_win_a_budgeted_warm_or_transfer_tune_keep_the_seeds_credit() {
+    let dir = std::env::temp_dir().join(format!("ifko-seed-credit-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let tune = |op, budget| {
+        TuneConfig::quick(1024)
+            .tuned_db(&dir)
+            .unwrap()
+            .budget(budget)
+            .tune(dk(op))
+            .unwrap()
+    };
+    tune(BlasOp::Dot, Budget::unlimited());
+    // Warm: ddot's own record; transfer: daxpy's nearest, ddot's.
+    for op in [BlasOp::Dot, BlasOp::Axpy] {
+        let out = tune(op, Budget::probes(1));
+        assert_eq!(out.result.best_cycles, out.result.default_cycles, "{op:?}");
+        assert_eq!(out.result.winner_strategy, "line", "{op:?}");
+    }
+    let db = TunedDb::open(&dir).unwrap();
+    let finders: Vec<String> = db.records().into_iter().map(|r| r.strategy).collect();
+    assert_eq!(finders, ["line", "line"], "ddot's and daxpy's records");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

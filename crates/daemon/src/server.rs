@@ -24,7 +24,7 @@ use ifko::metrics;
 use ifko::report::{parse_json, Json};
 use ifko::runner::Context;
 use ifko::strategy::db::{params_json, record_json};
-use ifko::strategy::{db_key, TunedDb, TunedRecord, STRATEGY_WARM};
+use ifko::strategy::{db_key, TunedDb, STRATEGY_WARM};
 use ifko_blas::Kernel;
 use ifko_xsim::MachineConfig;
 use std::collections::HashMap;
@@ -328,24 +328,14 @@ fn handle_query(server: &Arc<Server>, req: &Json) -> Result<Obj, String> {
         context.label(),
         server.db.rev(),
     );
-    let found = |rec: &TunedRecord, nearest: bool| {
-        obj()
+    Ok(match server.db.lookup_or_nearest(&key, || sfv) {
+        Some((rec, nearest)) => obj()
             .field("ok", true)
             .field("found", true)
             .field("nearest", nearest)
-            .field("record", Raw(&record_json(rec)))
-    };
-    if let Some(rec) = server.db.lookup(&key) {
-        return Ok(found(&rec, false));
-    }
-    // Exact miss: nearest-by-static-features transfer lookup when the
-    // caller supplied a feature vector.
-    if let Some(sfv) = sfv {
-        if let Some(rec) = server.db.nearest_by_features(&sfv, &key) {
-            return Ok(found(&rec, true));
-        }
-    }
-    Ok(obj().field("ok", true).field("found", false))
+            .field("record", Raw(&record_json(&rec))),
+        None => obj().field("ok", true).field("found", false),
+    })
 }
 
 /// Run one tune session over the shared database and cache, on the
