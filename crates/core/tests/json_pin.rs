@@ -26,7 +26,7 @@ use ifko::{EvalCache, SearchOptions, Timer};
 use ifko_fko::ir::PtrId;
 use ifko_fko::{PrefSpec, TransformParams};
 use ifko_xsim::rng::Rng64;
-use ifko_xsim::{p4e, PrefKind, RunStats};
+use ifko_xsim::{opteron, p4e, PrefKind, RunStats};
 
 /// A string every escaping rule applies to.
 const NASTY: &str = "q\"uo\\te\n\t\r\u{1}\u{1f}é€😀";
@@ -275,6 +275,28 @@ fn worker_frames() {
     pin(
         &proto::error_response(NASTY),
         r#"{"ok":false,"error":"q\"uo\\te\n\t\r\u0001\u001fé€😀"}"#,
+    );
+}
+
+/// The keys every record above carries: the scope of a result (the
+/// worker handshake pins P4E's) and one point key per machine. The
+/// evaluation cache is keyed by the point key, and the chaos plan
+/// draws its faults on it.
+#[test]
+fn scope_and_point_keys() {
+    let opts = SearchOptions::quick();
+    let scope = |machine| EvalScope::new("ddot", &machine, Context::OutOfCache, 64, 7, &opts.timer);
+    pin(
+        scope(opteron()).key(),
+        "ddot@Opteron#cf4f367b55f2ffd6/oc/n64/s7/r2i0.01s5eed",
+    );
+    pin(
+        &scope(p4e()).point_key(&params()),
+        "ddot@P4E#b7470cfff67d022c/oc/n64/s7/r2i0.01s5eed|TransformParams { simd: true, unroll: 8, accum_expand: 4, wnt: true, prefetch: [PrefSpec { ptr: PtrId(0), kind: Some(Nta), dist: 1024 }, PrefSpec { ptr: PtrId(1), kind: None, dist: -64 }], loop_control: true, cisc_memops: true, copy_prop: true, dead_code_elim: true, branch_cleanup: true }",
+    );
+    pin(
+        &scope(opteron()).point_key(&params()),
+        "ddot@Opteron#cf4f367b55f2ffd6/oc/n64/s7/r2i0.01s5eed|TransformParams { simd: true, unroll: 8, accum_expand: 4, wnt: true, prefetch: [PrefSpec { ptr: PtrId(0), kind: Some(Nta), dist: 1024 }, PrefSpec { ptr: PtrId(1), kind: None, dist: -64 }], loop_control: true, cisc_memops: true, copy_prop: true, dead_code_elim: true, branch_cleanup: true }",
     );
 }
 
