@@ -9,7 +9,7 @@
 //! the structured trace layer.
 
 use ifko::prelude::*;
-use ifko_bench::{figure7, Experiment};
+use ifko_bench::{figure7, figure7_sweeps, Experiment};
 
 fn main() {
     let mut exp = Experiment::new("figure7");
@@ -23,5 +23,5 @@ fn main() {
             Err(e) => eprintln!("[figure7] cannot open {path}: {e}"),
         }
     }
-    print!("{}", figure7(exp));
+    print!("{}", figure7(&figure7_sweeps(exp)));
 }

@@ -520,21 +520,24 @@ pub fn strategies(cfg: &ExpConfig, specs: &[StrategySpec]) -> String {
     s
 }
 
-/// The paper's Figure 7 as the `figure7` binary prints it: the per-phase
-/// decomposition of the search's speedup over FKO on each of its four
-/// sweeps, and the overall average.
-pub fn figure7(exp: Experiment) -> String {
-    use std::fmt::Write;
-    let sweeps = exp
-        .sweep(p4e(), Context::OutOfCache)
+/// The tunes Figure 7 decomposes: both machines in both contexts.
+pub fn figure7_sweeps(exp: Experiment) -> Vec<Sweep> {
+    exp.sweep(p4e(), Context::OutOfCache)
         .sweep(opteron(), Context::OutOfCache)
         .sweep(p4e(), Context::InL2)
         .sweep(opteron(), Context::InL2)
         .tune_only()
-        .run();
+        .run()
+}
+
+/// The paper's Figure 7 as the `figure7` binary prints it: the per-phase
+/// decomposition of the search's speedup over FKO on each of its four
+/// sweeps ([`figure7_sweeps`]), and the overall average.
+pub fn figure7(sweeps: &[Sweep]) -> String {
+    use std::fmt::Write;
     let mut out = String::from("Figure 7. Speedup of ifko over FKO, by tuned transformation\n\n");
     let mut grand: Vec<f64> = Vec::new();
-    for sweep in &sweeps {
+    for sweep in sweeps {
         let tunes = sweep.rows.iter().filter_map(|r| r.tune.as_ref());
         grand.extend(tunes.map(|t| t.result.speedup_over_default()));
         let _ = writeln!(out, "{}", format_figure7(&sweep.title(), &sweep.rows));

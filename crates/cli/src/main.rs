@@ -10,6 +10,7 @@
 use ifko::artifact;
 use ifko::flags::{self, Given, TuneFlags};
 use ifko::json::{obj, Array, Raw};
+use ifko::key::prec_label;
 use ifko::report::{parse_json, read_trace, report_files, Json, ReportFormat};
 use ifko::strategy::db::params_from_json;
 use ifko::strategy::TunedDb;
@@ -200,7 +201,7 @@ fn lint_file(src: &str, machine: &MachineConfig) -> Vec<Diagnostic> {
 
 fn cmd_analyze(given: &Given) -> Result<(), String> {
     let (ir, rep) = analyze_kernel(&source(given), &machine(given)).map_err(|e| e.to_string())?;
-    println!("kernel       : {} ({:?})", ir.name, ir.prec);
+    println!("kernel       : {} ({})", ir.name, prec_label(ir.prec));
     println!("machine      : {}", rep.arch.name);
     for (i, (size, line)) in rep.arch.caches.iter().enumerate() {
         println!("cache L{}     : {} KB, {}B lines", i + 1, size / 1024, line);

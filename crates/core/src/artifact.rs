@@ -24,8 +24,8 @@
 //! unverified import can never produce a wrong answer, only a wasted
 //! probe.
 
-use crate::eval::{fnv64, machine_fingerprint};
 use crate::json::{obj, parse_json};
+use crate::key::{self, fnv64};
 use crate::runner::Context;
 use crate::search::SearchOptions;
 use crate::strategy::db::{parse_record, record_json};
@@ -33,7 +33,6 @@ use crate::strategy::{TunedDb, TunedRecord};
 use crate::subject::{Oracle, Subject};
 use ifko_blas::Kernel;
 use ifko_fko::CompileOpts;
-use ifko_xsim::{opteron, p4e, MachineConfig};
 
 /// Artifact magic string (first manifest field).
 pub const MAGIC: &str = "ifko-tune-cache";
@@ -142,7 +141,7 @@ pub fn verify_record(rec: &TunedRecord) -> VerifyOutcome {
     let Some(kernel) = Kernel::by_name(&rec.kernel) else {
         return VerifyOutcome::Unverifiable(format!("unknown kernel {:?}", rec.kernel));
     };
-    let Some(machine) = find_machine(&rec.machine) else {
+    let Some(machine) = key::machine_of(&rec.machine) else {
         return VerifyOutcome::Unverifiable(format!("unknown machine {:?}", rec.machine));
     };
     let Some(context) = Context::from_label(&rec.context) else {
@@ -151,30 +150,19 @@ pub fn verify_record(rec: &TunedRecord) -> VerifyOutcome {
     // Correctness does not depend on the problem size: clamp the stored
     // tuning size so a verify pass stays cheap even for huge-N records.
     let n = rec.n.clamp(16, 4096);
-    let opts = SearchOptions::default();
-    let oracle = Oracle::Reference { kernel };
-    let subject = match Subject::open(oracle, &machine, context, n, rec.seed, &opts) {
-        Ok(s) => s,
-        Err(e) => return VerifyOutcome::Failed(format!("front end: {e}")),
+    let (opts, oracle) = (SearchOptions::default(), Oracle::Reference { kernel });
+    let checked = || -> Result<(), String> {
+        let subject = Subject::open(oracle, &machine, context, n, rec.seed, &opts)
+            .map_err(|e| format!("front end: {e}"))?;
+        let compiled = subject
+            .sess
+            .compile(&rec.params, CompileOpts::default())
+            .map_err(|e| format!("compile at stored params: {e}"))?;
+        let ran = subject.run(&rec.params, &compiled, None, None);
+        let ran = ran.map_err(|e| format!("run: {e}"))?;
+        ran.verdict.map_err(|e| format!("outputs: {e}"))
     };
-    let compiled = match subject.sess.compile(&rec.params, CompileOpts::default()) {
-        Ok(c) => c,
-        Err(e) => return VerifyOutcome::Failed(format!("compile at stored params: {e}")),
-    };
-    let ran = match subject.run(&rec.params, &compiled, None, None) {
-        Ok(ran) => ran,
-        Err(e) => return VerifyOutcome::Failed(format!("run: {e}")),
-    };
-    match ran.verdict {
-        Ok(()) => VerifyOutcome::Verified,
-        Err(e) => VerifyOutcome::Failed(format!("outputs: {e}")),
-    }
-}
-
-fn find_machine(fingerprint: &str) -> Option<MachineConfig> {
-    [p4e(), opteron()]
-        .into_iter()
-        .find(|m| machine_fingerprint(m) == fingerprint)
+    checked().map_or_else(VerifyOutcome::Failed, |()| VerifyOutcome::Verified)
 }
 
 /// What `install` did with an artifact.
@@ -217,19 +205,18 @@ pub fn install(text: &str, db: &TunedDb, verify: bool) -> Result<InstallReport, 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::strategy::db::db_key;
     use ifko_blas::hil_src::hil_source;
     use ifko_blas::ALL_KERNELS;
     use ifko_fko::CompileSession;
     use ifko_fko::TransformParams;
+    use ifko_xsim::{p4e, MachineConfig};
 
     fn record_for(kernel: Kernel, machine: &MachineConfig, params: TransformParams) -> TunedRecord {
-        let prec = format!("{:?}", kernel.prec);
-        let fp = machine_fingerprint(machine);
+        let fp = key::machine_fingerprint(machine);
         TunedRecord {
-            key: db_key(&kernel.name(), &prec, &fp, "oc", "r1"),
+            key: key::tuned_key(&kernel.name(), kernel.prec, &fp, Context::OutOfCache, "r1"),
             kernel: kernel.name(),
-            prec,
+            prec: key::prec_label(kernel.prec).to_string(),
             machine: fp,
             context: "oc".to_string(),
             rev: "r1".to_string(),

@@ -8,9 +8,10 @@
 
 use crate::config::TuneConfig;
 use crate::eval::Span;
+use crate::key;
 use crate::metrics;
 use crate::search::SearchResult;
-use crate::strategy::{db_key, run_search, Probe, TunedRecord};
+use crate::strategy::{run_search, Probe, TunedRecord};
 use crate::subject::{Oracle, Subject};
 use crate::worker::WorkerSpec;
 use ifko_blas::Kernel;
@@ -87,17 +88,11 @@ pub(crate) fn tune_subject(subject: &Subject, cfg: &TuneConfig) -> Result<TuneOu
     // The stored winner the search starts from (this kernel/precision/
     // machine/context/revision's record, else the nearest by static
     // features) is probed again before it is trusted (`run_search`).
-    let prec = format!("{:?}", subject.sess.ir().prec);
-    let db = cfg.db.as_ref().map(|db| {
-        let key = db_key(
-            &scope.kernel,
-            &prec,
-            &scope.machine,
-            scope.context,
-            db.rev(),
-        );
-        (db, key)
-    });
+    let prec = subject.sess.ir().prec;
+    let db = cfg
+        .db
+        .as_ref()
+        .map(|db| (db, scope.tuned_key(prec, db.rev())));
     // The kernel's static feature vector at FKO defaults, priced only for
     // its two readers: the similarity key stored with every tuned record,
     // and the nearest-record lookup when the key has none. A second call
@@ -138,9 +133,9 @@ pub(crate) fn tune_subject(subject: &Subject, cfg: &TuneConfig) -> Result<TuneOu
             &TunedRecord {
                 key,
                 kernel: scope.kernel.clone(),
-                prec,
+                prec: key::prec_label(prec).to_string(),
                 machine: scope.machine.clone(),
-                context: scope.context.to_string(),
+                context: scope.context.label().to_string(),
                 rev: db.rev().to_string(),
                 n: scope.n,
                 seed: scope.seed,

@@ -29,100 +29,21 @@
 //! [`TraceSink`].
 
 use ifko_fko::{Reject, TransformParams};
-use ifko_xsim::{MachineConfig, RunStats};
+use ifko_xsim::RunStats;
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Mutex};
 
 use crate::fault::FaultPlan;
+use crate::key;
 use crate::metrics::{self, Counter, Histogram, MetricsRegistry};
-use crate::runner::Context;
-use crate::timer::Timer;
 
 // The engine's public surface includes the cache it fills and the trace
 // events it emits: `ifko::eval::{EvalCache, MemSink, …}` resolve here.
 pub use crate::cache::EvalCache;
+pub use crate::key::{fnv64, machine_fingerprint, EvalScope};
 pub use crate::trace::{
     stats_json, EvalEvent, JsonlSink, MemSink, SearchEvent, Span, SpanEvent, TraceSink,
 };
-
-/// FNV-1a over a byte string (stable fingerprinting, no external deps).
-/// Public: artifact checksums and the daemon's subject keys reuse it.
-pub fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
-
-/// A stable fingerprint of a machine configuration: its name plus a hash
-/// of every model parameter, so "basically identical systems, varying
-/// only in the type or size of cache" (§1) never share cache entries.
-pub fn machine_fingerprint(machine: &MachineConfig) -> String {
-    format!(
-        "{}#{:016x}",
-        machine.name,
-        fnv64(format!("{machine:?}").as_bytes())
-    )
-}
-
-/// Everything that identifies one evaluation universe. Two evaluations
-/// with equal scopes and equal parameters are interchangeable.
-#[derive(Clone, Debug)]
-pub struct EvalScope {
-    /// Kernel label (BLAS name, or a content hash for user HIL sources).
-    pub kernel: String,
-    /// Machine fingerprint (see [`machine_fingerprint`]).
-    pub machine: String,
-    /// Timing context label (`oc` / `ic`).
-    pub context: &'static str,
-    /// Problem size.
-    pub n: usize,
-    /// Workload seed.
-    pub seed: u64,
-    /// Timer protocol fingerprint (reps/interference/seed).
-    pub timer: String,
-    key: String,
-}
-
-impl EvalScope {
-    pub fn new(
-        kernel: impl Into<String>,
-        machine: &MachineConfig,
-        context: Context,
-        n: usize,
-        seed: u64,
-        timer: &Timer,
-    ) -> EvalScope {
-        let kernel = kernel.into();
-        let machine = machine_fingerprint(machine);
-        let timer = format!("r{}i{}s{:x}", timer.reps, timer.interference, timer.seed);
-        let key = format!(
-            "{kernel}@{machine}/{}/n{n}/s{seed:x}/{timer}",
-            context.label()
-        );
-        EvalScope {
-            kernel,
-            machine,
-            context: context.label(),
-            n,
-            seed,
-            timer,
-            key,
-        }
-    }
-
-    /// The canonical scope prefix of every cache key in this scope.
-    pub fn key(&self) -> &str {
-        &self.key
-    }
-
-    /// Full cache key for one parameter point.
-    pub fn point_key(&self, p: &TransformParams) -> String {
-        format!("{}|{p:?}", self.key)
-    }
-}
 
 // ---------------------------------------------------------------------------
 // Engine
@@ -724,7 +645,7 @@ impl EvalEngine {
                 sink.record(&SearchEvent::Eval(EvalEvent {
                     scope: scope.key().to_string(),
                     phase: phase.to_string(),
-                    params: format!("{cand:?}"),
+                    params: key::params_label(cand),
                     cycles,
                     verified: facts.verified,
                     cache_hit,
@@ -771,6 +692,8 @@ impl EvalEvent {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::Context;
+    use crate::timer::Timer;
     use ifko_fko::{Reject, TransformParams};
     use ifko_xsim::p4e;
     use std::sync::atomic::{AtomicU64, Ordering};

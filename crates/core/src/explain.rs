@@ -32,10 +32,11 @@
 
 use crate::doc::{Col, Doc, Table};
 use crate::eval::{EvalEvent, SearchEvent};
-use crate::report::{by_scope, entry, f4, replay, scope_n, ReportFormat};
+use crate::key::{self, EvalScope};
+use crate::report::{by_scope, entry, f4, replay, ReportFormat};
 use crate::strategy::TunedDb;
 use crate::trace::read_traces;
-use ifko_xsim::{FeatureVector, RunStats};
+use ifko_xsim::{isa::Prec, FeatureVector, RunStats};
 use std::collections::HashMap;
 use std::path::Path;
 
@@ -43,80 +44,55 @@ use std::path::Path;
 // Parameter-point knobs
 // ---------------------------------------------------------------------------
 
-/// One candidate point flattened into `(knob, value)` pairs.
-///
-/// Live traces record `params` as the `TransformParams` debug form
-/// (`TransformParams { simd: true, unroll: 8, ..., prefetch: [PrefSpec
-/// { ptr: PtrId(0), kind: Some(Nta), dist: 128 }, ...] }`), which this
-/// parses into knobs `simd`, `unroll`, `accum_expand`, `wnt`,
-/// `pf[i].kind`, `pf[i].dist`, `loop_control`, ... Hand-written traces
-/// with `k=v` tokens (`"simd=1 ur=4"`) flatten token-wise, and anything
-/// else becomes the single opaque knob `params`, so explain degrades
-/// gracefully on foreign traces.
+/// One candidate point flattened into `(knob, value)` pairs: a live
+/// trace's [`params_label`](key::params_label) into `simd`, `unroll`,
+/// ..., `pf[ptr].kind`, `pf[ptr].dist`, a hand-written `k=v` list
+/// (`"simd=1 ur=4"`) token-wise, and anything else into the one opaque
+/// knob `params`, so explain degrades gracefully on foreign traces.
 pub fn knobs(params: &str) -> Vec<(String, String)> {
     let t = params.trim();
-    if let Some(body) = t
-        .strip_prefix("TransformParams {")
-        .and_then(|r| r.strip_suffix('}'))
+    let debug_form = t.strip_prefix("TransformParams {");
+    let Some(body) = debug_form.and_then(|r| r.strip_suffix('}')) else {
+        if !t.contains('=') {
+            return vec![("params".to_string(), t.to_string())];
+        }
+        let pair = |tok: &str| {
+            let (k, v) = tok.split_once('=').unwrap_or((tok, "on"));
+            (k.to_string(), v.to_string())
+        };
+        return t.split_whitespace().map(pair).collect();
+    };
+    let mut out = Vec::new();
+    for (name, value) in split_top(body)
+        .into_iter()
+        .filter_map(|f| f.split_once(": "))
     {
-        let mut out = Vec::new();
-        for field in split_top(body.trim()) {
-            let Some((name, value)) = field.split_once(": ") else {
-                continue;
+        let (name, value) = (name.trim(), value.trim());
+        if name != "prefetch" {
+            out.push((name.to_string(), value.to_string()));
+            continue;
+        }
+        let list = value.strip_prefix('[').and_then(|r| r.strip_suffix(']'));
+        for (i, spec) in split_top(list.unwrap_or("")).into_iter().enumerate() {
+            let inner = spec
+                .strip_prefix("PrefSpec {")
+                .and_then(|r| r.strip_suffix('}'));
+            let fields = split_top(inner.unwrap_or(""));
+            let field = |k: &str| {
+                let v = fields
+                    .iter()
+                    .rev()
+                    .find_map(|f| f.strip_prefix(k)?.strip_prefix(": "));
+                v.map(str::trim)
             };
-            let (name, value) = (name.trim(), value.trim());
-            if name == "prefetch" {
-                let list = value
-                    .strip_prefix('[')
-                    .and_then(|r| r.strip_suffix(']'))
-                    .unwrap_or("")
-                    .trim();
-                if list.is_empty() {
-                    continue;
-                }
-                for (i, spec) in split_top(list).into_iter().enumerate() {
-                    let inner = spec
-                        .trim()
-                        .strip_prefix("PrefSpec {")
-                        .and_then(|r| r.strip_suffix('}'))
-                        .unwrap_or("")
-                        .trim();
-                    let mut idx = i.to_string();
-                    let (mut kind, mut dist) = (String::new(), String::new());
-                    for f in split_top(inner) {
-                        if let Some((k, v)) = f.split_once(": ") {
-                            match k.trim() {
-                                "ptr" => {
-                                    idx = v
-                                        .trim()
-                                        .trim_start_matches("PtrId(")
-                                        .trim_end_matches(')')
-                                        .to_string()
-                                }
-                                "kind" => kind = v.trim().to_string(),
-                                "dist" => dist = v.trim().to_string(),
-                                _ => {}
-                            }
-                        }
-                    }
-                    out.push((format!("pf[{idx}].kind"), kind));
-                    out.push((format!("pf[{idx}].dist"), dist));
-                }
-            } else {
-                out.push((name.to_string(), value.to_string()));
+            let ptr = field("ptr").map(|p| p.trim_start_matches("PtrId(").trim_end_matches(')'));
+            let idx = ptr.map_or(i.to_string(), str::to_string);
+            for k in ["kind", "dist"] {
+                out.push((format!("pf[{idx}].{k}"), field(k).unwrap_or("").to_string()));
             }
         }
-        out
-    } else if t.contains('=') {
-        t.split_whitespace()
-            .map(|tok| match tok.split_once('=') {
-                Some((k, v)) => (k.to_string(), v.to_string()),
-                None => (tok.to_string(), "on".to_string()),
-            })
-            .collect()
-    } else {
-        vec![("params".to_string(), t.to_string())]
     }
+    out
 }
 
 /// Split `s` on `", "` at nesting depth 0 (tracking `([{` / `}])`).
@@ -405,13 +381,9 @@ fn explain_scope(scope: &str, evs: &[&EvalEvent]) -> ScopeExplain {
         .collect();
     let baseline = path.first().cloned();
     let winner = path.last().cloned();
-    let winner_vs_baseline = match (&baseline, &winner) {
-        (Some(b), Some(w)) => match (&b.stats, &w.stats) {
-            (Some(bs), Some(ws)) => Some(CounterDelta::between(bs, ws)),
-            _ => None,
-        },
-        _ => None,
-    };
+    let stats = |v: &Option<CandidateView>| v.as_ref().and_then(|v| v.stats);
+    let pair = stats(&baseline).zip(stats(&winner));
+    let winner_vs_baseline = pair.map(|(b, w)| CounterDelta::between(&b, &w));
 
     // Nearest-neighbor attribution: pair each probe with the most
     // recent earlier probe differing in exactly one knob, and group the
@@ -428,10 +400,8 @@ fn explain_scope(scope: &str, evs: &[&EvalEvent]) -> ScopeExplain {
         };
         let dcycles = m.cycles as i64 - n.cycles as i64;
         let stats = |e: &EvalEvent| stats_by_params.get(e.params.as_str());
-        let delta = match (stats(n.ev), stats(m.ev)) {
-            (Some(a), Some(b)) => Some(CounterDelta::between(a, b)),
-            _ => None,
-        };
+        let pair = stats(n.ev).zip(stats(m.ev));
+        let delta = pair.map(|(a, b)| CounterDelta::between(a, b));
         let label = transform_label(&knob);
         let new = || TransformRow {
             transform: label.clone(),
@@ -457,7 +427,7 @@ fn explain_scope(scope: &str, evs: &[&EvalEvent]) -> ScopeExplain {
         }
     }
 
-    let n = scope_n(scope);
+    let n = EvalScope::parse(scope).map(|s| s.n as u64);
     let features = winner
         .as_ref()
         .and_then(|w| w.stats.as_ref())
@@ -480,29 +450,25 @@ fn explain_scope(scope: &str, evs: &[&EvalEvent]) -> ScopeExplain {
 }
 
 /// Cross-check each scope's trace winner against a tuned database:
-/// does the stored winner for the same kernel, machine and context agree
-/// with what the trace converged to?
+/// does the record a tune of this build would warm-start from (same
+/// kernel, machine and context, this build's revision) agree with what
+/// the trace converged to?
 pub fn annotate_with_db(rep: &mut ExplainReport, db: &TunedDb) {
-    let records = db.records();
     for scope in &mut rep.scopes {
         let Some(winner) = &scope.winner else {
             continue;
         };
-        // The scope key is `kernel@machine/context/n{N}/s{seed}/timer`.
-        let (kernel, rest) = scope
-            .scope
-            .split_once('@')
-            .unwrap_or((scope.scope.as_str(), ""));
-        let mut at = rest.split('/');
-        let (machine, context) = (at.next(), at.next());
-        let stored = records.iter().find(|r| {
-            r.kernel == kernel
-                && Some(r.machine.as_str()) == machine
-                && Some(r.context.as_str()) == context
+        // A scope carries no precision, but its kernel label names one:
+        // at most one of the two keys has a record.
+        let parsed = EvalScope::parse(&scope.scope);
+        let stored = parsed.iter().find_map(|s| {
+            let at = |prec| db.lookup(&s.tuned_key(prec, db.rev()));
+            at(Prec::S).or_else(|| at(Prec::D))
         });
+        let kernel = parsed.map_or_else(|| scope.scope.clone(), |s| s.kernel);
         scope.db_note = Some(match stored {
             None => format!("no stored winner for kernel `{kernel}`"),
-            Some(rec) if format!("{:?}", rec.params) == winner.params => {
+            Some(rec) if key::params_label(&rec.params) == winner.params => {
                 format!("winner matches stored db entry ({} cycles)", rec.cycles)
             }
             Some(rec) => format!(
@@ -895,5 +861,50 @@ mod tests {
             text("line").iter().any(|l| l.starts_with("winner   [SV]")),
             "{j}"
         );
+    }
+
+    /// The cross-check compares against the record a tune of this build
+    /// would warm-start from, not another revision's record of the same
+    /// kernel whose key happens to sort first.
+    #[test]
+    fn db_note_reads_this_builds_record() {
+        use crate::strategy::{db_key, TunedRecord};
+        use ifko_fko::TransformParams;
+        let machine = crate::eval::machine_fingerprint(&ifko_xsim::p4e());
+        let scope = format!("ddot@{machine}/oc/n1024/s1/r1i0s0");
+        let mut winner = TransformParams::off();
+        winner.unroll = 4;
+        let line = format!(
+            "{{\"scope\":\"{scope}\",\"phase\":\"SEED\",\"params\":\"{winner:?}\",\
+             \"cycles\":700,\"verified\":true,\"cache_hit\":false,\"wall_us\":5}}"
+        );
+        let mut rep = analyze(&events(&[line]), 0);
+
+        let dir = std::env::temp_dir().join(format!("ifko-explain-db-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let db = TunedDb::open(&dir).unwrap();
+        let record = |rev: &str, params: TransformParams, cycles: u64| TunedRecord {
+            key: db_key("ddot", "D", &machine, "oc", rev),
+            kernel: "ddot".into(),
+            prec: "D".into(),
+            machine: machine.clone(),
+            context: "oc".into(),
+            rev: rev.into(),
+            n: 1024,
+            seed: 1,
+            strategy: "line".into(),
+            cycles,
+            params,
+            features: None,
+        };
+        // `!` sorts before any revision, so the stale record comes first.
+        db.store(&record("!stale", TransformParams::off(), 900));
+        db.store(&record(db.rev(), winner, 700));
+        annotate_with_db(&mut rep, &db);
+        assert_eq!(
+            rep.scopes[0].db_note.as_deref(),
+            Some("winner matches stored db entry (700 cycles)")
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

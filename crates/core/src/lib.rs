@@ -27,6 +27,9 @@
 //!   through the trace layer;
 //! * [`cache`] — the cross-phase [`EvalCache`] (one map, optionally
 //!   persisted to `results/cache/evals.jsonl`);
+//! * [`key`] — every key, written and read in one place: the machine
+//!   fingerprint, a source's identity, the [`EvalScope`] and its point
+//!   keys, and the tuned-database key;
 //! * [`trace`] — the search-trace format: [`SearchEvent`] records, their
 //!   JSONL writer and reader, the [`TraceSink`]s and the [`Span`] guard;
 //!   [`chrome`] renders a trace as a Chrome/Perfetto flame chart;
@@ -83,6 +86,7 @@ pub mod flags;
 pub mod generic;
 mod journal;
 pub mod json;
+pub mod key;
 pub mod metrics;
 pub mod proto;
 pub mod report;

@@ -30,7 +30,7 @@
 //! Markdown and JSON through one [`Doc`].
 
 use crate::doc::{Col, Doc, Table};
-use crate::eval::Tally;
+use crate::eval::{EvalScope, Tally};
 use crate::trace::{read_traces, EvalEvent, SearchEvent};
 use ifko_xsim::RunStats;
 use std::path::Path;
@@ -287,7 +287,7 @@ pub fn analyze(events: &[SearchEvent], malformed: usize) -> TraceReport {
 fn analyze_scope(scope: &str, evs: &[&EvalEvent]) -> ScopeReport {
     let mut rep = ScopeReport {
         scope: scope.to_string(),
-        n: scope_n(scope),
+        n: EvalScope::parse(scope).map(|s| s.n as u64),
         probes: evs.len() as u64,
         ..Default::default()
     };
@@ -356,15 +356,6 @@ fn analyze_scope(scope: &str, evs: &[&EvalEvent]) -> ScopeReport {
         });
     }
     rep
-}
-
-/// Parse the problem size back out of a scope key
-/// (`kernel@machine/ctx/n{N}/s{seed}/timer`).
-pub(crate) fn scope_n(scope: &str) -> Option<u64> {
-    scope.split('/').find_map(|part| {
-        part.strip_prefix('n')
-            .and_then(|digits| digits.parse::<u64>().ok())
-    })
 }
 
 // ---------------------------------------------------------------------------

@@ -31,11 +31,9 @@ impl Context {
     }
     /// The context a [`Context::label`] names (`oc` / `ic`).
     pub fn from_label(label: &str) -> Option<Context> {
-        match label {
-            "oc" => Some(Context::OutOfCache),
-            "ic" => Some(Context::InL2),
-            _ => None,
-        }
+        [Context::OutOfCache, Context::InL2]
+            .into_iter()
+            .find(|c| c.label() == label)
     }
     /// The paper's problem size for this context.
     pub fn paper_n(self) -> usize {

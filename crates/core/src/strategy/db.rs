@@ -29,6 +29,7 @@
 use crate::fault::FaultPlan;
 use crate::journal::{self, Journal};
 use crate::json::{obj, parse_json, Array, FieldError, Fixed, Json, Raw};
+pub use crate::key::db_key;
 use crate::metrics;
 use ifko_fko::ir::PtrId;
 use ifko_fko::{PrefSpec, TransformParams};
@@ -44,13 +45,13 @@ const AUTO_COMPACT_MIN_DEAD: u64 = 128;
 /// One stored winner.
 #[derive(Clone, Debug, PartialEq)]
 pub struct TunedRecord {
-    /// Full database key (see [`db_key`]).
+    /// Full database key (see [`tuned_key`](crate::key::tuned_key)).
     pub key: String,
     pub kernel: String,
     /// Precision label (`D` / `S`).
     pub prec: String,
     /// Machine fingerprint (see
-    /// [`machine_fingerprint`](crate::eval::machine_fingerprint)).
+    /// [`machine_fingerprint`](crate::key::machine_fingerprint)).
     pub machine: String,
     /// Timing-context label (`oc` / `ic`).
     pub context: String,
@@ -69,11 +70,6 @@ pub struct TunedRecord {
     /// (`StaticFeatureVector::values` order) — the similarity key for
     /// transfer warm starts. `None` on records from older revisions.
     pub features: Option<Vec<f64>>,
-}
-
-/// The canonical database key.
-pub fn db_key(kernel: &str, prec: &str, machine: &str, context: &str, rev: &str) -> String {
-    format!("{kernel}|{prec}|{machine}|{context}|{rev}")
 }
 
 /// Database statistics snapshot (see [`TunedDb::stats`]).
@@ -392,14 +388,8 @@ pub fn params_json(p: &TransformParams) -> String {
 }
 
 fn kind_from_abbrev(s: &str) -> Option<PrefKind> {
-    match s {
-        "t0" => Some(PrefKind::T0),
-        "t1" => Some(PrefKind::T1),
-        "t2" => Some(PrefKind::T2),
-        "nta" => Some(PrefKind::Nta),
-        "w" => Some(PrefKind::W),
-        _ => None,
-    }
+    use PrefKind::*;
+    [T0, T1, T2, Nta, W].into_iter().find(|k| k.abbrev() == s)
 }
 
 /// Parse a [`params_json`] object back into a point.

@@ -21,9 +21,10 @@
 //! point once per subject, and [`Subject::trim`] leaves it holding what a
 //! warm tune reads, so `ifkod` keeps one open per resolved request.
 
-use crate::eval::{fnv64, EvalEngine, EvalRecord, EvalScope, Span};
+use crate::eval::{EvalEngine, EvalRecord, EvalScope, Span};
 use crate::fault::FaultPlan;
 use crate::generic::{outputs_agree, run_generic, GenericWorkload};
+use crate::key;
 use crate::runner::{check_ret, image_bytes, simulate, Context, Operands, Outputs};
 use crate::search::SearchOptions;
 use crate::tester::Expected;
@@ -103,7 +104,6 @@ pub(crate) struct Subject {
     pub(crate) sess: CompileSession,
     pub(crate) scope: EvalScope,
     pub(crate) machine: MachineConfig,
-    pub(crate) context: Context,
     pub(crate) opts: SearchOptions,
     pub(crate) oracle: Oracle,
     /// Derived at open; `None` from a trim until a run needs it again.
@@ -132,18 +132,14 @@ impl Subject {
         opts: &SearchOptions,
     ) -> Result<Subject, CompileError> {
         let opened = Instant::now();
-        let (sess, label) = match &oracle {
+        let (label, sess) = match &oracle {
             Oracle::Reference { kernel } => {
                 let src = hil_source(kernel.op, kernel.prec);
-                (CompileSession::from_source(&src, machine)?, kernel.name())
+                (kernel.name(), CompileSession::from_source(&src, machine)?)
             }
-            // Arbitrary sources have no registry name: scope the cache by
-            // routine name plus a content hash, so two different bodies
-            // never collide.
             Oracle::Baseline { src } => {
                 let sess = CompileSession::from_source(src, machine)?;
-                let label = format!("hil:{}#{:016x}", sess.ir().name, fnv64(src.as_bytes()));
-                (sess, label)
+                (key::source_label(&sess.ir().name, src), sess)
             }
         };
         let subject = Subject {
@@ -151,7 +147,6 @@ impl Subject {
             sess,
             scope: EvalScope::new(label, machine, context, n, seed, &opts.timer),
             machine: machine.clone(),
-            context,
             opts: opts.clone(),
             oracle,
             bench: Mutex::new(None),
@@ -166,7 +161,7 @@ impl Subject {
     /// timing context: out-of-cache streams from memory, the in-L2
     /// context is bounded by the L2 side of the model.
     pub(crate) fn predict(&self, p: &TransformParams) -> Option<u64> {
-        let locality = match self.context {
+        let locality = match self.scope.context {
             Context::OutOfCache => Locality::Mem,
             Context::InL2 => Locality::L2,
         };
@@ -196,7 +191,7 @@ impl Subject {
                 let off = TransformParams::off();
                 let base = self.sess.compile(&off, CompileOpts::default())?;
                 let workload = GenericWorkload::for_kernel(&base, n, seed);
-                let outputs = run_generic(&base, &workload, self.context, &self.machine)
+                let outputs = run_generic(&base, &workload, self.scope.context, &self.machine)
                     .map_err(CompileError::codegen)?;
                 self.baseline_runs.fetch_add(1, Ordering::Relaxed);
                 let truth = Truth::Baseline(outputs);
@@ -239,7 +234,7 @@ impl Subject {
                 capacity: image_bytes(w.n, compiled.prec, slots),
             };
             let sim_span = span.map(|s| s.child("simulate"));
-            let out = simulate(compiled, &ops, self.context, &self.machine);
+            let out = simulate(compiled, &ops, self.scope.context, &self.machine);
             drop(sim_span);
             if let Some(engine) = engine {
                 engine.count_simulation();

@@ -151,7 +151,7 @@ impl WorkerSpec {
             ..WorkerSpec::blas(
                 "",
                 &subject.machine,
-                subject.context,
+                scope.context,
                 scope.n,
                 scope.seed,
                 &subject.opts,

@@ -18,15 +18,15 @@ use crate::client::TuneRequest;
 use crate::proto::{error_response, read_frame, write_frame, Polling};
 use ifko::artifact;
 use ifko::config::Opened;
-use ifko::eval::{fnv64, machine_fingerprint, EvalCache};
+use ifko::eval::EvalCache;
 use ifko::json::{obj, FieldError, Fixed, Obj, Raw};
+use ifko::key;
 use ifko::metrics;
 use ifko::report::{parse_json, Json};
 use ifko::runner::Context;
 use ifko::strategy::db::{params_json, record_json};
-use ifko::strategy::{db_key, TunedDb, STRATEGY_WARM};
+use ifko::strategy::{TunedDb, STRATEGY_WARM};
 use ifko_blas::Kernel;
-use ifko_xsim::MachineConfig;
 use std::collections::HashMap;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
@@ -72,11 +72,17 @@ struct Server {
     subjects: Mutex<HashMap<SubjectKey, Arc<Mutex<Option<Opened>>>>>,
 }
 
-/// What a resolved tune request opens: kernel name or source
-/// fingerprint, machine fingerprint, context, n, seed and `full`.
-/// Strategy and budget only steer the search over it.
+/// What a resolved tune request opens (strategy and budget only steer
+/// the search over it): what it names, machine, context, n, seed, `full`.
 #[derive(Clone, PartialEq, Eq, Hash)]
-struct SubjectKey(String, String, &'static str, usize, u64, bool);
+struct SubjectKey(Names, String, &'static str, usize, u64, bool);
+
+/// A suite kernel, or a HIL source by its [`key::source_hash`].
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+enum Names {
+    Kernel(Kernel),
+    Source(u64),
+}
 
 /// Lock `m` even if a thread panicked holding it.
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -149,13 +155,9 @@ impl DaemonHandle {
         }
     }
 
-    /// Stop the daemon and wait for every handler to finish.
-    pub fn stop(mut self) {
-        self.server.stop.store(true, Ordering::SeqCst);
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
-        }
-    }
+    /// Stop the daemon and wait for every handler to finish (as
+    /// dropping the handle does).
+    pub fn stop(self) {}
 }
 
 impl Drop for DaemonHandle {
@@ -302,32 +304,18 @@ fn handle_query(server: &Arc<Server>, req: &Json) -> Result<Obj, String> {
     let context = text("context")?.unwrap_or("oc");
     let context = Context::from_label(context)
         .ok_or_else(|| format!("unknown context {context:?} (oc | ic)"))?;
-    // The machine field accepts a model name (p4e/opteron) or a raw
-    // fingerprint from a foreign build.
-    let fingerprint = if machine_name.contains('#') {
-        machine_name.to_string()
-    } else {
-        machine_fingerprint(
-            &MachineConfig::by_name(machine_name)
-                .ok_or_else(|| format!("unknown machine {machine_name:?}"))?,
-        )
-    };
+    let fingerprint = key::fingerprint_of(machine_name)
+        .ok_or_else(|| format!("unknown machine {machine_name:?}"))?;
     let prec = match text("prec")? {
-        Some(p) => p.to_string(),
+        Some(p) => key::prec_of(p).ok_or_else(|| format!("unknown prec {p:?} (S | D)"))?,
         None => {
-            let k = Kernel::by_name(kernel)
-                .ok_or_else(|| format!("unknown kernel {kernel:?} (pass prec explicitly)"))?;
-            format!("{:?}", k.prec)
+            Kernel::by_name(kernel)
+                .ok_or_else(|| format!("unknown kernel {kernel:?} (pass prec explicitly)"))?
+                .prec
         }
     };
     let sfv: Option<Vec<f64>> = req.field("sfv").map_err(refused)?;
-    let key = db_key(
-        kernel,
-        &prec,
-        &fingerprint,
-        context.label(),
-        server.db.rev(),
-    );
+    let key = key::tuned_key(kernel, prec, &fingerprint, context, server.db.rev());
     Ok(match server.db.lookup_or_nearest(&key, || sfv) {
         Some((rec, nearest)) => obj()
             .field("ok", true)
@@ -349,14 +337,13 @@ fn handle_tune(server: &Arc<Server>, req: &Json) -> Result<Obj, String> {
         .db(Arc::clone(&server.db));
     metrics::global().counter(metrics::DAEMON_SESSIONS).inc();
     let src = req.src.as_deref().unwrap_or_default();
-    let (kernel, what) = match &req.kernel {
-        Some(name) => match Kernel::by_name(name) {
-            Some(kernel) => (Some(kernel), kernel.name()),
-            None => return Err(format!("unknown kernel {name:?}")),
-        },
-        None => (None, format!("hil#{:016x}", fnv64(src.as_bytes()))),
+    let what = match &req.kernel {
+        Some(name) => {
+            Names::Kernel(Kernel::by_name(name).ok_or_else(|| format!("unknown kernel {name:?}"))?)
+        }
+        None => Names::Source(key::source_hash(src)),
     };
-    let machine = machine_fingerprint(cfg.machine_ref());
+    let machine = key::machine_fingerprint(cfg.machine_ref());
     let (context, n, seed) = (cfg.context_of().label(), cfg.size(), cfg.seed_of());
     let key = SubjectKey(what, machine, context, n, seed, req.full);
     let slot = Arc::clone(lock(&server.subjects).entry(key.clone()).or_default());
@@ -365,10 +352,10 @@ fn handle_tune(server: &Arc<Server>, req: &Json) -> Result<Obj, String> {
     // stored winner through the (re-verifying) warm-start path. The
     // subject is out of the slot while tuned: a panic leaves it empty.
     let mut held = lock(&slot);
-    let opened = match (held.take(), kernel) {
+    let opened = match (held.take(), what) {
         (Some(opened), _) => Ok(opened),
-        (None, Some(kernel)) => cfg.open(kernel).map_err(|e| e.to_string()),
-        (None, None) => cfg.open_source(src).map_err(|e| e.to_string()),
+        (None, Names::Kernel(kernel)) => cfg.open(kernel).map_err(|e| e.to_string()),
+        (None, Names::Source(_)) => cfg.open_source(src).map_err(|e| e.to_string()),
     };
     let out = opened.and_then(|opened| {
         let out = cfg.tune_opened(&opened).map_err(|e| e.to_string());

@@ -642,6 +642,10 @@ fn malformed_requests_get_typed_errors() {
             "{\"cmd\":\"query\",\"kernel\":\"ddot\",\"machine\":\"p4e\",\"sfv\":3}",
             "`sfv` must be an array of numbers",
         ),
+        (
+            "{\"cmd\":\"query\",\"kernel\":\"ddot\",\"machine\":\"p4e\",\"prec\":\"d\"}",
+            "unknown prec \"d\" (S | D)",
+        ),
     ];
     let mut client = Client::connect(&socket).unwrap();
     for (payload, needle) in cases {

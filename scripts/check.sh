@@ -43,6 +43,23 @@ if [ -n "$json_literals" ]; then
     exit 1
 fi
 
+step "one key writer"
+# Every tuned-db key is spelled by ifko::key (`tuned_key` takes a typed
+# precision and context); a second `db_key(` caller in shipping code
+# (cut at the first #[cfg(test)]) is how a precision came to be keyed
+# by its `{:?}` form at two sites.
+key_calls="$(
+    find crates/*/src -name '*.rs' ! -path crates/core/src/key.rs | sort |
+        while IFS= read -r f; do
+            awk '/#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ": " $0 }' "$f"
+        done | grep -F 'db_key(' || true
+)"
+if [ -n "$key_calls" ]; then
+    echo "$key_calls" >&2
+    echo "error: only crates/core/src/key.rs may call db_key(; use ifko::key::tuned_key" >&2
+    exit 1
+fi
+
 step "panic sites (scripts/panics.sh)"
 # `.unwrap()` / `.expect(` / `panic!` / `unreachable!` in shipping code:
 # a number that may only go down. Lower the ceiling whenever it does.
@@ -59,7 +76,7 @@ step "shipping lines (scripts/size.sh)"
 # Lines under crates/*/src, tests cut: a number that may only go down.
 # Lower the ceiling whenever it does; a change that raises it says why
 # in CHANGES.md.
-size_ceiling=24088
+size_ceiling=24087
 size_total="$(scripts/size.sh | awk '{ print $1 }')"
 echo "$size_total shipping lines (ceiling $size_ceiling)"
 if [ "$size_total" -gt "$size_ceiling" ]; then

@@ -7,11 +7,10 @@
 //!    iFKO vectorize the branchy loop);
 //! 3. icc+prof collapses on Opteron swap/axpy (blind non-temporal writes
 //!    on read-write operands) but not on the P4E;
-//! 4. empirical tuning of prefetch distance is the largest average
-//!    contributor out-of-cache (Figure 7's [WNT, PF DST, PF INS, UR, AE]
-//!    = [2, 26, 3, 2, 5]%);
-//! 5. accumulator expansion matters in-cache for the reductions (paper:
-//!    41% of sasum's in-cache tuning gain);
+//! 4. and 5. (prefetch distance dominates out of cache; accumulator
+//!    expansion matters in cache) are asserted over the rows of the
+//!    quick Figure 7 run, in `tests/figure7_golden.rs`, which already
+//!    makes those tunes;
 //! 6. iFKO beats FKO's static defaults overall (paper: 1.38x average).
 
 use ifko::prelude::*;
@@ -100,77 +99,6 @@ fn claim3_icc_prof_pathology_is_opteron_specific() {
     assert!(
         ratio_o > 1.5 * ratio_p,
         "pathology must be Opteron-specific"
-    );
-}
-
-#[test]
-fn claim4_prefetch_distance_dominates_out_of_cache() {
-    // Average the Figure 7 phase gains over the reduction/streaming
-    // kernels out-of-cache on the P4E: PF DST must contribute the most.
-    let tc = TuneConfig::quick(20_000);
-    let mut sums: std::collections::HashMap<Phase, f64> = Default::default();
-    let kernels = [
-        Kernel {
-            op: BlasOp::Dot,
-            prec: Prec::D,
-        },
-        Kernel {
-            op: BlasOp::Asum,
-            prec: Prec::D,
-        },
-        Kernel {
-            op: BlasOp::Scal,
-            prec: Prec::S,
-        },
-        Kernel {
-            op: BlasOp::Axpy,
-            prec: Prec::D,
-        },
-    ];
-    for k in kernels {
-        let t = tc.tune(k).unwrap();
-        for g in &t.result.gains {
-            *sums.entry(g.phase).or_insert(0.0) += g.speedup() - 1.0;
-        }
-    }
-    let pf = sums.get(&Phase::PfDist).copied().unwrap_or(0.0);
-    for (p, v) in &sums {
-        if *p == Phase::PfDist {
-            continue;
-        }
-        assert!(
-            pf >= *v,
-            "PF DST ({pf:.3}) must dominate {p:?} ({v:.3}) out-of-cache"
-        );
-    }
-    assert!(pf > 0.2, "PF DST should average a solid gain, got {pf:.3}");
-}
-
-#[test]
-fn claim5_accumulator_expansion_matters_in_cache() {
-    let k = Kernel {
-        op: BlasOp::Asum,
-        prec: Prec::S,
-    };
-    let t = TuneConfig::quick(1024)
-        .context(Context::InL2)
-        .tune(k)
-        .unwrap();
-    assert!(
-        t.result.best.accum_expand > 1,
-        "sasum in-L2 should choose AE > 1 (got {:?})",
-        t.result.best
-    );
-    let ae_gain = t
-        .result
-        .gains
-        .iter()
-        .find(|g| g.phase == Phase::Ae)
-        .map(|g| g.speedup())
-        .unwrap_or(1.0);
-    assert!(
-        ae_gain > 1.1,
-        "AE should contribute >10% in-cache, got {ae_gain:.3}"
     );
 }
 
