@@ -225,7 +225,7 @@ mod tests {
             strategy: "line".to_string(),
             cycles: 1000,
             params,
-            features: Some(vec![1.0, 2.0]),
+            features: None,
         }
     }
 

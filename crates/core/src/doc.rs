@@ -7,7 +7,7 @@
 use crate::json::{obj, Obj, Raw};
 use std::fmt::Display;
 
-/// Which rendering of a [`Doc`] a command prints.
+/// Which rendering of a document (`Doc`) a command prints.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum ReportFormat {
     Text,

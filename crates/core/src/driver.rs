@@ -1,10 +1,10 @@
 //! One-call tuning driver: ties the front end, analysis, search, and
 //! timing together (the outer loop of the paper's Figure 1).
 //!
-//! Configuration lives in [`TuneConfig`](crate::config::TuneConfig), whose
-//! `tune` / `tune_source` methods open a subject (what is being tuned,
-//! see `subject.rs`) and hand it to `tune_subject` here, which builds
-//! the one [`TuneOutcome`] both return.
+//! Configuration lives in [`TuneConfig`], whose `tune` / `tune_source`
+//! methods open a subject (what is being tuned, see `subject.rs`) and
+//! hand it to `tune_subject` here, which builds the one [`TuneOutcome`]
+//! both return.
 
 use crate::config::TuneConfig;
 use crate::eval::Span;
@@ -15,7 +15,7 @@ use crate::strategy::{run_search, Probe, TunedRecord};
 use crate::subject::{Oracle, Subject};
 use crate::worker::WorkerSpec;
 use ifko_blas::Kernel;
-use ifko_fko::{CompileOpts, CompiledKernel, SessionStats, TransformParams};
+use ifko_fko::{CompileOpts, CompiledKernel, SessionStats};
 use ifko_xsim::{FeatureVector, MachineConfig};
 use std::sync::atomic::Ordering;
 use std::time::Instant;
@@ -53,8 +53,8 @@ impl std::error::Error for TuneError {}
 
 /// Tune `subject` under `cfg`: the one driver behind
 /// [`TuneConfig::tune_opened`], and so behind `tune` and `tune_source`.
-/// It owns the worker-pool spawn, the warm / transfer lookup in the tuned
-/// database, the search itself, the winner's recompile and final run,
+/// It owns the worker-pool spawn, the lookup of the key's record in the
+/// tuned database, the search itself, the winner's recompile and final run,
 /// the database store, the final report, and the run-level spans and
 /// metrics — so whatever is tuned, a tune is traced, counted, persisted
 /// and reported the same way.
@@ -86,25 +86,14 @@ pub(crate) fn tune_subject(subject: &Subject, cfg: &TuneConfig) -> Result<TuneOu
     }
 
     // The stored winner the search starts from (this kernel/precision/
-    // machine/context/revision's record, else the nearest by static
-    // features) is probed again before it is trusted (`run_search`).
+    // machine/context/revision's record) is probed again before it is
+    // trusted (`run_search`). A key with no record searches as with no db.
     let prec = subject.sess.ir().prec;
     let db = cfg
         .db
         .as_ref()
         .map(|db| (db, scope.tuned_key(prec, db.rev())));
-    // The kernel's static feature vector at FKO defaults, priced only for
-    // its two readers: the similarity key stored with every tuned record,
-    // and the nearest-record lookup when the key has none. A second call
-    // is a cache hit.
-    let defaults_sfv = || {
-        let defaults = TransformParams::defaults(subject.sess.report(), &subject.machine);
-        let pred = subject.sess.predict(&defaults, &subject.machine).ok()?;
-        Some(pred.features().values)
-    };
-    let stored = db
-        .as_ref()
-        .and_then(|(db, key)| db.lookup_or_nearest(key, defaults_sfv));
+    let stored = db.as_ref().and_then(|(db, key)| db.lookup(key));
     let (result, probe) = run_search(subject, &engine, cfg.strategy, cfg.budget, stored.as_ref());
 
     let recompile_span = tune_span.child("recompile");
@@ -127,7 +116,7 @@ pub(crate) fn tune_subject(subject: &Subject, cfg: &TuneConfig) -> Result<TuneOu
     // Persist the verified winner only where the key had no record, or
     // its stored point was probed and failed to verify: a record the
     // probe verified, or one the budget kept it from, stays as it is.
-    let keep = matches!(stored, Some((_, false))) && probe != Some(Probe::Refuted);
+    let keep = stored.is_some() && probe != Some(Probe::Refuted);
     if let Some((db, key)) = db.filter(|_| !keep) {
         db.store_with(
             &TunedRecord {
@@ -142,7 +131,7 @@ pub(crate) fn tune_subject(subject: &Subject, cfg: &TuneConfig) -> Result<TuneOu
                 strategy: result.winner_strategy.clone(),
                 cycles: result.best_cycles,
                 params: result.best.clone(),
-                features: defaults_sfv(),
+                features: None,
             },
             subject.opts.faults.as_ref(),
         );

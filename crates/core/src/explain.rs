@@ -19,15 +19,12 @@
 //!   path is labeled memory-bound / compute-bound / branch-bound /
 //!   prefetch-limited from simple counter ratios (thresholds documented
 //!   on [`classify`]).
-//! * **Winner feature vector** — the stable
-//!   [`FeatureVector`](ifko_xsim::FeatureVector) of size-normalized
-//!   rates measured on the winner's run. (Transfer between kernels reads
-//!   another vector: the static one at FKO's defaults, stored with each
-//!   tuned record.)
+//! * **Winner feature vector** — the stable [`FeatureVector`] of
+//!   size-normalized rates measured on the winner's run.
 //!
 //! Like `report`, it reads the trace through the shared fold (scope
 //! grouping and selection-rule replay) and renders text, Markdown and
-//! JSON deterministically from one [`Doc`], so every format is
+//! JSON deterministically from one document (`Doc`), so every format is
 //! golden-testable.
 
 use crate::doc::{Col, Doc, Table};
@@ -308,7 +305,7 @@ pub struct ScopeExplain {
     pub attribution: Vec<TransformRow>,
     /// The convergence path: baseline plus every strict improvement.
     pub path: Vec<CandidateView>,
-    /// The winner's transfer-learning feature vector (needs the winner's
+    /// The winner's size-normalized counter vector (needs the winner's
     /// counters and the scope's problem size).
     pub features: Option<FeatureVector>,
     /// Cross-check against a tuned database, when one was supplied.

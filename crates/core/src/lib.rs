@@ -44,7 +44,7 @@
 //!   context that owns the search's outcome: the line search, three
 //!   seeded global strategies, a budget-aware portfolio that races them
 //!   (all picked by [`StrategySpec`]), and the persistent tuned-results
-//!   database ([`TunedDb`](strategy::TunedDb)) used for warm starts;
+//!   database ([`TunedDb`]) used for warm starts;
 //! * [`config`] — [`TuneConfig`], the builder-style configuration every
 //!   entry point takes;
 //! * [`flags`] — the one flag table behind every command line: parsing,

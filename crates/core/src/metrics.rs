@@ -471,9 +471,6 @@ pub const STRATEGY_PROBES: &str = "ifko_strategy_probes_total";
 pub const STRATEGY_WINS: &str = "ifko_strategy_wins_total";
 /// Warm starts where the stored winner verified and ended the search.
 pub const DB_WARM_HITS: &str = "ifko_db_warm_hits_total";
-/// Transfer warm starts: searches seeded from the nearest tuned record
-/// by static-feature distance when no exact warm hit existed.
-pub const DB_XFER_SEEDS: &str = "ifko_db_xfer_seeds_total";
 /// Winners appended to the tuned-results database.
 pub const DB_STORES: &str = "ifko_db_stores_total";
 /// Malformed tuned-db records skipped (and repaired) on load.

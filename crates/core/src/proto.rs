@@ -25,7 +25,7 @@
 //! |------------|---------------------------------------------------------------|
 //! | `ping`     | —                                                             |
 //! | `tune`     | `kernel` \| `src`, `machine`, `context`, `n?`, `seed?`, `full?`, `strategy?`, `budget?` |
-//! | `query`    | `kernel`, `prec`, `machine`, `context`, `sfv?`                |
+//! | `query`    | `kernel`, `prec`, `machine`, `context`                        |
 //! | `metrics`  | —                                                             |
 //! | `stats`    | —                                                             |
 //! | `compact`  | —                                                             |
@@ -61,7 +61,7 @@ pub fn write_frame(w: &mut impl Write, payload: &str) -> std::io::Result<()> {
 /// a subject `ifkod` keeps open, which take tens of µs each.
 const POLL: Duration = Duration::from_micros(200);
 
-/// A socket whose reads poll for up to [`POLL`] before they block. A
+/// A socket whose reads poll for up to `POLL` before they block. A
 /// blocking read parks the thread, and how soon a shared host runs a
 /// parked thread again — on this core or on another, idle one — varies
 /// by more than a warm request takes; data that arrives while a read

@@ -19,15 +19,15 @@
 //!   [`RunStats`].
 //!
 //! The format's own reader does the parsing
-//! ([`read_traces`](crate::trace::read_traces), hand-rolled like the rest
+//! ([`read_traces`], hand-rolled like the rest
 //! of the workspace's JSON). Malformed lines are **skipped and
 //! counted**, never fatal — a trace cut short by Ctrl-C must still
 //! report.
 //!
-//! The fold over the events — the grouping into scopes ([`by_scope`])
-//! and the replay of the search's selection rule ([`replay`]) — is
+//! The fold over the events — the grouping into scopes (`by_scope`)
+//! and the replay of the search's selection rule (`replay`) — is
 //! shared with [`explain`](crate::explain), and both print their text,
-//! Markdown and JSON through one [`Doc`].
+//! Markdown and JSON through one document (`Doc`).
 
 use crate::doc::{Col, Doc, Table};
 use crate::eval::{EvalScope, Tally};

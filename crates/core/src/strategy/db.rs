@@ -8,13 +8,13 @@
 //! once per context and reuses the result), and a warm start never
 //! trusts a stored winner blindly — the driver re-evaluates it through
 //! the full compile → verify → time path before accepting it (see
-//! [`run_search`](super::run_search)). The repo revision is part of the
+//! `strategy::run_search`). The repo revision is part of the
 //! key so a changed compiler invalidates old winners automatically.
 //!
 //! Storage is sized to its traffic: a tune stores one winner after
 //! thousands of probes, and a warm tune stores nothing, so one map behind
-//! one lock and one file is all the store needs. Every lookup — exact
-//! key or nearest-by-features — is answered from the map; the journal is
+//! one lock and one file is all the store needs. A lookup answers one
+//! key from the map, the key's own record or nothing; the journal is
 //! replayed exactly once, at open. Lines beyond the live-record count are
 //! *dead* (superseded last-wins history); the store that takes the dead
 //! count across the threshold compacts the journal in line (atomic tmp +
@@ -66,9 +66,8 @@ pub struct TunedRecord {
     /// Winning cycles at tuning time.
     pub cycles: u64,
     pub params: TransformParams,
-    /// Static feature vector of the kernel at FKO defaults
-    /// (`StaticFeatureVector::values` order) — the similarity key for
-    /// transfer warm starts. `None` on records from older revisions.
+    /// The `sfv` field of a line an older revision wrote, read and
+    /// kept but never written: no tune reads it.
     pub features: Option<Vec<f64>>,
 }
 
@@ -249,11 +248,10 @@ impl TunedDb {
     /// Drop every record stored under a repo revision other than this
     /// process's ([`TunedDb::rev`]) — the library behind
     /// `ifko db prune --rev-missing`. Stale-revision records can never
-    /// answer an exact warm-start lookup (the revision is part of the
-    /// db key), so once the code moves on they only feed transfer
-    /// probes and cost space. The journal is compacted afterwards so
-    /// the file shrinks with the map. Returns the number of records
-    /// removed.
+    /// answer a warm-start lookup (the revision is part of the db key),
+    /// so once the code moves on they only cost space. The journal is
+    /// compacted afterwards so the file shrinks with the map. Returns
+    /// the number of records removed.
     pub fn prune_missing_rev(&self) -> usize {
         let removed = {
             let mut entries = self.entries();
@@ -283,43 +281,6 @@ impl TunedDb {
         let mut v: Vec<TunedRecord> = self.entries().values().cloned().collect();
         v.sort_by(|a, b| a.key.cmp(&b.key));
         v
-    }
-
-    /// The stored winner a tune of `key` starts from: the key's own
-    /// record, else (`.1` true) the record nearest to the static feature
-    /// vector `features` yields, asked only on a miss. The tune driver
-    /// and the daemon's `query` both look a winner up here.
-    pub fn lookup_or_nearest(
-        &self,
-        key: &str,
-        features: impl FnOnce() -> Option<Vec<f64>>,
-    ) -> Option<(TunedRecord, bool)> {
-        match self.lookup(key) {
-            Some(rec) => Some((rec, false)),
-            None => Some((self.nearest_by_features(&features()?, key)?, true)),
-        }
-    }
-
-    /// The stored winner nearest to `features` by Euclidean distance
-    /// over the static feature vectors. Only records that carry a
-    /// same-length feature vector participate; `exclude_key` (the exact
-    /// key that just missed) never matches itself. Ties break toward the
-    /// smaller key, so the choice is deterministic.
-    fn nearest_by_features(&self, features: &[f64], exclude_key: &str) -> Option<TunedRecord> {
-        let entries = self.entries();
-        entries
-            .values()
-            .filter(|rec| rec.key != exclude_key)
-            .filter_map(|rec| {
-                let f = rec
-                    .features
-                    .as_ref()
-                    .filter(|f| f.len() == features.len())?;
-                let d2: f64 = f.iter().zip(features).map(|(a, b)| (a - b) * (a - b)).sum();
-                Some((d2.sqrt(), rec))
-            })
-            .min_by(|(da, a), (db, b)| da.total_cmp(db).then_with(|| a.key.cmp(&b.key)))
-            .map(|(_, rec)| rec.clone())
     }
 
     pub fn len(&self) -> usize {
@@ -428,10 +389,8 @@ fn read_params(v: &Json) -> Result<TransformParams, FieldError> {
 }
 
 /// Serialize a record as one stable JSONL line — the on-disk and
-/// artifact wire format. The static feature vector rides at the end,
-/// only when present, so records without one keep the older bytes.
+/// artifact wire format. A record's `features` are not written.
 pub fn record_json(rec: &TunedRecord) -> String {
-    let sfv = rec.features.as_ref();
     obj()
         .field("key", &rec.key)
         .field("kernel", &rec.kernel)
@@ -444,12 +403,12 @@ pub fn record_json(rec: &TunedRecord) -> String {
         .field("strategy", &rec.strategy)
         .field("cycles", rec.cycles)
         .field("params", Raw(&params_json(&rec.params)))
-        .maybe("sfv", sfv.map(|f| Array(f.iter().map(|&v| Fixed(v, 6)))))
         .finish()
 }
 
 /// Parse one [`record_json`] line back into a record: `None` for a
-/// malformed one. Records from older revisions carry no `sfv`.
+/// malformed one. An older revision's `sfv` field reads into
+/// `features`.
 pub fn parse_record(line: &str) -> Option<TunedRecord> {
     read_record(&parse_json(line.trim())?).ok()
 }
@@ -750,50 +709,6 @@ mod tests {
             lines < 2 * AUTO_COMPACT_MIN_DEAD,
             "in-line compaction never ran: {lines} lines on disk"
         );
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn features_round_trip_and_old_records_parse() {
-        // A record with a feature vector survives the JSONL round trip.
-        let mut rec = sample_record("fk", 500);
-        rec.features = Some(vec![1.5, 0.25, 3.0]);
-        let parsed = parse_record(&record_json(&rec)).unwrap();
-        assert_eq!(parsed.features, Some(vec![1.5, 0.25, 3.0]));
-        // A record without one serializes with no `sfv` field at all and
-        // parses back to None (old-format compatibility).
-        let bare = sample_record("fk2", 600);
-        let line = record_json(&bare);
-        assert!(!line.contains("sfv"));
-        assert_eq!(parse_record(&line).unwrap().features, None);
-    }
-
-    #[test]
-    fn nearest_by_features_picks_closest_and_skips_self() {
-        let dir = std::env::temp_dir().join(format!("ifko-tuneddb-near-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let db = TunedDb::open(&dir).unwrap();
-        let mut near = sample_record("a-near", 100);
-        near.features = Some(vec![1.0, 1.0]);
-        let mut far = sample_record("b-far", 200);
-        far.features = Some(vec![10.0, 10.0]);
-        let mut bad_len = sample_record("c-badlen", 300);
-        bad_len.features = Some(vec![1.0]);
-        let no_feat = sample_record("d-none", 400);
-        for r in [&near, &far, &bad_len, &no_feat] {
-            db.store(r);
-        }
-        let hit = db.nearest_by_features(&[1.1, 0.9], "").unwrap();
-        assert_eq!(hit.key, "a-near");
-        // Excluding the nearest key falls through to the next one.
-        let hit = db.nearest_by_features(&[1.1, 0.9], "a-near").unwrap();
-        assert_eq!(hit.key, "b-far");
-        // Ties break toward the smaller key.
-        let mut tie = sample_record("a-tie", 500);
-        tie.features = Some(vec![10.0, 10.0]);
-        db.store(&tie);
-        let hit = db.nearest_by_features(&[10.0, 10.0], "").unwrap();
-        assert_eq!(hit.key, "a-tie");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

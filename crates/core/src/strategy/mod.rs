@@ -9,8 +9,8 @@
 //!
 //! * `SearchCtx` (crate-private) — a strategy proposes candidate batches
 //!   through `SearchCtx::submit`; the context runs every batch through the
-//!   shared [`EvalEngine`](crate::eval::EvalEngine) (cache, pruning,
-//!   tracing, metrics all included), enforces an explicit probe/wall-clock
+//!   shared [`EvalEngine`] (cache, pruning, tracing, metrics all
+//!   included), enforces an explicit probe/wall-clock
 //!   [`Budget`], and is the one owner of the search's outcome: the seed's
 //!   cycles, the best point and the strategy whose probe found it.
 //! * `line` — the paper's modified line search
@@ -24,8 +24,9 @@
 //! * [`TunedDb`] — a persistent tuned-results database
 //!   (one `results/db/tuned.jsonl` journal behind an in-memory map)
 //!   keyed by kernel/precision/machine/context/repo-rev; any strategy
-//!   starts from its record for the key, or the nearest one by static
-//!   features, and probes that point again before trusting it.
+//!   starts from its record for the key and probes that point again
+//!   before trusting it. A key with no record tunes as it would with no
+//!   database.
 //!
 //! Per-candidate attribution flows through the whole observability
 //! stack: every [`EvalEvent`](crate::eval::EvalEvent) carries the
@@ -52,14 +53,6 @@ pub const PHASE_WARM: &str = "WARM";
 /// Strategy label of a search a verified `WARM` probe ended, and of
 /// that probe.
 pub const STRATEGY_WARM: &str = "warm";
-
-/// Phase label for probing a transfer seed: the nearest tuned record by
-/// static-feature distance when no exact warm hit exists.
-pub const PHASE_XFER: &str = "XFER";
-
-/// Strategy label attributed to transfer-seeded probes, so a winner that
-/// came straight from the transferred point is visible in reports.
-pub const STRATEGY_XFER: &str = "xfer";
 
 // ---------------------------------------------------------------------------
 // Budget
@@ -415,9 +408,8 @@ pub(crate) enum Probe {
 /// static cost model ([`Subject::predict`]) and the single-point
 /// evaluator ([`Subject::evaluate`], hung off this function's root
 /// `search` span). `stored` is the database's record for the subject's
-/// key, or (`.1` true) the nearest record by static features: its point
-/// is probed up front ([`probe_stored`]), and a verified exact record
-/// ends the search there without running the strategy.
+/// key: its point is probed up front ([`probe_stored`]), and a verified
+/// record ends the search there without running the strategy.
 ///
 /// The result is the best point the strategy found, unless the stored
 /// point or the seed before it was strictly better; `(off, u64::MAX)`
@@ -429,7 +421,7 @@ pub(crate) fn run_search(
     engine: &EvalEngine,
     spec: StrategySpec,
     budget: Budget,
-    stored: Option<&(TunedRecord, bool)>,
+    stored: Option<&TunedRecord>,
 ) -> (SearchResult, Option<Probe>) {
     let search_span = Span::root(engine.trace().cloned(), subject.scope.key(), "search");
     let mut ctx = SearchCtx {
@@ -451,10 +443,9 @@ pub(crate) fn run_search(
         best_cycles: None,
         found: None,
     };
-    let probe = stored.map(|(rec, nearest)| probe_stored(&mut ctx, rec, *nearest));
-    let warm = matches!((stored, probe), (Some((_, false)), Some(Probe::Verified)));
+    let probe = stored.map(|rec| probe_stored(&mut ctx, rec));
     let reg = engine.metrics();
-    let (strategy, gains) = if warm {
+    let (strategy, gains) = if probe == Some(Probe::Verified) {
         reg.counter(metrics::DB_WARM_HITS).inc();
         (STRATEGY_WARM, Vec::new())
     } else {
@@ -470,7 +461,7 @@ pub(crate) fn run_search(
         .found
         .unwrap_or_else(|| (TransformParams::off(), u64::MAX, spec.name()));
     let winner = match (finder, stored) {
-        (STRATEGY_WARM, Some((rec, _))) if !rec.strategy.is_empty() => rec.strategy.clone(),
+        (STRATEGY_WARM, Some(rec)) if !rec.strategy.is_empty() => rec.strategy.clone(),
         _ => finder.to_string(),
     };
     reg.counter(&metrics::labeled(
@@ -492,21 +483,14 @@ pub(crate) fn run_search(
 
 /// Probe a stored winner: seed the search (FKO's defaults, then the
 /// untransformed point if they fail) under the running strategy's label,
-/// then evaluate the record's point once, under `WARM` for the key's own
-/// record and `XFER` for the nearest one. The seed keeps its own label,
-/// so the result names the stored point's probe only when that point won.
-fn probe_stored(ctx: &mut SearchCtx<'_>, rec: &TunedRecord, nearest: bool) -> Probe {
+/// then evaluate the record's point once under `WARM`. The seed keeps its
+/// own label, so the result names the stored point's probe only when that
+/// point won.
+fn probe_stored(ctx: &mut SearchCtx<'_>, rec: &TunedRecord) -> Probe {
     global::seed(ctx);
     let (running, probes) = (ctx.strategy, ctx.probes);
-    let phase = if nearest {
-        ctx.engine.metrics().counter(metrics::DB_XFER_SEEDS).inc();
-        ctx.strategy = STRATEGY_XFER;
-        PHASE_XFER
-    } else {
-        ctx.strategy = STRATEGY_WARM;
-        PHASE_WARM
-    };
-    let cycles = ctx.submit(phase, std::slice::from_ref(&rec.params))[0];
+    ctx.strategy = STRATEGY_WARM;
+    let cycles = ctx.submit(PHASE_WARM, std::slice::from_ref(&rec.params))[0];
     ctx.strategy = running;
     match cycles {
         _ if ctx.probes == probes => Probe::Cut,

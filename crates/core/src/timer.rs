@@ -120,7 +120,7 @@ impl Timer {
 
     /// [`time_from`](Timer::time_from) with outlier-robust statistics and
     /// optional fault injection: reps flagged by [`robust_outliers`] are
-    /// re-timed (up to [`MAX_RETIME_ROUNDS`] rounds), reps still flagged
+    /// re-timed (up to `MAX_RETIME_ROUNDS` rounds), reps still flagged
     /// after that are excluded from the minimum and counted as rejected.
     /// `faults` is the chaos plan plus the subject key its decisions hash
     /// over; `None` measures the real pipeline (and then detection alone

@@ -17,7 +17,7 @@
 //! ```
 //!
 //! The worker rebuilds the compile session, workload, and
-//! [`EvalScope`](crate::eval::EvalScope) from the handshake and checks
+//! [`EvalScope`] from the handshake and checks
 //! that its recomputed scope key matches the dispatcher's `scope` —
 //! any drift (different machine model, timer protocol, workload seed)
 //! is a typed handshake error, never a silently wrong result. After

@@ -3,19 +3,14 @@
 //!
 //! 1. **Predictions in the trace** — every measured candidate's trace
 //!    event carries its predicted cycles, for `ifko explain`.
-//! 2. **Transfer warm starts** — when `--warm-start` finds no exact hit,
-//!    the nearest tuned record by static-feature distance is probed
-//!    (visible in the trace as an `XFER` probe), after re-verification.
-//! 3. **Priced on demand** — a candidate is predicted only when the price
-//!    is read (a trace sink, or the tuned db's feature vector), and
-//!    reading it never changes the search.
+//! 2. **Priced on demand** — a candidate is predicted only when the price
+//!    is read (a trace sink), and reading it never changes the search.
 
 use ifko::eval::{MemSink, SearchEvent};
 use ifko::metrics::{self, MetricsRegistry};
 use ifko::prelude::*;
-use ifko::strategy::{TunedDb, TunedRecord};
+use ifko::strategy::TunedDb;
 use ifko::worker::WorkerLauncher;
-use ifko_fko::StaticFeatureVector;
 use std::sync::Arc;
 
 const WAXPBY_HIL: &str = include_str!("../../../kernels/waxpby.hil");
@@ -67,116 +62,6 @@ fn trace_carries_predictions_for_every_candidate() {
     );
 }
 
-/// Warm-start transfer: a database holding a *different* kernel's tuned
-/// record (with its static feature vector) seeds the new search with
-/// that winner — the trace shows the XFER probe — and the search still
-/// converges to the same result as a cold run.
-#[test]
-fn nearest_neighbor_seeds_transfer_warm_start() {
-    let dir = std::env::temp_dir().join(format!("ifko-xfer-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-
-    // Tune ddot with the db attached: stores its winner + features.
-    cfg(1024)
-        .tuned_db(dir.join("db"))
-        .unwrap()
-        .tune(dk(BlasOp::Dot))
-        .unwrap();
-    let db = TunedDb::open(dir.join("db")).unwrap();
-    assert_eq!(db.len(), 1);
-    let rec = &db.records()[0];
-    assert!(
-        rec.features.is_some(),
-        "stored record must carry the static feature vector"
-    );
-
-    // Tune daxpy against the same db: no exact key, so the ddot record
-    // is the nearest neighbor and gets probed first.
-    let sink = MemSink::new();
-    let warm = cfg(1024)
-        .tuned_db(dir.join("db"))
-        .unwrap()
-        .trace(sink.clone())
-        .tune(dk(BlasOp::Axpy))
-        .unwrap();
-    let xfer_probes: Vec<_> = sink
-        .events()
-        .iter()
-        .filter_map(|e| match e {
-            SearchEvent::Eval(ev) if ev.phase == "XFER" => Some(ev.clone()),
-            _ => None,
-        })
-        .collect();
-    assert_eq!(xfer_probes.len(), 1, "exactly one transfer probe expected");
-    assert_eq!(xfer_probes[0].strategy, "xfer");
-
-    // The transferred point is re-verified, never trusted: the final
-    // winner matches a cold search exactly.
-    let cold = cfg(1024).tune(dk(BlasOp::Axpy)).unwrap();
-    assert_eq!(warm.result.best, cold.result.best);
-    assert_eq!(warm.result.best_cycles, cold.result.best_cycles);
-
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// A transfer probe that only ties the strategy's best loses the tie: a
-/// transferred point that differs from the cold winner in the distance of
-/// a dropped prefetch compiles to the same program and runs in the same
-/// cycles, and the tune still returns the point its strategy found.
-#[test]
-fn a_transfer_probe_that_ties_the_strategy_loses_the_tie() {
-    let dir = std::env::temp_dir().join(format!("ifko-xfer-tie-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-
-    let cold = cfg(1024).tune(dk(BlasOp::Copy)).unwrap();
-    let mut tied = cold.result.best.clone();
-    let dropped = tied
-        .prefetch
-        .iter_mut()
-        .find(|s| s.kind.is_none())
-        .expect("dcopy's winner drops a prefetch");
-    dropped.dist += 64;
-    assert_ne!(tied, cold.result.best);
-
-    // Store ddot's record, then make its point the tied one: the nearest
-    // (and only) neighbor dcopy's tune transfers from.
-    cfg(1024)
-        .tuned_db(dir.join("db"))
-        .unwrap()
-        .tune(dk(BlasOp::Dot))
-        .unwrap();
-    let db = TunedDb::open(dir.join("db")).unwrap();
-    let rec = TunedRecord {
-        params: tied.clone(),
-        ..db.records()[0].clone()
-    };
-    db.store(&rec);
-    drop(db);
-
-    let sink = MemSink::new();
-    let warm = cfg(1024)
-        .tuned_db(dir.join("db"))
-        .unwrap()
-        .trace(sink.clone())
-        .tune(dk(BlasOp::Copy))
-        .unwrap();
-    let xfer: Vec<_> = sink
-        .events()
-        .iter()
-        .filter_map(|e| match e {
-            SearchEvent::Eval(ev) if ev.phase == "XFER" => ev.cycles,
-            _ => None,
-        })
-        .collect();
-    assert_eq!(xfer, vec![cold.result.best_cycles], "the probe ties");
-    assert_eq!(warm.result.best, cold.result.best);
-    assert_eq!(warm.result.best_cycles, cold.result.best_cycles);
-
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
 /// `ifko_pipeline_predictions_total` after one tune under `cfg`: of the
 /// BLAS `ddot`, or of a `.hil` source.
 fn predictions(cfg: TuneConfig, hil: Option<&str>) -> u64 {
@@ -205,22 +90,17 @@ fn the_cost_model_runs_only_when_its_price_is_read() {
     }
 }
 
-/// The tuned db reads the static features at FKO defaults: a cold tune
-/// stores them, full length. A warm re-tune neither looks for a transfer
-/// seed nor stores, so it prices nothing.
+/// The tuned db reads no price: a cold tune stores its winner with no
+/// feature vector, and neither it nor the warm re-tune runs the model.
 #[test]
 fn tuned_db_prices_defaults_only_for_its_readers() {
-    let dir = std::env::temp_dir().join(format!("ifko-lazy-sfv-{}", std::process::id()));
+    let dir = std::env::temp_dir().join(format!("ifko-db-price-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     let db_cfg = || cfg(1024).tuned_db(dir.join("db")).unwrap();
-    assert!(predictions(db_cfg(), None) > 0, "cold --db tune");
+    assert_eq!(predictions(db_cfg(), None), 0, "cold --db tune");
     let db = TunedDb::open(dir.join("db")).unwrap();
-    let features = db.records()[0].features.clone();
-    assert_eq!(
-        features.map(|f| f.len()),
-        Some(StaticFeatureVector::NAMES.len())
-    );
+    assert_eq!(db.records()[0].features, None);
     assert_eq!(predictions(db_cfg(), None), 0, "warm --db re-tune");
     let _ = std::fs::remove_dir_all(&dir);
 }

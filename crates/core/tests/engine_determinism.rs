@@ -222,7 +222,7 @@ fn counter_vectors_are_bit_identical_across_jobs_and_reruns() {
         "counter vectors differ between jobs=1 and jobs=4"
     );
     assert_eq!(serial, rerun, "counter vectors differ between reruns");
-    // The derived feature vector (explain's transfer hook) inherits the
+    // The derived feature vector (explain's winner counters) inherits the
     // same determinism bit for bit.
     assert_eq!(serial_features.values, wide_features.values);
     assert_eq!(serial_features.values, rerun_features.values);
@@ -230,7 +230,7 @@ fn counter_vectors_are_bit_identical_across_jobs_and_reruns() {
 
 /// The static cost model inherits the same contract: every probe's
 /// prediction in the trace is bit-identical across worker counts and
-/// across reruns, and the analysis-side feature vector from a *reused*
+/// across reruns, and every field of a prediction from a *reused*
 /// compile session (prediction cache warm) matches a fresh session bit
 /// for bit.
 #[test]
@@ -262,7 +262,7 @@ fn static_predictions_and_features_are_deterministic() {
 
     // Session reuse: the second predict() of the same point answers from
     // the session's prediction cache and must reproduce the fresh
-    // analysis exactly — features included. An independent session must
+    // analysis exactly, every field of it. An independent session must
     // agree too.
     let m = p4e();
     let src = ifko_blas::hil_src::hil_source(k.op, k.prec);
@@ -270,10 +270,10 @@ fn static_predictions_and_features_are_deterministic() {
     let params = ifko_fko::TransformParams::defaults(sess.report(), &m);
     let cold = sess.predict(&params, &m).unwrap();
     let warm = sess.predict(&params, &m).unwrap();
-    assert_eq!(cold.features().values, warm.features().values);
+    assert_eq!(cold, warm);
     let other = ifko_fko::CompileSession::from_source(&src, &m).unwrap();
     let fresh = other.predict(&params, &m).unwrap();
-    assert_eq!(cold.features().values, fresh.features().values);
+    assert_eq!(cold, fresh);
     assert_eq!(
         cold.predicted_cycles(1024, ifko_fko::costmodel::Locality::Mem),
         fresh.predicted_cycles(1024, ifko_fko::costmodel::Locality::Mem)

@@ -109,7 +109,7 @@ fn fixture_attribution_is_faithful() {
     assert!(s.path.len() >= 2);
     assert_eq!(s.path[0].probe, 0);
     assert!(s.path.windows(2).all(|w| w[0].cycles > w[1].cycles));
-    // The winner's feature vector rode along for the transfer hook.
+    // The winner's size-normalized counter vector rode along.
     let f = s.features.as_ref().expect("winner feature vector");
     assert_eq!(f.values.len(), ifko_xsim::FeatureVector::NAMES.len());
     assert_eq!(ifko_xsim::FeatureVector::NAMES[0], "cycles_per_elem");

@@ -7,11 +7,12 @@
 //! 2. **Seeded determinism** — every global strategy (and the portfolio)
 //!    replays the identical probe sequence and outcome from the same seed.
 //! 3. **Budgets** — a probe budget caps the search, and the seed's cycles
-//!    survive a budget the transfer probes spend.
+//!    survive a budget the warm probes spend.
 //! 4. **Warm starts** — a tuned-results database answers a repeat run
 //!    with far fewer probes, after re-verifying the stored winner; a
-//!    tune replaces a record only when its probe refuted it, and the
-//!    seed keeps its credit when FKO's defaults win.
+//!    key with no record tunes exactly as with no database; a tune
+//!    replaces a record only when its probe refuted it, and the seed
+//!    keeps its credit when FKO's defaults win.
 //! 5. **Attribution** — portfolio traces carry per-member strategy tags
 //!    and the winner is credited to a member, never to "portfolio".
 
@@ -170,14 +171,13 @@ fn probe_budget_caps_the_search() {
     assert!(out.result.best_cycles <= out.result.default_cycles);
 }
 
-/// The seed's cycles outlive a budget the transfer probes spend: a tune
-/// that transfers from another kernel's record under a 2-probe budget
-/// (its `SEED` and `XFER` probes, leaving the strategy nothing) reports
-/// the traced `SEED` probe's cycles as `default_cycles` — the cycles the
-/// unbudgeted tune reports too.
+/// The seed's cycles outlive a budget the warm probes spend: a re-tune
+/// of a stored key under a 2-probe budget (its `SEED` and `WARM` probes)
+/// reports the traced `SEED` probe's cycles as `default_cycles` — the
+/// cycles the tune with no db reports too.
 #[test]
-fn a_budget_spent_by_the_transfer_probes_keeps_the_seed() {
-    let dir = std::env::temp_dir().join(format!("ifko-xfer-budget-{}", std::process::id()));
+fn a_budget_spent_by_the_warm_probes_keeps_the_seed() {
+    let dir = std::env::temp_dir().join(format!("ifko-warm-budget-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     TuneConfig::quick(1024)
         .tuned_db(&dir)
@@ -191,10 +191,10 @@ fn a_budget_spent_by_the_transfer_probes_keeps_the_seed() {
         .unwrap()
         .budget(Budget::probes(2))
         .trace(sink.clone())
-        .tune(dk(BlasOp::Axpy))
+        .tune(dk(BlasOp::Dot))
         .unwrap();
     let evals = sink.evals();
-    assert!(evals.iter().any(|e| e.phase == "XFER"), "no transfer probe");
+    assert!(evals.iter().any(|e| e.phase == "WARM"), "no warm probe");
     let seeds: Vec<u64> = evals
         .iter()
         .filter(|e| e.phase == "SEED")
@@ -204,11 +204,8 @@ fn a_budget_spent_by_the_transfer_probes_keeps_the_seed() {
     assert_ne!(budgeted.result.default_cycles, u64::MAX);
     assert_eq!(budgeted.result.default_cycles, seeds[0]);
 
-    let unbudgeted = TuneConfig::quick(1024).tune(dk(BlasOp::Axpy)).unwrap();
-    assert_eq!(
-        budgeted.result.default_cycles,
-        unbudgeted.result.default_cycles
-    );
+    let no_db = TuneConfig::quick(1024).tune(dk(BlasOp::Dot)).unwrap();
+    assert_eq!(budgeted.result.default_cycles, no_db.result.default_cycles);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -296,33 +293,74 @@ fn a_budget_that_cuts_the_warm_probe_keeps_the_stored_winner() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// When FKO's defaults win a budgeted warm or transfer tune, the credit
-/// is the seed's — the running strategy's — in the result and in the
-/// record stored for the key: `warm` and `xfer` name a result only when
-/// the stored point itself won.
+/// When FKO's defaults win a budgeted warm tune, the credit is the
+/// seed's — the running strategy's — in the result and in the record
+/// stored for the key: `warm` names a result only when the stored point
+/// itself won.
 #[test]
-fn defaults_that_win_a_budgeted_warm_or_transfer_tune_keep_the_seeds_credit() {
+fn defaults_that_win_a_budgeted_warm_tune_keep_the_seeds_credit() {
     let dir = std::env::temp_dir().join(format!("ifko-seed-credit-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let tune = |op, budget| {
+    let tune = |budget| {
         TuneConfig::quick(1024)
             .tuned_db(&dir)
             .unwrap()
             .budget(budget)
-            .tune(dk(op))
+            .tune(dk(BlasOp::Dot))
             .unwrap()
     };
-    tune(BlasOp::Dot, Budget::unlimited());
-    // Warm: ddot's own record; transfer: daxpy's nearest, ddot's.
-    for op in [BlasOp::Dot, BlasOp::Axpy] {
-        let out = tune(op, Budget::probes(1));
-        assert_eq!(out.result.best_cycles, out.result.default_cycles, "{op:?}");
-        assert_eq!(out.result.winner_strategy, "line", "{op:?}");
-    }
+    tune(Budget::unlimited());
+    let out = tune(Budget::probes(1));
+    assert_eq!(out.result.best_cycles, out.result.default_cycles);
+    assert_eq!(out.result.winner_strategy, "line");
     let db = TunedDb::open(&dir).unwrap();
     let finders: Vec<String> = db.records().into_iter().map(|r| r.strategy).collect();
-    assert_eq!(finders, ["line", "line"], "ddot's and daxpy's records");
+    assert_eq!(finders, ["line"], "ddot's record");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A key with no record tunes exactly as it would with no db, whatever
+/// else the db holds: with daxpy's record stored, a `--db` tune of ddot
+/// returns the db-less `SearchResult` (point, cycles, evaluations and
+/// every tally counter) and probes no stored point, on both machines.
+#[test]
+fn a_key_with_no_record_tunes_exactly_as_with_no_db() {
+    for mach in [p4e(), opteron()] {
+        let dir = std::env::temp_dir().join(format!(
+            "ifko-no-record-{}-{}",
+            mach.name,
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let with_db = || {
+            TuneConfig::quick(1024)
+                .machine(mach.clone())
+                .tuned_db(&dir)
+                .unwrap()
+        };
+        with_db().tune(dk(BlasOp::Axpy)).unwrap();
+        let sink = MemSink::new();
+        let got = with_db().trace(sink.clone()).tune(dk(BlasOp::Dot)).unwrap();
+        let want = TuneConfig::quick(1024)
+            .machine(mach.clone())
+            .tune(dk(BlasOp::Dot))
+            .unwrap();
+        assert_eq!(
+            format!("{:?}", got.result),
+            format!("{:?}", want.result),
+            "{}",
+            mach.name
+        );
+        let stored: Vec<String> = sink
+            .evals()
+            .iter()
+            .filter(|e| e.phase == "WARM" || e.phase == "XFER")
+            .map(|e| e.phase.clone())
+            .collect();
+        assert!(stored.is_empty(), "{}: probed {stored:?}", mach.name);
+        assert_eq!(TunedDb::open(&dir).unwrap().len(), 2, "{}", mach.name);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 /// Warm starts do not bleed across machines: a winner stored for the P4E

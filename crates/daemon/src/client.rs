@@ -199,10 +199,11 @@ impl Client {
             .to_string())
     }
 
-    /// Exact-key (optionally nearest-`sfv`) warm-start lookup. Returns
-    /// the full response object (`found`, `nearest`, `record`). `prec`
-    /// is required for kernels outside the built-in suite; for suite
-    /// kernels the daemon derives it from the kernel table.
+    /// Exact-key warm-start lookup. Returns the full response object
+    /// (`found`, and the key's `record` when found). `prec` is required
+    /// for kernels outside the built-in suite; for suite kernels the
+    /// daemon derives it from the kernel table. The daemon refuses a
+    /// query that passes `sfv`: it answers no nearest-record lookup.
     pub fn query(
         &mut self,
         kernel: &str,

@@ -10,12 +10,12 @@
 //!
 //! * [`proto`] — the wire protocol: length-prefixed JSON frames
 //!   (4-byte big-endian length + UTF-8 payload), zero-dep on both ends.
-//! * [`server`] — [`Daemon`](server::Daemon): the accept loop, one
+//! * [`server`] — [`Daemon`]: the accept loop, one
 //!   handler thread per connection, one resident subject per resolved
 //!   tune request (its slot's lock is the single flight that coalesces
 //!   concurrent requests resolving alike), and `ifkod_*` metrics on the
 //!   global registry (scrapable via the `metrics` request).
-//! * [`client`] — [`Client`](client::Client): a thin blocking client
+//! * [`client`] — [`Client`]: a thin blocking client
 //!   used by `ifko tune --remote`, `ifko daemon <cmd>`, and the tests.
 //!
 //! Determinism contract: the daemon extends the engine's bit-identity

@@ -294,9 +294,13 @@ fn dispatch(server: &Arc<Server>, payload: &str) -> String {
     })
 }
 
-/// Exact-key (and optionally nearest-`sfv`) warm-start lookup, answered
-/// entirely from the in-memory index.
+/// Exact-key warm-start lookup, answered entirely from the in-memory
+/// index: the key's own record, or `found: false`. A query that sets
+/// `sfv` (a nearest-record lookup older daemons answered) is refused.
 fn handle_query(server: &Arc<Server>, req: &Json) -> Result<Obj, String> {
+    if req.get("sfv").is_some() {
+        return Err("query field `sfv` is refused: a query answers only its key's record".into());
+    }
     let refused = |e: FieldError| format!("query {e}");
     let text = |name| req.field::<&str>(name).map_err(refused);
     let kernel = text("kernel")?.ok_or("query needs a kernel name")?;
@@ -314,13 +318,11 @@ fn handle_query(server: &Arc<Server>, req: &Json) -> Result<Obj, String> {
                 .prec
         }
     };
-    let sfv: Option<Vec<f64>> = req.field("sfv").map_err(refused)?;
     let key = key::tuned_key(kernel, prec, &fingerprint, context, server.db.rev());
-    Ok(match server.db.lookup_or_nearest(&key, || sfv) {
-        Some((rec, nearest)) => obj()
+    Ok(match server.db.lookup(&key) {
+        Some(rec) => obj()
             .field("ok", true)
             .field("found", true)
-            .field("nearest", nearest)
             .field("record", Raw(&record_json(&rec))),
         None => obj().field("ok", true).field("found", false),
     })

@@ -49,7 +49,7 @@ fn synthetic_record(kernel: &str, cycles: u64) -> TunedRecord {
         strategy: "line".to_string(),
         cycles,
         params,
-        features: Some(vec![cycles as f64, 1.0]),
+        features: None,
     }
 }
 
@@ -99,18 +99,12 @@ fn queries_answer_from_memory_index_not_disk() {
         Some(2100)
     );
 
-    // Nearest-sfv transfer lookup for a key with no exact hit.
-    let v = client
-        .query(
-            "no-such-kernel",
-            "p4e",
-            "oc",
-            Some("D"),
-            Some(&[1555.0, 1.0]),
-        )
-        .unwrap();
-    assert_eq!(v.get("found").and_then(|j| j.as_bool()), Some(true));
-    assert_eq!(v.get("nearest").and_then(|j| j.as_bool()), Some(true));
+    // A query that asks for the nearest record by `sfv` is refused: a
+    // query answers only its own key, and the connection stays usable.
+    let err = client
+        .query("ddot", "p4e", "oc", None, Some(&[1555.0, 1.0]))
+        .expect_err("an sfv query must be refused");
+    assert!(err.contains("`sfv` is refused"), "{err}");
 
     // Misses report cleanly.
     let v = client
@@ -636,11 +630,11 @@ fn malformed_requests_get_typed_errors() {
         ),
         (
             "{\"cmd\":\"query\",\"kernel\":\"ddot\",\"machine\":\"p4e\",\"sfv\":[1,\"x\"]}",
-            "`sfv` must be an array of numbers",
+            "`sfv` is refused",
         ),
         (
-            "{\"cmd\":\"query\",\"kernel\":\"ddot\",\"machine\":\"p4e\",\"sfv\":3}",
-            "`sfv` must be an array of numbers",
+            "{\"cmd\":\"query\",\"kernel\":\"ddot\",\"machine\":\"p4e\",\"sfv\":[1.5,2]}",
+            "`sfv` is refused",
         ),
         (
             "{\"cmd\":\"query\",\"kernel\":\"ddot\",\"machine\":\"p4e\",\"prec\":\"d\"}",

@@ -150,7 +150,7 @@ fn stored(kernel: &str) -> TunedRecord {
         strategy: NASTY.into(),
         cycles: 555,
         params,
-        features: Some(vec![1.5, 2.0]),
+        features: None,
     }
 }
 
@@ -210,15 +210,15 @@ fn daemon_replies() {
     );
     pin(
         &ask(r#"{"cmd":"pack"}"#),
-        r#"{"ok":true,"artifact":"{\"magic\":\"ifko-tune-cache\",\"version\":1,\"rev\":\"REV\",\"records\":1,\"checksum\":\"SUM\"}\n{\"key\":\"ddot|D|P4E#b7470cfff67d022c|oc|REV\",\"kernel\":\"ddot\",\"prec\":\"D\",\"machine\":\"P4E#b7470cfff67d022c\",\"context\":\"oc\",\"rev\":\"REV\",\"n\":1024,\"seed\":7,\"strategy\":\"q\\\"uo\\\\te\\n\\t\\r\\u0001\\u001fé€😀\",\"cycles\":555,\"params\":{\"simd\":false,\"unroll\":4,\"ae\":1,\"wnt\":false,\"lc\":true,\"cisc\":true,\"copy_prop\":true,\"dce\":true,\"branch_cleanup\":true,\"pf\":[{\"ptr\":1,\"kind\":\"t0\",\"dist\":256}]},\"sfv\":[1.500000,2.000000]}\n"}"#,
+        r#"{"ok":true,"artifact":"{\"magic\":\"ifko-tune-cache\",\"version\":1,\"rev\":\"REV\",\"records\":1,\"checksum\":\"SUM\"}\n{\"key\":\"ddot|D|P4E#b7470cfff67d022c|oc|REV\",\"kernel\":\"ddot\",\"prec\":\"D\",\"machine\":\"P4E#b7470cfff67d022c\",\"context\":\"oc\",\"rev\":\"REV\",\"n\":1024,\"seed\":7,\"strategy\":\"q\\\"uo\\\\te\\n\\t\\r\\u0001\\u001fé€😀\",\"cycles\":555,\"params\":{\"simd\":false,\"unroll\":4,\"ae\":1,\"wnt\":false,\"lc\":true,\"cisc\":true,\"copy_prop\":true,\"dce\":true,\"branch_cleanup\":true,\"pf\":[{\"ptr\":1,\"kind\":\"t0\",\"dist\":256}]}}\n"}"#,
     );
     pin(
         &ask(r#"{"cmd":"query","kernel":"ddot","machine":"p4e","context":"oc"}"#),
-        r#"{"ok":true,"found":true,"nearest":false,"record":{"key":"ddot|D|P4E#b7470cfff67d022c|oc|REV","kernel":"ddot","prec":"D","machine":"P4E#b7470cfff67d022c","context":"oc","rev":"REV","n":1024,"seed":7,"strategy":"q\"uo\\te\n\t\r\u0001\u001fé€😀","cycles":555,"params":{"simd":false,"unroll":4,"ae":1,"wnt":false,"lc":true,"cisc":true,"copy_prop":true,"dce":true,"branch_cleanup":true,"pf":[{"ptr":1,"kind":"t0","dist":256}]},"sfv":[1.500000,2.000000]}}"#,
+        r#"{"ok":true,"found":true,"record":{"key":"ddot|D|P4E#b7470cfff67d022c|oc|REV","kernel":"ddot","prec":"D","machine":"P4E#b7470cfff67d022c","context":"oc","rev":"REV","n":1024,"seed":7,"strategy":"q\"uo\\te\n\t\r\u0001\u001fé€😀","cycles":555,"params":{"simd":false,"unroll":4,"ae":1,"wnt":false,"lc":true,"cisc":true,"copy_prop":true,"dce":true,"branch_cleanup":true,"pf":[{"ptr":1,"kind":"t0","dist":256}]}}}"#,
     );
     pin(
         &ask(r#"{"cmd":"query","kernel":"dasum","machine":"p4e","sfv":[1.5,2]}"#),
-        r#"{"ok":true,"found":true,"nearest":true,"record":{"key":"ddot|D|P4E#b7470cfff67d022c|oc|REV","kernel":"ddot","prec":"D","machine":"P4E#b7470cfff67d022c","context":"oc","rev":"REV","n":1024,"seed":7,"strategy":"q\"uo\\te\n\t\r\u0001\u001fé€😀","cycles":555,"params":{"simd":false,"unroll":4,"ae":1,"wnt":false,"lc":true,"cisc":true,"copy_prop":true,"dce":true,"branch_cleanup":true,"pf":[{"ptr":1,"kind":"t0","dist":256}]},"sfv":[1.500000,2.000000]}}"#,
+        r#"{"ok":false,"error":"query field `sfv` is refused: a query answers only its key's record"}"#,
     );
     pin(
         &ask(r#"{"cmd":"query","kernel":"dasum","machine":"p4e"}"#),

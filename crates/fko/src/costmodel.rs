@@ -10,24 +10,19 @@
 //! latency the prefetch stream and out-of-order window fail to cover.
 //!
 //! The paper's whole point is that such models *mispredict* — that is why
-//! iFKO searches empirically. The model's job is therefore not accuracy
-//! but *ordering*: ranking a batch of candidates well enough that the
-//! search can evaluate the promising ones first (and optionally skip the
-//! bottom of the ranking), and giving transfer warm-starts a notion of
-//! kernel similarity ([`StaticFeatureVector`], mirroring the measured
-//! `ifko_xsim::FeatureVector` contract). Predictions are deterministic
-//! functions of the post-xform IR, so they are identical across sessions,
-//! `--jobs` counts, and reruns.
+//! iFKO searches empirically. The model therefore decides nothing the
+//! search evaluates. It has two readers: `ifko explain`'s predicted
+//! cycles beside each measured probe (priced only for a trace sink), and
+//! `ifko lint`'s `A1xx` advice ([`lint_costmodel`]). Predictions are
+//! deterministic functions of the post-xform IR, so they are identical
+//! across sessions, `--jobs` counts, and reruns.
 //!
 //! Deliberate flatness: prefetch kinds that fill the same cache level
 //! predict identically (the model has no principled way to rank NTA
 //! against T0), and so do unroll factors once every stream's lead fits
 //! the out-of-order window — only L2-only kinds (exposed L1-miss fill),
 //! under-covering leads (visible stall), and over-long leads (L1
-//! occupancy) move the cost. Combined with the engine's ties-never-split
-//! pruning rule, this keeps the dimensions the model cannot order
-//! unpruned instead of arbitrarily cutting half of an uninformative
-//! ranking.
+//! occupancy) move the cost.
 
 use crate::analysis::AnalysisReport;
 use crate::dataflow::{self, build_cfg, liveness, per_op_live_out, BitVec};
@@ -126,76 +121,6 @@ impl CostPrediction {
     pub fn predicted_cycles(&self, n: u64, loc: Locality) -> u64 {
         (self.cycles_per_elem(loc) * n as f64).round().max(1.0) as u64
     }
-
-    /// Export as the stable named feature vector.
-    pub fn features(&self) -> StaticFeatureVector {
-        let e = self.elems_per_iter.max(1) as f64;
-        let per_elem = |v: u64| v as f64 / e;
-        let nt_frac = if self.stores == 0 {
-            0.0
-        } else {
-            self.nt_stores as f64 / self.stores as f64
-        };
-        let vec_frac = if self.body_insts == 0 {
-            0.0
-        } else {
-            self.vector_ops as f64 / self.body_insts as f64
-        };
-        StaticFeatureVector {
-            values: vec![
-                self.cycles_per_elem(Locality::Mem),
-                per_elem(self.body_insts),
-                per_elem(self.flops),
-                per_elem(self.loads),
-                per_elem(self.stores),
-                per_elem(self.prefetches),
-                per_elem(self.critical_path),
-                per_elem(self.recurrence),
-                self.issue_bound,
-                self.latency_bound,
-                self.mem_bound,
-                self.int_pressure as f64,
-                self.fp_pressure as f64,
-                self.l1_footprint_ratio,
-                nt_frac,
-                vec_frac,
-                self.mem_stall,
-            ],
-        }
-    }
-}
-
-/// A stable, named vector of analysis-side features — the static twin of
-/// the measured `ifko_xsim::FeatureVector`, with the same contract: a
-/// fixed append-only `NAMES` table index-aligned with `values`, and size
-/// normalization (rates per element, not raw counts).
-#[derive(Clone, Debug, PartialEq)]
-pub struct StaticFeatureVector {
-    pub values: Vec<f64>,
-}
-
-impl StaticFeatureVector {
-    /// Feature names, index-aligned with `values`. Append-only: new
-    /// features go at the end so persisted vectors stay readable.
-    pub const NAMES: &'static [&'static str] = &[
-        "pred_cycles_per_elem",
-        "insts_per_elem",
-        "flops_per_elem",
-        "loads_per_elem",
-        "stores_per_elem",
-        "prefetches_per_elem",
-        "critical_path_per_elem",
-        "recurrence_per_elem",
-        "issue_bound",
-        "latency_bound",
-        "mem_bound",
-        "int_reg_pressure",
-        "fp_reg_pressure",
-        "l1_footprint_ratio",
-        "nt_store_fraction",
-        "vector_fraction",
-        "uncovered_stall",
-    ];
 }
 
 /// Completion latency of one op on `m`, in cycles. Zero-latency entries
@@ -667,7 +592,7 @@ mod tests {
     use crate::analysis::analyze;
     use crate::lower::lower;
     use ifko_hil::compile_frontend;
-    use ifko_xsim::{opteron, p4e};
+    use ifko_xsim::p4e;
 
     const DOT: &str = r#"
 ROUTINE dot(X, Y, N);
@@ -808,25 +733,6 @@ ROUT_END
             pk.cycles_per_elem(Locality::Mem),
             predict(DOT, &base, &m).cycles_per_elem(Locality::Mem)
         );
-    }
-
-    #[test]
-    fn features_are_stable_named_and_deterministic() {
-        let m = opteron();
-        let (_, rep) = setup(DOT, &m);
-        let p = TransformParams::defaults(&rep, &m);
-        let f1 = predict(DOT, &p, &m).features();
-        let f2 = predict(DOT, &p, &m).features();
-        assert_eq!(f1, f2);
-        assert_eq!(f1.values.len(), StaticFeatureVector::NAMES.len());
-        let names = StaticFeatureVector::NAMES;
-        assert_eq!(
-            names[..3],
-            ["pred_cycles_per_elem", "insts_per_elem", "flops_per_elem"]
-        );
-        assert!(f1.values[0] > 0.0);
-        assert!(f1.values[2] > 1.9); // mul+add per elem
-        assert!(f1.values.iter().all(|v| v.is_finite()));
     }
 
     #[test]

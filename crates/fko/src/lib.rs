@@ -34,7 +34,7 @@ pub mod xform;
 
 pub use analysis::{AnalysisReport, ScalarRole, VecBlocker};
 pub use codegen::{ArgSlot, CompiledKernel, RetSlot};
-pub use costmodel::{lint_costmodel, CostPrediction, Locality, StaticFeatureVector};
+pub use costmodel::{lint_costmodel, CostPrediction, Locality};
 pub use diag::{Diagnostic, Loc, Severity};
 pub use params::{PrefSpec, TransformParams};
 pub use verify::{lint_analysis, precheck, Reject};

@@ -60,6 +60,22 @@ if [ -n "$key_calls" ]; then
     exit 1
 fi
 
+step "deleted names stay deleted"
+# Flags, types and phases that were measured and deleted; a name that
+# comes back in shipping code or the README is stale prose or a revived
+# path. DESIGN.md, CHANGES.md and EXPERIMENTS.md keep their history.
+deleted_names="$(
+    grep -rnF -e '--model-prune' -e '--warm-start' -e SearchDriver \
+        -e ChromeTraceSink -e XFER -e xfer -e nearest_by_features \
+        -e lookup_or_nearest -e StaticFeatureVector \
+        crates/*/src README.md || true
+)"
+if [ -n "$deleted_names" ]; then
+    echo "$deleted_names" >&2
+    echo "error: a deleted name is back in crates/*/src or README.md" >&2
+    exit 1
+fi
+
 step "panic sites (scripts/panics.sh)"
 # `.unwrap()` / `.expect(` / `panic!` / `unreachable!` in shipping code:
 # a number that may only go down. Lower the ceiling whenever it does.
@@ -76,7 +92,7 @@ step "shipping lines (scripts/size.sh)"
 # Lines under crates/*/src, tests cut: a number that may only go down.
 # Lower the ceiling whenever it does; a change that raises it says why
 # in CHANGES.md.
-size_ceiling=24087
+size_ceiling=23941
 size_total="$(scripts/size.sh | awk '{ print $1 }')"
 echo "$size_total shipping lines (ceiling $size_ceiling)"
 if [ "$size_total" -gt "$size_ceiling" ]; then
@@ -89,6 +105,9 @@ cargo fmt --all -- --check
 
 step "cargo clippy -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
+
+step "rustdoc -D warnings"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 step "cargo build --release"
 cargo build --release --workspace
