@@ -713,6 +713,25 @@ mod tests {
     }
 
     #[test]
+    fn features_round_trip_and_old_records_parse() {
+        // A record's features are not written: its line is the bare
+        // record's, which round-trips with no `sfv` field at all.
+        let mut rec = sample_record("fk", 500);
+        rec.features = Some(vec![1.5, 0.25, 3.0]);
+        let line = record_json(&rec);
+        assert!(!line.contains("sfv"));
+        assert_eq!(line, record_json(&sample_record("fk", 500)));
+        assert_eq!(parse_record(&line), Some(sample_record("fk", 500)));
+        // A line an older revision wrote with `sfv` still parses, and its
+        // vector reads into `features`.
+        let old_line = format!(
+            "{},\"sfv\":[1.5,0.25,3.0]}}",
+            line.strip_suffix('}').unwrap()
+        );
+        assert_eq!(parse_record(&old_line), Some(rec));
+    }
+
+    #[test]
     fn repo_rev_is_stable_and_short() {
         let a = repo_rev();
         let b = repo_rev();
