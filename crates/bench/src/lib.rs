@@ -566,11 +566,15 @@ pub fn format_figure7(title: &str, rows: &[KernelRow]) -> String {
     let _ = writeln!(s, "{:>9}", "total");
     let mut sums = vec![0.0f64; Phase::figure7().len()];
     let mut total_sum = 0.0;
-    let mut count = 0usize;
+    let (mut count, mut searched) = (0usize, 0usize);
     for r in rows {
         let Some(t) = &r.tune else { continue };
         let _ = write!(s, "{:<10}", r.kernel.name());
-        for (i, p) in Phase::figure7().iter().enumerate() {
+        // A warm start re-verifies a stored winner and searches no phase:
+        // its phase cells are not measured, and stay out of the averages.
+        let warm = t.result.strategy == ifko::strategy::STRATEGY_WARM;
+        searched += !warm as usize;
+        for (i, p) in Phase::figure7().iter().enumerate().filter(|_| !warm) {
             // Multi-pass searches can visit a phase more than once; the
             // phase's contribution is the product of its passes.
             let g: f64 = t
@@ -583,6 +587,7 @@ pub fn format_figure7(title: &str, rows: &[KernelRow]) -> String {
             sums[i] += g;
             let _ = write!(s, "{:>8.1}%", (g - 1.0) * 100.0);
         }
+        s += &format!("{:>9}", "-").repeat(sums.len() * warm as usize);
         let tot = t.result.speedup_over_default();
         total_sum += tot;
         count += 1;
@@ -591,7 +596,11 @@ pub fn format_figure7(title: &str, rows: &[KernelRow]) -> String {
     if count > 0 {
         let _ = write!(s, "{:<10}", "average");
         for v in &sums {
-            let _ = write!(s, "{:>8.1}%", (v / count as f64 - 1.0) * 100.0);
+            match searched {
+                0 => write!(s, "{:>9}", "-"),
+                n => write!(s, "{:>8.1}%", (v / n as f64 - 1.0) * 100.0),
+            }
+            .ok();
         }
         let _ = writeln!(s, "{:>8.2}x", total_sum / count as f64);
     }
@@ -638,6 +647,49 @@ mod tests {
         assert!(row.percent(Method::Ifko) > 0.0);
         let best = row.best_cycles();
         assert!(row.cycles.values().all(|&c| c >= best));
+    }
+
+    /// A warm tune searched no phase: its phase cells read as not
+    /// measured (not 0.0 %), and the phase averages are the searched
+    /// rows' alone, while the total column keeps every row.
+    #[test]
+    fn figure7_shows_a_warm_rows_phases_as_not_measured() {
+        let mut cfg = test_cfg();
+        cfg.n_out_of_cache = 2000;
+        let k = Kernel {
+            op: BlasOp::Asum,
+            prec: Prec::D,
+        };
+        let cold = run_methods(k, &p4e(), Context::InL2, &cfg);
+        let mut warm = cold.clone();
+        let t = warm.tune.as_mut().unwrap();
+        t.result.strategy = ifko::strategy::STRATEGY_WARM.to_string();
+        t.result.gains.clear();
+        let line = |text: &str, start: &str| {
+            let l = text.lines().find(|l| l.starts_with(start)).unwrap();
+            l.split_whitespace()
+                .skip(1)
+                .map(str::to_string)
+                .collect::<Vec<_>>()
+        };
+        let alone = format_figure7("t", std::slice::from_ref(&cold));
+        let both = format_figure7("t", &[cold, warm]);
+        let cells = line(&both, "dasum");
+        let phases = Phase::figure7().len();
+        assert!(
+            both.lines().filter(|l| l.starts_with("dasum")).count() == 2,
+            "{both}"
+        );
+        let warm_cells = both
+            .lines()
+            .filter(|l| l.starts_with("dasum"))
+            .nth(1)
+            .unwrap();
+        let warm_cells: Vec<_> = warm_cells.split_whitespace().skip(1).collect();
+        assert_eq!(&warm_cells[..phases], vec!["-"; phases], "{both}");
+        assert_eq!(warm_cells[phases], cells[phases], "{both}");
+        let (avg_alone, avg_both) = (line(&alone, "average"), line(&both, "average"));
+        assert_eq!(avg_alone[..phases], avg_both[..phases], "{both}");
     }
 
     #[test]

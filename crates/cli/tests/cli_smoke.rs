@@ -899,6 +899,28 @@ fn tune_with_worker_pool_smokes() {
     );
 }
 
+/// `tune --chaos` into a `--db`: the injected faults are retried, the
+/// tune still reports its best, and the db's journal holds the record.
+#[test]
+fn tune_under_chaos_reports_a_best_and_stores_it() {
+    let dir = Scratch::new("chaos");
+    let db = dir.path("db");
+    let out = Command::new(bin())
+        .args(["tune", &repo("kernels/ddot.hil"), "--n", "1024"])
+        .args(["--chaos", "7", "--max-retries", "2", "--db", &db])
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(text.contains("iFKO best"), "tune said:\n{text}");
+    let journal = std::fs::read_to_string(Path::new(&db).join("tuned.jsonl")).unwrap();
+    assert!(journal.contains("\"key\""), "journal:\n{journal}");
+}
+
 /// `ifko db prune --rev-missing` drops records from other repo
 /// revisions (IFKO_REPO_REV pins the revision on both sides).
 #[test]

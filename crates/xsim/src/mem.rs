@@ -13,11 +13,10 @@ pub const DEFAULT_BASE: u64 = 0x1_0000;
 #[derive(Clone, Debug)]
 pub struct Memory {
     base: u64,
-    /// Backing store: at least `cap` bytes, and zero from `dirty` on.
+    /// Backing store, exactly the addressable bytes (a
+    /// [`reset`](Memory::reset) to a smaller capacity keeps the larger
+    /// allocation), and zero from `dirty` on.
     bytes: Vec<u8>,
-    /// Addressable bytes; a [`reset`](Memory::reset) to a smaller
-    /// capacity keeps the larger store.
-    cap: usize,
     /// High-water mark of writes since creation or the last reset.
     dirty: usize,
     next: u64,
@@ -43,7 +42,6 @@ impl Memory {
         Memory {
             base: DEFAULT_BASE,
             bytes: vec![0; capacity],
-            cap: capacity,
             dirty: 0,
             next: DEFAULT_BASE,
         }
@@ -55,20 +53,20 @@ impl Memory {
     /// is zeroed: simulated code may have stored anywhere, not just into
     /// what the harness allocated.
     pub fn reset(&mut self, capacity: usize) {
-        if capacity > self.bytes.len() {
+        if capacity > self.bytes.capacity() {
             // A new zeroed store: `resize` would copy the old one first.
             self.bytes = vec![0; capacity];
         } else {
             self.bytes[..self.dirty].fill(0);
+            self.bytes.resize(capacity, 0);
         }
-        self.cap = capacity;
         self.dirty = 0;
         self.next = self.base;
     }
 
     /// Total capacity in bytes.
     pub fn capacity(&self) -> usize {
-        self.cap
+        self.bytes.len()
     }
 
     /// First valid address.
@@ -84,7 +82,7 @@ impl Memory {
         let addr = (self.next + align - 1) & !(align - 1);
         let end = addr + len;
         assert!(
-            end - self.base <= self.cap as u64,
+            end - self.base <= self.bytes.len() as u64,
             "xsim memory exhausted: need {} bytes past 0x{:x}",
             len,
             addr
@@ -105,7 +103,7 @@ impl Memory {
         // Below `base` the subtraction wraps past any capacity, so one
         // comparison covers both ends (and cannot itself overflow).
         let off = addr.wrapping_sub(self.base);
-        let cap = self.cap as u64;
+        let cap = self.bytes.len() as u64;
         if len > cap || off > cap - len {
             return Err(MemFault { addr, len });
         }
@@ -115,16 +113,18 @@ impl Memory {
     /// The `N` bytes at `addr`, if all of them are addressable.
     #[inline]
     pub fn chunk<const N: usize>(&self, addr: u64) -> Option<&[u8; N]> {
-        let off = self.offset(addr, N as u64).ok()?;
-        self.bytes[off..].first_chunk()
+        // Below `base` the offset wraps past the end of the store.
+        let off = usize::try_from(addr.wrapping_sub(self.base)).ok()?;
+        self.bytes.get(off..)?.first_chunk()
     }
 
     /// The `N` bytes at `addr` for writing (they count as written).
     #[inline]
     pub fn chunk_mut<const N: usize>(&mut self, addr: u64) -> Option<&mut [u8; N]> {
-        let off = self.offset(addr, N as u64).ok()?;
+        let off = usize::try_from(addr.wrapping_sub(self.base)).ok()?;
+        let chunk = self.bytes.get_mut(off..)?.first_chunk_mut()?;
         self.dirty = self.dirty.max(off + N);
-        self.bytes[off..].first_chunk_mut()
+        Some(chunk)
     }
 
     /// Read `N` bytes.
