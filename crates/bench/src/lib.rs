@@ -231,11 +231,6 @@ impl Experiment {
         self.tune_only = true;
         self
     }
-    /// Attach a trace sink programmatically, in place of any `--trace`.
-    pub fn trace(mut self, sink: Arc<dyn TraceSink>) -> Self {
-        self.cfg.tune.base = self.cfg.tune.base.clone().trace(sink);
-        self
-    }
     pub fn cfg(&self) -> &ExpConfig {
         &self.cfg
     }

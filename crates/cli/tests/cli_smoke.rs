@@ -277,21 +277,33 @@ fn flag_table_kernel_commands() {
     check(&t.0, &cases);
 }
 
-/// `lint`, `report` and `explain`: each flag they read.
+/// `lint`, `report` and `explain`: each flag they read. Every shipped
+/// kernel lints clean of errors (exit 0) in both formats.
 #[test]
 fn flag_table_trace_commands() {
     let t = Scratch::new("flags-trace");
     let k = repo("kernels/ddot.hil");
     let k = k.as_str();
+    let mut kernels: Vec<String> = std::fs::read_dir(repo("kernels"))
+        .unwrap()
+        .map(|e| e.unwrap().path().to_str().unwrap().to_string())
+        .filter(|p| p.ends_with(".hil"))
+        .collect();
+    kernels.sort();
+    assert!(!kernels.is_empty(), "no kernels/*.hil");
+    let lint = |flags: &[&str]| {
+        let mut args = vec!["lint"];
+        args.extend(kernels.iter().map(String::as_str));
+        args.extend(flags);
+        ok("ifko", &args)
+    };
     let trace = repo("crates/core/tests/fixtures/explain-trace.jsonl");
     let trace = trace.as_str();
     let db = t.path("db");
     let cases = vec![
-        ok(
-            "ifko",
-            &["lint", k, "--machine", "opteron", "--format", "json"],
-        ),
-        ok("ifko", &["lint", k, "-m", "p4e", "-f", "text"]),
+        lint(&["--machine", "opteron", "--format", "json"]),
+        lint(&["-m", "p4e", "-f", "text"]),
+        lint(&["--format", "json"]),
         needs("ifko", &["lint", k], "--machine"),
         needs("ifko", &["lint", k], "--format"),
         case(
@@ -575,11 +587,12 @@ fn tune_with_trace_and_metrics_then_report() {
         "{}",
         String::from_utf8_lossy(&out.stderr)
     );
+    // A `.hil` tune goes through the same tune driver as a BLAS one, so
+    // it counts itself like one.
     let m = std::fs::read_to_string(&metrics).unwrap();
-    assert!(
-        m.contains("ifko_engine_evals_total"),
-        "metrics missing:\n{m}"
-    );
+    for name in ["ifko_engine_evals_total", "ifko_tune_runs_total"] {
+        assert!(m.contains(name), "{name} missing:\n{m}");
+    }
 
     // The analyzer consumes what --trace wrote.
     let out = Command::new(bin())
@@ -1056,6 +1069,11 @@ fn daemon_remote_tune_and_control_plane() {
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(
         text.contains("ifkod_requests_total"),
+        "daemon metrics:\n{text}"
+    );
+    // The cold and the warm request resolved to one resident subject.
+    assert!(
+        text.lines().any(|l| l == "ifkod_subjects 1"),
         "daemon metrics:\n{text}"
     );
     let out = Command::new(bin())

@@ -1,8 +1,8 @@
 //! One flag table behind every command line.
 //!
 //! Every command — each `ifko` subcommand, `ifkod`, the experiment
-//! binaries, `pipeline` — declares the [`Flag`]s it reads, and the rest
-//! comes from those entries: [`Command::parse`] reads argv against them
+//! binaries — declares the [`Flag`]s it reads, and the rest comes from
+//! those entries: [`Command::parse`] reads argv against them
 //! (a flag the command does not read is `unknown flag`, a missing value
 //! `X needs a value`, a bad one `X: <parse error>`), `--help` is rendered
 //! from them, and [`Given::local_only`] is the given entries a `--remote`
@@ -321,11 +321,6 @@ impl TuneFlags {
         }
         run.metrics = given.raw("--metrics").map(str::to_string);
         Ok(run)
-    }
-
-    /// Whether `--trace` was given.
-    pub fn traced(&self) -> bool {
-        self.trace.is_some()
     }
 
     /// Close the process's tunes: flush the JSONL trace and write the

@@ -24,9 +24,10 @@
 //!   tuned db's compaction is the same operation.
 //!
 //! The lock is per process: two processes sharing a journal can still
-//! lose appends to each other's rewrite (ROADMAP item 4). Each store is
-//! one file, so that lock, when it lands, is one lock file per store,
-//! taken in [`Journal::store`] and [`Journal::rewrite`].
+//! lose appends to each other's rewrite (DESIGN.md, "Stores sized to
+//! their traffic"). Each store is one file, so that lock, when it lands,
+//! is one lock file per store, taken in [`Journal::store`] and
+//! [`Journal::rewrite`].
 
 use crate::fault::FaultPlan;
 use std::fs::{File, OpenOptions};

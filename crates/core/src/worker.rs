@@ -1,5 +1,6 @@
 //! Worker-pool candidate evaluation: distribute a batch's fresh
-//! evaluations across worker *processes* (ROADMAP item 5).
+//! evaluations across worker *processes* (DESIGN.md, "Worker-pool
+//! evaluation").
 //!
 //! A worker is any process speaking the repo's length-prefixed JSON
 //! framing ([`crate::proto`]) on stdin/stdout — normally `ifko worker`

@@ -1,4 +1,5 @@
-//! Static cost model: IR-level performance prediction (ROADMAP item 3).
+//! Static cost model: IR-level performance prediction (DESIGN.md,
+//! "Static cost model: predictions for `explain` and `lint`").
 //!
 //! A pure static-analysis pass over the post-xform [`LinearKernel`] — no
 //! simulation. From the hot loop's instruction mix, its latency-weighted

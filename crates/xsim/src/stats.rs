@@ -184,10 +184,11 @@ impl RunStats {
 }
 
 /// A stable, named vector of size-normalized rates derived from one
-/// candidate's counters. This is the transfer-learning substrate
-/// (ROADMAP item 3): rates rather than raw counts so vectors from
-/// different problem sizes and machines stay comparable, and a fixed
-/// `NAMES` order so persisted vectors never reshuffle between versions.
+/// candidate's counters: the winner's feature vector that `ifko explain`
+/// prints (DESIGN.md, "Observability architecture"). Rates rather than
+/// raw counts so vectors from different problem sizes and machines stay
+/// comparable, and a fixed `NAMES` order so persisted vectors never
+/// reshuffle between versions.
 #[derive(Clone, Debug, PartialEq)]
 pub struct FeatureVector {
     pub values: Vec<f64>,

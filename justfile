@@ -1,6 +1,7 @@
 # Developer entry points. `just check` is the merge gate.
 
-# fmt + clippy + tests + harness smoke
+# Gates only: source greps, size/panic ceilings, fmt, clippy, rustdoc,
+# release build, tests, benchmark/ package build
 check:
     scripts/check.sh
 
@@ -53,6 +54,7 @@ figures:
 observe:
     mkdir -p results/traces
     cargo run --release -p ifko-bench --bin figure7 -- --quick \
+        --trace results/traces/figure7-quick.jsonl \
         --metrics results/traces/figure7-quick-metrics.json
     cargo run --release -p ifko-cli -- report results/traces/figure7-quick.jsonl
 

@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
-# The one-stop gate: formatting, lints, the full offline test suite, and
-# end-to-end smokes that run each binary and grep its output. Every
-# contract that can be checked in-process (determinism across jobs and
-# workers, exact work counts, the daemon's warm path) is a Tier-1 test,
-# not a step here: this script gates no wall-clock number. Everything
-# here must pass before a merge.
+# The merge gate, and gates only: source greps, the panic and size
+# ceilings, fmt, clippy, rustdoc, the release build, the full offline test
+# suite and the benchmark/ package build. Every behaviour of a binary
+# (each experiment, `ifko` subcommand and `ifkod`) is asserted by a
+# Tier-1 test that runs it, not by a step here that greps its output, so
+# this script runs no binary, writes nothing under results/ and gates no
+# wall-clock number. Everything here must pass before a merge.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -64,10 +65,12 @@ step "deleted names stay deleted"
 # Flags, types and phases that were measured and deleted; a name that
 # comes back in shipping code or the README is stale prose or a revived
 # path. DESIGN.md, CHANGES.md and EXPERIMENTS.md keep their history.
+# `ROADMAP item N` goes stale the same way (ROADMAP renumbers its items
+# at every re-anchor): point at the DESIGN.md section instead.
 deleted_names="$(
     grep -rnF -e '--model-prune' -e '--warm-start' -e SearchDriver \
         -e ChromeTraceSink -e XFER -e xfer -e nearest_by_features \
-        -e lookup_or_nearest -e StaticFeatureVector \
+        -e lookup_or_nearest -e StaticFeatureVector -e 'ROADMAP item' \
         crates/*/src README.md || true
 )"
 if [ -n "$deleted_names" ]; then
@@ -92,7 +95,7 @@ step "shipping lines (scripts/size.sh)"
 # Lines under crates/*/src, tests cut: a number that may only go down.
 # Lower the ceiling whenever it does; a change that raises it says why
 # in CHANGES.md.
-size_ceiling=24115
+size_ceiling=24093
 size_total="$(scripts/size.sh | awk '{ print $1 }')"
 echo "$size_total shipping lines (ceiling $size_ceiling)"
 if [ "$size_total" -gt "$size_ceiling" ]; then
@@ -128,85 +131,5 @@ step "system benchmark package (benchmark/): offline build + quick test"
 # `EvalEvent.{params, cycles}`, ...) — see DESIGN.md, "One evaluation
 # path" and "One record per probe".
 cargo test --release --offline --manifest-path benchmark/Cargo.toml -q
-
-step "ifko lint kernels/*.hil"
-cargo run --release -p ifko-cli -- lint kernels/*.hil
-cargo run --release -p ifko-cli -- lint kernels/*.hil --format json >/dev/null
-
-step "harness smoke: table3 --quick (+trace +metrics)"
-obs_tmp="$(mktemp -d)"
-trap 'rm -rf "$obs_tmp"' EXIT
-cargo run --release -p ifko-bench --bin table3 -- --quick \
-    --trace "$obs_tmp/table3.jsonl" --metrics "$obs_tmp/table3-metrics.json" >/dev/null
-test -s "$obs_tmp/table3.jsonl"
-grep -q ifko_engine_evals_total "$obs_tmp/table3-metrics.json"
-
-step "harness smoke: ifko report (trace analyzer)"
-cargo run --release -p ifko-cli -- report "$obs_tmp/table3.jsonl" | grep -q "stage time attribution"
-cargo run --release -p ifko-cli -- report "$obs_tmp/table3.jsonl" --format json >/dev/null
-
-step "harness smoke: ifko explain + ifko report --format chrome"
-cargo run --release -p ifko-cli -- tune kernels/ddot.hil --n 512 --jobs 2 \
-    --trace "$obs_tmp/explain.jsonl" \
-    --metrics "$obs_tmp/explain-metrics.json" >/dev/null
-# A `.hil` tune goes through the same tune driver as a BLAS one, so it
-# must count itself like one.
-grep -q ifko_tune_runs_total "$obs_tmp/explain-metrics.json"
-cargo run --release -p ifko-cli -- explain "$obs_tmp/explain.jsonl" \
-    | grep -q "per-transform attribution"
-cargo run --release -p ifko-cli -- explain "$obs_tmp/explain.jsonl" --format json >/dev/null
-# The Chrome/Perfetto view is rendered from the trace after the fact.
-cargo run --release -p ifko-cli -- report "$obs_tmp/explain.jsonl" --format chrome >/dev/null
-
-step "harness smoke: strategies --db (tuned db)"
-# What each strategy finds is tests/strategies_golden.rs's; this smoke
-# checks only what the golden cannot see: winners persist into the db's
-# one journal, and `ifko db stats` reads it.
-cargo run --release -p ifko-bench --bin strategies -- --quick \
-    --strategies line --budget 16 --db "$obs_tmp/db" > /dev/null
-grep -q '"key"' "$obs_tmp/db/tuned.jsonl"
-cargo run --release -p ifko-cli -- db stats --db "$obs_tmp/db" > "$obs_tmp/db-stats.txt"
-grep -q 'live records' "$obs_tmp/db-stats.txt"
-
-step "harness smoke: ifkod daemon (remote tune, warm hit, pack/install)"
-daemon_sock="$obs_tmp/ifkod.sock"
-cargo run --release -p ifko-daemon --bin ifkod -- \
-    --socket "$daemon_sock" --db "$obs_tmp/daemondb" --quiet &
-daemon_pid=$!
-trap 'rm -rf "$obs_tmp"; kill "$daemon_pid" 2>/dev/null || true' EXIT
-for _ in $(seq 50); do [ -S "$daemon_sock" ] && break; sleep 0.1; done
-cargo run --release -p ifko-cli -- daemon ping --socket "$daemon_sock"
-# First remote tune is cold; the identical repeat must answer from the
-# daemon's in-memory tuned-results index.
-cargo run --release -p ifko-cli -- tune kernels/ddot.hil --n 1024 \
-    --remote "$daemon_sock" > "$obs_tmp/remote-cold.txt"
-grep -q 'warm start         : no' "$obs_tmp/remote-cold.txt"
-cargo run --release -p ifko-cli -- tune kernels/ddot.hil --n 1024 \
-    --remote "$daemon_sock" > "$obs_tmp/remote-warm.txt"
-grep -q 'warm start         : yes' "$obs_tmp/remote-warm.txt"
-cargo run --release -p ifko-cli -- daemon metrics --socket "$daemon_sock" \
-    > "$obs_tmp/daemon-metrics.txt"
-grep -qx 'ifkod_subjects 1' "$obs_tmp/daemon-metrics.txt"
-grep -q ifkod_requests_total "$obs_tmp/daemon-metrics.txt"
-# Pack the daemon's winners, re-verify them into a fresh results dir,
-# and check the import warm-starts the next local tune there.
-cargo run --release -p ifko-cli -- pack --socket "$daemon_sock" \
-    --out "$obs_tmp/tunes.ifko"
-cargo run --release -p ifko-cli -- install "$obs_tmp/tunes.ifko" \
-    --db "$obs_tmp/freshdb" > "$obs_tmp/install.txt"
-grep -q 'installed 1 record(s)' "$obs_tmp/install.txt"
-cargo run --release -p ifko-cli -- tune kernels/ddot.hil --n 1024 \
-    --db "$obs_tmp/freshdb" > "$obs_tmp/fresh-warm.txt"
-grep -q 'strategy           : warm' "$obs_tmp/fresh-warm.txt"
-cargo run --release -p ifko-cli -- db stats --db "$obs_tmp/freshdb" \
-    > "$obs_tmp/freshdb-stats.txt"
-grep -q 'live records : 1' "$obs_tmp/freshdb-stats.txt"
-cargo run --release -p ifko-cli -- daemon stop --socket "$daemon_sock"
-wait "$daemon_pid"
-trap 'rm -rf "$obs_tmp"' EXIT
-
-step "harness smoke: figure7 --quick (sample trace)"
-cargo run --release -p ifko-bench --bin figure7 -- --quick >/dev/null
-test -s results/traces/figure7-quick.jsonl
 
 printf '\nAll checks passed.\n'
