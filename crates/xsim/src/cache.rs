@@ -7,12 +7,14 @@
 //! large: line evicted again before use in a small L1).
 //!
 //! The model is the inner loop of every simulated memory access, so it is
-//! laid out for the host: a set's line numbers sit side by side (an 8-way
-//! set is one host cache line), everything else about a way is kept
-//! beside them and touched only on a hit or a fill, and an access walks
-//! its set **once** — a lookup that misses hands back a [`Miss`] naming
-//! the line and the free way it saw, and [`Cache::fill`] completes it
-//! without looking again.
+//! laid out for the host. A set keeps its lines **in recency order**, most
+//! recently used first, each beside its fill time: a hit on the most
+//! recent line (most hits) compares one way, reads the fill time beside
+//! it and changes nothing; a fill shifts the set down one place and writes
+//! the front; the least recently used line is simply the last. There is
+//! no replacement state apart from that order. An access walks its set
+//! once — a lookup that misses hands back a [`Miss`] naming the line and
+//! its set, and [`Cache::fill`] completes it without looking again.
 
 /// Static configuration of one cache level.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -34,55 +36,51 @@ impl CacheCfg {
     }
 }
 
-/// An empty way. Ways hold *line number + 1*, so no address maps to it.
-const FREE: u64 = 0;
-/// "No way" in [`Miss::free`].
-const NO_WAY: u32 = u32::MAX;
+/// One resident line: its line number + 1 (so no address maps to 0) and
+/// the cycle at which its fill completes (0 if long resident).
+#[derive(Clone, Copy, Debug)]
+struct Way {
+    line: u64,
+    fill_done: u64,
+}
 
-/// What a set keeps beside its line numbers.
+/// The line of a free way: ways hold line number + 1.
+const FREE: u64 = 0;
+
+/// What a set keeps beside its ways.
 #[derive(Clone, Copy, Debug)]
 struct SetState {
     /// Flush epoch of the set's contents. When it is not the cache's
-    /// current epoch every way is free, whatever `lines` still holds (and
-    /// `dirty` and `order` are stale too): the first fill clears the set.
-    /// 0 is never current.
+    /// current epoch the set is empty, whatever `len` and the ways still
+    /// hold: the first fill clears it. 0 is never current.
     epoch: u32,
-    /// Bit `w` is set when way `w` holds a dirty line.
-    dirty: u32,
-    /// The ways from most to least recently used, a nibble each, most
-    /// recent lowest (nibbles past the associativity keep their index).
-    /// Lookups try the first; a full set's victim is the last.
-    order: u64,
+    /// Lines resident: the set's first `len` ways, most recent first.
+    /// The front way of a current set holding no line is [`FREE`].
+    len: u16,
+    /// Bit `r` is set when the line of recency rank `r` is dirty.
+    dirty: u16,
 }
-
-/// Nibble `p` holds `p`: every way ranked by its index.
-const IN_WAY_ORDER: u64 = 0xFEDC_BA98_7654_3210;
-const NIBBLES_ONES: u64 = 0x1111_1111_1111_1111;
 
 /// A set as no fill has touched it.
 const FRESH: SetState = SetState {
     epoch: 0,
+    len: 0,
     dirty: 0,
-    order: IN_WAY_ORDER,
 };
 
-impl SetState {
-    /// The set's `rank`-th most recently used way.
-    #[inline(always)]
-    fn way(&self, rank: usize) -> usize {
-        (self.order >> (4 * rank) & 0xF) as usize
-    }
+/// The low `n` bits (`n` ≤ 16).
+#[inline(always)]
+fn low(n: usize) -> u16 {
+    ((1u32 << n) - 1) as u16
+}
 
-    /// Make `way` the most recently used.
-    #[inline]
-    fn promote(&mut self, way: usize) {
-        let order = self.order;
-        // `way`'s rank: the lowest zero nibble of `x` (borrows run up).
-        let x = order ^ (way as u64).wrapping_mul(NIBBLES_ONES);
-        let zeros = x.wrapping_sub(NIBBLES_ONES) & !x & (NIBBLES_ONES << 3);
-        let at = zeros.trailing_zeros() & !3;
-        let above = (1u64 << at) - 1;
-        self.order = order & !(above | 0xF << at) | (order & above) << 4 | way as u64;
+/// Move `ways[..n]` one place down in recency, to `ways[1..=n]`. An
+/// element at a time: the sets are short, and a call to `memmove` costs
+/// more than the moves.
+#[inline(always)]
+fn shift_down(ways: &mut [Way], n: usize) {
+    for r in (0..n).rev() {
+        ways[r + 1] = ways[r];
     }
 }
 
@@ -101,16 +99,14 @@ impl Probe {
     }
 }
 
-/// A lookup that missed: the line it wanted and what the walk of its set
-/// saw. Good for one [`Cache::fill`], and only while nothing else has
-/// filled, flushed or re-shaped the cache in between.
+/// A lookup that missed: the line it wanted and its set. Good for one
+/// [`Cache::fill`], and only while nothing else has filled, flushed or
+/// re-shaped the cache in between.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Miss {
     /// Line number + 1.
     line: u64,
     set: u32,
-    /// First free way of the set, or [`NO_WAY`] when the set is full.
-    free: u32,
 }
 
 /// A line evicted by an insertion; dirty lines must be written back by the
@@ -129,14 +125,11 @@ pub struct Cache {
     /// `log2(cfg.line)`; lines and sets are powers of two.
     line_shift: u32,
     set_mask: u64,
-    /// Way `w` of set `s` is slot `s * assoc + w` of the two arrays
-    /// below. `lines` holds line number + 1, or [`FREE`]; `fill_done`
-    /// (cycle at which the fill completes, 0 if long resident) means
-    /// something only where `lines` is not free. Both are at least
-    /// `sets * assoc` long: a cache re-shaped by [`reset`](Cache::reset)
-    /// to a smaller geometry keeps the excess.
-    lines: Vec<u64>,
-    fill_done: Vec<u64>,
+    /// Set `s` owns `ways[s * assoc..][..assoc]`, of which the first
+    /// `len` (its [`SetState`]) hold its lines, most recently used first.
+    /// At least `sets * assoc` long: a cache re-shaped by
+    /// [`reset`](Cache::reset) to a smaller geometry keeps the excess.
+    ways: Vec<Way>,
     sets: Vec<SetState>,
     /// Current flush epoch (never 0); see [`SetState::epoch`].
     epoch: u32,
@@ -149,8 +142,7 @@ impl Cache {
             assoc: 0,
             line_shift: 0,
             set_mask: 0,
-            lines: Vec::new(),
-            fill_done: Vec::new(),
+            ways: Vec::new(),
             sets: Vec::new(),
             epoch: 1,
         };
@@ -161,7 +153,7 @@ impl Cache {
     /// Re-shape to `cfg` and drop all contents: afterwards the cache
     /// behaves exactly like `Cache::new(cfg)`. The stores are reused
     /// whenever they are large enough for the new geometry, and nothing
-    /// is cleared here — the new epoch makes every set stale, hints
+    /// is cleared here — the new epoch makes every set stale, lengths
     /// left over from a wider shape included.
     pub fn reset(&mut self, cfg: CacheCfg) {
         let sets = cfg.sets();
@@ -173,7 +165,7 @@ impl Cache {
         assert!(cfg.line.is_power_of_two());
         // Any `u64` address can arrive here (the memory bounds check comes
         // after the cache access): with two-byte lines or longer, line
-        // number + 1 neither overflows nor collides with `FREE`.
+        // number + 1 does not overflow.
         assert!(cfg.line >= 2, "line size must be at least 2: {:?}", cfg);
         assert!(
             (1..=16).contains(&cfg.assoc),
@@ -185,11 +177,15 @@ impl Cache {
         self.line_shift = cfg.line.trailing_zeros();
         self.set_mask = sets - 1;
         let need = (sets * cfg.assoc) as usize;
-        if self.lines.len() < need {
-            // Zeroed stores come straight from the allocator; `resize`
-            // would copy the old contents first.
-            self.lines = vec![FREE; need];
-            self.fill_done = vec![0; need];
+        if self.ways.len() < need {
+            // A new store: `resize` would copy the old contents first.
+            self.ways = vec![
+                Way {
+                    line: FREE,
+                    fill_done: 0
+                };
+                need
+            ];
         }
         if self.sets.len() < sets as usize {
             self.sets = vec![FRESH; sets as usize];
@@ -201,67 +197,63 @@ impl Cache {
         &self.cfg
     }
 
-    /// The one walk of an access: the (set, way) holding the line of
-    /// `addr`, and whether that way is the set's most recently used, or
-    /// the [`Miss`] a fill needs.
+    /// The one walk of an access: the set holding the line of `addr` and
+    /// the line's recency rank there (0: most recent), or the [`Miss`] a
+    /// fill needs.
     #[inline(always)]
-    fn find(&self, addr: u64) -> Result<(usize, usize, bool), Miss> {
+    fn find(&self, addr: u64) -> Result<(usize, usize), Miss> {
         let lineno = addr >> self.line_shift;
         let line = lineno + 1;
         let set = (lineno & self.set_mask) as usize;
-        let state = &self.sets[set];
-        let mut free = 0;
+        let state = self.sets[set];
         if state.epoch == self.epoch {
-            let base = set * self.assoc;
-            let ways = &self.lines[base..base + self.assoc];
-            let hint = state.way(0);
-            if ways[hint] == line {
-                return Ok((set, hint, true));
+            let ways = &self.ways[set * self.assoc..];
+            // The most recent line first: an empty current set's front way
+            // is free, so this needs no length check.
+            if ways[0].line == line {
+                return Ok((set, 0));
             }
-            free = NO_WAY;
-            for (w, &l) in ways.iter().enumerate().rev() {
-                if l == line {
-                    return Ok((set, w, false));
-                }
-                if l == FREE {
-                    free = w as u32;
-                }
+            let older = ways.get(1..state.len as usize).unwrap_or_default();
+            if let Some(rank) = older.iter().position(|w| w.line == line) {
+                return Ok((set, rank + 1));
             }
         }
         Err(Miss {
             line,
             set: set as u32,
-            free,
         })
     }
 
-    /// A hit on `way` of `set`: it becomes the most recently used way,
-    /// and dirty if `dirty`. Returns its slot.
-    #[inline]
-    fn touch(&mut self, set: usize, way: usize, dirty: bool) -> usize {
-        let state = &mut self.sets[set];
-        state.promote(way);
-        state.dirty |= (dirty as u32) << way;
-        set * self.assoc + way
+    /// The resident line of `rank` in `set`.
+    #[inline(always)]
+    fn way(&self, set: usize, rank: usize) -> Way {
+        self.ways[set * self.assoc + rank]
     }
 
-    /// A lookup that counts as a use of the line. A hit on the set's most
-    /// recently used way (most hits) leaves the set's order as it is.
+    /// A use of the line of `rank` in `set`: it becomes the most recent,
+    /// and dirty if `dirty`. Returns it.
+    #[inline(always)]
+    fn touch(&mut self, set: usize, rank: usize, dirty: bool) -> &mut Way {
+        let state = &mut self.sets[set];
+        let ways = &mut self.ways[set * self.assoc..][..=rank];
+        if rank != 0 {
+            let hit = ways[rank];
+            shift_down(ways, rank);
+            ways[0] = hit;
+            let d = state.dirty;
+            state.dirty = d & !low(rank + 1) | (d & low(rank)) << 1 | d >> rank & 1;
+        }
+        state.dirty |= dirty as u16;
+        &mut ways[0]
+    }
+
+    /// A lookup that counts as a use of the line.
     #[inline(always)]
     fn access(&mut self, addr: u64, dirty: bool) -> Probe {
         match self.find(addr) {
-            Ok((set, way, mru)) => {
-                let slot = match mru {
-                    true => {
-                        self.sets[set].dirty |= (dirty as u32) << way;
-                        set * self.assoc + way
-                    }
-                    false => self.touch(set, way, dirty),
-                };
-                Probe::Hit {
-                    fill_done: self.fill_done[slot],
-                }
-            }
+            Ok((set, rank)) => Probe::Hit {
+                fill_done: self.touch(set, rank, dirty).fill_done,
+            },
             Err(miss) => Probe::Miss(miss),
         }
     }
@@ -284,47 +276,43 @@ impl Cache {
     #[inline(always)]
     pub fn peek(&self, addr: u64) -> Probe {
         match self.find(addr) {
-            Ok((set, way, _)) => Probe::Hit {
-                fill_done: self.fill_done[set * self.assoc + way],
+            Ok((set, rank)) => Probe::Hit {
+                fill_done: self.way(set, rank).fill_done,
             },
             Err(miss) => Probe::Miss(miss),
         }
     }
 
     /// Bring in the line a lookup missed, with its fill completing at
-    /// `fill_done`. The victim is the first free way of the set, else its
-    /// least recently used way. Returns the victim if a line was evicted.
+    /// `fill_done`, as the most recent line of its set. A full set evicts
+    /// its least recently used line; returns it if so.
     pub fn fill(&mut self, miss: Miss, fill_done: u64, dirty: bool) -> Option<Evicted> {
         let set = miss.set as usize;
-        let base = set * self.assoc;
-        let ways = &mut self.lines[base..base + self.assoc];
         let state = &mut self.sets[set];
         if state.epoch != self.epoch {
-            ways.fill(FREE);
             *state = SetState {
                 epoch: self.epoch,
                 ..FRESH
             };
         }
-        debug_assert!(!ways.contains(&miss.line), "stale miss: line present");
-        let way = match miss.free {
-            NO_WAY => state.way(self.assoc - 1),
-            free => free as usize,
-        };
-        let bit = 1u32 << way;
-        let evicted = (ways[way] != FREE).then(|| Evicted {
-            addr: (ways[way] - 1) << self.line_shift,
-            dirty: state.dirty & bit != 0,
+        let ways = &mut self.ways[set * self.assoc..][..self.assoc];
+        let len = state.len as usize;
+        debug_assert!(
+            !ways[..len].iter().any(|w| w.line == miss.line),
+            "stale miss: line present"
+        );
+        let evicted = (len == ways.len()).then(|| Evicted {
+            addr: (ways[len - 1].line - 1) << self.line_shift,
+            dirty: state.dirty >> (len - 1) & 1 != 0,
         });
-        debug_assert_eq!(evicted.is_some(), miss.free == NO_WAY, "stale miss");
-        ways[way] = miss.line;
-        state.promote(way);
-        state.dirty = if dirty {
-            state.dirty | bit
-        } else {
-            state.dirty & !bit
+        let kept = len - evicted.is_some() as usize;
+        shift_down(ways, kept);
+        ways[0] = Way {
+            line: miss.line,
+            fill_done,
         };
-        self.fill_done[base + way] = fill_done;
+        state.len = kept as u16 + 1;
+        state.dirty = (state.dirty << 1 | dirty as u16) & low(kept + 1);
         evicted
     }
 
@@ -333,9 +321,9 @@ impl Cache {
     /// it is already there. Returns the victim if a line was evicted.
     pub fn insert(&mut self, addr: u64, fill_done: u64, dirty: bool) -> Option<Evicted> {
         match self.find(addr) {
-            Ok((set, way, _)) => {
-                let slot = self.touch(set, way, dirty);
-                self.fill_done[slot] = self.fill_done[slot].min(fill_done);
+            Ok((set, rank)) => {
+                let way = self.touch(set, rank, dirty);
+                way.fill_done = way.fill_done.min(fill_done);
                 None
             }
             Err(miss) => self.fill(miss, fill_done, dirty),
@@ -345,14 +333,20 @@ impl Cache {
     /// Invalidate the line containing `addr` (non-temporal store semantics).
     /// Returns the evicted line if it was present.
     pub fn invalidate(&mut self, addr: u64) -> Option<Evicted> {
-        let (set, way, _) = self.find(addr).ok()?;
-        self.lines[set * self.assoc + way] = FREE;
+        let (set, rank) = self.find(addr).ok()?;
         let state = &mut self.sets[set];
-        let dirty = state.dirty & (1 << way) != 0;
-        state.dirty &= !(1 << way);
+        let len = state.len as usize;
+        let ways = &mut self.ways[set * self.assoc..][..len];
+        ways.copy_within(rank + 1.., rank);
+        if len == 1 {
+            ways[0].line = FREE;
+        }
+        state.len -= 1;
+        let d = state.dirty;
+        state.dirty = d & low(rank) | d >> 1 & !low(rank);
         Some(Evicted {
             addr: addr >> self.line_shift << self.line_shift,
-            dirty,
+            dirty: d >> rank & 1 != 0,
         })
     }
 
@@ -370,12 +364,11 @@ impl Cache {
 
     /// Number of valid lines (test/diagnostic helper).
     pub fn resident_lines(&self) -> usize {
-        let sets = self.set_mask as usize + 1;
-        (0..sets)
-            .filter(|&s| self.sets[s].epoch == self.epoch)
-            .flat_map(|s| &self.lines[s * self.assoc..(s + 1) * self.assoc])
-            .filter(|&&l| l != FREE)
-            .count()
+        self.sets[..=self.set_mask as usize]
+            .iter()
+            .filter(|s| s.epoch == self.epoch)
+            .map(|s| s.len as usize)
+            .sum()
     }
 }
 

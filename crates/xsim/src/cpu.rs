@@ -180,7 +180,8 @@ enum AOp {
 }
 
 /// A decoded [`Addr`]: `base + (index << shift) + disp`. Without an index
-/// it indexes [`ZERO_REG`], so every address computes branch-free.
+/// it names [`ZERO_REG`], and the address and its readiness skip it: most
+/// addresses have no index, and each op has the same one every time.
 #[derive(Clone, Copy)]
 struct DAddr {
     base: u8,
@@ -635,12 +636,18 @@ impl Cpu {
         ready
     }
 
+    /// Whether the `bytes` at `addr` span two L1 lines.
+    #[inline(always)]
+    fn crosses_line(&self, addr: u64, bytes: u64) -> bool {
+        let line = self.cfg.l1.line;
+        (addr & (line - 1)) + bytes > line
+    }
+
     /// A demand load of `bytes` at `addr`; returns the data-ready cycle.
     /// One line and an L1 hit — nearly every load — stays inline.
     #[inline(always)]
     fn load(&mut self, addr: u64, bytes: u64, now: u64) -> u64 {
-        let sh = self.l1_shift;
-        if addr >> sh != (addr + bytes - 1) >> sh {
+        if self.crosses_line(addr, bytes) {
             return self.load_split(addr, now);
         }
         self.load_line(addr, now)
@@ -775,8 +782,8 @@ impl Cpu {
     /// and consume bus bandwidth (read-for-ownership on miss).
     #[inline(always)]
     fn store(&mut self, addr: u64, bytes: u64, now: u64) {
-        let sh = self.l1_shift;
-        if addr >> sh != (addr + bytes - 1) >> sh {
+        if self.crosses_line(addr, bytes) {
+            let sh = self.l1_shift;
             let split = ((addr >> sh) + 1) << sh;
             self.store_line(addr, now);
             self.store_line(split, now);
@@ -907,14 +914,21 @@ impl Cpu {
 
     #[inline(always)]
     fn ea(&self, a: &DAddr) -> u64 {
-        let v = self.iregs[ri(a.base)] + (self.iregs[ri(a.index)] << a.shift);
+        let mut v = self.iregs[ri(a.base)];
+        if a.index != ZERO_REG {
+            v += self.iregs[ri(a.index)] << a.shift;
+        }
         (v + a.disp) as u64
     }
 
     /// The readiness of an address's registers.
     #[inline(always)]
     fn ar(&self, a: &DAddr) -> u64 {
-        self.ireg_ready[ri(a.base)].max(self.ireg_ready[ri(a.index)])
+        let r = self.ireg_ready[ri(a.base)];
+        match a.index {
+            ZERO_REG => r,
+            index => r.max(self.ireg_ready[ri(index)]),
+        }
     }
 
     /// FP register `r` and its ready cycle; lane 0 of it as a `T`.
