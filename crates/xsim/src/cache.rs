@@ -584,3 +584,9 @@ mod tests {
         assert_eq!(cfg.sets(), 32);
     }
 }
+
+// Kept with the other suites, but a child of this module: one case
+// needs the flush epoch.
+#[cfg(test)]
+#[path = "../tests/unit/cache_exactness.rs"]
+mod exactness;
