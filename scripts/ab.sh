@@ -20,8 +20,10 @@ rounds="${2:-15}"
 dir="${3:-$(mktemp -d)}"
 rm -rf "$dir/base" "$dir/harness"
 mkdir -p "$dir/base" "$dir/harness/src"
+# `-m` stamps the files with the export time: with REV's commit time, a
+# DIR reused for an older REV would keep the previous base's build.
 git -C "$repo" archive "$rev" crates/xsim crates/fko crates/hil crates/blas examples |
-    tar -x -C "$dir/base"
+    tar -x -m -C "$dir/base"
 for c in xsim fko hil blas; do
     sed -i "s/^name = \"ifko-$c\"/name = \"ifko-$c-base\"/" "$dir/base/crates/$c/Cargo.toml"
 done
