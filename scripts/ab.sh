@@ -11,13 +11,20 @@
 #   scripts/ab.sh REV [ROUNDS] [DIR]
 #
 # REV's crates are exported with `git archive` into DIR (default: a new
-# temporary directory) and renamed `ifko-*-base`; nothing is written
-# under .git and nothing is fetched. The harness builds in release.
+# temporary directory, removed on exit) and renamed `ifko-*-base`;
+# nothing is written under .git and nothing is fetched. The harness
+# builds in release.
 set -euo pipefail
 repo="$(cd "$(dirname "$0")/.." && pwd)"
 rev="${1:?usage: scripts/ab.sh REV [ROUNDS] [DIR]}"
 rounds="${2:-15}"
-dir="${3:-$(mktemp -d)}"
+if [ -n "${3:-}" ]; then
+    dir="$3"
+else
+    # A directory of its own is the script's to remove.
+    dir="$(mktemp -d)"
+    trap 'rm -rf "$dir"' EXIT
+fi
 rm -rf "$dir/base" "$dir/harness"
 mkdir -p "$dir/base" "$dir/harness/src"
 # `-m` stamps the files with the export time: with REV's commit time, a
