@@ -40,8 +40,6 @@ pub struct Set {
     pub contexts: Vec<Context>,
     pub variants: Vec<Variant>,
     pub kernels: usize,
-    /// Workload seed.
-    pub seed: u64,
 }
 
 impl Set {
@@ -65,7 +63,6 @@ impl Set {
             ],
             variants: vec![Defaults, Unroll(1), Unroll(4), Unroll(16), PrefetchOff, Wnt],
             kernels: 14,
-            seed: 2005,
         }
     }
 }
@@ -241,10 +238,12 @@ macro_rules! side {
 
             impl $crate::Side for Side {
                 fn compile(&mut self, set: &Set) -> Result<Vec<Case>, String> {
+                    // The system benchmark's default workload seed.
+                    const SEED: u64 = 2005;
                     self.work = set
                         .contexts
                         .iter()
-                        .map(|c| (Workload::generate(c.n, set.seed), c.in_l2))
+                        .map(|c| (Workload::generate(c.n, SEED), c.in_l2))
                         .collect();
                     self.cases.clear();
                     let mut out = Vec::new();

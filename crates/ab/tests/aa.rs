@@ -23,7 +23,6 @@ fn small() -> Set {
         ],
         variants: vec![Variant::Defaults, Variant::Unroll(1), Variant::Wnt],
         kernels: 4,
-        seed: 2005,
     }
 }
 

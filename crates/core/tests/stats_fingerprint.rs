@@ -4,75 +4,17 @@
 //! at the benchmark's default seed, hashed as `benchmark/src/layers.rs`
 //! hashes them. A change to the simulator that is not meant to move a
 //! counter leaves it equal; this runs it on every `cargo test` rather than
-//! only in the benchmark.
+//! only in the benchmark. The operands are bound by `run_once` (a pooled
+//! `RunContext::run`), the binding every tune's probe uses.
 
 use ifko::eval::fnv64;
-use ifko::runner::{Context, KernelArgs};
+use ifko::runner::{run_once, Context, KernelArgs};
 use ifko_blas::hil_src::hil_source;
 use ifko_blas::{Workload, ALL_KERNELS};
-use ifko_fko::{compile_defaults, ArgSlot, CompiledKernel};
-use ifko_xsim::isa::Prec;
-use ifko_xsim::{opteron, p4e, Cpu, FReg, IReg, MachineConfig, Memory, RunStats};
+use ifko_fko::compile_defaults;
+use ifko_xsim::{opteron, p4e, RunStats};
 
 const FINGERPRINT: u64 = 94217963233683;
-
-/// The CPU and memory image the benchmark's probe binds for one call.
-fn bind(
-    compiled: &CompiledKernel,
-    args: &KernelArgs<'_>,
-    machine: &MachineConfig,
-) -> (Cpu, Memory) {
-    let (n, prec) = (args.workload.n as u64, args.kernel.prec);
-    let eb = prec.bytes();
-    let mut mem = Memory::new((n * eb * 2 + (1 << 20)) as usize);
-    let two = args.kernel.op.n_vectors() > 1;
-    let store = |mem: &mut Memory, addr: u64, data: &[f64]| match prec {
-        Prec::D => mem.store_f64_slice(addr, data).unwrap(),
-        Prec::S => {
-            let f: Vec<f32> = data.iter().map(|&v| v as f32).collect();
-            mem.store_f32_slice(addr, &f).unwrap();
-        }
-    };
-    let xaddr = mem.alloc_vector(n.max(1), eb);
-    store(&mut mem, xaddr, &args.workload.x);
-    let yaddr = if two {
-        mem.alloc_vector(n.max(1), eb)
-    } else {
-        0
-    };
-    if two {
-        store(&mut mem, yaddr, &args.workload.y);
-    }
-    let frame = match compiled.frame_bytes {
-        0 => 0,
-        bytes => mem.alloc(bytes, 16),
-    };
-    let mut cpu = Cpu::new(machine.clone());
-    cpu.flush_caches();
-    if args.context == Context::InL2 {
-        cpu.preload_l2(xaddr, n * eb);
-        if two {
-            cpu.preload_l2(yaddr, n * eb);
-        }
-    }
-    let mut ptrs = [xaddr, yaddr].into_iter();
-    let mut scalars = [args.workload.alpha, args.workload.beta].into_iter();
-    for slot in &compiled.arg_convention {
-        match slot {
-            ArgSlot::PtrReg(r) => cpu.set_ireg(IReg(*r), ptrs.next().unwrap_or(0) as i64),
-            ArgSlot::IntReg(r) => cpu.set_ireg(IReg(*r), n as i64),
-            ArgSlot::FReg(r) => {
-                let v = scalars.next().unwrap_or(0.0);
-                match prec {
-                    Prec::D => cpu.set_freg_f64(FReg(*r), v),
-                    Prec::S => cpu.set_freg_f32(FReg(*r), v as f32),
-                }
-            }
-        }
-    }
-    cpu.set_ireg(IReg(7), frame as i64);
-    (cpu, mem)
-}
 
 /// One context's sweep: the 14 kernels on each machine, at defaults.
 fn sweep(context: Context, n: usize, seed: u64) -> Vec<RunStats> {
@@ -86,8 +28,7 @@ fn sweep(context: Context, n: usize, seed: u64) -> Vec<RunStats> {
                 workload: &w,
                 context,
             };
-            let (mut cpu, mut mem) = bind(&compiled, &args, &mach);
-            stats.push(cpu.run(&compiled.program, &mut mem).unwrap());
+            stats.push(run_once(&compiled, &args, &mach).unwrap().stats);
         }
     }
     stats

@@ -8,29 +8,21 @@
 # the A/A ratio of the base against a twin of itself, read in the same
 # run. It refuses to time sides whose programs or counters differ.
 #
-#   scripts/ab.sh REV [ROUNDS] [DIR]
+#   scripts/ab.sh REV [ROUNDS]
 #
-# REV's crates are exported with `git archive` into DIR (default: a new
-# temporary directory, removed on exit) and renamed `ifko-*-base`;
-# nothing is written under .git and nothing is fetched. The harness
-# builds in release.
+# REV's crates are exported with `git archive` into a new temporary
+# directory, removed on exit, and renamed `ifko-*-base`; nothing is
+# written under .git and nothing is fetched. The harness builds in
+# release.
 set -euo pipefail
 repo="$(cd "$(dirname "$0")/.." && pwd)"
-rev="${1:?usage: scripts/ab.sh REV [ROUNDS] [DIR]}"
+rev="${1:?usage: scripts/ab.sh REV [ROUNDS]}"
 rounds="${2:-15}"
-if [ -n "${3:-}" ]; then
-    dir="$3"
-else
-    # A directory of its own is the script's to remove.
-    dir="$(mktemp -d)"
-    trap 'rm -rf "$dir"' EXIT
-fi
-rm -rf "$dir/base" "$dir/harness"
+dir="$(mktemp -d)"
+trap 'rm -rf "$dir"' EXIT
 mkdir -p "$dir/base" "$dir/harness/src"
-# `-m` stamps the files with the export time: with REV's commit time, a
-# DIR reused for an older REV would keep the previous base's build.
 git -C "$repo" archive "$rev" crates/xsim crates/fko crates/hil crates/blas examples |
-    tar -x -m -C "$dir/base"
+    tar -x -C "$dir/base"
 for c in xsim fko hil blas; do
     sed -i "s/^name = \"ifko-$c\"/name = \"ifko-$c-base\"/" "$dir/base/crates/$c/Cargo.toml"
 done
@@ -93,5 +85,5 @@ fn main() -> std::process::ExitCode {
 }
 EOF
 
-echo "ab: $rev (base) vs the working tree (change), in $dir" >&2
+echo "ab: $rev (base) vs the working tree (change)" >&2
 cargo run --release --offline --quiet --manifest-path "$dir/Cargo.toml" -p ab-harness
